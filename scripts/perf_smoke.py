@@ -12,7 +12,12 @@ on any machine, however noisy:
   floor far below the committed >=1.5x threshold, which only the
   manually-dispatched full perf job enforces);
 * on the memory-bound leg, the pooled and object substrates of the
-  fast loop agree bit for bit (``GPU(pooled=...)`` both ways).
+  fast loop agree bit for bit (``GPU(pooled=...)`` both ways), both
+  equal the reference loop, and the pooled run spends at least
+  ``STALL_SLEEP_FLOOR`` of its SM-cycles in memory-stall sleep — so a
+  refactor that breaks the L1 ``on_release`` wake (divergence) or the
+  engagement condition (share drops to 0) fails here, not in the next
+  benchmark run.
 """
 
 import sys
@@ -24,16 +29,27 @@ from repro.sim.engine import GPU, make_launches
 from repro.workloads.profiles import get_profile
 
 
-def pooled_identity_check(config) -> bool:
-    """Fast-loop object path vs fast-loop pooled path on the
-    memory-bound mix: one run each, signatures must match."""
-    signatures = []
-    for pooled in (False, True):
+#: the st+sv leg sleeps through ~0.20 of its SM-cycles (a simulated
+#: count, exact per seed; the scaled machine's two SMs see an L1
+#: release almost every cycle, hence far below the 16-SM share).
+STALL_SLEEP_FLOOR = 0.10
+
+
+def memory_bound_check(config):
+    """The memory-bound mix on the reference loop and on both
+    substrates of the fast loop.  Returns ``(identical, share)``: all
+    three signatures match, and the pooled run's memory-stall sleep
+    share of SM-cycles."""
+    results = []
+    for gpu_kwargs in ({"reference": True}, {"pooled": False},
+                       {"pooled": True}):
         profiles = [get_profile("st"), get_profile("sv")]
         launches = make_launches(profiles, [4, 4], config, seed=3)
-        gpu = GPU(config, launches, SchemeConfig(), pooled=pooled)
-        signatures.append(result_signature(gpu.run(2000)))
-    return signatures[0] == signatures[1]
+        gpu = GPU(config, launches, SchemeConfig(), **gpu_kwargs)
+        results.append(gpu.run(2000))
+    signatures = [result_signature(result) for result in results]
+    identical = signatures[0] == signatures[1] == signatures[2]
+    return identical, results[2].sleep_ratio("mem_stall")
 
 
 def main() -> int:
@@ -58,10 +74,17 @@ def main() -> int:
             print(f"FAIL {name}: fast loop slower than reference "
                   f"({speedup:.2f}x)")
             return 1
-    if not pooled_identity_check(config):
-        print("FAIL st+sv: pooled memory path diverged from object path")
+    identical, stall_sleep = memory_bound_check(config)
+    if not identical:
+        print("FAIL st+sv: reference, object and pooled runs diverged")
         return 1
-    print("ok st+sv: pooled == object on the fast loop")
+    print("ok st+sv: reference == object == pooled")
+    if stall_sleep < STALL_SLEEP_FLOOR:
+        print(f"FAIL st+sv: memory-stall sleep covers {stall_sleep:.1%} of "
+              f"SM-cycles, floor {STALL_SLEEP_FLOOR:.0%}")
+        return 1
+    print(f"ok st+sv: memory-stall sleep covers {stall_sleep:.1%} of "
+          f"SM-cycles")
     return 0
 
 

@@ -135,7 +135,15 @@ def cmd_run(args) -> int:
     print(f"  weighted speedup: {outcome.weighted_speedup:.3f}")
     print(f"  ANTT            : {outcome.antt:.3f}")
     print(f"  fairness        : {outcome.fairness:.3f}")
-    report = outcome.result.obs
+    result = outcome.result
+    if result.sleep is not None:
+        # Host-side: how much of the run the fast loop slept through
+        # (0% on the reference loop, which observed runs use).
+        print(f"  SM sleep        : {result.sleep_ratio():.1%} of SM-cycles "
+              f"(idle {result.sleep_ratio('idle'):.1%}, "
+              f"ALU-burst {result.sleep_ratio('alu_burst'):.1%}, "
+              f"memory-stall {result.sleep_ratio('mem_stall'):.1%})")
+    report = result.obs
     if report is not None:
         from repro.obs import format_stall_report
         print()

@@ -65,8 +65,11 @@ class MILG:
         if inflight > self._peak_inflight:
             self._peak_inflight = inflight
 
-    def note_rsfail(self) -> None:
-        self._rsfails += 1
+    def note_rsfail(self, count: int = 1) -> None:
+        # Purely additive and read only at the window boundary inside
+        # note_request, so a stalled LSU may report a whole stretch of
+        # replayed failures in one call (LoadStoreUnit._flush_stall_debt).
+        self._rsfails += count
 
     def note_request(self, current_inflight: int) -> None:
         self._requests += 1
@@ -120,8 +123,9 @@ class MemInstLimiter:
     def note_request(self, kernel: int, current_inflight: int) -> None:
         """A memory request was issued to the L1D by ``kernel``."""
 
-    def note_rsfail(self, kernel: int) -> None:
-        """A reservation failure was charged while serving ``kernel``."""
+    def note_rsfail(self, kernel: int, count: int = 1) -> None:
+        """``count`` reservation failures were charged while serving
+        ``kernel`` (one per stalled cycle; the LSU batches replays)."""
 
     def observe_inflight(self, kernel: int, inflight: int) -> None:
         """Sample the kernel's current in-flight memory instructions."""
@@ -175,8 +179,8 @@ class DynamicLimiter(MemInstLimiter):
     def note_request(self, kernel: int, current_inflight: int) -> None:
         self.milgs[kernel].note_request(current_inflight)
 
-    def note_rsfail(self, kernel: int) -> None:
-        self.milgs[kernel].note_rsfail()
+    def note_rsfail(self, kernel: int, count: int = 1) -> None:
+        self.milgs[kernel].note_rsfail(count)
 
     def observe_inflight(self, kernel: int, inflight: int) -> None:
         self.milgs[kernel].observe_inflight(inflight)
@@ -205,9 +209,9 @@ class GlobalLimiterView(MemInstLimiter):
         if self.is_monitor:
             self.shared.note_request(kernel, current_inflight)
 
-    def note_rsfail(self, kernel: int) -> None:
+    def note_rsfail(self, kernel: int, count: int = 1) -> None:
         if self.is_monitor:
-            self.shared.note_rsfail(kernel)
+            self.shared.note_rsfail(kernel, count)
 
     def observe_inflight(self, kernel: int, inflight: int) -> None:
         if self.is_monitor:

@@ -346,7 +346,7 @@ class PooledL1DCache:
     """
 
     __slots__ = ("config", "pool", "tags", "mshrs", "miss_queue", "stats",
-                 "version", "_mq_pending", "_miss_queue_cap")
+                 "version", "on_release", "_mq_pending", "_miss_queue_cap")
 
     def __init__(self, config: CacheConfig, pool, mq_pending=None):
         # Imported here: repro.mem.pool imports nothing from this
@@ -361,6 +361,13 @@ class PooledL1DCache:
         self.stats = CacheStats()
         #: same replay-memo contract as :attr:`L1DCache.version`.
         self.version = 0
+        #: called right after every ``version`` bump (here and in the
+        #: pooled subsystem's miss-queue drain) while the owning SM is
+        #: in a memory-stall sleep, whose premise is exactly "the
+        #: memoised verdict still holds"; the SM arms it when it goes
+        #: to sleep and the call disarms it.  None = nobody sleeps on
+        #: this cache, and a release costs one comparison.
+        self.on_release = None
         #: shared one-cell counter of queued miss entries across all
         #: L1s (owned by the pooled subsystem; gives its idle check and
         #: leap gate an O(1) "any miss queue non-empty" answer).
@@ -443,5 +450,7 @@ class PooledL1DCache:
         """A fill returned from L2: returns the waiting slot ids (the
         recycled list is valid until the MSHR entry is re-allocated)."""
         self.version += 1
+        if self.on_release is not None:
+            self.on_release()
         self.tags.fill(line_addr)
         return self.mshrs.release(line_addr)

@@ -739,6 +739,8 @@ class PooledMemorySubsystem(MemorySubsystem):
             queue.popleft()
             pending[0] -= 1
             l1.version += 1
+            if l1.on_release is not None:
+                l1.on_release()
             self._inflight_to_l2 += 1
             self._schedule_ev(cycle + lat, (slot << 2) | EV_L2_ARRIVE)
             if self._obs is not None:

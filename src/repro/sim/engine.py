@@ -17,8 +17,14 @@ from repro.config import GPUConfig
 from repro.core.arbiter import SchemeConfig
 from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
 from repro.obs.collector import ObsLike, resolve_obs
+from repro.obs.registry import process_registry
 from repro.sim.sm import StreamingMultiprocessor
-from repro.sim.stats import KernelStats, RunResult, TimelineRecorder
+from repro.sim.stats import (
+    SLEEP_CAUSES,
+    KernelStats,
+    RunResult,
+    TimelineRecorder,
+)
 from repro.sim.wheel import EventWheel
 from repro.workloads import trace as ktrace
 from repro.workloads.kernel import InstructionStream, KernelProfile, ReplayStream
@@ -171,6 +177,8 @@ class GPU:
                 obs=self.obs, wheel=self.wheel,
                 pool=self.memory.pool if pooled else None))
         self.cycles_run = 0
+        #: what _sleep_report last added to the process registry.
+        self._sleep_reported: Dict[str, int] = {}
         if self.obs is not None:
             self.obs.attach(self)
 
@@ -233,43 +241,66 @@ class GPU:
         # query instead of a scan over every component.  The backend
         # accounts for the leapt cycles in one batch (skip_cycles, a
         # provable no-op replay); each SM's tick catches up its
-        # rotation state from the cycle gap.  The sleep scan
-        # early-exits on the first awake SM, so saturated phases pay
-        # almost nothing for the check.  Stale wheel entries (events
-        # that resolved early) at worst wake the engine for one inert
-        # tick — exactly what the reference loop would have executed.
-        sms = self.sms
+        # rotation state from the cycle gap.  Stale wheel entries
+        # (events that resolved early) at worst wake the engine for one
+        # inert tick — exactly what the reference loop would have
+        # executed.
+        #
+        # Sleeping SMs are skipped here rather than inside tick(): in a
+        # memory-pipeline stall most SMs sleep most cycles, and a
+        # Python call apiece would dominate the loop.  Awake SMs still
+        # tick in sm_id order (pool slot ids depend on it), and an SM's
+        # tick touches no other SM's sleep horizon, so folding the
+        # all-asleep scan into the same pass is exact.
+        sm_pairs = list(zip(self.sms, sm_ticks))
         leapable = self.memory.leapable
         skip_cycles = self.memory.skip_cycles
         wheel_next = self.wheel.next_after
         cycle = start
         while cycle < end:
             memory_tick(cycle)
-            for sm_tick in sm_ticks:
-                sm_tick(cycle)
             nxt = cycle + 1
-            for sm in sms:
-                if sm._sleep_until <= nxt:
-                    break
-            else:
-                if leapable():
-                    target = wheel_next(cycle)
-                    if target > end:
-                        target = end
-                    if target > nxt:
-                        skip_cycles(target - nxt)
-                        nxt = target
+            all_asleep = True
+            for sm, sm_tick in sm_pairs:
+                if sm._sleep_until <= cycle:
+                    sm_tick(cycle)
+                if all_asleep and sm._sleep_until <= nxt:
+                    all_asleep = False
+            if all_asleep and leapable():
+                target = wheel_next(cycle)
+                if target > end:
+                    target = end
+                if target > nxt:
+                    skip_cycles(target - nxt)
+                    nxt = target
             cycle = nxt
         self.cycles_run = end
         return self._collect()
 
+    def _sleep_report(self) -> Dict[str, int]:
+        """Cumulative sleep accounting of this GPU (see
+        ``RunResult.sleep``); what is new since the last collection is
+        also added to the process-wide ``sim.sleep.*`` counters."""
+        report = {cause: sum(sm._slept[i] for sm in self.sms)
+                  for i, cause in enumerate(SLEEP_CAUSES)}
+        report["sm_cycles"] = self.cycles_run * len(self.sms)
+        report["stall_replays_batched"] = sum(
+            sm.lsu.replays_batched for sm in self.sms)
+        registry = process_registry()
+        for name, value in report.items():
+            registry.bump(f"sim.sleep.{name}",
+                          value - self._sleep_reported.get(name, 0))
+        self._sleep_reported = report
+        return dict(report)
+
     def _collect(self) -> RunResult:
         for sm in self.sms:
-            # Settle any batched LSU stall accounting and burst-sleep
-            # issue accounting before the stats reads below (see
-            # LoadStoreUnit._flush_stall_debt and SM._settle_sleep_debt).
-            sm.lsu._flush_stall_debt()
+            # Settle sleep accounting, then the batched LSU stall
+            # accounting, before the stats reads below — in that order:
+            # a memory-stall sleep's settle adds owed stall replays
+            # (see SM._settle_sleep_debt, LoadStoreUnit._flush_stall_debt).
             sm._settle_sleep_debt(self.cycles_run)
+            sm.lsu._flush_stall_debt()
         cfg = self.config
         cycles = self.cycles_run
         slots = [launch.slot for launch in self.launches]
@@ -306,6 +337,7 @@ class GPU:
             dram_accesses=self.memory.dram.total_serviced(),
             icnt_flits=self.memory.icnt.req_flits_sent
                        + self.memory.icnt.rsp_flits_sent,
+            sleep=self._sleep_report(),
         )
         if self.obs is not None:
             result.obs = self.obs.report(self)

@@ -35,7 +35,7 @@ class LoadStoreUnit:
                  "_current_request", "_stall_memo", "use_stall_memo",
                  "_stall_owed", "stall_cycles", "busy_cycles",
                  "bypass_by_kernel", "_obs", "pool", "_inline_stats",
-                 "_defer_ok")
+                 "_defer_ok", "_rsfail_hook", "replays_batched")
 
     def __init__(self, sm_id: int, l1: L1DCache, queue_depth: int = LSU_QUEUE_DEPTH,
                  width: int = 2):
@@ -61,12 +61,17 @@ class LoadStoreUnit:
         self._stall_memo = None
         self.use_stall_memo = True
         #: replayed-stall cycles whose stats bumps are deferred (memo
-        #: valid + every per-stall hook inert): the whole stretch is
-        #: paid in one batch when the stall breaks (``_flush_stall_debt``)
-        #: or at result collection.  Observable state is identical to
-        #: per-cycle replay because nothing reads the counters while
-        #: the debt is outstanding.
+        #: valid, no observability): the whole stretch is paid in one
+        #: batch when the stall breaks (``_flush_stall_debt``) or at
+        #: result collection.  Observable state is identical to
+        #: per-cycle replay because nothing reads the counters — or the
+        #: limiter's additive rsfail count, see ``_rsfail_hook`` — while
+        #: the debt is outstanding.  A stall-sleeping SM adds its slept
+        #: cycles here in one step on wake-up.
         self._stall_owed = 0
+        #: self-observability: replays settled by ``_flush_stall_debt``
+        #: (each skipped an L1 lookup); one add per flush.
+        self.replays_batched = 0
         self.stall_cycles = 0
         self.busy_cycles = 0
         #: kernel -> L1D-bypass verdict, filled in by the owning SM
@@ -81,10 +86,15 @@ class LoadStoreUnit:
         self.pool = None
         #: pooled-path per-run constants resolved by the owning SM:
         #: the kernel-stats dict when the per-request SM hook reduces
-        #: to one stats bump (else None), and whether stall replays may
-        #: defer their stats (no obs, inert hooks).
+        #: to one stats bump (else None), whether stall replays may
+        #: defer their stats (no obs), and the limiter's batchable
+        #: ``note_rsfail(kernel, count)`` when it is not the base-class
+        #: no-op (else None).  MILG's rsfail count is purely additive
+        #: and read only inside ``note_request``, which this LSU cannot
+        #: reach before a failed memo check has flushed the debt.
         self._inline_stats = None
         self._defer_ok = False
+        self._rsfail_hook = None
 
     def can_accept(self) -> bool:
         return len(self.queue) < self.queue_depth
@@ -106,6 +116,10 @@ class LoadStoreUnit:
         stats.rsfails[kernel] += owed
         stats.rsfail_reasons[result] += owed
         self.stall_cycles += owed
+        self.replays_batched += owed
+        hook = self._rsfail_hook
+        if hook is not None:
+            hook(kernel, owed)
 
     def enqueue(self, inst: MemInst) -> None:
         if not self.can_accept():
@@ -225,17 +239,25 @@ class LoadStoreUnit:
         if busy:
             self.busy_cycles += 1
 
-    def _tick_pooled(self, cycle: int, sm) -> None:
+    def _tick_pooled(self, cycle: int, sm) -> bool:
         """:meth:`tick` on the struct-of-arrays path: requests are pool
         slots, the head request's scalars ride in ``_current_request``
         as ``(slot, line, kernel, is_store, bypass)``, and the L1 is a
         :class:`~repro.mem.cache.PooledL1DCache`.  Control flow, stats
         order, the stall memo and the deferral trick mirror the object
         path exactly (bit-identity is asserted in the perf suite and
-        tests/test_pooled_identity.py)."""
+        tests/test_pooled_identity.py).
+
+        Returns True when the cycle ends with the head stalled on a
+        memoised verdict whose replays are deferrable: until
+        ``l1.version`` moves, every further tick is exactly
+        ``_stall_owed += 1`` — the state the owning SM may sleep
+        through (see ``StreamingMultiprocessor.tick``).  ``_stall_owed``
+        is non-zero then iff this tick already was such a replay (a
+        lookup that failed this very cycle flushed the debt first)."""
         queue = self.queue
         if not queue:
-            return
+            return False
         l1 = self.l1
         memo = self._stall_memo
         if memo is not None:
@@ -247,7 +269,7 @@ class LoadStoreUnit:
                     and self._defer_ok and memo[1] == l1.version
                     and memo[2] is l1.tags.partition):
                 self._stall_owed += 1
-                return
+                return True
         pool = self.pool
         access_slot = l1.access_slot
         rsfails = _RSFAILS
@@ -291,7 +313,7 @@ class LoadStoreUnit:
                     # cannot be recycled while the stall holds it).
                     if self._defer_ok:
                         self._stall_owed += 1
-                        return
+                        return True
                     result = memo[3]
                     stats = l1.stats
                     stats.rsfails[kernel] += 1
@@ -312,7 +334,7 @@ class LoadStoreUnit:
                 sm.on_rsfail(kernel, cycle)
                 if obs is not None:
                     obs.lsu_rsfail(self.sm_id, kernel, result, cycle)
-                return
+                return self._defer_ok and self.use_stall_memo
 
             busy = True
             self._stall_memo = None
@@ -339,3 +361,4 @@ class LoadStoreUnit:
                     inst.on_complete(inst, cycle)
         if busy:
             self.busy_cycles += 1
+        return False

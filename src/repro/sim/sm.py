@@ -39,9 +39,13 @@ from repro.obs.stalls import (
 )
 from repro.sim.lsu import LoadStoreUnit
 from repro.sim.scheduler import NEVER, WarpScheduler
-from repro.sim.stats import KernelStats, TimelineRecorder
+from repro.sim.stats import SLEEP_CAUSES, KernelStats, TimelineRecorder
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
+
+
+#: whole-SM sleep causes as indices into ``_slept`` (SLEEP_CAUSES order).
+SLEEP_IDLE, SLEEP_BURST, SLEEP_STALL = range(len(SLEEP_CAUSES))
 
 
 class SMKernelState:
@@ -171,7 +175,9 @@ class StreamingMultiprocessor:
         self.lsu._inline_stats = (
             kernel_stats
             if self._mem_hooks_inert and timeline is None else None)
-        self.lsu._defer_ok = obs is None and self._mem_hooks_inert
+        self.lsu._defer_ok = obs is None
+        if lim_cls.note_rsfail is not MemInstLimiter.note_rsfail:
+            self.lsu._rsfail_hook = bundle.limiter.note_rsfail
         #: the baseline policy's pick is pure "first proposer wins":
         #: skip the candidate-list build and the dispatch entirely.
         self._pick_trivial = pol_cls.pick is UnmanagedIssue.pick
@@ -203,6 +209,20 @@ class StreamingMultiprocessor:
         self._sleep_eligible = (fastpath
                                 and config.scheduler_policy in ("gto", "lrr")
                                 and bundle.ucp is None)
+        #: why the SM last went to sleep, whether any scheduler was
+        #: mid-burst when it did, and slept cycles per cause
+        #: (self-observability; paid once per wake in _pay_sleep_debt).
+        self._sleep_cause = SLEEP_IDLE
+        self._sleep_bursting = False
+        #: whether the last memory-stall sleep skipped any cycle at
+        #: all.  A release on the very next cycle makes a sleep pure
+        #: overhead (scan, arm, wake) — the rule on a machine whose L1s
+        #: see a fill or a drain almost every cycle — so after such a
+        #: sleep the SM waits for a replayed stall (a cycle without a
+        #: release) before sleeping again.  Host-time heuristic only:
+        #: sleeping less is always exact.
+        self._stall_sleep_pays = True
+        self._slept = [0] * len(SLEEP_CAUSES)
         self._lrr = config.scheduler_policy == "lrr"
         # Run-constant scheme components, hoisted out of tick().
         self._ucp = bundle.ucp
@@ -361,41 +381,8 @@ class StreamingMultiprocessor:
             return
         last = self._last_tick
         self._last_tick = cycle
-        if self._fastpath and cycle - last > 1:
-            # The scheduler round-robin start advances once per cycle
-            # in the reference loop, including cycles a sleeping SM
-            # skipped: catch the rotation phase up so arbitration
-            # order stays bit-identical.  Under LRR each scheduler's
-            # rotation position advances once per select() call while
-            # it owns warps — including the sleep-hint early-outs the
-            # skipped cycles would have taken — so it owes the same
-            # catch-up.
-            gap = cycle - last - 1
-            self._sched_rr = (self._sched_rr + gap) % len(self.schedulers)
-            if self._lrr:
-                for sched in self.schedulers:
-                    if sched.warps:
-                        sched._lrr_pos += gap
-            else:
-                # Burst sleep catch-up: each slept cycle issued exactly
-                # one ALU per mid-burst scheduler (the sleep horizon was
-                # capped at every burst's remaining length, and any
-                # event that could break a burst early lowers
-                # _sleep_until to its own cycle — see
-                # _on_meminst_complete — so the premise held for the
-                # whole gap).  Pay the deferred per-issue bookkeeping in
-                # one batch; the warp's stale ready_at is harmless (the
-                # burst step below and note_load_done compare it
-                # against ``cycle`` the same way a per-cycle value
-                # would).
-                for sched in self.schedulers:
-                    left = sched._auto_left
-                    if left:
-                        stats = sched._auto_stats
-                        stats.warp_insts += gap
-                        stats.alu_insts += gap
-                        self.alu_busy += gap
-                        sched._auto_left = left - gap
+        if cycle - last > 1 and self._fastpath:
+            self._pay_sleep_debt(cycle - last - 1)
         fastpath = self._fastpath
         if self._ucp is not None:
             self._ucp.tick(cycle)
@@ -558,34 +545,70 @@ class StreamingMultiprocessor:
 
         if self._obs is not None:
             self._obs_account(self._obs, cycle)
-        self._lsu_tick(cycle, self)
+        stalled = self._lsu_tick(cycle, self)
 
         if gate is not None:
             resident = [k for k, st in self.kstate.items() if st.resident_warps]
             if resident:
                 gate.maybe_reset(resident)
-        elif (self._sleep_eligible and self._launch_blocked
-                and not self.lsu.queue):
+        elif self._sleep_eligible and self._launch_blocked and (
+                (lsu._stall_owed or self._stall_sleep_pays) if stalled
+                else not lsu.queue):
             # Every scheduler is either mid-ALU-burst (autopilot) or its
             # latest scan found nothing latency-ready (future hint), no
             # TB can launch and the LSU is drained: the SM's next ticks
             # are fully determined — each slept cycle issues exactly one
             # ALU per bursting scheduler and nothing else.  Sleep until
             # the earliest of the burst ends and the scheduler wakes;
-            # the wake-up tick pays the slept issues in one batch (see
-            # the catch-up above).  A load return that would break a
+            # the wake-up tick pays the slept issues in one batch
+            # (_pay_sleep_debt).  A load return that would break a
             # burst early lowers _sleep_until to its own cycle
             # (_on_meminst_complete), so the burst premise provably
             # holds for every slept cycle.  (A mid-burst scheduler's
             # _next_wake is <= its arming cycle, so bursts contribute
             # their end cycle here instead.)
+            #
+            # Memory-stall sleep: the LSU is not drained but its head
+            # ended this cycle on a memoised, deferrable reservation
+            # failure (``stalled``; only ``_tick_pooled`` ever reports
+            # it), so until ``l1.version`` moves each LSU tick is exactly
+            # ``_stall_owed += 1`` — and both version bump sites of the
+            # pooled path call the ``l1.on_release`` armed below, which
+            # wakes this SM in the same cycle (memory ticks first).
+            # A failure that is new this cycle (no replay owed yet) is
+            # slept on only while such sleeps pay (_stall_sleep_pays).
+            # The queue can neither grow (nothing issues) nor shrink
+            # (the head is stuck), so its fullness is frozen for the
+            # whole gap: with the queue full, a ``_mem_stalled``
+            # scheduler keeps skipping select() until ``_mem_wake``,
+            # exactly as the per-cycle check above would.
+            lsu_full = stalled and len(lsu.queue) >= lsu.queue_depth
+            bursting = False
+            soonest = cycle + 1
             wake = NEVER
             for sched in self.schedulers:
                 left = sched._auto_left
-                nw = (cycle + left) if left else sched._next_wake
+                if left:
+                    nw = cycle + left
+                    bursting = True
+                else:
+                    nw = sched._next_wake
+                    if lsu_full and nw <= cycle and sched._mem_stalled:
+                        nw = sched._mem_wake
+                if nw <= soonest:
+                    # This scheduler acts next cycle: no sleep.
+                    break
                 if nw < wake:
                     wake = nw
-            if wake > cycle + 1:
+            else:
+                if stalled:
+                    self._sleep_cause = SLEEP_STALL
+                    self._stall_sleep_pays = False
+                    lsu.l1.on_release = self._end_stall_sleep
+                else:
+                    self._sleep_cause = (SLEEP_BURST if bursting
+                                         else SLEEP_IDLE)
+                self._sleep_bursting = bursting
                 self._sleep_until = wake
                 wheel = self._wheel
                 if wheel is not None and wake < NEVER:
@@ -827,23 +850,53 @@ class StreamingMultiprocessor:
                     self._sleep_until = cycle
 
     # ------------------------------------------------------------------
-    def _settle_sleep_debt(self, end: int) -> None:
-        """Settle burst-sleep accounting when the run ends mid-sleep.
+    # whole-SM sleep accounting
+    def _end_stall_sleep(self) -> None:
+        """``l1.on_release``, armed by a memory-stall sleep: the
+        cache's version just moved, so the memoised verdict the sleep
+        rests on is void — tick this very cycle.  One shot.  If the
+        sleep already ended another way (a scheduler horizon, a load
+        return) the hook fires late, on an SM that is awake (a no-op)
+        or in a sleep of another kind (an early, inert wake)."""
+        self.lsu.l1.on_release = None
+        self._sleep_until = 0
 
-        A burst-sleeping SM defers its per-cycle issue bookkeeping to
-        the wake-up tick's catch-up; if the run's final cycle falls
-        inside the sleep window that tick never comes, so result
-        collection pays the issues for the slept cycles here (exactly
-        the cycles ``last_tick+1 .. min(end, _sleep_until)-1``, each of
-        which issued one ALU per mid-burst scheduler).  Idempotent via
-        the ``_last_tick`` advance; a no-op for idle sleeps and awake
-        SMs (nothing armed, or an empty gap)."""
-        horizon = self._sleep_until
-        if horizon > end:
-            horizon = end
-        gap = horizon - self._last_tick - 1
-        if gap <= 0:
+    def _pay_sleep_debt(self, gap: int) -> None:
+        """Pay, in one batch, what ``gap`` slept cycles would have done
+        one cycle at a time.
+
+        * The scheduler round-robin start advances once per cycle in
+          the reference loop, slept or not; under LRR so does each
+          scheduler's rotation position while it owns warps (every
+          skipped select() early-out owes one advance).
+        * Each slept cycle issued exactly one ALU per mid-burst
+          scheduler: the sleep horizon was capped at every burst's
+          remaining length, and any event that could break a burst
+          early lowers ``_sleep_until`` to its own cycle
+          (``_on_meminst_complete``).  The warp's stale ``ready_at`` is
+          harmless: the burst step and ``note_load_done`` compare it
+          against the current cycle the same way a per-cycle value
+          would.
+        * Each cycle of a memory-stall sleep replayed the memoised
+          reservation failure once; the LSU settles the count with its
+          other deferred replays (``_flush_stall_debt``).
+
+        Every term is additive, so paying a prefix at a run boundary
+        (``_settle_sleep_debt``) and the rest on wake-up equals paying
+        the whole gap at once."""
+        cause = self._sleep_cause
+        self._slept[cause] += gap
+        if cause == SLEEP_STALL:
+            self.lsu._stall_owed += gap
+            self._stall_sleep_pays = True
+        self._sched_rr = (self._sched_rr + gap) % len(self.schedulers)
+        if self._lrr:
+            for sched in self.schedulers:
+                if sched.warps:
+                    sched._lrr_pos += gap
             return
+        if not self._sleep_bursting:
+            return  # bursts cannot arm while asleep
         for sched in self.schedulers:
             left = sched._auto_left
             if left:
@@ -852,8 +905,25 @@ class StreamingMultiprocessor:
                 stats.alu_insts += gap
                 self.alu_busy += gap
                 sched._auto_left = left - gap
-                sched._auto_warp.ready_at = horizon
-        self._last_tick = horizon - 1
+
+    def _settle_sleep_debt(self, end: int) -> None:
+        """Settle sleep accounting when the run ends mid-sleep.
+
+        A sleeping SM defers its per-cycle bookkeeping to the wake-up
+        tick; if the run's final cycle falls inside the sleep window
+        that tick never comes, so result collection pays the slept
+        cycles ``last_tick+1 .. min(end, _sleep_until)-1`` here — and
+        must do so *before* the LSU's ``_flush_stall_debt``, which
+        settles the stall share.  Idempotent via the ``_last_tick``
+        advance, so a later ``run`` (or a ``set_tb_limit`` landing
+        mid-sleep) pays only what is still owed."""
+        horizon = self._sleep_until
+        if horizon > end:
+            horizon = end
+        gap = horizon - self._last_tick - 1
+        if gap > 0:
+            self._pay_sleep_debt(gap)
+            self._last_tick = horizon - 1
 
     # ------------------------------------------------------------------
     def resident_warps(self) -> int:

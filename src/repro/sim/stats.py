@@ -18,6 +18,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
+#: causes of a whole-SM sleep on the fast loop, in the order of the
+#: SM's per-cause counters: nothing to do at all, every busy scheduler
+#: mid-ALU-burst, or the LSU head replaying a memoised reservation
+#: failure (the paper's memory-pipeline stall).
+SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall")
+
+
 class KernelStats:
     """Counters for one kernel slot, aggregated across SMs."""
 
@@ -100,6 +107,13 @@ class RunResult:
     #: observability report (stall taxonomy, counter snapshot, trace
     #: events) when the run was observed; None otherwise.
     obs: Optional[object] = None
+    #: the simulator's own sleep accounting — host-side machinery, not
+    #: a simulated quantity, so it is kept out of ``result_signature``
+    #: (the reference loop never sleeps): slept SM-cycles by cause
+    #: (:data:`SLEEP_CAUSES`), ``sm_cycles`` (cycles
+    #: x SMs) and ``stall_replays_batched`` (LSU stall replays settled
+    #: in batches instead of replayed against the L1).
+    sleep: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     def ipc(self, kernel: int) -> float:
@@ -119,6 +133,16 @@ class RunResult:
     def l1d_rsfail_rate(self, kernel: int) -> float:
         acc = self.l1d_accesses.get(kernel, 0)
         return self.l1d_rsfails.get(kernel, 0) / acc if acc else 0.0
+
+    def sleep_ratio(self, cause: Optional[str] = None) -> float:
+        """Share of SM-cycles the fast loop slept through (all causes,
+        or one of :data:`SLEEP_CAUSES`)."""
+        sleep = self.sleep
+        if not sleep or not sleep["sm_cycles"]:
+            return 0.0
+        slept = (sleep[cause] if cause is not None
+                 else sum(sleep[c] for c in SLEEP_CAUSES))
+        return slept / sleep["sm_cycles"]
 
     def lsu_stall_pct(self) -> float:
         total = self.cycles * self.num_sms

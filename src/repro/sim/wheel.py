@@ -13,7 +13,11 @@ min-heap that every component posts its future activity cycles into:
 * DRAM channels post each service completion (``busy_until``) when
   service starts;
 * SMs post their ``_sleep_until`` when they go to sleep, and
-  schedulers post lowered wakes (``wake_at``) on load returns;
+  schedulers post lowered wakes (``wake_at``) on load returns; a
+  memory-stall sleep also ends when its L1's ``version`` moves
+  (``on_release`` lowers the horizon to 0), which needs no entry of its
+  own: a fill is a scheduled memory event, already posted, and a
+  miss-queue drain cannot happen while the backend is leapable;
 * MILG / QBMI window boundaries post a next-cycle re-evaluation point
   (see ``StreamingMultiprocessor._note_scheme_window``).
 

@@ -62,3 +62,23 @@ class PostedRing:
     def enqueue_posted(self, row, payload, cycle):
         self.channel.ring_push(row, False, payload)  # LINT-OK: posts below
         self.wheel.post(cycle + 1)
+
+
+class LeakyStallSleep:
+    """Memory-stall sleep, done wrong: going to sleep *raises* the SM's
+    horizon, and with no wheel entry the leap cannot see the wake."""
+
+    def sleep_through_stall(self, cycle):
+        self._sleep_until = cycle + self.horizon  # LINT-BAD: REPRO-W001
+
+
+class PostedStallSleep:
+    """The shipped shape: the raise posts its horizon, and the L1
+    release hook only ever lowers to zero (wakes earlier)."""
+
+    def sleep_through_stall(self, cycle):
+        self._sleep_until = cycle + self.horizon  # LINT-OK: posts below
+        self.wheel.post(self._sleep_until)
+
+    def end_stall_sleep(self):
+        self._sleep_until = 0  # LINT-OK: zero lowering

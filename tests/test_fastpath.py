@@ -8,12 +8,16 @@ space (GTO/LRR, BMI, MIL variants, SMK gating, UCP, L1D bypass) and
 require every collected statistic to match exactly.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.config import scaled_config
+from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
+from repro.obs import process_registry
 from repro.sim.engine import GPU, make_launches
+from repro.sim.sm import SLEEP_STALL
 from repro.workloads.profiles import get_profile
 
 CONFIG = scaled_config()
@@ -33,14 +37,40 @@ CASES = [
     ("bypass", ("st", "sv"), (2, 2), {"l1d_bypass": (True, False)}, {}),
 ]
 
+# Memory-stall sleep (docs/PERF.md section 3) engages wherever the LSU
+# head replays a memoised reservation failure: sweep the schemes whose
+# hooks it batches or leaves alone, on an M+M and a C+M mix.
+STALL_SCHEMES = [
+    ("baseline", {}),
+    ("smil", {"mil": "smil", "smil_limits": (2, 2)}),
+    ("dmil-local", {"mil": "dmil"}),
+    ("dmil-global", {"mil": "gdmil"}),
+    ("qbmi", {"bmi": "qbmi", "qbmi_init_req_per_minst": (4, 4)}),
+    ("dmil+qbmi", {"mil": "dmil", "bmi": "qbmi",
+                   "qbmi_init_req_per_minst": (4, 4)}),
+]
+CASES += [
+    (f"stall-{name}-{mix}-{policy}", kernels, (4, 4), scheme_kwargs,
+     {"scheduler_policy": policy})
+    for name, scheme_kwargs in STALL_SCHEMES
+    for mix, kernels in (("M+M", ("ks", "ax")), ("C+M", ("bp", "cd")))
+    for policy in ("gto", "lrr")
+]
+
+
+def build_gpu(kernels, tbs, scheme_kwargs=None, config=CONFIG, seed=7,
+              **gpu_kwargs):
+    # Launches hold mutable stream state: build fresh ones per GPU.
+    launches = make_launches([get_profile(k) for k in kernels], list(tbs),
+                             config, seed=seed)
+    return GPU(config, launches, SchemeConfig(**(scheme_kwargs or {})),
+               **gpu_kwargs)
+
 
 def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, reference):
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
-    profiles = [get_profile(k) for k in kernels]
-    # Launches hold mutable stream state: build fresh ones per GPU.
-    launches = make_launches(profiles, list(tbs), config, seed=3)
-    gpu = GPU(config, launches, SchemeConfig(**scheme_kwargs),
-              reference=reference)
+    gpu = build_gpu(kernels, tbs, scheme_kwargs, config, seed=3,
+                    reference=reference)
     assert gpu.reference is reference
     return gpu.run(CYCLES)
 
@@ -82,3 +112,112 @@ def test_mid_run_tb_limit_change_matches_reference():
             gpu.set_tb_limit(sm_id, 0, 3)
         results.append(result_signature(gpu.run(800)))
     assert results[0] == results[1]
+
+
+# ----------------------------------------------------------------------
+# memory-stall sleep: an SM whose LSU head replays a memoised
+# reservation failure sleeps until l1.version moves (the scheme sweep
+# rides in CASES above).
+def run_into_stall_sleep(gpu, cycles=600):
+    """Run ``cycles``, then on one cycle at a time until the run
+    boundary falls inside some SM's memory-stall sleep; returns the
+    result at that boundary."""
+    result = gpu.run(cycles)
+    for _ in range(200):
+        if any(sm._sleep_cause == SLEEP_STALL
+               and sm._sleep_until > gpu.cycles_run for sm in gpu.sms):
+            return result
+        result = gpu.run(1)
+    raise AssertionError("no memory-stall sleep to stop in")
+
+
+def test_stall_sleep_engages_at_paper_scale():
+    """The Table-1 machine on an M+M mix: identical to the reference
+    loop, and the SMs really are mostly asleep (the mechanism cannot
+    silently disengage)."""
+    ref = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG,
+                    reference=True).run(CYCLES)
+    before = process_registry().snapshot("sim.sleep")
+    fast = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG).run(CYCLES)
+    after = process_registry().snapshot("sim.sleep")
+    assert result_signature(fast) == result_signature(ref)
+    assert fast.sleep_ratio("mem_stall") > 0.5
+    assert fast.sleep["sm_cycles"] == CYCLES * MAXWELL_CONFIG.num_sms
+    # Every slept stall cycle was settled as a batched replay.
+    assert fast.sleep["stall_replays_batched"] >= fast.sleep["mem_stall"]
+    # The same numbers accumulate process-wide as sim.sleep.*.
+    assert {name: after[f"sim.sleep.{name}"] - before[f"sim.sleep.{name}"]
+            for name in fast.sleep} == fast.sleep
+
+
+def test_stall_sleep_stays_out_of_bypass_and_oracle_runs():
+    """No stall, no stall sleep (dc never fails a reservation here);
+    and neither an observed run nor the reference loop ever sleeps."""
+    dc = build_gpu(("dc",), (4,)).run(CYCLES)
+    assert dc.lsu_stall_cycles == 0
+    assert dc.sleep["mem_stall"] == 0
+    for oracle_kwargs in ({"obs": True}, {"reference": True}):
+        oracle = build_gpu(("ks", "ax"), (4, 4), **oracle_kwargs).run(CYCLES)
+        assert oracle.lsu_stall_cycles > 0
+        assert oracle.sleep_ratio() == 0.0
+        assert oracle.sleep["stall_replays_batched"] == 0
+
+
+@pytest.mark.parametrize("scheme_kwargs", ({}, {"mil": "dmil"}),
+                         ids=("baseline", "dmil"))
+def test_run_boundary_mid_stall_sleep(scheme_kwargs):
+    """A run ending inside a memory-stall sleep settles the slept
+    cycles (sleep debt first, then the LSU's stall debt), and the next
+    run pays only the remainder: run(a); run(b) == run(a+b) ==
+    reference."""
+    split = build_gpu(("ks", "ax"), (4, 4), scheme_kwargs)
+    head = run_into_stall_sleep(split)
+    ref = build_gpu(("ks", "ax"), (4, 4), scheme_kwargs, reference=True)
+    assert result_signature(head) == result_signature(ref.run(head.cycles))
+    rest = CYCLES - head.cycles
+    whole = build_gpu(("ks", "ax"), (4, 4), scheme_kwargs).run(CYCLES)
+    assert (result_signature(split.run(rest)) == result_signature(whole)
+            == result_signature(ref.run(rest)))
+
+
+def test_tb_limit_change_mid_stall_sleep():
+    fast = build_gpu(("ks", "ax"), (2, 2))
+    ref = build_gpu(("ks", "ax"), (2, 2), reference=True)
+    ref.run(run_into_stall_sleep(fast).cycles)
+    for gpu in (fast, ref):
+        for sm_id in range(CONFIG.num_sms):
+            gpu.set_tb_limit(sm_id, 1, 4)
+    assert result_signature(fast.run(880)) == result_signature(ref.run(880))
+
+
+def test_leap_onto_the_fill_that_ends_a_stall_sleep():
+    """One SM, two MSHRs: the LSU stalls on RSFAIL_MSHR with every
+    queue drained, so the engine leaps — and the leap's landing cycle
+    is the L1 fill whose ``on_release`` ends the stall sleep.  The SM
+    must tick on that very cycle and pay the leapt cycles as stalls."""
+    base = scaled_config(num_sms=1)
+    config = dataclasses.replace(
+        base, l1d=dataclasses.replace(base.l1d, mshrs=2))
+    ref = build_gpu(("sv",), (4,), config=config, reference=True).run(CYCLES)
+    gpu = build_gpu(("sv",), (4,), config=config)
+    memory, sm = gpu.memory, gpu.sms[0]
+    ticked, ended = [], []
+    memory_tick, deliver_fill = memory.tick, memory._deliver_fill
+
+    def tick(cycle):
+        ticked.append(cycle)
+        return memory_tick(cycle)
+
+    def deliver(slot, cycle):
+        napping = (sm._sleep_cause == SLEEP_STALL
+                   and sm._sleep_until > cycle)
+        deliver_fill(slot, cycle)
+        if napping and sm._sleep_until == 0:
+            ended.append(cycle)
+
+    memory.tick = tick
+    memory._deliver_fill = deliver
+    fast = gpu.run(CYCLES)
+    landings = [b for a, b in zip(ticked, ticked[1:]) if b - a > 1]
+    assert landings and sorted(set(landings) & set(ended))
+    assert result_signature(fast) == result_signature(ref)

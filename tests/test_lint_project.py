@@ -75,6 +75,29 @@ def test_w001_catches_the_pr4_hazard_shape():
     assert any("ring_push()" in f.message for f in findings)
 
 
+def test_stall_sleep_wakes_are_w001_exempt_lowerings():
+    """The memory-stall sleep's wake (the L1 ``on_release`` hook) is
+    clean under W001 because it *is* a zero lowering, not because
+    anything suppresses it; the raise in ``tick`` posts its horizon."""
+    rel = "src/repro/sim/sm.py"
+    with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as fh:
+        source = fh.read()
+    assert "repro-lint: disable" not in source
+    functions = {f["name"]: f
+                 for f in summarize_source(source, rel)["functions"].values()}
+    wake = functions["_end_stall_sleep"]
+    assert [(attr, vkind) for attr, _l, _c, vkind in wake["leap_writes"]] \
+        == [("_sleep_until", "zero")]
+    tick = functions["tick"]
+    assert ("_sleep_until", "other") in [
+        (attr, vkind) for attr, _l, _c, vkind in tick["leap_writes"]]
+    assert tick["posts_wheel"]
+    # ... and the raise without a post is exactly what the fixture flags.
+    findings = lint_fixture_set(["src/repro/sim/fix_w001.py"])
+    assert any("LeakyStallSleep.sleep_through_stall" in f.message
+               for f in findings)
+
+
 def test_r001_catches_worker_written_module_state():
     findings = [f for f in lint_fixture_set(["src/repro/harness/fix_r001.py"])
                 if f.rule == "REPRO-R001"]

@@ -25,6 +25,22 @@ class TestMILG:
         assert milg.limit == 10 - 3
         assert milg.windows_completed == 1
 
+    def test_batched_rsfails_equal_per_cycle_reports(self):
+        """The LSU reports a whole stretch of replayed failures in one
+        call: the count is additive, so the window outcome is the same
+        however the stretch is sliced."""
+        one_by_one, batched = MILG(window=16), MILG(window=16)
+        for milg in (one_by_one, batched):
+            milg.observe_inflight(10)
+        for _ in range(48):
+            one_by_one.note_rsfail()
+        batched.note_rsfail(40)
+        batched.note_rsfail(8)
+        for milg in (one_by_one, batched):
+            for _ in range(16):
+                milg.note_request(current_inflight=5)
+        assert batched.limit == one_by_one.limit == 7
+
     def test_floor_at_one(self):
         milg = MILG(window=16)
         milg.observe_inflight(2)

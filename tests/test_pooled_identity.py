@@ -66,6 +66,26 @@ def test_pooled_matches_object_path(kernels, tbs, scheme_kwargs,
         assert pool.ipc(slot) == obj.ipc(slot)
 
 
+@pytest.mark.parametrize("policy", ("gto", "lrr"))
+@pytest.mark.parametrize(
+    "scheme_kwargs",
+    ({}, {"mil": "dmil"}, {"mil": "gdmil"},
+     {"mil": "dmil", "bmi": "qbmi", "qbmi_init_req_per_minst": (4, 4)}),
+    ids=("baseline", "dmil-local", "dmil-global", "dmil+qbmi"))
+def test_stall_sleep_is_pooled_only_and_invisible(scheme_kwargs, policy):
+    """Memory-stall sleep engages on the pooled path only (the object
+    L1 has no ``on_release`` wake), so pooled-vs-object identity on an
+    M+M mix is also stall-sleeping-vs-ticking identity."""
+    cfg_kwargs = {"scheduler_policy": policy}
+    obj = run_once(("ks", "ax"), (4, 4), scheme_kwargs, cfg_kwargs,
+                   pooled=False)
+    pool = run_once(("ks", "ax"), (4, 4), scheme_kwargs, cfg_kwargs,
+                    pooled=True)
+    assert result_signature(pool) == result_signature(obj)
+    assert pool.sleep["mem_stall"] > 0
+    assert obj.sleep["mem_stall"] == 0
+
+
 def test_pooled_matches_reference_loop():
     """Transitivity check pinned down explicitly: pooled fast loop ==
     object fast loop == reference loop, on a memory-bound mix."""
