@@ -17,7 +17,12 @@ on any machine, however noisy:
   ``STALL_SLEEP_FLOOR`` of its SM-cycles in memory-stall sleep — so a
   refactor that breaks the L1 ``on_release`` wake (divergence) or the
   engagement condition (share drops to 0) fails here, not in the next
-  benchmark run.
+  benchmark run;
+* cold start, by count: one compiled trace chunk of every Table-2
+  profile equals the live ``InstructionStream`` (the compiler's oracle)
+  on sampled warps, and ``trace_cache.ops_compiled`` moves by exactly
+  ``CHUNK_WARPS * iters * (cinst + 1)`` — so an edit to the stream or a
+  pattern that forgets the compiler's draw order fails here too.
 """
 
 import sys
@@ -25,8 +30,10 @@ import sys
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import bench_cycle_loop, result_signature
+from repro.obs import process_registry
 from repro.sim.engine import GPU, make_launches
-from repro.workloads.profiles import get_profile
+from repro.workloads import trace as ktrace
+from repro.workloads.profiles import ALL_PROFILES, get_profile
 
 
 #: the st+sv leg sleeps through ~0.20 of its SM-cycles (a simulated
@@ -50,6 +57,35 @@ def memory_bound_check(config):
     signatures = [result_signature(result) for result in results]
     identical = signatures[0] == signatures[1] == signatures[2]
     return identical, results[2].sleep_ratio("mem_stall")
+
+
+def cold_start_check():
+    """Compile one chunk of every profile.  Returns the failures (empty
+    when every sampled warp equals the live stream and the compiled-op
+    count is the profile's arithmetic)."""
+    seed = 3
+    failures = []
+
+    def ops_compiled():
+        return process_registry().snapshot("trace_cache")[
+            "trace_cache.ops_compiled"]
+
+    ktrace.clear_memory_cache()
+    for profile in ALL_PROFILES:
+        ops_before = ops_compiled()
+        trace = ktrace.get_trace(profile, seed)
+        for warp_index in (0, 1, ktrace.CHUNK_WARPS - 1):
+            if trace.warp_arrays(warp_index) != ktrace.live_warp_arrays(
+                    profile, warp_index, seed):
+                failures.append(f"{profile.name}: warp {warp_index} differs "
+                                f"from the live stream")
+        compiled = ops_compiled() - ops_before
+        expected = (ktrace.CHUNK_WARPS * profile.iters_per_warp
+                    * (profile.cinst_per_minst + 1))
+        if compiled != expected:
+            failures.append(f"{profile.name}: {compiled} ops compiled, "
+                            f"expected {expected}")
+    return failures
 
 
 def main() -> int:
@@ -85,6 +121,13 @@ def main() -> int:
         return 1
     print(f"ok st+sv: memory-stall sleep covers {stall_sleep:.1%} of "
           f"SM-cycles")
+    failures = cold_start_check()
+    for failure in failures:
+        print(f"FAIL cold start {failure}")
+    if failures:
+        return 1
+    print(f"ok cold start: {len(ALL_PROFILES)} profiles compile to the live "
+          f"stream's arrays, op counts exact")
     return 0
 
 

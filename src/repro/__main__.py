@@ -143,6 +143,14 @@ def cmd_run(args) -> int:
               f"(idle {result.sleep_ratio('idle'):.1%}, "
               f"ALU-burst {result.sleep_ratio('alu_burst'):.1%}, "
               f"memory-stall {result.sleep_ratio('mem_stall'):.1%})")
+    # Host-side too: what this process's kernel-trace cache did.
+    from repro.obs import process_registry
+    cache = process_registry().snapshot("trace_cache")
+    print(f"  trace cache     : "
+          f"{cache['trace_cache.chunk_compiles']} chunk compiles, "
+          f"{cache['trace_cache.disk_hits']} disk hits, "
+          f"{cache['trace_cache.warp_hits']} warp hits, "
+          f"{cache['trace_cache.ops_compiled']} ops compiled")
     report = result.obs
     if report is not None:
         from repro.obs import format_stall_report

@@ -58,9 +58,9 @@ class KernelLaunch:
         return next(self._warp_counter)
 
     def new_stream(self, warp_index: int):
-        # Streams rebase their region-local lines by base_line up
-        # front, so every descriptor they hand the SM is already in
-        # global line space (one rebase per stream, not per issue).
+        # Streams add base_line to the region-local lines themselves,
+        # so every footprint they hand the SM is already in global
+        # line space.
         trace = self.trace
         if trace is not None:
             ops, lines = trace.warp_arrays(warp_index)

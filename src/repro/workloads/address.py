@@ -28,6 +28,15 @@ class AccessPattern(Protocol):
     def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
         """Return ``count`` line indices for one memory instruction."""
 
+    def extend_lines(self, out: List[int], warp_index: int,
+                     rng: random.Random, count: int) -> None:
+        """Append to ``out`` exactly what :meth:`lines` would return,
+        with the same RNG draws and state changes (optional).
+
+        The bulk form the trace compiler fills a warp's footprint
+        with; the built-in patterns define :meth:`lines` through it.
+        A pattern without it is compiled through :meth:`lines`."""
+
     def trace_signature(self) -> tuple:
         """Hashable description of every parameter that influences the
         line sequence this pattern produces (optional).
@@ -40,7 +49,17 @@ class AccessPattern(Protocol):
         RNG generation — correct, just slower."""
 
 
-class StreamPattern:
+class _BulkPattern:
+    """``lines`` defined through ``extend_lines``, so a pattern's
+    arithmetic exists once."""
+
+    def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
+        out: List[int] = []
+        self.extend_lines(out, warp_index, rng, count)
+        return out
+
+
+class StreamPattern(_BulkPattern):
     """Per-warp sequential walk over a private region of ``region_lines``.
 
     Consecutive memory instructions of a warp touch consecutive lines,
@@ -70,39 +89,62 @@ class StreamPattern:
         self.recycle_slots = recycle_slots
         self._cursors: dict = {}
 
-    def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
+    def extend_lines(self, out: List[int], warp_index: int,
+                     rng: random.Random, count: int, origin: int = 0) -> None:
+        """``origin`` shifts every line (MixPattern places the regions
+        above its working set)."""
+        region = self.region_lines
         slot = (warp_index if self.recycle_slots is None
                 else warp_index % self.recycle_slots)
         cursor = self._cursors.get(warp_index, 0)
-        base = slot * (self.region_lines + self.ROW_STAGGER)
-        out = [base + (cursor + i) % self.region_lines for i in range(count)]
-        self._cursors[warp_index] = (cursor + count) % self.region_lines
-        return out
+        base = origin + slot * (region + self.ROW_STAGGER)
+        end = cursor + count
+        if count == 1:  # cannot wrap; append skips the range object
+            out.append(base + cursor)
+        elif end <= region:
+            out.extend(range(base + cursor, base + end))
+        else:  # the walk wraps its region mid-instruction
+            out.extend([base + (cursor + i) % region for i in range(count)])
+        self._cursors[warp_index] = end % region
 
     def trace_signature(self) -> tuple:
         return ("stream", self.region_lines, self.recycle_slots,
                 self.ROW_STAGGER)
 
 
-class ReusePattern:
+class ReusePattern(_BulkPattern):
     """Uniform random lines from a working set shared by all warps."""
 
     def __init__(self, working_set_lines: int):
         if working_set_lines < 1:
             raise ValueError("working_set_lines must be positive")
         self.working_set_lines = working_set_lines
+        self._ws_bits = working_set_lines.bit_length()
 
-    def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
+    def extend_lines(self, out: List[int], warp_index: int,
+                     rng: random.Random, count: int) -> None:
         ws = self.working_set_lines
-        start = rng.randrange(ws)
+        # start = rng.randrange(ws), as Random draws it (one
+        # getrandbits rejection loop) without the two Python frames;
+        # tests/test_address_patterns.py pins the equality.
+        getrandbits = rng.getrandbits
+        bits = self._ws_bits
+        start = getrandbits(bits)
+        while start >= ws:
+            start = getrandbits(bits)
         # A coalesced instruction touches adjacent lines of the set.
-        return [(start + i) % ws for i in range(count)]
+        if count == 1:  # cannot wrap; append skips the range object
+            out.append(start)
+        elif start + count <= ws:
+            out.extend(range(start, start + count))
+        else:  # the access wraps the working set
+            out.extend([(start + i) % ws for i in range(count)])
 
     def trace_signature(self) -> tuple:
         return ("reuse", self.working_set_lines)
 
 
-class MixPattern:
+class MixPattern(_BulkPattern):
     """Bernoulli mixture: reuse a shared working set with probability
     ``reuse_frac``, otherwise stream from the warp's private region."""
 
@@ -117,11 +159,13 @@ class MixPattern:
         # Streamed lines must not collide with the shared working set.
         self._stream_base = working_set_lines + 1024
 
-    def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
+    def extend_lines(self, out: List[int], warp_index: int,
+                     rng: random.Random, count: int) -> None:
         if rng.random() < self.reuse_frac:
-            return self._reuse.lines(warp_index, rng, count)
-        raw = self._stream.lines(warp_index, rng, count)
-        return [self._stream_base + line for line in raw]
+            self._reuse.extend_lines(out, warp_index, rng, count)
+        else:
+            self._stream.extend_lines(out, warp_index, rng, count,
+                                      self._stream_base)
 
     def trace_signature(self) -> tuple:
         return ("mix", self.reuse_frac, self._stream_base,

@@ -142,6 +142,12 @@ class KernelProfile:
         }
 
 
+def warp_rng(seed: int, global_warp_index: int) -> random.Random:
+    """The private RNG of one warp: every draw of its instruction
+    stream, live or compiled, comes from this generator."""
+    return random.Random((seed * 1000003 + global_warp_index) & 0x7FFFFFFF)
+
+
 class InstructionStream:
     """Deterministic instruction sequence for one warp of one TB.
 
@@ -163,7 +169,7 @@ class InstructionStream:
         self.profile = profile
         self._pattern = pattern
         self._warp_index = global_warp_index
-        self._rng = random.Random((seed * 1000003 + global_warp_index) & 0x7FFFFFFF)
+        self._rng = warp_rng(seed, global_warp_index)
         # Hot-loop bindings: pop/_advance run once per issued
         # instruction, so dataclass field lookups are hoisted here.
         self._rng_random = self._rng.random
@@ -286,25 +292,27 @@ class ReplayStream:
     encoding), ``lines`` is the concatenated line footprint of every
     memory instruction in order, ``reqs_per_minst`` entries each.
     Popping is an index bump and a table lookup — no RNG, no pattern
-    cursor arithmetic — and is bit-identical to the live stream by
-    construction: the compiler drove a real :class:`InstructionStream`
-    through exactly the SM's ``pop()`` / ``memory_descriptor()`` call
-    sequence (see ``docs/PERF.md`` for the proof obligations).
+    cursor arithmetic — and is bit-identical to the live stream: the
+    compiler takes the per-warp RNG's draws in the order the SM's
+    ``pop()`` / ``memory_descriptor()`` call sequence does (the
+    draw-order contract; see ``docs/PERF.md`` for the proof
+    obligations).
     """
 
-    __slots__ = ("profile", "next_op", "_ops", "_lines", "_pos", "_len",
-                 "_rpm", "_mem_seen", "_desc_start", "_iters_left",
+    __slots__ = ("profile", "next_op", "_ops", "_lines", "_base", "_pos",
+                 "_len", "_rpm", "_mem_seen", "_desc_start", "_iters_left",
                  "_scratch")
 
     def __init__(self, profile: KernelProfile, ops: bytes, lines,
                  base_line: int = 0):
         self.profile = profile
         self._ops = ops
-        # Rebase the whole footprint once at stream creation (one
-        # C-level comprehension) instead of per memory instruction in
-        # the SM's issue path; the compiled arrays are region-local so
-        # one trace serves every launch of the profile.
-        self._lines = [base_line + l for l in lines] if base_line else lines
+        # The compiled arrays are region-local and shared by every
+        # launch of the profile, so the kernel's base is added to the
+        # reqs_per_minst lines an instruction hands out, not to a copy
+        # of the whole footprint (a window consumes a fraction of it).
+        self._lines = lines
+        self._base = base_line
         self._pos = 0
         self._len = len(ops)
         self._rpm = profile.reqs_per_minst
@@ -337,7 +345,9 @@ class ReplayStream:
     def memory_descriptor(self, is_store: bool) -> MemInstDescriptor:
         desc = self._scratch
         start = self._desc_start
-        desc.lines = self._lines[start:start + self._rpm]
+        lines = self._lines[start:start + self._rpm]
+        base = self._base
+        desc.lines = [base + line for line in lines] if base else lines
         desc.is_store = is_store
         return desc
 
@@ -406,7 +416,9 @@ class ReplayStream:
         pos = self._pos + 1
         self._pos = pos
         self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
-        return self._lines[start:start + self._rpm]
+        lines = self._lines[start:start + self._rpm]
+        base = self._base
+        return [base + line for line in lines] if base else lines
 
     def remaining_iterations(self) -> int:
         return self._iters_left

@@ -13,11 +13,34 @@ loops of a campaign.
 This module compiles streams once into flat parallel arrays — one
 opcode byte per instruction plus the concatenated coalesced line
 footprint of every memory instruction — and replays them by index bump
-(:class:`repro.workloads.kernel.ReplayStream`).  The compiler drives a
-real :class:`~repro.workloads.kernel.InstructionStream` through
-exactly the SM's call sequence (``pop()``, then ``memory_descriptor``
-for memory ops), so the arrays are bit-identical to live generation by
-construction; ``tests/test_trace.py`` re-proves it per pattern class.
+(:class:`repro.workloads.kernel.ReplayStream`).  The compiler writes a
+warp's arrays straight from the profile's integers: per iteration the
+``cinst_per_minst`` compute opcodes, one load/store choice, and the
+footprint appended in bulk by the pattern's ``extend_lines``.  What
+makes the arrays bit-identical to a live
+:class:`~repro.workloads.kernel.InstructionStream` is the **draw-order
+contract**: the compiler takes the same draws from the same per-warp
+RNG in the order ``pop()`` + ``memory_descriptor()`` take them.
+
+* The draw that decides an instruction happens inside the ``pop()`` of
+  the instruction before it (the constructor, for the first).
+* A compute instruction draws once (the SFU choice) only when
+  ``sfu_frac > 0``; a memory instruction always draws once (the
+  load/store choice).
+* The pattern draws a memory instruction's lines in
+  ``memory_descriptor()``, after its ``pop()`` — so *after* the draw for
+  the instruction that follows it: the next iteration's SFU choice when
+  ``sfu_frac > 0``, its load/store choice when ``cinst_per_minst == 0``,
+  nothing when ``sfu_frac == 0 < cinst_per_minst`` or the stream ends.
+
+The live stream is the oracle, not the engine
+(:func:`live_warp_arrays`): ``tests/test_trace_cache.py`` (every
+profile, edge mixes, wrapping footprints), the ``fuzz`` twin in
+``tests/test_fuzz_twins.py`` and ``scripts/perf_smoke.py`` compare
+compiled arrays with it, so a change to ``InstructionStream.pop`` /
+``_advance`` or to a pattern's draws must change
+``KernelTrace._compile_chunk`` in lockstep (and bump
+:data:`TRACE_FORMAT` if the arrays change).
 
 Traces are memoized process-wide keyed by a *profile fingerprint*
 (every stream-affecting profile field plus the address pattern's
@@ -47,16 +70,22 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.registry import process_registry
 from repro.workloads.kernel import (
+    ALU_CODE,
     CODE_BY_OP,
+    LOAD_CODE,
     OP_ALU,
     OP_SFU,
     OP_STORE,
+    SFU_CODE,
+    STORE_CODE,
     InstructionStream,
     KernelProfile,
+    warp_rng,
 )
 
-#: bump when the trace array layout or the compile call order changes;
-#: embedded in fingerprints and in the disk-cache directory name.
+#: bump when the arrays a profile compiles to change (their layout, or
+#: the draws behind them); embedded in fingerprints and in the
+#: disk-cache directory name.
 TRACE_FORMAT = 1
 
 #: warps compiled (and persisted) together.  64 warps of a typical
@@ -75,6 +104,9 @@ _COMPILES = _COUNTERS.counter("trace_cache.chunk_compiles")
 _DISK_HITS = _COUNTERS.counter("trace_cache.disk_hits")
 _DISK_WRITES = _COUNTERS.counter("trace_cache.disk_writes")
 _FALLBACKS = _COUNTERS.counter("trace_cache.fallback_streams")
+_WARPS_COMPILED = _COUNTERS.counter("trace_cache.warps_compiled")
+_OPS_COMPILED = _COUNTERS.counter("trace_cache.ops_compiled")
+_LINES_COMPILED = _COUNTERS.counter("trace_cache.lines_compiled")
 
 #: (fingerprint, seed) -> KernelTrace, shared by every launch in the
 #: process (campaign legs re-create GPU objects constantly).
@@ -127,6 +159,26 @@ def get_trace(profile: KernelProfile, seed: int) -> Optional["KernelTrace"]:
         trace = KernelTrace(profile, seed, fingerprint)
         _TRACES[key] = trace
     return trace
+
+
+def live_warp_arrays(profile: KernelProfile, warp_index: int,
+                     seed: int) -> Tuple[bytes, List[int]]:
+    """The compiler's oracle: the ``(ops, lines)`` a live
+    :class:`InstructionStream` yields for one warp when driven through
+    the SM's call sequence (``pop()``, then ``memory_descriptor()`` for
+    a memory op).  No run uses it; the tests and
+    ``scripts/perf_smoke.py`` hold :meth:`KernelTrace.warp_arrays`
+    equal to it."""
+    stream = InstructionStream(profile, profile.pattern_factory(),
+                               warp_index, seed)
+    codes: List[str] = []
+    lines: List[int] = []
+    while stream.next_op is not None:
+        op = stream.pop()
+        codes.append(CODE_BY_OP[op])
+        if not (op is OP_ALU or op is OP_SFU):
+            lines.extend(stream.memory_descriptor(op is OP_STORE).lines)
+    return "".join(codes).encode("ascii"), lines
 
 
 def configure_disk_cache(path: Optional[str]) -> Optional[str]:
@@ -188,33 +240,63 @@ class KernelTrace:
 
     # ------------------------------------------------------------------
     def _compile_chunk(self, chunk_index: int):
-        """Generate the arrays for warps ``[chunk*C, (chunk+1)*C)`` by
-        driving live streams through the SM's exact call order: the
-        ``pop()`` that advances the next-op RNG strictly precedes the
-        ``memory_descriptor`` that draws the pattern lines."""
+        """Generate the arrays for warps ``[chunk*C, (chunk+1)*C)``
+        from the profile's integers, reproducing the live stream's RNG
+        draw order (module docstring)."""
         _COMPILES.value += 1
         profile = self.profile
         seed = self.seed
+        cinst = profile.cinst_per_minst
+        sfu_frac = profile.sfu_frac
+        write_frac = profile.write_frac
+        reqs = profile.reqs_per_minst
+        stride = cinst + 1
+        later_cinsts = range(1, cinst)
+        template = (bytes([ALU_CODE] * cinst + [LOAD_CODE])
+                    * profile.iters_per_warp)
+        # The draw for the first op of an iteration: the SFU choice
+        # (skipped, like the live stream's, when sfu_frac is 0) or, with
+        # no compute instructions, the load/store choice.
+        if cinst:
+            head_draws, head_frac, head_code = bool(sfu_frac), sfu_frac, SFU_CODE
+        else:
+            head_draws, head_frac, head_code = True, write_frac, STORE_CODE
         # A fresh pattern per chunk is sound: pattern state is keyed by
         # warp index (or drawn from the per-warp RNG), never shared
         # across warps, so chunk boundaries cannot leak state.
         pattern = profile.pattern_factory()
-        code_by_op = CODE_BY_OP
+        extend_lines = getattr(pattern, "extend_lines", None)
+        if extend_lines is None:
+            def extend_lines(out, warp_index, rng, count):
+                out.extend(pattern.lines(warp_index, rng, count))
         ops_per_warp: List[bytes] = []
         lines_per_warp: List[List[int]] = []
         first = chunk_index * CHUNK_WARPS
         for warp_index in range(first, first + CHUNK_WARPS):
-            stream = InstructionStream(profile, pattern, warp_index, seed)
-            codes: List[str] = []
+            rng = warp_rng(seed, warp_index)
+            rnd = rng.random
+            ops = bytearray(template)
             lines: List[int] = []
-            while stream.next_op is not None:
-                op = stream.pop()
-                codes.append(code_by_op[op])
-                if not (op is OP_ALU or op is OP_SFU):
-                    desc = stream.memory_descriptor(op is OP_STORE)
-                    lines.extend(desc.lines)
-            ops_per_warp.append("".join(codes).encode("ascii"))
+            for pos in range(0, len(ops), stride):
+                if head_draws and rnd() < head_frac:
+                    ops[pos] = head_code
+                if pos:
+                    # The previous iteration's footprint, one op draw late.
+                    extend_lines(lines, warp_index, rng, reqs)
+                if cinst:
+                    if sfu_frac:
+                        for j in later_cinsts:
+                            if rnd() < sfu_frac:
+                                ops[pos + j] = SFU_CODE
+                    if rnd() < write_frac:
+                        ops[pos + cinst] = STORE_CODE
+            if ops:
+                extend_lines(lines, warp_index, rng, reqs)
+            ops_per_warp.append(bytes(ops))
             lines_per_warp.append(lines)
+            _OPS_COMPILED.value += len(ops)
+            _LINES_COMPILED.value += len(lines)
+        _WARPS_COMPILED.value += CHUNK_WARPS
         return ops_per_warp, lines_per_warp
 
     # ------------------------------------------------------------------
@@ -225,6 +307,10 @@ class KernelTrace:
         return os.path.join(_DISK_DIR, name)
 
     def _load_chunk(self, chunk_index: int):
+        """The chunk from disk, or ``None`` (a miss: the caller
+        recompiles and overwrites) when the file is absent, unreadable,
+        from another format/profile, or not the shape this profile
+        compiles to."""
         path = self._chunk_path(chunk_index)
         if path is None:
             return None
@@ -233,12 +319,26 @@ class KernelTrace:
                 payload = json.load(fh)
         except (OSError, ValueError):
             return None
-        if (payload.get("format") != TRACE_FORMAT
+        if (not isinstance(payload, dict)
+                or payload.get("format") != TRACE_FORMAT
                 or payload.get("fingerprint") != repr(self.fingerprint)):
             return None
-        ops = [entry.encode("ascii") for entry in payload["ops"]]
-        lines = payload["lines"]
-        if len(ops) != CHUNK_WARPS or len(lines) != CHUNK_WARPS:
+        ops, lines = payload.get("ops"), payload.get("lines")
+        if not (isinstance(ops, list) and isinstance(lines, list)
+                and len(ops) == len(lines) == CHUNK_WARPS):
+            return None
+        profile = self.profile
+        iters = max(0, profile.iters_per_warp)
+        n_ops = iters * (profile.cinst_per_minst + 1)
+        n_lines = iters * profile.reqs_per_minst
+        for warp_ops, warp_lines in zip(ops, lines):
+            if not (isinstance(warp_ops, str) and len(warp_ops) == n_ops
+                    and isinstance(warp_lines, list)
+                    and len(warp_lines) == n_lines):
+                return None
+        try:
+            ops = [entry.encode("ascii") for entry in ops]
+        except UnicodeEncodeError:
             return None
         _DISK_HITS.value += 1
         return ops, lines

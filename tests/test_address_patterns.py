@@ -123,3 +123,88 @@ def test_mix_reuse_fraction_roughly_respected(frac, seed):
     rng = random.Random(seed)
     reuse = sum(1 for _ in range(400) if pat.lines(0, rng, 1)[0] < 16)
     assert abs(reuse / 400 - frac) < 0.15
+
+
+# ----------------------------------------------------------------------
+# extend_lines: the bulk emitter the trace compiler fills footprints
+# with.  The references below are the patterns' definitions in their
+# plainest (always-modulo) form, drawing from a twin RNG.
+def stream_reference(region, recycle, cursors, warp, count, origin=0):
+    slot = warp if recycle is None else warp % recycle
+    cursor = cursors.get(warp, 0)
+    base = origin + slot * (region + StreamPattern.ROW_STAGGER)
+    cursors[warp] = (cursor + count) % region
+    return [base + (cursor + i) % region for i in range(count)]
+
+
+def reuse_reference(ws, rng, count):
+    start = rng.randrange(ws)
+    return [(start + i) % ws for i in range(count)]
+
+
+def assert_emits(pattern, reference, warps_and_counts, seed):
+    """``lines`` and ``extend_lines`` (on twin pattern instances and
+    RNGs) both produce ``reference``'s lines and leave the RNG where
+    the reference's twin is."""
+    via_lines, via_extend = pattern(), pattern()
+    rng_lines, rng_extend, rng_ref = (random.Random(seed) for _ in range(3))
+    out = ["sentinel"]
+    for warp, count in warps_and_counts:
+        expected = reference(warp, rng_ref, count)
+        assert via_lines.lines(warp, rng_lines, count) == expected
+        before = len(out)
+        assert via_extend.extend_lines(out, warp, rng_extend, count) is None
+        assert out[before:] == expected
+        assert rng_lines.getstate() == rng_ref.getstate()
+        assert rng_extend.getstate() == rng_ref.getstate()
+    assert out[0] == "sentinel", "extend_lines must only append"
+
+
+class TestExtendLines:
+    @pytest.mark.parametrize("recycle", [None, 3])
+    def test_stream_cursor_wraps_mid_instruction(self, recycle):
+        cursors = {}
+        # region 7, count 3: the third access of warp 2 covers lines
+        # 6, 0, 1 of its region; count 9 laps the region within one
+        # instruction; count 7 ends exactly on the boundary.
+        assert_emits(
+            lambda: StreamPattern(7, recycle_slots=recycle),
+            lambda warp, rng, count: stream_reference(7, recycle, cursors,
+                                                      warp, count),
+            [(2, 3), (2, 3), (2, 3), (5, 1), (2, 9), (5, 7), (5, 1), (2, 1)],
+            seed=1)
+
+    def test_stream_unwrapped_access_is_a_plain_run(self):
+        out = []
+        StreamPattern(100).extend_lines(out, 0, random.Random(0), 4)
+        StreamPattern(100).extend_lines(out, 1, random.Random(0), 2, origin=50)
+        assert out == [0, 1, 2, 3, 50 + 133, 50 + 134]
+
+    @pytest.mark.parametrize("ws", [1, 2, 5, 24, 32, 33, 1 << 16])
+    def test_reuse_start_is_randrange(self, ws):
+        """Pins the inlined getrandbits rejection loop to
+        ``Random.randrange`` on this interpreter, draw for draw."""
+        assert_emits(lambda: ReusePattern(ws),
+                     lambda warp, rng, count: reuse_reference(ws, rng, count),
+                     [(0, 1 + i % 4) for i in range(300)], seed=ws)
+
+    def test_reuse_wraps_the_working_set(self):
+        assert_emits(lambda: ReusePattern(5),
+                     lambda warp, rng, count: reuse_reference(5, rng, count),
+                     [(0, count) for count in (1, 2, 5, 6, 11) * 20], seed=3)
+
+    @pytest.mark.parametrize("recycle", [None, 2])
+    def test_mix_composes_both_with_one_bernoulli_draw(self, recycle):
+        ws, region, frac = 6, 4, 0.5
+        cursors = {}
+
+        def reference(warp, rng, count):
+            if rng.random() < frac:
+                return reuse_reference(ws, rng, count)
+            return stream_reference(region, recycle, cursors, warp, count,
+                                    origin=ws + 1024)
+
+        assert_emits(lambda: MixPattern(ws, frac, region_lines=region,
+                                        recycle_slots=recycle),
+                     reference,
+                     [(i % 3, 1 + i % 7) for i in range(200)], seed=9)

@@ -1,4 +1,5 @@
-"""Property-based fuzzing of the pooled memory-path hot structures.
+"""Property-based fuzzing of the pooled memory-path hot structures
+and of the trace compiler against its live-stream oracle.
 
 The hand-rolled ``random`` fuzz in ``test_request_pool.py`` walks one
 seeded trajectory per twin; this suite lets hypothesis search the
@@ -28,6 +29,13 @@ from repro.mem.pool import (  # noqa: E402
     ArrayTagStore,
     RequestPool,
 )
+from repro.workloads import trace as ktrace  # noqa: E402
+from repro.workloads.address import (  # noqa: E402
+    MixPattern,
+    ReusePattern,
+    StreamPattern,
+)
+from repro.workloads.kernel import KernelProfile  # noqa: E402
 
 pytestmark = pytest.mark.fuzz
 
@@ -189,3 +197,39 @@ def test_ring_channel_twin_equivalence(ops):
         assert obj.serviced == ring.serviced
         assert obj.row_hits == ring.row_hits
         assert list(obj.queue) == ring.queue
+
+
+# ----------------------------------------------------------------------
+# Trace compiler vs live InstructionStream (the draw-order contract)
+fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+recycle = st.one_of(st.none(), st.integers(1, 5))
+patterns = st.one_of(
+    st.builds(lambda region, slots: ("stream", region, slots),
+              st.integers(1, 40), recycle),
+    st.builds(lambda ws: ("reuse", ws), st.integers(1, 40)),
+    st.builds(lambda ws, frac, region, slots: ("mix", ws, frac, region, slots),
+              st.integers(1, 40), fractions, st.integers(1, 40), recycle),
+)
+PATTERN_CLASSES = {"stream": StreamPattern, "reuse": ReusePattern,
+                   "mix": MixPattern}
+
+
+@settings(FUZZ, max_examples=300)
+@given(cinst=st.integers(0, 6), reqs=st.integers(1, 45),
+       sfu_frac=fractions, write_frac=fractions, iters=st.integers(0, 12),
+       pattern=patterns, warp_index=st.integers(0, 400),
+       seed=st.integers(0, 1 << 20))
+def test_compiled_trace_equals_live_stream(cinst, reqs, sfu_frac, write_frac,
+                                           iters, pattern, warp_index, seed):
+    kind, *args = pattern
+    profile = KernelProfile(
+        name="fz", full_name="fuzz", suite="fuzz", kind="C",
+        cinst_per_minst=cinst, reqs_per_minst=reqs, sfu_frac=sfu_frac,
+        write_frac=write_frac, iters_per_warp=iters,
+        pattern_factory=lambda: PATTERN_CLASSES[kind](*args))
+    trace = ktrace.KernelTrace(profile, seed,
+                               ktrace.profile_fingerprint(profile))
+    chunk_index, offset = divmod(warp_index, ktrace.CHUNK_WARPS)
+    ops_per_warp, lines_per_warp = trace._compile_chunk(chunk_index)
+    assert ((ops_per_warp[offset], lines_per_warp[offset])
+            == ktrace.live_warp_arrays(profile, warp_index, seed))

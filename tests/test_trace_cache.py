@@ -3,20 +3,22 @@
 against live streams, disk persistence, observability counters, and
 the harness wiring that versions the disk directory."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.workloads import trace as ktrace
+from repro.workloads.address import MixPattern, ReusePattern, StreamPattern
 from repro.workloads.kernel import (
-    CODE_BY_OP,
     OP_ALU,
     OP_SFU,
     OP_STORE,
     InstructionStream,
+    ReplayStream,
 )
-from repro.workloads.profiles import get_profile
+from repro.workloads.profiles import ALL_PROFILES, get_profile
 
 
 @pytest.fixture(autouse=True)
@@ -31,19 +33,9 @@ def isolated_trace_caches():
     ktrace._DISK_DIR = saved_dir
 
 
-def live_call_order(profile, warp_index, seed):
-    """Drive a live stream through the SM's exact call sequence and
-    record what it produced (the oracle the compiler must match)."""
-    stream = InstructionStream(profile, profile.pattern_factory(),
-                               warp_index, seed)
-    codes = []
-    lines = []
-    while stream.next_op is not None:
-        op = stream.pop()
-        codes.append(CODE_BY_OP[op])
-        if not (op is OP_ALU or op is OP_SFU):
-            lines.extend(stream.memory_descriptor(op is OP_STORE).lines)
-    return "".join(codes).encode("ascii"), lines
+#: the oracle the compiler must match: a live stream driven through
+#: the SM's exact call sequence.
+live_call_order = ktrace.live_warp_arrays
 
 
 class TestMemoization:
@@ -57,24 +49,132 @@ class TestMemoization:
 
     def test_timing_only_fields_share_a_trace(self):
         """mlp shapes timing, not the stream: fingerprints must agree."""
-        import dataclasses
         profile = get_profile("cd")
         doubled = dataclasses.replace(profile, mlp=profile.mlp + 1)
         assert (ktrace.profile_fingerprint(profile)
                 == ktrace.profile_fingerprint(doubled))
 
 
+def compiled(profile, warp_index, seed):
+    trace = ktrace.get_trace(profile, seed)
+    assert trace is not None
+    return trace.warp_arrays(warp_index)
+
+
+SEEDS = [0, 11]
+
+
+class LinesOnlyPattern:
+    """A traceable third-party pattern from before ``extend_lines``:
+    it draws from the RNG and only implements ``lines``."""
+
+    def lines(self, warp_index, rng, count):
+        start = rng.randrange(1000)
+        return [start + warp_index * i for i in range(count)]
+
+    def trace_signature(self):
+        return ("lines-only",)
+
+
+def edge(name, **changes):
+    """A variant of a Table-2 profile, shortened to 40 iterations (the
+    branches under test are all reached by then; a chunk compile costs
+    time in proportion)."""
+    label = f"{name}-" + "-".join(f"{k}={getattr(v, '__name__', v)}"
+                                  for k, v in changes.items())
+    changes.setdefault("iters_per_warp", 40)
+    return pytest.param(dataclasses.replace(get_profile(name), **changes),
+                        id=label)
+
+
+#: dataclasses.replace variants reaching every branch of the draw-order
+#: contract and both footprint paths of every built-in pattern.
+EDGE_PROFILES = [
+    # no compute instructions: the load/store draw of the *next*
+    # iteration precedes the current lines (fails on a naive fused loop)
+    edge("bp", cinst_per_minst=0),
+    edge("dc", cinst_per_minst=0, write_frac=0.5),
+    edge("cd", cinst_per_minst=0, sfu_frac=0.0),
+    edge("cd", cinst_per_minst=1),
+    edge("bp", sfu_frac=0.0),
+    edge("bp", sfu_frac=1.0),
+    edge("pf", sfu_frac=1.0),
+    edge("bp", write_frac=0.0),
+    edge("bp", write_frac=1.0),
+    edge("dc", cinst_per_minst=0, write_frac=0.0),
+    edge("ks", iters_per_warp=1),
+    edge("dc", iters_per_warp=1),
+    edge("hs", iters_per_warp=0),
+    # footprints larger than the region / working set: the wrap path
+    edge("hs", reqs_per_minst=50),            # StreamPattern(48)
+    edge("dc", reqs_per_minst=25),            # ReusePattern(24)
+    edge("bp", reqs_per_minst=49),            # Mix(48 ws, 32 region)
+    edge("bp", reqs_per_minst=5),             # wraps mid-instruction
+    edge("cd", pattern_factory=lambda: StreamPattern(7, recycle_slots=3)),
+    edge("cd", pattern_factory=lambda: StreamPattern(7, recycle_slots=None)),
+    edge("st", pattern_factory=lambda: MixPattern(5, 0.5, region_lines=3,
+                                                  recycle_slots=None)),
+    edge("3m", pattern_factory=lambda: ReusePattern(1)),
+    edge("sv", pattern_factory=LinesOnlyPattern),
+]
+
+
 class TestCompileCorrectness:
-    @pytest.mark.parametrize("name", ["bp", "cd"])
-    @pytest.mark.parametrize("warp_index", [0, 3, ktrace.CHUNK_WARPS])
+    """The live stream is the compiler's oracle: compiled arrays must
+    equal what ``pop()`` + ``memory_descriptor()`` produce, which pins
+    the RNG draw order (module docstring of repro.workloads.trace)."""
+
+    @pytest.mark.parametrize("name", [p.name for p in ALL_PROFILES])
+    @pytest.mark.parametrize("warp_index", [0, 3, ktrace.CHUNK_WARPS,
+                                            3 * ktrace.CHUNK_WARPS + 7])
     def test_arrays_match_live_call_order(self, name, warp_index):
+        """``warp_index`` and the first, second and last warp of its
+        chunk (one compile serves the four), under two seeds."""
         profile = get_profile(name)
-        trace = ktrace.get_trace(profile, 0)
-        assert trace is not None
-        ops, lines = trace.warp_arrays(warp_index)
-        assert (ops, list(lines)) == [
-            (o, list(l)) for o, l in [live_call_order(profile, warp_index, 0)]
-        ][0]
+        first = warp_index - warp_index % ktrace.CHUNK_WARPS
+        warps = {warp_index, first, first + 1, first + ktrace.CHUNK_WARPS - 1}
+        for seed in SEEDS:
+            for warp in sorted(warps):
+                assert (compiled(profile, warp, seed)
+                        == live_call_order(profile, warp, seed)), (seed, warp)
+
+    @pytest.mark.parametrize("profile", EDGE_PROFILES)
+    def test_edge_profiles_match_live_call_order(self, profile):
+        for seed in SEEDS:
+            for warp_index in (0, 1, ktrace.CHUNK_WARPS - 1,
+                               ktrace.CHUNK_WARPS):
+                assert (compiled(profile, warp_index, seed)
+                        == live_call_order(profile, warp_index, seed)
+                        ), (seed, warp_index)
+
+    def test_arrays_are_bytes_and_int_lists(self):
+        ops, lines = compiled(get_profile("bp"), 0, 0)
+        assert type(ops) is bytes and type(lines) is list
+        assert all(type(line) is int for line in lines)
+
+
+class TestReplayRebase:
+    def test_base_line_is_added_per_instruction_not_by_copying(self):
+        profile = get_profile("ax")
+        ops, lines = compiled(profile, 5, 0)
+        base = 1 << 20
+        stream = ReplayStream(profile, ops, lines, base_line=base)
+        assert stream._lines is lines, "footprint must stay shared"
+        live = InstructionStream(profile, profile.pattern_factory(), 5, 0,
+                                 base_line=base)
+        fused = ReplayStream(profile, ops, lines, base_line=base)
+        while live.next_op is not None:
+            op = live.pop()
+            assert stream.pop() is op
+            if op is OP_ALU or op is OP_SFU:
+                fused.pop()
+                continue
+            expected = list(live.memory_descriptor(op is OP_STORE).lines)
+            assert stream.memory_descriptor(op is OP_STORE).lines == expected
+            assert fused.pop_mem(op is OP_STORE) == expected
+            assert min(expected) >= base
+        assert stream.next_op is None and fused.next_op is None
+        assert lines == live_call_order(profile, 5, 0)[1], "shared list mutated"
 
 
 class TestCounters:
@@ -89,8 +189,6 @@ class TestCounters:
         assert ktrace._HITS.value == hits0 + 2
 
     def test_untraceable_pattern_counts_a_fallback(self):
-        import dataclasses
-
         class Opaque:
             def addresses(self, *a, **kw):  # pragma: no cover - stub
                 return []
@@ -112,7 +210,26 @@ class TestCounters:
         names = process_registry().snapshot("trace_cache")
         assert {"trace_cache.warp_hits", "trace_cache.chunk_compiles",
                 "trace_cache.disk_hits", "trace_cache.disk_writes",
-                "trace_cache.fallback_streams"} <= set(names)
+                "trace_cache.fallback_streams", "trace_cache.warps_compiled",
+                "trace_cache.ops_compiled", "trace_cache.lines_compiled"
+                } <= set(names)
+
+    def test_compiled_work_counts_are_exact(self):
+        profile = get_profile("ks")
+        before = [c.value for c in (ktrace._WARPS_COMPILED,
+                                    ktrace._OPS_COMPILED,
+                                    ktrace._LINES_COMPILED)]
+        trace = ktrace.get_trace(profile, 0)
+        trace.warp_arrays(0)
+        trace.warp_arrays(ktrace.CHUNK_WARPS - 1)  # same chunk
+        after = [c.value for c in (ktrace._WARPS_COMPILED,
+                                   ktrace._OPS_COMPILED,
+                                   ktrace._LINES_COMPILED)]
+        per_warp_ops = profile.iters_per_warp * (profile.cinst_per_minst + 1)
+        per_warp_lines = profile.iters_per_warp * profile.reqs_per_minst
+        assert [a - b for a, b in zip(after, before)] == [
+            ktrace.CHUNK_WARPS, ktrace.CHUNK_WARPS * per_warp_ops,
+            ktrace.CHUNK_WARPS * per_warp_lines]
 
 
 class TestDiskCache:
@@ -156,6 +273,34 @@ class TestDiskCache:
         hits0 = ktrace._DISK_HITS.value
         assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
         assert ktrace._DISK_HITS.value == hits0
+
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda payload: [],
+        lambda payload: {k: payload[k] for k in ("format", "fingerprint")},
+        lambda payload: dict(payload, ops=[7] * ktrace.CHUNK_WARPS),
+        lambda payload: dict(payload, ops=["a"] * ktrace.CHUNK_WARPS,
+                             lines=[None] * ktrace.CHUNK_WARPS),
+        lambda payload: dict(payload, ops=[o[:-1] for o in payload["ops"]]),
+        lambda payload: dict(payload, lines=[l[1:] for l in payload["lines"]]),
+        lambda payload: dict(payload, ops=payload["ops"][:-1] + ["\u00e9" * len(
+            payload["ops"][-1])]),
+    ], ids=["list", "no-arrays", "int-ops", "one-op-null-lines",
+            "short-ops", "short-lines", "non-ascii-ops"])
+    def test_wrong_shape_is_a_miss_and_overwritten(self, tmp_path, rewrite):
+        ktrace.configure_disk_cache(str(tmp_path))
+        profile = get_profile("bp")
+        expected = ktrace.get_trace(profile, 0).warp_arrays(0)
+        (path,) = tmp_path.glob("*-s0-c0.json")
+        good = path.read_text()
+        path.write_text(json.dumps(rewrite(json.loads(good))))
+        ktrace.clear_memory_cache()
+        compiles0 = ktrace._COMPILES.value
+        hits0 = ktrace._DISK_HITS.value
+        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
+        assert ktrace._COMPILES.value == compiles0 + 1
+        assert ktrace._DISK_HITS.value == hits0
+        assert path.read_text() == good, "the bad chunk must be overwritten"
 
 
 class TestHarnessWiring:
