@@ -27,12 +27,14 @@ Commands
 [--cache DIR]``
     A mixes×schemes grid fanned out over worker processes, with
     optional live heartbeat telemetry, per-cell stall reports, phase
-    sampling, and a per-cell run-artifact ledger under DIR.  Any of
-    ``--timeout/--retries/--resume/--fault-plan`` routes the grid
-    through the resilient executor (``repro.harness.resilience``):
-    hung or crashed cells are retried with backoff then quarantined,
-    completed cells checkpoint to a journal under the cache dir, and
-    ``--resume`` re-runs only the unfinished remainder.
+    sampling, and a per-cell run-artifact ledger under DIR.  By default
+    the first failing cell ends the campaign (``error: ...``, exit 1).
+    Any of ``--timeout/--retries/--resume/--fault-plan`` sets a
+    resilience policy on the same dispatcher
+    (``repro.harness.resilience``): hung or crashed cells are retried
+    with backoff then quarantined, completed cells checkpoint to a
+    journal under the cache dir, and ``--resume`` re-runs only the
+    unfinished remainder.
 ``dash ARTIFACTS OUT.html [--title T]``
     Render an artifacts directory (or one artifact) into a
     self-contained HTML dashboard: SVG sparklines of the phase series,
@@ -42,12 +44,6 @@ Commands
     deltas, stall-mix shifts, geomean total-IPC ratio.  With
     ``--check``, exit 1 when the geomean drops more than PCT percent
     (default 2) — the simulated-metric regression gate for CI.
-``bench [--which cycle-loop|memory-path|campaign|all] [--workers N] [--reps N]
-[--workloads A,B] [--out PATH] [--check]``
-    Wall-clock perf benchmarks; writes ``BENCH_*.json`` at the root
-    (or ``--out``).  Reports carry ``git_sha``, host info and a
-    ``baseline`` block diffing the committed report; ``--check`` exits
-    1 on a >10% geomean regression.
 ``lint [paths] [--format text|json|github] [--select IDS]
 [--baseline FILE] [--write-baseline] [--list-rules] [--project]
 [--index-cache FILE] [--no-index-cache]``
@@ -226,6 +222,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    from repro.harness.resilience import (PLAIN, JobError, Quarantined,
+                                          ResiliencePolicy)
     from repro.workloads.mixes import WorkloadMix
     from repro.workloads.profiles import get_profile
     mixes = []
@@ -236,11 +234,18 @@ def cmd_campaign(args) -> int:
             return 2
         mixes.append(WorkloadMix(tuple(get_profile(n) for n in names)))
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    # Any of the four flags asks for a resilience policy, which
+    # checkpoints under the cache dir — so it defaults one on; the
+    # plain policy keeps the historical cacheless default unless
+    # --cache asks otherwise.
     resilient = (args.resume or args.fault_plan is not None
                  or args.timeout is not None or args.retries is not None)
-    # The resilience layer checkpoints under the cache dir, so the
-    # resilient path defaults one on; the plain path keeps the
-    # historical cacheless default unless --cache asks otherwise.
+    policy = PLAIN
+    if resilient:
+        policy = ResiliencePolicy(
+            timeout_s=args.timeout,
+            retries=args.retries if args.retries is not None else 2,
+            backoff_s=args.backoff)
     cache_dir = args.cache or (".repro_cache" if resilient else None)
     runner = ExperimentRunner(scaled_config(), cache_dir=cache_dir)
     telemetry = None
@@ -248,30 +253,23 @@ def cmd_campaign(args) -> int:
         from repro.obs import CampaignTelemetry
         telemetry = CampaignTelemetry()
     obs = args.obs or bool(args.phase_interval) or bool(args.artifacts)
-    report = None
-    if resilient:
-        from repro.harness.resilience import Quarantined, ResiliencePolicy
-        policy = ResiliencePolicy(
-            timeout_s=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-            backoff_s=args.backoff)
+    try:
         outcomes, report = runner.run_campaign_resilient(
             mixes, schemes, policy=policy, workers=args.workers,
             obs=obs, progress=telemetry,
             phase_interval=args.phase_interval,
             artifacts_dir=args.artifacts, resume=args.resume,
             fault_plan=args.fault_plan)
-        quarantined = [o for o in outcomes if isinstance(o, Quarantined)]
-        outcomes = [o for o in outcomes if not isinstance(o, Quarantined)]
+    except JobError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if resilient:
         print(report.summary(), file=sys.stderr)
-        for placeholder in quarantined:
+    for placeholder in outcomes:
+        if isinstance(placeholder, Quarantined):
             print(f"  quarantined: {placeholder.label} "
                   f"({', '.join(placeholder.faults)})", file=sys.stderr)
-    else:
-        outcomes = runner.run_campaign(mixes, schemes, workers=args.workers,
-                                       obs=obs, progress=telemetry,
-                                       phase_interval=args.phase_interval,
-                                       artifacts_dir=args.artifacts)
+    outcomes = [o for o in outcomes if not isinstance(o, Quarantined)]
     if telemetry is not None:
         print(telemetry.summary(), file=sys.stderr)
     rows = [[o.mix_name, o.scheme, str(o.partition), o.weighted_speedup,
@@ -323,66 +321,6 @@ def cmd_compare(args) -> int:
     if args.check and comparison.regressed(args.threshold):
         print(f"compare: geomean total-IPC regression beyond "
               f"{args.threshold:g}% threshold", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.harness.perfbench import (bench_campaign, bench_cycle_loop,
-                                         bench_memory_path)
-    regressed = False
-    if args.which in ("cycle-loop", "all"):
-        workload_names = (args.workloads.split(",")
-                          if args.workloads else None)
-        try:
-            report = bench_cycle_loop(reps=args.reps,
-                                      workload_names=workload_names,
-                                      out_path=args.out)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        out = args.out or "BENCH_cycle_loop.json"
-        print(f"cycle loop: {report['reference_workload']} "
-              f"{report['reference_workload_speedup']:.2f}x "
-              f"(min {report['min_speedup']:.2f}x, "
-              f"geomean {report['geomean_speedup']:.2f}x) "
-              f"-> {out}")
-        baseline = report.get("baseline")
-        if baseline is not None:
-            print(f"  vs committed baseline: "
-                  f"{baseline['geomean_vs_baseline']:.2f}x geomean"
-                  + (" [REGRESSED]" if baseline["regressed"] else ""))
-            regressed = regressed or baseline["regressed"]
-    if args.which in ("memory-path", "all"):
-        report = bench_memory_path(reps=max(args.reps, 3),
-                                   out_path=args.out
-                                   if args.which == "memory-path" else None)
-        parts = ", ".join(f"{c['component']} {c['speedup']:.2f}x"
-                          for c in report["components"])
-        print(f"memory path: {parts} "
-              f"(geomean {report['geomean_speedup']:.2f}x) "
-              f"-> BENCH_memory_path.json")
-        baseline = report.get("baseline")
-        if baseline is not None:
-            print(f"  vs committed baseline: "
-                  f"{baseline['geomean_vs_baseline']:.2f}x geomean"
-                  + (" [REGRESSED]" if baseline["regressed"] else ""))
-            regressed = regressed or baseline["regressed"]
-    if args.which in ("campaign", "all"):
-        report = bench_campaign(workers=args.workers,
-                                out_path=args.out
-                                if args.which == "campaign" else None)
-        print(f"campaign: {report['campaign_speedup']:.2f}x end-to-end "
-              f"(fast loop {report['fast_loop_speedup']:.2f}x, "
-              f"{args.workers} workers {report['parallel_speedup']:.2f}x "
-              f"on {report['cpu_count']} CPUs) -> BENCH_campaign.json")
-        baseline = report.get("baseline")
-        if baseline is not None and baseline["regressed"]:
-            print("  vs committed baseline: [REGRESSED]")
-            regressed = True
-    if args.check and regressed:
-        print("bench: regression beyond threshold vs committed baseline",
-              file=sys.stderr)
         return 1
     return 0
 
@@ -485,11 +423,11 @@ def main(argv=None) -> int:
                           metavar="S",
                           help="per-job wall-clock budget in seconds; a "
                                "worker past it is killed and the cell "
-                               "retried (enables the resilient executor)")
+                               "retried")
     campaign.add_argument("--retries", type=int, default=None, metavar="N",
                           help="extra attempts per failed cell before "
-                               "quarantine (default 2; enables the "
-                               "resilient executor)")
+                               "quarantine (default 2 under --timeout/"
+                               "--resume/--fault-plan)")
     campaign.add_argument("--backoff", type=float, default=0.25,
                           metavar="S",
                           help="base retry backoff in seconds, doubled "
@@ -526,22 +464,6 @@ def main(argv=None) -> int:
                          metavar="PCT",
                          help="allowed geomean drop in percent (default 2)")
     compare.set_defaults(fn=cmd_compare)
-
-    bench = sub.add_parser("bench")
-    bench.add_argument("--which", default="all",
-                       choices=["cycle-loop", "memory-path", "campaign",
-                                "all"])
-    bench.add_argument("--workers", type=int, default=4)
-    bench.add_argument("--reps", type=int, default=2,
-                       help="timing repetitions per workload (best-of)")
-    bench.add_argument("--workloads", default=None,
-                       help="comma-separated cycle-loop workload subset")
-    bench.add_argument("--out", default=None,
-                       help="report path override (default: repo root)")
-    bench.add_argument("--check", action="store_true",
-                       help="exit 1 on >10%% geomean regression vs the "
-                            "committed BENCH_*.json")
-    bench.set_defaults(fn=cmd_bench)
 
     lint = sub.add_parser("lint")
     lint.add_argument("paths", nargs="*",

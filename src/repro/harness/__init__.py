@@ -1,7 +1,9 @@
 """Experiment harness: cached isolated profiling, the scheme registry
 (spatial / leftover / WS / SMK × BMI / MIL / UCP), one driver per
-paper table/figure, and the resilient campaign executor (checkpoint
-journal, retry/quarantine, deterministic fault injection)."""
+paper table/figure, the campaign job model (``parallel``) and its one
+dispatcher (``resilience``: worker pool or in-process loop, with
+retry/quarantine, a checkpoint journal and deterministic fault
+injection as policy values)."""
 
 from repro.harness.runner import (
     ExperimentRunner,

@@ -193,30 +193,28 @@ def scheme_sweep(runner: ExperimentRunner, schemes: Sequence[str],
                  policy=None, resume: bool = False) -> SchemeSweep:
     """The workloads×schemes grid behind every scheme-comparison
     figure, fanned over worker processes when the host allows (the
-    pool size resolves from ``$REPRO_BENCH_WORKERS``/CPU count; one
-    worker degrades to the serial loop).  Outcomes are bit-identical
-    to serial execution either way.
+    worker count resolves from ``$REPRO_BENCH_WORKERS``/CPU count; one
+    worker runs in-process).  Outcomes are bit-identical to serial
+    execution either way.
 
-    ``policy`` (a :class:`~repro.harness.resilience.ResiliencePolicy`)
-    or ``resume=True`` routes the grid through the resilient executor:
-    crashed/hung cells are retried then quarantined instead of
-    stranding the sweep, completed cells checkpoint to the journal, and
-    ``resume`` re-runs only the unfinished remainder.  Quarantined
-    cells are simply absent from the sweep (their metrics never
-    existed), so downstream geomeans stay well-defined."""
+    By default the grid runs under the plain policy: the first failing
+    cell raises.  With a ``policy`` (a
+    :class:`~repro.harness.resilience.ResiliencePolicy`) or
+    ``resume=True``, crashed/hung cells are retried then quarantined
+    instead of stranding the sweep, completed cells checkpoint to the
+    journal, and ``resume`` re-runs only the unfinished remainder.
+    Quarantined cells are simply absent from the sweep (their metrics
+    never existed), so downstream geomeans stay well-defined."""
+    from repro.harness.resilience import PLAIN, Quarantined
+    if policy is None and not resume:
+        policy = PLAIN
     sweep = SchemeSweep(tuple(schemes))
-    if policy is not None or resume:
-        from repro.harness.resilience import Quarantined
-        outcomes, _report = runner.run_campaign_resilient(
-            list(workloads), list(schemes), policy=policy,
-            cycles=cycles, resume=resume)
-        for outcome in outcomes:
-            if not isinstance(outcome, Quarantined):
-                sweep.add(outcome)
-        return sweep
-    for outcome in runner.run_campaign(list(workloads), list(schemes),
-                                       cycles=cycles):
-        sweep.add(outcome)
+    outcomes, _report = runner.run_campaign_resilient(
+        list(workloads), list(schemes), policy=policy, cycles=cycles,
+        resume=resume)
+    for outcome in outcomes:
+        if not isinstance(outcome, Quarantined):
+            sweep.add(outcome)
     return sweep
 
 

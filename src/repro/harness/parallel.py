@@ -1,11 +1,10 @@
-"""Parallel campaign executor: fan independent simulation jobs out
-over worker processes.
+"""The campaign job model: what one unit of simulation work is, how it
+is executed, and what the parent knows about it before dispatch.
 
 Experiment campaigns in this repo are embarrassingly parallel — every
 isolated run, every scalability-curve point and every mix×scheme cell
 is an independent simulation.  This module describes each unit of work
-as a small picklable job dataclass and executes a batch of them on a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+as a small picklable job dataclass:
 
 * ``IsoJob``   — one kernel alone at one TB count (normalisation runs);
 * ``CurveJob`` — one kernel's full scalability curve (Warped-Slicer
@@ -15,24 +14,23 @@ as a small picklable job dataclass and executes a batch of them on a
 Jobs reference kernels by their short profile names so they pickle in
 a few bytes; each worker process rebuilds a private
 :class:`~repro.harness.runner.ExperimentRunner` from the parent's
-config/settings and can additionally be pre-seeded with already-known
-isolated records and curves so it never re-derives shared inputs.
+config/settings, pre-seeded with the isolated records and curves the
+parent already holds so it never re-derives shared inputs
+(:func:`seeded_runner`).  The shared on-disk cache (``.repro_cache``)
+is written atomically (temp file + ``os.replace`` — see ``runner.py``)
+so concurrent workers cannot corrupt records.
 
-Duplicate jobs within a batch are executed once (results are fanned
-back out to every requesting position), results of ``IsoJob`` /
-``CurveJob`` are installed into the parent runner's in-memory caches,
-and the shared on-disk cache (``.repro_cache``) is written atomically
-(temp file + ``os.replace`` — see ``runner.py``) so concurrent workers
-cannot corrupt records.  When multiprocessing is unavailable — or
-``workers <= 1`` — the batch degrades gracefully to an in-process
-serial loop with identical results.
+There is one dispatcher, :func:`repro.harness.resilience.run_jobs_resilient`
+(dedup, journal replay, parent-cache probe, cost ordering, worker
+processes or the in-process loop, retry/quarantine accounting).
+:func:`run_jobs` and :func:`run_campaign` here are its plain-policy
+spellings: no timeout, no retries, no quarantine, no journal — the
+first failing cell raises :class:`~repro.harness.resilience.JobError`.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,6 +43,20 @@ from repro.workloads.profiles import get_profile
 
 #: environment override for the default worker count.
 WORKERS_ENV = "REPRO_BENCH_WORKERS"
+
+
+def requested_workers(workers: Optional[int] = None) -> int:
+    """The parallelism a batch asks for: an explicit ``workers``, else
+    ``$REPRO_BENCH_WORKERS``, else the CPU count; never below 1."""
+    if workers is not None:
+        return max(1, workers)
+    env = os.environ.get(WORKERS_ENV)
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            pass
+    return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------
@@ -90,102 +102,8 @@ class MixJob:
 Job = Union[IsoJob, CurveJob, MixJob]
 
 
-@dataclass(frozen=True)
-class PoolConfig:
-    """Worker-pool shape for one batch of jobs.
-
-    ``workers=None`` resolves from ``$REPRO_BENCH_WORKERS`` or the CPU
-    count; ``workers<=1`` runs the batch serially in-process.
-    ``chunksize`` batches job dispatch to cut IPC overhead for large
-    campaigns of cheap jobs.
-    """
-
-    workers: Optional[int] = None
-    chunksize: int = 1
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError:
-                pass
-        return os.cpu_count() or 1
-
-
 # ----------------------------------------------------------------------
-# worker-side execution
-_WORKER_RUNNER: Optional[ExperimentRunner] = None
-_WORKER_FAULT_PLAN = None
-
-
-def _init_worker(config, settings: RunnerSettings, cache_dir: Optional[str],
-                 iso_seed: Sequence[Tuple[Optional[int], IsoRecord]],
-                 curve_seed: Sequence[ScalabilityCurve]) -> None:
-    """Build this worker's private runner, pre-seeded with everything
-    the parent already knows so shared inputs are never recomputed.
-
-    Constructing the runner also points the kernel-trace disk cache at
-    ``cache_dir/traces-v<CACHE_VERSION>`` (see ``ExperimentRunner``),
-    so workers share compiled trace chunks with the parent and a
-    version bump invalidates both caches together.
-
-    Fault injection activates here too: when ``$REPRO_FAULT_PLAN``
-    names a plan file (see :mod:`repro.harness.resilience`), the worker
-    loads it once at init and the resilient executor's worker loop
-    consults it around every job.  An unreadable plan is an init
-    error, never a silent fault-free run."""
-    global _WORKER_RUNNER, _WORKER_FAULT_PLAN
-    runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
-    for cycles, record in iso_seed:
-        _install_iso(runner, record, cycles)
-    for curve in curve_seed:
-        _install_curve(runner, curve)
-    _WORKER_RUNNER = runner
-    from repro.harness.resilience import FaultPlan
-    _WORKER_FAULT_PLAN = FaultPlan.from_env()
-
-
-def _worker_fault_plan(load: bool = False):
-    """The fault plan this process loaded at ``_init_worker`` time.
-    ``load=True`` (the serial in-process path, where no worker init
-    ever runs) re-reads ``$REPRO_FAULT_PLAN`` fresh instead."""
-    if load:
-        from repro.harness.resilience import FaultPlan
-        return FaultPlan.from_env()
-    return _WORKER_FAULT_PLAN
-
-
-def _wrap_job_error(job: Job, exc: Exception):
-    """Re-raise ``exc`` as a picklable JobError carrying the full
-    formatted worker-side traceback — the bare exception the pool used
-    to ship home loses the stack in transit."""
-    from repro.harness.resilience import JobError
-    if isinstance(exc, JobError):
-        raise exc
-    raise JobError.from_exception(_job_label(job), exc) from None
-
-
-def _run_job_in_worker(job: Job):
-    try:
-        return execute_job(_WORKER_RUNNER, job)
-    except Exception as exc:
-        _wrap_job_error(job, exc)
-
-
-def _run_job_in_worker_timed(job: Job):
-    """Like :func:`_run_job_in_worker` but also reports the worker-side
-    wall-clock seconds, for campaign telemetry heartbeats."""
-    start = time.perf_counter()
-    try:
-        result = execute_job(_WORKER_RUNNER, job)
-    except Exception as exc:
-        _wrap_job_error(job, exc)
-    return result, time.perf_counter() - start
-
-
+# job execution (worker processes and the in-process loop share it)
 def execute_job(runner: ExperimentRunner, job: Job):
     """Run one job on ``runner`` (shared by workers and serial mode)."""
     if isinstance(job, IsoJob):
@@ -244,8 +162,26 @@ def _seed_payload(runner: ExperimentRunner):
     return iso_seed, curve_seed
 
 
+def seeded_runner(config, settings: RunnerSettings, cache_dir: Optional[str],
+                  iso_seed: Sequence[Tuple[Optional[int], IsoRecord]],
+                  curve_seed: Sequence[ScalabilityCurve]) -> ExperimentRunner:
+    """A worker process's private runner, pre-seeded with everything
+    the parent already knows so shared inputs are never recomputed.
+
+    Constructing the runner also points the kernel-trace disk cache at
+    ``cache_dir/traces-v<CACHE_VERSION>`` (see ``ExperimentRunner``),
+    so workers share compiled trace chunks with the parent and a
+    version bump invalidates both caches together."""
+    runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
+    for cycles, record in iso_seed:
+        _install_iso(runner, record, cycles)
+    for curve in curve_seed:
+        _install_curve(runner, curve)
+    return runner
+
+
 # ----------------------------------------------------------------------
-# telemetry helpers
+# what the parent knows about a job before dispatch
 _CACHE_MISS = object()
 
 #: per-finished-job progress callback (campaign telemetry).
@@ -253,8 +189,9 @@ ProgressFn = Callable[[JobHeartbeat], None]
 
 
 def _probe_cache(runner: ExperimentRunner, job: Job):
-    """The parent-side cached result for ``job``, or ``_CACHE_MISS``.
-    Used by the telemetry path to flag cache hits before dispatch."""
+    """The parent-side cached result for ``job``, or ``_CACHE_MISS``:
+    a job the parent's in-memory caches already answer is never
+    dispatched."""
     if isinstance(job, IsoJob):
         tbs = job.tbs
         if tbs is None:
@@ -337,116 +274,20 @@ def _order_by_cost(pending: List[Job],
 
 
 # ----------------------------------------------------------------------
-# batch execution
+# the plain-policy spellings of the one dispatcher
 def run_jobs(runner: ExperimentRunner, jobs: Sequence[Job],
-             workers: Optional[int] = None, chunksize: int = 1,
+             workers: Optional[int] = None,
              progress: Optional[ProgressFn] = None,
              cost_hints: Optional[Dict[Tuple[str, str], float]] = None
              ) -> List:
-    """Execute ``jobs`` and return their results in input order.
-
-    Identical jobs are executed once.  ``IsoJob`` / ``CurveJob``
-    results are installed into ``runner``'s in-memory caches (and, via
-    the workers, the shared disk cache), so subsequent serial calls hit
-    the cache.  The pool is capped at the machine's CPU count (more
-    processes than cores only add overhead to CPU-bound jobs); it falls
-    back to an in-process serial loop when the pool is unavailable or
-    the cap resolves to 1.
-
-    ``progress`` receives one :class:`JobHeartbeat` per finished unique
-    job, in completion order, from the dispatching thread; results are
-    unaffected by its presence.
-
-    ``cost_hints`` (see :func:`ledger_cost_hints`) reorders the
-    *dispatch* of uncached jobs longest-expected-first; the returned
-    list stays in input order, bit-identical with or without hints.
-    """
-    pool_cfg = PoolConfig(workers=workers, chunksize=chunksize)
-    unique: List[Job] = list(dict.fromkeys(jobs))
-    if not unique:
-        return []
-    results: Dict[Job, object] = {}
-    total = len(unique)
-    pending = unique
-    if progress is not None:
-        # Flag parent-side cache hits up front: they cost nothing, so
-        # heartbeat them immediately and dispatch only the real work.
-        pending = []
-        done = 0
-        for job in unique:
-            cached = _probe_cache(runner, job)
-            if cached is _CACHE_MISS:
-                pending.append(job)
-            else:
-                results[job] = cached
-                done += 1
-                progress(JobHeartbeat(
-                    index=done, total=total, label=_job_label(job),
-                    duration_s=0.0, sim_cycles=_job_cycles(runner, job),
-                    cache_hit=True))
-    if cost_hints and len(pending) > 1:
-        pending = _order_by_cost(list(pending), cost_hints)
-    # Cap the pool at the machine's CPU count: extra processes beyond
-    # that cannot run concurrently, so oversubscribing only adds spawn,
-    # pickle, and scheduling overhead to a CPU-bound campaign.
-    nworkers = (min(pool_cfg.resolved_workers(), len(pending),
-                    os.cpu_count() or 1)
-                if pending else 0)
-    pool_failed = False
-    if nworkers > 1:
-        try:
-            iso_seed, curve_seed = _seed_payload(runner)
-            with ProcessPoolExecutor(
-                    max_workers=nworkers,
-                    initializer=_init_worker,
-                    initargs=(runner.config, runner.settings,
-                              runner.cache_dir, iso_seed, curve_seed),
-            ) as pool:
-                if progress is None:
-                    for job, result in zip(
-                            pending,
-                            pool.map(_run_job_in_worker, pending,
-                                     chunksize=max(1, pool_cfg.chunksize))):
-                        results[job] = result
-                else:
-                    futures = {pool.submit(_run_job_in_worker_timed, job): job
-                               for job in pending}
-                    done = total - len(pending)
-                    not_done = set(futures)
-                    while not_done:
-                        finished, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED)
-                        for future in finished:
-                            job = futures[future]
-                            result, duration = future.result()
-                            results[job] = result
-                            done += 1
-                            progress(JobHeartbeat(
-                                index=done, total=total,
-                                label=_job_label(job), duration_s=duration,
-                                sim_cycles=_job_cycles(runner, job)))
-        except (OSError, ValueError, RuntimeError, ImportError):
-            # No usable multiprocessing here (restricted sandbox, dead
-            # workers, ...): degrade to the serial path below.
-            for job in pending:
-                results.pop(job, None)
-            pool_failed = True
-    if pool_failed or nworkers <= 1:
-        done = total - len(pending)
-        for job in pending:
-            if job in results:
-                continue
-            start = time.perf_counter()
-            results[job] = execute_job(runner, job)
-            if progress is not None:
-                done += 1
-                progress(JobHeartbeat(
-                    index=done, total=total, label=_job_label(job),
-                    duration_s=time.perf_counter() - start,
-                    sim_cycles=_job_cycles(runner, job)))
-    for job in unique:
-        _absorb(runner, job, results[job])
-    return [results[job] for job in jobs]
+    """Execute ``jobs`` under the plain policy and return their results
+    in input order — see
+    :func:`repro.harness.resilience.run_jobs_resilient` for dedup,
+    cache probing, ``progress`` heartbeats and ``cost_hints`` ordering.
+    A failing job raises :class:`~repro.harness.resilience.JobError`."""
+    from repro.harness.resilience import PLAIN, run_jobs_resilient
+    return run_jobs_resilient(runner, jobs, policy=PLAIN, workers=workers,
+                              progress=progress, cost_hints=cost_hints)[0]
 
 
 def campaign_jobs(mixes: Sequence[WorkloadMix], schemes: Sequence[str],
@@ -473,48 +314,17 @@ def prefetch_jobs(mixes: Sequence[WorkloadMix],
 
 def run_campaign(runner: ExperimentRunner, mixes: Sequence[WorkloadMix],
                  schemes: Sequence[str], workers: Optional[int] = None,
-                 cycles: Optional[int] = None,
-                 chunksize: int = 1, obs: bool = False,
+                 cycles: Optional[int] = None, obs: bool = False,
                  progress: Optional[ProgressFn] = None,
                  phase_interval: Optional[int] = None,
                  artifacts_dir: Optional[str] = None
                  ) -> List[WorkloadOutcome]:
-    """Run the full mixes×schemes grid, in parallel, in two phases.
-
-    Phase 1 computes the shared inputs (isolated runs, curves) once and
-    installs them everywhere; phase 2 fans the grid cells out, each
-    worker pre-seeded with phase 1's results.  Outcomes come back in
-    mix-major grid order, bit-identical to the serial loop.
-
-    ``obs=True`` runs every cell observed (stall-attribution report on
-    each outcome's ``result.obs``); ``phase_interval`` also turns on
-    the phase sampler in every cell; ``progress`` receives live
-    :class:`JobHeartbeat` telemetry from both phases.
-
-    ``artifacts_dir`` makes the parent emit one run-artifact JSON per
-    cell (plus the ``ledger.json`` index) after all workers return —
-    workers only ship picklable reports back, the ledger write happens
-    in exactly one process.  When the directory already holds artifacts
-    from a prior campaign, their per-cell costs order this one's
-    dispatch longest-first (:func:`ledger_cost_hints`) — results are
-    unaffected, only worker packing.
-    """
-    run_jobs(runner, prefetch_jobs(mixes, schemes), workers=workers,
-             chunksize=chunksize, progress=progress)
-    cost_hints = None
-    if artifacts_dir and os.path.isdir(artifacts_dir):
-        cost_hints = ledger_cost_hints(artifacts_dir)
-    outcomes = run_jobs(
-        runner,
-        campaign_jobs(mixes, schemes, cycles, obs=obs,
-                      phase_interval=phase_interval),
-        workers=workers, chunksize=chunksize, progress=progress,
-        cost_hints=cost_hints)
-    if artifacts_dir:
-        from repro.obs import ledger
-        sha = ledger.current_git_sha()
-        ledger.write_artifacts(artifacts_dir, [
-            ledger.artifact_from_outcome(outcome, runner.config,
-                                         runner.settings, git_sha=sha)
-            for outcome in outcomes])
-    return outcomes
+    """Run the full mixes×schemes grid under the plain policy: the
+    outcomes of :func:`repro.harness.resilience.run_campaign_resilient`
+    in mix-major grid order, bit-identical to the serial loop, with no
+    journal and no ``campaign`` block in the ledger."""
+    from repro.harness.resilience import PLAIN, run_campaign_resilient
+    return run_campaign_resilient(
+        runner, mixes, schemes, policy=PLAIN, workers=workers, cycles=cycles,
+        obs=obs, progress=progress, phase_interval=phase_interval,
+        artifacts_dir=artifacts_dir)[0]

@@ -1,87 +1,15 @@
-"""Wall-clock performance benchmarks for the simulator's fast paths.
-
-Two benchmarks validate the perf work in this repo, each emitting a
-JSON report at the repository root:
-
-* :func:`bench_cycle_loop` (``BENCH_cycle_loop.json``) measures
-  simulated-cycles-per-second of the optimised cycle loop against the
-  reference loop (``GPU(reference=True)``) on the paper's Table-1
-  machine (the default :class:`~repro.config.GPUConfig`, 16 SMs), one
-  workload at a time, single thread.  Every rep asserts the two loops
-  produce bit-identical :class:`~repro.sim.stats.RunResult` stats.
-
-* :func:`bench_memory_path` (``BENCH_memory_path.json``) storms the
-  memory-pipeline components in isolation — tag store, MSHR file and
-  DRAM channel queue — driving each object implementation and its
-  struct-of-arrays twin (:mod:`repro.mem.pool`, the slot-pooled
-  request path) through identical deterministic operation sequences.
-  Each storm asserts end-state equality before reporting ops/sec.
-
-* :func:`bench_campaign` (``BENCH_campaign.json``) times a full
-  experiment campaign — the paper's scheme-ablation grid (WS, WS+BMI,
-  WS+MIL, WS+BMI+MIL over two mixes, §4) including Warped-Slicer
-  profiling curves — three ways: reference loop serially, fast loop
-  serially, and fast loop through the parallel executor
-  (:mod:`repro.harness.parallel`).  All three legs must agree on every
-  outcome, bit for bit.
-
-Timing methodology: legs alternate (reference first) and reps take the
-best (minimum) wall time, the standard way to suppress scheduler noise
-on a shared machine.  ``cpu_count`` is recorded in both reports so a
-reader can judge how much the parallel leg could possibly help.
+"""Bit-identity signatures: every stat a run or a campaign cell
+carries, as one comparable tuple.  The identity tests (fast vs
+reference loop, pooled vs object memory, serial vs worker processes,
+fault-free vs retried) and ``benchmarks/e2e`` compare these.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import subprocess
-import tempfile
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
-from repro.config import GPUConfig
-from repro.core.arbiter import SchemeConfig
-from repro.harness.runner import (ExperimentRunner, RunnerSettings,
-                                  WorkloadOutcome)
-from repro.sim.engine import GPU, make_launches
+from repro.harness.runner import WorkloadOutcome
 from repro.sim.stats import RunResult
-from repro.workloads.mixes import WorkloadMix
-from repro.workloads.profiles import get_profile
-
-#: file names (written at the repo root by default).
-CYCLE_LOOP_REPORT = "BENCH_cycle_loop.json"
-MEMORY_PATH_REPORT = "BENCH_memory_path.json"
-CAMPAIGN_REPORT = "BENCH_campaign.json"
-
-#: the campaign the wall-clock benchmark times: the paper's §4
-#: mechanism ablation (WS alone, +BMI, +MIL, +both) over one
-#: memory/memory and one mixed-intensity two-kernel workload.
-CAMPAIGN_MIXES: Tuple[Tuple[str, ...], ...] = (("bp", "cd"), ("st", "sv"))
-CAMPAIGN_SCHEMES: Tuple[str, ...] = ("ws", "ws-rbmi", "ws-dmil",
-                                     "ws-rbmi+dmil")
-CAMPAIGN_SETTINGS = dict(iso_cycles=4000, curve_cycles=2500,
-                         concurrent_cycles=6000)
-
-#: single-run workloads for the cycle-loop benchmark; the concurrent
-#: mix is *the* reference workload (a paper-machine CKE run).
-CYCLE_LOOP_WORKLOADS: Tuple[Tuple[str, Tuple[str, ...],
-                                  Optional[Tuple[int, ...]]], ...] = (
-    ("bp-iso", ("bp",), None),
-    ("cd-iso", ("cd",), None),
-    ("sv-iso", ("sv",), None),
-    ("bp+cd-even", ("bp", "cd"), (8, 8)),
-    ("st+sv-even", ("st", "sv"), (8, 8)),
-    ("cd+sv-even", ("cd", "sv"), (8, 8)),
-)
-REFERENCE_WORKLOAD = "bp+cd-even"
-
-#: the paper's M-type (memory-intensive) workloads in the suite above —
-#: the set the memory-pipeline perf work is gated on.  The baseline
-#: diff block reports a separate geomean over exactly these.
-MEMORY_BOUND_WORKLOADS = frozenset(
-    ("cd-iso", "sv-iso", "st+sv-even", "cd+sv-even"))
 
 
 # ----------------------------------------------------------------------
@@ -129,612 +57,3 @@ def outcome_signature(outcome: WorkloadOutcome) -> Tuple:
         outcome.fairness,
         result_signature(outcome.result),
     )
-
-
-# ----------------------------------------------------------------------
-# report provenance + baseline diffing
-#: a fresh geomean below this fraction of the committed baseline's
-#: throughput counts as a regression (``scripts/bench.sh --check``).
-REGRESSION_THRESHOLD = 0.9
-
-
-def _git_sha() -> Optional[str]:
-    """Current checkout's commit, or None outside a git work tree."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
-
-
-def _host_info() -> Dict:
-    """Enough host identity to judge whether two reports are comparable
-    (wall-clock numbers from different machines are not)."""
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def _load_baseline(path: str) -> Optional[Dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
-        return None
-
-
-def _resolve_baseline_sha(path: str, baseline: Optional[Dict]
-                          ) -> Tuple[Optional[str], Optional[str]]:
-    """The commit a committed baseline's numbers came from, plus where
-    that answer was found.
-
-    Prefers the ``git_sha`` the report recorded at generation time;
-    reports written outside a work tree carry ``null``, so fall back to
-    the last commit that touched the committed file.  Returns
-    ``(sha, source)`` with source ``"report"`` or ``"git-log"``, or
-    ``(None, None)`` when neither resolves."""
-    if not baseline:
-        return None, None
-    sha = baseline.get("git_sha")
-    if sha:
-        return sha, "report"
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        proc = subprocess.run(
-            ["git", "log", "-1", "--format=%H", "--",
-             os.path.basename(path)],
-            capture_output=True, text=True, timeout=10, cwd=directory)
-    except (OSError, subprocess.SubprocessError):
-        return None, None
-    sha = proc.stdout.strip()
-    if proc.returncode == 0 and sha:
-        return sha, "git-log"
-    return None, None
-
-
-def _cycle_loop_baseline(workloads: List[Dict],
-                         baseline: Optional[Dict],
-                         baseline_path: str) -> Optional[Dict]:
-    """Diff fresh fast-loop throughput against the committed report.
-
-    The committed numbers are wall-clock on whichever host produced
-    them, so the block records the ratio per workload plus the geomean
-    — the regression gate ``scripts/bench.sh --check`` keys off
-    ``regressed``.  Memory-bound workloads (the paper's M-type set)
-    additionally get their own geomean so memory-pipeline perf work can
-    be gated independently of compute-bound legs."""
-    if not baseline:
-        return None
-    by_name = {w.get("workload"): w for w in baseline.get("workloads", ())}
-    per_workload = {}
-    ratios = []
-    mem_ratios = []
-    for w in workloads:
-        base = by_name.get(w["workload"])
-        if not base or not base.get("fast_cycles_per_s"):
-            continue
-        ratio = w["fast_cycles_per_s"] / base["fast_cycles_per_s"]
-        per_workload[w["workload"]] = {
-            "baseline_fast_cycles_per_s": base["fast_cycles_per_s"],
-            "fast_cycles_per_s": w["fast_cycles_per_s"],
-            "ratio": ratio,
-        }
-        ratios.append(ratio)
-        if w["workload"] in MEMORY_BOUND_WORKLOADS:
-            mem_ratios.append(ratio)
-    if not ratios:
-        return None
-    geomean = _geomean(ratios)
-    sha, sha_source = _resolve_baseline_sha(baseline_path, baseline)
-    return {
-        "baseline_git_sha": sha,
-        "baseline_git_sha_source": sha_source,
-        "baseline_geomean_speedup": baseline.get("geomean_speedup"),
-        "per_workload": per_workload,
-        "geomean_vs_baseline": geomean,
-        "memory_bound_geomean_vs_baseline":
-            _geomean(mem_ratios) if mem_ratios else None,
-        "regression_threshold": REGRESSION_THRESHOLD,
-        "regressed": geomean < REGRESSION_THRESHOLD,
-    }
-
-
-def _campaign_baseline(report: Dict,
-                       baseline: Optional[Dict],
-                       baseline_path: str) -> Optional[Dict]:
-    """Diff the three campaign speedup layers against the committed
-    report (speedups are within-run ratios, so they transfer across
-    hosts better than raw wall times)."""
-    if not baseline:
-        return None
-    sha, sha_source = _resolve_baseline_sha(baseline_path, baseline)
-    block: Dict = {"baseline_git_sha": sha,
-                   "baseline_git_sha_source": sha_source}
-    ratios = {}
-    for key in ("fast_loop_speedup", "parallel_speedup", "campaign_speedup"):
-        base = baseline.get(key)
-        cur = report.get(key)
-        if base and cur:
-            ratios[key] = {"baseline": base, "current": cur,
-                           "ratio": cur / base}
-    if not ratios:
-        return None
-    block.update(ratios)
-    headline = ratios.get("campaign_speedup", {}).get("ratio", 1.0)
-    block["regression_threshold"] = REGRESSION_THRESHOLD
-    block["regressed"] = headline < REGRESSION_THRESHOLD
-    return block
-
-
-# ----------------------------------------------------------------------
-# cycle-loop benchmark
-def _build_gpu(kernels: Sequence[str], tb_limits, config: GPUConfig,
-               reference: bool, seed: int = 0) -> GPU:
-    profiles = [get_profile(k) for k in kernels]
-    if tb_limits is None:
-        tb_limits = [p.max_tbs_per_sm(config) for p in profiles]
-    launches = make_launches(profiles, list(tb_limits), config, seed=seed)
-    return GPU(config, launches, SchemeConfig(), reference=reference)
-
-
-def _time_run(kernels: Sequence[str], tb_limits, config: GPUConfig,
-              cycles: int, reference: bool) -> Tuple[float, Tuple]:
-    gpu = _build_gpu(kernels, tb_limits, config, reference)
-    t0 = time.perf_counter()
-    result = gpu.run(cycles)
-    dt = time.perf_counter() - t0
-    return dt, result_signature(result)
-
-
-def bench_cycle_loop(cycles: int = 2500, reps: int = 2,
-                     config: Optional[GPUConfig] = None,
-                     out_path: Optional[str] = None,
-                     workload_names: Optional[Sequence[str]] = None) -> Dict:
-    """Fast-loop vs reference-loop cycles/sec, workload by workload.
-
-    ``workload_names`` selects a subset of :data:`CYCLE_LOOP_WORKLOADS`
-    (None = the full suite).  Raises ``AssertionError`` if any
-    workload's fast run is not bit-identical to its reference run.
-    """
-    config = config or GPUConfig()
-    if workload_names is None:
-        selected = CYCLE_LOOP_WORKLOADS
-    else:
-        known = {w[0]: w for w in CYCLE_LOOP_WORKLOADS}
-        unknown = [n for n in workload_names if n not in known]
-        if unknown:
-            raise ValueError(
-                f"unknown workload(s) {unknown}; choices: {sorted(known)}")
-        selected = tuple(known[n] for n in workload_names)
-    workloads = []
-    for name, kernels, tb_limits in selected:
-        ref_best = fast_best = float("inf")
-        ref_sig = fast_sig = None
-        for _ in range(max(1, reps)):
-            dt, sig = _time_run(kernels, tb_limits, config, cycles,
-                                reference=True)
-            ref_best = min(ref_best, dt)
-            assert ref_sig is None or sig == ref_sig, \
-                f"{name}: reference loop is not deterministic"
-            ref_sig = sig
-            dt, sig = _time_run(kernels, tb_limits, config, cycles,
-                                reference=False)
-            fast_best = min(fast_best, dt)
-            fast_sig = sig
-            assert fast_sig == ref_sig, \
-                f"{name}: fast loop diverged from the reference loop"
-        workloads.append({
-            "workload": name,
-            "kernels": list(kernels),
-            "tb_limits": list(tb_limits) if tb_limits else None,
-            "cycles": cycles,
-            "memory_bound": name in MEMORY_BOUND_WORKLOADS,
-            "reference_s": ref_best,
-            "fast_s": fast_best,
-            "reference_cycles_per_s": cycles / ref_best,
-            "fast_cycles_per_s": cycles / fast_best,
-            "speedup": ref_best / fast_best,
-            "identical": True,
-        })
-    speedups = [w["speedup"] for w in workloads]
-    reference = next((w for w in workloads
-                      if w["workload"] == REFERENCE_WORKLOAD), workloads[0])
-    report = {
-        "benchmark": "cycle_loop",
-        "config": "paper-table1-default",
-        "git_sha": _git_sha(),
-        "host": _host_info(),
-        "num_sms": config.num_sms,
-        "cpu_count": os.cpu_count(),
-        "reps": reps,
-        "workloads": workloads,
-        "reference_workload": reference["workload"],
-        "reference_workload_speedup": reference["speedup"],
-        "min_speedup": min(speedups),
-        "geomean_speedup": _geomean(speedups),
-    }
-    # Diff against the committed report *before* overwriting it.
-    committed_path = _root_path(CYCLE_LOOP_REPORT)
-    committed = _load_baseline(committed_path)
-    report["baseline"] = _cycle_loop_baseline(workloads, committed,
-                                              committed_path)
-    _write_report(report, out_path or committed_path)
-    return report
-
-
-# ----------------------------------------------------------------------
-# memory-path component microbenchmarks
-def _lcg_ops(n: int, seed: int, modulus: int) -> List[int]:
-    """Deterministic pseudo-random op stream (multiplicative LCG);
-    precomputed so sequence generation never lands inside a timed
-    region."""
-    ops = []
-    state = seed or 1
-    for _ in range(n):
-        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        ops.append(state % modulus)
-    return ops
-
-
-def _tag_storm_object(store, fill_gap: int, ops: Sequence[int]) -> Tuple:
-    """One tag-store storm at the object store's native API: the L1
-    access pattern — lookup, LRU touch on hit, reserve on miss, fill
-    the reservation ``fill_gap`` ops later, periodic invalidate.
-    :func:`_tag_storm_array` is the structurally identical twin; both
-    stay native so the measured delta is the data structure, not an
-    adapter shim."""
-    hits = misses = 0
-    outstanding: List[int] = []
-    for i, line in enumerate(ops):
-        ln = store.lookup(line)
-        if ln is not None:
-            if ln.valid:
-                hits += 1
-            continue
-        ok, _dirty, _tag = store.reserve(line, kernel=line & 1)
-        if ok:
-            misses += 1
-            outstanding.append(line)
-        if len(outstanding) >= fill_gap:
-            store.fill(outstanding.pop(0))
-        if i % 97 == 0 and outstanding:
-            store.invalidate(ops[i % len(ops)])
-    for line in outstanding:
-        store.fill(line)
-    occupancy = tuple(sorted(store.occupancy_by_kernel().items()))
-    return hits, misses, occupancy
-
-
-def _tag_storm_array(store, fill_gap: int, ops: Sequence[int]) -> Tuple:
-    hits = misses = 0
-    outstanding: List[int] = []
-    valid = store.valid
-    find = store.find
-    touch = store.touch
-    for i, line in enumerate(ops):
-        way = find(line)
-        if way >= 0:
-            if valid[way]:
-                touch(way)
-                hits += 1
-            continue
-        ok, _dirty, _tag = store.reserve(line, kernel=line & 1)
-        if ok:
-            misses += 1
-            outstanding.append(line)
-        if len(outstanding) >= fill_gap:
-            store.fill(outstanding.pop(0))
-        if i % 97 == 0 and outstanding:
-            store.invalidate(ops[i % len(ops)])
-    for line in outstanding:
-        store.fill(line)
-    occupancy = tuple(sorted(store.occupancy_by_kernel().items()))
-    return hits, misses, occupancy
-
-
-def _mshr_storm(file, release_waiters, ops: Sequence[int]) -> Tuple:
-    """Allocate/merge/release churn at the MSHR file's native API.
-    ``release_waiters`` adapts the one API-surface difference (entry
-    object vs live list)."""
-    merges = allocs = waiter_total = 0
-    outstanding: List[int] = []
-    for i, line in enumerate(ops):
-        if file.try_merge(line, waiter=i):
-            merges += 1
-        elif line not in outstanding and file.can_allocate():
-            file.allocate(line, kernel=line & 1, waiter=i)
-            outstanding.append(line)
-            allocs += 1
-        if file.full or (outstanding and i % 5 == 0):
-            waiter_total += len(release_waiters(file, outstanding.pop(0)))
-    for line in outstanding:
-        waiter_total += len(release_waiters(file, line))
-    return merges, allocs, waiter_total, file.peak_used
-
-
-def _dram_storm(channel, push, pending, ops: Sequence[int]) -> Tuple:
-    """Enqueue/tick churn at the DRAM channel's native API (``push``
-    adapts ``enqueue`` vs ``ring_push``; ``pending`` the queue-depth
-    probe)."""
-    done: List[int] = []
-    cycle = 0
-    for i, row in enumerate(ops):
-        while channel.full:
-            cycle += 1
-            channel.tick(cycle, lambda payload, t: done.append(payload))
-        push(channel, row & 7, (row & 8) == 8, i)
-        cycle += 1
-        channel.tick(cycle, lambda payload, t: done.append(payload))
-    while pending(channel):
-        cycle += 1
-        channel.tick(cycle, lambda payload, t: done.append(payload))
-    return (channel.serviced, channel.row_hits, channel.busy_until,
-            len(done), sum(done))
-
-
-def _time_storm(run, reps: int) -> Tuple[float, Tuple]:
-    best = float("inf")
-    digest = None
-    for _ in range(max(1, reps)):
-        t0 = time.perf_counter()
-        result = run()
-        dt = time.perf_counter() - t0
-        best = min(best, dt)
-        assert digest is None or result == digest, \
-            "storm is not deterministic"
-        digest = result
-    return best, digest
-
-
-def _memory_path_baseline(components: List[Dict],
-                          baseline: Optional[Dict],
-                          baseline_path: str) -> Optional[Dict]:
-    """Diff fresh pooled-twin throughput against the committed report
-    (same shape as the cycle-loop baseline block, keyed by
-    component)."""
-    if not baseline:
-        return None
-    by_name = {c.get("component"): c
-               for c in baseline.get("components", ())}
-    per_component = {}
-    ratios = []
-    for comp in components:
-        base = by_name.get(comp["component"])
-        if not base or not base.get("pooled_ops_per_s"):
-            continue
-        ratio = comp["pooled_ops_per_s"] / base["pooled_ops_per_s"]
-        per_component[comp["component"]] = {
-            "baseline_pooled_ops_per_s": base["pooled_ops_per_s"],
-            "pooled_ops_per_s": comp["pooled_ops_per_s"],
-            "ratio": ratio,
-        }
-        ratios.append(ratio)
-    if not ratios:
-        return None
-    geomean = _geomean(ratios)
-    sha, sha_source = _resolve_baseline_sha(baseline_path, baseline)
-    return {
-        "baseline_git_sha": sha,
-        "baseline_git_sha_source": sha_source,
-        "per_component": per_component,
-        "geomean_vs_baseline": geomean,
-        "regression_threshold": REGRESSION_THRESHOLD,
-        "regressed": geomean < REGRESSION_THRESHOLD,
-    }
-
-
-def bench_memory_path(ops: int = 200_000, reps: int = 3,
-                      out_path: Optional[str] = None) -> Dict:
-    """Object vs struct-of-arrays throughput, component by component.
-
-    Each storm drives both implementations through the same
-    deterministic operation sequence at their native APIs and asserts
-    the end-state digests match before any number is reported — the
-    microbenchmark carries its own bit-identity proof, like the
-    cycle-loop benchmark does.
-    """
-    from repro.config import CacheConfig
-    from repro.mem.cache import SetAssocCache
-    from repro.mem.dram import DRAMChannel, RingDRAMChannel
-    from repro.mem.mshr import MSHRFile
-    from repro.mem.pool import ArrayMSHRFile, ArrayTagStore
-
-    cache_cfg = CacheConfig(size_bytes=16384, line_size=128, assoc=8,
-                            mshrs=16, miss_queue=16)
-    gpu_cfg = GPUConfig()
-    # The L1 hit path dominates the simulator's per-access cost, so the
-    # tag storm is hit-heavy: 3 in 4 accesses land in a hot working set
-    # that fits the cache, the rest stream through a cold tail.
-    tag_ops = [(op & 127) if op % 4 else (128 + op % 8192)
-               for op in _lcg_ops(ops, seed=11, modulus=1 << 30)]
-    mshr_ops = _lcg_ops(ops, seed=23, modulus=64)
-    dram_ops = _lcg_ops(ops // 4, seed=37, modulus=256)
-
-    components = []
-
-    def record(name: str, obj_run, pool_run, n_ops: int) -> None:
-        obj_s, obj_digest = _time_storm(obj_run, reps)
-        pool_s, pool_digest = _time_storm(pool_run, reps)
-        assert pool_digest == obj_digest, \
-            f"{name}: pooled twin diverged from the object implementation"
-        components.append({
-            "component": name,
-            "ops": n_ops,
-            "object_s": obj_s,
-            "pooled_s": pool_s,
-            "object_ops_per_s": n_ops / obj_s,
-            "pooled_ops_per_s": n_ops / pool_s,
-            "speedup": obj_s / pool_s,
-            "identical": True,
-        })
-
-    record(
-        "tag-store",
-        lambda: _tag_storm_object(SetAssocCache(cache_cfg), 8, tag_ops),
-        lambda: _tag_storm_array(ArrayTagStore(cache_cfg), 8, tag_ops),
-        len(tag_ops))
-    record(
-        "mshr-file",
-        lambda: _mshr_storm(MSHRFile(16, merge_limit=8),
-                            lambda f, ln: f.release(ln).waiters, mshr_ops),
-        lambda: _mshr_storm(ArrayMSHRFile(16, merge_limit=8),
-                            lambda f, ln: f.release(ln), mshr_ops),
-        len(mshr_ops))
-    record(
-        "dram-channel",
-        lambda: _dram_storm(
-            DRAMChannel(gpu_cfg, capacity=32),
-            lambda ch, row, wr, payload: ch.enqueue(row, wr, payload),
-            lambda ch: len(ch.queue), dram_ops),
-        lambda: _dram_storm(
-            RingDRAMChannel(gpu_cfg, capacity=32),
-            lambda ch, row, wr, payload: ch.ring_push(row, wr, payload),
-            lambda ch: ch.size(), dram_ops),
-        len(dram_ops))
-
-    speedups = [c["speedup"] for c in components]
-    report = {
-        "benchmark": "memory_path",
-        "git_sha": _git_sha(),
-        "host": _host_info(),
-        "cpu_count": os.cpu_count(),
-        "reps": reps,
-        "components": components,
-        "min_speedup": min(speedups),
-        "geomean_speedup": _geomean(speedups),
-    }
-    committed_path = _root_path(MEMORY_PATH_REPORT)
-    committed = _load_baseline(committed_path)
-    report["baseline"] = _memory_path_baseline(components, committed,
-                                               committed_path)
-    _write_report(report, out_path or committed_path)
-    return report
-
-
-# ----------------------------------------------------------------------
-# campaign benchmark
-def _campaign_runner(cache_dir: str,
-                     config: Optional[GPUConfig] = None) -> ExperimentRunner:
-    return ExperimentRunner(config or GPUConfig(),
-                            RunnerSettings(**CAMPAIGN_SETTINGS),
-                            cache_dir=cache_dir)
-
-
-def _campaign_mixes() -> List[WorkloadMix]:
-    return [WorkloadMix(tuple(get_profile(k) for k in kernels))
-            for kernels in CAMPAIGN_MIXES]
-
-
-def _run_campaign_leg(reference: bool, workers: int,
-                      config: Optional[GPUConfig] = None
-                      ) -> Tuple[float, List[Tuple]]:
-    """One timed pass over the whole campaign grid with a fresh disk
-    cache (every leg recomputes everything from scratch)."""
-    prior = os.environ.get("REPRO_REFERENCE_LOOP")
-    if reference:
-        os.environ["REPRO_REFERENCE_LOOP"] = "1"
-    else:
-        os.environ.pop("REPRO_REFERENCE_LOOP", None)
-    try:
-        mixes = _campaign_mixes()
-        with tempfile.TemporaryDirectory() as cache_dir:
-            runner = _campaign_runner(cache_dir, config)
-            t0 = time.perf_counter()
-            if workers > 1:
-                outcomes = runner.run_campaign(mixes, list(CAMPAIGN_SCHEMES),
-                                               workers=workers)
-            else:
-                outcomes = [runner.run_mix(mix, scheme)
-                            for mix in mixes for scheme in CAMPAIGN_SCHEMES]
-            dt = time.perf_counter() - t0
-        return dt, [outcome_signature(o) for o in outcomes]
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_REFERENCE_LOOP", None)
-        else:
-            os.environ["REPRO_REFERENCE_LOOP"] = prior
-
-
-def bench_campaign(workers: int = 4,
-                   config: Optional[GPUConfig] = None,
-                   out_path: Optional[str] = None) -> Dict:
-    """Reference-serial vs fast-serial vs fast-parallel campaign.
-
-    The headline ``campaign_speedup`` compares the end-to-end stack —
-    fast loops *and* the ``workers``-process executor — against the
-    reference loop run serially; ``fast_loop_speedup`` and
-    ``parallel_speedup`` attribute it to the two layers.  On a
-    single-core host (see ``cpu_count``) the parallel layer cannot
-    contribute, so the headline degrades to roughly the fast-loop
-    speedup minus pool overhead.
-
-    Raises ``AssertionError`` if any leg disagrees on any outcome.
-    """
-    ref_s, ref_sigs = _run_campaign_leg(reference=True, workers=1,
-                                        config=config)
-    fast_s, fast_sigs = _run_campaign_leg(reference=False, workers=1,
-                                          config=config)
-    par_s, par_sigs = _run_campaign_leg(reference=False, workers=workers,
-                                        config=config)
-    assert fast_sigs == ref_sigs, \
-        "fast-serial campaign diverged from reference-serial"
-    assert par_sigs == ref_sigs, \
-        "parallel campaign diverged from reference-serial"
-    cells = len(ref_sigs)
-    report = {
-        "benchmark": "campaign",
-        "config": "paper-table1-default",
-        "git_sha": _git_sha(),
-        "host": _host_info(),
-        "mixes": [list(m) for m in CAMPAIGN_MIXES],
-        "schemes": list(CAMPAIGN_SCHEMES),
-        "settings": dict(CAMPAIGN_SETTINGS),
-        "cells": cells,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "reference_serial_s": ref_s,
-        "fast_serial_s": fast_s,
-        "fast_parallel_s": par_s,
-        "fast_loop_speedup": ref_s / fast_s,
-        "parallel_speedup": fast_s / par_s,
-        "campaign_speedup": ref_s / par_s,
-        "identical": True,
-    }
-    committed_path = _root_path(CAMPAIGN_REPORT)
-    committed = _load_baseline(committed_path)
-    report["baseline"] = _campaign_baseline(report, committed,
-                                            committed_path)
-    _write_report(report, out_path or committed_path)
-    return report
-
-
-# ----------------------------------------------------------------------
-# report plumbing
-def _geomean(values: Sequence[float]) -> float:
-    prod = 1.0
-    for v in values:
-        prod *= v
-    return prod ** (1.0 / len(values))
-
-
-def _root_path(filename: str) -> str:
-    """Repo root when running from a checkout; CWD otherwise."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.normpath(os.path.join(here, "..", "..", ".."))
-    if os.path.isdir(os.path.join(root, "src")):
-        return os.path.join(root, filename)
-    return os.path.join(os.getcwd(), filename)
-
-
-def _write_report(report: Dict, path: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)

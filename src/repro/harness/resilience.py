@@ -1,22 +1,25 @@
-"""Resilient campaign execution: timeouts, retries, quarantine, a
+"""The campaign dispatcher: one worker pool, one in-process loop, and
+the robustness layer around both — timeouts, retries, quarantine, a
 checkpoint journal and deterministic fault injection.
 
-The plain executor (:mod:`repro.harness.parallel`) assumes every worker
-finishes cleanly — one crashed or hung process strands the whole
-parameter sweep.  This module wraps the same job model in a robustness
-layer, in the shape shared-environment schedulers treat as table
-stakes: worker failure, stragglers and partial results are expected
-events, not campaign aborts.
+Every batch of jobs (:mod:`repro.harness.parallel` defines the job
+model) goes through :func:`run_jobs_resilient`; how much robustness it
+gets is a *value*, not a code path, in the shape shared-environment
+schedulers treat as table stakes: worker failure, stragglers and
+partial results are expected events, not campaign aborts.
 
 * :class:`ResiliencePolicy` — per-job wall-clock timeout, retry count
   with exponential backoff, and quarantine-instead-of-abort once the
-  retry budget is exhausted.
-* :func:`run_jobs_resilient` — a self-managed worker pool (one task
-  pipe per worker, a shared result queue) that detects dead workers,
-  kills and respawns hung ones, retries failed cells with backoff and
-  returns a :class:`ResilienceReport` of the degradation alongside the
-  results.  Results stay bit-identical to a fault-free run: a retry
-  re-executes the same deterministic simulation.
+  retry budget is exhausted.  :data:`PLAIN` is the degenerate value
+  (none of the three): the first failing cell raises.
+* :func:`run_jobs_resilient` — dedup, journal replay, parent-cache
+  probe, cost ordering, then a self-managed worker pool (one task pipe
+  per worker, a shared result queue) that detects dead workers, kills
+  and respawns hung ones and retries failed cells with backoff — or
+  the in-process loop with the same accounting — and returns a
+  :class:`ResilienceReport` of the degradation alongside the results.
+  Results stay bit-identical to a fault-free run: a retry re-executes
+  the same deterministic simulation.
 * :class:`CampaignJournal` — an append-only, atomic, versioned
   checkpoint journal under the harness cache dir.  Every completed
   cell's pickled result rides in the journal with a SHA-256
@@ -25,15 +28,15 @@ events, not campaign aborts.
   a merged report bit-identical to an uninterrupted campaign.
 * :class:`FaultPlan` — a seeded, deterministic fault-injection
   schedule (worker kills, injected hangs, poisoned cells, unpicklable
-  results, cache/journal corruption), activated in worker processes
-  via ``$REPRO_FAULT_PLAN`` (loaded by ``parallel._init_worker``).
+  results, cache/journal corruption), activated via
+  ``$REPRO_FAULT_PLAN`` (each worker process loads it at start-up).
   Each fault fires a bounded number of times, coordinated across
   processes by exclusive marker-file claims, so the chaos tests can
   script "kill the worker on this cell, once" and know the retry will
   succeed.
-* :class:`JobError` — a picklable failure that carries the worker's
-  full formatted traceback across the process boundary (the bare
-  exception repr the pool used to surface loses the stack).
+* :class:`JobError` — the one failure type of a cell: picklable, it
+  carries the job label, the original exception type and the full
+  formatted traceback across the process boundary.
 
 See docs/RESILIENCE.md for the journal schema and FaultPlan format.
 """
@@ -75,11 +78,11 @@ FAULT_KINDS = ("kill", "hang", "raise", "unpicklable", "corrupt")
 class JobError(Exception):
     """A job failure that survives the process boundary intact.
 
-    Exceptions raised inside pool workers are pickled back to the
-    parent; the original traceback object does not pickle, so only the
-    bare repr used to arrive.  ``JobError`` captures the *formatted*
-    worker-side stack as a string at raise time — ``str(err)`` in the
-    parent shows the full remote traceback.
+    Exceptions raised inside worker processes are pickled back to the
+    parent; the original traceback object does not pickle, so
+    ``JobError`` captures the *formatted* worker-side stack as a string
+    at raise time — ``str(err)`` in the parent shows the full remote
+    traceback.
     """
 
     def __init__(self, label: str, original_type: str, formatted: str):
@@ -147,8 +150,8 @@ class FaultPlan:
     """A deterministic schedule of injected faults.
 
     The plan is a JSON file named by ``$REPRO_FAULT_PLAN``; worker
-    processes load it during ``_init_worker`` and consult it around
-    every job.  Firing is *claimed* before it happens: fault ``f`` with
+    processes load it at start-up and consult it around every job.
+    Firing is *claimed* before it happens: fault ``f`` with
     ``times=N`` owns marker slots ``f.fired.0 .. f.fired.N-1`` in the
     plan's state directory, and a worker fires only after exclusively
     creating one (``open(..., "x")`` — atomic on POSIX).  A killed
@@ -244,7 +247,7 @@ class FaultPlan:
     def fire_pre(self, label: str, in_worker: bool = True) -> None:
         """Faults that strike before/while the job runs.  ``kill`` and
         ``hang`` only make sense in a sacrificial worker process — the
-        serial in-process path skips them (killing the parent would
+        in-process loop skips them (killing the parent would
         take the campaign down with it, which is exactly what the
         resilience layer exists to prevent)."""
         for spec in self._matching(label, ("kill", "hang", "raise")):
@@ -421,14 +424,14 @@ class CampaignJournal:
 # policy and per-cell accounting
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Retry/timeout/quarantine behaviour of one resilient batch.
+    """Retry/timeout/quarantine behaviour of one batch.
 
     ``timeout_s`` is the per-attempt wall-clock budget (None disables
     preemption); a cell gets ``retries`` extra attempts after its
     first, sleeping ``backoff_s * backoff_factor**(attempt-1)`` between
     them; once the budget is gone the cell is quarantined (campaign
     continues) unless ``quarantine`` is False (the first exhausted cell
-    re-raises and aborts the batch, pre-PR behaviour).
+    raises :class:`JobError` and aborts the batch).
     """
 
     timeout_s: Optional[float] = None
@@ -445,6 +448,20 @@ class ResiliencePolicy:
     @property
     def max_attempts(self) -> int:
         return max(1, self.retries + 1)
+
+    @property
+    def isolates(self) -> bool:
+        """Whether a hung or failing cell must be survivable — any of
+        timeout, retries, quarantine.  Such a policy gets sacrificial
+        worker processes and a checkpoint journal; one that does not
+        (:data:`PLAIN`) uses workers for throughput only."""
+        return (self.timeout_s is not None or self.retries > 0
+                or self.quarantine)
+
+
+#: the plain policy: no timeout, no retries, no quarantine (and so no
+#: journal) — the first failing cell raises :class:`JobError`.
+PLAIN = ResiliencePolicy(timeout_s=None, retries=0, quarantine=False)
 
 
 @dataclass(frozen=True)
@@ -514,18 +531,49 @@ class ResilienceReport:
 
 
 # ----------------------------------------------------------------------
-# the resilient worker pool
-def _resilient_worker_main(worker_id: int, conn, result_q, config, settings,
-                           cache_dir, iso_seed, curve_seed) -> None:
+# one attempt of one cell (worker processes and the in-process loop)
+def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
+             in_worker: bool) -> Tuple[str, float, object]:
+    """Execute ``job`` once with the fault plan applied:
+    ``("ok", seconds, result)`` or ``("err", seconds, JobError)``.
+
+    In-process nothing crosses a process boundary, so an ``unpicklable``
+    fault's shell is turned into the failure a worker's pickling would
+    have hit; ``kill`` / ``hang`` are skipped there by ``fire_pre``."""
+    label = _par._job_label(job)
+    start = time.perf_counter()
+    try:
+        if plan is not None:
+            plan.fire_pre(label, in_worker=in_worker)
+        result = _par.execute_job(runner, job)
+        if plan is not None:
+            result = plan.mutate_result(label, result)
+            plan.fire_post(label)
+        if not in_worker and isinstance(result, _Unpicklable):
+            raise JobError(label, "TypeError",
+                           f"result of {label!r} could not be pickled "
+                           f"across the process boundary")
+        return "ok", time.perf_counter() - start, result
+    except Exception as exc:
+        err = (exc if isinstance(exc, JobError)
+               else JobError.from_exception(label, exc))
+        return "err", time.perf_counter() - start, err
+
+
+def _worker_main(worker_id: int, conn, result_q, config, settings,
+                 cache_dir, iso_seed, curve_seed) -> None:
     """Worker loop: receive ``(seq, job)`` on the private pipe, execute,
     ship ``(worker_id, blob)`` on the shared result queue.
 
-    The payload is pre-pickled *in the worker*: an unpicklable result
-    is detected here and converted into a :class:`JobError`, instead of
-    dying inside the queue's feeder thread where the parent would only
-    see silence (and misread it as a hang)."""
-    _par._init_worker(config, settings, cache_dir, iso_seed, curve_seed)
-    plan = _par._worker_fault_plan()
+    ``$REPRO_FAULT_PLAN`` is loaded once here and consulted around
+    every job.  The payload is pre-pickled *in the worker*: an
+    unpicklable result is detected here and converted into a
+    :class:`JobError`, instead of dying inside the queue's feeder
+    thread where the parent would only see silence (and misread it as
+    a hang)."""
+    runner = _par.seeded_runner(config, settings, cache_dir, iso_seed,
+                                curve_seed)
+    plan = FaultPlan.from_env()
     while True:
         try:
             msg = conn.recv()
@@ -534,31 +582,117 @@ def _resilient_worker_main(worker_id: int, conn, result_q, config, settings,
         if msg is None:
             break
         seq, job = msg
-        label = _par._job_label(job)
-        start = time.perf_counter()
+        status, duration, payload = _attempt(runner, plan, job,
+                                             in_worker=True)
         try:
-            if plan is not None:
-                plan.fire_pre(label)
-            result = _par.execute_job(_par._WORKER_RUNNER, job)
-            if plan is not None:
-                result = plan.mutate_result(label, result)
-                plan.fire_post(label)
-            payload = ("ok", seq, time.perf_counter() - start, result)
+            blob = pickle.dumps((status, seq, duration, payload),
+                                protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            err = (exc if isinstance(exc, JobError)
-                   else JobError.from_exception(label, exc))
-            payload = ("err", seq, time.perf_counter() - start, err)
-        try:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
+            label = _par._job_label(job)
             err = JobError(label, type(exc).__name__,
                            f"result of {label!r} could not be pickled "
                            f"across the process boundary: {exc}")
-            blob = pickle.dumps(("err", seq, time.perf_counter() - start,
-                                 err), protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps(("err", seq, duration, err),
+                                protocol=pickle.HIGHEST_PROTOCOL)
         result_q.put((worker_id, blob))
 
 
+# ----------------------------------------------------------------------
+# per-cell accounting (the single copy both execution modes drive)
+class _Batch:
+    """Attempt, success, retry, quarantine, journal and heartbeat
+    accounting for the cells of one batch that actually execute."""
+
+    def __init__(self, runner: ExperimentRunner, jobs: List,
+                 policy: ResiliencePolicy, report: ResilienceReport,
+                 journal: Optional[CampaignJournal], progress,
+                 done: int, total: int):
+        self.runner = runner
+        self.jobs = jobs
+        self.policy = policy
+        self.report = report
+        self.journal = journal
+        self.progress = progress
+        self.settled_before = done
+        self.total = total
+        self.results: Dict[object, object] = {}
+
+    @property
+    def done(self) -> int:
+        """Cells of the whole batch settled so far (heartbeat index)."""
+        return self.settled_before + len(self.results)
+
+    @property
+    def outstanding(self) -> int:
+        return len(self.jobs) - len(self.results)
+
+    def _beat(self, job, duration: float, attempt: int, **extra) -> None:
+        if self.progress is not None:
+            self.progress(JobHeartbeat(
+                index=self.done, total=self.total,
+                label=_par._job_label(job), duration_s=duration,
+                attempt=attempt, **extra))
+
+    def succeeded(self, job, result, duration: float, attempt: int) -> None:
+        if job in self.results:
+            return  # pragma: no cover - duplicate completion guard
+        self.results[job] = result
+        if self.journal is not None:
+            self.journal.record_done(job, result)
+        self._beat(job, duration, attempt,
+                   sim_cycles=_par._job_cycles(self.runner, job))
+
+    def failed(self, job, attempt: int, fault: str, duration: float,
+               error: Optional[JobError] = None) -> Optional[float]:
+        """Account one failed attempt.  Returns the backoff to sleep
+        out before the next attempt, or None when the retry budget is
+        gone and the cell was quarantined; a policy without quarantine
+        raises the cell's :class:`JobError` instead."""
+        cell = self.report.cell(job)
+        cell.faults.append(fault)
+        if attempt < self.policy.max_attempts:
+            self._beat(job, duration, attempt, sim_cycles=0,
+                       event="retry", fault=fault)
+            return self.policy.backoff_after(attempt)
+        label = _par._job_label(job)
+        if not self.policy.quarantine:
+            raise error if error is not None else JobError(
+                label, fault, f"cell {label!r} failed with {fault!r} "
+                              f"after {attempt} attempts")
+        cell.quarantined = True
+        self.results[job] = Quarantined(label, tuple(cell.faults))
+        if self.journal is not None:
+            self.journal.record_quarantine(job, cell.faults)
+        self._beat(job, duration, attempt, sim_cycles=0,
+                   event="quarantined", fault=fault)
+        return None
+
+
+def _run_in_process(batch: _Batch, plan: Optional[FaultPlan]) -> None:
+    """The in-process job loop: retries, quarantine and ``raise`` /
+    ``unpicklable`` / ``corrupt`` faults still apply; preemptive
+    timeouts and ``kill`` / ``hang`` faults need a sacrificial worker
+    process and are skipped (documented in docs/RESILIENCE.md)."""
+    for job in batch.jobs:
+        attempt = 1
+        while True:
+            batch.report.cell(job).attempts += 1
+            status, duration, payload = _attempt(batch.runner, plan, job,
+                                                 in_worker=False)
+            if status == "ok":
+                batch.succeeded(job, payload, duration, attempt)
+                break
+            backoff = batch.failed(job, attempt,
+                                   f"error:{payload.original_type}",
+                                   duration, error=payload)
+            if backoff is None:
+                break
+            time.sleep(backoff)
+            attempt += 1
+
+
+# ----------------------------------------------------------------------
+# the worker pool
 class _Worker:
     """One sacrificial worker process plus its private task pipe."""
 
@@ -567,13 +701,13 @@ class _Worker:
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         self.conn = send_conn
         self.proc = ctx.Process(
-            target=_resilient_worker_main,
+            target=_worker_main,
             args=(worker_id, recv_conn, result_q) + tuple(init_payload),
             daemon=True)
         self.proc.start()
         recv_conn.close()
-        #: (seq, job, attempt, deadline | None) while busy.
-        self.busy: Optional[Tuple[int, object, int, Optional[float]]] = None
+        #: (seq, attempt, deadline | None) while busy.
+        self.busy: Optional[Tuple[int, int, Optional[float]]] = None
 
     def dispatch(self, seq: int, job, attempt: int,
                  deadline: Optional[float]) -> bool:
@@ -581,7 +715,7 @@ class _Worker:
             self.conn.send((seq, job))
         except (OSError, ValueError):
             return False
-        self.busy = (seq, job, attempt, deadline)
+        self.busy = (seq, attempt, deadline)
         return True
 
     def alive(self) -> bool:
@@ -611,55 +745,60 @@ class _Worker:
             pass
 
 
-class _ResilientDispatch:
-    """Parent-side state machine for one resilient batch."""
+class _WorkerPool:
+    """Parent-side state machine running one batch over self-managed
+    worker processes (one task pipe per worker, a shared result queue):
+    dead workers are respawned, hung ones killed at their deadline,
+    failed attempts re-queued after their backoff."""
 
     #: result-queue poll granularity; also bounds how late a timeout
     #: can be noticed.  Jobs here take >= tens of milliseconds, so a
     #: 50 ms tick costs nothing measurable.
     POLL_S = 0.05
 
-    def __init__(self, runner: ExperimentRunner, pending: List,
-                 policy: ResiliencePolicy, nworkers: int,
-                 report: ResilienceReport, journal: Optional[CampaignJournal],
-                 progress, done_offset: int, total: int):
-        self.runner = runner
-        self.policy = policy
-        self.report = report
-        self.journal = journal
-        self.progress = progress
-        self.total = total
-        self.done = done_offset
-        self.results: Dict[object, object] = {}
-        self.jobs = list(pending)
+    def __init__(self, batch: _Batch, nworkers: int):
+        self.batch = batch
+        self.policy = batch.policy
         #: FIFO of (seq, attempt) ready to dispatch now.
         self.runnable: List[Tuple[int, int]] = [
-            (seq, 1) for seq in range(len(self.jobs))]
+            (seq, 1) for seq in range(len(batch.jobs))]
         #: (eligible_monotonic, seq, attempt) sleeping out a backoff.
         self.backoff: List[Tuple[float, int, int]] = []
-        self.outstanding = len(self.jobs)
-        self.ctx = multiprocessing.get_context()
-        self.result_q = self.ctx.Queue()
+        runner = batch.runner
         self.init_payload = (runner.config, runner.settings,
                              runner.cache_dir) + _par._seed_payload(runner)
-        self.workers = [_Worker(self.ctx, wid, self.init_payload,
-                                self.result_q)
-                        for wid in range(nworkers)]
-        self._next_wid = nworkers
+        self.ctx = multiprocessing.get_context()
+        self.result_q = self.ctx.Queue()
+        self.workers: List[_Worker] = []
+        self._next_wid = 0
+        try:
+            for _ in range(nworkers):
+                self.workers.append(self._spawn())
+        except BaseException:
+            self.close()
+            raise
+
+    def _spawn(self) -> _Worker:
+        worker = _Worker(self.ctx, self._next_wid, self.init_payload,
+                         self.result_q)
+        self._next_wid += 1
+        return worker
+
+    def close(self) -> None:
+        for worker in self.workers:
+            worker.shutdown()
+        self.result_q.close()
 
     # ------------------------------------------------------------------
-    def run(self) -> Dict[object, object]:
+    def run(self) -> None:
         try:
-            while self.outstanding:
+            while self.batch.outstanding:
                 self._promote_backoff()
                 self._dispatch_ready()
                 self._drain_results()
                 self._reap_dead_and_timed_out()
         finally:
-            for worker in self.workers:
-                worker.shutdown()
-            self.result_q.close()
-        return self.results
+            self.close()
 
     # ------------------------------------------------------------------
     def _promote_backoff(self) -> None:
@@ -684,10 +823,10 @@ class _ResilientDispatch:
                 self._respawn(worker)
                 continue
             seq, attempt = self.runnable.pop(0)
-            job = self.jobs[seq]
+            job = self.batch.jobs[seq]
             deadline = (time.monotonic() + self.policy.timeout_s
                         if self.policy.timeout_s else None)
-            cell = self.report.cell(job)
+            cell = self.batch.report.cell(job)
             cell.attempts += 1
             if not worker.dispatch(seq, job, attempt, deadline):
                 # Broken pipe: treat as a crash of this attempt.
@@ -696,19 +835,16 @@ class _ResilientDispatch:
                 self._respawn(worker)
 
     def _respawn(self, worker: _Worker) -> None:
-        index = self.workers.index(worker)
         worker.shutdown()
-        self.workers[index] = _Worker(self.ctx, self._next_wid,
-                                      self.init_payload, self.result_q)
-        self._next_wid += 1
+        self.workers[self.workers.index(worker)] = self._spawn()
 
     # ------------------------------------------------------------------
     def _wait_timeout(self) -> float:
         timeout = self.POLL_S
         now = time.monotonic()
         for worker in self.workers:
-            if worker.busy and worker.busy[3] is not None:
-                timeout = min(timeout, max(0.0, worker.busy[3] - now))
+            if worker.busy and worker.busy[2] is not None:
+                timeout = min(timeout, max(0.0, worker.busy[2] - now))
         for when, _seq, _attempt in self.backoff:
             timeout = min(timeout, max(0.0, when - now))
         return max(0.001, timeout)
@@ -725,33 +861,33 @@ class _ResilientDispatch:
             except queuemod.Empty:
                 return
 
-    def _worker_by_id(self, wid: int) -> Optional[_Worker]:
-        for worker in self.workers:
-            if worker.id == wid:
-                return worker
-        return None
+    def _failed(self, seq: int, attempt: int, fault: str, duration: float,
+                error: Optional[JobError] = None) -> None:
+        backoff = self.batch.failed(self.batch.jobs[seq], attempt, fault,
+                                    duration, error=error)
+        if backoff is not None:
+            self.backoff.append((time.monotonic() + backoff, seq,
+                                 attempt + 1))
 
     def _handle_result(self, wid: int, blob: bytes) -> None:
-        worker = self._worker_by_id(wid)
+        worker = next((w for w in self.workers if w.id == wid), None)
         if worker is None or worker.busy is None:
             return  # stale message from a worker already reaped
-        seq, job, attempt, _deadline = worker.busy
+        seq, attempt, _deadline = worker.busy
         worker.busy = None
         try:
             status, got_seq, duration, payload = pickle.loads(blob)
         except Exception:
-            self._attempt_failed(seq, attempt, "garbled-result", 0.0)
+            self._failed(seq, attempt, "garbled-result", 0.0)
             return
         if got_seq != seq:  # pragma: no cover - protocol safety net
-            self._attempt_failed(seq, attempt, "desequenced-result", 0.0)
-            return
-        if status == "ok":
-            self._attempt_succeeded(seq, payload, duration, attempt)
+            self._failed(seq, attempt, "desequenced-result", 0.0)
+        elif status == "ok":
+            self.batch.succeeded(self.batch.jobs[seq], payload, duration,
+                                 attempt)
         else:
-            fault = f"error:{payload.original_type}" \
-                if isinstance(payload, JobError) else "error"
-            self._attempt_failed(seq, attempt, fault, duration,
-                                 error=payload)
+            self._failed(seq, attempt, f"error:{payload.original_type}",
+                         duration, error=payload)
 
     def _reap_dead_and_timed_out(self) -> None:
         now = time.monotonic()
@@ -760,147 +896,44 @@ class _ResilientDispatch:
                 if not worker.alive():
                     self._respawn(worker)
                 continue
-            seq, job, attempt, deadline = worker.busy
+            seq, attempt, deadline = worker.busy
             if not worker.alive():
                 worker.busy = None
                 self._respawn(worker)
-                self._attempt_failed(seq, attempt, "worker-crash", 0.0)
+                self._failed(seq, attempt, "worker-crash", 0.0)
             elif deadline is not None and now > deadline:
                 worker.busy = None
                 worker.kill()
                 self._respawn(worker)
-                self._attempt_failed(seq, attempt, "timeout",
-                                     self.policy.timeout_s or 0.0)
-
-    # ------------------------------------------------------------------
-    def _attempt_succeeded(self, seq: int, result, duration: float,
-                           attempt: int) -> None:
-        job = self.jobs[seq]
-        if job in self.results:
-            return  # pragma: no cover - duplicate completion guard
-        self.results[job] = result
-        self.outstanding -= 1
-        self.done += 1
-        if self.journal is not None:
-            self.journal.record_done(job, result)
-        if self.progress is not None:
-            self.progress(JobHeartbeat(
-                index=self.done, total=self.total,
-                label=_par._job_label(job), duration_s=duration,
-                sim_cycles=_par._job_cycles(self.runner, job),
-                attempt=attempt))
-
-    def _attempt_failed(self, seq: int, attempt: int, fault: str,
-                        duration: float, error: Optional[JobError] = None
-                        ) -> None:
-        job = self.jobs[seq]
-        cell = self.report.cell(job)
-        cell.faults.append(fault)
-        label = _par._job_label(job)
-        if attempt < self.policy.max_attempts:
-            eligible = time.monotonic() + self.policy.backoff_after(attempt)
-            self.backoff.append((eligible, seq, attempt + 1))
-            if self.progress is not None:
-                self.progress(JobHeartbeat(
-                    index=self.done, total=self.total, label=label,
-                    duration_s=duration, sim_cycles=0,
-                    attempt=attempt, event="retry", fault=fault))
-            return
-        # Retry budget exhausted.
-        if not self.policy.quarantine:
-            raise error if error is not None else JobError(
-                label, fault, f"cell {label!r} failed with {fault!r} "
-                              f"after {attempt} attempts")
-        cell.quarantined = True
-        self.results[job] = Quarantined(label, tuple(cell.faults))
-        self.outstanding -= 1
-        self.done += 1
-        if self.journal is not None:
-            self.journal.record_quarantine(job, cell.faults)
-        if self.progress is not None:
-            self.progress(JobHeartbeat(
-                index=self.done, total=self.total, label=label,
-                duration_s=duration, sim_cycles=0,
-                attempt=attempt, event="quarantined", fault=fault))
-
-
-# ----------------------------------------------------------------------
-# serial fallback
-def _run_serial_resilient(runner: ExperimentRunner, pending: List,
-                          policy: ResiliencePolicy,
-                          report: ResilienceReport,
-                          journal: Optional[CampaignJournal],
-                          progress, done_offset: int, total: int
-                          ) -> Dict[object, object]:
-    """In-process fallback: retries, quarantine and ``raise`` /
-    ``unpicklable`` / ``corrupt`` faults still apply; preemptive
-    timeouts and ``kill`` / ``hang`` faults need a sacrificial worker
-    process and are skipped (documented in docs/RESILIENCE.md)."""
-    plan = _par._worker_fault_plan(load=True)
-    results: Dict[object, object] = {}
-    done = done_offset
-    for job in pending:
-        label = _par._job_label(job)
-        cell = report.cell(job)
-        result = None
-        for attempt in range(1, policy.max_attempts + 1):
-            cell.attempts += 1
-            start = time.perf_counter()
-            try:
-                if plan is not None:
-                    plan.fire_pre(label, in_worker=False)
-                result = _par.execute_job(runner, job)
-                if plan is not None:
-                    result = plan.mutate_result(label, result)
-                    plan.fire_post(label)
-                if isinstance(result, _Unpicklable):
-                    raise JobError(label, "TypeError",
-                                   f"result of {label!r} could not be "
-                                   f"pickled across the process boundary")
-            except Exception as exc:
-                error = (exc if isinstance(exc, JobError)
-                         else JobError.from_exception(label, exc))
-                fault = f"error:{error.original_type}"
-                cell.faults.append(fault)
-                duration = time.perf_counter() - start
-                if attempt < policy.max_attempts:
-                    if progress is not None:
-                        progress(JobHeartbeat(
-                            index=done, total=total, label=label,
-                            duration_s=duration, sim_cycles=0,
-                            attempt=attempt, event="retry", fault=fault))
-                    time.sleep(policy.backoff_after(attempt))
-                    continue
-                if not policy.quarantine:
-                    raise error from None
-                cell.quarantined = True
-                results[job] = Quarantined(label, tuple(cell.faults))
-                done += 1
-                if journal is not None:
-                    journal.record_quarantine(job, cell.faults)
-                if progress is not None:
-                    progress(JobHeartbeat(
-                        index=done, total=total, label=label,
-                        duration_s=duration, sim_cycles=0,
-                        attempt=attempt, event="quarantined", fault=fault))
-                break
-            else:
-                results[job] = result
-                done += 1
-                if journal is not None:
-                    journal.record_done(job, result)
-                if progress is not None:
-                    progress(JobHeartbeat(
-                        index=done, total=total, label=label,
-                        duration_s=time.perf_counter() - start,
-                        sim_cycles=_par._job_cycles(runner, job),
-                        attempt=attempt))
-                break
-    return results
+                self._failed(seq, attempt, "timeout",
+                             self.policy.timeout_s or 0.0)
 
 
 # ----------------------------------------------------------------------
 # batch + campaign entry points
+def _worker_count(workers: Optional[int], pending: int,
+                  policy: ResiliencePolicy, faults: bool) -> int:
+    """How many worker processes a batch of ``pending`` cells gets;
+    0 means the in-process loop.  The one rule:
+
+    * the request is ``workers``, else ``$REPRO_BENCH_WORKERS``, else
+      the CPU count;
+    * a plain batch (``policy.isolates`` false, no fault plan) wants
+      workers for throughput only, so its request is capped at the CPU
+      count and at ``pending`` — it never oversubscribes;
+    * otherwise workers are sacrificial processes to kill, preempt or
+      lose, so an explicit ``workers=N`` is honoured even on a one-CPU
+      host (they timeshare, results are identical) and a single pending
+      cell still gets one;
+    * a request of 1 runs in-process; a larger one spawns
+      ``min(request, pending)`` processes.
+    """
+    request = _par.requested_workers(workers)
+    if not (policy.isolates or faults):
+        request = min(request, os.cpu_count() or 1, pending)
+    return min(request, pending) if request > 1 else 0
+
+
 def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                        policy: Optional[ResiliencePolicy] = None,
                        workers: Optional[int] = None,
@@ -908,92 +941,90 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                        journal: Optional[CampaignJournal] = None,
                        resume: bool = False,
                        fault_plan: Optional[str] = None,
-                       report: Optional[ResilienceReport] = None
-                       ) -> Tuple[List, ResilienceReport]:
-    """Execute ``jobs`` under ``policy``; returns ``(results, report)``
-    with results in input order (quarantined cells yield
-    :class:`Quarantined` placeholders).
+                       report: Optional[ResilienceReport] = None,
+                       cost_hints: Optional[Dict[Tuple[str, str], float]]
+                       = None) -> Tuple[List, ResilienceReport]:
+    """The dispatcher: execute ``jobs`` under ``policy`` (default
+    ``ResiliencePolicy()``) and return ``(results, report)`` with
+    results in input order.
 
-    Semantics mirror :func:`repro.harness.parallel.run_jobs` — dedup,
-    input-order results, Iso/Curve cache absorption — plus the
-    robustness layer: per-attempt timeouts, retry with exponential
-    backoff, dead-worker respawn, quarantine, and (when ``journal`` is
-    given) checkpointing of every completed cell.  ``resume=True``
-    replays the journal's verified checkpoints and re-runs only the
-    unfinished/quarantined remainder; ``resume=False`` resets it.
-    ``fault_plan`` exports ``$REPRO_FAULT_PLAN`` to the workers for the
-    duration of the batch (chaos tests drive this).
+    Identical jobs execute once.  With a ``journal``, ``resume=True``
+    replays its verified checkpoints (``resume=False`` resets it) and
+    every cell that completes or is quarantined is checkpointed.  Jobs
+    the parent runner's in-memory caches already answer are never
+    dispatched.  What remains runs on worker processes or in-process
+    (:func:`_worker_count`), longest-expected-first when ``cost_hints``
+    (see :func:`repro.harness.parallel.ledger_cost_hints`) are given —
+    results are bit-identical with or without hints, ordering only
+    moves dispatch.  A failed attempt is retried with exponential
+    backoff; a cell out of budget is quarantined (a
+    :class:`Quarantined` placeholder in its slot) or, without
+    quarantine, raised as :class:`JobError`.  ``IsoJob`` / ``CurveJob``
+    results are installed into ``runner``'s in-memory caches.
+
+    ``progress`` receives one :class:`JobHeartbeat` per settled unique
+    job (plus ``retry`` beats) from the dispatching thread; results are
+    unaffected by its presence.  ``fault_plan`` exports
+    ``$REPRO_FAULT_PLAN`` for the duration of the batch (chaos tests
+    drive this).
     """
     policy = policy or ResiliencePolicy()
     report = report if report is not None else ResilienceReport()
     unique: List = list(dict.fromkeys(jobs))
-    results: Dict[object, object] = {}
     if not unique:
         return [], report
     total = len(unique)
-    pending = unique
     checkpoints: Dict[str, object] = {}
     if journal is not None:
         if resume:
             checkpoints, _quarantined = journal.load()
         else:
             journal.reset()
-    done = 0
-    if checkpoints:
-        pending = []
-        for job in unique:
-            payload = checkpoints.get(job_key(job))
-            if payload is None:
+    results: Dict[object, object] = {}
+    pending: List = []
+    for job in unique:
+        known = checkpoints.get(job_key(job))
+        resumed = known is not None
+        if not resumed:
+            known = _par._probe_cache(runner, job)
+            if known is _par._CACHE_MISS:
                 pending.append(job)
                 continue
-            results[job] = payload
-            cell = report.cell(job)
-            cell.resumed = True
-            done += 1
-            if progress is not None:
-                progress(JobHeartbeat(
-                    index=done, total=total, label=_par._job_label(job),
-                    duration_s=0.0,
-                    sim_cycles=_par._job_cycles(runner, job),
-                    cache_hit=True, event="resumed"))
-    plan_env_set = False
+        results[job] = known
+        cell = report.cell(job)
+        cell.resumed = cell.resumed or resumed
+        if progress is not None:
+            progress(JobHeartbeat(
+                index=len(results), total=total, label=_par._job_label(job),
+                duration_s=0.0, sim_cycles=_par._job_cycles(runner, job),
+                cache_hit=True, event="resumed" if resumed else "done"))
+    if cost_hints and len(pending) > 1:
+        pending = _par._order_by_cost(pending, cost_hints)
     prior_plan = os.environ.get(FAULT_PLAN_ENV)
     if fault_plan is not None:
         os.environ[FAULT_PLAN_ENV] = fault_plan
-        plan_env_set = True
     try:
-        # Unlike run_jobs, no CPU-count cap: resilient workers exist
-        # for fault *isolation* (a sacrificial process to kill or
-        # preempt), not just throughput, so an explicit workers=N must
-        # spawn real processes even on a single-core host — they
-        # timeshare, results are identical, and timeouts/kills work.
-        # The pending-count clamp only avoids idle processes; whether
-        # to use the pool at all follows the *requested* parallelism
-        # (a single pending cell under workers=2 still needs a
-        # sacrificial worker, or its timeout could never preempt).
-        resolved = _par.PoolConfig(workers=workers).resolved_workers()
-        nworkers = min(resolved, len(pending)) if pending else 0
-        executed: Dict[object, object] = {}
         if pending:
-            if resolved > 1:
+            plan = FaultPlan.from_env()
+            batch = _Batch(runner, pending, policy, report, journal,
+                           progress, len(results), total)
+            nworkers = _worker_count(workers, len(pending), policy,
+                                     plan is not None)
+            pool = None
+            if nworkers:
                 try:
-                    dispatch = _ResilientDispatch(
-                        runner, pending, policy, nworkers, report,
-                        journal, progress, done, total)
-                    executed = dispatch.run()
+                    pool = _WorkerPool(batch, nworkers)
                 except (OSError, ValueError, ImportError):
-                    # No usable multiprocessing here: degrade to the
-                    # in-process loop (same results, fewer guarantees).
-                    executed = _run_serial_resilient(
-                        runner, pending, policy, report, journal,
-                        progress, done, total)
+                    # No usable multiprocessing here: same results
+                    # in-process, fewer guarantees.
+                    pass
+            if pool is not None:
+                pool.run()
             else:
-                executed = _run_serial_resilient(
-                    runner, pending, policy, report, journal, progress,
-                    done, total)
-        results.update(executed)
+                _run_in_process(batch, plan)
+            results.update(batch.results)
     finally:
-        if plan_env_set:
+        if fault_plan is not None:
             if prior_plan is None:
                 os.environ.pop(FAULT_PLAN_ENV, None)
             else:
@@ -1017,24 +1048,35 @@ def run_campaign_resilient(runner: ExperimentRunner,
                            journal_path: Optional[str] = None,
                            resume: bool = False,
                            fault_plan: Optional[str] = None):
-    """The resilient analogue of
-    :func:`repro.harness.parallel.run_campaign`: same two phases
-    (shared inputs, then the mixes×schemes grid), same mix-major
-    outcome order, same bit-identical results — but a crashed, hung or
-    poisoned cell is retried, then quarantined, instead of stranding
-    the sweep.  Returns ``(outcomes, report)`` where quarantined cells
-    appear as :class:`Quarantined` placeholders.
+    """Run the full mixes×schemes grid in two batches of
+    :func:`run_jobs_resilient`: the shared inputs (isolated runs,
+    curves) once, then the grid cells with every worker pre-seeded with
+    them.  Returns ``(outcomes, report)`` in mix-major grid order,
+    bit-identical to the serial loop; quarantined cells appear as
+    :class:`Quarantined` placeholders.
 
-    The checkpoint journal lives at ``journal_path`` (default: under
-    the runner's cache dir; no cache dir means no journal).
-    ``resume=True`` replays it and re-runs only unfinished /
-    quarantined cells.  When ``artifacts_dir`` is given, completed
-    cells are written to the run-artifact ledger with per-cell resume
-    provenance and a campaign-level degradation block
-    (``campaign.retries`` / ``campaign.quarantined``).
+    ``obs=True`` runs every cell observed (stall-attribution report on
+    each outcome's ``result.obs``); ``phase_interval`` also turns on
+    the phase sampler in every cell.
+
+    The checkpoint journal lives at ``journal_path``; left None, a
+    policy that isolates failures (or ``resume=True``) journals under
+    the runner's cache dir, and the plain policy or a runner without a
+    cache dir keeps no journal.  ``resume=True`` replays it and re-runs
+    only unfinished / quarantined cells.
+
+    ``artifacts_dir`` makes the parent emit one run-artifact JSON per
+    completed cell (plus the ``ledger.json`` index) after all workers
+    return — the ledger write happens in exactly one process.  Cells
+    that were retried or resumed carry per-cell provenance, and a
+    journalled campaign adds the index's ``campaign`` block
+    (``retries`` / ``quarantined`` / ``resumed`` / ``journal``); a
+    fault-free campaign without a journal writes neither.  When the
+    directory already holds artifacts from a prior campaign, their
+    per-cell costs order this one's dispatch longest-first.
     """
     policy = policy or ResiliencePolicy()
-    if journal_path is None:
+    if journal_path is None and (policy.isolates or resume):
         journal_path = default_journal_path(runner)
     if resume and journal_path is None:
         raise ValueError(
@@ -1043,17 +1085,19 @@ def run_campaign_resilient(runner: ExperimentRunner,
     journal = CampaignJournal(journal_path) if journal_path else None
     if journal is not None and not resume:
         journal.reset()
-    report = ResilienceReport()
     _prefetch, report = run_jobs_resilient(
         runner, _par.prefetch_jobs(mixes, schemes), policy=policy,
         workers=workers, progress=progress, journal=journal,
-        resume=resume, fault_plan=fault_plan, report=report)
+        resume=True, fault_plan=fault_plan)
+    cost_hints = None
+    if artifacts_dir and os.path.isdir(artifacts_dir):
+        cost_hints = _par.ledger_cost_hints(artifacts_dir)
     cells = _par.campaign_jobs(mixes, schemes, cycles, obs=obs,
                                phase_interval=phase_interval)
     outcomes, report = run_jobs_resilient(
         runner, cells, policy=policy, workers=workers,
         progress=progress, journal=journal, resume=True,
-        fault_plan=fault_plan, report=report)
+        fault_plan=fault_plan, report=report, cost_hints=cost_hints)
     if artifacts_dir:
         from repro.obs import ledger
         sha = ledger.current_git_sha()
@@ -1063,10 +1107,9 @@ def run_campaign_resilient(runner: ExperimentRunner,
         for job, outcome in zip(cells, outcomes):
             if isinstance(outcome, Quarantined):
                 continue
-            cell = report.cells.get(job_key(job))
+            cell = report.cells[job_key(job)]
             provenance = None
-            if cell is not None and (cell.resumed or cell.attempts > 1
-                                     or cell.faults):
+            if cell.resumed or cell.attempts > 1 or cell.faults:
                 provenance = {
                     "attempts": cell.attempts,
                     "resumed": cell.resumed,
@@ -1079,7 +1122,6 @@ def run_campaign_resilient(runner: ExperimentRunner,
             "retries": report.retries,
             "quarantined": report.quarantined,
             "resumed": report.resumed,
-            "journal": (os.path.basename(journal_path)
-                        if journal_path else None),
-        })
+            "journal": os.path.basename(journal_path),
+        } if journal_path else None)
     return outcomes, report

@@ -149,8 +149,8 @@ class ExperimentRunner:
             # Compiled kernel-trace chunks live beside the result cache
             # under a versioned directory, so the CACHE_VERSION bump
             # that retires stale isolated-run records retires stale
-            # traces with it.  Pool workers inherit this through
-            # ``parallel._init_worker`` building their runner here.
+            # traces with it.  Worker processes inherit this through
+            # ``parallel.seeded_runner`` building their runner here.
             configure_disk_cache(
                 os.path.join(cache_dir, f"traces-v{CACHE_VERSION}"))
         self._iso_cache: Dict[Tuple, IsoRecord] = {}
@@ -241,12 +241,12 @@ class ExperimentRunner:
         return curve
 
     # ------------------------------------------------------------------
-    # parallel campaigns (see repro.harness.parallel)
+    # campaigns (see repro.harness.resilience, the one dispatcher)
     def prefetch(self, jobs, workers: Optional[int] = None,
                  progress=None) -> None:
         """Execute a batch of jobs (``IsoJob``/``CurveJob``/``MixJob``)
-        in parallel and install the cacheable results, so subsequent
-        serial calls are cache hits."""
+        under the plain policy and install the cacheable results, so
+        subsequent serial calls are cache hits."""
         from repro.harness.parallel import run_jobs
         run_jobs(self, jobs, workers=workers, progress=progress)
 
@@ -259,18 +259,10 @@ class ExperimentRunner:
                      phase_interval: Optional[int] = None,
                      artifacts_dir: Optional[str] = None
                      ) -> List[WorkloadOutcome]:
-        """Run every mix under every scheme, fanned over worker
-        processes; outcomes in mix-major grid order, bit-identical to
-        the serial loop.
-
-        ``obs=True`` attaches a stall-attribution report to every
-        cell's result; ``phase_interval`` also samples interval
-        time-series + the adaptation event log in every cell
-        (:mod:`repro.obs.timeline`); ``artifacts_dir`` writes one
-        versioned run artifact per cell plus a ``ledger.json`` index
-        (:mod:`repro.obs.ledger`); ``progress`` (e.g. a
-        :class:`~repro.obs.telemetry.CampaignTelemetry`) receives one
-        :class:`~repro.obs.telemetry.JobHeartbeat` per finished job."""
+        """:meth:`run_campaign_resilient` under the plain policy (no
+        timeout, retries, quarantine or journal; a failing cell raises
+        :class:`~repro.harness.resilience.JobError`): just the
+        outcomes, in mix-major grid order."""
         from repro.harness.parallel import run_campaign
         return run_campaign(self, mixes, schemes, workers=workers,
                             cycles=cycles, obs=obs, progress=progress,
@@ -289,14 +281,25 @@ class ExperimentRunner:
                                journal_path: Optional[str] = None,
                                resume: bool = False,
                                fault_plan: Optional[str] = None):
-        """Like :meth:`run_campaign`, but under the resilience layer
-        (:mod:`repro.harness.resilience`): per-job timeouts, retry with
-        backoff, dead-worker respawn, quarantine instead of abort, and
-        a checkpoint journal under the cache dir that ``resume=True``
-        replays so only unfinished/quarantined cells re-run.  Returns
-        ``(outcomes, report)``; quarantined cells appear as
-        :class:`~repro.harness.resilience.Quarantined` placeholders,
-        everything else is bit-identical to :meth:`run_campaign`."""
+        """Run every mix under every scheme, fanned over worker
+        processes; returns ``(outcomes, report)`` with outcomes in
+        mix-major grid order, bit-identical to the serial loop.
+
+        ``policy`` (a :class:`~repro.harness.resilience.ResiliencePolicy`)
+        sets per-job timeouts, retry with backoff and quarantine instead
+        of abort — quarantined cells appear as
+        :class:`~repro.harness.resilience.Quarantined` placeholders —
+        and, with a cache dir, a checkpoint journal that ``resume=True``
+        replays so only unfinished/quarantined cells re-run.
+
+        ``obs=True`` attaches a stall-attribution report to every
+        cell's result; ``phase_interval`` also samples interval
+        time-series + the adaptation event log in every cell
+        (:mod:`repro.obs.timeline`); ``artifacts_dir`` writes one
+        versioned run artifact per cell plus a ``ledger.json`` index
+        (:mod:`repro.obs.ledger`); ``progress`` (e.g. a
+        :class:`~repro.obs.telemetry.CampaignTelemetry`) receives one
+        :class:`~repro.obs.telemetry.JobHeartbeat` per finished job."""
         from repro.harness.resilience import run_campaign_resilient
         return run_campaign_resilient(
             self, mixes, schemes, policy=policy, workers=workers,

@@ -16,8 +16,8 @@ resolved name-wise:
   class-hierarchy-analysis conservatism;
 * ``ClassName(...)`` — the class's ``__init__``.
 
-Worker-pool entry references (``pool.submit(f, ...)``,
-``initializer=f``) are deliberately **not** call edges — the parent
+Worker entry references (``Process(target=f)``, ``pool.submit(f,
+...)``, ``initializer=f``) are deliberately **not** call edges — the parent
 never runs ``f`` — they seed :meth:`CallGraph.worker_reachable`
 instead, which is the read/write-side split the REPRO-R0xx race rules
 key on.
@@ -184,8 +184,9 @@ class CallGraph:
 
     # -- reachability ---------------------------------------------------
     def worker_entries(self) -> List[str]:
-        """Functions handed to the process pool (submit/map first args,
-        pool ``initializer=`` kwargs), resolved to fids."""
+        """Functions handed to worker processes (``Process(target=)``,
+        pool submit/map first args, pool ``initializer=`` kwargs),
+        resolved to fids."""
         if self._worker_entries is None:
             out: List[str] = []
             for f, (rel, msum, fsum) in sorted(self.functions.items()):

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.lint.scope import module_name, rel_posix
 
 #: bump when the summary schema changes; stale caches are discarded.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 #: conventional cache location under the repo root (directory is
 #: covered by .gitignore and excluded from lint walks).
@@ -369,9 +369,12 @@ class _FunctionSummarizer(ast.NodeVisitor):
                     self.summary["leaf_uses"].append(
                         [pattern, node.args[0].lineno,
                          node.args[0].col_offset])
-        # initializer= kwarg anywhere is a worker entry (pool ctor)
+        # initializer= kwarg anywhere is a worker entry (pool ctor),
+        # and so is the target= of a [ctx.]Process(...) construction
+        is_process = key is not None and key.rpartition(".")[2] == "Process"
         for kw in node.keywords:
-            if kw.arg == "initializer":
+            if kw.arg == "initializer" or (kw.arg == "target"
+                                           and is_process):
                 ref = _expr_key(kw.value)
                 if ref is not None:
                     self.summary["entry_refs"].append(ref)

@@ -1,6 +1,6 @@
 """REPRO-R0xx — cross-process shared-state races (whole-program).
 
-``run_jobs`` executes campaign jobs in spawned worker processes.
+The campaign dispatcher executes jobs in spawned worker processes.
 Spawned workers re-import every module, so *module-level mutable
 objects and class-level mutable attributes are per-process copies*: a
 write made worker-side never reaches the parent.  Code that writes
@@ -11,9 +11,10 @@ or empty state.  This is the poor-man's race detector for that
 pattern:
 
 * **REPRO-R001** — a module-level mutable object written from code
-  reachable from a worker entry point (a function handed to
-  ``pool.submit``/``pool.map`` or a pool ``initializer=``) and read
-  from code that is *not* worker-reachable.
+  reachable from a worker entry point (a ``Process(target=...)``, or
+  a function handed to ``pool.submit``/``pool.map`` or a pool
+  ``initializer=``) and read from code that is *not*
+  worker-reachable.
 * **REPRO-R002** — the same split for class-level mutable attributes
   (shared through the class object, so equally per-process).
 
@@ -95,7 +96,7 @@ class ModuleStateRaceRule(_SharedStateBase):
     id = "REPRO-R001"
     name = "worker-module-state"
     rationale = (
-        "Spawned run_jobs workers re-import every module, so a "
+        "Spawned campaign workers re-import every module, so a "
         "module-level mutable written worker-side is a per-process "
         "copy: parent-side readers see import-time state.  Serial runs "
         "mask the bug (parent == worker); parallel campaigns read "

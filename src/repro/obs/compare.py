@@ -6,7 +6,7 @@
 deltas, the largest stall-mix share shifts, and the geomean of the
 B/A total-IPC ratios.  With ``--check`` the CLI exits nonzero when the
 geomean drops below ``1 - threshold%`` — the simulated-metric
-counterpart of the wall-clock ``repro bench --check`` gate.
+counterpart of the wall-clock ``benchmarks/e2e/run.py --compare`` gate.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ from typing import IO, List, Optional
 class JobHeartbeat:
     """One campaign job event, as seen by the dispatching parent.
 
-    Most beats are completions (``event="done"``); the resilient
-    executor (:mod:`repro.harness.resilience`) additionally emits
+    Most beats are completions (``event="done"``); the dispatcher
+    (:mod:`repro.harness.resilience`) additionally emits
     ``"retry"`` (an attempt failed, the cell will run again — not a
     completion), ``"quarantined"`` (retry budget exhausted, the cell's
     slot holds a placeholder) and ``"resumed"`` (replayed from the
@@ -41,7 +41,7 @@ class JobHeartbeat:
     duration_s: float   #: wall-clock seconds inside the worker (0 if cached)
     sim_cycles: int     #: simulated cycles the job covers (its budget)
     cache_hit: bool = False
-    attempt: int = 1    #: 1-based attempt number (resilient executor)
+    attempt: int = 1    #: 1-based attempt number (2+ after a retry)
     event: str = "done"           #: done | retry | quarantined | resumed
     fault: Optional[str] = None   #: what failed, e.g. ``"timeout"``
 
@@ -63,7 +63,7 @@ class CampaignTelemetry:
 
     Pass the instance itself as the ``progress`` callback.  Thread-safe
     enough for the harness's usage: heartbeats arrive from the single
-    dispatching thread (``as_completed`` loop), never from workers.
+    dispatching thread (the dispatcher's poll loop), never from workers.
     """
 
     def __init__(self, stream: Optional[IO[str]] = None, quiet: bool = False):

@@ -5,6 +5,9 @@ parent-side.
 worker process — its append lands in the *worker's* copy of
 ``_RESULTS`` and ``collect_results`` (parent-side) reads import-time
 state.  The good worker ships data through its return value instead.
+``_pool_worker`` is the other spelling of a worker entry: the
+``target=`` of a ``Process(...)``, which is how the campaign
+dispatcher starts its workers.
 """
 
 _RESULTS = []
@@ -54,8 +57,12 @@ def _pool_worker(job):
     return job * 2
 
 
-def run_pool_campaign(pool, jobs):
-    return [pool.submit(_pool_worker, job) for job in jobs]
+def run_pool_campaign(ctx, jobs):
+    procs = [ctx.Process(target=_pool_worker, args=(job,), daemon=True)
+             for job in jobs]
+    for proc in procs:
+        proc.start()
+    return procs
 
 
 def pool_slots_seen():

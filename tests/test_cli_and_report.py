@@ -69,6 +69,42 @@ class TestCLI:
         assert obj["traceEvents"]
         assert {"ph", "name", "pid"} <= set(obj["traceEvents"][0])
 
+    @pytest.mark.parametrize("extra", [[], ["--retries", "0"]],
+                             ids=["plain", "retries0"])
+    def test_campaign_failing_cell(self, tmp_path, capsys, extra):
+        """A failing cell is one failure type at the CLI: under the
+        plain policy it ends the campaign with ``error:`` and exit 1
+        (no raw traceback escaping main); under a resilience policy it
+        is quarantined and the campaign keeps its exit 0."""
+        code = main(["campaign", "bp,cd", "--schemes", "nope",
+                     "--workers", "1", "--cache", str(tmp_path)] + extra)
+        captured = capsys.readouterr()
+        if extra:
+            assert code == 0
+            assert "quarantined: mix nope bp+cd (error:ValueError)" \
+                in captured.err
+        else:
+            assert code == 1
+            assert captured.err.startswith(
+                "error: job 'mix nope bp+cd' failed with ValueError")
+            assert "unknown scheme 'nope'" in captured.err
+            assert "mix nope" not in captured.out
+
+    def test_cli_import_does_not_load_concurrent_futures(self):
+        """The one dispatcher manages its own processes; nothing on the
+        CLI's import path may pull the executor framework back in."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = ("import sys, repro.__main__; "
+                 "sys.exit('concurrent.futures' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -141,6 +141,23 @@ def test_whole_repo_is_project_clean():
         f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in findings)
 
 
+def test_real_repo_has_worker_entries_reaching_execute_job():
+    """REPRO-R001/R002 return early when nothing is worker-reachable,
+    so they pass vacuously unless the index sees how the dispatcher
+    starts its workers (``ctx.Process(target=...)``)."""
+    engine = LintEngine(REPO_ROOT)
+    graph = CallGraph(build_index(REPO_ROOT, engine.collect_files(["src"])))
+    entries = graph.worker_entries()
+    assert fid("src/repro/harness/resilience.py", "_worker_main") in entries
+    worker = graph.worker_reachable()
+    assert fid("src/repro/harness/parallel.py", "execute_job") in worker
+    assert fid("src/repro/harness/resilience.py",
+               "FaultPlan.fire_pre") in worker
+    # The parent side of the dispatcher stays out of it.
+    assert fid("src/repro/harness/resilience.py",
+               "run_jobs_resilient") not in worker
+
+
 def test_real_leap_registry_is_declared_and_live():
     from repro.sim.wheel import LEAP_QUEUE_METHODS, LEAP_STATE_ATTRS
     assert set(LEAP_STATE_ATTRS) >= {"busy_until", "_sleep_until",

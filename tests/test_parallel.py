@@ -1,10 +1,12 @@
 """Serial vs parallel campaign execution must agree bit for bit.
 
-The parallel executor (``repro.harness.parallel``) fans grid cells out
-over worker processes; every worker rebuilds its own runner.  These
-tests pin the contract the perf harness relies on: the parallel path
-is an *execution strategy*, never a different experiment — outcomes,
-including every float metric, equal the serial loop exactly.
+The dispatcher (``repro.harness.resilience``, job model in
+``repro.harness.parallel``) fans grid cells out over worker processes;
+every worker rebuilds its own runner.  These tests pin the contract the
+harness relies on: worker processes — under the plain policy or under
+retries and a journal — are an *execution strategy*, never a different
+experiment: outcomes, including every float metric, equal the serial
+loop exactly.
 """
 
 import json
@@ -13,9 +15,12 @@ import os
 import pytest
 
 from repro.config import scaled_config
-from repro.harness.parallel import (CurveJob, IsoJob, MixJob, PoolConfig,
-                                    campaign_jobs, prefetch_jobs, run_jobs)
+from repro.harness.parallel import (CurveJob, IsoJob, MixJob,
+                                    campaign_jobs, prefetch_jobs,
+                                    requested_workers, run_jobs)
 from repro.harness.perfbench import outcome_signature
+from repro.harness.resilience import (PLAIN, ResiliencePolicy,
+                                      default_journal_path)
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
@@ -35,12 +40,22 @@ def make_mixes(pairs):
             for pair in pairs]
 
 
-@pytest.mark.parametrize("pairs,schemes", [
+IDENTITY_CELLS = [
     ((("3m", "bp"),), ["ws"]),
     ((("3m", "bp"), ("st", "sv")), ["ws", "ws-dmil"]),
     ((("hs", "cd"),), ["ws-rbmi", "even"]),
+]
+
+
+@pytest.mark.parametrize("pairs,schemes,policy", [
+    pytest.param(pairs, schemes, policy, id=f"pairs{n}-schemes{n}{suffix}")
+    for n, (pairs, schemes) in enumerate(IDENTITY_CELLS)
+    for suffix, policy in (
+        ("", PLAIN),
+        ("-retries2+journal", ResiliencePolicy(retries=2, backoff_s=0.01)))
 ])
-def test_campaign_serial_vs_parallel_bit_identical(tmp_path, pairs, schemes):
+def test_campaign_serial_vs_parallel_bit_identical(tmp_path, pairs, schemes,
+                                                   policy):
     mixes = make_mixes(pairs)
 
     serial_runner = make_runner(tmp_path, "serial")
@@ -48,13 +63,19 @@ def test_campaign_serial_vs_parallel_bit_identical(tmp_path, pairs, schemes):
               for mix in mixes for scheme in schemes]
 
     parallel_runner = make_runner(tmp_path, "parallel")
-    parallel = parallel_runner.run_campaign(mixes, schemes, workers=2)
+    parallel, report = parallel_runner.run_campaign_resilient(
+        mixes, schemes, policy=policy, workers=2)
 
     assert len(serial) == len(parallel)
     for s, p in zip(serial, parallel):
         # Full-precision equality, floats included: the parallel path
         # must be the same experiment, not an approximation of it.
         assert outcome_signature(s) == outcome_signature(p)
+    assert report.retries == 0 and not report.quarantined
+    # The policy, not a second executor, decides whether cells are
+    # checkpointed.
+    assert os.path.exists(default_journal_path(parallel_runner)) \
+        == policy.isolates
 
 
 def test_single_worker_falls_back_to_serial(tmp_path):
@@ -85,6 +106,33 @@ def test_prefetch_seeds_caches_for_serial_reuse(tmp_path):
     assert outcome.scheme == "ws"
 
 
+@pytest.mark.parametrize("policy", [PLAIN, ResiliencePolicy()],
+                         ids=["plain", "default"])
+@pytest.mark.parametrize("with_progress", [False, True])
+def test_warm_batch_executes_and_spawns_nothing(tmp_path, monkeypatch,
+                                                policy, with_progress):
+    """Jobs the parent's in-memory caches already answer are settled
+    before dispatch — whether or not anyone is listening."""
+    from repro.harness import parallel, resilience
+    runner = make_runner(tmp_path, "warm")
+    jobs = [IsoJob("3m"), CurveJob("3m"), IsoJob("bp")]
+    cold = run_jobs(runner, jobs, workers=1)
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("a fully warm batch must not execute or spawn")
+    monkeypatch.setattr(parallel, "execute_job", boom)
+    monkeypatch.setattr(resilience, "_Worker", boom)
+    beats = []
+    warm, report = resilience.run_jobs_resilient(
+        runner, jobs, policy=policy, workers=2,
+        progress=beats.append if with_progress else None)
+    assert warm == cold
+    assert all(cell.attempts == 0 for cell in report.cells.values())
+    if with_progress:
+        assert [b.index for b in beats] == [1, 2, 3]
+        assert all(b.cache_hit and b.event == "done" for b in beats)
+
+
 def test_campaign_jobs_grid_is_mix_major():
     mixes = make_mixes((("3m", "bp"), ("st", "sv")))
     jobs = campaign_jobs(mixes, ["ws", "even"])
@@ -104,12 +152,13 @@ def test_prefetch_jobs_skip_curves_without_ws():
                for j in prefetch_jobs(mixes, ["even", "ws-dmil"]))
 
 
-def test_pool_config_env_override(monkeypatch):
+def test_requested_workers_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
-    assert PoolConfig().resolved_workers() == 3
+    assert requested_workers() == 3
     monkeypatch.setenv("REPRO_BENCH_WORKERS", "not-a-number")
-    assert PoolConfig().resolved_workers() == (os.cpu_count() or 1)
-    assert PoolConfig(workers=5).resolved_workers() == 5
+    assert requested_workers() == (os.cpu_count() or 1)
+    assert requested_workers(5) == 5
+    assert requested_workers(0) == 1
 
 
 def test_corrupt_disk_cache_record_is_recomputed(tmp_path):

@@ -3,8 +3,8 @@
 The chaos integration suite (``test_chaos.py``) exercises whole
 campaigns under injected faults; these tests pin the contracts of the
 individual pieces — picklable :class:`JobError`, the fault-plan claim
-protocol, journal round-trips under corruption, the serial
-retry/quarantine loop, degraded-run telemetry and ledger provenance.
+protocol, journal round-trips under corruption, the in-process
+retry/quarantine loop, the worker-count rule, degraded-run telemetry and ledger provenance.
 """
 
 import json
@@ -53,33 +53,25 @@ def test_job_error_pickles_with_full_traceback():
     assert "test_job_error_pickles_with_full_traceback" in clone.formatted
 
 
-def test_job_error_escapes_pool_failure_catch():
-    # run_jobs demotes pool failures matching this tuple to a serial
-    # retry; a real job failure must NOT be swallowed by it.
-    err = JobError("iso bp", "KeyError", "tb")
-    assert not isinstance(err, (OSError, ValueError, RuntimeError,
-                                ImportError))
-
-
-def test_worker_wrapper_raises_job_error(tmp_path, monkeypatch):
-    runner = make_runner(tmp_path)
-    monkeypatch.setattr(par, "_WORKER_RUNNER", runner)
-    job = par.MixJob(("definitely-not-a-kernel", "bp"))
-    with pytest.raises(JobError) as info:
-        par._run_job_in_worker(job)
-    assert info.value.original_type == "KeyError"
-    assert "unknown benchmark" in info.value.formatted
-    # Label identifies the failing cell, not just the exception.
-    assert info.value.label == "mix ws definitely-not-a-kernel+bp"
-
-
 def test_failing_cell_raises_job_error_without_quarantine(tmp_path):
-    runner = make_runner(tmp_path)
+    """One failure type, in-process (workers=1) or from a worker
+    process: the plain spelling and an explicit no-quarantine policy
+    both raise JobError naming the cell, the original type and the
+    traceback."""
+    job = par.MixJob(("definitely-not-a-kernel", "bp"))
     policy = ResiliencePolicy(retries=0, quarantine=False)
-    with pytest.raises(JobError) as info:
-        run_jobs_resilient(runner, [par.MixJob(("nope", "bp"))],
-                           policy=policy)
-    assert "unknown benchmark" in str(info.value)
+    for workers in (1, 2):
+        with pytest.raises(JobError) as info:
+            par.run_jobs(make_runner(tmp_path), [job], workers=workers)
+        assert info.value.original_type == "KeyError"
+        assert "unknown benchmark" in info.value.formatted
+        # Label identifies the failing cell, not just the exception.
+        assert info.value.label == "mix ws definitely-not-a-kernel+bp"
+
+        with pytest.raises(JobError) as info:
+            run_jobs_resilient(make_runner(tmp_path), [job], policy=policy,
+                               workers=workers)
+        assert "unknown benchmark" in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +258,34 @@ def test_policy_backoff_is_exponential():
     assert ResiliencePolicy(retries=0).max_attempts == 1
 
 
+def test_worker_count_is_one_rule(monkeypatch):
+    from repro.harness.resilience import PLAIN, _worker_count
+    isolating = ResiliencePolicy(timeout_s=5.0)
+    assert PLAIN.isolates is False
+    assert all(p.isolates for p in (isolating, ResiliencePolicy(),
+                                    ResiliencePolicy(retries=0)))
+    monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        # 0 = the in-process loop; one requested worker never spawns.
+        assert _worker_count(1, 5, PLAIN, False) == 0
+        assert _worker_count(1, 5, isolating, True) == 0
+        # The plain policy never oversubscribes the host...
+        assert _worker_count(4, 3, PLAIN, False) == (0 if cpus == 1 else 3)
+        assert _worker_count(4, 1, PLAIN, False) == 0
+        # ...while sacrificial workers are real processes even on one
+        # CPU, and even for a single pending cell (a timeout must have
+        # a process to preempt), never more than there are cells.
+        assert _worker_count(4, 3, isolating, False) == 3
+        assert _worker_count(2, 1, isolating, False) == 1
+        assert _worker_count(2, 1, PLAIN, True) == 1  # fault plan set
+        # No explicit request: the CPU count.
+        assert _worker_count(None, 20, isolating, False) \
+            == (0 if cpus == 1 else cpus)
+
+
 # ----------------------------------------------------------------------
-# serial resilient execution: retry, quarantine, report
+# in-process execution: retry, quarantine, report
 def test_serial_retry_recovers_and_stays_bit_identical(tmp_path):
     baseline = make_runner(tmp_path, "baseline")
     want = par.execute_job(baseline, par.MixJob(("st", "sv")))
