@@ -1,17 +1,15 @@
-"""CI smoke for the simulator's fast paths: seconds long, count-based
-(no wall-clock assertion), on the scaled-down config.
+"""CI smoke for the production machine: seconds long, count-based (no
+wall-clock assertion), on the scaled-down config.
 
-* fast loop == reference loop, bit for bit, on two compute-leaning
-  workloads and one memory-bound mix (``st+sv-even``; the fast leg
-  runs the slot-pooled memory path, so this also pins pooled ==
-  reference);
-* on the memory-bound leg, the pooled and object substrates of the
-  fast loop agree bit for bit (``GPU(pooled=...)`` both ways), both
-  equal the reference loop, and the pooled run spends at least
-  ``STALL_SLEEP_FLOOR`` of its SM-cycles in memory-stall sleep — so a
-  refactor that breaks the L1 ``on_release`` wake (divergence) or the
-  engagement condition (share drops to 0) fails here, not in the next
-  benchmark run;
+* production machine (fast loop, slot-pooled memory path) == oracle
+  (``GPU(reference=True)``: per-cycle loop, object memory path), bit
+  for bit, on two compute-leaning workloads and one memory-bound mix
+  (``st+sv-even``);
+* on a second memory-bound leg the two agree again, and the production
+  run spends at least ``STALL_SLEEP_FLOOR`` of its SM-cycles in
+  memory-stall sleep — so a refactor that breaks the L1 ``on_release``
+  wake (divergence) or the engagement condition (share drops to 0)
+  fails here, not in the next benchmark run;
 * cold start, by count: one compiled trace chunk of every Table-2
   profile equals the live ``InstructionStream`` (the compiler's oracle)
   on sampled warps, and ``trace_cache.ops_compiled`` moves by exactly
@@ -52,23 +50,21 @@ def run(config, kernels, tb_limits, seed, cycles=2000, **gpu_kwargs):
 
 
 def loops_identical(config, kernels, tb_limits):
-    """Whether the fast and reference loops agree on every stat."""
+    """Whether the production machine and the oracle agree on every
+    stat."""
     return (result_signature(run(config, kernels, tb_limits, 0,
                                  reference=True))
             == result_signature(run(config, kernels, tb_limits, 0)))
 
 
 def memory_bound_check(config):
-    """The memory-bound mix on the reference loop and on both
-    substrates of the fast loop.  Returns ``(identical, share)``: all
-    three signatures match, and the pooled run's memory-stall sleep
-    share of SM-cycles."""
-    results = [run(config, ("st", "sv"), (4, 4), 3, **gpu_kwargs)
-               for gpu_kwargs in ({"reference": True}, {"pooled": False},
-                                  {"pooled": True})]
-    signatures = [result_signature(result) for result in results]
-    identical = signatures[0] == signatures[1] == signatures[2]
-    return identical, results[2].sleep_ratio("mem_stall")
+    """The memory-bound mix on the oracle and on the production
+    machine.  Returns ``(identical, share)``: the two signatures match,
+    and the production run's memory-stall sleep share of SM-cycles."""
+    oracle = run(config, ("st", "sv"), (4, 4), 3, reference=True)
+    production = run(config, ("st", "sv"), (4, 4), 3)
+    identical = result_signature(production) == result_signature(oracle)
+    return identical, production.sleep_ratio("mem_stall")
 
 
 def cold_start_check():
@@ -109,9 +105,9 @@ def main() -> int:
         print(f"ok {name}: fast == reference")
     identical, stall_sleep = memory_bound_check(config)
     if not identical:
-        print("FAIL st+sv: reference, object and pooled runs diverged")
+        print("FAIL st+sv: production machine diverged from the oracle")
         return 1
-    print("ok st+sv: reference == object == pooled")
+    print("ok st+sv: production == oracle")
     if stall_sleep < STALL_SLEEP_FLOOR:
         print(f"FAIL st+sv: memory-stall sleep covers {stall_sleep:.1%} of "
               f"SM-cycles, floor {STALL_SLEEP_FLOOR:.0%}")

@@ -1,7 +1,7 @@
 """Bit-identity signatures: every stat a run or a campaign cell
-carries, as one comparable tuple.  The identity tests (fast vs
-reference loop, pooled vs object memory, serial vs worker processes,
-fault-free vs retried) and ``benchmarks/e2e`` compare these.
+carries, as one comparable tuple.  The identity tests (production
+machine vs oracle, serial vs worker processes, fault-free vs retried)
+and ``benchmarks/e2e`` compare these.
 """
 
 from __future__ import annotations

@@ -239,13 +239,6 @@ class L1DCache:
         self.mshrs = MSHRFile(config.mshrs, config.mshr_merge)
         self.miss_queue: Deque[object] = deque()
         self.stats = CacheStats()
-        #: bumped whenever a resource an ``access`` outcome depends on
-        #: is released *outside* ``access`` itself (a fill freeing the
-        #: line + MSHR, the subsystem draining a miss-queue slot).  The
-        #: LSU uses it to memoise a stalled request's replay verdict:
-        #: same request + same version (+ same way partition) must fail
-        #: the same way, so only the stats bumps need replaying.
-        self.version = 0
 
     @property
     def miss_queue_full(self) -> bool:
@@ -326,22 +319,21 @@ class L1DCache:
     def fill(self, line_addr: int) -> List[object]:
         """A fill returned from L2: complete the line and release the
         MSHR.  Returns the requests waiting on this line."""
-        self.version += 1
         self.tags.fill(line_addr)
         entry = self.mshrs.release(line_addr)
         return entry.waiters
 
 
 class PooledL1DCache:
-    """Allocation-free twin of :class:`L1DCache` for the pooled memory
-    path: an :class:`~repro.mem.pool.ArrayTagStore` tag store, an
-    :class:`~repro.mem.pool.ArrayMSHRFile`, and a miss queue of
-    :class:`~repro.mem.pool.RequestPool` slot ids.
+    """The production machine's L1D controller, the allocation-free
+    twin of :class:`L1DCache`: an :class:`~repro.mem.pool.ArrayTagStore`
+    tag store, an :class:`~repro.mem.pool.ArrayMSHRFile`, and a miss
+    queue of :class:`~repro.mem.pool.RequestPool` slot ids.
 
     ``access_slot`` is ``L1DCache.access`` with the request fields
     passed as scalars (the LSU already holds them) — every stats bump,
     LRU touch and resource check happens in the same order, so the two
-    controllers are bit-identical (asserted per benchmark run and
+    controllers are bit-identical (swept in tests/test_fastpath.py and
     fuzzed in tests/test_pooled_identity.py).
     """
 
@@ -359,7 +351,12 @@ class PooledL1DCache:
         self.mshrs = ArrayMSHRFile(config.mshrs, config.mshr_merge)
         self.miss_queue: Deque[int] = deque()
         self.stats = CacheStats()
-        #: same replay-memo contract as :attr:`L1DCache.version`.
+        #: bumped whenever a resource an ``access_slot`` outcome depends
+        #: on is released *outside* ``access_slot`` itself (a fill
+        #: freeing the line + MSHR, the subsystem draining a miss-queue
+        #: slot).  The LSU uses it to memoise a stalled request's replay
+        #: verdict: same slot + same version (+ same way partition) must
+        #: fail the same way, so only the stats bumps need replaying.
         self.version = 0
         #: called right after every ``version`` bump (here and in the
         #: pooled subsystem's miss-queue drain) while the owning SM is

@@ -78,114 +78,6 @@ class DRAMChannel:
                 on_read_done(payload, self.busy_until + cfg.dram_latency)
 
 
-class RingDRAMChannel:
-    """Allocation-free twin of :class:`DRAMChannel`: the bounded queue
-    is three parallel lists (row / is_write / payload) behind a head
-    index instead of a deque of tuples.
-
-    Mid-window removal (an FR-FCFS row hit behind the head) shifts the
-    at-most-``FRFCFS_WINDOW - 1`` entries before it up one place —
-    the common in-order case is a pure head bump.  Service timing,
-    open-row state and the wheel-posting discipline replicate
-    :meth:`DRAMChannel.tick` exactly.
-    """
-
-    #: consumed entries tolerated at the array front before compaction.
-    COMPACT_THRESHOLD = 64
-
-    __slots__ = ("config", "capacity", "_rows", "_wr", "_pay", "_head",
-                 "busy_until", "open_row", "serviced", "row_hits", "wheel")
-
-    def __init__(self, config: GPUConfig, capacity: int = 64, wheel=None):
-        self.config = config
-        self.capacity = capacity
-        self._rows: List[int] = []
-        self._wr: List[bool] = []
-        self._pay: List[object] = []
-        self._head = 0
-        self.busy_until = 0
-        self.open_row: Optional[int] = None
-        self.serviced = 0
-        self.row_hits = 0
-        self.wheel = wheel
-
-    def size(self) -> int:
-        return len(self._rows) - self._head
-
-    @property
-    def full(self) -> bool:
-        return len(self._rows) - self._head >= self.capacity
-
-    @property
-    def queue(self) -> List[Tuple[int, bool, object]]:
-        """Pending entries as (row, is_write, payload) tuples — the
-        :class:`DRAMChannel` queue surface for oracles and tests (off
-        the hot path)."""
-        head = self._head
-        return [(self._rows[i], self._wr[i], self._pay[i])
-                for i in range(head, len(self._rows))]
-
-    def ring_push(self, row: int, is_write: bool, payload: object) -> None:
-        if len(self._rows) - self._head >= self.capacity:
-            raise RuntimeError("DRAM channel queue full")
-        self._rows.append(row)
-        self._wr.append(is_write)
-        self._pay.append(payload)
-
-    def tick(self, cycle: int, on_read_done: Callable[[object, int], None]) -> None:
-        if self.busy_until > cycle:
-            # Mid-service: nothing can be selected before busy_until
-            # (and compaction only ever becomes due after a service).
-            return
-        cfg = self.config
-        rows = self._rows
-        wr = self._wr
-        pay = self._pay
-        size = len(rows)
-        while size > self._head and self.busy_until <= cycle:
-            head = self._head
-            # FR-FCFS window scan: first open-row hit, else the oldest.
-            open_row = self.open_row
-            limit = head + FRFCFS_WINDOW
-            if limit > size:
-                limit = size
-            sel = head
-            for i in range(head, limit):
-                if rows[i] == open_row:
-                    sel = i
-                    break
-            row = rows[sel]
-            is_write = wr[sel]
-            payload = pay[sel]
-            if sel != head:
-                # Shift the entries ahead of sel up one place; their
-                # relative order is preserved (matches deque del).
-                rows[head + 1:sel + 1] = rows[head:sel]
-                wr[head + 1:sel + 1] = wr[head:sel]
-                pay[head + 1:sel + 1] = pay[head:sel]
-            pay[head] = None  # drop the payload reference
-            self._head = head + 1
-            if row == open_row:
-                service = cfg.dram_row_hit_cycles
-                self.row_hits += 1
-            else:
-                service = cfg.dram_row_miss_cycles
-                self.open_row = row
-            start = max(self.busy_until, cycle)
-            self.busy_until = start + service
-            self.serviced += 1
-            if self.wheel is not None:
-                self.wheel.post(self.busy_until)
-            if not is_write:
-                on_read_done(payload, self.busy_until + cfg.dram_latency)
-        if self._head >= self.COMPACT_THRESHOLD:
-            head = self._head
-            del rows[:head]
-            del wr[:head]
-            del pay[:head]
-            self._head = 0
-
-
 class DRAMModel:
     """All channels; line addresses are interleaved across channels."""
 
@@ -246,39 +138,3 @@ class DRAMModel:
             return 0.0
         return sum(c.row_hits for c in self.channels) / serviced
 
-
-class RingDRAMModel(DRAMModel):
-    """:class:`DRAMModel` over :class:`RingDRAMChannel` ring queues
-    (the pooled memory path's backend)."""
-
-    def __init__(self, config: GPUConfig, queue_capacity: int = 64,
-                 wheel=None):
-        super().__init__(config, queue_capacity, wheel=wheel)
-        self.channels = [RingDRAMChannel(config, queue_capacity, wheel=wheel)
-                         for _ in range(config.dram_channels)]
-
-    def enqueue_read(self, line_addr: int, payload: object) -> None:
-        self.channel_for(line_addr).ring_push(self.row_of(line_addr),
-                                              False, payload)
-        self.queued += 1
-
-    def enqueue_write(self, line_addr: int) -> bool:
-        channel = self.channel_for(line_addr)
-        if channel.full:
-            self.dropped_writes += 1
-            return False
-        channel.ring_push(self.row_of(line_addr), True, None)
-        self.queued += 1
-        return True
-
-    def tick(self, cycle: int, on_read_done: Callable[[object, int], None]) -> None:
-        if not self.queued:
-            return
-        for channel in self.channels:
-            # channel.size(), inlined twice: this loop runs every
-            # non-idle memory cycle over every channel.
-            before = len(channel._rows) - channel._head
-            if not before:
-                continue
-            channel.tick(cycle, on_read_done)
-            self.queued -= before - (len(channel._rows) - channel._head)

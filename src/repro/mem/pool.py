@@ -1,12 +1,12 @@
 """Struct-of-arrays backing stores for the allocation-free memory path.
 
-The reference memory pipeline carries a :class:`~repro.mem.subsystem
+The oracle's memory pipeline carries a :class:`~repro.mem.subsystem
 .MemRequest` object per coalesced line and walks object-per-line tag
 stores and dict-of-entry MSHRs.  On memory-bound workloads that makes
 the interpreter's allocator and attribute machinery the dominant
 simulation cost.  This module provides the flat-array equivalents the
-pooled fast path (``GPU(pooled=True)``, the default for the fast cycle
-loop) runs on:
+production machine (every ``GPU`` that is not ``reference=True`` or
+observed) runs on:
 
 * :class:`RequestPool` — a preallocated, free-list-recycled slot pool
   holding every in-flight request's fields in parallel arrays; the
@@ -24,11 +24,12 @@ loop) runs on:
   fixed entry pool with recycled waiter lists; waiters are pool slot
   ids.
 
-Every class here is proven bit-identical to its object twin: the perf
-suite asserts ``result_signature`` equality between the pooled and the
-reference path on every benchmark run, and tests/test_pooled_identity
-.py fuzzes the matrix across schemes and randomized mixes (the same
-proof obligation the fast cycle loop discharges, see docs/PERF.md).
+Every class here is held bit-identical to its object twin:
+tests/test_request_pool.py fuzzes each component against it,
+tests/test_fastpath.py and tests/test_pooled_identity.py require
+``result_signature`` equality between the production machine and the
+oracle across schemes and randomized mixes, and ``benchmarks/e2e``
+re-asserts it on every workload it measures (see docs/PERF.md §6).
 """
 
 from __future__ import annotations

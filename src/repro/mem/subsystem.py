@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Tuple
 from repro.config import GPUConfig
 from repro.mem.cache import (AccessResult, CacheStats, L1DCache,
                              PooledL1DCache, SetAssocCache)
-from repro.mem.dram import DRAMModel, RingDRAMModel
+from repro.mem.dram import DRAMModel
 from repro.mem.interconnect import Interconnect
 from repro.mem.mshr import MSHRFile
 
@@ -63,10 +63,15 @@ class MemRequest:
 
 
 class MemorySubsystem:
-    """Shared backend for all SMs: interconnect + L2 + DRAM."""
+    """Shared backend for all SMs: interconnect + L2 + DRAM.
 
-    def __init__(self, config: GPUConfig, fastpath: bool = True, obs=None,
-                 wheel=None):
+    This class is the *oracle* machine's backend (``GPU(reference=
+    True)`` and every observed run): ``MemRequest`` objects, object tag
+    stores and MSHRs, every phase run every cycle.  The production
+    machine runs :class:`PooledMemorySubsystem` below, which the tests
+    hold bit-identical to this one."""
+
+    def __init__(self, config: GPUConfig, obs=None, wheel=None):
         self.config = config
         #: observability collector (None = zero-cost sentinel checks).
         self._obs = obs
@@ -80,16 +85,16 @@ class MemorySubsystem:
             from repro.sim.wheel import EventWheel
             wheel = EventWheel()
         self.wheel = wheel
-        # The four stores below are built through overridable factories
-        # so the pooled subclass swaps in its array-backed twins without
-        # double construction.
+        # The three stores below are built through overridable
+        # factories so the pooled subclass swaps in its array-backed
+        # twins without double construction.
         self.l1s: List[L1DCache] = self._build_l1s(config)
         self.icnt = Interconnect(config)
         self.l2_tags = self._build_l2_tags(config)
         self.l2_mshrs = self._build_l2_mshrs(config)
         self.l2_stats = CacheStats()
         self.l2_in: Deque[MemRequest] = deque()
-        self.dram = self._build_dram(config, wheel)
+        self.dram = DRAMModel(config, wheel=wheel)
         self._line_flits = Interconnect.line_flits(config)
         self._l2_hit_latency = config.l2.hit_latency
         self._icnt_latency = config.icnt_latency
@@ -104,13 +109,6 @@ class MemorySubsystem:
         self._inflight_to_l2 = 0
         self._drain_rr = 0
         self.l2_head_stall_cycles = 0
-        #: enable the idle fast path (False = reference loop).
-        self.fastpath = fastpath
-        self._miss_queues = [l1.miss_queue for l1 in self.l1s]
-        #: idle cycles whose token refills are still owed to the icnt.
-        self._skipped_refills = 0
-        #: count of idle-skipped backend cycles (perf introspection).
-        self.idle_cycles = 0
 
     # ------------------------------------------------------------------
     # store factories (overridden by the pooled subclass)
@@ -122,9 +120,6 @@ class MemorySubsystem:
 
     def _build_l2_mshrs(self, config: GPUConfig):
         return MSHRFile(config.l2.mshrs, merge_limit=16)
-
-    def _build_dram(self, config: GPUConfig, wheel):
-        return DRAMModel(config, wheel=wheel)
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -142,65 +137,14 @@ class MemorySubsystem:
 
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        """Advance the backend by one core cycle.
-
-        The fast path guards every phase with its queue state and skips
-        quiet cycles entirely — including *latency-shadow* cycles where
-        events exist but none is due yet.  A skipped cycle's only
-        observable work would have been the interconnect token refill
-        (batched into the next active cycle via an exactly-equivalent
-        catch-up call) and the drain round-robin pointer (advanced in
-        place).  The reference path runs every phase unconditionally.
-        """
-        if not self.fastpath:
-            self.icnt.begin_cycle()
-            self._process_events(cycle)
-            self.dram.tick(cycle, self._on_dram_read_done)
-            self._l2_process(cycle)
-            self._send_responses(cycle)
-            self._drain_l1_miss_queues(cycle)
-            return False
-        heap = self._event_heap
-        events_due = bool(heap) and heap[0] <= cycle
-        if (not events_due and not self.l2_in and not self._rsp_queue
-                and not self.dram.queued):
-            for queue in self._miss_queues:
-                if queue:
-                    break
-            else:
-                self._skipped_refills += 1
-                self.idle_cycles += 1
-                self._drain_rr = (self._drain_rr + 1) % len(self.l1s)
-                # Tell the engine this cycle was inert: if the SMs are
-                # all asleep too it may leap over the latency shadow.
-                return True
-        self.icnt.begin_cycle(1 + self._skipped_refills)
-        self._skipped_refills = 0
-        if events_due:
-            self._process_events(cycle)
-        if self.dram.queued:
-            self.dram.tick(cycle, self._on_dram_read_done)
-        if self.l2_in:
-            self._l2_process(cycle)
-        if self._rsp_queue:
-            self._send_responses(cycle)
+        """Advance the backend by one core cycle: every phase, every
+        cycle, unconditionally."""
+        self.icnt.begin_cycle()
+        self._process_events(cycle)
+        self.dram.tick(cycle, self._on_dram_read_done)
+        self._l2_process(cycle)
+        self._send_responses(cycle)
         self._drain_l1_miss_queues(cycle)
-        return False
-
-    def leapable(self) -> bool:
-        """True when no backend queue holds retrying work — the
-        precondition for the engine's cycle leap.  With the queues
-        drained, every future backend state change is reachable only
-        through a scheduled event or a DRAM service completion, both of
-        which were posted to the engine's event wheel when created; the
-        wheel therefore bounds the leap.  (``next_activity`` below is
-        the scan-based oracle this is validated against in tests.)"""
-        if self.l2_in or self._rsp_queue:
-            return False
-        for queue in self._miss_queues:
-            if queue:
-                return False
-        return True
 
     def next_activity(self, cycle: int) -> int:
         """Earliest future cycle at which the backend can make progress,
@@ -211,14 +155,14 @@ class MemorySubsystem:
         Cycles strictly before the returned one are provably no-ops for
         the backend, which is what lets the engine leap over them.
 
-        Since the event wheel took over the engine's leap this scan is
-        off the hot path; it remains as the oracle the wheel-driven
-        leap is tested against (the wheel may only ever be
-        *conservative* — wake earlier than this, never later)."""
+        No run calls this: the production engine leaps to the event
+        wheel's next entry, and this scan is the oracle that leap is
+        tested against (the wheel may only ever be *conservative* —
+        wake earlier than this, never later)."""
         if self.l2_in or self._rsp_queue:
             return cycle + 1
-        for queue in self._miss_queues:
-            if queue:
+        for l1 in self.l1s:
+            if l1.miss_queue:
                 return cycle + 1
         heap = self._event_heap
         nxt = heap[0] if heap else (1 << 62)
@@ -231,15 +175,6 @@ class MemorySubsystem:
             if nxt <= cycle:
                 nxt = cycle + 1
         return nxt
-
-    def skip_cycles(self, count: int) -> None:
-        """Account for ``count`` cycles the engine leapt over while the
-        backend was provably inert (no queued work anywhere and no event
-        due).  Equivalent to ``count`` idle ticks: the owed interconnect
-        refills batch up and the drain round-robin pointer advances."""
-        self._skipped_refills += count
-        self.idle_cycles += count
-        self._drain_rr = (self._drain_rr + count) % len(self.l1s)
 
     def _process_events(self, cycle: int) -> None:
         heap = self._event_heap
@@ -419,7 +354,6 @@ class MemorySubsystem:
             if not icnt.try_send_request(flits):
                 return
             queue.popleft()
-            l1.version += 1
             self._inflight_to_l2 += 1
             self._schedule(cycle + self._icnt_latency, "l2_arrive", request)
             if self._obs is not None:
@@ -447,26 +381,28 @@ EV_DRAM_FILL = 3
 
 
 class PooledMemorySubsystem(MemorySubsystem):
-    """:class:`MemorySubsystem` on the struct-of-arrays fast path.
+    """The production machine's backend: :class:`MemorySubsystem` on
+    struct-of-arrays stores, ticked only when it has work.
 
     Requests live in a :class:`~repro.mem.pool.RequestPool` and travel
-    as integer slot ids; the tag stores, MSHR files and DRAM queues are
-    the array twins from :mod:`repro.mem.pool` / :mod:`repro.mem.dram`.
-    Scheduled events pack ``(kind, payload)`` into one int (see the
-    ``EV_*`` constants), and response-queue entries are slot ids with
-    DRAM fills encoded as ``-1 - line_addr``.
+    as integer slot ids; the tag stores and MSHR files are the array
+    twins from :mod:`repro.mem.pool` (the DRAM model is shared with the
+    oracle).  Scheduled events pack ``(kind, payload)`` into one int
+    (see the ``EV_*`` constants), and response-queue entries are slot
+    ids with DRAM fills encoded as ``-1 - line_addr``.
 
     Every override below is its base-class method with the object
-    dereferences replaced by pool-array reads *in the same order* —
-    the bit-identity proof obligation is exactly the one the fast
-    cycle loop discharges (asserted per bench run, fuzzed across the
-    scheme matrix in tests/test_pooled_identity.py).  Obs hooks receive
+    dereferences replaced by pool-array reads *in the same order*, and
+    ``tick`` skips exactly the cycles the base class would spend doing
+    nothing (see :meth:`tick`, :meth:`skip_cycles`) — the bit-identity
+    proof obligation of docs/PERF.md, swept over the scheme space in
+    tests/test_fastpath.py and tests/test_pooled_identity.py and
+    scripted in tests/test_subsystem_leap.py.  Obs hooks receive
     :class:`~repro.mem.pool.PoolSlotView` facades, so the sentinel
     interface is unchanged.
     """
 
-    def __init__(self, config: GPUConfig, fastpath: bool = True, obs=None,
-                 wheel=None):
+    def __init__(self, config: GPUConfig, obs=None, wheel=None):
         # The pool and the shared miss-queue counter must exist before
         # the base constructor calls the _build_* factories.
         from repro.mem.pool import RequestPool
@@ -474,7 +410,11 @@ class PooledMemorySubsystem(MemorySubsystem):
         #: one-cell count of queued L1 miss entries across all SMs:
         #: O(1) idle/leap checks instead of a 16-queue scan.
         self._mq_pending = [0]
-        super().__init__(config, fastpath=fastpath, obs=obs, wheel=wheel)
+        super().__init__(config, obs=obs, wheel=wheel)
+        #: idle cycles whose token refills are still owed to the icnt.
+        self._skipped_refills = 0
+        #: count of idle-skipped backend cycles (perf introspection).
+        self.idle_cycles = 0
 
     # -- store factories ------------------------------------------------
     def _build_l1s(self, config: GPUConfig) -> List[PooledL1DCache]:
@@ -488,9 +428,6 @@ class PooledMemorySubsystem(MemorySubsystem):
     def _build_l2_mshrs(self, config: GPUConfig):
         from repro.mem.pool import ArrayMSHRFile
         return ArrayMSHRFile(config.l2.mshrs, merge_limit=16)
-
-    def _build_dram(self, config: GPUConfig, wheel):
-        return RingDRAMModel(config, wheel=wheel)
 
     # -- event plumbing -------------------------------------------------
     def _schedule_ev(self, cycle: int, ev: int) -> None:
@@ -528,15 +465,16 @@ class PooledMemorySubsystem(MemorySubsystem):
         self._schedule_ev(done_cycle, (line_addr << 2) | EV_DRAM_FILL)
 
     # -- per-cycle tick (O(1) idle check via the miss-queue counter) ----
-    def tick(self, cycle: int) -> None:
-        if not self.fastpath:
-            self.icnt.begin_cycle()
-            self._process_events(cycle)
-            self.dram.tick(cycle, self._on_dram_read_done)
-            self._l2_process(cycle)
-            self._send_responses(cycle)
-            self._drain_l1_miss_queues(cycle)
-            return False
+    def tick(self, cycle: int) -> bool:
+        """:meth:`MemorySubsystem.tick` with every phase guarded by its
+        queue state, and quiet cycles skipped entirely — including
+        *latency-shadow* cycles where events exist but none is due yet.
+        A skipped cycle's only observable work would have been the
+        interconnect token refill (batched into the next active cycle
+        via an exactly-equivalent catch-up call) and the drain
+        round-robin pointer (advanced in place).  Returns True for such
+        an inert cycle: if the SMs are all asleep too, the engine may
+        leap over the latency shadow."""
         heap = self._event_heap
         events_due = bool(heap) and heap[0] <= cycle
         if (not events_due and not self.l2_in and not self._rsp_queue
@@ -564,7 +502,23 @@ class PooledMemorySubsystem(MemorySubsystem):
         return False
 
     def leapable(self) -> bool:
+        """True when no backend queue holds retrying work — the
+        precondition for the engine's cycle leap.  With the queues
+        drained, every future backend state change is reachable only
+        through a scheduled event or a DRAM service completion, both of
+        which were posted to the engine's event wheel when created; the
+        wheel therefore bounds the leap.  (``next_activity`` is the
+        scan-based oracle this is validated against in tests.)"""
         return not (self.l2_in or self._rsp_queue or self._mq_pending[0])
+
+    def skip_cycles(self, count: int) -> None:
+        """Account for ``count`` cycles the engine leapt over while the
+        backend was provably inert (no queued work anywhere and no event
+        due).  Equivalent to ``count`` idle ticks: the owed interconnect
+        refills batch up and the drain round-robin pointer advances."""
+        self._skipped_refills += count
+        self.idle_cycles += count
+        self._drain_rr = (self._drain_rr + count) % len(self.l1s)
 
     # -- L2 controller --------------------------------------------------
     def _l2_process(self, cycle: int) -> None:

@@ -101,35 +101,45 @@ def make_launches(
     return launches
 
 
+def _reference_from_env() -> bool:
+    """The ``REPRO_REFERENCE_LOOP`` switch: ``1`` selects the oracle
+    machine, ``0`` or unset/empty the production one; anything else is
+    rejected rather than silently running the production machine."""
+    value = os.environ.get("REPRO_REFERENCE_LOOP", "")
+    if value not in ("", "0", "1"):
+        raise ValueError(
+            f"REPRO_REFERENCE_LOOP must be '0' or '1', got {value!r}")
+    return value == "1"
+
+
 class GPU:
     """A configured GPU ready to simulate one measurement window.
 
-    ``reference=True`` (or the ``REPRO_REFERENCE_LOOP=1`` environment
-    variable) disables the cycle-loop fast paths — scheduler sleep
-    hints and the memory-subsystem idle skip — forcing the reference
-    per-cycle scan everywhere.  Both modes produce bit-identical
-    results; the perf suite asserts this on every run.
+    A GPU is one of two machines, chosen by ``reference`` (default: the
+    ``REPRO_REFERENCE_LOOP`` environment variable, else False):
+
+    * the **production machine** — the fast cycle loop (scheduler sleep
+      hints, SM sleep, the engine's cycle leap) over the slot-pooled
+      memory path (:class:`~repro.mem.subsystem.PooledMemorySubsystem`,
+      array-backed L1D/L2 tag stores and MSHRs, the memoising LSU tick);
+    * the **oracle** (``reference=True``) — the per-cycle scan over the
+      object memory path (:class:`~repro.mem.subsystem.MemorySubsystem`,
+      ``MemRequest`` objects, a plain replay per stalled cycle), kept as
+      the specification the tests hold the production machine
+      bit-identical to (tests/test_fastpath.py).
 
     ``obs`` enables the observability layer (``True``, an
     :class:`~repro.obs.ObsOptions`, or a prepared
-    :class:`~repro.obs.Observability`).  Observed runs use the
-    reference per-cycle loop so stall attribution is exact — simulated
-    results stay bit-identical to an unobserved run.
-
-    ``pooled`` selects the struct-of-arrays memory path (slot-pooled
-    requests, array-backed L1D/MSHR tag stores, ring DRAM queues).
-    Default (None): follow the loop mode — pooled on the fast loop,
-    the reference object path on the reference loop — overridable via
-    ``REPRO_POOLED_MEM=1``/``0``.  Both paths are bit-identical; the
-    perf suite and tests/test_pooled_identity.py assert it.
+    :class:`~repro.obs.Observability`).  Observed runs use the oracle
+    so stall attribution is exact — simulated results stay
+    bit-identical to an unobserved run.
     """
 
     def __init__(self, config: GPUConfig, launches: List[KernelLaunch],
                  scheme: Optional[SchemeConfig] = None,
                  timeline_interval: Optional[int] = None,
                  reference: Optional[bool] = None,
-                 obs: ObsLike = None,
-                 pooled: Optional[bool] = None):
+                 obs: ObsLike = None):
         if not launches:
             raise ValueError("need at least one kernel launch")
         self.obs = resolve_obs(obs)
@@ -139,15 +149,8 @@ class GPU:
             # cycles whose non-issue the taxonomy must classify.
             reference = True
         if reference is None:
-            reference = os.environ.get("REPRO_REFERENCE_LOOP", "") == "1"
+            reference = _reference_from_env()
         self.reference = reference
-        if pooled is None:
-            env = os.environ.get("REPRO_POOLED_MEM", "")
-            if env in ("0", "1"):
-                pooled = env == "1"
-            else:
-                pooled = not reference
-        self.pooled = pooled
         self.config = config
         self.launches = launches
         self.scheme = scheme or SchemeConfig()
@@ -156,9 +159,8 @@ class GPU:
         #: amortised O(1) query instead of a scan over schedulers, SMs,
         #: the event heap and the DRAM channels.
         self.wheel = EventWheel()
-        mem_cls = PooledMemorySubsystem if pooled else MemorySubsystem
-        self.memory = mem_cls(config, fastpath=not reference,
-                              obs=self.obs, wheel=self.wheel)
+        mem_cls = MemorySubsystem if reference else PooledMemorySubsystem
+        self.memory = mem_cls(config, obs=self.obs, wheel=self.wheel)
         self.timeline = (TimelineRecorder(timeline_interval)
                          if timeline_interval else None)
         self.kernel_stats: Dict[int, KernelStats] = {
@@ -174,8 +176,7 @@ class GPU:
             self.sms.append(StreamingMultiprocessor(
                 sm_id, config, l1, launches, bundle,
                 self.kernel_stats, self.timeline, fastpath=not reference,
-                obs=self.obs, wheel=self.wheel,
-                pool=self.memory.pool if pooled else None))
+                obs=self.obs, wheel=self.wheel))
         self.cycles_run = 0
         #: what _sleep_report last added to the process registry.
         self._sleep_reported: Dict[str, int] = {}

@@ -10,12 +10,19 @@ resources alone cannot help: the pipeline is in-order).
 
 Every successful request and every reservation failure is reported to
 the scheme bundle (MILG counters, QBMI estimators, UCP shadow tags).
+
+One class, two ticks, one per machine (see ``repro.sim.engine.GPU``):
+:meth:`LoadStoreUnit.tick` is the oracle's plain specification — object
+``MemRequest``s, one L1D lookup per replayed cycle — and
+:meth:`LoadStoreUnit._tick_pooled` is the production tick over pool
+slots, which memoises a stalled head's verdict and lets the SM sleep
+through the replays.  The owning SM binds one of them for the run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.mem.cache import AccessResult, L1DCache
 from repro.mem.subsystem import MemRequest
@@ -32,8 +39,8 @@ class LoadStoreUnit:
     """Per-SM memory pipeline."""
 
     __slots__ = ("sm_id", "l1", "queue_depth", "width", "queue",
-                 "_current_request", "_stall_memo", "use_stall_memo",
-                 "_stall_owed", "stall_cycles", "busy_cycles",
+                 "_current_request", "_stall_memo", "_stall_owed",
+                 "stall_cycles", "busy_cycles",
                  "bypass_by_kernel", "_obs", "pool", "_inline_stats",
                  "_defer_ok", "_rsfail_hook", "replays_batched")
 
@@ -46,20 +53,21 @@ class LoadStoreUnit:
         self.queue_depth = queue_depth
         self.width = width
         self.queue: Deque[MemInst] = deque()
-        self._current_request: Optional[MemRequest] = None
-        #: (request-or-slot, l1.version, l1.tags.partition, result,
-        #: kernel) of the last reservation failure.  While the head
-        #: request, the cache version, and the partition object are all
-        #: unchanged, a replay must fail identically — every RSFAIL
-        #: path in ``L1DCache.access`` is pure apart from its two stats
-        #: bumps — so the lookup can be skipped and only the stats
-        #: replayed.  Fast loop only: the reference loop keeps the
-        #: plain replay the memo is validated against (the SM clears
-        #: the flag).  On the pooled path the first field is the pool
-        #: slot id; slot ids are stable while the request stalls (the
-        #: memo is cleared before the slot can be recycled).
+        #: the head instruction's request in flight to the L1D: a
+        #: ``MemRequest`` on the oracle, the unpacked ``(slot, line,
+        #: kernel, is_store, bypass)`` on the production machine.
+        self._current_request = None
+        #: production tick only: (slot, l1.version, l1.tags.partition,
+        #: result, kernel) of the last reservation failure.  While the
+        #: head slot, the cache version, and the partition object are
+        #: all unchanged, a replay must fail identically — every RSFAIL
+        #: path in ``PooledL1DCache.access_slot`` is pure apart from its
+        #: two stats bumps — so the lookup can be skipped and only the
+        #: stats replayed.  Slot ids are stable while the request stalls
+        #: (the memo is cleared before the slot can be recycled).  The
+        #: oracle's ``tick`` is the plain replay this is validated
+        #: against.
         self._stall_memo = None
-        self.use_stall_memo = True
         #: replayed-stall cycles whose stats bumps are deferred (memo
         #: valid, no observability): the whole stretch is paid in one
         #: batch when the stall breaks (``_flush_stall_debt``) or at
@@ -80,11 +88,11 @@ class LoadStoreUnit:
         self.bypass_by_kernel = None
         #: observability collector (set by the owning SM; None = off).
         self._obs = None
-        #: the shared :class:`~repro.mem.pool.RequestPool` when the SM
-        #: runs the pooled memory path (``l1`` is then a
-        #: ``PooledL1DCache``); None keeps the object path.
-        self.pool = None
-        #: pooled-path per-run constants resolved by the owning SM:
+        #: the shared :class:`~repro.mem.pool.RequestPool` behind a
+        #: ``PooledL1DCache`` (production machine); None on the
+        #: oracle's object ``L1DCache``.
+        self.pool = getattr(l1, "pool", None)
+        #: production-tick per-run constants resolved by the owning SM:
         #: the kernel-stats dict when the per-request SM hook reduces
         #: to one stats bump (else None), whether stall replays may
         #: defer their stats (no obs), and the limiter's batchable
@@ -131,26 +139,15 @@ class LoadStoreUnit:
 
         A reservation failure stalls the pipeline for the rest of the
         cycle (one failure counted per stalled cycle, as a hardware
-        replay would)."""
-        if self.pool is not None:
-            return self._tick_pooled(cycle, sm)
+        replay would) and the head request is looked up again next
+        cycle.  This is the oracle's tick: the specification
+        :meth:`_tick_pooled` is held bit-identical to."""
         queue = self.queue
         if not queue:
             return
-        l1 = self.l1
-        l1_access = l1.access
-        rsfails = _RSFAILS
+        l1_access = self.l1.access
         bypass_map = self.bypass_by_kernel
         obs = self._obs
-        on_request_issued = sm.on_request_issued
-        # With every scheme hook inert and no timeline, the SM's
-        # on_request_issued reduces to one stats bump — inline it.
-        # (getattr: unit-test fakes advertise inert hooks without
-        # carrying the timeline attribute.)
-        if sm._mem_hooks_inert and getattr(sm, "timeline", None) is None:
-            kernel_stats = sm.kernel_stats
-        else:
-            kernel_stats = None
         busy = False
         for _ in range(self.width):
             if not queue:
@@ -178,35 +175,9 @@ class LoadStoreUnit:
                 if obs is not None:
                     obs.mem_request_created(request, cycle)
 
-            memo = self._stall_memo
-            if memo is not None:
-                if (memo[0] is request and memo[1] == l1.version
-                        and memo[2] is l1.tags.partition):
-                    # Nothing a failing lookup depends on changed since
-                    # the last replay: replay the verdict and its stats
-                    # bumps without walking the cache.  When every
-                    # per-stall hook is inert (baseline schemes, no
-                    # observability) even the bumps are deferred — the
-                    # owed count is settled when the stall breaks.
-                    if obs is None and sm._mem_hooks_inert:
-                        self._stall_owed += 1
-                        return
-                    result = memo[3]
-                    stats = l1.stats
-                    stats.rsfails[request.kernel] += 1
-                    stats.rsfail_reasons[result] += 1
-                else:
-                    if self._stall_owed:
-                        self._flush_stall_debt()
-                    result = l1_access(request, cycle)
-            else:
-                result = l1_access(request, cycle)
-            if result in rsfails:
+            result = l1_access(request, cycle)
+            if result in _RSFAILS:
                 # Memory pipeline stall: replay the request next cycle.
-                if self.use_stall_memo:
-                    self._stall_memo = (request, l1.version,
-                                        l1.tags.partition, result,
-                                        request.kernel)
                 self.stall_cycles += 1
                 sm.on_rsfail(request.kernel, cycle)
                 if obs is not None:
@@ -215,7 +186,6 @@ class LoadStoreUnit:
                 return
 
             busy = True
-            self._stall_memo = None
             self._current_request = None
             # Inlined MemInst.note_request_sent + maybe_complete: one
             # request accepted, and the instruction leaves the queue
@@ -225,10 +195,7 @@ class LoadStoreUnit:
             inst.next_idx = next_idx
             if not inst.is_store and result in _MISSES:
                 inst.pending += 1
-            if kernel_stats is not None:
-                kernel_stats[request.kernel].mem_requests += 1
-            else:
-                on_request_issued(request, result, cycle)
+            sm.on_request_issued(request, result, cycle)
             if obs is not None:
                 obs.mem_request_l1(request, result, cycle)
             if next_idx >= len(inst.lines):
@@ -240,13 +207,15 @@ class LoadStoreUnit:
             self.busy_cycles += 1
 
     def _tick_pooled(self, cycle: int, sm) -> bool:
-        """:meth:`tick` on the struct-of-arrays path: requests are pool
+        """:meth:`tick` on the production machine: requests are pool
         slots, the head request's scalars ride in ``_current_request``
         as ``(slot, line, kernel, is_store, bypass)``, and the L1 is a
-        :class:`~repro.mem.cache.PooledL1DCache`.  Control flow, stats
-        order, the stall memo and the deferral trick mirror the object
-        path exactly (bit-identity is asserted in the perf suite and
-        tests/test_pooled_identity.py).
+        :class:`~repro.mem.cache.PooledL1DCache`.  Control flow and
+        stats order mirror :meth:`tick` exactly; on top, a stalled
+        head's verdict is memoised (``_stall_memo``) and, when nothing
+        observes the replays one by one (``_defer_ok``), their stats
+        bumps are deferred into ``_stall_owed`` (bit-identity is swept
+        in tests/test_fastpath.py and tests/test_pooled_identity.py).
 
         Returns True when the cycle ends with the head stalled on a
         memoised verdict whose replays are deferrable: until
@@ -276,8 +245,9 @@ class LoadStoreUnit:
         hit = AccessResult.HIT
         bypass_map = self.bypass_by_kernel
         obs = self._obs
-        # Same inert-hook stats inlining as the object path, resolved
-        # once per run by the owning SM instead of per tick.
+        # With every scheme hook inert and no timeline, the SM's
+        # on_request_issued reduces to one stats bump — inlined here
+        # (resolved once per run by the owning SM).
         kernel_stats = self._inline_stats
         busy = False
         current = self._current_request
@@ -308,9 +278,10 @@ class LoadStoreUnit:
             if memo is not None:
                 if (memo[0] == slot and memo[1] == l1.version
                         and memo[2] is l1.tags.partition):
-                    # Same replay-verdict memo as the object path; the
-                    # slot id substitutes for the request identity (it
-                    # cannot be recycled while the stall holds it).
+                    # Nothing a failing lookup depends on changed since
+                    # the last replay: replay the verdict and its stats
+                    # bumps without walking the cache — or defer even
+                    # the bumps, settled when the stall breaks.
                     if self._defer_ok:
                         self._stall_owed += 1
                         return True
@@ -327,14 +298,13 @@ class LoadStoreUnit:
                 result = access_slot(slot, line, kernel, is_store, bypass)
             if result in rsfails:
                 # Memory pipeline stall: replay the request next cycle.
-                if self.use_stall_memo:
-                    self._stall_memo = (slot, l1.version,
-                                        l1.tags.partition, result, kernel)
+                self._stall_memo = (slot, l1.version,
+                                    l1.tags.partition, result, kernel)
                 self.stall_cycles += 1
                 sm.on_rsfail(kernel, cycle)
                 if obs is not None:
                     obs.lsu_rsfail(self.sm_id, kernel, result, cycle)
-                return self._defer_ok and self.use_stall_memo
+                return self._defer_ok
 
             busy = True
             self._stall_memo = None

@@ -67,7 +67,7 @@ class StreamingMultiprocessor:
                  launches: List, bundle: SchemeBundle,
                  kernel_stats: Dict[int, KernelStats],
                  timeline: Optional[TimelineRecorder] = None,
-                 fastpath: bool = True, obs=None, wheel=None, pool=None):
+                 fastpath: bool = True, obs=None, wheel=None):
         self.sm_id = sm_id
         self.config = config
         self.l1 = l1
@@ -89,17 +89,12 @@ class StreamingMultiprocessor:
 
         self.lsu = LoadStoreUnit(sm_id, l1, width=config.lsu_width)
         self.lsu._obs = obs
-        # Shared request pool: selects the LSU's struct-of-arrays tick
-        # (``l1`` is then a PooledL1DCache).  None keeps the object path.
-        self.lsu.pool = pool
-        # Bind the resolved tick implementation once — the per-cycle
-        # call in tick() then skips the pool dispatch check.
-        self._lsu_tick = (self.lsu._tick_pooled if pool is not None
+        # One LSU tick per machine, bound once: the production tick
+        # over pool slots (``l1`` is then a PooledL1DCache), or the
+        # oracle's plain specification it is validated against
+        # (bit-identity is asserted in tests/test_fastpath.py).
+        self._lsu_tick = (self.lsu._tick_pooled if fastpath
                           else self.lsu.tick)
-        # The stall-replay memo is a fast-loop trick; the reference
-        # loop stays the plain implementation the memo is validated
-        # against (bit-identity is asserted in tests/test_fastpath.py).
-        self.lsu.use_stall_memo = fastpath
         self.schedulers = [WarpScheduler(i, config.scheduler_policy,
                                          fastpath=fastpath)
                            for i in range(config.schedulers_per_sm)]

@@ -74,7 +74,6 @@ LEAP_QUEUE_METHODS: Dict[str, str] = {
     "enqueue_read": "DRAM read enqueue via the model",
     "enqueue_write": "DRAM write enqueue via the model",
     "_schedule": "memory subsystem event-heap push",
-    "ring_push": "pooled DRAM ring-queue push (service may start while idle)",
     "_schedule_ev": "pooled memory subsystem event-heap push",
 }
 

@@ -48,22 +48,6 @@ class PostedPort:
         self.wheel.post(cycle + 1)
 
 
-class LeakyRing:
-    """The pooled path's twin of the hazard: ring-queue pushes enqueue
-    future DRAM service, so they are leap-visible too."""
-
-    def enqueue_idle(self, row, payload):
-        self.channel.ring_push(row, False, payload)  # LINT-BAD: REPRO-W001
-
-
-class PostedRing:
-    """Same ring push, discharged the sanctioned way."""
-
-    def enqueue_posted(self, row, payload, cycle):
-        self.channel.ring_push(row, False, payload)  # LINT-OK: posts below
-        self.wheel.post(cycle + 1)
-
-
 class LeakyStallSleep:
     """Memory-stall sleep, done wrong: going to sleep *raises* the SM's
     horizon, and with no wheel entry the leap cannot see the wake."""

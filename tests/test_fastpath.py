@@ -1,11 +1,13 @@
-"""The optimised cycle loop must be bit-identical to the reference.
+"""The production machine must be bit-identical to the oracle.
 
-``GPU(reference=True)`` disables every fast path — per-cycle callback
-closures, scheduler sleep hints, the memory-subsystem idle skip and the
-engine's cycle leap — leaving the straightforward scan the seed
-implementation used.  These tests drive both loops over the scheme
-space (GTO/LRR, BMI, MIL variants, SMK gating, UCP, L1D bypass) and
-require every collected statistic to match exactly.
+``GPU(reference=True)`` is the oracle: no fast path anywhere — per-cycle
+callback closures, no scheduler sleep hints, every memory phase ticked
+every cycle over ``MemRequest`` objects, a plain L1D replay per stalled
+cycle — the straightforward scan the seed implementation used.  The
+default ``GPU`` is the production machine (sleep, leap, slot-pooled
+memory path, memoised stall replays).  These tests drive both over the
+scheme space (GTO/LRR, BMI, MIL variants, SMK gating, UCP, L1D bypass)
+and require every collected statistic to match exactly.
 """
 
 import dataclasses
@@ -15,6 +17,7 @@ import pytest
 from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
+from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
 from repro.obs import process_registry
 from repro.sim.engine import GPU, make_launches
 from repro.sim.sm import SLEEP_STALL
@@ -23,7 +26,7 @@ from repro.workloads.profiles import get_profile
 CONFIG = scaled_config()
 CYCLES = 1500
 
-CASES = [
+BASE_CASES = [
     ("gto-base", ("3m", "bp"), (4, 4), {}, {}),
     ("gto-single", ("3m",), (2,), {}, {}),
     ("lrr-base", ("3m", "bp"), (4, 4), {}, {"scheduler_policy": "lrr"}),
@@ -49,7 +52,7 @@ STALL_SCHEMES = [
     ("dmil+qbmi", {"mil": "dmil", "bmi": "qbmi",
                    "qbmi_init_req_per_minst": (4, 4)}),
 ]
-CASES += [
+CASES = BASE_CASES + [
     (f"stall-{name}-{mix}-{policy}", kernels, (4, 4), scheme_kwargs,
      {"scheduler_policy": policy})
     for name, scheme_kwargs in STALL_SCHEMES
@@ -90,13 +93,37 @@ def test_fast_loop_matches_reference(kernels, tbs, scheme_kwargs,
 
 
 def test_reference_env_var_controls_default(monkeypatch):
-    config = CONFIG
-    launches = make_launches([get_profile("3m")], [1], config, seed=0)
     monkeypatch.setenv("REPRO_REFERENCE_LOOP", "1")
-    assert GPU(config, launches, SchemeConfig()).reference is True
+    assert build_gpu(("3m",), (1,)).reference is True
+    for fast in ("0", ""):
+        monkeypatch.setenv("REPRO_REFERENCE_LOOP", fast)
+        assert build_gpu(("3m",), (1,)).reference is False
     monkeypatch.delenv("REPRO_REFERENCE_LOOP")
-    launches = make_launches([get_profile("3m")], [1], config, seed=0)
-    assert GPU(config, launches, SchemeConfig()).reference is False
+    assert build_gpu(("3m",), (1,)).reference is False
+
+
+@pytest.mark.parametrize("value", ("true", "yes", "2"))
+def test_malformed_reference_env_var_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("REPRO_REFERENCE_LOOP", value)
+    with pytest.raises(ValueError, match="REPRO_REFERENCE_LOOP"):
+        build_gpu(("3m",), (1,))
+    # An explicit argument never consults the variable.
+    assert build_gpu(("3m",), (1,), reference=True).reference is True
+
+
+def test_one_switch_selects_one_of_two_machines():
+    """``reference`` is the only substrate switch: it picks the loop
+    and the memory path together, ``obs`` picks the oracle, and the
+    retired ``pooled`` argument is gone rather than ignored."""
+    for reference in (False, True):
+        gpu = build_gpu(("3m",), (1,), reference=reference)
+        assert type(gpu.memory) is (MemorySubsystem if reference
+                                    else PooledMemorySubsystem)
+    observed = build_gpu(("3m",), (1,), obs=True)
+    assert observed.reference is True
+    assert type(observed.memory) is MemorySubsystem
+    with pytest.raises(TypeError):
+        build_gpu(("3m",), (1,), **{"pooled": True})
 
 
 def test_mid_run_tb_limit_change_matches_reference():

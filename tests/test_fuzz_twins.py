@@ -1,5 +1,6 @@
-"""Property-based fuzzing of the pooled memory-path hot structures
-and of the trace compiler against its live-stream oracle.
+"""Property-based fuzzing of the production memory-path components
+against their oracle twins, and of the trace compiler against its
+live-stream oracle.
 
 The hand-rolled ``random`` fuzz in ``test_request_pool.py`` walks one
 seeded trajectory per twin; this suite lets hypothesis search the
@@ -20,9 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.config import CacheConfig, scaled_config  # noqa: E402
+from repro.config import CacheConfig  # noqa: E402
 from repro.mem.cache import SetAssocCache  # noqa: E402
-from repro.mem.dram import DRAMChannel, RingDRAMChannel  # noqa: E402
 from repro.mem.mshr import MSHRFile  # noqa: E402
 from repro.mem.pool import (  # noqa: E402
     ArrayMSHRFile,
@@ -164,39 +164,6 @@ def test_mshr_file_twin_equivalence(ops):
         assert obj.full == arr.full
         assert obj.peak_used == arr.peak_used
         assert obj.occupancy_by_kernel() == arr.occupancy_by_kernel()
-
-
-# ----------------------------------------------------------------------
-# RingDRAMChannel vs DRAMChannel
-dram_ops = st.lists(st.tuples(st.booleans(),          # try to enqueue?
-                              st.integers(0, 7),      # row
-                              st.integers(0, 99)),    # write selector
-                    min_size=1, max_size=300)
-
-
-@FUZZ
-@given(ops=dram_ops)
-def test_ring_channel_twin_equivalence(ops):
-    config = scaled_config()
-    obj = DRAMChannel(config, capacity=16)
-    ring = RingDRAMChannel(config, capacity=16)
-    obj_done, ring_done = [], []
-    for cycle2, (push, row, wsel) in enumerate(ops):
-        cycle = cycle2 * 2
-        if push and not obj.full:
-            is_write = wsel < 30
-            payload = None if is_write else cycle
-            obj.enqueue(row, is_write, payload)
-            ring.ring_push(row, is_write, payload)
-        assert obj.full == ring.full
-        obj.tick(cycle, lambda p, t: obj_done.append((p, t)))
-        ring.tick(cycle, lambda p, t: ring_done.append((p, t)))
-        assert obj_done == ring_done
-        assert obj.busy_until == ring.busy_until
-        assert obj.open_row == ring.open_row
-        assert obj.serviced == ring.serviced
-        assert obj.row_hits == ring.row_hits
-        assert list(obj.queue) == ring.queue
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ Three proof obligations ride on the slot pool:
   (aliasing two in-flight requests onto one set of fields);
 * pool exhaustion must grow deterministically — same capacity curve
   and same slot-id sequence on every run;
-* each array-backed component (tag store, MSHR file, DRAM ring queue)
-  must be bit-identical to its object twin under randomized operation
-  sequences, including the partitioned (UCP) victim path.
+* each array-backed component (tag store, MSHR file) must be
+  bit-identical to its object twin under randomized operation
+  sequences, including the partitioned (UCP) victim path;
+* a whole run must conserve slots: live exactly while some pipeline
+  stage still holds them.
 """
 
 import random
@@ -17,11 +19,14 @@ import random
 import pytest
 
 from repro.config import CacheConfig, scaled_config
+from repro.core.arbiter import SchemeConfig
 from repro.mem.cache import SetAssocCache
-from repro.mem.dram import DRAMChannel, RingDRAMChannel
 from repro.mem.mshr import MSHRFile
 from repro.mem.pool import (DEFAULT_POOL_CAPACITY, ArrayMSHRFile,
                             ArrayTagStore, RequestPool)
+from repro.mem.subsystem import EV_DRAM_FILL
+from repro.sim.engine import GPU, make_launches
+from repro.workloads.profiles import get_profile
 
 
 # ----------------------------------------------------------------------
@@ -236,60 +241,43 @@ def test_mshr_waiter_lists_survive_until_reallocation():
 
 
 # ----------------------------------------------------------------------
-# RingDRAMChannel vs DRAMChannel
-def test_ring_channel_matches_deque_channel_under_fuzz():
+# slot conservation over a whole run
+def held_slots(gpu):
+    """Every pool slot some stage of the memory pipeline still holds."""
+    mem = gpu.memory
+    slots = set()
+    for sm in gpu.sms:
+        head = sm.lsu._current_request
+        if head is not None:
+            slots.add(head[0])
+    for mshrs in [l1.mshrs for l1 in mem.l1s] + [mem.l2_mshrs]:
+        for entry in mshrs._index.values():
+            slots.update(mshrs._waiters[entry])
+    for l1 in mem.l1s:
+        slots.update(l1.miss_queue)
+    slots.update(mem.l2_in)
+    slots.update(slot for slot in mem._rsp_queue if slot >= 0)
+    for bucket in mem._events.values():
+        slots.update(ev >> 2 for ev in bucket if ev & 3 != EV_DRAM_FILL)
+    return slots
+
+
+def test_run_keeps_live_exactly_the_slots_still_in_flight():
+    """st+sv with st bypassing the L1D: reads, writes, MSHR merges and
+    bypassed loads.  At every run boundary the live slots are exactly
+    the ones reachable from the LSU heads, the miss queues, the L1/L2
+    MSHR waiter lists, ``l2_in``, the response queue and the pending
+    events — nothing leaked, nothing freed while still travelling."""
     config = scaled_config()
-    obj = DRAMChannel(config, capacity=16)
-    ring = RingDRAMChannel(config, capacity=16)
-    rng = random.Random(7)
-    obj_done = []
-    ring_done = []
-    for cycle in range(0, 6000, 2):
-        if rng.random() < 0.5 and not obj.full:
-            row = rng.randrange(8)
-            is_write = rng.random() < 0.3
-            payload = None if is_write else cycle
-            obj.enqueue(row, is_write, payload)
-            ring.ring_push(row, is_write, payload)
-        assert obj.full == ring.full
-        obj.tick(cycle, lambda p, t: obj_done.append((p, t)))
-        ring.tick(cycle, lambda p, t: ring_done.append((p, t)))
-        assert obj_done == ring_done
-        assert obj.busy_until == ring.busy_until
-        assert obj.open_row == ring.open_row
-        assert obj.serviced == ring.serviced
-        assert obj.row_hits == ring.row_hits
-        assert list(obj.queue) == ring.queue
-    assert obj.serviced > 100  # the fuzz actually serviced traffic
-
-
-def test_ring_channel_compaction_preserves_queue():
-    """Drive the ring far past COMPACT_THRESHOLD services with entries
-    always pending, so compaction fires with a non-empty queue."""
-    config = scaled_config()
-    ring = RingDRAMChannel(config, capacity=16)
-    done = []
-    cycle = 0
-    for i in range(DRAMChannel(config).config.dram_channels * 0
-                   + RingDRAMChannel.COMPACT_THRESHOLD * 3):
-        while ring.full:
-            cycle += 1
-            ring.tick(cycle, lambda p, t: done.append(p))
-        ring.ring_push(i % 4, False, i)
-        cycle += 1
-        ring.tick(cycle, lambda p, t: done.append(p))
-    # Drain the remainder.
-    while ring.size():
-        cycle += ring.busy_until - cycle + 1 if ring.busy_until > cycle else 1
-        ring.tick(cycle, lambda p, t: done.append(p))
-    # Every payload came back exactly once — compaction lost nothing.
-    assert sorted(done) == list(range(RingDRAMChannel.COMPACT_THRESHOLD * 3))
-    assert ring._head == 0 or ring._head < RingDRAMChannel.COMPACT_THRESHOLD
-
-
-def test_ring_push_full_raises():
-    ring = RingDRAMChannel(scaled_config(), capacity=2)
-    ring.ring_push(0, False, 1)
-    ring.ring_push(0, False, 2)
-    with pytest.raises(RuntimeError, match="queue full"):
-        ring.ring_push(0, False, 3)
+    launches = make_launches([get_profile("st"), get_profile("sv")],
+                             [2, 2], config, seed=3)
+    gpu = GPU(config, launches, SchemeConfig(l1d_bypass=(True, False)))
+    pool = gpu.memory.pool
+    for step in (700, 800, 1, 1):
+        gpu.run(step)
+        live = {slot for slot, is_live in enumerate(pool.live) if is_live}
+        assert live == held_slots(gpu)
+        assert pool.live_count() == len(live) > 0
+    stats = [l1.stats for l1 in gpu.memory.l1s]
+    assert sum(sum(s.writes.values()) for s in stats) > 0
+    assert sum(sum(s.bypasses.values()) for s in stats) > 0

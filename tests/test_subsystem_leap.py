@@ -1,21 +1,26 @@
 """Edge cases for the memory backend's leap machinery.
 
-The engine's fast loop jumps over provably-inert stretches by calling
-``MemorySubsystem.skip_cycles`` instead of ticking every cycle.  These
-tests pin the equivalence claims that make that safe:
+The production engine jumps over provably-inert stretches by calling
+``PooledMemorySubsystem.skip_cycles`` instead of ticking every cycle.
+These tests pin the equivalence claims that make that safe, scripted
+into the production backend and checked against the oracle
+(``MemorySubsystem``, which ticks every phase every cycle):
 
 * owed interconnect token refills batched across a leap behave exactly
-  like per-cycle refills (compared against the reference loop);
+  like per-cycle refills;
 * a leap that lands exactly on a scheduled event still processes that
   event on the landing tick;
 * ``quiescent()`` stays False while a DRAM read is in flight even
   though the queues are drained (``leapable()`` True), and the event
-  wheel still bounds the leap in that state.
+  wheel still bounds the leap in that state;
+* every pool slot is back on the free list whenever the backend is
+  quiescent.
 """
 
 from repro.config import scaled_config
 from repro.mem.cache import AccessResult
-from repro.mem.subsystem import MemRequest, MemorySubsystem
+from repro.mem.subsystem import (MemRequest, MemorySubsystem,
+                                 PooledMemorySubsystem)
 from repro.sim.wheel import NEVER, EventWheel
 
 
@@ -27,36 +32,36 @@ class FakeMemInst:
         self.completions.append(cycle)
 
 
-def leap_drive(mem, start, end):
-    """Drive a fastpath subsystem the way the engine does: tick, and
-    when the tick reports an inert cycle and the queues are drained,
-    leap to ``next_activity`` via ``skip_cycles``."""
-    cycle = start
-    leaps = 0
-    while cycle < end:
-        idle = mem.tick(cycle)
-        if idle and mem.leapable():
-            nxt = mem.next_activity(cycle)
-            if nxt > end:
-                nxt = end
-            if nxt > cycle + 1:
-                mem.skip_cycles(nxt - cycle - 1)
-                cycle = nxt
-                leaps += 1
-                continue
-        cycle += 1
-    return leaps
+def submit(mem, cycle, line, sm_id, is_write, meminst=None):
+    """One L1D access, the way each machine's LSU tick makes it: a pool
+    slot through ``access_slot`` on the production backend (freed here
+    when the access ends its lifetime on the spot), a ``MemRequest``
+    through ``access`` on the oracle."""
+    l1 = mem.l1s[sm_id]
+    if not isinstance(mem, PooledMemorySubsystem):
+        return l1.access(MemRequest(line, 0, sm_id, is_write,
+                                    meminst=meminst), cycle)
+    slot = mem.pool.alloc(line, 0, sm_id, is_write, meminst, cycle, False)
+    result = l1.access_slot(slot, line, 0, is_write, False)
+    if result is AccessResult.HIT or result in AccessResult.RSFAILS:
+        mem.pool.free(slot)
+    return result
 
 
 class Script:
-    """A deterministic request schedule, replayable into any subsystem."""
+    """A deterministic request schedule, replayable into either
+    backend."""
 
     def __init__(self, events):
         # events: list of (cycle, line, sm_id, is_write)
         self.events = sorted(events)
 
-    def replay(self, mem, horizon, leap):
-        """Returns the sorted list of (line, completion_cycle) pairs."""
+    def replay(self, mem, horizon):
+        """Returns the sorted list of (line, completion_cycle) pairs.
+        The production backend is driven the way the engine drives it
+        (leap whenever a tick reports an inert cycle and the queues are
+        drained); the oracle is ticked every cycle."""
+        leap = isinstance(mem, PooledMemorySubsystem)
         insts = {}
         pending = list(self.events)
         cycle = 0
@@ -67,9 +72,10 @@ class Script:
                 if not is_write:
                     inst = FakeMemInst()
                     insts[(line, sm_id)] = inst
-                req = MemRequest(line, 0, sm_id, is_write, meminst=inst)
-                mem.l1s[sm_id].access(req, cycle)
+                submit(mem, cycle, line, sm_id, is_write, inst)
             idle = mem.tick(cycle)
+            if leap and mem.quiescent():
+                assert mem.pool.live_count() == 0
             if leap and idle and mem.leapable():
                 nxt = mem.next_activity(cycle)
                 if pending and pending[0][0] < nxt:
@@ -81,6 +87,7 @@ class Script:
                     cycle = nxt
                     continue
             cycle += 1
+        assert mem.quiescent(), "horizon too short for the script"
         done = []
         for (line, sm_id), inst in insts.items():
             for c in inst.completions:
@@ -92,8 +99,8 @@ class TestOwedRefillsAcrossLeap:
     def test_batched_refills_match_reference_loop(self):
         """Bursty traffic separated by idle gaps: the leap path owes
         the interconnect one token refill per skipped cycle, and the
-        batched catch-up must reproduce the reference loop's
-        completion cycles exactly (tokens cap out identically)."""
+        batched catch-up must reproduce the oracle's completion cycles
+        exactly (tokens cap out identically)."""
         cfg = scaled_config()
         events = []
         # Write bursts drain request tokens (writes carry line_flits
@@ -106,16 +113,16 @@ class TestOwedRefillsAcrossLeap:
                 line += 64 * 97
             events.append((burst_at + 2, line, 0, False))
             line += 64 * 97
-        ref = Script(events).replay(
-            MemorySubsystem(cfg, fastpath=False), 600, leap=False)
-        fast = Script(events).replay(
-            MemorySubsystem(cfg, fastpath=True), 600, leap=True)
+        ref = Script(events).replay(MemorySubsystem(cfg), 600)
+        production = PooledMemorySubsystem(cfg)
+        fast = Script(events).replay(production, 600)
         assert ref, "script must produce completions"
         assert fast == ref
+        assert production.idle_cycles > 300, "the replay must have leapt"
 
     def test_skip_cycles_advances_drain_pointer(self):
         cfg = scaled_config()
-        mem = MemorySubsystem(cfg)
+        mem = PooledMemorySubsystem(cfg)
         before = mem._drain_rr
         mem.skip_cycles(3)
         assert mem._drain_rr == (before + 3) % len(mem.l1s)
@@ -129,10 +136,9 @@ class TestLeapLandsOnEvent:
         backend is leapable and ``next_activity`` names the l2_arrive
         cycle; ticking exactly there must deliver the request to L2."""
         cfg = scaled_config()
-        mem = MemorySubsystem(cfg)
-        inst = FakeMemInst()
-        req = MemRequest(0, 0, 0, False, meminst=inst)
-        assert mem.l1s[0].access(req, 0) == AccessResult.MISS
+        mem = PooledMemorySubsystem(cfg)
+        assert submit(mem, 0, 0, 0, False,
+                      FakeMemInst()) == AccessResult.MISS
         mem.tick(0)  # drains the miss queue, schedules l2_arrive
         assert not mem.l1s[0].miss_queue
         assert mem.leapable()
@@ -148,10 +154,8 @@ class TestLeapLandsOnEvent:
     def test_leap_run_matches_reference_completion_cycle(self):
         cfg = scaled_config()
         script = Script([(0, 0, 0, False)])
-        ref = script.replay(MemorySubsystem(cfg, fastpath=False), 400,
-                            leap=False)
-        fast = script.replay(MemorySubsystem(cfg, fastpath=True), 400,
-                             leap=True)
+        ref = script.replay(MemorySubsystem(cfg), 400)
+        fast = script.replay(PooledMemorySubsystem(cfg), 400)
         assert len(ref) == 1
         assert fast == ref
 
@@ -200,14 +204,14 @@ class TestQuiescentDuringDramFlight:
         (leapable) but the request is still in flight: quiescent()
         must say so, and the wheel must bound the leap."""
         cfg = scaled_config()
-        mem = MemorySubsystem(cfg)
+        mem = PooledMemorySubsystem(cfg)
         inst = FakeMemInst()
-        req = MemRequest(0, 0, 0, False, meminst=inst)
-        mem.l1s[0].access(req, 0)
+        submit(mem, 0, 0, 0, False, inst)
         saw_leapable_in_flight = False
         cycle = 0
         while not inst.completions:
             assert not mem.quiescent()
+            assert mem.pool.live_count() == 1
             mem.tick(cycle)
             # The engine evaluates the leap *after* the memory tick,
             # by which point a serving DRAM channel has posted its
@@ -230,3 +234,4 @@ class TestQuiescentDuringDramFlight:
             "test must observe the drained-but-in-flight state"
         mem.tick(cycle)
         assert mem.quiescent()
+        assert mem.pool.live_count() == 0
