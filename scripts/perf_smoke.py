@@ -10,6 +10,12 @@ wall-clock assertion), on the scaled-down config.
   memory-stall sleep — so a refactor that breaks the L1 ``on_release``
   wake (divergence) or the engagement condition (share drops to 0)
   fails here, not in the next benchmark run;
+* observed, by count: with the phase sampler attached, the production
+  machine's ``ObsReport`` equals the oracle's field for field on
+  ``st+sv`` and on ``bp+cd`` under ``ws-dmil``'s scheme, and a non-zero
+  number of its issue slots were attributed in batches — so observing
+  neither falls back to per-cycle work nor drifts from the
+  specification;
 * cold start, by count: one compiled trace chunk of every Table-2
   profile equals the live ``InstructionStream`` (the compiler's oracle)
   on sampled warps, and ``trace_cache.ops_compiled`` moves by exactly
@@ -22,7 +28,7 @@ import sys
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
-from repro.obs import process_registry
+from repro.obs import ObsOptions, process_registry
 from repro.sim.engine import GPU, make_launches
 from repro.workloads import trace as ktrace
 from repro.workloads.profiles import ALL_PROFILES, get_profile
@@ -41,12 +47,21 @@ IDENTITY_WORKLOADS = (
 STALL_SLEEP_FLOOR = 0.10
 
 
-def run(config, kernels, tb_limits, seed, cycles=2000, **gpu_kwargs):
+#: (name, kernels, TBs per SM, scheme) observed on both machines.
+OBSERVED_WORKLOADS = (
+    ("st+sv", ("st", "sv"), (4, 4), SchemeConfig()),
+    ("bp+cd", ("bp", "cd"), (4, 4), SchemeConfig(mil="dmil")),
+)
+
+
+def run(config, kernels, tb_limits, seed, cycles=2000, scheme=None,
+        **gpu_kwargs):
     profiles = [get_profile(k) for k in kernels]
     if tb_limits is None:
         tb_limits = [p.max_tbs_per_sm(config) for p in profiles]
     launches = make_launches(profiles, list(tb_limits), config, seed=seed)
-    return GPU(config, launches, SchemeConfig(), **gpu_kwargs).run(cycles)
+    return GPU(config, launches, scheme or SchemeConfig(),
+               **gpu_kwargs).run(cycles)
 
 
 def loops_identical(config, kernels, tb_limits):
@@ -65,6 +80,26 @@ def memory_bound_check(config):
     production = run(config, ("st", "sv"), (4, 4), 3)
     identical = result_signature(production) == result_signature(oracle)
     return identical, production.sleep_ratio("mem_stall")
+
+
+def observed_check(config, kernels, tb_limits, scheme):
+    """One workload observed (phase sampler on) on the oracle and on
+    the production machine.  Returns ``(identical, batched)``: the two
+    reports and signatures match, and how many issue slots the
+    production run attributed in batches."""
+    def observe(**gpu_kwargs):
+        return run(config, kernels, tb_limits, 3, scheme=scheme,
+                   obs=ObsOptions(phase=True, phase_interval=256),
+                   **gpu_kwargs)
+
+    oracle = observe(reference=True)
+    production = observe()
+    identical = (
+        result_signature(production) == result_signature(oracle)
+        and all(getattr(production.obs, field) == getattr(oracle.obs, field)
+                for field in ("sched_stalls", "lsu_stalls", "counters",
+                              "phases")))
+    return identical, production.sleep["obs_batched_slots"]
 
 
 def cold_start_check():
@@ -114,6 +149,16 @@ def main() -> int:
         return 1
     print(f"ok st+sv: memory-stall sleep covers {stall_sleep:.1%} of "
           f"SM-cycles")
+    for name, kernels, tb_limits, scheme in OBSERVED_WORKLOADS:
+        identical, batched = observed_check(config, kernels, tb_limits,
+                                            scheme)
+        if not identical or not batched:
+            print(f"FAIL {name}: observed production report "
+                  f"{'==' if identical else '!='} observed oracle report, "
+                  f"{batched} slots batched")
+            return 1
+        print(f"ok {name}: observed production == observed oracle, "
+              f"{batched} slots batched")
     failures = cold_start_check()
     for failure in failures:
         print(f"FAIL cold start {failure}")

@@ -17,10 +17,18 @@ Quickstart::
     print(outcome.weighted_speedup)
 """
 
+from repro._lazy import lazy_getattr
 from repro.config import MAXWELL_CONFIG, CacheConfig, GPUConfig, scaled_config
-from repro.core.arbiter import SchemeConfig
-from repro.sim.engine import GPU, KernelLaunch, make_launches
-from repro.workloads import ALL_PROFILES, get_profile
+
+#: names re-exported from the simulator packages, imported on first use.
+__getattr__ = lazy_getattr(__name__, {
+    "SchemeConfig": "repro.core.arbiter",
+    "GPU": "repro.sim.engine",
+    "KernelLaunch": "repro.sim.engine",
+    "make_launches": "repro.sim.engine",
+    "ALL_PROFILES": "repro.workloads",
+    "get_profile": "repro.workloads",
+})
 
 __version__ = "1.0.0"
 

@@ -61,11 +61,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import scaled_config
-from repro.harness.reporting import format_table
-from repro.harness.runner import ExperimentRunner, RunnerSettings
-from repro.workloads.mixes import mix
-from repro.workloads.profiles import ALL_PROFILES
+# Each ``cmd_*`` imports what it runs: ``lint``, ``dash``, ``compare``
+# and ``schemes`` never load the simulator (``repro.sim``/``repro.mem``),
+# and a ``campaign --resume`` pays for the harness only.
 
 SCHEME_HELP = [
     ("spatial", "spatial multitasking (SM split)"),
@@ -82,8 +80,18 @@ SCHEME_HELP = [
 ]
 
 
+def _scaled_runner(settings=None, cache_dir=None):
+    """An :class:`ExperimentRunner` on the scaled machine — what every
+    simulating subcommand drives."""
+    from repro.config import scaled_config
+    from repro.harness.runner import ExperimentRunner
+    return ExperimentRunner(scaled_config(), settings, cache_dir=cache_dir)
+
+
 def cmd_characterize(_args) -> int:
-    runner = ExperimentRunner(scaled_config())
+    from repro.harness.reporting import format_table
+    from repro.workloads.profiles import ALL_PROFILES
+    runner = _scaled_runner()
     rows = []
     for profile in ALL_PROFILES:
         iso = runner.isolated(profile)
@@ -116,7 +124,8 @@ def _obs_options(args):
 
 
 def cmd_run(args) -> int:
-    runner = ExperimentRunner(scaled_config())
+    from repro.workloads.mixes import mix
+    runner = _scaled_runner()
     try:
         outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
                                  cycles=args.cycles, obs=_obs_options(args))
@@ -134,7 +143,7 @@ def cmd_run(args) -> int:
     result = outcome.result
     if result.sleep is not None:
         # Host-side: how much of the run the fast loop slept through
-        # (0% on the reference loop, which observed runs use).
+        # (0% on the reference loop).
         print(f"  SM sleep        : {result.sleep_ratio():.1%} of SM-cycles "
               f"(idle {result.sleep_ratio('idle'):.1%}, "
               f"ALU-burst {result.sleep_ratio('alu_burst'):.1%}, "
@@ -176,7 +185,8 @@ def cmd_run(args) -> int:
 
 def cmd_stalls(args) -> int:
     from repro.obs import format_stall_report
-    runner = ExperimentRunner(scaled_config())
+    from repro.workloads.mixes import mix
+    runner = _scaled_runner()
     try:
         outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
                                  cycles=args.cycles, obs=True)
@@ -191,7 +201,8 @@ def cmd_stalls(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro.obs import ObsOptions
-    runner = ExperimentRunner(scaled_config())
+    from repro.workloads.mixes import mix
+    runner = _scaled_runner()
     options = ObsOptions(trace=True,
                          trace_issue_sample=args.issue_sample,
                          trace_mem_sample=args.mem_sample)
@@ -212,16 +223,18 @@ def cmd_trace(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.harness.reporting import write_report
+    from repro.harness.runner import RunnerSettings
     settings = (RunnerSettings(iso_cycles=3000, curve_cycles=2000,
                                concurrent_cycles=4000)
                 if args.quick else None)
-    runner = ExperimentRunner(scaled_config(), settings)
+    runner = _scaled_runner(settings)
     write_report(args.out, runner, include_sweeps=not args.quick)
     print(f"report written to {args.out}")
     return 0
 
 
 def cmd_campaign(args) -> int:
+    from repro.harness.reporting import format_table
     from repro.harness.resilience import (PLAIN, JobError, Quarantined,
                                           ResiliencePolicy)
     from repro.workloads.mixes import WorkloadMix
@@ -247,7 +260,7 @@ def cmd_campaign(args) -> int:
             retries=args.retries if args.retries is not None else 2,
             backoff_s=args.backoff)
     cache_dir = args.cache or (".repro_cache" if resilient else None)
-    runner = ExperimentRunner(scaled_config(), cache_dir=cache_dir)
+    runner = _scaled_runner(cache_dir=cache_dir)
     telemetry = None
     if args.progress:
         from repro.obs import CampaignTelemetry
@@ -342,6 +355,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_schemes(_args) -> int:
+    from repro.harness.reporting import format_table
     print(format_table(["scheme", "meaning"],
                        [[a, b] for a, b in SCHEME_HELP]))
     return 0

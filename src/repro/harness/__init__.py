@@ -5,52 +5,24 @@ dispatcher (``resilience``: worker pool or in-process loop, with
 retry/quarantine, a checkpoint journal and deterministic fault
 injection as policy values)."""
 
-from repro.harness.runner import (
-    ExperimentRunner,
-    IsoRecord,
-    RunnerSettings,
-    WorkloadOutcome,
-    run_pair,
-)
-from repro.harness.reporting import (
-    build_report,
-    format_series,
-    format_table,
-    geomean,
-    write_report,
-)
-from repro.harness.resilience import (
-    CampaignJournal,
-    FaultPlan,
-    FaultSpec,
-    JobError,
-    Quarantined,
-    ResiliencePolicy,
-    ResilienceReport,
-    run_campaign_resilient,
-    run_jobs_resilient,
-)
-from repro.harness import experiments
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "ExperimentRunner",
-    "RunnerSettings",
-    "IsoRecord",
-    "WorkloadOutcome",
-    "run_pair",
-    "build_report",
-    "write_report",
-    "format_table",
-    "format_series",
-    "geomean",
-    "experiments",
-    "CampaignJournal",
-    "FaultPlan",
-    "FaultSpec",
-    "JobError",
-    "Quarantined",
-    "ResiliencePolicy",
-    "ResilienceReport",
-    "run_campaign_resilient",
-    "run_jobs_resilient",
-]
+#: public name -> defining module, imported on first use: ``repro
+#: schemes`` wants ``reporting.format_table`` and nothing of the
+#: simulator the runner drags in.
+_EXPORTS = {
+    **dict.fromkeys(("ExperimentRunner", "IsoRecord", "RunnerSettings",
+                     "WorkloadOutcome", "run_pair"),
+                    "repro.harness.runner"),
+    **dict.fromkeys(("build_report", "format_series", "format_table",
+                     "geomean", "write_report"),
+                    "repro.harness.reporting"),
+    **dict.fromkeys(("CampaignJournal", "FaultPlan", "FaultSpec",
+                     "JobError", "Quarantined", "ResiliencePolicy",
+                     "ResilienceReport", "run_campaign_resilient",
+                     "run_jobs_resilient"),
+                    "repro.harness.resilience"),
+    "experiments": "repro.harness.experiments",
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -5,8 +5,8 @@ The oracle's memory pipeline carries a :class:`~repro.mem.subsystem
 stores and dict-of-entry MSHRs.  On memory-bound workloads that makes
 the interpreter's allocator and attribute machinery the dominant
 simulation cost.  This module provides the flat-array equivalents the
-production machine (every ``GPU`` that is not ``reference=True`` or
-observed) runs on:
+production machine (every ``GPU`` that is not ``reference=True``,
+observed or not) runs on:
 
 * :class:`RequestPool` — a preallocated, free-list-recycled slot pool
   holding every in-flight request's fields in parallel arrays; the
@@ -126,6 +126,15 @@ class RequestPool:
 
     def live_count(self) -> int:
         return self.capacity - len(self._free)
+
+    def high_water(self) -> int:
+        """Most slots ever live at once.  Freed slots are reused before
+        fresh ones, so the slots ever handed out are ``0 .. peak-1`` —
+        exactly those whose ``kernel`` field ``alloc`` has stamped."""
+        try:
+            return self.kernel.index(-1)
+        except ValueError:
+            return self.capacity
 
     def view(self, slot: int) -> "PoolSlotView":
         """An ephemeral ``MemRequest``-shaped facade over ``slot`` for

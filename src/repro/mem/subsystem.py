@@ -66,8 +66,8 @@ class MemorySubsystem:
     """Shared backend for all SMs: interconnect + L2 + DRAM.
 
     This class is the *oracle* machine's backend (``GPU(reference=
-    True)`` and every observed run): ``MemRequest`` objects, object tag
-    stores and MSHRs, every phase run every cycle.  The production
+    True)``): ``MemRequest`` objects, object tag stores and MSHRs,
+    every phase run every cycle.  The production
     machine runs :class:`PooledMemorySubsystem` below, which the tests
     hold bit-identical to this one."""
 

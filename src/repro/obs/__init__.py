@@ -30,9 +30,12 @@ instrumentation:
 Everything is zero-cost when disabled: instrumentation hooks in the
 simulator's hot paths are sentinel-checked (``if self._obs is not
 None``) and the fast cycle loop stays bit-identical with observability
-off.  With observability *on*, the engine runs the reference per-cycle
-loop so stall attribution is exact — the simulated results are still
-bit-identical (the perf suite proves fast == reference on every run).
+off.  With observability *on* the run is still the production machine
+(``reference`` alone picks the oracle): cycles it does not execute one
+by one are attributed in batches and settled before anything reads
+them, and the report equals the observed oracle's field for field
+(docs/PERF.md, "Attribution debts") — the simulated results are
+bit-identical either way.
 """
 
 from repro.obs.collector import Observability, ObsOptions, ObsReport

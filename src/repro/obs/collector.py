@@ -6,7 +6,12 @@ memory subsystem and (via :meth:`Observability.attach`) the scheme
 mechanisms (DMIL's MILGs, QBMI); each hook site sentinel-checks its
 ``_obs`` handle so the cost with observability off is one attribute
 test — the fast cycle loop stays bit-identical and inside the perf
-thresholds.
+thresholds.  ``obs`` does not pick the machine: attached to the
+production machine (the default) the hooks below are fed in batches
+wherever it skips cycles — ``lsu_rsfail`` takes a count, owed issue
+slots are paid into :attr:`Observability.stalls` when a stretch ends —
+and :meth:`Observability.report` has the engine settle first, so the
+report equals the per-cycle oracle's.
 
 At collection time :meth:`Observability.report` folds the live push
 counters together with the simulator's pull-based statistics (cache,
@@ -18,6 +23,7 @@ worker boundary and merges across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.registry import CounterRegistry, Number, aggregate, snapshot_tree
@@ -31,8 +37,24 @@ from repro.obs.timeline import (
 )
 from repro.obs.trace import DEFAULT_MAX_EVENTS, TraceRecorder, write_trace_events
 
-#: registry names that merge as gauges (latest value) across workers.
-GAUGE_NAMES_HINT = ("*.limit", "*.rate", "engine.cycles", "phase.interval")
+#: counter names :meth:`ObsReport.merged` must not sum, as ``fnmatch``
+#: pattern -> rule: :data:`MERGE_LAST` keeps the latest report's value
+#: (a setting, not a total); any other string names the additive
+#: counter a rate is weighted by, so the merged rate is the rate of the
+#: merged totals.  Everything else in a report's counters is a total.
+MERGE_LAST = "last"
+MERGE_RULES: Dict[str, str] = {
+    "*.limit": MERGE_LAST,
+    "phase.interval": MERGE_LAST,
+    "dram.row_hit_rate": "dram.serviced",
+}
+
+
+def _merge_rule(name: str) -> Optional[str]:
+    for pattern, rule in MERGE_RULES.items():
+        if fnmatchcase(name, pattern):
+            return rule
+    return None
 
 
 @dataclass(frozen=True)
@@ -63,7 +85,7 @@ class Observability:
         self.registry = CounterRegistry()
         self.stalls = StallTable()
         #: current simulation cycle, maintained by the engine's sampled
-        #: reference loop; timestamps the adaptation event log.
+        #: loops; timestamps the adaptation event log.
         self.cycle = 0
         self.sampler: Optional[PhaseSampler] = None
         if self.options.phase:
@@ -105,9 +127,11 @@ class Observability:
     # ------------------------------------------------------------------
     # hot-path hooks (every caller sentinel-checks `_obs is not None`)
     def lsu_rsfail(self, sm_id: int, kernel: int, reason: str,
-                   cycle: int) -> None:
-        """One stalled LSU cycle attributed to the failing resource."""
-        self.stalls.bump_lsu(sm_id, kernel, reason)
+                   count: int = 1) -> None:
+        """``count`` stalled LSU cycles attributed to the failing
+        resource (the production LSU reports a stretch of memoised
+        replays in one call, see ``LoadStoreUnit._flush_stall_debt``)."""
+        self.stalls.bump_lsu(sm_id, kernel, reason, count)
 
     def issue_event(self, sm_id: int, sched_id: int, kernel: int, op: str,
                     cycle: int) -> None:
@@ -209,7 +233,10 @@ class Observability:
     # collection
     def report(self, gpu) -> "ObsReport":
         """Snapshot everything into a plain-data report.  Callable
-        mid-run (the registry folding is pull-based) or at the end."""
+        mid-run (the registry folding is pull-based) or at the end;
+        the machine first settles what it owes (``GPU.settle``), so
+        batched attribution and deferred LSU replays are all in."""
+        gpu.settle()
         cfg = gpu.config
         registry = self.registry
         # Fold the simulator's pull-based statistics into the registry
@@ -363,8 +390,10 @@ class ObsReport:
     @staticmethod
     def merged(reports: Sequence["ObsReport"]) -> "ObsReport":
         """Combine reports from parallel campaign cells/workers:
-        stall counts and counters accumulate, cycle totals add, kernel
-        names keep the first report's labels."""
+        stall counts and counter totals accumulate, cycle totals add,
+        settings and rates follow :data:`MERGE_RULES` (so a merged rate
+        never exceeds 1), kernel names keep the first report's
+        labels."""
         if not reports:
             raise ValueError("need at least one report")
         first = reports[0]
@@ -374,6 +403,8 @@ class ObsReport:
             schedulers_per_sm=first.schedulers_per_sm,
             kernel_names=list(first.kernel_names),
         )
+        #: rate name -> [sum of rate x base, base counter's name].
+        weighted: Dict[str, List] = {}
         for report in reports:
             out.cycles += report.cycles
             for key, v in report.sched_stalls.items():
@@ -381,8 +412,18 @@ class ObsReport:
             for key, v in report.lsu_stalls.items():
                 out.lsu_stalls[key] = out.lsu_stalls.get(key, 0) + v
             for name, v in report.counters.items():
-                out.counters[name] = out.counters.get(name, 0) + v
+                rule = _merge_rule(name)
+                if rule is None:
+                    out.counters[name] = out.counters.get(name, 0) + v
+                elif rule == MERGE_LAST:
+                    out.counters[name] = v
+                else:
+                    cell = weighted.setdefault(name, [0.0, rule])
+                    cell[0] += v * report.counters.get(rule, 0)
             out.trace_dropped += report.trace_dropped
+        for name, (total, base_name) in weighted.items():
+            base = out.counters.get(base_name, 0)
+            out.counters[name] = total / base if base else 0.0
         out.phases = merge_phase_records([report.phases
                                           for report in reports])
         return out

@@ -105,9 +105,12 @@ def adapt_events_from_record(record: Dict[str, object]) -> List[AdaptEvent]:
 class PhaseSampler:
     """Windowed phase sampler for one observed run.
 
-    Driven by the engine's reference cycle loop (one ``on_cycle`` call
-    per simulated cycle); all reads are pull-based, so the sampler can
-    never perturb simulation state.  ``snapshot`` is non-destructive —
+    Driven by the engine: the oracle's loop calls ``on_cycle`` once
+    per simulated cycle; the production machine runs to each interval
+    boundary, settles what it owes for the cycles before it
+    (``GPU.settle``) and calls ``on_cycle`` for the boundary's last
+    cycle only.  All reads are pull-based, so the sampler can never
+    perturb simulation state.  ``snapshot`` is non-destructive —
     a partial tail interval is measured into the returned record
     without committing baselines, so mid-run reports stay exact and a
     later final report re-measures the (longer) tail correctly.
@@ -153,8 +156,9 @@ class PhaseSampler:
     # ------------------------------------------------------------------
     # sampling
     def on_cycle(self, cycle: int, gpu) -> None:
-        """End-of-cycle hook from the engine's reference loop; commits
-        one sample whenever an interval boundary completes."""
+        """End-of-cycle hook from the engine (every cycle on the
+        oracle, boundary cycles only on the production machine);
+        commits one sample whenever an interval boundary completes."""
         upto = cycle + 1
         if upto % self.interval == 0:
             self._append(self._measure(upto, gpu, commit=True))

@@ -20,6 +20,7 @@ from repro.obs.collector import ObsLike, resolve_obs
 from repro.obs.registry import process_registry
 from repro.sim.sm import StreamingMultiprocessor
 from repro.sim.stats import (
+    SELF_OBS_REGISTRY,
     SLEEP_CAUSES,
     KernelStats,
     RunResult,
@@ -130,8 +131,13 @@ class GPU:
 
     ``obs`` enables the observability layer (``True``, an
     :class:`~repro.obs.ObsOptions`, or a prepared
-    :class:`~repro.obs.Observability`).  Observed runs use the oracle
-    so stall attribution is exact — simulated results stay
+    :class:`~repro.obs.Observability`) on whichever machine
+    ``reference`` selects: it is orthogonal to the switch.  The
+    production machine observes itself exactly — cycles it does not
+    execute one by one (scheduler skips, autopilot bursts, SM sleeps,
+    engine leaps, deferred LSU replays) are attributed in batches,
+    settled before anything reads them (:meth:`settle`) — and its
+    report equals the oracle's field for field; simulated results stay
     bit-identical to an unobserved run.
     """
 
@@ -143,11 +149,6 @@ class GPU:
         if not launches:
             raise ValueError("need at least one kernel launch")
         self.obs = resolve_obs(obs)
-        if self.obs is not None:
-            # Per-cycle stall attribution requires every cycle to be
-            # ticked: the fast loop's sleep hints skip exactly the
-            # cycles whose non-issue the taxonomy must classify.
-            reference = True
         if reference is None:
             reference = _reference_from_env()
         self.reference = reference
@@ -178,6 +179,12 @@ class GPU:
                 self.kernel_stats, self.timeline, fastpath=not reference,
                 obs=self.obs, wheel=self.wheel))
         self.cycles_run = 0
+        #: the fast loop's own work: cycle leaps taken, cycles they
+        #: skipped, and leap landings at which nothing ran at all (a
+        #: stale wheel entry's inert wake).
+        self._leaps = 0
+        self._leapt_cycles = 0
+        self._inert_wakes = 0
         #: what _sleep_report last added to the process registry.
         self._sleep_reported: Dict[str, int] = {}
         if self.obs is not None:
@@ -204,62 +211,96 @@ class GPU:
         """Simulate ``max_cycles`` core cycles and collect results."""
         if max_cycles < 1:
             raise ValueError("max_cycles must be positive")
-        # Bind the per-cycle callees to locals: the loop body is pure
-        # dispatch, so attribute lookups would be a measurable share.
-        memory_tick = self.memory.tick
-        sm_ticks = [sm.tick for sm in self.sms]
         start = self.cycles_run
         end = start + max_cycles
+        obs = self.obs
+        sampler = obs.sampler if obs is not None else None
         if self.reference:
-            obs = self.obs
-            if obs is not None and obs.sampler is not None:
+            # Bind the per-cycle callees to locals: the loop body is
+            # pure dispatch, so attribute lookups would be a measurable
+            # share.
+            memory_tick = self.memory.tick
+            sm_ticks = [sm.tick for sm in self.sms]
+            if sampler is not None:
                 # Sampled reference loop: identical simulation order,
                 # plus an end-of-cycle pull-based sample hook and the
                 # current-cycle gauge that timestamps the adaptation
                 # event log.  Nothing feeds back into the components,
                 # so results stay bit-identical to the plain loops.
-                sampler_tick = obs.sampler.on_cycle
+                sampler_tick = sampler.on_cycle
                 for cycle in range(start, end):
                     obs.cycle = cycle
                     memory_tick(cycle)
                     for sm_tick in sm_ticks:
                         sm_tick(cycle)
                     sampler_tick(cycle, self)
-                self.cycles_run = end
-                return self._collect()
-            for cycle in range(start, end):
-                memory_tick(cycle)
-                for sm_tick in sm_ticks:
-                    sm_tick(cycle)
-            self.cycles_run = end
-            return self._collect()
-        # Fast loop with a latency-shadow leap: when every SM is asleep
-        # past cycle+1 and the backend queues are drained, nothing can
-        # happen until the earliest posted wheel event — jump there
-        # directly.  SM sleeps, scheduler wakes, scheduled memory
-        # events and DRAM service completions all post their cycles
-        # into the wheel, so the leap target is one amortised-O(1)
-        # query instead of a scan over every component.  The backend
-        # accounts for the leapt cycles in one batch (skip_cycles, a
-        # provable no-op replay); each SM's tick catches up its
-        # rotation state from the cycle gap.  Stale wheel entries
-        # (events that resolved early) at worst wake the engine for one
-        # inert tick — exactly what the reference loop would have
-        # executed.
-        #
-        # Sleeping SMs are skipped here rather than inside tick(): in a
-        # memory-pipeline stall most SMs sleep most cycles, and a
-        # Python call apiece would dominate the loop.  Awake SMs still
-        # tick in sm_id order (pool slot ids depend on it), and an SM's
-        # tick touches no other SM's sleep horizon, so folding the
-        # all-asleep scan into the same pass is exact.
-        sm_pairs = list(zip(self.sms, sm_ticks))
+            else:
+                for cycle in range(start, end):
+                    memory_tick(cycle)
+                    for sm_tick in sm_ticks:
+                        sm_tick(cycle)
+        elif sampler is None:
+            self._run_fast(start, end, self.memory.tick)
+        else:
+            # Sampled fast loop: run to each interval boundary, settle
+            # what the machine owes for the cycles before it, and
+            # sample there — the state the sampled reference loop reads
+            # at the end of the boundary's last cycle.  Settling early
+            # is exact because every debt is additive (a run boundary
+            # does the same); the leap never crosses a boundary, so the
+            # occupancy gauges are read at the cycle they describe.
+            memory_tick = self.memory.tick
+
+            def stamped_tick(cycle: int) -> bool:
+                # The cycle gauge that timestamps adaptation events.
+                obs.cycle = cycle
+                return memory_tick(cycle)
+
+            interval = sampler.interval
+            cycle = start
+            while cycle < end:
+                stop = min(end, cycle - cycle % interval + interval)
+                self._run_fast(cycle, stop, stamped_tick)
+                if stop % interval == 0:
+                    self.settle(stop)
+                    sampler.on_cycle(stop - 1, self)
+                cycle = stop
+        self.cycles_run = end
+        return self._collect()
+
+    def _run_fast(self, start: int, end: int, memory_tick) -> None:
+        """The production cycle loop over ``[start, end)``.
+
+        Fast loop with a latency-shadow leap: when every SM is asleep
+        past cycle+1 and the backend queues are drained, nothing can
+        happen until the earliest posted wheel event — jump there
+        directly.  SM sleeps, scheduler wakes, scheduled memory events
+        and DRAM service completions all post their cycles into the
+        wheel, so the leap target is one amortised-O(1) query instead
+        of a scan over every component.  The backend accounts for the
+        leapt cycles in one batch (skip_cycles, a provable no-op
+        replay); each SM's tick catches up its rotation state from the
+        cycle gap.  Stale wheel entries (events that resolved early) at
+        worst wake the engine for one inert tick — exactly what the
+        reference loop would have executed.
+
+        Sleeping SMs are skipped here rather than inside tick(): in a
+        memory-pipeline stall most SMs sleep most cycles, and a Python
+        call apiece would dominate the loop.  Awake SMs still tick in
+        sm_id order (pool slot ids depend on it), and an SM's tick
+        touches no other SM's sleep horizon, so folding the all-asleep
+        scan into the same pass is exact.
+        """
+        sms = self.sms
+        sm_pairs = [(sm, sm.tick) for sm in sms]
         leapable = self.memory.leapable
         skip_cycles = self.memory.skip_cycles
         wheel_next = self.wheel.next_after
+        leaps = leapt = inert = 0
+        landed = -1
         cycle = start
         while cycle < end:
-            memory_tick(cycle)
+            quiet = memory_tick(cycle)
             nxt = cycle + 1
             all_asleep = True
             for sm, sm_tick in sm_pairs:
@@ -272,36 +313,74 @@ class GPU:
                 if target > end:
                     target = end
                 if target > nxt:
+                    if quiet and cycle == landed and not any(
+                            sm._last_tick == cycle for sm in sms):
+                        # The last leap landed on a cycle at which
+                        # neither the backend nor any SM did anything.
+                        inert += 1
                     skip_cycles(target - nxt)
-                    nxt = target
+                    leaps += 1
+                    leapt += target - nxt
+                    landed = nxt = target
             cycle = nxt
-        self.cycles_run = end
-        return self._collect()
+        self._leaps += leaps
+        self._leapt_cycles += leapt
+        self._inert_wakes += inert
+
+    def settle(self, upto: Optional[int] = None) -> None:
+        """Pay what the production machine owes for the cycles before
+        ``upto`` (default: all simulated so far), so every counter and
+        the observed stall tables read as if each cycle had been
+        executed on its own.  Per SM, in this order: the sleep debt (a
+        memory-stall sleep's settle adds owed stall replays, see
+        ``SM._settle_sleep_debt``), the LSU's deferred stall replays
+        (``LoadStoreUnit._flush_stall_debt``), then the owed issue-slot
+        attribution (``SM._obs_settle``).  Idempotent and additive:
+        settling a prefix now and the rest later equals settling once.
+        A no-op on the oracle, which owes nothing."""
+        if upto is None:
+            upto = self.cycles_run
+        observed = self.obs is not None
+        for sm in self.sms:
+            sm._settle_sleep_debt(upto)
+            sm.lsu._flush_stall_debt()
+            if observed:
+                sm._obs_settle(upto)
 
     def _sleep_report(self) -> Dict[str, int]:
-        """Cumulative sleep accounting of this GPU (see
+        """Cumulative self-observability of this GPU (see
         ``RunResult.sleep``); what is new since the last collection is
-        also added to the process-wide ``sim.sleep.*`` counters."""
-        report = {cause: sum(sm._slept[i] for sm in self.sms)
+        also added to the process-wide counters named in
+        :data:`~repro.sim.stats.SELF_OBS_REGISTRY`."""
+        sms = self.sms
+        report = {cause: sum(sm._slept[i] for sm in sms)
                   for i, cause in enumerate(SLEEP_CAUSES)}
-        report["sm_cycles"] = self.cycles_run * len(self.sms)
+        report["sm_cycles"] = self.cycles_run * len(sms)
         report["stall_replays_batched"] = sum(
-            sm.lsu.replays_batched for sm in self.sms)
+            sm.lsu.replays_batched for sm in sms)
+        report["leaps"] = self._leaps
+        report["leap_cycles"] = self._leapt_cycles
+        report["wheel_inert_wakes"] = self._inert_wakes
+        pool = getattr(self.memory, "pool", None)  # None on the oracle
+        live_pool = pool is not None
+        report["pool_high_water"] = pool.high_water() if live_pool else 0
+        report["pool_grows"] = pool.grows if live_pool else 0
+        report["obs_batched_slots"] = sum(sm._obs_batched for sm in sms)
         registry = process_registry()
-        for name, value in report.items():
-            registry.bump(f"sim.sleep.{name}",
-                          value - self._sleep_reported.get(name, 0))
+        reported = self._sleep_reported
+        for key, value in report.items():
+            name = SELF_OBS_REGISTRY[key]
+            if key == "pool_high_water":
+                # A peak, not a total: the registry keeps the highest.
+                gauge = registry.gauge(name)
+                gauge.set(max(gauge.value, value))
+            else:
+                registry.bump(name, value - reported.get(key, 0))
         self._sleep_reported = report
         return dict(report)
 
     def _collect(self) -> RunResult:
-        for sm in self.sms:
-            # Settle sleep accounting, then the batched LSU stall
-            # accounting, before the stats reads below — in that order:
-            # a memory-stall sleep's settle adds owed stall replays
-            # (see SM._settle_sleep_debt, LoadStoreUnit._flush_stall_debt).
-            sm._settle_sleep_debt(self.cycles_run)
-            sm.lsu._flush_stall_debt()
+        self.settle()
         cfg = self.config
         cycles = self.cycles_run
         slots = [launch.slot for launch in self.launches]

@@ -15,8 +15,9 @@ One class, two ticks, one per machine (see ``repro.sim.engine.GPU``):
 :meth:`LoadStoreUnit.tick` is the oracle's plain specification — object
 ``MemRequest``s, one L1D lookup per replayed cycle — and
 :meth:`LoadStoreUnit._tick_pooled` is the production tick over pool
-slots, which memoises a stalled head's verdict and lets the SM sleep
-through the replays.  The owning SM binds one of them for the run.
+slots, which memoises a stalled head's verdict, defers the replays'
+stats into one batch and lets the SM sleep through them — observed or
+not.  The owning SM binds one of them for the run.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class LoadStoreUnit:
                  "_current_request", "_stall_memo", "_stall_owed",
                  "stall_cycles", "busy_cycles",
                  "bypass_by_kernel", "_obs", "pool", "_inline_stats",
-                 "_defer_ok", "_rsfail_hook", "replays_batched")
+                 "_rsfail_hook", "replays_batched")
 
     def __init__(self, sm_id: int, l1: L1DCache, queue_depth: int = LSU_QUEUE_DEPTH,
                  width: int = 2):
@@ -69,11 +70,12 @@ class LoadStoreUnit:
         #: against.
         self._stall_memo = None
         #: replayed-stall cycles whose stats bumps are deferred (memo
-        #: valid, no observability): the whole stretch is paid in one
-        #: batch when the stall breaks (``_flush_stall_debt``) or at
-        #: result collection.  Observable state is identical to
-        #: per-cycle replay because nothing reads the counters — or the
-        #: limiter's additive rsfail count, see ``_rsfail_hook`` — while
+        #: valid): the whole stretch is paid in one batch when the
+        #: stall breaks (``_flush_stall_debt``) or the engine settles
+        #: (result collection, a phase-sample boundary).  Observable
+        #: state is identical to per-cycle replay because nothing reads
+        #: the counters — or the limiter's additive rsfail count, see
+        #: ``_rsfail_hook``, or the observed LSU stall taxonomy — while
         #: the debt is outstanding.  A stall-sleeping SM adds its slept
         #: cycles here in one step on wake-up.
         self._stall_owed = 0
@@ -94,25 +96,23 @@ class LoadStoreUnit:
         self.pool = getattr(l1, "pool", None)
         #: production-tick per-run constants resolved by the owning SM:
         #: the kernel-stats dict when the per-request SM hook reduces
-        #: to one stats bump (else None), whether stall replays may
-        #: defer their stats (no obs), and the limiter's batchable
+        #: to one stats bump (else None), and the limiter's batchable
         #: ``note_rsfail(kernel, count)`` when it is not the base-class
         #: no-op (else None).  MILG's rsfail count is purely additive
         #: and read only inside ``note_request``, which this LSU cannot
         #: reach before a failed memo check has flushed the debt.
         self._inline_stats = None
-        self._defer_ok = False
         self._rsfail_hook = None
 
     def can_accept(self) -> bool:
         return len(self.queue) < self.queue_depth
 
     def _flush_stall_debt(self) -> None:
-        """Settle deferred stall replays: pay the owed stats bumps and
-        stall cycles for the memoised verdict in one batch.  Must run
-        before anything reads ``stall_cycles`` or the L1 stats (the
-        engine's result collection does) and whenever the memo's
-        premise breaks."""
+        """Settle deferred stall replays: pay the owed stats bumps,
+        stall cycles and (observed runs) LSU stall taxonomy entries for
+        the memoised verdict in one batch.  Must run before anything
+        reads ``stall_cycles``, the L1 stats or the stall table
+        (``GPU.settle`` does) and whenever the memo's premise breaks."""
         owed = self._stall_owed
         if not owed:
             return
@@ -128,6 +128,9 @@ class LoadStoreUnit:
         hook = self._rsfail_hook
         if hook is not None:
             hook(kernel, owed)
+        obs = self._obs
+        if obs is not None:
+            obs.lsu_rsfail(self.sm_id, kernel, result, owed)
 
     def enqueue(self, inst: MemInst) -> None:
         if not self.can_accept():
@@ -181,8 +184,7 @@ class LoadStoreUnit:
                 self.stall_cycles += 1
                 sm.on_rsfail(request.kernel, cycle)
                 if obs is not None:
-                    obs.lsu_rsfail(self.sm_id, request.kernel,
-                                   result, cycle)
+                    obs.lsu_rsfail(self.sm_id, request.kernel, result)
                 return
 
             busy = True
@@ -212,14 +214,14 @@ class LoadStoreUnit:
         as ``(slot, line, kernel, is_store, bypass)``, and the L1 is a
         :class:`~repro.mem.cache.PooledL1DCache`.  Control flow and
         stats order mirror :meth:`tick` exactly; on top, a stalled
-        head's verdict is memoised (``_stall_memo``) and, when nothing
-        observes the replays one by one (``_defer_ok``), their stats
-        bumps are deferred into ``_stall_owed`` (bit-identity is swept
-        in tests/test_fastpath.py and tests/test_pooled_identity.py).
+        head's verdict is memoised (``_stall_memo``) and the replays'
+        stats bumps are deferred into ``_stall_owed`` (bit-identity,
+        observed reports included, is swept in tests/test_fastpath.py
+        and tests/test_pooled_identity.py).
 
         Returns True when the cycle ends with the head stalled on a
-        memoised verdict whose replays are deferrable: until
-        ``l1.version`` moves, every further tick is exactly
+        memoised verdict: until ``l1.version`` moves, every further
+        tick is exactly
         ``_stall_owed += 1`` — the state the owning SM may sleep
         through (see ``StreamingMultiprocessor.tick``).  ``_stall_owed``
         is non-zero then iff this tick already was such a replay (a
@@ -235,7 +237,7 @@ class LoadStoreUnit:
             # runs before any of the loop bindings below.
             current = self._current_request
             if (current is not None and memo[0] == current[0]
-                    and self._defer_ok and memo[1] == l1.version
+                    and memo[1] == l1.version
                     and memo[2] is l1.tags.partition):
                 self._stall_owed += 1
                 return True
@@ -279,23 +281,14 @@ class LoadStoreUnit:
                 if (memo[0] == slot and memo[1] == l1.version
                         and memo[2] is l1.tags.partition):
                     # Nothing a failing lookup depends on changed since
-                    # the last replay: replay the verdict and its stats
-                    # bumps without walking the cache — or defer even
-                    # the bumps, settled when the stall breaks.
-                    if self._defer_ok:
-                        self._stall_owed += 1
-                        return True
-                    result = memo[3]
-                    stats = l1.stats
-                    stats.rsfails[kernel] += 1
-                    stats.rsfail_reasons[result] += 1
-                else:
-                    if self._stall_owed:
-                        self._flush_stall_debt()
-                    result = access_slot(slot, line, kernel, is_store,
-                                         bypass)
-            else:
-                result = access_slot(slot, line, kernel, is_store, bypass)
+                    # the last replay: it fails identically, so skip
+                    # the cache walk and defer the stats bumps, settled
+                    # when the stall breaks.
+                    self._stall_owed += 1
+                    return True
+                if self._stall_owed:
+                    self._flush_stall_debt()
+            result = access_slot(slot, line, kernel, is_store, bypass)
             if result in rsfails:
                 # Memory pipeline stall: replay the request next cycle.
                 self._stall_memo = (slot, l1.version,
@@ -303,8 +296,8 @@ class LoadStoreUnit:
                 self.stall_cycles += 1
                 sm.on_rsfail(kernel, cycle)
                 if obs is not None:
-                    obs.lsu_rsfail(self.sm_id, kernel, result, cycle)
-                return self._defer_ok
+                    obs.lsu_rsfail(self.sm_id, kernel, result)
+                return True
 
             busy = True
             self._stall_memo = None

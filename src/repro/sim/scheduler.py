@@ -36,6 +36,7 @@ Hot-loop design (the selection loop dominates whole-simulation cost):
 
 from __future__ import annotations
 
+import itertools
 from bisect import insort
 from typing import Callable, List, Optional
 
@@ -404,9 +405,13 @@ class WarpScheduler:
         work left; warp/op are ``None``).
 
         Unlike :meth:`_priority_order` this never mutates scheduler
-        state: it reconstructs the priority order the preceding
-        ``select`` call used this cycle (for LRR, ``select`` already
-        advanced the rotation, hence the ``- 1``).
+        state: it walks the priority order the preceding ``select``
+        call used this cycle (for LRR, ``select`` already advanced the
+        rotation, hence the ``- 1``).  ``warps`` is kept age-sorted by
+        :meth:`add_warp`, so the GTO order is the greedy warp followed
+        by the list itself — no sort; meeting the greedy warp a second
+        time at its age position is a no-op (it returned, was recorded
+        as the blocked candidate, or has no work).
         """
         warps = self.warps
         n = len(warps)
@@ -416,11 +421,10 @@ class WarpScheduler:
             start = (self._lrr_pos - 1) % n
             order = warps[start:] + warps[:start]
         else:
-            order = sorted(warps, key=_age_of)
+            order = warps
             greedy = self._greedy
             if greedy is not None and greedy in warps:
-                order.remove(greedy)
-                order.insert(0, greedy)
+                order = itertools.chain((greedy,), warps)
         blocked = None
         blocked_op = None
         for warp in order:
@@ -435,6 +439,42 @@ class WarpScheduler:
         if blocked is None:
             return None, None, "empty"
         return blocked, blocked_op, "blocked"
+
+    def stall_verdict(self, cycle: int):
+        """:meth:`first_ready` for a stretch of cycles this scheduler
+        is not scanned in: ``(status, warps)`` where ``warps[i]`` is the
+        warp :meth:`first_ready` names when LRR's rotation starts at
+        position ``i`` (one entry under GTO, or when rotation cannot
+        matter; ``None`` entries for ``"empty"``).  The status does not
+        depend on the rotation — a ready warp anywhere outranks every
+        blocked one — so one pass classifies the warps and a second,
+        backwards over the doubled list, finds each start's pick."""
+        warps = self.warps
+        n = len(warps)
+        if not self._is_lrr or n < 2:
+            warp, _op, status = self.first_ready(cycle)
+            return status, (warp,)
+        level = [0] * n
+        best = 0
+        for i, warp in enumerate(warps):
+            if warp.stream.next_op is None:
+                continue
+            if warp.ready_at <= cycle and warp.outstanding_loads < warp.mlp:
+                level[i] = best = 2
+            else:
+                level[i] = 1
+                if not best:
+                    best = 1
+        if not best:
+            return "empty", (None,)
+        picks = [None] * n
+        pick = None
+        for i in range(2 * n - 1, -1, -1):
+            if level[i % n] == best:
+                pick = warps[i % n]
+            if i < n:
+                picks[i] = pick
+        return ("ready" if best == 2 else "blocked"), picks
 
     def _select_reference(self, cycle: int,
                           mem_ok: Callable[[Warp, str], bool],

@@ -47,6 +47,31 @@ from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
 #: whole-SM sleep causes as indices into ``_slept`` (SLEEP_CAUSES order).
 SLEEP_IDLE, SLEEP_BURST, SLEEP_STALL = range(len(SLEEP_CAUSES))
 
+#: ``WarpScheduler.stall_verdict`` status -> the reason a scheduler
+#: that is not being scanned owes its issue slots to.  ``ready`` can
+#: only be the memory-stall memo (every ready warp holds a memory
+#: instruction and the LSU queue is full).
+_FROZEN_REASON = {"ready": STALL_LSU_FULL, "blocked": STALL_SCOREBOARD,
+                  "empty": STALL_NO_WARP}
+
+
+class _OwedSlots:
+    """Issue slots ``first ..`` of one scheduler that stall attribution
+    still owes, all to one frozen verdict: ``reason`` charged to
+    ``kernels[(start + i) % len(kernels)]`` for the i-th owed slot (one
+    kernel unless LRR's rotation moves the pick), valid while the
+    scheduler is not scanned and ``cycle < until``."""
+
+    __slots__ = ("first", "reason", "kernels", "start", "until")
+
+    def __init__(self, first: int, reason: str, kernels, start: int,
+                 until: int):
+        self.first = first
+        self.reason = reason
+        self.kernels = kernels
+        self.start = start
+        self.until = until
+
 
 class SMKernelState:
     """Per-SM runtime state for one resident kernel."""
@@ -86,6 +111,14 @@ class StreamingMultiprocessor:
         #: BMI arbitration without a compute fallback.
         self._obs_issued: Dict[int, int] = {}
         self._obs_lost: Dict[int, int] = {}
+        #: scheduler id -> the stretch of issue slots attribution still
+        #: owes (see ``_obs_account``), the table they are paid into
+        #: (None with obs off: nothing is ever owed then), and how many
+        #: slots were paid in such batches (self-observability).
+        self._obs_owed: List[Optional[_OwedSlots]] = (
+            [None] * config.schedulers_per_sm)
+        self._stall_table = obs.stalls if obs is not None else None
+        self._obs_batched = 0
 
         self.lsu = LoadStoreUnit(sm_id, l1, width=config.lsu_width)
         self.lsu._obs = obs
@@ -165,12 +198,11 @@ class StreamingMultiprocessor:
             and bundle.ucp is None
         )
         # Everything the pooled LSU tick's per-call checks depend on
-        # (hook inertness, timeline, obs) is fixed for the run:
-        # resolve them into the LSU once instead of per cycle.
+        # (hook inertness, timeline) is fixed for the run: resolve
+        # them into the LSU once instead of per cycle.
         self.lsu._inline_stats = (
             kernel_stats
             if self._mem_hooks_inert and timeline is None else None)
-        self.lsu._defer_ok = obs is None
         if lim_cls.note_rsfail is not MemInstLimiter.note_rsfail:
             self.lsu._rsfail_hook = bundle.limiter.note_rsfail
         #: the baseline policy's pick is pure "first proposer wins":
@@ -226,15 +258,19 @@ class StreamingMultiprocessor:
         #: issue autopilot eligibility (see WarpScheduler._auto_warp):
         #: after a compute issue the greedy warp's run of consecutive
         #: ALU ops is issued one per cycle without re-running select().
-        #: Bursts bypass _issue_compute's gate/timeline/obs hooks, so
+        #: Bursts bypass _issue_compute's gate/timeline/trace hooks, so
         #: autopilot only arms when all of those are provably inert,
         #: and only under GTO (the burst relies on the greedy warp
-        #: holding priority[0] between issues).
+        #: holding priority[0] between issues).  Stall attribution
+        #: needs no hook: a burst's slots are owed as ``issued`` to the
+        #: bursting kernel (see ``_obs_account``); only a recorded
+        #: trace wants its per-issue slices and keeps the burst off.
         self._auto_ok = (fastpath
                          and config.scheduler_policy == "gto"
                          and bundle.smk_gate is None
                          and timeline is None
-                         and obs is None)
+                         and not (obs is not None
+                                  and obs.trace is not None))
         # Scheme window boundaries (DMIL limit recompute, QBMI quota
         # replenish, Req/Minst refresh) change issue eligibility with
         # no scheduler wake attached: register them as conservative
@@ -327,6 +363,11 @@ class StreamingMultiprocessor:
         self._used_regs += profile.regs_per_thread * profile.threads_per_tb
         self._used_smem += profile.smem_per_tb
         self.kernel_stats[launch.slot].tbs_launched += 1
+        if self._obs is not None:
+            # New warps change who a latency-asleep scheduler's slots
+            # are owed to (an empty one now has work): pay up to here.
+            for sched in self.schedulers:
+                self._obs_thaw(sched, cycle)
 
     def _retire_tb(self, tb: ThreadBlock) -> None:
         profile = tb.profile
@@ -487,6 +528,9 @@ class StreamingMultiprocessor:
                 sched._auto_warp = None
                 warp.stream.rewind_alu(sched._auto_left)
                 sched._auto_left = 0
+                if self._obs is not None:
+                    # The burst's owed ``issued`` slots end here.
+                    self._obs_close(sched.sched_id, cycle)
             if fastpath:
                 if cycle < sched._next_wake:
                     # select()'s latency-sleep early-out, inlined to
@@ -605,6 +649,14 @@ class StreamingMultiprocessor:
                                          else SLEEP_IDLE)
                 self._sleep_bursting = bursting
                 self._sleep_until = wake
+                if self._obs is not None:
+                    # Every scheduler is frozen from the next cycle on:
+                    # name the verdict its slept slots are owed to.
+                    owed = self._obs_owed
+                    for sched in self.schedulers:
+                        if owed[sched.sched_id] is None:
+                            owed[sched.sched_id] = self._obs_freeze(
+                                sched, cycle + 1)
                 wheel = self._wheel
                 if wheel is not None and wake < NEVER:
                     # Post the wake so the engine's leap target covers
@@ -732,6 +784,17 @@ class StreamingMultiprocessor:
         same-cycle races (e.g. a gate quota consumed between selection
         and attribution) land in ``other``.
 
+        A scheduler the production machine does not scan — mid-burst on
+        the issue autopilot, latency-asleep until ``_next_wake``, or
+        behind the memory-stall memo — repeats one verdict for the whole
+        stretch (docs/PERF.md, "Attribution debts"), so its slots are
+        *owed* (``_obs_owed``) and charged ``reason x gap`` when the
+        stretch ends: here, at the disarm, launch and load-return hooks,
+        or when the engine settles.  A whole-SM sleep is every
+        scheduler's stretch running on while this is not called at all.
+        The oracle never sets the hints below, so it classifies every
+        slot on the spot.
+
         ``obs`` is the already-guarded sentinel: the caller only
         reaches here under ``if self._obs is not None``.
         """
@@ -739,15 +802,43 @@ class StreamingMultiprocessor:
         sm_id = self.sm_id
         issued = self._obs_issued
         lost = self._obs_lost
+        owed = self._obs_owed
         for sched in self.schedulers:
             sid = sched.sched_id
             k = issued.get(sid)
+            stretch = owed[sid]
+            if stretch is not None:
+                reason = stretch.reason
+                if reason is ISSUED:
+                    # Still armed after the scheduler loop: this cycle
+                    # was a burst pop (a disarm closes the stretch).
+                    if not sched._auto_left:
+                        self._obs_close(sid, cycle + 1)
+                    continue
+                if (k is None and sid not in lost and cycle < stretch.until
+                        and (reason is not STALL_LSU_FULL
+                             or (sched._mem_stalled
+                                 and not self._lsu_free))):
+                    continue
+                self._obs_close(sid, cycle)
             if k is not None:
                 table.bump_sched(sm_id, sid, k, ISSUED)
+                if sched._auto_left:
+                    # The issue armed the autopilot: the run's slots
+                    # are this kernel's, one per cycle from the next.
+                    owed[sid] = _OwedSlots(cycle + 1, ISSUED, (k,), 0,
+                                           NEVER)
                 continue
             k = lost.get(sid)
             if k is not None:
                 table.bump_sched(sm_id, sid, k, STALL_BMI_LOSS)
+                continue
+            if cycle < sched._next_wake or (
+                    sched._mem_stalled and not self._lsu_free
+                    and cycle < sched._mem_wake):
+                # Not scanned again before the hint expires: owe this
+                # slot and the following ones to one verdict.
+                owed[sid] = self._obs_freeze(sched, cycle)
                 continue
             warp, op, status = sched.first_ready(cycle)
             if status == "empty":
@@ -776,6 +867,81 @@ class StreamingMultiprocessor:
             table.bump_sched(sm_id, sid, k, reason)
         issued.clear()
         lost.clear()
+
+    def _obs_freeze(self, sched: WarpScheduler, first: int) -> _OwedSlots:
+        """The verdict ``sched``'s slots from cycle ``first`` on are
+        owed to while it is not scanned: what the oracle's per-slot
+        classification reads at ``first``, which nothing but an issue,
+        a launch, a load return or the hint's expiry can change.  Under
+        LRR the pick rotates with ``_lrr_pos`` (advanced once per
+        cycle, here or in ``_pay_sleep_debt``); the rotation start at
+        ``first`` follows from the cycles ``_lrr_pos`` is behind."""
+        status, warps = sched.stall_verdict(first)
+        if status != "ready":
+            until = sched._next_wake
+        elif sched._mem_stalled:
+            until = sched._mem_wake
+        else:
+            # Named by a load return that voided the memo: good for the
+            # cycles this SM sleeps on, not for one it ticks (the scan
+            # there re-derives the memo, maybe for another warp).
+            until = first
+        kernels = tuple(KERNEL_NONE if warp is None else warp.kernel_slot
+                        for warp in warps)
+        start = 0
+        if len(kernels) > 1:
+            start = ((sched._lrr_pos + first - 1 - self._last_tick)
+                     % len(kernels))
+        return _OwedSlots(first, _FROZEN_REASON[status], kernels, start,
+                          until)
+
+    def _obs_pay(self, sid: int, stretch: _OwedSlots, upto: int) -> None:
+        """Charge the owed slots before cycle ``upto``; the stretch
+        stays open from there (attribution is additive)."""
+        gap = upto - stretch.first
+        if gap <= 0:
+            return
+        table = self._stall_table
+        kernels = stretch.kernels
+        n = len(kernels)
+        if n == 1:
+            table.bump_sched(self.sm_id, sid, kernels[0], stretch.reason,
+                             gap)
+        else:
+            start = stretch.start
+            for offset in range(gap):
+                table.bump_sched(self.sm_id, sid,
+                                 kernels[(start + offset) % n],
+                                 stretch.reason)
+            stretch.start = (start + gap) % n
+        stretch.first = upto
+        self._obs_batched += gap
+
+    def _obs_close(self, sid: int, upto: int) -> None:
+        stretch = self._obs_owed[sid]
+        if stretch is not None:
+            self._obs_pay(sid, stretch, upto)
+            self._obs_owed[sid] = None
+
+    def _obs_thaw(self, sched: WarpScheduler, upto: int) -> None:
+        """An event other than an issue changed what stall attribution
+        reads off ``sched``'s warps at cycle ``upto`` (a load return, a
+        launch): end its latency / memory-stall stretch there.  A burst
+        is indifferent to both.  If the SM sleeps on past ``upto``
+        nothing will re-classify the slot, so name the new verdict."""
+        stretch = self._obs_owed[sched.sched_id]
+        if stretch is None or stretch.reason is ISSUED:
+            return
+        self._obs_close(sched.sched_id, upto)
+        if upto < self._sleep_until:
+            self._obs_owed[sched.sched_id] = self._obs_freeze(sched, upto)
+
+    def _obs_settle(self, upto: int) -> None:
+        """Pay every owed issue slot before cycle ``upto`` (the engine
+        settles before anything reads the stall table)."""
+        for sid, stretch in enumerate(self._obs_owed):
+            if stretch is not None:
+                self._obs_pay(sid, stretch, upto)
 
     # ------------------------------------------------------------------
     # scheme event hooks (called by the LSU)
@@ -823,8 +989,14 @@ class StreamingMultiprocessor:
                                                  state.inflight_minsts)
         warp = inst.warp
         if not inst.is_store:
+            sched = warp.sched
             warp.note_load_done(cycle)
             if warp.stream.next_op is None and not warp.outstanding_loads:
+                if self._lrr:
+                    # A sleeping SM owes each scheduler one rotation
+                    # advance per slept cycle *while it owns warps*:
+                    # pay before this retirement can empty one.
+                    self._settle_sleep_debt(cycle)
                 self._finish_warp(warp)
             else:
                 # The returned load may unblock an MLP-capped warp the
@@ -833,8 +1005,7 @@ class StreamingMultiprocessor:
                 # (the exact inverse of the scan_block at issue).
                 if (warp.outstanding_loads == warp.mlp - 1
                         and warp.stream.next_op is not None):
-                    warp.sched.scan_unblock(warp)
-                sched = warp.sched
+                    sched.scan_unblock(warp)
                 sched.wake_at(warp.ready_at)
                 if sched._auto_warp is warp and cycle < self._sleep_until:
                     # The return just raised the bursting warp's
@@ -843,6 +1014,14 @@ class StreamingMultiprocessor:
                     # burst-sleeping SM must tick at ``cycle`` itself
                     # (wake_at above only wakes it at ready_at).
                     self._sleep_until = cycle
+            if self._obs is not None:
+                # The return moved a scoreboard: the warp's scheduler
+                # may owe its slots to another warp from here on — this
+                # cycle's slot when the return came with the memory
+                # tick, the next one's when it came out of this SM's
+                # own LSU tick (after this cycle's accounting).
+                self._obs_thaw(sched, cycle + 1
+                               if self._last_tick == cycle else cycle)
 
     # ------------------------------------------------------------------
     # whole-SM sleep accounting

@@ -24,6 +24,28 @@ from typing import Dict, List, Optional
 #: failure (the paper's memory-pipeline stall).
 SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall")
 
+#: ``RunResult.sleep`` key -> the process-registry name the same
+#: number accumulates under (``repro.obs.process_registry()``): slept
+#: SM-cycles by cause, SM-cycles simulated, LSU stall replays settled
+#: in batches, engine leaps and the cycles they skipped (mean distance
+#: = the ratio), leap landings where nothing ran, the request pool's
+#: peak live slots (a gauge: the registry keeps the highest) and
+#: doublings, and issue slots an observed run attributed in batches
+#: rather than per cycle.
+SELF_OBS_REGISTRY = {
+    "idle": "sim.sleep.idle",
+    "alu_burst": "sim.sleep.alu_burst",
+    "mem_stall": "sim.sleep.mem_stall",
+    "sm_cycles": "sim.sleep.sm_cycles",
+    "stall_replays_batched": "sim.sleep.stall_replays_batched",
+    "leaps": "sim.leap.count",
+    "leap_cycles": "sim.leap.cycles",
+    "wheel_inert_wakes": "sim.wheel.inert_wakes",
+    "pool_high_water": "mem.pool.high_water",
+    "pool_grows": "mem.pool.grows",
+    "obs_batched_slots": "sim.obs.batched_slots",
+}
+
 
 class KernelStats:
     """Counters for one kernel slot, aggregated across SMs."""
@@ -107,12 +129,14 @@ class RunResult:
     #: observability report (stall taxonomy, counter snapshot, trace
     #: events) when the run was observed; None otherwise.
     obs: Optional[object] = None
-    #: the simulator's own sleep accounting — host-side machinery, not
-    #: a simulated quantity, so it is kept out of ``result_signature``
-    #: (the reference loop never sleeps): slept SM-cycles by cause
-    #: (:data:`SLEEP_CAUSES`), ``sm_cycles`` (cycles
-    #: x SMs) and ``stall_replays_batched`` (LSU stall replays settled
-    #: in batches instead of replayed against the L1).
+    #: the simulator's own accounting of its machinery — host-side,
+    #: not a simulated quantity, so it is kept out of
+    #: ``result_signature`` (the oracle never sleeps, leaps, pools or
+    #: batches): slept SM-cycles by cause (:data:`SLEEP_CAUSES`),
+    #: ``sm_cycles`` (cycles x SMs), ``stall_replays_batched`` (LSU
+    #: stall replays settled in batches instead of replayed against the
+    #: L1) and the leap / wheel / request-pool / batched-attribution
+    #: counts keyed as in :data:`SELF_OBS_REGISTRY`.
     sleep: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------

@@ -99,11 +99,52 @@ class TestCLI:
 
         import repro
         src = os.path.dirname(os.path.dirname(repro.__file__))
-        probe = ("import sys, repro.__main__; "
+        probe = ("import sys, repro.__main__, repro.harness.runner, "
+                 "repro.harness.resilience; "
                  "sys.exit('concurrent.futures' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", probe],
                               env=dict(os.environ, PYTHONPATH=src))
         assert done.returncode == 0
+
+    def test_non_simulating_subcommands_never_load_the_simulator(self):
+        """``repro.__main__`` imports per subcommand: lint, dash,
+        compare and schemes finish (one fresh interpreter, in-process
+        ``main`` calls) with neither ``repro.sim`` nor ``repro.mem``
+        loaded — and the lazily exported package names still resolve
+        afterwards."""
+        import os
+        import subprocess
+        import sys
+        import tempfile
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        golden = os.path.join(os.path.dirname(__file__), "golden_artifacts")
+        probe = f"""
+import os, sys
+from repro.__main__ import main
+out = os.path.join(sys.argv[1], "dash.html")
+codes = [
+    main(["schemes"]),
+    main(["lint", "--list-rules"]),
+    main(["lint", "src/repro/obs/stalls.py", "--root", {os.path.dirname(src)!r}]),
+    main(["dash", {golden!r}, out]),
+    main(["compare", {golden!r}, {golden!r}, "--check"]),
+]
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("repro.sim", "repro.mem")))
+assert codes == [0] * 5 and os.path.getsize(out) > 0, codes
+assert not loaded, loaded
+import repro, repro.harness
+assert repro.GPU.__module__ == "repro.sim.engine"
+assert repro.harness.ExperimentRunner.__module__ == "repro.harness.runner"
+assert repro.harness.experiments.__name__ == "repro.harness.experiments"
+"""
+        with tempfile.TemporaryDirectory() as tmp:
+            done = subprocess.run(
+                [sys.executable, "-c", probe, tmp], capture_output=True,
+                text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -7,7 +7,11 @@ cycle — the straightforward scan the seed implementation used.  The
 default ``GPU`` is the production machine (sleep, leap, slot-pooled
 memory path, memoised stall replays).  These tests drive both over the
 scheme space (GTO/LRR, BMI, MIL variants, SMK gating, UCP, L1D bypass)
-and require every collected statistic to match exactly.
+and require every collected statistic to match exactly — and, with
+observability attached to both, every field of the observed report
+(stall taxonomy, counters, phase series, adaptation events): ``obs`` is
+orthogonal to the machine switch, and the production machine's batched
+attribution is held to the oracle's per-cycle one.
 """
 
 import dataclasses
@@ -18,9 +22,10 @@ from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
-from repro.obs import process_registry
+from repro.obs import ObsOptions, process_registry
 from repro.sim.engine import GPU, make_launches
 from repro.sim.sm import SLEEP_STALL
+from repro.sim.stats import SELF_OBS_REGISTRY, SLEEP_CAUSES
 from repro.workloads.profiles import get_profile
 
 CONFIG = scaled_config()
@@ -70,12 +75,27 @@ def build_gpu(kernels, tbs, scheme_kwargs=None, config=CONFIG, seed=7,
                **gpu_kwargs)
 
 
-def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, reference):
+def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, reference, obs=None):
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
     gpu = build_gpu(kernels, tbs, scheme_kwargs, config, seed=3,
-                    reference=reference)
+                    reference=reference, obs=obs)
     assert gpu.reference is reference
     return gpu.run(CYCLES)
+
+
+def slept(result):
+    return sum(result.sleep[cause] for cause in SLEEP_CAUSES)
+
+
+def assert_reports_equal(report, oracle):
+    """Field for field — what "observing the production machine is
+    exact" means."""
+    assert report.sched_stalls == oracle.sched_stalls
+    assert report.lsu_stalls == oracle.lsu_stalls
+    assert report.counters == oracle.counters
+    assert report.phases == oracle.phases
+    assert report.trace_events == oracle.trace_events
+    assert report.cycles == oracle.cycles
 
 
 @pytest.mark.parametrize(
@@ -90,6 +110,94 @@ def test_fast_loop_matches_reference(kernels, tbs, scheme_kwargs,
     # IPC is the paper's headline metric — compare it explicitly too.
     for slot in range(len(kernels)):
         assert fast.ipc(slot) == ref.ipc(slot)
+
+
+@pytest.mark.parametrize(
+    "kernels,tbs,scheme_kwargs,cfg_kwargs",
+    [case[1:] for case in CASES],
+    ids=[case[0] for case in CASES])
+def test_observed_production_report_equals_observed_oracle(
+        kernels, tbs, scheme_kwargs, cfg_kwargs):
+    """The proof obligation of docs/PERF.md "Attribution debts": with
+    the phase sampler on, the production machine's report equals the
+    oracle's field for field, the taxonomies still sum to what they
+    partition, the simulation is untouched — and the run still slept
+    wherever the unobserved one does, so the batching cannot silently
+    stop engaging."""
+    def options():
+        return ObsOptions(phase=True, phase_interval=256)
+
+    oracle = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                      reference=True, obs=options())
+    observed = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                        reference=False, obs=options())
+    plain = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                     reference=False)
+    assert (result_signature(observed) == result_signature(plain)
+            == result_signature(oracle))
+    report = observed.obs
+    assert_reports_equal(report, oracle.obs)
+    assert sum(report.sched_stalls.values()) == report.issue_slots() == (
+        CYCLES * CONFIG.num_sms * CONFIG.schedulers_per_sm)
+    assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles
+    assert observed.sleep["obs_batched_slots"] > 0
+    assert oracle.sleep["obs_batched_slots"] == 0
+    if slept(plain):
+        assert slept(observed) > 0
+
+
+@pytest.mark.parametrize("policy", ("gto", "lrr"))
+def test_observed_split_run_equals_one_run(policy):
+    """run(a); run(b) with ``a`` landing inside a memory-stall sleep —
+    every scheduler mid-stretch, the LSU owing replays — reports what
+    one run(a+b) does, and what the oracle does: settling is additive."""
+    def gpu(**kwargs):
+        return build_gpu(("ks", "ax"), (4, 4), {"mil": "dmil"},
+                         scaled_config(scheduler_policy=policy),
+                         obs=ObsOptions(phase=True, phase_interval=100),
+                         **kwargs)
+
+    split = gpu()
+    head = run_into_stall_sleep(split)
+    assert head.obs.issue_slots() == sum(head.obs.sched_stalls.values())
+    tail = split.run(CYCLES - head.cycles)
+    whole = gpu().run(CYCLES)
+    oracle = gpu(reference=True).run(CYCLES)
+    assert result_signature(tail) == result_signature(oracle)
+    assert_reports_equal(tail.obs, whole.obs)
+    assert_reports_equal(tail.obs, oracle.obs)
+
+
+def test_observed_trace_equals_oracle_trace():
+    """``ObsOptions(trace=True)`` keeps per-issue ticking (no issue
+    autopilot — the sampled issue slices want every issue) but sleeps
+    and leaps like any run; the event list is the oracle's, in order."""
+    def options():
+        return ObsOptions(trace=True, trace_issue_sample=3,
+                          trace_mem_sample=2)
+
+    oracle = run_once(("bp", "cd"), (4, 4), {"mil": "dmil"}, {},
+                      reference=True, obs=options())
+    traced = run_once(("bp", "cd"), (4, 4), {"mil": "dmil"}, {},
+                      reference=False, obs=options())
+    assert traced.obs.trace_events
+    assert_reports_equal(traced.obs, oracle.obs)
+    assert traced.sleep["alu_burst"] == 0 and slept(traced) > 0
+
+
+def test_lrr_rotation_survives_a_retirement_during_sleep():
+    """A load return that retires a scheduler's last warp while its SM
+    sleeps: the scheduler owes one LRR rotation advance per slept cycle
+    *before* the retirement and none after, so the sleep debt has to be
+    paid at the retirement, not at wake-up (found by the observed fuzz
+    leg; the production machine used to lose the advances and pick a
+    different warp once the scheduler refilled)."""
+    config = scaled_config(scheduler_policy="lrr")
+    results = [build_gpu(("s2", "3m"), (1, 2), {"mil": "dmil"}, config,
+                         seed=520, reference=reference).run(2500)
+               for reference in (True, False)]
+    assert result_signature(results[0]) == result_signature(results[1])
+    assert slept(results[1]) > 0
 
 
 def test_reference_env_var_controls_default(monkeypatch):
@@ -111,17 +219,21 @@ def test_malformed_reference_env_var_is_rejected(monkeypatch, value):
     assert build_gpu(("3m",), (1,), reference=True).reference is True
 
 
-def test_one_switch_selects_one_of_two_machines():
+def test_one_switch_selects_one_of_two_machines(monkeypatch):
     """``reference`` is the only substrate switch: it picks the loop
-    and the memory path together, ``obs`` picks the oracle, and the
-    retired ``pooled`` argument is gone rather than ignored."""
-    for reference in (False, True):
-        gpu = build_gpu(("3m",), (1,), reference=reference)
-        assert type(gpu.memory) is (MemorySubsystem if reference
-                                    else PooledMemorySubsystem)
-    observed = build_gpu(("3m",), (1,), obs=True)
-    assert observed.reference is True
-    assert type(observed.memory) is MemorySubsystem
+    and the memory path together, ``obs`` is orthogonal to it (either
+    machine can be observed; the environment variable still decides
+    the default), and the retired ``pooled`` argument is gone rather
+    than ignored."""
+    for obs in (None, True):
+        for reference in (False, True):
+            gpu = build_gpu(("3m",), (1,), reference=reference, obs=obs)
+            assert gpu.reference is reference
+            assert type(gpu.memory) is (MemorySubsystem if reference
+                                        else PooledMemorySubsystem)
+    assert build_gpu(("3m",), (1,), obs=True).reference is False
+    monkeypatch.setenv("REPRO_REFERENCE_LOOP", "1")
+    assert build_gpu(("3m",), (1,), obs=True).reference is True
     with pytest.raises(TypeError):
         build_gpu(("3m",), (1,), **{"pooled": True})
 
@@ -164,30 +276,63 @@ def test_stall_sleep_engages_at_paper_scale():
     silently disengage)."""
     ref = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG,
                     reference=True).run(CYCLES)
-    before = process_registry().snapshot("sim.sleep")
+    before = process_registry().snapshot()
     fast = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG).run(CYCLES)
-    after = process_registry().snapshot("sim.sleep")
+    after = process_registry().snapshot()
     assert result_signature(fast) == result_signature(ref)
     assert fast.sleep_ratio("mem_stall") > 0.5
     assert fast.sleep["sm_cycles"] == CYCLES * MAXWELL_CONFIG.num_sms
     # Every slept stall cycle was settled as a batched replay.
     assert fast.sleep["stall_replays_batched"] >= fast.sleep["mem_stall"]
-    # The same numbers accumulate process-wide as sim.sleep.*.
-    assert {name: after[f"sim.sleep.{name}"] - before[f"sim.sleep.{name}"]
-            for name in fast.sleep} == fast.sleep
+    # The same numbers accumulate process-wide (sim.sleep.* and the
+    # rest of SELF_OBS_REGISTRY); the pool's peak is kept as a maximum.
+    assert sorted(fast.sleep) == sorted(SELF_OBS_REGISTRY)
+    for key, name in SELF_OBS_REGISTRY.items():
+        if key == "pool_high_water":
+            assert after[name] >= fast.sleep[key] > 0
+        else:
+            assert after[name] - before.get(name, 0) == fast.sleep[key]
+    assert fast.sleep["obs_batched_slots"] == 0  # nothing observed it
+
+
+def test_leaps_and_pool_growth_are_counted():
+    """The engine's own work shows in ``RunResult.sleep``: dc on the
+    Table-1 machine idles into cycle leaps (mean distance =
+    leap_cycles / leaps), an M+M mix outgrows the request pool's
+    initial 256 slots; the oracle does neither."""
+    dc = build_gpu(("dc",), (6,), config=MAXWELL_CONFIG).run(CYCLES)
+    assert dc.sleep["leaps"] > 0
+    assert dc.sleep["leap_cycles"] >= dc.sleep["leaps"]
+    assert 0 <= dc.sleep["wheel_inert_wakes"] <= dc.sleep["leaps"]
+    assert 0 < dc.sleep["pool_high_water"] <= 256
+    assert dc.sleep["pool_grows"] == 0
+    mm = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG).run(CYCLES)
+    assert mm.sleep["pool_grows"] > 0
+    assert mm.sleep["pool_high_water"] > 256
+    oracle = build_gpu(("dc",), (6,), config=MAXWELL_CONFIG,
+                       reference=True).run(CYCLES)
+    assert not any(oracle.sleep[key] for key in oracle.sleep
+                   if key != "sm_cycles")
 
 
 def test_stall_sleep_stays_out_of_bypass_and_oracle_runs():
     """No stall, no stall sleep (dc never fails a reservation here);
-    and neither an observed run nor the reference loop ever sleeps."""
+    the reference loop never sleeps, observed or not — and an observed
+    production run sleeps exactly like an unobserved one."""
     dc = build_gpu(("dc",), (4,)).run(CYCLES)
     assert dc.lsu_stall_cycles == 0
     assert dc.sleep["mem_stall"] == 0
-    for oracle_kwargs in ({"obs": True}, {"reference": True}):
+    for oracle_kwargs in ({"reference": True, "obs": True},
+                          {"reference": True}):
         oracle = build_gpu(("ks", "ax"), (4, 4), **oracle_kwargs).run(CYCLES)
         assert oracle.lsu_stall_cycles > 0
         assert oracle.sleep_ratio() == 0.0
         assert oracle.sleep["stall_replays_batched"] == 0
+    plain = build_gpu(("ks", "ax"), (4, 4)).run(CYCLES)
+    observed = build_gpu(("ks", "ax"), (4, 4), obs=True).run(CYCLES)
+    assert observed.sleep["mem_stall"] == plain.sleep["mem_stall"] > 0
+    assert (observed.sleep["stall_replays_batched"]
+            == plain.sleep["stall_replays_batched"] > 0)
 
 
 @pytest.mark.parametrize("scheme_kwargs", ({}, {"mil": "dmil"}),

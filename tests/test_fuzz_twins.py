@@ -1,6 +1,7 @@
 """Property-based fuzzing of the production memory-path components
-against their oracle twins, and of the trace compiler against its
-live-stream oracle.
+against their oracle twins, of the trace compiler against its
+live-stream oracle, and of the production machine's batched stall
+attribution against the oracle's per-cycle one.
 
 The hand-rolled ``random`` fuzz in ``test_request_pool.py`` walks one
 seeded trajectory per twin; this suite lets hypothesis search the
@@ -21,7 +22,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.config import CacheConfig  # noqa: E402
+from repro.config import CacheConfig, scaled_config  # noqa: E402
+from repro.core.arbiter import SchemeConfig  # noqa: E402
+from repro.harness.perfbench import result_signature  # noqa: E402
 from repro.mem.cache import SetAssocCache  # noqa: E402
 from repro.mem.mshr import MSHRFile  # noqa: E402
 from repro.mem.pool import (  # noqa: E402
@@ -29,6 +32,8 @@ from repro.mem.pool import (  # noqa: E402
     ArrayTagStore,
     RequestPool,
 )
+from repro.obs import ObsOptions  # noqa: E402
+from repro.sim.engine import GPU, make_launches  # noqa: E402
 from repro.workloads import trace as ktrace  # noqa: E402
 from repro.workloads.address import (  # noqa: E402
     MixPattern,
@@ -36,6 +41,8 @@ from repro.workloads.address import (  # noqa: E402
     StreamPattern,
 )
 from repro.workloads.kernel import KernelProfile  # noqa: E402
+from repro.workloads.profiles import PROFILES_BY_NAME, get_profile  # noqa: E402
+from tests.test_fastpath import assert_reports_equal  # noqa: E402
 
 pytestmark = pytest.mark.fuzz
 
@@ -200,3 +207,57 @@ def test_compiled_trace_equals_live_stream(cinst, reqs, sfu_frac, write_frac,
     ops_per_warp, lines_per_warp = trace._compile_chunk(chunk_index)
     assert ((ops_per_warp[offset], lines_per_warp[offset])
             == ktrace.live_warp_arrays(profile, warp_index, seed))
+
+
+# ----------------------------------------------------------------------
+# Observed production machine vs observed oracle (docs/PERF.md,
+# "Attribution debts"): random mixes x schemes x seeds x intervals.
+OBS_SCHEMES = (
+    {}, {"bmi": "rbmi"}, {"mil": "dmil"}, {"mil": "gdmil"},
+    {"bmi": "qbmi"}, {"mil": "dmil", "bmi": "qbmi"},
+    {"mil": "smil", "smil_limits": (2, 2)}, {"ucp": True,
+                                             "ucp_interval": 400},
+    {"smk_quotas": (3, 1)}, {"l1d_bypass": (True, False)},
+)
+PER_KERNEL_KEYS = ("smil_limits", "smk_quotas", "l1d_bypass")
+
+
+@settings(FUZZ, max_examples=40)
+@given(kernels=st.lists(st.sampled_from(sorted(PROFILES_BY_NAME)),
+                        min_size=1, max_size=2, unique=True),
+       tbs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       scheme=st.sampled_from(OBS_SCHEMES),
+       policy=st.sampled_from(("gto", "lrr")),
+       seed=st.integers(0, 999),
+       interval=st.sampled_from((None, 64, 100, 256)),
+       split=st.one_of(st.none(), st.integers(1, 899)))
+def test_observed_production_equals_observed_oracle(kernels, tbs, scheme,
+                                                    policy, seed, interval,
+                                                    split):
+    scheme = dict(scheme)
+    for key in PER_KERNEL_KEYS:
+        if key in scheme:
+            scheme[key] = scheme[key][:len(kernels)]
+    if "qbmi" in scheme.values():
+        scheme["qbmi_init_req_per_minst"] = (4,) * len(kernels)
+    config = scaled_config(scheduler_policy=policy)
+    cycles = 900
+
+    def run(reference, pieces):
+        launches = make_launches([get_profile(k) for k in kernels],
+                                 list(tbs[:len(kernels)]), config, seed=seed)
+        obs = (ObsOptions(phase=True, phase_interval=interval)
+               if interval else True)
+        gpu = GPU(config, launches, SchemeConfig(**scheme),
+                  reference=reference, obs=obs)
+        for piece in pieces:
+            result = gpu.run(piece)
+        return result
+
+    oracle = run(True, (cycles,))
+    observed = run(False, (split, cycles - split) if split else (cycles,))
+    assert result_signature(observed) == result_signature(oracle)
+    report = observed.obs
+    assert_reports_equal(report, oracle.obs)
+    assert sum(report.sched_stalls.values()) == report.issue_slots()
+    assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles

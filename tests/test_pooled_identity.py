@@ -4,12 +4,12 @@ bit-identical to the oracle's object path.
 The production machine swaps every memory-pipeline component for its
 struct-of-arrays twin — slot-pooled requests, the array tag store,
 entry-pooled MSHRs, the event-encoded subsystem clock and the
-memoising LSU tick — while the oracle (``reference=True`` and every
-observed run) keeps the ``MemRequest`` object path.  Nothing downstream
-may be able to tell.  tests/test_fastpath.py sweeps the scheme space at
-one seed; this file repeats its nine base cells at a second seed, pins
-stall-sleep engagement per scheme, and covers the (reference, obs)
-matrix and randomized mixes.
+memoising LSU tick — while the oracle (``reference=True``) keeps the
+``MemRequest`` object path; ``obs`` rides on either.  Nothing
+downstream may be able to tell.  tests/test_fastpath.py sweeps the
+scheme space at one seed; this file repeats its nine base cells at a
+second seed, pins stall-sleep engagement per scheme, and covers the
+(reference, obs) matrix and randomized mixes.
 """
 
 import random
@@ -20,7 +20,8 @@ from repro.config import scaled_config
 from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
 from repro.workloads.profiles import PROFILES_BY_NAME
-from tests.test_fastpath import BASE_CASES, CONFIG, CYCLES, build_gpu
+from tests.test_fastpath import (BASE_CASES, CONFIG, CYCLES,
+                                 assert_reports_equal, build_gpu)
 
 
 def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, *, reference,
@@ -28,7 +29,7 @@ def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, *, reference,
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
     gpu = build_gpu(kernels, tbs, scheme_kwargs, config, seed=seed,
                     reference=reference, obs=obs)
-    assert type(gpu.memory) is (MemorySubsystem if reference or obs
+    assert type(gpu.memory) is (MemorySubsystem if reference
                                 else PooledMemorySubsystem)
     return gpu.run(cycles)
 
@@ -74,24 +75,36 @@ def test_pooled_matches_reference_loop():
 
 
 def test_obs_matrix_identical():
-    """All four cells of the (reference, obs) matrix agree: the two
-    unobserved machines, and the observed run either switch value
-    resolves to (``run_once`` checks it is the oracle)."""
+    """All four cells of the (reference, obs) matrix agree on the
+    simulation — ``run_once`` checks each cell runs the machine its
+    ``reference`` value names, observed or not — and the two observed
+    cells on the report: the pooled path's ``PoolSlotView`` hook sites
+    and batched attribution say what the object path says."""
     cells = {}
     for reference in (False, True):
         for obs in (False, True):
-            result = run_once(("st", "sv"), (3, 3), {"mil": "dmil"}, {},
-                              reference=reference, obs=obs)
-            cells[(reference, obs)] = result_signature(result)
-    assert len(set(cells.values())) == 1, cells.keys()
+            cells[(reference, obs)] = run_once(
+                ("st", "sv"), (3, 3), {"mil": "dmil"}, {},
+                reference=reference, obs=obs)
+    assert len({result_signature(result)
+                for result in cells.values()}) == 1, cells.keys()
+    assert_reports_equal(cells[(False, True)].obs, cells[(True, True)].obs)
 
 
 def test_obs_default_prefers_object_path():
-    """``obs=True`` selects the oracle — reference loop, object memory
-    path — so obs runs never observe a machine that sleeps or leaps."""
-    gpu = build_gpu(("st",), (2,), seed=1, obs=True)
-    assert gpu.reference is True
-    assert type(gpu.memory) is MemorySubsystem
+    """The id is historical: ``obs=True`` no longer prefers anything.
+    It observes the production machine — fast loop, pooled memory path,
+    asleep through the stalls it attributes — unless ``reference``
+    says otherwise."""
+    gpu = build_gpu(("st", "sv"), (2, 2), seed=1, obs=True)
+    assert gpu.reference is False
+    assert type(gpu.memory) is PooledMemorySubsystem
+    result = gpu.run(CYCLES)
+    assert result.sleep["mem_stall"] > 0
+    assert result.sleep["obs_batched_slots"] > 0
+    oracle = build_gpu(("st", "sv"), (2, 2), seed=1, obs=True,
+                       reference=True)
+    assert type(oracle.memory) is MemorySubsystem
 
 
 def test_randomized_mixes_fuzz():

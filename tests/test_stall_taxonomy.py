@@ -121,10 +121,21 @@ class TestObsNeutrality:
         assert plain.obs is None
 
     def test_obs_forces_reference_loop(self):
+        """The id is historical: observing forces nothing any more.
+        ``obs`` leaves the machine switch alone, and the production
+        machine's report is the oracle's."""
         cfg = scaled_config()
+        reports = {}
+        for reference in (False, True):
+            launches = make_launches([get_profile("bp")], [2], cfg, seed=3)
+            gpu = GPU(cfg, launches, SchemeConfig(), obs=True,
+                      reference=reference)
+            assert gpu.reference is reference
+            reports[reference] = gpu.run(1500).obs
         launches = make_launches([get_profile("bp")], [2], cfg, seed=3)
-        gpu = GPU(cfg, launches, SchemeConfig(), obs=True)
-        assert gpu.reference is True
+        assert GPU(cfg, launches, SchemeConfig(), obs=True).reference is False
+        assert reports[False].sched_stalls == reports[True].sched_stalls
+        assert reports[False].counters == reports[True].counters
 
 
 class TestReportSurface:
@@ -156,6 +167,35 @@ class TestReportSurface:
         assert merged.cycles == a.cycles + b.cycles
         assert sum(merged.sched_stalls.values()) == merged.issue_slots()
         assert merged.kernel_names == a.kernel_names
+
+    def test_merged_reports_keep_rates_rates(self):
+        """Totals add, but a rate is not a total: the merged DRAM row
+        hit rate is the rate of the merged totals (each cell's rate
+        weighted by its serviced requests), never above 1; settings
+        keep the latest value."""
+        _r1, a = observed(("bp", "cd"), (3, 3), {"mil": "dmil"},
+                          cycles=3000)
+        _r2, b = observed(("bp", "cd"), (3, 3), cycles=3000)
+        merged = ObsReport.merged([a, b])
+        rate_a, rate_b = (r.counters["dram.row_hit_rate"] for r in (a, b))
+        assert rate_a + rate_b > 1.0  # what summing used to report
+        rate = merged.counters["dram.row_hit_rate"]
+        assert min(rate_a, rate_b) <= rate <= max(rate_a, rate_b) <= 1.0
+        served = [r.counters["dram.serviced"] for r in (a, b)]
+        assert rate == pytest.approx(
+            (rate_a * served[0] + rate_b * served[1]) / sum(served))
+        assert not [name for name, value in merged.counters.items()
+                    if "rate" in name and value > 1.0]
+        for name in ("sm0.lsu.stall_cycles", "dram.serviced",
+                     "engine.cycles"):
+            assert merged.counters[name] == (a.counters[name]
+                                             + b.counters[name])
+        assert merged.total("sm*.lsu.stall_cycles") == (
+            a.total("sm*.lsu.stall_cycles") + b.total("sm*.lsu.stall_cycles"))
+        limits = [name for name in a.counters if name.endswith(".limit")]
+        assert limits
+        for name in limits:  # only the DMIL cell has them: kept as is
+            assert merged.counters[name] == a.counters[name]
 
     def test_merged_requires_reports(self):
         with pytest.raises(ValueError):
