@@ -1,5 +1,6 @@
 """CI smoke for the production machine: seconds long, count-based (no
-wall-clock assertion), on the scaled-down config.
+wall-clock assertion), on the scaled-down config except for the two
+legs that name the Table-1 machine.
 
 * production machine (fast loop, slot-pooled memory path) == oracle
   (``GPU(reference=True)``: per-cycle loop, object memory path), bit
@@ -7,9 +8,18 @@ wall-clock assertion), on the scaled-down config.
   (``st+sv-even``);
 * on a second memory-bound leg the two agree again, and the production
   run spends at least ``STALL_SLEEP_FLOOR`` of its SM-cycles in
-  memory-stall sleep — so a refactor that breaks the L1 ``on_release``
+  memory-stall sleep — so a refactor that breaks the L1 release
   wake (divergence) or the engagement condition (share drops to 0)
   fails here, not in the next benchmark run;
+* the paper's mechanism at the paper's machine: Table-1 ``bp+cd``,
+  even partition, DMIL — production == oracle, observed production ==
+  observed oracle, and the SMs sleep through MIL-capped stretches
+  (``mil_capped`` > 0), so the issue-stall memo's wakes (in-flight
+  decrements, limit recomputes) are exercised where they matter;
+* cause-keyed release, by count: on Table-1 ``ks+ax`` the L1 sees at
+  most ``MISSQ_RETRY_BOUND`` ``rsfail_missq`` lookups per accepted
+  primary miss — a fill waking an SM that waits for a miss-queue drain
+  shows up here as futile retries, not as a divergence;
 * observed, by count: with the phase sampler attached, the production
   machine's ``ObsReport`` equals the oracle's field for field on
   ``st+sv`` and on ``bp+cd`` under ``ws-dmil``'s scheme, and a non-zero
@@ -23,11 +33,14 @@ wall-clock assertion), on the scaled-down config.
   pattern that forgets the compiler's draw order fails here too.
 """
 
+import collections
 import sys
 
-from repro.config import scaled_config
+from repro.cke.partition import even_partition
+from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
+from repro.mem.cache import PooledL1DCache
 from repro.obs import ObsOptions, process_registry
 from repro.sim.engine import GPU, make_launches
 from repro.workloads import trace as ktrace
@@ -52,6 +65,19 @@ OBSERVED_WORKLOADS = (
     ("st+sv", ("st", "sv"), (4, 4), SchemeConfig()),
     ("bp+cd", ("bp", "cd"), (4, 4), SchemeConfig(mil="dmil")),
 )
+
+
+#: the Table-1 DMIL leg samples every 128 requests (the paper's 1024
+#: would need ~20k cycles before the first limit exists): limits bite
+#: within a seconds-long run, so MIL-capped sleeps occur.
+TABLE1_DMIL = SchemeConfig(mil="dmil", sample_window=128)
+TABLE1_CYCLES = 3000
+
+#: ``rsfail_missq`` lookups per accepted primary miss on Table-1 ks+ax
+#: over 4000 cycles: 0.88 with releases keyed by cause (0.98 over the
+#: benchmark's 80k cycles), 1.63 (1.85) when any release woke a stalled
+#: SM.  An exact simulated count per seed.
+MISSQ_RETRY_BOUND = 1.2
 
 
 def run(config, kernels, tb_limits, seed, cycles=2000, scheme=None,
@@ -82,13 +108,12 @@ def memory_bound_check(config):
     return identical, production.sleep_ratio("mem_stall")
 
 
-def observed_check(config, kernels, tb_limits, scheme):
+def observed_pair(config, kernels, tb_limits, scheme, cycles=2000):
     """One workload observed (phase sampler on) on the oracle and on
-    the production machine.  Returns ``(identical, batched)``: the two
-    reports and signatures match, and how many issue slots the
-    production run attributed in batches."""
+    the production machine.  Returns ``(identical, production)``: the
+    two reports and signatures match, and the production result."""
     def observe(**gpu_kwargs):
-        return run(config, kernels, tb_limits, 3, scheme=scheme,
+        return run(config, kernels, tb_limits, 3, cycles, scheme=scheme,
                    obs=ObsOptions(phase=True, phase_interval=256),
                    **gpu_kwargs)
 
@@ -99,7 +124,43 @@ def observed_check(config, kernels, tb_limits, scheme):
         and all(getattr(production.obs, field) == getattr(oracle.obs, field)
                 for field in ("sched_stalls", "lsu_stalls", "counters",
                               "phases")))
-    return identical, production.sleep["obs_batched_slots"]
+    return identical, production
+
+
+def table1_dmil_check():
+    """The paper's mechanism at the paper's machine.  Returns
+    ``(identical, observed_identical, slept)``: production == oracle,
+    observed production == observed oracle, and the SM-cycles the
+    production run slept through MIL-capped stretches."""
+    kernels = ("bp", "cd")
+    tb_limits = even_partition([get_profile(k) for k in kernels],
+                               MAXWELL_CONFIG)
+    observed_identical, observed = observed_pair(
+        MAXWELL_CONFIG, kernels, tb_limits, TABLE1_DMIL, TABLE1_CYCLES)
+    plain = run(MAXWELL_CONFIG, kernels, tb_limits, 3, TABLE1_CYCLES,
+                scheme=TABLE1_DMIL)
+    identical = result_signature(plain) == result_signature(observed)
+    slept = min(plain.sleep["mil_capped"], observed.sleep["mil_capped"])
+    return identical, observed_identical, slept
+
+
+def missq_retry_check():
+    """``rsfail_missq`` lookups per accepted primary miss on Table-1
+    ks+ax, counted at the L1 (every real lookup, no batched replay)."""
+    outcomes = collections.Counter()
+    access_slot = PooledL1DCache.access_slot
+
+    def counting(self, *args):
+        result = access_slot(self, *args)
+        outcomes[result] += 1
+        return result
+
+    PooledL1DCache.access_slot = counting
+    try:
+        run(MAXWELL_CONFIG, ("ks", "ax"), (8, 8), 0, cycles=4000)
+    finally:
+        PooledL1DCache.access_slot = access_slot
+    return outcomes["rsfail_missq"] / outcomes["miss"]
 
 
 def cold_start_check():
@@ -150,8 +211,9 @@ def main() -> int:
     print(f"ok st+sv: memory-stall sleep covers {stall_sleep:.1%} of "
           f"SM-cycles")
     for name, kernels, tb_limits, scheme in OBSERVED_WORKLOADS:
-        identical, batched = observed_check(config, kernels, tb_limits,
-                                            scheme)
+        identical, production = observed_pair(config, kernels, tb_limits,
+                                              scheme)
+        batched = production.sleep["obs_batched_slots"]
         if not identical or not batched:
             print(f"FAIL {name}: observed production report "
                   f"{'==' if identical else '!='} observed oracle report, "
@@ -159,6 +221,23 @@ def main() -> int:
             return 1
         print(f"ok {name}: observed production == observed oracle, "
               f"{batched} slots batched")
+    identical, observed_identical, slept = table1_dmil_check()
+    if not (identical and observed_identical and slept):
+        print(f"FAIL table-1 bp+cd even:DMIL: production "
+              f"{'==' if identical else '!='} oracle, observed production "
+              f"{'==' if observed_identical else '!='} observed oracle, "
+              f"{slept} SM-cycles of MIL-capped sleep")
+        return 1
+    print(f"ok table-1 bp+cd even:DMIL: production == oracle, observed "
+          f"production == observed oracle, {slept} SM-cycles of MIL-capped "
+          f"sleep")
+    retries = missq_retry_check()
+    if retries > MISSQ_RETRY_BOUND:
+        print(f"FAIL table-1 ks+ax: {retries:.2f} rsfail_missq lookups per "
+              f"accepted miss, bound {MISSQ_RETRY_BOUND}")
+        return 1
+    print(f"ok table-1 ks+ax: {retries:.2f} rsfail_missq lookups per "
+          f"accepted miss (bound {MISSQ_RETRY_BOUND})")
     failures = cold_start_check()
     for failure in failures:
         print(f"FAIL cold start {failure}")

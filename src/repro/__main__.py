@@ -147,7 +147,9 @@ def cmd_run(args) -> int:
         print(f"  SM sleep        : {result.sleep_ratio():.1%} of SM-cycles "
               f"(idle {result.sleep_ratio('idle'):.1%}, "
               f"ALU-burst {result.sleep_ratio('alu_burst'):.1%}, "
-              f"memory-stall {result.sleep_ratio('mem_stall'):.1%})")
+              f"memory-stall {result.sleep_ratio('mem_stall'):.1%}, "
+              f"MIL-capped {result.sleep_ratio('mil_capped'):.1%}; "
+              f"{result.sleep['stall_wakes']} stall wakes)")
     # Host-side too: what this process's kernel-trace cache did.
     from repro.obs import process_registry
     cache = process_registry().snapshot("trace_cache")

@@ -29,6 +29,25 @@ from typing import Dict, List, Optional, Sequence
 MAX_LIMIT = 128
 
 
+class WindowHooks(list):
+    """An ``on_window`` listener that fans out to every subscriber, in
+    subscription order.  Global DMIL's MILGs are shared by all SMs, and
+    each of them has to hear that the limits it issues under moved."""
+
+    def __call__(self) -> None:
+        for hook in self:
+            hook()
+
+
+def subscribe_window(source, hook) -> None:
+    """Add ``hook`` to ``source.on_window`` (a MILG, a Req/Minst
+    estimator, a QBMI policy) without displacing earlier subscribers."""
+    hooks = source.on_window
+    if hooks is None:
+        hooks = source.on_window = WindowHooks()
+    hooks.append(hook)
+
+
 class MILG:
     """Memory-Instruction-Limiting-number Generator (Figure 10).
 
@@ -55,10 +74,12 @@ class MILG:
         #: ``Observability.attach`` (None = zero-cost sentinel check).
         self._obs = None
         self._obs_key = None
-        #: window-boundary hook (wired by the SM to the engine's event
-        #: wheel): fired whenever a 1024-request window completes and
-        #: the limit is recomputed, so the cycle leap re-evaluates
-        #: issue eligibility at the next cycle.  None = no listener.
+        #: window-boundary hook (subscribed to by every SM that issues
+        #: under this MILG, see :func:`subscribe_window`): fired
+        #: whenever a 1024-request window completes and the limit is
+        #: recomputed, so a sleeping SM wakes and the cycle leap
+        #: re-evaluates issue eligibility at the next cycle.  None = no
+        #: listener.
         self.on_window = None
 
     def observe_inflight(self, inflight: int) -> None:

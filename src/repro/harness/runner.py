@@ -169,17 +169,11 @@ class ExperimentRunner:
         digest = hashlib.md5(repr(key).encode()).hexdigest()
         return os.path.join(self.cache_dir, f"iso-{digest}.json")
 
-    def isolated(self, profile: KernelProfile, tbs: Optional[int] = None,
-                 cycles: Optional[int] = None) -> IsoRecord:
-        """Run (or recall) one kernel alone at ``tbs`` TBs per SM."""
-        if tbs is None:
-            tbs = profile.max_tbs_per_sm(self.config)
-        if tbs < 1:
-            raise ValueError(f"{profile.name} cannot fit a single TB")
-        cycles = cycles or self.settings.iso_cycles
-        key = self._iso_key(profile.name, tbs, cycles)
-        if key in self._iso_cache:
-            return self._iso_cache[key]
+    def _recall_iso(self, key: Tuple) -> Optional[IsoRecord]:
+        """The cached record under ``key`` (memory, then disk)."""
+        record = self._iso_cache.get(key)
+        if record is not None:
+            return record
         path = self._disk_path(key)
         if path and os.path.exists(path):
             payload = _read_json_record(path)
@@ -187,33 +181,54 @@ class ExperimentRunner:
                 try:
                     record = IsoRecord(**payload)
                 except TypeError:
-                    record = None  # stale/foreign schema: recompute
-                if record is not None:
-                    self._iso_cache[key] = record
-                    return record
-        result = self._run_isolated(profile, tbs, cycles)
-        record = IsoRecord(
-            name=profile.name, tbs=tbs, ipc=result.ipc(0),
-            l1d_miss_rate=result.l1d_miss_rate(0),
-            l1d_rsfail_rate=result.l1d_rsfail_rate(0),
-            lsu_stall_pct=result.lsu_stall_pct(),
-            alu_utilization=result.alu_utilization(),
-            sfu_utilization=result.sfu_utilization(),
-            compute_utilization=result.compute_utilization(),
-        )
-        self._iso_cache[key] = record
-        if path:
-            _atomic_write_json(path, asdict(record))
+                    return None  # stale/foreign schema: recompute
+                self._iso_cache[key] = record
         return record
 
-    def _run_isolated(self, profile: KernelProfile, tbs: int,
-                      cycles: int, timeline_interval: Optional[int] = None
-                      ) -> RunResult:
+    def isolated(self, profile: KernelProfile, tbs: Optional[int] = None,
+                 cycles: Optional[int] = None) -> IsoRecord:
+        """Run (or recall) one kernel alone at ``tbs`` TBs per SM."""
+        if tbs is None:
+            tbs = profile.max_tbs_per_sm(self.config)
+        if tbs < 1:
+            raise ValueError(f"{profile.name} cannot fit a single TB")
+        settings = self.settings
+        cycles = cycles or settings.iso_cycles
+        record = self._recall_iso(self._iso_key(profile.name, tbs, cycles))
+        if record is not None:
+            return record
+        # The max-TB curve point and the iso run are one simulation
+        # (same launches, same seed) read at two budgets: the shorter
+        # is a strict prefix of the longer.  Whichever is asked for
+        # first simulates once, collects at both and installs both
+        # records — unless the other is already known.
+        budgets = [cycles]
+        shared = {settings.curve_cycles, settings.iso_cycles}
+        if cycles in shared and tbs == profile.max_tbs_per_sm(self.config):
+            budgets = sorted(
+                budget for budget in shared
+                if budget == cycles or self._recall_iso(
+                    self._iso_key(profile.name, tbs, budget)) is None)
         launches = make_launches([profile], [tbs], self.config,
-                                 seed=self.settings.seed)
-        gpu = GPU(self.config, launches, SchemeConfig(),
-                  timeline_interval=timeline_interval)
-        return gpu.run(cycles)
+                                 seed=settings.seed)
+        gpu = GPU(self.config, launches, SchemeConfig())
+        for budget in budgets:
+            result = gpu.run(budget - gpu.cycles_run)
+            record = IsoRecord(
+                name=profile.name, tbs=tbs, ipc=result.ipc(0),
+                l1d_miss_rate=result.l1d_miss_rate(0),
+                l1d_rsfail_rate=result.l1d_rsfail_rate(0),
+                lsu_stall_pct=result.lsu_stall_pct(),
+                alu_utilization=result.alu_utilization(),
+                sfu_utilization=result.sfu_utilization(),
+                compute_utilization=result.compute_utilization(),
+            )
+            key = self._iso_key(profile.name, tbs, budget)
+            self._iso_cache[key] = record
+            path = self._disk_path(key)
+            if path:
+                _atomic_write_json(path, asdict(record))
+        return self._iso_cache[self._iso_key(profile.name, tbs, cycles)]
 
     def isolated_result(self, profile: KernelProfile,
                         tbs: Optional[int] = None,
@@ -223,9 +238,11 @@ class ExperimentRunner:
         timeline experiments such as Figure 6a/6b)."""
         if tbs is None:
             tbs = profile.max_tbs_per_sm(self.config)
-        return self._run_isolated(profile, tbs,
-                                  cycles or self.settings.iso_cycles,
-                                  timeline_interval)
+        launches = make_launches([profile], [tbs], self.config,
+                                 seed=self.settings.seed)
+        gpu = GPU(self.config, launches, SchemeConfig(),
+                  timeline_interval=timeline_interval)
+        return gpu.run(cycles or self.settings.iso_cycles)
 
     def curve(self, profile: KernelProfile) -> ScalabilityCurve:
         """Scalability curve (Warped-Slicer profiling, Figure 3a)."""

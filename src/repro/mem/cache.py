@@ -36,6 +36,24 @@ class AccessResult:
     RSFAILS = frozenset((RSFAIL_LINE, RSFAIL_MSHR, RSFAIL_MERGE, RSFAIL_MISSQ))
 
 
+#: the two classes of L1 resource release that happen outside
+#: ``access_slot``: a fill (frees the line reservation, the MSHR entry
+#: and its merge list) and a miss-queue drain (frees one queue entry).
+RELEASE_FILL, RELEASE_DRAIN = 0, 1
+
+#: reservation failure -> the release class that can change it.  Each
+#: verdict is decided by the first failing test on one path through
+#: ``PooledL1DCache.access_slot``; a release of the other class leaves
+#: that test, and every test before it, as they were (docs/PERF.md
+#: section 3 walks the paths).
+RSFAIL_RELEASE = {
+    AccessResult.RSFAIL_LINE: RELEASE_FILL,
+    AccessResult.RSFAIL_MSHR: RELEASE_FILL,
+    AccessResult.RSFAIL_MERGE: RELEASE_FILL,
+    AccessResult.RSFAIL_MISSQ: RELEASE_DRAIN,
+}
+
+
 class _Line:
     __slots__ = ("tag", "valid", "reserved", "dirty", "kernel", "last_use")
 
@@ -335,6 +353,12 @@ class PooledL1DCache:
     LRU touch and resource check happens in the same order, so the two
     controllers are bit-identical (swept in tests/test_fastpath.py and
     fuzzed in tests/test_pooled_identity.py).
+
+    On top, the controller tells the LSU's stall memo and the SM's
+    stall sleep *which* resource was released outside ``access_slot``:
+    ``version`` and ``on_release`` hold one entry per release class
+    (:data:`RELEASE_FILL`, :data:`RELEASE_DRAIN`), and a stalled
+    verdict only ever waits on one of them (:data:`RSFAIL_RELEASE`).
     """
 
     __slots__ = ("config", "pool", "tags", "mshrs", "miss_queue", "stats",
@@ -351,20 +375,25 @@ class PooledL1DCache:
         self.mshrs = ArrayMSHRFile(config.mshrs, config.mshr_merge)
         self.miss_queue: Deque[int] = deque()
         self.stats = CacheStats()
-        #: bumped whenever a resource an ``access_slot`` outcome depends
-        #: on is released *outside* ``access_slot`` itself (a fill
-        #: freeing the line + MSHR, the subsystem draining a miss-queue
-        #: slot).  The LSU uses it to memoise a stalled request's replay
-        #: verdict: same slot + same version (+ same way partition) must
-        #: fail the same way, so only the stats bumps need replaying.
-        self.version = 0
-        #: called right after every ``version`` bump (here and in the
-        #: pooled subsystem's miss-queue drain) while the owning SM is
-        #: in a memory-stall sleep, whose premise is exactly "the
-        #: memoised verdict still holds"; the SM arms it when it goes
-        #: to sleep and the call disarms it.  None = nobody sleeps on
-        #: this cache, and a release costs one comparison.
-        self.on_release = None
+        #: one counter per release class (``RELEASE_FILL``,
+        #: ``RELEASE_DRAIN``), bumped whenever a resource an
+        #: ``access_slot`` outcome depends on is released *outside*
+        #: ``access_slot`` itself: a fill freeing the line + MSHR here,
+        #: the subsystem draining a miss-queue slot.  The LSU uses the
+        #: entry of the class a failure waits on
+        #: (:data:`RSFAIL_RELEASE`) to memoise a stalled request's
+        #: replay verdict: same slot + same version (+ same way
+        #: partition) must fail the same way, so only the stats bumps
+        #: need replaying.
+        self.version = [0, 0]
+        #: per release class, called right after that class's
+        #: ``version`` bump while the owning SM is in a memory-stall
+        #: sleep, whose premise is exactly "the memoised verdict still
+        #: holds"; the SM arms the class its verdict waits on when it
+        #: goes to sleep (``LoadStoreUnit.arm_release``) and disarms it
+        #: in the call.  None = nobody sleeps on that class, and a
+        #: release costs one comparison.
+        self.on_release = [None, None]
         #: shared one-cell counter of queued miss entries across all
         #: L1s (owned by the pooled subsystem; gives its idle check and
         #: leap gate an O(1) "any miss queue non-empty" answer).
@@ -446,8 +475,9 @@ class PooledL1DCache:
     def fill(self, line_addr: int) -> List[int]:
         """A fill returned from L2: returns the waiting slot ids (the
         recycled list is valid until the MSHR entry is re-allocated)."""
-        self.version += 1
-        if self.on_release is not None:
-            self.on_release()
+        self.version[RELEASE_FILL] += 1
+        hook = self.on_release[RELEASE_FILL]
+        if hook is not None:
+            hook()
         self.tags.fill(line_addr)
         return self.mshrs.release(line_addr)

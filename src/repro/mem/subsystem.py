@@ -23,8 +23,8 @@ from collections import deque
 from typing import Deque, Dict, List, Tuple
 
 from repro.config import GPUConfig
-from repro.mem.cache import (AccessResult, CacheStats, L1DCache,
-                             PooledL1DCache, SetAssocCache)
+from repro.mem.cache import (RELEASE_DRAIN, AccessResult, CacheStats,
+                             L1DCache, PooledL1DCache, SetAssocCache)
 from repro.mem.dram import DRAMModel
 from repro.mem.interconnect import Interconnect
 from repro.mem.mshr import MSHRFile
@@ -692,9 +692,10 @@ class PooledMemorySubsystem(MemorySubsystem):
                 return
             queue.popleft()
             pending[0] -= 1
-            l1.version += 1
-            if l1.on_release is not None:
-                l1.on_release()
+            l1.version[RELEASE_DRAIN] += 1
+            hook = l1.on_release[RELEASE_DRAIN]
+            if hook is not None:
+                hook()
             self._inflight_to_l2 += 1
             self._schedule_ev(cycle + lat, (slot << 2) | EV_L2_ARRIVE)
             if self._obs is not None:

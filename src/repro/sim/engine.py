@@ -9,6 +9,7 @@ cycles"), and per-kernel IPC is measured over the whole window.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 from typing import Dict, List, Optional, Sequence, Set, Union
@@ -358,6 +359,7 @@ class GPU:
         report["sm_cycles"] = self.cycles_run * len(sms)
         report["stall_replays_batched"] = sum(
             sm.lsu.replays_batched for sm in sms)
+        report["stall_wakes"] = sum(sm._stall_wakes for sm in sms)
         report["leaps"] = self._leaps
         report["leap_cycles"] = self._leapt_cycles
         report["wheel_inert_wakes"] = self._inert_wakes
@@ -397,7 +399,10 @@ class GPU:
         result = RunResult(
             cycles=cycles,
             kernel_names=[launch.profile.name for launch in self.launches],
-            kernels=self.kernel_stats,
+            # Copies: the GPU's own counters keep running if ``run``
+            # is called again, a collected result must not.
+            kernels={slot: copy.copy(stats)
+                     for slot, stats in self.kernel_stats.items()},
             l1d_accesses=accesses,
             l1d_hits=hits,
             l1d_misses=misses,

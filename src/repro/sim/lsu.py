@@ -15,8 +15,10 @@ One class, two ticks, one per machine (see ``repro.sim.engine.GPU``):
 :meth:`LoadStoreUnit.tick` is the oracle's plain specification — object
 ``MemRequest``s, one L1D lookup per replayed cycle — and
 :meth:`LoadStoreUnit._tick_pooled` is the production tick over pool
-slots, which memoises a stalled head's verdict, defers the replays'
-stats into one batch and lets the SM sleep through them — observed or
+slots, which memoises a stalled head's verdict — keyed to the class of
+L1 release that can change it: a miss-queue drain for ``rsfail_missq``,
+a fill for the rest — defers the replays' stats into one batch and lets
+the SM sleep through them, woken by that class alone — observed or
 not.  The owning SM binds one of them for the run.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.mem.cache import AccessResult, L1DCache
+from repro.mem.cache import RSFAIL_RELEASE, AccessResult, L1DCache
 from repro.mem.subsystem import MemRequest
 from repro.sim.warp import MemInst
 
@@ -58,14 +60,20 @@ class LoadStoreUnit:
         #: ``MemRequest`` on the oracle, the unpacked ``(slot, line,
         #: kernel, is_store, bypass)`` on the production machine.
         self._current_request = None
-        #: production tick only: (slot, l1.version, l1.tags.partition,
-        #: result, kernel) of the last reservation failure.  While the
-        #: head slot, the cache version, and the partition object are
+        #: production tick only: (slot, l1.version[release],
+        #: l1.tags.partition, result, kernel, release) of the last
+        #: reservation failure, where ``release`` is the class of L1
+        #: release the verdict can be moved by
+        #: (:data:`~repro.mem.cache.RSFAIL_RELEASE`: a miss-queue drain
+        #: for ``rsfail_missq``, a fill for the other three).  While the
+        #: head slot, that class's version, and the partition object are
         #: all unchanged, a replay must fail identically — every RSFAIL
         #: path in ``PooledL1DCache.access_slot`` is pure apart from its
-        #: two stats bumps — so the lookup can be skipped and only the
-        #: stats replayed.  Slot ids are stable while the request stalls
-        #: (the memo is cleared before the slot can be recycled).  The
+        #: two stats bumps, and a release of the other class leaves
+        #: every test on the path to this verdict as it was (docs/PERF.md
+        #: section 3) — so the lookup can be skipped and only the stats
+        #: replayed.  Slot ids are stable while the request stalls (the
+        #: memo is cleared before the slot can be recycled).  The
         #: oracle's ``tick`` is the plain replay this is validated
         #: against.
         self._stall_memo = None
@@ -131,6 +139,16 @@ class LoadStoreUnit:
         obs = self._obs
         if obs is not None:
             obs.lsu_rsfail(self.sm_id, kernel, result, owed)
+
+    def arm_release(self, hook) -> None:
+        """Have the L1 call ``hook`` at the next release of the class
+        the memoised verdict waits on — and at no release of the other
+        class, which cannot move it (``None`` disarms).  The owning SM
+        arms its wake-up when it goes into a memory-stall sleep."""
+        on_release = self.l1.on_release
+        on_release[0] = on_release[1] = None
+        if hook is not None:
+            on_release[self._stall_memo[5]] = hook
 
     def enqueue(self, inst: MemInst) -> None:
         if not self.can_accept():
@@ -220,8 +238,8 @@ class LoadStoreUnit:
         and tests/test_pooled_identity.py).
 
         Returns True when the cycle ends with the head stalled on a
-        memoised verdict: until ``l1.version`` moves, every further
-        tick is exactly
+        memoised verdict: until the L1 release class it waits on moves
+        its ``l1.version`` entry, every further tick is exactly
         ``_stall_owed += 1`` — the state the owning SM may sleep
         through (see ``StreamingMultiprocessor.tick``).  ``_stall_owed``
         is non-zero then iff this tick already was such a replay (a
@@ -237,7 +255,7 @@ class LoadStoreUnit:
             # runs before any of the loop bindings below.
             current = self._current_request
             if (current is not None and memo[0] == current[0]
-                    and memo[1] == l1.version
+                    and memo[1] == l1.version[memo[5]]
                     and memo[2] is l1.tags.partition):
                 self._stall_owed += 1
                 return True
@@ -278,7 +296,7 @@ class LoadStoreUnit:
 
             memo = self._stall_memo
             if memo is not None:
-                if (memo[0] == slot and memo[1] == l1.version
+                if (memo[0] == slot and memo[1] == l1.version[memo[5]]
                         and memo[2] is l1.tags.partition):
                     # Nothing a failing lookup depends on changed since
                     # the last replay: it fails identically, so skip
@@ -291,8 +309,10 @@ class LoadStoreUnit:
             result = access_slot(slot, line, kernel, is_store, bypass)
             if result in rsfails:
                 # Memory pipeline stall: replay the request next cycle.
-                self._stall_memo = (slot, l1.version,
-                                    l1.tags.partition, result, kernel)
+                release = RSFAIL_RELEASE[result]
+                self._stall_memo = (slot, l1.version[release],
+                                    l1.tags.partition, result, kernel,
+                                    release)
                 self.stall_cycles += 1
                 sm.on_rsfail(kernel, cycle)
                 if obs is not None:

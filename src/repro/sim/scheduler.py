@@ -31,7 +31,13 @@ Hot-loop design (the selection loop dominates whole-simulation cost):
   load returns.  The hint only ever skips cycles whose selection would
   provably return ``None``, so simulated behaviour is bit-identical;
   construct with ``fastpath=False`` to force the reference scan every
-  cycle (used by the perf suite's equivalence checks).
+  cycle (used by the perf suite's equivalence checks);
+* an *issue-stall memo* does the same for the paper's two refusals:
+  when a scan finds ready warps and every one holds a memory
+  instruction it was told not to issue — the LSU queue is full, or MIL
+  caps the warp's kernel — the scheduler records the refused kernels
+  (``_mem_blocked``), and the SM skips selection while none of them is
+  open again (docs/PERF.md section 3).
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class WarpScheduler:
     __slots__ = ("sched_id", "policy", "warps", "sm", "_greedy", "_lrr_pos",
                  "_is_lrr", "_fastpath", "_next_wake", "_gto_order",
                  "_gto_dirty", "_rot_buf", "_sel", "_auto_warp",
-                 "_auto_left", "_auto_stats", "_mem_stalled", "_mem_wake",
+                 "_auto_left", "_auto_stats", "_mem_blocked", "_mem_wake",
                  "_scan")
 
     def __init__(self, sched_id: int, policy: str, fastpath: bool = True):
@@ -116,16 +122,21 @@ class WarpScheduler:
         #: The reference scan (:meth:`_select_reference`) and LRR keep
         #: iterating ``warps`` — the list this one is proven against.
         self._scan: List[Warp] = []
-        #: memory-pipeline-stall memo (fast path, ungated runs): set
-        #: when a scan under ``mem_ok=None`` (LSU full) found ready
-        #: warps but every one of them holds a memory instruction —
-        #: the paper's signature stall.  The verdict cannot change
-        #: while the LSU stays full, until ``_mem_wake`` (the earliest
-        #: ready_at of a latency-blocked warp, whose head may be
-        #: compute) or an invalidating event: an issue (note_issued),
-        #: a load return (wake_at), or a membership change.  The SM
-        #: skips select() outright while the memo holds.
-        self._mem_stalled = False
+        #: issue-stall memo (fast path, ungated runs): the bit set of
+        #: kernel slots whose memory instructions the last scan refused
+        #: — non-zero iff that scan found latency-ready warps and every
+        #: one of them holds a memory instruction of a kernel in the
+        #: set (the LSU was full, which closes every kernel, or MIL
+        #: capped each of them: the paper's stall and the paper's
+        #: mechanism, one rule).  While none of those kernels is open
+        #: again, select() provably returns None — until ``_mem_wake``
+        #: (the earliest ready_at of a latency-blocked warp, whose head
+        #: may be compute or of an open kernel) or an invalidating
+        #: event: an issue (note_issued), a load return (wake_at), or a
+        #: membership change.  The SM tests the set against its per-tick
+        #: open-kernel mask and skips select() outright while they are
+        #: disjoint.  0 = no memo.
+        self._mem_blocked = 0
         self._mem_wake = 0
 
     # ------------------------------------------------------------------
@@ -140,7 +151,7 @@ class WarpScheduler:
         warp.sched = self
         self._gto_dirty = True
         self._next_wake = 0
-        self._mem_stalled = False
+        self._mem_blocked = 0
         sm = self.sm
         if sm is not None:
             sm._sleep_until = 0
@@ -151,7 +162,7 @@ class WarpScheduler:
         if warp in scan:
             scan.remove(warp)
         warp.sched = None
-        self._mem_stalled = False
+        self._mem_blocked = 0
         if self._greedy is warp:
             self._greedy = None
         if self._auto_warp is warp:
@@ -203,10 +214,10 @@ class WarpScheduler:
     def note_issued(self, warp: Warp) -> None:
         """Record the issuing warp (updates GTO greediness).
 
-        Any issue invalidates the memory-stall memo: the issued
-        instruction changes its warp's head op, so a later LSU-full
-        scan must re-derive the all-heads-are-memory verdict."""
-        self._mem_stalled = False
+        Any issue invalidates the issue-stall memo: the issued
+        instruction changes its warp's head op, so a later scan must
+        re-derive the all-heads-are-refused-memory verdict."""
+        self._mem_blocked = 0
         if self._greedy is not warp:
             self._greedy = warp
             self._gto_dirty = True
@@ -217,8 +228,8 @@ class WarpScheduler:
         owning SM's whole-tick sleep with it, and post the new wake to
         the engine's event wheel so the cycle leap sees it."""
         # A load return can un-block an MLP-capped warp (or retire a
-        # drained one): the memory-stall memo's premise is gone.
-        self._mem_stalled = False
+        # drained one): the issue-stall memo's premise is gone.
+        self._mem_blocked = 0
         if cycle < self._next_wake:
             self._next_wake = cycle
         sm = self.sm
@@ -286,6 +297,12 @@ class WarpScheduler:
         ``compute_ok=None`` means *every* compute port is available.
         All produce exactly the verdicts the callbacks would.
 
+        A scan under ``compute_ok=None, warp_gated=None`` that finds
+        ready warps and issues nothing leaves the issue-stall memo: the
+        kernels it refused in ``_mem_blocked`` (every ready warp holds
+        a memory instruction of one of them) and the next cycle a
+        latency-blocked warp could change that in ``_mem_wake``.
+
         The first issuable warp in priority order wins.  Warps whose
         memory instruction is gated (``mem_ok`` False) are skipped —
         the scheduler moves on to other warps rather than wasting the
@@ -328,6 +345,7 @@ class WarpScheduler:
         primary_warp: Optional[Warp] = None
         primary_op: Optional[str] = None
         any_ready = False
+        blocked = 0
         wake = NEVER
         alu = OP_ALU
         sfu = OP_SFU
@@ -366,24 +384,28 @@ class WarpScheduler:
                 sel.is_mem = True
                 return sel
             # memory instruction
-            if (mem_ok is not None and primary_warp is None
-                    and (mem_ok is True or mem_ok(warp, op))):
-                primary_warp = warp
-                primary_op = op
-                # keep scanning for a compute fallback
+            if primary_warp is None:
+                if mem_ok is True or (mem_ok is not None
+                                      and mem_ok(warp, op)):
+                    primary_warp = warp
+                    primary_op = op
+                    # keep scanning for a compute fallback
+                else:
+                    blocked |= 1 << warp.kernel_slot
         if primary_warp is None:
             if not any_ready:
                 # Nothing was even latency-ready: sleep until the
                 # earliest ready_at (or an external wake_at event).
                 self._next_wake = wake
-            elif mem_ok is None and compute_ok is None and warp_gated is None:
-                # Ready warps exist but none issued, the LSU is full
-                # and no port/gate was limiting: every ready warp holds
-                # a memory instruction.  That verdict is frozen while
-                # the LSU stays full — until a latency-blocked warp
-                # (possibly compute-headed) becomes ready at ``wake``,
-                # or an invalidating event clears the memo.
-                self._mem_stalled = True
+            elif compute_ok is None and warp_gated is None:
+                # Ready warps exist but none issued and no port/gate
+                # was limiting: every ready warp holds a memory
+                # instruction of a kernel in ``blocked``.  That verdict
+                # is frozen while those kernels stay closed — until a
+                # latency-blocked warp (possibly compute-headed)
+                # becomes ready at ``wake``, or an invalidating event
+                # clears the memo.
+                self._mem_blocked = blocked
                 self._mem_wake = wake
             return None
         sel = self._sel

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 from repro.config import GPUConfig
 from repro.core.arbiter import SchemeBundle
 from repro.core.bmi import MemIssuePolicy, UnmanagedIssue
-from repro.core.mil import MemInstLimiter, NoLimit
+from repro.core.mil import MemInstLimiter, NoLimit, subscribe_window
 from repro.mem.cache import L1DCache
 from repro.obs.stalls import (
     ISSUED,
@@ -45,14 +45,15 @@ from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
 
 
 #: whole-SM sleep causes as indices into ``_slept`` (SLEEP_CAUSES order).
-SLEEP_IDLE, SLEEP_BURST, SLEEP_STALL = range(len(SLEEP_CAUSES))
+SLEEP_IDLE, SLEEP_BURST, SLEEP_STALL, SLEEP_MIL = range(len(SLEEP_CAUSES))
 
 #: ``WarpScheduler.stall_verdict`` status -> the reason a scheduler
 #: that is not being scanned owes its issue slots to.  ``ready`` can
-#: only be the memory-stall memo (every ready warp holds a memory
-#: instruction and the LSU queue is full).
-_FROZEN_REASON = {"ready": STALL_LSU_FULL, "blocked": STALL_SCOREBOARD,
-                  "empty": STALL_NO_WARP}
+#: only be the issue-stall memo (every ready warp holds a memory
+#: instruction of a closed kernel): ``lsu_full`` while the LSU queue is
+#: full, ``mil_capped`` while it is not (see ``_obs_freeze``).
+_FROZEN_REASON = {"blocked": STALL_SCOREBOARD, "empty": STALL_NO_WARP}
+_MEMO_REASONS = (STALL_LSU_FULL, STALL_MIL_CAPPED)
 
 
 class _OwedSlots:
@@ -167,21 +168,24 @@ class StreamingMultiprocessor:
         # bound-method references so tick() allocates no closures.
         # LSU occupancy and MIL verdicts depend only on the kernel slot
         # and on state that is frozen during the selection phase, so
-        # the fast path resolves them once per tick into _mem_ok_now
-        # instead of re-deriving them per candidate warp.  The SMK gate
-        # is NOT frozen — compute issues during the scheduler loop
-        # consume quota via note_issue — so gate verdicts are always
-        # queried live, exactly as the reference closures do.
+        # the fast path resolves them once per tick into the
+        # open-kernel mask (bit k: kernel k's memory instructions may
+        # issue) instead of re-deriving them per candidate warp.  The
+        # SMK gate is NOT frozen — compute issues during the scheduler
+        # loop consume quota via note_issue — so gate verdicts are
+        # always queried live, exactly as the reference closures do.
         self._fastpath = fastpath
         # The SMK gate is fixed for the run; callbacks read it through
         # this alias (kept for the standalone-SM test setups that
         # construct the SM without a bundle gate).
         self._gate = bundle.smk_gate
         self._lsu_free = True
-        self._mem_ok_now: Dict[int, bool] = {}
+        #: the open-kernel mask of the latest tick that resolved one
+        #: through the limiter (LSU free, MIL limited); a full LSU is
+        #: mask 0 and an unlimited MIL all-ones, neither stored.
+        self._open = 0
         # With no SMK gate and an unlimited MIL, the per-kernel verdict
-        # collapses to "is the LSU free": keep both constant answer
-        # maps prebuilt and just point _mem_ok_now at the right one.
+        # collapses to "is the LSU free".
         self._limiter_unlimited = isinstance(bundle.limiter, NoLimit)
         # Baseline runs leave every scheme observation hook at its
         # empty base-class implementation; detecting that once lets
@@ -208,8 +212,6 @@ class StreamingMultiprocessor:
         #: the baseline policy's pick is pure "first proposer wins":
         #: skip the candidate-list build and the dispatch entirely.
         self._pick_trivial = pol_cls.pick is UnmanagedIssue.pick
-        self._ok_all = {launch.slot: True for launch in launches}
-        self._ok_none = {launch.slot: False for launch in launches}
         # Scheduler issue orders for each round-robin start, prebuilt.
         nsched = len(self.schedulers)
         self._sched_orders = [
@@ -241,6 +243,12 @@ class StreamingMultiprocessor:
         #: (self-observability; paid once per wake in _pay_sleep_debt).
         self._sleep_cause = SLEEP_IDLE
         self._sleep_bursting = False
+        #: kernels whose MIL cap this sleep rests on: the union of the
+        #: issue-stall memos that froze a scheduler while the LSU queue
+        #: had room (0 when it was full — nothing can open then).  An
+        #: in-flight decrement that re-opens one of them ends the sleep
+        #: (``_on_meminst_complete``).
+        self._sleep_blocked = 0
         #: whether the last memory-stall sleep skipped any cycle at
         #: all.  A release on the very next cycle makes a sleep pure
         #: overhead (scan, arm, wake) — the rule on a machine whose L1s
@@ -249,6 +257,10 @@ class StreamingMultiprocessor:
         #: release) before sleeping again.  Host-time heuristic only:
         #: sleeping less is always exact.
         self._stall_sleep_pays = True
+        #: times an L1 release hook ended (or came after) a memory-stall
+        #: sleep: each costs one tick and one real lookup of the stalled
+        #: head (self-observability).
+        self._stall_wakes = 0
         self._slept = [0] * len(SLEEP_CAUSES)
         self._lrr = config.scheduler_policy == "lrr"
         # Run-constant scheme components, hoisted out of tick().
@@ -273,27 +285,23 @@ class StreamingMultiprocessor:
                                   and obs.trace is not None))
         # Scheme window boundaries (DMIL limit recompute, QBMI quota
         # replenish, Req/Minst refresh) change issue eligibility with
-        # no scheduler wake attached: register them as conservative
-        # wheel re-evaluation points so the cycle leap can never jump
-        # past one.  (Gated warps also keep their SM awake, so these
-        # posts are belt-and-braces; a stale post costs at most one
-        # inert tick.)
+        # no scheduler wake attached: subscribe to them, so an SM
+        # asleep on a MIL verdict wakes and the cycle leap can never
+        # jump past one (a stale post costs at most one inert tick).
+        # Global DMIL's MILGs are shared: every SM subscribes.
         limiter = bundle.limiter
         milgs = getattr(limiter, "milgs", None)
         if milgs is None:
             shared = getattr(limiter, "shared", None)
             if shared is not None:
                 milgs = getattr(shared, "milgs", None)
-        if milgs:
-            for milg in milgs:
-                milg.on_window = self._note_scheme_window
         policy = bundle.mem_policy
-        estimators = getattr(policy, "estimators", None)
-        if estimators:
-            for est in estimators:
-                est.on_window = self._note_scheme_window
+        sources = list(milgs or ()) + list(
+            getattr(policy, "estimators", None) or ())
         if hasattr(policy, "on_window"):
-            policy.on_window = self._note_scheme_window
+            sources.append(policy)
+        for source in sources:
+            subscribe_window(source, self._note_scheme_window)
 
     # ------------------------------------------------------------------
     # thread block launch
@@ -395,14 +403,25 @@ class StreamingMultiprocessor:
 
     # ------------------------------------------------------------------
     # issue
-    def _mem_ok(self, warp: Warp, op: str) -> bool:
-        return self._mem_ok_now[warp.kernel_slot]
+    def _open_mask(self) -> int:
+        """The limiter's per-kernel verdicts as one bit per kernel slot
+        (pure: the limiter reads its limits and the in-flight counts,
+        both frozen during the selection phase)."""
+        limiter = self._limiter
+        mask = 0
+        for k, st in self._kstate_items:
+            if limiter.can_issue(k, st.inflight_minsts):
+                mask |= 1 << k
+        return mask
+
+    def _mem_ok(self, warp: Warp, op: str) -> int:
+        return self._open >> warp.kernel_slot & 1
 
     def _mem_ok_gated(self, warp: Warp, op: str) -> bool:
         # Gate queried live: quota may have been consumed by an issue
         # earlier in this same cycle's scheduler loop.
         k = warp.kernel_slot
-        return self._mem_ok_now[k] and self._gate.can_issue(k)
+        return self._open >> k & 1 and self._gate.can_issue(k)
 
     def _compute_ok(self, op: str) -> bool:
         return not (op == OP_SFU and self._sfu_used)
@@ -432,37 +451,34 @@ class StreamingMultiprocessor:
         lsu = self.lsu
         self._lsu_free = lsu_free = len(lsu.queue) < lsu.queue_depth
         if fastpath:
-            # Resolve the per-kernel can-issue verdicts once: the gate,
-            # the limiter and the LSU occupancy are all frozen during
-            # the selection phase, and all their predicates are pure.
-            # ``mem_ok=None`` is the scheduler's "nothing mem can
-            # issue" sentinel — the memory-pipeline-stall case, where
-            # per-warp callback dispatch would be pure overhead.
+            # Resolve the open-kernel mask once: the gate, the limiter
+            # and the LSU occupancy are all frozen during the selection
+            # phase, and all their predicates are pure.  A full LSU
+            # closes every kernel (mask 0, ``mem_ok=None``: the
+            # scheduler's "nothing mem can issue" sentinel — the
+            # memory-pipeline-stall case, where per-warp callback
+            # dispatch would be pure overhead); an unlimited MIL opens
+            # every kernel (``mem_ok=True``: no dispatch either, and no
+            # mask — ``None``, on which the memo test below
+            # short-circuits, as it does under a gate, which never
+            # leaves a memo); else one bit per kernel from the limiter.
+            open_mask = None
             if gate is None:
                 # With no SMK gate every warp is ungated; passing None
                 # lets the scheduler skip the per-warp check entirely.
                 warp_gated = None
                 if not lsu_free:
                     mem_ok = None
+                    open_mask = 0
                 elif self._limiter_unlimited:
-                    # ``mem_ok=True`` sentinel: every kernel may issue
-                    # — the scheduler skips callback dispatch entirely.
                     mem_ok = True
                 else:
-                    # The limiter kind is fixed per run, so _mem_ok_now
-                    # still points at its own mutable dict here.
-                    limiter = self._limiter
-                    ok = self._mem_ok_now
-                    for k, st in self._kstate_items:
-                        ok[k] = limiter.can_issue(k, st.inflight_minsts)
+                    self._open = open_mask = self._open_mask()
                     mem_ok = self._mem_ok_cb
             else:
                 warp_gated = self._warp_gated_cb
                 if lsu_free:
-                    limiter = self._limiter
-                    ok = self._mem_ok_now
-                    for k, st in self._kstate_items:
-                        ok[k] = limiter.can_issue(k, st.inflight_minsts)
+                    self._open = self._open_mask()
                     mem_ok = self._mem_ok_gated_cb
                 else:
                     mem_ok = None
@@ -540,11 +556,14 @@ class StreamingMultiprocessor:
                     if self._lrr and sched.warps:
                         sched._lrr_pos += 1
                     continue
-                if (mem_ok is None and sched._mem_stalled
+                if (open_mask is not None
+                        and (blocked := sched._mem_blocked)
+                        and not blocked & open_mask
                         and cycle < sched._mem_wake):
-                    # Memory-pipeline stall memo: the LSU is still
-                    # full and every ready warp still holds a memory
-                    # instruction (see WarpScheduler._mem_stalled) —
+                    # Issue-stall memo: every ready warp still holds a
+                    # memory instruction of a kernel that is still
+                    # closed — by the full LSU (every kernel) or by its
+                    # MIL cap (see WarpScheduler._mem_blocked) — so
                     # select() would provably return None.  Keep LRR's
                     # once-per-call rotation exactly as that call
                     # would have.
@@ -610,18 +629,37 @@ class StreamingMultiprocessor:
             # Memory-stall sleep: the LSU is not drained but its head
             # ended this cycle on a memoised, deferrable reservation
             # failure (``stalled``; only ``_tick_pooled`` ever reports
-            # it), so until ``l1.version`` moves each LSU tick is exactly
-            # ``_stall_owed += 1`` — and both version bump sites of the
-            # pooled path call the ``l1.on_release`` armed below, which
-            # wakes this SM in the same cycle (memory ticks first).
+            # it), so until the L1 releases a resource of the class the
+            # verdict reads (a miss-queue drain for ``rsfail_missq``, a
+            # fill for the rest) each LSU tick is exactly
+            # ``_stall_owed += 1`` — and that class's release site calls
+            # the hook armed below, which wakes this SM in the same
+            # cycle (memory ticks first); the other class cannot move
+            # the verdict and no longer wakes anybody.
             # A failure that is new this cycle (no replay owed yet) is
             # slept on only while such sleeps pay (_stall_sleep_pays).
-            # The queue can neither grow (nothing issues) nor shrink
-            # (the head is stuck), so its fullness is frozen for the
-            # whole gap: with the queue full, a ``_mem_stalled``
-            # scheduler keeps skipping select() until ``_mem_wake``,
-            # exactly as the per-cycle check above would.
-            lsu_full = stalled and len(lsu.queue) >= lsu.queue_depth
+            #
+            # Issue-stall sleep: a scheduler whose latest scan left the
+            # issue-stall memo keeps skipping select() until
+            # ``_mem_wake`` while every kernel in its blocked set stays
+            # closed, exactly as the per-cycle check above would.  The
+            # mask the next ticks would resolve is re-derived here,
+            # after this cycle's issues and LSU tick (which may have
+            # moved the queue, an in-flight count or a DMIL limit).  It
+            # cannot move while the SM sleeps: the queue can neither
+            # grow (nothing issues) nor shrink (the head is stuck, or
+            # there is none), so its fullness is frozen for the whole
+            # gap; a static limit never moves, a local MILG recomputes
+            # only inside this SM's LSU tick, a global one wakes every
+            # SM (``_note_scheme_window``); and an in-flight decrement
+            # that opens a kernel some scheduler waits on
+            # (``_sleep_blocked``) wakes the SM on its own cycle
+            # (``_on_meminst_complete``).  With an unlimited MIL and
+            # the queue drained every kernel is open and no memo can
+            # hold: such runs skip the test on a local.
+            memo_live = stalled or not self._limiter_unlimited
+            open_next = None
+            waits_on = 0
             bursting = False
             soonest = cycle + 1
             wake = NEVER
@@ -632,8 +670,21 @@ class StreamingMultiprocessor:
                     bursting = True
                 else:
                     nw = sched._next_wake
-                    if lsu_full and nw <= cycle and sched._mem_stalled:
-                        nw = sched._mem_wake
+                    if memo_live and nw <= cycle:
+                        blocked = sched._mem_blocked
+                        if blocked:
+                            if open_next is None:
+                                lsu_full = len(lsu.queue) >= lsu.queue_depth
+                                if lsu_full:
+                                    open_next = 0
+                                elif self._limiter_unlimited:
+                                    open_next = -1
+                                else:
+                                    open_next = self._open_mask()
+                            if not blocked & open_next:
+                                nw = sched._mem_wake
+                                if not lsu_full:
+                                    waits_on |= blocked
                 if nw <= soonest:
                     # This scheduler acts next cycle: no sleep.
                     break
@@ -643,20 +694,19 @@ class StreamingMultiprocessor:
                 if stalled:
                     self._sleep_cause = SLEEP_STALL
                     self._stall_sleep_pays = False
-                    lsu.l1.on_release = self._end_stall_sleep
+                    lsu.arm_release(self._end_stall_sleep)
+                elif waits_on:
+                    self._sleep_cause = SLEEP_MIL
                 else:
                     self._sleep_cause = (SLEEP_BURST if bursting
                                          else SLEEP_IDLE)
+                self._sleep_blocked = waits_on
                 self._sleep_bursting = bursting
                 self._sleep_until = wake
                 if self._obs is not None:
                     # Every scheduler is frozen from the next cycle on:
                     # name the verdict its slept slots are owed to.
-                    owed = self._obs_owed
-                    for sched in self.schedulers:
-                        if owed[sched.sched_id] is None:
-                            owed[sched.sched_id] = self._obs_freeze(
-                                sched, cycle + 1)
+                    self._obs_freeze_all(cycle + 1)
                 wheel = self._wheel
                 if wheel is not None and wake < NEVER:
                     # Post the wake so the engine's leap target covers
@@ -816,9 +866,9 @@ class StreamingMultiprocessor:
                         self._obs_close(sid, cycle + 1)
                     continue
                 if (k is None and sid not in lost and cycle < stretch.until
-                        and (reason is not STALL_LSU_FULL
-                             or (sched._mem_stalled
-                                 and not self._lsu_free))):
+                        and (reason not in _MEMO_REASONS
+                             or (reason is self._memo_reason(self._lsu_free)
+                                 and self._memo_holds(sched)))):
                     continue
                 self._obs_close(sid, cycle)
             if k is not None:
@@ -834,11 +884,10 @@ class StreamingMultiprocessor:
                 table.bump_sched(sm_id, sid, k, STALL_BMI_LOSS)
                 continue
             if cycle < sched._next_wake or (
-                    sched._mem_stalled and not self._lsu_free
-                    and cycle < sched._mem_wake):
+                    cycle < sched._mem_wake and self._memo_holds(sched)):
                 # Not scanned again before the hint expires: owe this
                 # slot and the following ones to one verdict.
-                owed[sid] = self._obs_freeze(sched, cycle)
+                owed[sid] = self._obs_freeze(sched, cycle, self._lsu_free)
                 continue
             warp, op, status = sched.first_ready(cycle)
             if status == "empty":
@@ -868,32 +917,72 @@ class StreamingMultiprocessor:
         issued.clear()
         lost.clear()
 
-    def _obs_freeze(self, sched: WarpScheduler, first: int) -> _OwedSlots:
+    def _memo_holds(self, sched: WarpScheduler) -> bool:
+        """Whether ``sched``'s issue-stall memo holds against this
+        tick's open-kernel mask — the skip test of ``tick``, read back
+        after the scheduler loop (``_open`` is only stored on the ticks
+        that resolve it through the limiter)."""
+        blocked = sched._mem_blocked
+        if not blocked or not self._lsu_free:
+            return bool(blocked)
+        return not (self._limiter_unlimited or blocked & self._open)
+
+    @staticmethod
+    def _memo_reason(lsu_free: bool) -> str:
+        """What the oracle charges a slot behind the issue-stall memo
+        to: it tests the LSU queue before the limiter, and with room in
+        the queue the picked warp's kernel is in the blocked set —
+        capped, whichever warp LRR's rotation picks."""
+        return STALL_MIL_CAPPED if lsu_free else STALL_LSU_FULL
+
+    def _obs_freeze(self, sched: WarpScheduler, first: int,
+                    lsu_free: bool) -> _OwedSlots:
         """The verdict ``sched``'s slots from cycle ``first`` on are
         owed to while it is not scanned: what the oracle's per-slot
         classification reads at ``first``, which nothing but an issue,
-        a launch, a load return or the hint's expiry can change.  Under
+        a launch, a load return, the LSU queue crossing full
+        (``lsu_free``: the queue state the tick at ``first`` resolves)
+        or the hint's expiry can change.  Under
         LRR the pick rotates with ``_lrr_pos`` (advanced once per
         cycle, here or in ``_pay_sleep_debt``); the rotation start at
         ``first`` follows from the cycles ``_lrr_pos`` is behind."""
         status, warps = sched.stall_verdict(first)
         if status != "ready":
+            reason = _FROZEN_REASON[status]
             until = sched._next_wake
-        elif sched._mem_stalled:
-            until = sched._mem_wake
         else:
-            # Named by a load return that voided the memo: good for the
-            # cycles this SM sleeps on, not for one it ticks (the scan
-            # there re-derives the memo, maybe for another warp).
-            until = first
+            reason = self._memo_reason(lsu_free)
+            # Without a memo the verdict was named by a load return
+            # that voided it: good for the cycles this SM sleeps on,
+            # not for one it ticks (the scan there re-derives the memo,
+            # maybe for another warp).
+            until = sched._mem_wake if sched._mem_blocked else first
         kernels = tuple(KERNEL_NONE if warp is None else warp.kernel_slot
                         for warp in warps)
         start = 0
         if len(kernels) > 1:
             start = ((sched._lrr_pos + first - 1 - self._last_tick)
                      % len(kernels))
-        return _OwedSlots(first, _FROZEN_REASON[status], kernels, start,
-                          until)
+        return _OwedSlots(first, reason, kernels, start, until)
+
+    def _obs_freeze_all(self, first: int) -> None:
+        """The SM sleeps from cycle ``first``: every scheduler without a
+        stretch gets one, and a memo stretch opened under the queue
+        state this tick began with is re-named if the tick's own issues
+        or LSU tick moved the queue across full."""
+        owed = self._obs_owed
+        lsu = self.lsu
+        lsu_free = len(lsu.queue) < lsu.queue_depth
+        reason = self._memo_reason(lsu_free)
+        for sched in self.schedulers:
+            sid = sched.sched_id
+            stretch = owed[sid]
+            if (stretch is not None and stretch.reason in _MEMO_REASONS
+                    and stretch.reason is not reason):
+                self._obs_close(sid, first)
+                stretch = None
+            if stretch is None:
+                owed[sid] = self._obs_freeze(sched, first, lsu_free)
 
     def _obs_pay(self, sid: int, stretch: _OwedSlots, upto: int) -> None:
         """Charge the owed slots before cycle ``upto``; the stretch
@@ -934,7 +1023,10 @@ class StreamingMultiprocessor:
             return
         self._obs_close(sched.sched_id, upto)
         if upto < self._sleep_until:
-            self._obs_owed[sched.sched_id] = self._obs_freeze(sched, upto)
+            # Asleep: the LSU queue is frozen at its current length.
+            lsu = self.lsu
+            self._obs_owed[sched.sched_id] = self._obs_freeze(
+                sched, upto, len(lsu.queue) < lsu.queue_depth)
 
     def _obs_settle(self, upto: int) -> None:
         """Pay every owed issue slot before cycle ``upto`` (the engine
@@ -947,11 +1039,20 @@ class StreamingMultiprocessor:
     # scheme event hooks (called by the LSU)
     def _note_scheme_window(self) -> None:
         """A scheme window boundary fired (DMIL limit recompute, QBMI
-        quota replenish, Req/Minst refresh): post a conservative
-        re-evaluation point to the event wheel so the engine's cycle
-        leap re-checks issue eligibility on the next cycle.
-        ``_last_tick`` never exceeds the current cycle, so the post is
-        never late; an early (stale) post costs one inert tick."""
+        quota replenish, Req/Minst refresh): issue eligibility may have
+        changed with no scheduler wake attached, so end any sleep — a
+        MIL-capped one rests on the limits just recomputed — and post a
+        conservative re-evaluation point to the event wheel so the
+        engine's cycle leap re-checks on the next cycle.  A boundary
+        fires inside an LSU tick: this SM's own (awake, mid-tick: the
+        sleep decision that follows reads the new limits) or, for
+        global DMIL's shared MILGs, the monitor's — SM 0, which ticks
+        first, so every other subscriber sees the lowered horizon later
+        in the same SM pass and ticks on the boundary's own cycle, as
+        the oracle's SMs read the new limits.  ``_last_tick`` never
+        exceeds the current cycle, so the post is never late; an early
+        (stale) post costs one inert tick."""
+        self._sleep_until = 0
         wheel = self._wheel
         if wheel is not None:
             wheel.post(self._last_tick + 1)
@@ -982,11 +1083,21 @@ class StreamingMultiprocessor:
             self.bundle.limiter.note_rsfail(kernel)
 
     def _on_meminst_complete(self, inst: MemInst, cycle: int) -> None:
-        state = self.kstate[inst.kernel]
+        k = inst.kernel
+        state = self.kstate[k]
         state.inflight_minsts -= 1
         if not self._mem_hooks_inert:
-            self.bundle.limiter.observe_inflight(inst.kernel,
-                                                 state.inflight_minsts)
+            self.bundle.limiter.observe_inflight(k, state.inflight_minsts)
+        if (self._sleep_blocked and cycle < self._sleep_until
+                and self._sleep_blocked >> k & 1
+                and self._limiter.can_issue(k, state.inflight_minsts)):
+            # The decrement re-opened a kernel a sleeping scheduler's
+            # issue-stall memo waits on: the tick at ``cycle`` resolves
+            # the new mask, so the SM must run it (this return came
+            # with the memory tick, ahead of the SM pass).  Keyed on
+            # the sleep, not on hook inertness: SMIL's hooks are inert
+            # and its caps open the same way.
+            self._sleep_until = cycle
         warp = inst.warp
         if not inst.is_store:
             sched = warp.sched
@@ -1026,13 +1137,16 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     # whole-SM sleep accounting
     def _end_stall_sleep(self) -> None:
-        """``l1.on_release``, armed by a memory-stall sleep: the
-        cache's version just moved, so the memoised verdict the sleep
-        rests on is void — tick this very cycle.  One shot.  If the
-        sleep already ended another way (a scheduler horizon, a load
-        return) the hook fires late, on an SM that is awake (a no-op)
-        or in a sleep of another kind (an early, inert wake)."""
-        self.lsu.l1.on_release = None
+        """The L1 release hook a memory-stall sleep arms
+        (``LoadStoreUnit.arm_release``; one shot: it disarms itself):
+        the resource class the memoised verdict reads was just
+        released, so the verdict the sleep rests on is void — tick
+        this very cycle.  If the sleep already ended another way (a
+        scheduler horizon, a load return) the hook fires late, on an SM
+        that is awake (a no-op) or in a sleep of another kind (an
+        early, inert wake)."""
+        self.lsu.arm_release(None)
+        self._stall_wakes += 1
         self._sleep_until = 0
 
     def _pay_sleep_debt(self, gap: int) -> None:

@@ -20,14 +20,18 @@ from typing import Dict, List, Optional
 
 #: causes of a whole-SM sleep on the fast loop, in the order of the
 #: SM's per-cause counters: nothing to do at all, every busy scheduler
-#: mid-ALU-burst, or the LSU head replaying a memoised reservation
-#: failure (the paper's memory-pipeline stall).
-SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall")
+#: mid-ALU-burst, the LSU head replaying a memoised reservation
+#: failure (the paper's memory-pipeline stall), or — with the LSU
+#: drained — every ready warp holding a memory instruction of a kernel
+#: at its MIL cap (the paper's mechanism at work).
+SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall", "mil_capped")
 
 #: ``RunResult.sleep`` key -> the process-registry name the same
 #: number accumulates under (``repro.obs.process_registry()``): slept
 #: SM-cycles by cause, SM-cycles simulated, LSU stall replays settled
-#: in batches, engine leaps and the cycles they skipped (mean distance
+#: in batches, L1 release hooks that ended a memory-stall sleep (each
+#: buys one real lookup of the stalled head), engine leaps and the
+#: cycles they skipped (mean distance
 #: = the ratio), leap landings where nothing ran, the request pool's
 #: peak live slots (a gauge: the registry keeps the highest) and
 #: doublings, and issue slots an observed run attributed in batches
@@ -36,8 +40,10 @@ SELF_OBS_REGISTRY = {
     "idle": "sim.sleep.idle",
     "alu_burst": "sim.sleep.alu_burst",
     "mem_stall": "sim.sleep.mem_stall",
+    "mil_capped": "sim.sleep.mil_capped",
     "sm_cycles": "sim.sleep.sm_cycles",
     "stall_replays_batched": "sim.sleep.stall_replays_batched",
+    "stall_wakes": "sim.sleep.stall_wakes",
     "leaps": "sim.leap.count",
     "leap_cycles": "sim.leap.cycles",
     "wheel_inert_wakes": "sim.wheel.inert_wakes",
@@ -135,7 +141,8 @@ class RunResult:
     #: batches): slept SM-cycles by cause (:data:`SLEEP_CAUSES`),
     #: ``sm_cycles`` (cycles x SMs), ``stall_replays_batched`` (LSU
     #: stall replays settled in batches instead of replayed against the
-    #: L1) and the leap / wheel / request-pool / batched-attribution
+    #: L1), ``stall_wakes`` (L1 release hooks that woke a stalled SM to
+    #: retry) and the leap / wheel / request-pool / batched-attribution
     #: counts keyed as in :data:`SELF_OBS_REGISTRY`.
     sleep: Optional[Dict[str, int]] = None
 

@@ -14,12 +14,16 @@ min-heap that every component posts its future activity cycles into:
   service starts;
 * SMs post their ``_sleep_until`` when they go to sleep, and
   schedulers post lowered wakes (``wake_at``) on load returns; a
-  memory-stall sleep also ends when its L1's ``version`` moves
-  (``on_release`` lowers the horizon to 0), which needs no entry of its
-  own: a fill is a scheduled memory event, already posted, and a
-  miss-queue drain cannot happen while the backend is leapable;
-* MILG / QBMI window boundaries post a next-cycle re-evaluation point
-  (see ``StreamingMultiprocessor._note_scheme_window``).
+  memory-stall sleep also ends when its L1 releases the resource class
+  its verdict waits on (``on_release`` lowers the horizon to 0), and a
+  MIL-capped one when a completing memory instruction re-opens a
+  kernel, neither of which needs an entry of its own: a fill — the
+  only completion outside an SM's own tick — is a scheduled memory
+  event, already posted, and a miss-queue drain cannot happen while
+  the backend is leapable;
+* MILG / QBMI window boundaries end their subscribers' sleeps and post
+  a next-cycle re-evaluation point (see
+  ``StreamingMultiprocessor._note_scheme_window``).
 
 Entries are deduplicated per cycle, so a burst of posts for the same
 cycle costs one dict hit each.  Reads are lazy: :meth:`next_after`

@@ -24,7 +24,7 @@ from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
 from repro.obs import ObsOptions, process_registry
 from repro.sim.engine import GPU, make_launches
-from repro.sim.sm import SLEEP_STALL
+from repro.sim.sm import SLEEP_MIL, SLEEP_STALL
 from repro.sim.stats import SELF_OBS_REGISTRY, SLEEP_CAUSES
 from repro.workloads.profiles import get_profile
 
@@ -61,6 +61,27 @@ CASES = BASE_CASES + [
     (f"stall-{name}-{mix}-{policy}", kernels, (4, 4), scheme_kwargs,
      {"scheduler_policy": policy})
     for name, scheme_kwargs in STALL_SCHEMES
+    for mix, kernels in (("M+M", ("ks", "ax")), ("C+M", ("bp", "cd")))
+    for policy in ("gto", "lrr")
+]
+
+# MIL-capped sleep (docs/PERF.md section 3, "Issue-stall memo"): an SM
+# whose ready warps all hold memory instructions of capped kernels
+# sleeps until an in-flight count or a limit moves.  The default
+# 1024-request window never closes in CYCLES on the scaled machine, so
+# the DMIL cells sample every 32 requests: limits, and with them the
+# open-kernel mask, move throughout the run.
+MIL_SCHEMES = [
+    ("smil", {"mil": "smil", "smil_limits": (2, 2)}),
+    ("dmil-local", {"mil": "dmil", "sample_window": 32}),
+    ("dmil-global", {"mil": "gdmil", "sample_window": 32}),
+    ("dmil+qbmi", {"mil": "dmil", "sample_window": 32, "bmi": "qbmi",
+                   "qbmi_init_req_per_minst": (4, 4)}),
+]
+MIL_CASES = [
+    (f"mil-{name}-{mix}-{policy}", kernels, (4, 4), scheme_kwargs,
+     {"scheduler_policy": policy})
+    for name, scheme_kwargs in MIL_SCHEMES
     for mix, kernels in (("M+M", ("ks", "ax")), ("C+M", ("bp", "cd")))
     for policy in ("gto", "lrr")
 ]
@@ -146,19 +167,68 @@ def test_observed_production_report_equals_observed_oracle(
         assert slept(observed) > 0
 
 
+@pytest.mark.parametrize(
+    "kernels,tbs,scheme_kwargs,cfg_kwargs",
+    [case[1:] for case in MIL_CASES],
+    ids=[case[0] for case in MIL_CASES])
+def test_mil_capped_sleep_is_exact_and_engages(kernels, tbs, scheme_kwargs,
+                                               cfg_kwargs):
+    """Every limiter kind, with limits that bite: production == oracle
+    (signature; observed report field for field; taxonomy sums), the
+    SMs do sleep through MIL-capped stretches — observed exactly as
+    unobserved — and the oracle never does."""
+    def options():
+        return ObsOptions(phase=True, phase_interval=256)
+
+    oracle = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                      reference=True, obs=options())
+    observed = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                        reference=False, obs=options())
+    plain = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                     reference=False)
+    assert (result_signature(observed) == result_signature(plain)
+            == result_signature(oracle))
+    report = observed.obs
+    assert_reports_equal(report, oracle.obs)
+    assert sum(report.sched_stalls.values()) == report.issue_slots() == (
+        CYCLES * CONFIG.num_sms * CONFIG.schedulers_per_sm)
+    assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles
+    assert report.sched_stall_shares()["mil_capped"] > 0
+    for cause in SLEEP_CAUSES:
+        assert observed.sleep[cause] == plain.sleep[cause]
+        assert oracle.sleep[cause] == 0
+    assert plain.sleep["mil_capped"] > 0
+
+
 @pytest.mark.parametrize("policy", ("gto", "lrr"))
 def test_observed_split_run_equals_one_run(policy):
     """run(a); run(b) with ``a`` landing inside a memory-stall sleep —
     every scheduler mid-stretch, the LSU owing replays — reports what
     one run(a+b) does, and what the oracle does: settling is additive."""
+    assert_split_run_equals_one_run(("ks", "ax"), {"mil": "dmil"}, policy,
+                                    SLEEP_STALL)
+
+
+@pytest.mark.parametrize("policy", ("gto", "lrr"))
+@pytest.mark.parametrize("scheme_kwargs",
+                         [scheme for _, scheme in MIL_SCHEMES],
+                         ids=[name for name, _ in MIL_SCHEMES])
+def test_observed_split_run_inside_mil_capped_sleep(scheme_kwargs, policy):
+    """The same with the boundary inside a MIL-capped sleep: schedulers
+    owe ``mil_capped`` stretches, the LSU owes nothing."""
+    assert_split_run_equals_one_run(("bp", "cd"), scheme_kwargs, policy,
+                                    SLEEP_MIL)
+
+
+def assert_split_run_equals_one_run(kernels, scheme_kwargs, policy, cause):
     def gpu(**kwargs):
-        return build_gpu(("ks", "ax"), (4, 4), {"mil": "dmil"},
+        return build_gpu(kernels, (4, 4), scheme_kwargs,
                          scaled_config(scheduler_policy=policy),
                          obs=ObsOptions(phase=True, phase_interval=100),
                          **kwargs)
 
     split = gpu()
-    head = run_into_stall_sleep(split)
+    head = run_into_sleep(split, cause)
     assert head.obs.issue_slots() == sum(head.obs.sched_stalls.values())
     tail = split.run(CYCLES - head.cycles)
     whole = gpu().run(CYCLES)
@@ -257,17 +327,17 @@ def test_mid_run_tb_limit_change_matches_reference():
 # memory-stall sleep: an SM whose LSU head replays a memoised
 # reservation failure sleeps until l1.version moves (the scheme sweep
 # rides in CASES above).
-def run_into_stall_sleep(gpu, cycles=600):
+def run_into_sleep(gpu, cause=SLEEP_STALL, cycles=600):
     """Run ``cycles``, then on one cycle at a time until the run
-    boundary falls inside some SM's memory-stall sleep; returns the
+    boundary falls inside some SM's sleep of ``cause``; returns the
     result at that boundary."""
     result = gpu.run(cycles)
     for _ in range(200):
-        if any(sm._sleep_cause == SLEEP_STALL
+        if any(sm._sleep_cause == cause
                and sm._sleep_until > gpu.cycles_run for sm in gpu.sms):
             return result
         result = gpu.run(1)
-    raise AssertionError("no memory-stall sleep to stop in")
+    raise AssertionError(f"no {SLEEP_CAUSES[cause]} sleep to stop in")
 
 
 def test_stall_sleep_engages_at_paper_scale():
@@ -343,7 +413,7 @@ def test_run_boundary_mid_stall_sleep(scheme_kwargs):
     run pays only the remainder: run(a); run(b) == run(a+b) ==
     reference."""
     split = build_gpu(("ks", "ax"), (4, 4), scheme_kwargs)
-    head = run_into_stall_sleep(split)
+    head = run_into_sleep(split)
     ref = build_gpu(("ks", "ax"), (4, 4), scheme_kwargs, reference=True)
     assert result_signature(head) == result_signature(ref.run(head.cycles))
     rest = CYCLES - head.cycles
@@ -355,7 +425,7 @@ def test_run_boundary_mid_stall_sleep(scheme_kwargs):
 def test_tb_limit_change_mid_stall_sleep():
     fast = build_gpu(("ks", "ax"), (2, 2))
     ref = build_gpu(("ks", "ax"), (2, 2), reference=True)
-    ref.run(run_into_stall_sleep(fast).cycles)
+    ref.run(run_into_sleep(fast).cycles)
     for gpu in (fast, ref):
         for sm_id in range(CONFIG.num_sms):
             gpu.set_tb_limit(sm_id, 1, 4)

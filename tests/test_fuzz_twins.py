@@ -34,6 +34,7 @@ from repro.mem.pool import (  # noqa: E402
 )
 from repro.obs import ObsOptions  # noqa: E402
 from repro.sim.engine import GPU, make_launches  # noqa: E402
+from repro.sim.stats import SLEEP_CAUSES  # noqa: E402
 from repro.workloads import trace as ktrace  # noqa: E402
 from repro.workloads.address import (  # noqa: E402
     MixPattern,
@@ -261,3 +262,58 @@ def test_observed_production_equals_observed_oracle(kernels, tbs, scheme,
     assert_reports_equal(report, oracle.obs)
     assert sum(report.sched_stalls.values()) == report.issue_slots()
     assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles
+
+
+# ----------------------------------------------------------------------
+# MIL-capped issue stalls (docs/PERF.md, "Issue-stall memo"): limiter
+# kind x mixes x seeds, with sampling windows short enough for DMIL's
+# limits to move within the run — the open-kernel mask changes through
+# every door (in-flight decrements, local and global recomputes, LSU
+# fullness), observed and unobserved, whole and split.
+MIL_KINDS = ("smil", "dmil", "gdmil", "dmil+qbmi")
+
+
+@settings(FUZZ, max_examples=40)
+@given(kernels=st.lists(st.sampled_from(sorted(PROFILES_BY_NAME)),
+                        min_size=1, max_size=2, unique=True),
+       tbs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       kind=st.sampled_from(MIL_KINDS),
+       limits=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       window=st.sampled_from((16, 32, 64)),
+       policy=st.sampled_from(("gto", "lrr")),
+       seed=st.integers(0, 999),
+       observed=st.booleans(),
+       split=st.one_of(st.none(), st.integers(1, 899)))
+def test_mil_capped_production_equals_oracle(kernels, tbs, kind, limits,
+                                             window, policy, seed, observed,
+                                             split):
+    if kind == "smil":
+        scheme = {"mil": "smil", "smil_limits": limits[:len(kernels)]}
+    else:
+        scheme = {"mil": kind.split("+")[0], "sample_window": window}
+        if kind.endswith("qbmi"):
+            scheme.update(bmi="qbmi",
+                          qbmi_init_req_per_minst=(4,) * len(kernels))
+    config = scaled_config(scheduler_policy=policy)
+    cycles = 900
+
+    def run(reference, pieces):
+        launches = make_launches([get_profile(k) for k in kernels],
+                                 list(tbs[:len(kernels)]), config, seed=seed)
+        gpu = GPU(config, launches, SchemeConfig(**scheme),
+                  reference=reference,
+                  obs=ObsOptions(phase=True, phase_interval=100)
+                  if observed else None)
+        for piece in pieces:
+            result = gpu.run(piece)
+        return result
+
+    oracle = run(True, (cycles,))
+    production = run(False, (split, cycles - split) if split else (cycles,))
+    assert result_signature(production) == result_signature(oracle)
+    assert not any(oracle.sleep[cause] for cause in SLEEP_CAUSES)
+    if observed:
+        report = production.obs
+        assert_reports_equal(report, oracle.obs)
+        assert sum(report.sched_stalls.values()) == report.issue_slots()
+        assert sum(report.lsu_stalls.values()) == production.lsu_stall_cycles

@@ -1,9 +1,13 @@
 """Unit tests for the LSU memory pipeline (in-order, replay-on-stall)."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import CacheConfig
-from repro.mem.cache import L1DCache
+from repro.config import CacheConfig, scaled_config
+from repro.mem.cache import (RELEASE_DRAIN, RELEASE_FILL, RSFAIL_RELEASE,
+                             L1DCache)
+from repro.mem.subsystem import PooledMemorySubsystem
 from repro.sim.lsu import LoadStoreUnit
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.address import StreamPattern
@@ -30,6 +34,10 @@ class FakeSM:
 
     def on_request_issued(self, request, result, cycle):
         self.requests.append((request.line, result))
+
+    def on_request_issued_values(self, kernel, line, is_write, result,
+                                 cycle):
+        self.requests.append((line, result))
 
     def on_rsfail(self, kernel, cycle):
         self.rsfails.append(kernel)
@@ -171,3 +179,96 @@ class TestLSU:
         lsu.enqueue(second)
         lsu.tick(0, sm)
         assert sm.rsfails, "a full miss queue stalls bypassed reads too"
+
+
+# ----------------------------------------------------------------------
+# production tick: the stall memo and the L1 release hook are keyed to
+# the class of release the verdict can be moved by (docs/PERF.md s.3).
+#: (verdict, L1D overrides, lines accepted first, the line that stalls)
+#: on a 2-set, 2-way L1D without xor indexing (set = line % 2).
+KEYED_STALLS = [
+    ("rsfail_missq", {"mshrs": 4, "miss_queue": 2}, (0, 1), 3),
+    ("rsfail_mshr", {"mshrs": 2, "miss_queue": 4}, (0, 1), 3),
+    ("rsfail_line", {"mshrs": 4, "miss_queue": 4}, (0, 2), 4),
+    ("rsfail_merge", {"mshrs": 4, "miss_queue": 4, "mshr_merge": 1},
+     (0,), 0),
+]
+
+
+class PooledStall:
+    """One pooled LSU + L1 driven to a memoised reservation failure,
+    with both release classes scriptable."""
+
+    def __init__(self, overrides, accepted, stalled):
+        l1d = CacheConfig(size_bytes=4 * 128, line_size=128, assoc=2,
+                          xor_index=False, **overrides)
+        config = dataclasses.replace(scaled_config(num_sms=1), l1d=l1d)
+        self.mem = PooledMemorySubsystem(config)
+        self.l1 = self.mem.l1s[0]
+        self.lsu = LoadStoreUnit(0, self.l1, width=1)
+        self.sm = FakeSM()
+        self.cycle = 0
+        self.filled = accepted[0]
+        for line in accepted + (stalled,):
+            self.lsu.enqueue(make_inst([line])[0])
+        for _ in accepted:
+            assert not self.tick()
+        assert self.tick(), "the head must stall"
+        self.wakes = []
+        self.lsu.arm_release(lambda: self.wakes.append(self.cycle))
+
+    def tick(self):
+        self.cycle += 1
+        return self.lsu._tick_pooled(self.cycle, self.sm)
+
+    def release(self, cls):
+        if cls == RELEASE_FILL:
+            self.l1.fill(self.filled)
+        else:
+            before = len(self.l1.miss_queue)
+            self.mem.icnt.begin_cycle(1)
+            self.mem._drain_l1_miss_queues(self.cycle)
+            assert len(self.l1.miss_queue) == before - 1
+
+
+@pytest.mark.parametrize("verdict,overrides,accepted,stalled", KEYED_STALLS,
+                         ids=[case[0] for case in KEYED_STALLS])
+def test_only_its_own_release_class_moves_a_stalled_verdict(
+        verdict, overrides, accepted, stalled):
+    rig = PooledStall(overrides, accepted, stalled)
+    lsu = rig.lsu
+    assert lsu._stall_memo[3] == verdict
+    own = RSFAIL_RELEASE[verdict]
+    assert own == (RELEASE_DRAIN if verdict == "rsfail_missq"
+                   else RELEASE_FILL)
+    looked_up = lsu.stall_cycles
+    # The other class: no wake, and the replay is still deferred — no
+    # lookup, one more owed stall cycle.
+    rig.release(1 - own)
+    assert rig.wakes == []
+    assert rig.tick() and lsu._stall_owed == 1
+    assert lsu.stall_cycles == looked_up
+    # Its own class: the hook fires and the retried lookup gets through.
+    rig.release(own)
+    assert rig.wakes == [rig.cycle]
+    assert not rig.tick()
+    assert rig.sm.requests[-1][0] == stalled and len(lsu.queue) == 0
+    assert (lsu.stall_cycles, lsu._stall_owed) == (looked_up + 1, 0)
+    assert rig.l1.stats.rsfail_reasons[verdict] == looked_up + 1
+
+
+def test_partition_swap_still_voids_the_stall_memo():
+    """UCP installs a new partition object: whatever class the verdict
+    waits on, the next tick looks the head up again."""
+    verdict, overrides, accepted, stalled = KEYED_STALLS[2]
+    rig = PooledStall(overrides, accepted, stalled)
+    lsu = rig.lsu
+    assert rig.tick() and lsu._stall_owed == 1
+    looked_up = lsu.stall_cycles
+    rig.l1.tags.partition = {0: 2}
+    assert rig.tick()
+    # Both of kernel 0's ways are reserved: the same failure, re-derived
+    # (the owed replay settled, then one real lookup).
+    assert lsu._stall_memo[3] == verdict
+    assert (lsu.stall_cycles, lsu._stall_owed) == (looked_up + 2, 0)
+    assert rig.wakes == []

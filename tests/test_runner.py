@@ -39,6 +39,51 @@ class TestIsolatedCache:
         with pytest.raises(ValueError):
             runner.isolated(get_profile("bp"), tbs=0)
 
+    @pytest.mark.parametrize("first", ("iso", "curve"))
+    def test_max_tb_curve_point_shares_the_iso_simulation(
+            self, tmp_path, monkeypatch, first):
+        """The max-TB curve point is a prefix of the iso run: whichever
+        is asked for first simulates once and installs both records —
+        the records separate simulations produce, under the same keys —
+        in memory and on disk."""
+        from repro.harness import runner as runner_module
+        profile = get_profile("bp")
+        config = scaled_config()
+        max_tbs = profile.max_tbs_per_sm(config)
+        budgets = {"iso": FAST.iso_cycles, "curve": FAST.curve_cycles}
+        # Equal budgets share nothing: each record from its own run.
+        apart = {
+            name: ExperimentRunner(config, RunnerSettings(
+                iso_cycles=cycles, curve_cycles=cycles)).isolated(
+                    profile, max_tbs, cycles)
+            for name, cycles in budgets.items()}
+
+        built = []
+        real_gpu = runner_module.GPU
+
+        def counting_gpu(*args, **kwargs):
+            built.append(args)
+            return real_gpu(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "GPU", counting_gpu)
+        shared = ExperimentRunner(config, FAST, cache_dir=str(tmp_path))
+        other = "curve" if first == "iso" else "iso"
+        assert shared.isolated(profile, max_tbs, budgets[first]) \
+            == apart[first]
+        assert len(built) == 1
+        assert len(list(tmp_path.glob("iso-*.json"))) == 2
+        assert shared.isolated(profile, max_tbs, budgets[other]) \
+            == apart[other]
+        # A second runner finds both on disk; nothing simulates again.
+        again = ExperimentRunner(config, FAST, cache_dir=str(tmp_path))
+        for name, cycles in budgets.items():
+            assert again.isolated(profile, max_tbs, cycles) == apart[name]
+        assert len(built) == 1
+        # Below the maximum TB count the curve point stands alone.
+        shared.isolated(profile, 1, FAST.curve_cycles)
+        assert len(built) == 2
+        assert len(list(tmp_path.glob("iso-*.json"))) == 3
+
 
 class TestSchemeResolution:
     def test_ws_partition_is_feasible(self, runner):

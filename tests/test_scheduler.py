@@ -107,3 +107,71 @@ class TestSelection:
         w0 = make_warp(0, cinst=5)
         sched.add_warp(w0)
         assert sched.select(0, always, lambda op: False) is None
+
+
+def refuse(*kernels):
+    """A callback ``mem_ok`` that closes ``kernels`` (MIL-capped)."""
+    return lambda warp, op: warp.kernel_slot not in kernels
+
+
+class TestIssueStallMemo:
+    """The per-kernel issue-stall memo (``_mem_blocked``): set when a
+    scan under ``compute_ok=None, warp_gated=None`` finds ready warps
+    and issues nothing, to the kernels whose memory instructions it
+    refused — whether the LSU was full or MIL capped them."""
+
+    def stalled(self, mem_ok=refuse(0, 2)):
+        sched = WarpScheduler(0, "gto")
+        warps = [make_warp(0, kernel=0, cinst=0),
+                 make_warp(1, kernel=2, cinst=0),
+                 make_warp(2, kernel=1, cinst=5)]
+        warps[2].ready_at = 7  # compute-headed, latency-blocked
+        for warp in warps:
+            sched.add_warp(warp)
+        assert sched.select(0, mem_ok, None, None) is None
+        return sched, warps
+
+    def test_records_the_closed_set_under_a_callback(self):
+        sched, _ = self.stalled()
+        assert sched._mem_blocked == 0b101
+        assert sched._mem_wake == 7
+
+    def test_lsu_full_is_the_all_kernels_case(self):
+        sched, _ = self.stalled(mem_ok=None)
+        assert sched._mem_blocked == 0b101
+        assert sched._mem_wake == 7
+
+    def test_an_open_kernel_issues_instead(self):
+        sched = WarpScheduler(0, "gto")
+        for age, kernel in enumerate((0, 2)):
+            sched.add_warp(make_warp(age, kernel=kernel, cinst=0))
+        sel = sched.select(0, refuse(0), None, None)
+        assert sel.is_mem and sel.warp.kernel_slot == 2
+        assert sched._mem_blocked == 0
+
+    def test_not_set_while_a_port_or_gate_verdict_is_live(self):
+        for compute_ok, warp_gated in ((always, None), (None, always)):
+            sched = WarpScheduler(0, "gto")
+            sched.add_warp(make_warp(0, kernel=0, cinst=0))
+            assert sched.select(0, refuse(0), compute_ok, warp_gated) is None
+            assert sched._mem_blocked == 0
+
+    def test_not_set_when_nothing_is_latency_ready(self):
+        sched = WarpScheduler(0, "gto")
+        warp = make_warp(0, cinst=0)
+        warp.ready_at = 5
+        sched.add_warp(warp)
+        assert sched.select(0, None, None, None) is None
+        assert sched._mem_blocked == 0 and sched._next_wake == 5
+
+    def test_cleared_by_every_event_that_voids_it(self):
+        events = {
+            "note_issued": lambda s, w: s.note_issued(w[0]),
+            "wake_at": lambda s, w: s.wake_at(3),
+            "add_warp": lambda s, w: s.add_warp(make_warp(9, cinst=0)),
+            "remove_warp": lambda s, w: s.remove_warp(w[1]),
+        }
+        for name, event in events.items():
+            sched, warps = self.stalled()
+            event(sched, warps)
+            assert sched._mem_blocked == 0, name

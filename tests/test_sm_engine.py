@@ -76,6 +76,42 @@ class TestEngineBasics:
         assert second.cycles == 2000
         assert second.kernels[0].warp_insts >= first.kernels[0].warp_insts
 
+    def test_collected_result_survives_a_later_run(self):
+        """``run`` hands out a snapshot: continuing the simulation must
+        not rewrite a result already collected — and the continued run
+        still equals one uninterrupted run."""
+        from repro.harness.perfbench import result_signature
+
+        def gpu():
+            cfg = scaled_config()
+            launches = make_launches(
+                [get_profile("bp"), get_profile("cd")], [2, 2], cfg)
+            return GPU(cfg, launches, SchemeConfig())
+
+        split = gpu()
+        head = split.run(600)
+        before = (result_signature(head), head.ipc(0), head.ipc(1))
+        tail = split.run(200)
+        assert (result_signature(head), head.ipc(0), head.ipc(1)) == before
+        assert head.kernels[0].warp_insts < tail.kernels[0].warp_insts
+        assert result_signature(tail) == result_signature(gpu().run(800))
+
+    def test_global_dmil_window_reaches_every_sm(self):
+        """Global DMIL's MILGs are shared: each SM subscribes to their
+        window boundary (the last one built used to displace the rest),
+        and a boundary ends every SM's sleep."""
+        cfg = scaled_config()
+        launches = make_launches([get_profile("bp"), get_profile("cd")],
+                                 [2, 2], cfg)
+        gpu = GPU(cfg, launches, SchemeConfig(mil="gdmil"))
+        milgs = gpu.sms[0].bundle.limiter.shared.milgs
+        for milg in milgs:
+            assert len(milg.on_window) == cfg.num_sms
+        for sm in gpu.sms:
+            sm._sleep_until = 1 << 30
+        milgs[0].on_window()
+        assert [sm._sleep_until for sm in gpu.sms] == [0] * cfg.num_sms
+
     def test_rejects_empty_launches(self):
         with pytest.raises(ValueError):
             GPU(scaled_config(), [], SchemeConfig())
