@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Static analysis: ruff (style/imports) + the repro linter (simulator
-# invariants: determinism, sentinel hooks, stat hygiene, picklability)
-# in both per-file and whole-program (--project) modes.
+# invariants: determinism, sentinel hooks, stat hygiene, picklability).
 # Mirrors the CI `lint` job; run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,9 +9,4 @@ echo "== ruff =="
 ruff check src tests scripts
 
 echo "== repro lint =="
-PYTHONPATH=src python -m repro lint src tests \
-    --baseline .repro-lint-baseline.json "$@"
-
-echo "== repro lint --project =="
-PYTHONPATH=src python -m repro lint src tests scripts --project \
-    --baseline .repro-lint-baseline.json "$@"
+PYTHONPATH=src python -m repro lint src "$@"

@@ -45,13 +45,11 @@ Commands
     ``--check``, exit 1 when the geomean drops more than PCT percent
     (default 2) — the simulated-metric regression gate for CI.
 ``lint [paths] [--format text|json|github] [--select IDS]
-[--baseline FILE] [--write-baseline] [--list-rules] [--project]
-[--index-cache FILE] [--no-index-cache]``
-    AST-based simulator-invariant linter (determinism, sentinel-hook
-    discipline, stat hygiene, picklability); ``--project`` adds the
-    whole-program rules (event-wheel discipline, cross-process shared
-    state, taxonomy drift) over an incrementally cached project index —
-    see ``docs/LINT_RULES.md``.  Exits 1 on findings, 2 on usage errors.
+[--list-rules] [--root DIR]``
+    AST-based simulator-invariant linter, one pass per file
+    (determinism, sentinel-hook discipline, stat hygiene,
+    picklability) — see ``docs/LINT_RULES.md``.  Exits 1 on findings,
+    2 on usage errors.
 ``schemes``
     List the scheme names the harness understands.
 """
@@ -123,8 +121,32 @@ def _obs_options(args):
     return None
 
 
+def _bad_names(kernels, schemes) -> bool:
+    """Resolve every kernel and scheme name before a runner, a job or
+    a cache directory exists: an unknown one is a usage error — one
+    ``error:`` line naming the known values, exit 2 — not a traceback
+    and not a cell fault to retry and quarantine."""
+    from repro.harness.runner import ExperimentRunner
+    from repro.workloads.profiles import get_profile
+    try:
+        for name in kernels:
+            get_profile(name)
+        for scheme in schemes:
+            ExperimentRunner.check_scheme(scheme)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return True
+    except ValueError as exc:
+        known = ", ".join(name for name, _ in SCHEME_HELP)
+        print(f"error: {exc} (known: {known})", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_run(args) -> int:
     from repro.workloads.mixes import mix
+    if _bad_names((args.a, args.b), (args.scheme,)):
+        return 2
     runner = _scaled_runner()
     try:
         outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
@@ -188,6 +210,8 @@ def cmd_run(args) -> int:
 def cmd_stalls(args) -> int:
     from repro.obs import format_stall_report
     from repro.workloads.mixes import mix
+    if _bad_names((args.a, args.b), (args.scheme,)):
+        return 2
     runner = _scaled_runner()
     try:
         outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
@@ -204,6 +228,8 @@ def cmd_stalls(args) -> int:
 def cmd_trace(args) -> int:
     from repro.obs import ObsOptions
     from repro.workloads.mixes import mix
+    if _bad_names((args.a, args.b), (args.scheme,)):
+        return 2
     runner = _scaled_runner()
     options = ObsOptions(trace=True,
                          trace_issue_sample=args.issue_sample,
@@ -239,16 +265,18 @@ def cmd_campaign(args) -> int:
     from repro.harness.reporting import format_table
     from repro.harness.resilience import (PLAIN, JobError, Quarantined,
                                           ResiliencePolicy)
-    from repro.workloads.mixes import WorkloadMix
-    from repro.workloads.profiles import get_profile
-    mixes = []
+    from repro.workloads.mixes import mix
+    specs = []
     for spec in args.mixes:
         names = [n.strip() for n in spec.split(",") if n.strip()]
         if len(names) < 2:
             print(f"mix {spec!r} needs at least two kernels", file=sys.stderr)
             return 2
-        mixes.append(WorkloadMix(tuple(get_profile(n) for n in names)))
+        specs.append(names)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if _bad_names([n for names in specs for n in names], schemes):
+        return 2
+    mixes = [mix(*names) for names in specs]
     # Any of the four flags asks for a resilience policy, which
     # checkpoints under the cache dir — so it defaults one on; the
     # plain policy keeps the historical cacheless default unless
@@ -345,14 +373,9 @@ def cmd_lint(args) -> int:
     return run_lint_command(
         paths=args.paths,
         fmt=args.format,
-        baseline_path=args.baseline,
-        write_baseline=args.write_baseline,
         select=args.select,
         list_rules=args.list_rules,
         root=args.root,
-        project=args.project,
-        index_cache=args.index_cache,
-        no_index_cache=args.no_index_cache,
     )
 
 
@@ -483,29 +506,14 @@ def main(argv=None) -> int:
 
     lint = sub.add_parser("lint")
     lint.add_argument("paths", nargs="*",
-                      help="files/directories to lint (default: src tests)")
+                      help="files/directories to lint (default: src)")
     lint.add_argument("--format", default="text",
                       choices=["text", "json", "github"],
                       help="report format (github = Actions annotations)")
     lint.add_argument("--select", action="append", default=[],
                       metavar="IDS",
                       help="comma-separated rule ids or family prefixes "
-                           "to run (e.g. REPRO-D001,REPRO-W); default: all")
-    lint.add_argument("--project", action="store_true",
-                      help="whole-program mode: build the project index "
-                           "and run the interprocedural REPRO-W/R/S "
-                           "rules on top of the per-file rules")
-    lint.add_argument("--index-cache", metavar="FILE", default=None,
-                      help="project-index cache location (default: "
-                           ".repro_cache/lint-index.json under --root)")
-    lint.add_argument("--no-index-cache", action="store_true",
-                      help="rebuild the project index from scratch and "
-                           "do not write a cache")
-    lint.add_argument("--baseline", metavar="FILE", default=None,
-                      help="filter findings recorded in this baseline file")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="snapshot current findings into the baseline "
-                           "and exit 0")
+                           "to run (e.g. REPRO-D001,REPRO-S); default: all")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
     lint.add_argument("--root", default=None,

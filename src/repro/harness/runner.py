@@ -327,11 +327,48 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     # scheme resolution
+    @staticmethod
+    def _mechanism_suffix(name: str) -> Optional[str]:
+        """The part of a lower-cased static scheme name that
+        :meth:`_stack_for` parses — ``None`` for the families without
+        a mechanism stack and for ``smk-p+w``, which builds its own.
+        Raises ``ValueError`` for a name outside the grammar."""
+        if name in ("spatial", "leftover", "even"):
+            return None
+        if name.startswith("ws"):
+            return name[len("ws"):]
+        if name.startswith("smk"):
+            suffix = name[len("smk"):]
+            if suffix in ("-p+w", "+w"):
+                return None
+            if suffix in ("-p", ""):
+                return ""
+            if suffix.startswith("-p+"):
+                return "-" + suffix[len("-p+"):]
+            raise ValueError(f"unknown SMK variant {name!r}")
+        raise ValueError(f"unknown scheme {name!r}")
+
+    @classmethod
+    def check_scheme(cls, name: str) -> None:
+        """Raise the ``ValueError`` :meth:`run_mix` raises for a name
+        outside the scheme grammar, by parsing alone — the CLI calls
+        this before it builds a runner or a job, so a typo is a usage
+        error, not a simulated (and retried) cell fault.  What depends
+        on the mix (an SMIL limit per kernel) still surfaces in the
+        cell."""
+        name = name.lower()
+        if name.startswith("dws"):
+            suffix = name[len("dws"):]
+        else:
+            suffix = cls._mechanism_suffix(name)
+        if suffix is not None:
+            cls._stack_for(suffix, ())
+
     def resolve_scheme(self, name: str, profiles: Sequence[KernelProfile]
                        ) -> Tuple[List[int], Optional[List[Set[int]]], SchemeConfig]:
         """Translate a scheme name into (tb_limits, sm_masks, stack)."""
         name = name.lower()
-        masks: Optional[List[Set[int]]] = None
+        suffix = self._mechanism_suffix(name)
 
         if name == "spatial":
             masks = spatial_masks(len(profiles), self.config)
@@ -344,24 +381,17 @@ class ExperimentRunner:
         if name.startswith("ws"):
             curves = [self.curve(p) for p in profiles]
             partition = sweet_spot(profiles, curves, self.config)
-            stack = self._stack_for(name[2:], profiles)
-            return list(partition), None, stack
-        if name.startswith("smk"):
-            partition = drf_partition(profiles, self.config)
-            suffix = name[len("smk"):]
-            if suffix in ("-p+w", "+w"):
-                ipcs = [self.isolated(p).ipc for p in profiles]
-                stack = SchemeConfig(smk_quotas=smk_quotas(ipcs))
-            elif suffix in ("-p", ""):
-                stack = SchemeConfig()
-            elif suffix.startswith("-p+"):
-                stack = self._stack_for("-" + suffix[len("-p+"):], profiles)
-            else:
-                raise ValueError(f"unknown SMK variant {name!r}")
-            return list(partition), None, stack
-        raise ValueError(f"unknown scheme {name!r}")
+            return list(partition), None, self._stack_for(suffix, profiles)
+        partition = drf_partition(profiles, self.config)
+        if suffix is None:  # smk-p+w
+            ipcs = [self.isolated(p).ipc for p in profiles]
+            stack = SchemeConfig(smk_quotas=smk_quotas(ipcs))
+        else:
+            stack = self._stack_for(suffix, profiles)
+        return list(partition), None, stack
 
-    def _stack_for(self, suffix: str, profiles: Sequence[KernelProfile]
+    @staticmethod
+    def _stack_for(suffix: str, profiles: Sequence[KernelProfile]
                    ) -> SchemeConfig:
         """Parse the mechanism suffix after the TB-partition prefix,
         e.g. ``-qbmi+dmil`` or ``-smil:3,1``."""

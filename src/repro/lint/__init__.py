@@ -12,61 +12,39 @@ process-boundary classes.  This package machine-checks them:
 * :mod:`repro.lint.rules.stats` — ``REPRO-S001..S003``;
 * :mod:`repro.lint.rules.pickles` — ``REPRO-P001``.
 
-On top of the per-file rules sits a **two-phase whole-program
-analyzer** (``--project``): :mod:`repro.lint.project` distills every
-file into a cached module summary and :mod:`repro.lint.callgraph`
-resolves a conservative call graph over them, powering the
-interprocedural families:
+The linter is one pass over one file at a time: every rule judges a
+single AST, so what it proves is local.  The whole-program invariants
+("no wake-up is ever missing", "no worker-written state is read
+parent-side", "the taxonomy is closed") are pinned at run time instead
+— ``docs/LINT_RULES.md`` has the audit that retired their rules.
 
-* :mod:`repro.lint.rules.wheel` — ``REPRO-W001/W002`` (event-wheel
-  discipline: every leap-visible mutation discharges a wheel post);
-* :mod:`repro.lint.rules.shared_state` — ``REPRO-R001/R002``
-  (module/class state written worker-side but read parent-side);
-* :mod:`repro.lint.rules.drift` — ``REPRO-S004/S005`` (cross-module
-  stall-reason resolution + taxonomy drift).
-
-Run it as ``python -m repro lint [paths] [--project]`` (see
+Run it as ``python -m repro lint [paths]`` (see
 :mod:`repro.lint.cli`), or drive the pieces directly::
 
-    from repro.lint import LintEngine, all_rules
-    findings = LintEngine("/repo").lint_project(["src"])
+    from repro.lint import LintEngine
+    findings = LintEngine("/repo").lint_paths(["src"])
 """
 
-from repro.lint.baseline import Baseline
-from repro.lint.callgraph import CallGraph
 from repro.lint.engine import (DEFAULT_EXCLUDE_DIRS, FileContext, LintEngine,
-                               PARSE_ERROR_RULE, ProjectReporter, lint_paths)
+                               PARSE_ERROR_RULE, lint_paths)
 from repro.lint.findings import Finding
 from repro.lint.output import (format_catalog, format_github, format_json,
                                format_text, render)
-from repro.lint.project import (INDEX_VERSION, ProjectContext, ProjectIndex,
-                                build_index, default_cache_path,
-                                summarize_source)
-from repro.lint.rules import (ProjectRule, Rule, all_rules,
-                              normalize_rule_id, rules_by_id)
+from repro.lint.rules import Rule, all_rules, normalize_rule_id, rules_by_id
 from repro.lint.scope import (SIM_SCOPE, SRC_SCOPE, collect_py_files,
                               path_in_scope, rel_posix)
 
 __all__ = [
-    "Baseline",
-    "CallGraph",
     "DEFAULT_EXCLUDE_DIRS",
     "FileContext",
     "Finding",
-    "INDEX_VERSION",
     "LintEngine",
     "PARSE_ERROR_RULE",
-    "ProjectContext",
-    "ProjectIndex",
-    "ProjectReporter",
-    "ProjectRule",
     "Rule",
     "SIM_SCOPE",
     "SRC_SCOPE",
     "all_rules",
-    "build_index",
     "collect_py_files",
-    "default_cache_path",
     "format_catalog",
     "format_github",
     "format_json",
@@ -77,5 +55,4 @@ __all__ = [
     "rel_posix",
     "render",
     "rules_by_id",
-    "summarize_source",
 ]

@@ -2,11 +2,11 @@
 
 Exit codes follow the CI contract:
 
-* ``0`` — clean (no findings after baseline filtering), or a
-  successful ``--list-rules`` / ``--write-baseline``;
+* ``0`` — clean (no findings), or a successful ``--list-rules``;
 * ``1`` — findings reported;
-* ``2`` — usage error (unknown rule id, missing path, bad baseline),
-  reported as ``error: ...`` on stderr like the other subcommands.
+* ``2`` — usage error (unknown rule id or family prefix, missing
+  path), reported as ``error: ...`` on stderr like the other
+  subcommands.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintEngine
 from repro.lint.output import FORMATS, format_catalog, render
 from repro.lint.rules import Rule, all_rules, normalize_rule_id, rules_by_id
 
-#: fallback lint targets when no paths are given.
-DEFAULT_PATHS = ("src", "tests")
+#: fallback lint target when no paths are given: every rule is scoped
+#: under ``src/repro``, so other trees would only be parsed.
+DEFAULT_PATH = "src"
 
 
 def _usage_error(message: str) -> int:
@@ -33,9 +33,9 @@ def _select_rules(selectors: Sequence[str]) -> List[Rule]:
     """Resolve ``--select`` values against the catalog (order kept).
 
     A selector is a full rule id (``REPRO-D001``, shorthand ``D001``)
-    or a family prefix (``REPRO-D``, shorthand ``D``, also ``REPRO-W0``)
+    or a family prefix (``REPRO-D``, shorthand ``D``, also ``REPRO-S0``)
     selecting every rule whose id starts with it.  A selector matching
-    nothing raises ValueError (exit code 2)."""
+    no rule in the catalog raises ValueError (exit code 2)."""
     catalog = all_rules()
     by_id = rules_by_id(catalog)
     wanted = set()
@@ -60,7 +60,7 @@ def _select_rules(selectors: Sequence[str]) -> List[Rule]:
 
 
 def _resolve_paths(root: str, raw_paths: Sequence[str]) -> List[str]:
-    """Validate requested paths (default: ``src tests`` under root)."""
+    """Validate requested paths (default: ``src`` under root)."""
     if raw_paths:
         for path in raw_paths:
             abs_path = path if os.path.isabs(path) \
@@ -68,31 +68,17 @@ def _resolve_paths(root: str, raw_paths: Sequence[str]) -> List[str]:
             if not os.path.exists(abs_path):
                 raise ValueError(f"path does not exist: {path}")
         return list(raw_paths)
-    defaults = [p for p in DEFAULT_PATHS
-                if os.path.isdir(os.path.join(root, p))]
-    if not defaults:
+    if not os.path.isdir(os.path.join(root, DEFAULT_PATH)):
         raise ValueError(
-            f"no paths given and no {'/'.join(DEFAULT_PATHS)} "
-            f"directories under {root}")
-    return defaults
+            f"no paths given and no {DEFAULT_PATH} directory under {root}")
+    return [DEFAULT_PATH]
 
 
 def run_lint_command(paths: Sequence[str], fmt: str = "text",
-                     baseline_path: Optional[str] = None,
-                     write_baseline: bool = False,
                      select: Sequence[str] = (),
                      list_rules: bool = False,
-                     root: Optional[str] = None,
-                     project: bool = False,
-                     index_cache: Optional[str] = None,
-                     no_index_cache: bool = False) -> int:
-    """Execute one lint run; returns the process exit code.
-
-    ``project=True`` enables the whole-program phase (REPRO-W/R and the
-    cross-module REPRO-S rules) on top of the per-file rules, with an
-    incremental index cache at ``index_cache`` (default
-    ``.repro_cache/lint-index.json`` under the root; disable with
-    ``no_index_cache``)."""
+                     root: Optional[str] = None) -> int:
+    """Execute one lint run; returns the process exit code."""
     if list_rules:
         print(format_catalog(all_rules()))
         return 0
@@ -100,9 +86,6 @@ def run_lint_command(paths: Sequence[str], fmt: str = "text",
     if fmt not in FORMATS:
         return _usage_error(
             f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
-
-    if index_cache and not project:
-        return _usage_error("--index-cache requires --project")
 
     try:
         rules = _select_rules(select) if select else all_rules()
@@ -115,31 +98,6 @@ def run_lint_command(paths: Sequence[str], fmt: str = "text",
     except ValueError as exc:
         return _usage_error(str(exc))
 
-    engine = LintEngine(root, rules=rules)
-    if project:
-        from repro.lint.project import default_cache_path
-        cache_path = None if no_index_cache \
-            else (index_cache or default_cache_path(root))
-        findings = engine.lint_project(targets, cache_path=cache_path)
-    else:
-        findings = engine.lint_paths(targets)
-
-    if write_baseline:
-        dest = baseline_path or os.path.join(root, ".repro-lint-baseline.json")
-        Baseline.from_findings(findings).save(dest)
-        noun = "finding" if len(findings) == 1 else "findings"
-        print(f"baseline written: {dest} ({len(findings)} {noun})")
-        return 0
-
-    if baseline_path:
-        if not os.path.exists(baseline_path):
-            return _usage_error(
-                f"baseline file does not exist: {baseline_path}")
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, KeyError) as exc:
-            return _usage_error(f"invalid baseline file: {exc}")
-        findings = baseline.filter(findings)
-
+    findings = LintEngine(root, rules=rules).lint_paths(targets)
     print(render(findings, fmt))
     return 1 if findings else 0

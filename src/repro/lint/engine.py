@@ -2,20 +2,15 @@
 
 The engine walks the requested paths, parses each Python file once,
 runs every rule whose path scope covers the file, and returns sorted
-:class:`~repro.lint.findings.Finding` objects.  Two escape hatches are
-honoured:
+:class:`~repro.lint.findings.Finding` objects.  The one escape hatch
+is an inline pragma that suppresses specific rules on one line::
 
-* an inline pragma suppresses specific rules on one line::
+    cold = set(pending)  # repro-lint: disable=REPRO-D001 (membership only)
 
-      cold = set(pending)  # repro-lint: disable=REPRO-D001 (membership only)
-
-  The pragma may sit on the offending line or on the line directly
-  above it; ``disable=ALL`` suppresses every rule; several ids may be
-  comma-separated.  A parenthesised reason is encouraged (docs) but
-  not enforced here.
-
-* a checked-in baseline (:mod:`repro.lint.baseline`) grandfathers
-  pre-existing findings by ``(rule, path, snippet)`` fingerprint.
+The pragma may sit on the offending line or on the line directly
+above it; ``disable=ALL`` suppresses every rule; several ids may be
+comma-separated.  A parenthesised reason is encouraged (docs) but
+not enforced here.
 
 Files that do not parse produce a single ``REPRO-E000`` pseudo-finding
 (the linter cannot vouch for a file it cannot read), so syntax errors
@@ -30,10 +25,8 @@ import re
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.findings import Finding
-from repro.lint.rules import ProjectRule, Rule, all_rules
-# DEFAULT_EXCLUDE_DIRS now lives in repro.lint.scope (shared with the
-# project indexer); re-exported here for callers that import it from
-# the engine.
+from repro.lint.rules import Rule, all_rules
+# re-exported for callers that import it from the engine.
 from repro.lint.scope import DEFAULT_EXCLUDE_DIRS as DEFAULT_EXCLUDE_DIRS
 from repro.lint.scope import collect_py_files, rel_posix
 
@@ -114,8 +107,8 @@ class LintEngine:
         self.suppressed = 0
 
     # ------------------------------------------------------------------
-    # file collection (delegates to repro.lint.scope so the engine, the
-    # project indexer and the baseline agree on path semantics)
+    # file collection (delegates to repro.lint.scope so the engine walk
+    # and the rule scopes agree on path semantics)
     def rel_path(self, path: str) -> str:
         return rel_posix(path, self.root)
 
@@ -164,86 +157,6 @@ class LintEngine:
             findings.extend(self.lint_file(abs_path))
         findings.sort(key=Finding.sort_key)
         return findings
-
-    # ------------------------------------------------------------------
-    # whole-program mode
-    def lint_project(self, paths: Sequence[str],
-                     cache_path: Optional[str] = None) -> List[Finding]:
-        """Two-phase run: every per-file rule as in :meth:`lint_paths`,
-        then the project index is built (incrementally, when
-        ``cache_path`` is given) and each :class:`ProjectRule` runs once
-        over it.  Project findings route through the same pragma and
-        snippet machinery as per-file findings."""
-        from repro.lint.project import ProjectContext, build_index
-
-        files = self.collect_files(paths)
-        findings: List[Finding] = []
-        for abs_path in files:
-            findings.extend(self.lint_file(abs_path))
-        index = build_index(self.root, files, cache_path)
-        # parse failures were already reported as REPRO-E000 above
-        project = ProjectContext(index)
-        reporter = ProjectReporter(self)
-        for rule in self.rules:
-            if isinstance(rule, ProjectRule):
-                rule.check_project(project, reporter)
-        findings.extend(reporter.collect())
-        self.suppressed += reporter.suppressed()
-        findings.sort(key=Finding.sort_key)
-        return findings
-
-
-class ProjectReporter:
-    """Reporting surface handed to project rules.
-
-    Routes each finding through a lazily-built per-file
-    :class:`FileContext`, so inline pragmas, snippet fingerprints and
-    baseline matching behave identically for whole-program findings
-    and per-file findings.  Scope is enforced on the *finding site*:
-    a project rule may learn facts from any indexed file but only
-    report inside its declared scope."""
-
-    class _Site:
-        __slots__ = ("lineno", "col_offset")
-
-        def __init__(self, lineno: int, col_offset: int):
-            self.lineno = lineno
-            self.col_offset = col_offset
-
-    def __init__(self, engine: LintEngine):
-        self._engine = engine
-        self._contexts: dict = {}
-
-    def _context(self, rel_path: str) -> FileContext:
-        ctx = self._contexts.get(rel_path)
-        if ctx is None:
-            abs_path = os.path.join(self._engine.root, rel_path)
-            try:
-                with open(abs_path, "r", encoding="utf-8") as fh:
-                    lines = fh.read().splitlines()
-            except OSError:
-                lines = []
-            ctx = FileContext(rel_path, lines)
-            self._contexts[rel_path] = ctx
-        return ctx
-
-    def report(self, rule: Rule, rel_path: str, lineno: int, col: int,
-               message: str) -> None:
-        if not rule.applies_to(rel_path):
-            return
-        ctx = self._context(rel_path)
-        ctx.set_rule(rule)
-        ctx.report(self._Site(lineno, col), message)
-
-    def collect(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for ctx in self._contexts.values():
-            findings.extend(ctx.findings)
-        findings.sort(key=Finding.sort_key)
-        return findings
-
-    def suppressed(self) -> int:
-        return sum(ctx.suppressed for ctx in self._contexts.values())
 
 
 # ----------------------------------------------------------------------

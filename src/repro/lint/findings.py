@@ -2,10 +2,7 @@
 
 A :class:`Finding` pins a rule violation to ``path:line:col`` and
 carries the human-facing message, the rule's fix hint, and the stripped
-source line (``snippet``).  The snippet doubles as the baseline
-fingerprint: grandfathered findings are matched by
-``(rule, path, snippet)`` rather than by line number, so unrelated
-edits that shift lines do not resurrect baselined findings.
+source line (``snippet``) the reports quote.
 """
 
 from __future__ import annotations
@@ -24,14 +21,10 @@ class Finding:
     col: int        #: 0-based column of the offending node
     message: str    #: what is wrong, concretely
     hint: str = ""  #: how to fix it (rule-level guidance)
-    snippet: str = ""  #: stripped source line (baseline fingerprint)
+    snippet: str = ""  #: stripped source line
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Identity used for baseline matching (line-number free)."""
-        return (self.rule, self.path, self.snippet)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -15,9 +15,8 @@ import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 # The scope constants and the prefix test live in repro.lint.scope
-# (shared with the engine walk and the project indexer); re-exported
-# here because every rule module spells them as `from repro.lint.rules
-# import SIM_SCOPE, ...`.
+# (shared with the engine walk); re-exported here because every rule
+# module spells them as `from repro.lint.rules import SIM_SCOPE, ...`.
 from repro.lint.scope import SIM_SCOPE as SIM_SCOPE
 from repro.lint.scope import SRC_SCOPE as SRC_SCOPE
 from repro.lint.scope import path_in_scope as path_in_scope
@@ -51,33 +50,6 @@ class Rule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Rule {self.id} {self.name}>"
-
-
-class ProjectRule(Rule):
-    """A whole-program rule: runs once over the project index instead of
-    once per file.
-
-    Project rules see the whole :class:`~repro.lint.project.ProjectIndex`
-    (module symbol tables, class attribute read/write sets, the call
-    graph) and report through a
-    :class:`~repro.lint.engine.ProjectReporter`, which routes each
-    finding to the right file context so pragmas and baselines behave
-    exactly as they do for per-file rules.  ``scope`` still applies —
-    it gates which *finding sites* may be reported, not which files are
-    indexed (the index always covers every collected file, since a
-    violation in scope may only be provable through out-of-scope
-    callers)."""
-
-    #: engine dispatch flag: ``lint_file`` skips these, ``lint_project``
-    #: runs them after the index is built.
-    requires_project = True
-
-    def check(self, tree: ast.AST, ctx) -> None:
-        """Per-file entry point — intentionally inert for project rules."""
-        return None
-
-    def check_project(self, index, reporter) -> None:  # pragma: no cover
-        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -122,26 +94,16 @@ def local_statements(body: Sequence[ast.stmt]) -> Iterable[ast.AST]:
 # ----------------------------------------------------------------------
 # registry
 def all_rules() -> List[Rule]:
-    """One fresh instance of every shipped rule, catalog order.
-
-    Includes the project rules (REPRO-W/R/S004+): they are inert in
-    per-file runs (``ProjectRule.check`` is a no-op) and only fire
-    under ``repro lint --project``."""
+    """One fresh instance of every shipped rule, catalog order."""
     from repro.lint.rules.determinism import (IdOrderingRule,
                                               SetIterationRule,
                                               UnseededRandomRule,
                                               WallClockRule)
-    from repro.lint.rules.drift import (ReasonResolutionRule,
-                                        TaxonomyDriftRule)
     from repro.lint.rules.hooks import UnguardedHookRule
     from repro.lint.rules.pickles import ProcessBoundaryRule
-    from repro.lint.rules.shared_state import (ClassStateRaceRule,
-                                               ModuleStateRaceRule)
     from repro.lint.rules.stats import (CounterNameRule,
                                         ExhaustiveStallChainRule,
                                         StallReasonRule)
-    from repro.lint.rules.wheel import (WheelDisciplineRule,
-                                        WheelRegistryDriftRule)
     return [
         SetIterationRule(),
         UnseededRandomRule(),
@@ -152,12 +114,6 @@ def all_rules() -> List[Rule]:
         StallReasonRule(),
         ExhaustiveStallChainRule(),
         ProcessBoundaryRule(),
-        WheelDisciplineRule(),
-        WheelRegistryDriftRule(),
-        ModuleStateRaceRule(),
-        ClassStateRaceRule(),
-        ReasonResolutionRule(),
-        TaxonomyDriftRule(),
     ]
 
 

@@ -1,13 +1,10 @@
 """Shared path-scoping helpers for the linter.
 
-Every layer of the linter needs the same three path answers — "what is
-this file's root-relative posix path?", "does that path fall under a
-scope prefix?", and "which ``.py`` files does a target expand to?" —
-and before this module each layer carried its own copy (the engine's
-walk, the rule base class's prefix test, the baseline's path keys).
-One helper module keeps the answers identical everywhere: a rule scope,
-a baseline fingerprint and an engine walk can never disagree about what
-a path means.
+The engine walk and the rule base class need the same three path
+answers — "what is this file's root-relative posix path?", "does that
+path fall under a scope prefix?", and "which ``.py`` files does a
+target expand to?" — so they live in one module: a rule scope and an
+engine walk can never disagree about what a path means.
 """
 
 from __future__ import annotations
@@ -37,16 +34,11 @@ SIM_SCOPE: Tuple[str, ...] = (
 SRC_SCOPE: Tuple[str, ...] = ("src/repro",)
 
 
-def norm_rel_path(path: str) -> str:
-    """Normalise a relative path to posix separators (baseline entries
-    and scope prefixes are stored posix-style regardless of host OS)."""
-    return path.replace(os.sep, "/")
-
-
 def rel_posix(abs_path: str, root: str) -> str:
-    """``abs_path`` relative to ``root``, posix separators."""
-    return norm_rel_path(os.path.relpath(os.path.abspath(abs_path),
-                                         os.path.abspath(root)))
+    """``abs_path`` relative to ``root``, posix separators (scope
+    prefixes are spelled posix-style regardless of host OS)."""
+    return os.path.relpath(os.path.abspath(abs_path),
+                           os.path.abspath(root)).replace(os.sep, "/")
 
 
 def path_in_scope(rel_path: str, prefixes: Sequence[str]) -> bool:
@@ -56,21 +48,6 @@ def path_in_scope(rel_path: str, prefixes: Sequence[str]) -> bool:
         if rel_path == prefix or rel_path.startswith(prefix + "/"):
             return True
     return False
-
-
-def module_name(rel_path: str) -> str:
-    """Dotted import name for a root-relative source path, or ``""``
-    when the path does not denote an importable project module.
-
-    The repo keeps its package under ``src/`` (``src/repro/sim/sm.py``
-    imports as ``repro.sim.sm``); the lint fixture tree mirrors that
-    layout on purpose so fixture modules land in the same namespace."""
-    if not rel_path.startswith("src/") or not rel_path.endswith(".py"):
-        return ""
-    dotted = rel_path[len("src/"):-len(".py")]
-    if dotted.endswith("/__init__"):
-        dotted = dotted[:-len("/__init__")]
-    return dotted.replace("/", ".")
 
 
 def collect_py_files(root: str, paths: Sequence[str],

@@ -220,7 +220,9 @@ def aggregate(snapshot: Dict[str, Number], pattern: str) -> Number:
 #: process-wide registry for infrastructure metrics that outlive any
 #: single run or Observability instance (e.g. ``trace_cache.*`` from
 #: :mod:`repro.workloads.trace`).  Per-run simulator metrics belong on
-#: the per-``Observability`` registries instead.
+#: the per-``Observability`` registries instead.  It is per *process*:
+#: a campaign worker never hands its copy to the parent — the only
+#: reader is ``repro run``, which simulates in-process.
 _PROCESS_REGISTRY = CounterRegistry()
 
 

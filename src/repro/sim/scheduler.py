@@ -224,9 +224,13 @@ class WarpScheduler:
 
     def wake_at(self, cycle: int) -> None:
         """An external event (a load return) made a warp potentially
-        issuable at ``cycle``: lower the sleep hint accordingly, the
-        owning SM's whole-tick sleep with it, and post the new wake to
-        the engine's event wheel so the cycle leap sees it."""
+        issuable at ``cycle``: lower the sleep hint accordingly, and
+        the owning SM's whole-tick sleep with it.  Nothing is posted to
+        the event wheel: a return moves a warp's readiness only to the
+        current or the next cycle, and a horizon that low already keeps
+        the engine from leaping; a later ``cycle`` (an SFU still in
+        flight) is one the sleep the SM is in had already accounted for
+        (docs/PERF.md section 3, "Wakes that post nothing")."""
         # A load return can un-block an MLP-capped warp (or retire a
         # drained one): the issue-stall memo's premise is gone.
         self._mem_blocked = 0
@@ -235,9 +239,6 @@ class WarpScheduler:
         sm = self.sm
         if sm is not None and cycle < sm._sleep_until:
             sm._sleep_until = cycle
-            wheel = sm._wheel
-            if wheel is not None:
-                wheel.post(cycle)
 
     # ------------------------------------------------------------------
     def _priority_order(self) -> List[Warp]:

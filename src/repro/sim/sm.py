@@ -1041,21 +1041,18 @@ class StreamingMultiprocessor:
         """A scheme window boundary fired (DMIL limit recompute, QBMI
         quota replenish, Req/Minst refresh): issue eligibility may have
         changed with no scheduler wake attached, so end any sleep — a
-        MIL-capped one rests on the limits just recomputed — and post a
-        conservative re-evaluation point to the event wheel so the
-        engine's cycle leap re-checks on the next cycle.  A boundary
+        MIL-capped one rests on the limits just recomputed.  A boundary
         fires inside an LSU tick: this SM's own (awake, mid-tick: the
-        sleep decision that follows reads the new limits) or, for
-        global DMIL's shared MILGs, the monitor's — SM 0, which ticks
-        first, so every other subscriber sees the lowered horizon later
-        in the same SM pass and ticks on the boundary's own cycle, as
-        the oracle's SMs read the new limits.  ``_last_tick`` never
-        exceeds the current cycle, so the post is never late; an early
-        (stale) post costs one inert tick."""
+        sleep decision that follows reads the new limits and posts its
+        own wake) or, for global DMIL's shared MILGs, the monitor's —
+        SM 0, which ticks first, so every other subscriber sees the
+        lowered horizon later in the same SM pass and ticks on the
+        boundary's own cycle, as the oracle's SMs read the new limits.
+        Either way the SM ticks before the engine next considers a
+        leap, and a horizon of 0 keeps it from leaping until the SM
+        sleeps again — no wheel entry is needed (docs/PERF.md
+        section 3, "Wakes that post nothing")."""
         self._sleep_until = 0
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.post(self._last_tick + 1)
 
     def on_request_issued(self, request, result: str, cycle: int) -> None:
         self.on_request_issued_values(request.kernel, request.line,

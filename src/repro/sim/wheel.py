@@ -12,18 +12,21 @@ min-heap that every component posts its future activity cycles into:
   (``_schedule``);
 * DRAM channels post each service completion (``busy_until``) when
   service starts;
-* SMs post their ``_sleep_until`` when they go to sleep, and
-  schedulers post lowered wakes (``wake_at``) on load returns; a
-  memory-stall sleep also ends when its L1 releases the resource class
-  its verdict waits on (``on_release`` lowers the horizon to 0), and a
-  MIL-capped one when a completing memory instruction re-opens a
-  kernel, neither of which needs an entry of its own: a fill — the
-  only completion outside an SM's own tick — is a scheduled memory
-  event, already posted, and a miss-queue drain cannot happen while
-  the backend is leapable;
-* MILG / QBMI window boundaries end their subscribers' sleeps and post
-  a next-cycle re-evaluation point (see
-  ``StreamingMultiprocessor._note_scheme_window``).
+* SMs post their ``_sleep_until`` when they go to sleep.
+
+Everything else that ends a sleep lowers the SM's horizon without an
+entry of its own, because the event behind it is already covered: a
+load return (``WarpScheduler.wake_at``) readies its warp for the
+current or the next cycle, and a horizon that low keeps the engine
+from leaping; an L1 release of the resource class a memory-stall
+verdict waits on (``on_release``), a completing memory instruction
+that re-opens a MIL-capped kernel, and a MILG / QBMI window boundary
+(``StreamingMultiprocessor._note_scheme_window``) all lower the
+horizon to 0 or the current cycle from inside a memory tick or an LSU
+tick, so the SM ticks (or is mid-tick) on that very cycle, before the
+engine next considers a leap — a fill, the only completion outside an
+SM's own tick, is a scheduled memory event, already posted, and a
+miss-queue drain cannot happen while the backend is leapable.
 
 Entries are deduplicated per cycle, so a burst of posts for the same
 cycle costs one dict hit each.  Reads are lazy: :meth:`next_after`
@@ -48,38 +51,6 @@ from typing import Dict, List
 
 #: sentinel for "no posted event" (matches the scheduler's NEVER).
 NEVER = 1 << 62
-
-# ----------------------------------------------------------------------
-# Leap-visible state registry (consumed by the REPRO-W0xx lint family).
-#
-# These two tables are the machine-readable version of the correctness
-# contract above: they enumerate every attribute and queue-method whose
-# mutation can move a component's next-activity cycle.  The
-# whole-program linter (``repro lint --project``) proves that every
-# function which mutates one of these — directly or through a callee —
-# also reaches a ``wheel.post(...)`` on the same call path (or lowers
-# the horizon to ``0``/the current cycle, which can only wake the
-# engine *earlier* and is therefore always leap-safe).  Adding a new
-# leap-visible field?  Declare it here first; the linter then holds
-# every mutation site to the contract.
-
-#: attribute names whose assignment moves a wake/service horizon.
-LEAP_STATE_ATTRS: Dict[str, str] = {
-    "busy_until": "DRAM channel service-completion horizon",
-    "_sleep_until": "SM sleep horizon consulted by the engine leap",
-    "_next_wake": "scheduler wake hint lowered by load returns",
-    "_mem_wake": "scheduler pending-memory wake hint",
-}
-
-#: method names whose call enqueues future work on a leap-checked
-#: queue (DRAM / interconnect / memory event heap).
-LEAP_QUEUE_METHODS: Dict[str, str] = {
-    "enqueue": "DRAM channel queue push (service may start while idle)",
-    "enqueue_read": "DRAM read enqueue via the model",
-    "enqueue_write": "DRAM write enqueue via the model",
-    "_schedule": "memory subsystem event-heap push",
-    "_schedule_ev": "pooled memory subsystem event-heap push",
-}
 
 
 class EventWheel:

@@ -75,20 +75,51 @@ class TestCLI:
         """A failing cell is one failure type at the CLI: under the
         plain policy it ends the campaign with ``error:`` and exit 1
         (no raw traceback escaping main); under a resilience policy it
-        is quarantined and the campaign keeps its exit 0."""
-        code = main(["campaign", "bp,cd", "--schemes", "nope",
+        is quarantined and the campaign keeps its exit 0.  (The cell
+        fails on what only the mix can tell — one SMIL limit for two
+        kernels; a misspelt name never becomes a cell, see below.)"""
+        code = main(["campaign", "bp,cd", "--schemes", "ws-smil:3",
                      "--workers", "1", "--cache", str(tmp_path)] + extra)
         captured = capsys.readouterr()
         if extra:
             assert code == 0
-            assert "quarantined: mix nope bp+cd (error:ValueError)" \
+            assert "quarantined: mix ws-smil:3 bp+cd (error:ValueError)" \
                 in captured.err
         else:
             assert code == 1
             assert captured.err.startswith(
-                "error: job 'mix nope bp+cd' failed with ValueError")
-            assert "unknown scheme 'nope'" in captured.err
-            assert "mix nope" not in captured.out
+                "error: job 'mix ws-smil:3 bp+cd' failed with ValueError")
+            assert "one SMIL limit per kernel required" in captured.err
+            assert "ws-smil:3" not in captured.out
+
+    @pytest.mark.parametrize("command", [
+        "run bp zz",
+        "run bp cd --scheme nope",
+        "stalls bp zz",
+        "stalls bp cd --scheme ws-nope",
+        "trace zz bp trace.json",
+        "trace bp cd trace.json --scheme smk-x",
+        "campaign bp,zz --schemes ws --cache c",
+        "campaign bp,cd --schemes ws,nope --cache c",
+        "campaign bp,zz --schemes ws --cache c --retries 1",
+        "campaign bp,cd --schemes ws,nope --cache c --retries 1 "
+        "--artifacts arts",
+    ])
+    def test_unknown_names_exit_2_before_any_work(self, command, tmp_path,
+                                                  monkeypatch, capsys):
+        """A misspelt kernel or scheme is a usage error on every
+        simulating command: one ``error:`` line naming the known
+        values, exit 2, and nothing simulated, retried, quarantined or
+        written (no cache dir, journal, artifact or trace file)."""
+        known = "known: 3m, ax, bp" if "zz" in command else "known: spatial"
+        monkeypatch.chdir(tmp_path)
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown ")
+        assert captured.err.count("\n") == 1
+        assert known in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_cli_import_does_not_load_concurrent_futures(self):
         """The one dispatcher manages its own processes; nothing on the
@@ -146,10 +177,14 @@ assert repro.harness.experiments.__name__ == "repro.harness.experiments"
                 text=True, env=dict(os.environ, PYTHONPATH=src))
         assert done.returncode == 0, done.stderr
 
+    def test_unknown_benchmark_raises(self, capsys):
+        """...a usage error, no longer a ``KeyError`` traceback: the
+        first kernel of ``run`` (the sweep above has the second)."""
+        assert main(["run", "nope", "bp"]) == 2
+        assert "error: unknown benchmark 'nope'; known: 3m, ax, bp" \
+            in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
 
-    def test_unknown_benchmark_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "nope", "bp"])

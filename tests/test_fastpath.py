@@ -23,6 +23,8 @@ from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
 from repro.obs import ObsOptions, process_registry
+from repro.obs.stalls import ISSUED, LSU_STALL_REASONS, SCHED_STALL_REASONS
+from repro.obs.timeline import ADAPT_MECHANISMS, adapt_events_from_record
 from repro.sim.engine import GPU, make_launches
 from repro.sim.sm import SLEEP_MIL, SLEEP_STALL
 from repro.sim.stats import SELF_OBS_REGISTRY, SLEEP_CAUSES
@@ -119,6 +121,20 @@ def assert_reports_equal(report, oracle):
     assert report.cycles == oracle.cycles
 
 
+def assert_taxonomy_closed(report):
+    """What the simulator *attributed*, not what a linter could read
+    off literals: every reason and mechanism that reached the report —
+    through whatever constant, import or computed value — is a
+    declared member, so an off-taxonomy ``bump_sched`` / ``bump_lsu``
+    / ``log_adapt`` call site fails here on any run that reaches it."""
+    assert {key[-1] for key in report.sched_stalls} \
+        <= {ISSUED, *SCHED_STALL_REASONS}
+    assert {key[-1] for key in report.lsu_stalls} <= set(LSU_STALL_REASONS)
+    assert {event.mechanism for record in report.phases
+            for event in adapt_events_from_record(record)} \
+        <= set(ADAPT_MECHANISMS)
+
+
 @pytest.mark.parametrize(
     "kernels,tbs,scheme_kwargs,cfg_kwargs",
     [case[1:] for case in CASES],
@@ -157,6 +173,8 @@ def test_observed_production_report_equals_observed_oracle(
     assert (result_signature(observed) == result_signature(plain)
             == result_signature(oracle))
     report = observed.obs
+    assert_taxonomy_closed(report)
+    assert_taxonomy_closed(oracle.obs)
     assert_reports_equal(report, oracle.obs)
     assert sum(report.sched_stalls.values()) == report.issue_slots() == (
         CYCLES * CONFIG.num_sms * CONFIG.schedulers_per_sm)
@@ -189,6 +207,8 @@ def test_mil_capped_sleep_is_exact_and_engages(kernels, tbs, scheme_kwargs,
     assert (result_signature(observed) == result_signature(plain)
             == result_signature(oracle))
     report = observed.obs
+    assert_taxonomy_closed(report)
+    assert_taxonomy_closed(oracle.obs)
     assert_reports_equal(report, oracle.obs)
     assert sum(report.sched_stalls.values()) == report.issue_slots() == (
         CYCLES * CONFIG.num_sms * CONFIG.schedulers_per_sm)
@@ -463,3 +483,37 @@ def test_leap_onto_the_fill_that_ends_a_stall_sleep():
     landings = [b for a, b in zip(ticked, ticked[1:]) if b - a > 1]
     assert landings and sorted(set(landings) & set(ended))
     assert result_signature(fast) == result_signature(ref)
+
+
+def test_far_ready_load_return_lowers_a_burst_sleep():
+    """The one way ``WarpScheduler.wake_at`` lowers a sleeping SM's
+    horizon to a cycle more than one out: a load returns to a warp
+    whose SFU is still in flight while its scheduler's autopilot burst
+    has the SM asleep.  The named profiles never get there (a long ALU
+    run, SFU ops and two loads in flight per warp on one SM do), and
+    nothing posts the lowered horizon to the wheel: the tick it asks
+    for is one more burst step, which the sleep debt pays as well
+    (docs/PERF.md section 3, "Wakes that post nothing")."""
+    profile = dataclasses.replace(
+        get_profile("cp"), name="cp-long-runs", sfu_frac=0.2,
+        cinst_per_minst=30, mlp=2, threads_per_tb=128)
+    config = scaled_config(num_sms=1)
+
+    def build(reference):
+        launches = make_launches([profile], [2], config, seed=3)
+        return GPU(config, launches, SchemeConfig(), reference=reference)
+
+    gpu = build(reference=False)
+    sm = gpu.sms[0]
+    complete, far = sm._on_meminst_complete, []
+
+    def on_complete(inst, cycle):
+        if cycle + 1 < inst.warp.ready_at < sm._sleep_until:
+            far.append(cycle)
+        complete(inst, cycle)
+
+    sm._on_meminst_complete = on_complete
+    fast = gpu.run(2 * CYCLES)
+    assert far and fast.sleep["alu_burst"] > 0
+    assert result_signature(fast) \
+        == result_signature(build(reference=True).run(2 * CYCLES))

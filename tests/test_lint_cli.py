@@ -1,8 +1,10 @@
 """CLI-level linter tests: ``python -m repro lint`` exit codes,
-formats, rule selection and baseline flags."""
+formats and rule selection."""
 
 import json
 import os
+
+import pytest
 
 from repro.__main__ import main
 
@@ -50,13 +52,6 @@ def test_missing_path_exits_2(capsys):
     assert "does not exist" in err
 
 
-def test_missing_baseline_file_exits_2(capsys):
-    code = run(["src", "--root", REPO_ROOT,
-                "--baseline", "no-such-baseline.json"])
-    assert code == 2
-    assert "baseline" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------------------
 # rule selection
 def test_select_restricts_rules(capsys):
@@ -89,65 +84,40 @@ def test_select_accepts_family_prefixes(capsys):
     capsys.readouterr()
 
 
+NINE_RULES = ("REPRO-D001", "REPRO-D002", "REPRO-D003", "REPRO-D004",
+              "REPRO-O001", "REPRO-S001", "REPRO-S002", "REPRO-S003",
+              "REPRO-P001")
+
+
 def test_unknown_family_prefix_exits_2(capsys):
-    code = run(["src", "--root", REPO_ROOT, "--select", "REPRO-X"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "family prefix" in err
-    assert "REPRO-W001" in err  # the known-rule list names every rule
+    # REPRO-X never existed; the rest are the retired whole-program
+    # rules, which must not be selectable as silent no-ops.
+    for selector in ("REPRO-X", "REPRO-W", "REPRO-R", "W001", "S004"):
+        code = run(["src", "--root", REPO_ROOT, "--select", selector])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "family prefix" in err
+        known = err[err.index("(known: "):]
+        assert known.count("REPRO-") == len(NINE_RULES)
+        for rid in NINE_RULES:  # the known-rule list names every rule
+            assert rid in known
 
 
 def test_list_rules_prints_catalog(capsys):
     assert run(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rid in ("REPRO-D001", "REPRO-D002", "REPRO-D003", "REPRO-D004",
-                "REPRO-O001", "REPRO-S001", "REPRO-S002", "REPRO-S003",
-                "REPRO-S004", "REPRO-S005", "REPRO-P001", "REPRO-W001",
-                "REPRO-W002", "REPRO-R001", "REPRO-R002"):
+    for rid in NINE_RULES:
         assert rid in out
+    assert sum(line.startswith("REPRO-") for line in out.splitlines()) \
+        == len(NINE_RULES)
     assert "bad:" in out and "good:" in out
 
 
-# ----------------------------------------------------------------------
-# project mode
-def test_project_mode_flags_whole_program_findings(capsys):
-    code = run(["src/repro/sim/fix_w001.py", "--root", FIXROOT,
-                "--project", "--no-index-cache"])
-    assert code == 1
-    assert "REPRO-W001" in capsys.readouterr().out
-
-
-def test_project_mode_whole_repo_clean(capsys):
-    code = run(["src", "tests", "scripts", "--root", REPO_ROOT,
-                "--project", "--no-index-cache"])
-    assert code == 0
-    assert "clean: no findings" in capsys.readouterr().out
-
-
-def test_project_mode_select_by_family(capsys):
-    code = run(["src/repro/sim/fix_w001.py", "--root", FIXROOT,
-                "--project", "--no-index-cache",
-                "--select", "REPRO-R"])
-    assert code == 0
-    capsys.readouterr()
-
-
-def test_project_index_cache_flag(tmp_path, capsys):
-    cache = str(tmp_path / "index.json")
-    code = run(["src/repro/sim/fix_w001.py", "--root", FIXROOT,
-                "--project", "--index-cache", cache])
-    assert code == 1
-    assert os.path.exists(cache)
-    # warm run: same findings, served through the cache
-    code = run(["src/repro/sim/fix_w001.py", "--root", FIXROOT,
-                "--project", "--index-cache", cache])
-    assert code == 1
-    capsys.readouterr()
-
-
-def test_index_cache_without_project_exits_2(capsys):
-    code = run(["src", "--root", REPO_ROOT, "--index-cache", "x.json"])
-    assert code == 2
+def test_project_flag_is_gone(capsys):
+    # removed, not deprecated: argparse rejects it before any linting
+    with pytest.raises(SystemExit) as exc:
+        run(["src", "--root", REPO_ROOT, "--project"])
+    assert exc.value.code == 2
     assert "--project" in capsys.readouterr().err
 
 
@@ -170,25 +140,3 @@ def test_github_format(capsys):
     assert "::error file=src/repro/sim/fix_d003.py" in out
     assert "title=REPRO-D003" in out
 
-
-# ----------------------------------------------------------------------
-# baseline flags
-def test_write_then_apply_baseline(tmp_path, capsys):
-    baseline = str(tmp_path / "baseline.json")
-    code = run(["src/repro/sim/fix_d004.py", "--root", FIXROOT,
-                "--baseline", baseline, "--write-baseline"])
-    assert code == 0
-    assert "baseline written" in capsys.readouterr().out
-
-    code = run(["src/repro/sim/fix_d004.py", "--root", FIXROOT,
-                "--baseline", baseline])
-    assert code == 0
-    assert "clean: no findings" in capsys.readouterr().out
-
-
-def test_checked_in_baseline_is_empty_and_loadable():
-    path = os.path.join(REPO_ROOT, ".repro-lint-baseline.json")
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["version"] == 1
-    assert payload["entries"] == []

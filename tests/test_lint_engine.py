@@ -1,11 +1,11 @@
-"""Engine-level linter tests: pragmas, baseline round-trip, file
-collection, parse-error handling."""
+"""Engine-level linter tests: pragmas, file collection, parse-error
+handling."""
 
 import json
 import os
 
-from repro.lint import (Baseline, Finding, LintEngine, PARSE_ERROR_RULE,
-                        format_github, format_json, format_text)
+from repro.lint import (Finding, LintEngine, PARSE_ERROR_RULE, format_github,
+                        format_json, format_text)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXROOT = os.path.join(HERE, "lint_fixtures")
@@ -29,48 +29,6 @@ def test_pragma_for_other_rule_does_not_suppress():
     findings = engine.lint_paths([PRAGMA_FIXTURE])
     assert "wrong_rule_id" not in findings[0].snippet  # flags the for line
     assert findings[0].line > 0
-
-
-# ----------------------------------------------------------------------
-# baseline
-def test_baseline_round_trip(tmp_path):
-    engine = LintEngine(FIXROOT)
-    findings = engine.lint_paths(["src/repro/sim/fix_d001.py"])
-    assert findings
-
-    path = str(tmp_path / "baseline.json")
-    Baseline.from_findings(findings).save(path)
-    reloaded = Baseline.load(path)
-    assert len(reloaded) == len(findings)
-    assert reloaded.filter(findings) == []
-
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["version"] == 1
-    assert all({"rule", "path", "snippet", "count"} <= set(e)
-               for e in payload["entries"])
-
-
-def test_baseline_matches_by_snippet_not_line():
-    finding = Finding(rule="REPRO-D001", path="a.py", line=10, col=0,
-                      message="m", snippet="for x in set(y):")
-    drifted = Finding(rule="REPRO-D001", path="a.py", line=99, col=4,
-                      message="m", snippet="for x in set(y):")
-    baseline = Baseline.from_findings([finding])
-    assert baseline.filter([drifted]) == []
-
-
-def test_baseline_allows_only_recorded_count():
-    finding = Finding(rule="REPRO-D001", path="a.py", line=1, col=0,
-                      message="m", snippet="s")
-    baseline = Baseline.from_findings([finding])
-    # A second copy of the same fingerprint is NOT grandfathered.
-    assert baseline.filter([finding, finding]) == [finding]
-
-
-def test_missing_baseline_file_loads_empty(tmp_path):
-    baseline = Baseline.load(str(tmp_path / "nope.json"))
-    assert len(baseline) == 0
 
 
 # ----------------------------------------------------------------------

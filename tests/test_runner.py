@@ -121,6 +121,21 @@ class TestSchemeResolution:
             runner.resolve_scheme("bogus", [get_profile("bp")])
         with pytest.raises(ValueError):
             runner.resolve_scheme("ws-nope", [get_profile("bp")])
+        with pytest.raises(ValueError):
+            runner.resolve_scheme("smk-x", [get_profile("bp")])
+
+    def test_check_scheme_is_the_same_grammar_without_simulating(self):
+        """The CLI's up-front name check parses what ``run_mix`` parses
+        — on the class, so no runner (and no cache dir) exists yet."""
+        for name in ("spatial", "leftover", "even", "ws", "WS-DMIL",
+                     "ws-qbmi+dmil", "ws-smil:3,inf", "ws-byp:0,1",
+                     "smk", "smk-p", "smk-p+w", "smk-p+qbmi", "dws",
+                     "dws-dmil"):
+            ExperimentRunner.check_scheme(name)
+        for name in ("bogus", "ws-nope", "smk-x", "dws-nope",
+                     "ws-smil:a,b", ""):
+            with pytest.raises(ValueError):
+                ExperimentRunner.check_scheme(name)
 
 
 class TestRunMix:

@@ -43,6 +43,20 @@ def by_reason(report):
 
 
 class TestInvariants:
+    def test_declared_taxonomy_holds_no_duplicate(self):
+        """A reason or leaf declared twice would be counted once and
+        reported twice (the membership tuples index report rows and
+        registry leaves); the scheduler and LSU classes share the
+        ``stall.`` registry segment, so they must not collide either."""
+        from repro.obs.stalls import LSU_STALL_REASONS, SCHED_STALL_REASONS
+        from repro.obs.timeline import (ADAPT_MECHANISMS,
+                                        ADAPT_REGISTRY_LEAVES,
+                                        PHASE_REGISTRY_LEAVES)
+        for members in ((ISSUED, *SCHED_STALL_REASONS, *LSU_STALL_REASONS),
+                        ADAPT_MECHANISMS, PHASE_REGISTRY_LEAVES,
+                        ADAPT_REGISTRY_LEAVES):
+            assert len(set(members)) == len(members), members
+
     @pytest.mark.parametrize("kernels,tbs,scheme_kwargs", [
         (("st", "sv"), (4, 4), {}),
         (("st", "sv"), (4, 4), {"bmi": "rbmi"}),
