@@ -11,6 +11,11 @@ legs that name the Table-1 machine.
   memory-stall sleep — so a refactor that breaks the L1 release
   wake (divergence) or the engagement condition (share drops to 0)
   fails here, not in the next benchmark run;
+* hits finish where they are found, by count: on compute-bound ``dc``
+  alone at least ``THROUGH_FLOOR`` of the memory instructions finish at
+  issue (all-hit loads: no ``MemInst``, no LSU-queue entry) with the
+  signature the oracle's; the same run observed finishes none there
+  (observed cells keep the queue path, and every request's events);
 * the paper's mechanism at the paper's machine: Table-1 ``bp+cd``,
   even partition, DMIL — production == oracle, observed production ==
   observed oracle, and the SMs sleep through MIL-capped stretches
@@ -60,6 +65,12 @@ IDENTITY_WORKLOADS = (
 STALL_SLEEP_FLOOR = 0.10
 
 
+#: dc alone finishes 0.87 of its memory instructions at issue on the
+#: scaled machine (its 24-line working set lives in the L1; stores and
+#: the cold start queue up).  An exact simulated count per seed.
+THROUGH_FLOOR = 0.8
+
+
 #: (name, kernels, TBs per SM, scheme) observed on both machines.
 OBSERVED_WORKLOADS = (
     ("st+sv", ("st", "sv"), (4, 4), SchemeConfig()),
@@ -106,6 +117,22 @@ def memory_bound_check(config):
     production = run(config, ("st", "sv"), (4, 4), 3)
     identical = result_signature(production) == result_signature(oracle)
     return identical, production.sleep_ratio("mem_stall")
+
+
+def compute_bound_check(config):
+    """dc alone on the oracle, the production machine, and the
+    production machine observed.  Returns ``(identical, share,
+    observed_through)``: all three signatures match, the share of the
+    production run's memory instructions that finished at issue, and
+    how many the observed run finished there (must be none)."""
+    oracle = run(config, ("dc",), None, 3, reference=True)
+    production = run(config, ("dc",), None, 3)
+    observed = run(config, ("dc",), None, 3, obs=True)
+    identical = (result_signature(production) == result_signature(oracle)
+                 == result_signature(observed))
+    minsts = sum(k.mem_insts for k in production.kernels.values())
+    return (identical, production.sleep["insts_through"] / minsts,
+            observed.sleep["insts_through"])
 
 
 def observed_pair(config, kernels, tb_limits, scheme, cycles=2000):
@@ -199,6 +226,15 @@ def main() -> int:
             print(f"FAIL {name}: fast loop diverged from reference")
             return 1
         print(f"ok {name}: fast == reference")
+    identical, through, observed_through = compute_bound_check(config)
+    if not identical or through < THROUGH_FLOOR or observed_through:
+        print(f"FAIL dc: production {'==' if identical else '!='} oracle "
+              f"== observed, {through:.1%} of memory instructions finished "
+              f"at issue (floor {THROUGH_FLOOR:.0%}), {observed_through} "
+              f"on the observed run (must be 0)")
+        return 1
+    print(f"ok dc: production == oracle == observed, {through:.1%} of "
+          f"memory instructions finished at issue, none when observed")
     identical, stall_sleep = memory_bound_check(config)
     if not identical:
         print("FAIL st+sv: production machine diverged from the oracle")

@@ -172,6 +172,9 @@ def cmd_run(args) -> int:
               f"memory-stall {result.sleep_ratio('mem_stall'):.1%}, "
               f"MIL-capped {result.sleep_ratio('mil_capped'):.1%}; "
               f"{result.sleep['stall_wakes']} stall wakes)")
+        minsts = sum(k.mem_insts for k in result.kernels.values())
+        print(f"  LSU             : {result.sleep['insts_through']} of "
+              f"{minsts} memory instructions finished at issue")
     # Host-side too: what this process's kernel-trace cache did.
     from repro.obs import process_registry
     cache = process_registry().snapshot("trace_cache")

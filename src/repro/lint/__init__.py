@@ -26,7 +26,7 @@ Run it as ``python -m repro lint [paths]`` (see
 """
 
 from repro.lint.engine import (DEFAULT_EXCLUDE_DIRS, FileContext, LintEngine,
-                               PARSE_ERROR_RULE, lint_paths)
+                               PARSE_ERROR_RULE)
 from repro.lint.findings import Finding
 from repro.lint.output import (format_catalog, format_github, format_json,
                                format_text, render)
@@ -49,7 +49,6 @@ __all__ = [
     "format_github",
     "format_json",
     "format_text",
-    "lint_paths",
     "normalize_rule_id",
     "path_in_scope",
     "rel_posix",

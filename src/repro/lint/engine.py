@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding
 from repro.lint.rules import Rule, all_rules
@@ -158,11 +158,3 @@ class LintEngine:
         findings.sort(key=Finding.sort_key)
         return findings
 
-
-# ----------------------------------------------------------------------
-def lint_paths(paths: Iterable[str], root: str,
-               rules: Optional[Sequence[Rule]] = None
-               ) -> Tuple[List[Finding], LintEngine]:
-    """Convenience wrapper: build an engine, lint, return both."""
-    engine = LintEngine(root, rules=rules)
-    return engine.lint_paths(list(paths)), engine

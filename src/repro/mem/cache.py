@@ -404,6 +404,24 @@ class PooledL1DCache:
     def miss_queue_full(self) -> bool:
         return len(self.miss_queue) >= self._miss_queue_cap
 
+    def probe_hit(self, line_addr: int) -> int:
+        """The way a load of ``line_addr`` hits in (resident and valid),
+        or -1.  Read-only: a caller may probe every line of an
+        instruction and commit none."""
+        tags = self.tags
+        way = tags.find(line_addr)
+        return way if way >= 0 and tags.valid[way] else -1
+
+    def commit_hit(self, way: int, kernel: int) -> None:
+        """Everything a load hit does to the L1 — the access and hit
+        counts and the lookup's LRU bump; never validity, so a hit
+        cannot change the verdict of any other probe.  The one hit arm:
+        ``access_slot`` and the SM's issue-through both end here."""
+        stats = self.stats
+        stats.accesses[kernel] += 1
+        self.tags.touch(way)
+        stats.hits[kernel] += 1
+
     def access_slot(self, slot: int, line_addr: int, kernel: int,
                     is_write: bool, bypass: bool) -> str:
         """``L1DCache.access`` over a pool slot; same result labels,
@@ -433,14 +451,13 @@ class PooledL1DCache:
             self._mq_pending[0] += 1
             return AccessResult.MISS
 
-        stats.accesses[kernel] += 1
         tags = self.tags
         way = tags.find(line_addr)
+        if way >= 0 and tags.valid[way]:
+            self.commit_hit(way, kernel)
+            return AccessResult.HIT
+        stats.accesses[kernel] += 1
         if way >= 0:
-            if tags.valid[way]:
-                tags.touch(way)  # the lookup's LRU bump
-                stats.hits[kernel] += 1
-                return AccessResult.HIT
             # Secondary miss (reserved line): merge into the MSHR.
             if not self.mshrs.try_merge(line_addr, slot):
                 stats.accesses[kernel] -= 1

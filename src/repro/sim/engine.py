@@ -360,6 +360,7 @@ class GPU:
         report["stall_replays_batched"] = sum(
             sm.lsu.replays_batched for sm in sms)
         report["stall_wakes"] = sum(sm._stall_wakes for sm in sms)
+        report["insts_through"] = sum(sm.lsu.insts_through for sm in sms)
         report["leaps"] = self._leaps
         report["leap_cycles"] = self._leapt_cycles
         report["wheel_inert_wakes"] = self._inert_wakes

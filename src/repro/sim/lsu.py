@@ -45,7 +45,7 @@ class LoadStoreUnit:
                  "_current_request", "_stall_memo", "_stall_owed",
                  "stall_cycles", "busy_cycles",
                  "bypass_by_kernel", "_obs", "pool", "_inline_stats",
-                 "_rsfail_hook", "replays_batched")
+                 "_rsfail_hook", "replays_batched", "insts_through")
 
     def __init__(self, sm_id: int, l1: L1DCache, queue_depth: int = LSU_QUEUE_DEPTH,
                  width: int = 2):
@@ -90,6 +90,9 @@ class LoadStoreUnit:
         #: self-observability: replays settled by ``_flush_stall_debt``
         #: (each skipped an L1 lookup); one add per flush.
         self.replays_batched = 0
+        #: self-observability: memory instructions the owning SM
+        #: finished at issue (all-hit loads, never queued here).
+        self.insts_through = 0
         self.stall_cycles = 0
         self.busy_cycles = 0
         #: kernel -> L1D-bypass verdict, filled in by the owning SM

@@ -24,7 +24,7 @@ from repro.config import GPUConfig
 from repro.core.arbiter import SchemeBundle
 from repro.core.bmi import MemIssuePolicy, UnmanagedIssue
 from repro.core.mil import MemInstLimiter, NoLimit, subscribe_window
-from repro.mem.cache import L1DCache
+from repro.mem.cache import AccessResult, L1DCache
 from repro.obs.stalls import (
     ISSUED,
     KERNEL_NONE,
@@ -209,6 +209,10 @@ class StreamingMultiprocessor:
             if self._mem_hooks_inert and timeline is None else None)
         if lim_cls.note_rsfail is not MemInstLimiter.note_rsfail:
             self.lsu._rsfail_hook = bundle.limiter.note_rsfail
+        #: issue-through (see ``_issue_mem``) is the production
+        #: machine's, and only unobserved: an observed or timelined run
+        #: wants every request's events, so it keeps the queue path.
+        self._through_ok = fastpath and obs is None and timeline is None
         #: the baseline policy's pick is pure "first proposer wins":
         #: skip the candidate-list build and the dispatch entirely.
         self._pick_trivial = pol_cls.pick is UnmanagedIssue.pick
@@ -784,22 +788,59 @@ class StreamingMultiprocessor:
         # is a fresh slice, for live streams a fresh pattern list —
         # safe to hand to the MemInst without copying.
         lines = stream.pop_mem(is_store)
-        inst = MemInst(warp, lines, is_store, cycle,
-                       self._on_meminst_complete)
+        lsu = self.lsu
+        stats = self.kernel_stats[k]
         state = self.kstate[k]
         state.inflight_minsts += 1
-        if not self._mem_hooks_inert:
+        hooks_live = not self._mem_hooks_inert
+        if hooks_live:
             bundle = self.bundle
             bundle.limiter.observe_inflight(k, state.inflight_minsts)
             bundle.mem_policy.note_mem_inst(k)
-        self.lsu.enqueue(inst)
+        # Issue-through (docs/PERF.md section 8): with the LSU queue
+        # empty, this cycle's LSU tick would look up exactly these
+        # lines, against exactly this L1 state.  If a read-only probe
+        # finds every one a hit the load is finished right here — the
+        # hits committed in line order with the per-request hooks, then
+        # what the completion callback would do — and no MemInst, queue
+        # entry, pool slot or callback exists.  One cold line, and the
+        # probe has changed nothing: the queue path below runs as ever.
+        through = False
+        if (self._through_ok and not is_store and not lsu.queue
+                and len(lines) <= lsu.width
+                and not lsu.bypass_by_kernel[k]):
+            l1 = self.l1
+            ways = [l1.probe_hit(line) for line in lines]
+            if -1 not in ways:
+                through = True
+                if hooks_live:
+                    for way, line in zip(ways, lines):
+                        l1.commit_hit(way, k)
+                        self.on_request_issued_values(
+                            k, line, False, AccessResult.HIT, cycle)
+                else:
+                    # on_request_issued_values with inert hooks and no
+                    # timeline is this one bump (what the LSU tick's
+                    # ``_inline_stats`` does); the call per request
+                    # costs 3.5 % of sm16_compute's wall_s (PERF.md §8).
+                    for way in ways:
+                        l1.commit_hit(way, k)
+                    stats.mem_requests += len(ways)
+                lsu.busy_cycles += 1
+                lsu.insts_through += 1
+                state.inflight_minsts -= 1
+                if hooks_live:
+                    bundle.limiter.observe_inflight(k, state.inflight_minsts)
+        if not through:
+            lsu.enqueue(MemInst(warp, lines, is_store,
+                                self._on_meminst_complete))
+            # Inlined Warp.note_load_issued (stores just set the
+            # scoreboard).
+            if not is_store:
+                warp.outstanding_loads += 1
 
-        stats = self.kernel_stats[k]
         stats.warp_insts += 1
         stats.mem_insts += 1
-        # Inlined Warp.note_load_issued (stores just set the scoreboard).
-        if not is_store:
-            warp.outstanding_loads += 1
         warp.ready_at = cycle + 1
         sched.note_issued(warp)
         gate = self._gate
@@ -813,7 +854,8 @@ class StreamingMultiprocessor:
         # Scan-list upkeep (one transition max per issue): a drained
         # warp retires or waits out its loads off-scan; a load that
         # filled the MLP complement blocks the warp until a return
-        # (scan_unblock in _on_meminst_complete).
+        # (scan_unblock in _on_meminst_complete).  A load that went
+        # through is not outstanding: it can only drain the stream.
         if stream.next_op is None:
             if not warp.outstanding_loads:
                 self._finish_warp(warp)

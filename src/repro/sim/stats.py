@@ -30,9 +30,10 @@ SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall", "mil_capped")
 #: number accumulates under (``repro.obs.process_registry()``): slept
 #: SM-cycles by cause, SM-cycles simulated, LSU stall replays settled
 #: in batches, L1 release hooks that ended a memory-stall sleep (each
-#: buys one real lookup of the stalled head), engine leaps and the
-#: cycles they skipped (mean distance
-#: = the ratio), leap landings where nothing ran, the request pool's
+#: buys one real lookup of the stalled head), memory instructions the
+#: SM finished at issue (all-hit loads that never became a ``MemInst``),
+#: engine leaps and the cycles they skipped (mean distance = the
+#: ratio), leap landings where nothing ran, the request pool's
 #: peak live slots (a gauge: the registry keeps the highest) and
 #: doublings, and issue slots an observed run attributed in batches
 #: rather than per cycle.
@@ -44,6 +45,7 @@ SELF_OBS_REGISTRY = {
     "sm_cycles": "sim.sleep.sm_cycles",
     "stall_replays_batched": "sim.sleep.stall_replays_batched",
     "stall_wakes": "sim.sleep.stall_wakes",
+    "insts_through": "sim.lsu.insts_through",
     "leaps": "sim.leap.count",
     "leap_cycles": "sim.leap.cycles",
     "wheel_inert_wakes": "sim.wheel.inert_wakes",
@@ -142,8 +144,9 @@ class RunResult:
     #: ``sm_cycles`` (cycles x SMs), ``stall_replays_batched`` (LSU
     #: stall replays settled in batches instead of replayed against the
     #: L1), ``stall_wakes`` (L1 release hooks that woke a stalled SM to
-    #: retry) and the leap / wheel / request-pool / batched-attribution
-    #: counts keyed as in :data:`SELF_OBS_REGISTRY`.
+    #: retry), ``insts_through`` (all-hit loads finished at issue) and
+    #: the leap / wheel / request-pool / batched-attribution counts
+    #: keyed as in :data:`SELF_OBS_REGISTRY`.
     sleep: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------

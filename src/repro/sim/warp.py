@@ -23,17 +23,16 @@ class MemInst:
     """One issued (post-coalescing) memory instruction in flight."""
 
     __slots__ = ("warp", "kernel", "lines", "next_idx", "pending",
-                 "is_store", "issued_cycle", "on_complete", "_completed")
+                 "is_store", "on_complete", "_completed")
 
     def __init__(self, warp: "Warp", lines: tuple, is_store: bool,
-                 issued_cycle: int, on_complete: Callable[["MemInst", int], None]):
+                 on_complete: Callable[["MemInst", int], None]):
         self.warp = warp
         self.kernel = warp.kernel_slot
         self.lines = lines
         self.next_idx = 0
         self.pending = 0
         self.is_store = is_store
-        self.issued_cycle = issued_cycle
         self.on_complete = on_complete
         self._completed = False
 

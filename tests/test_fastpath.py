@@ -59,7 +59,29 @@ STALL_SCHEMES = [
     ("dmil+qbmi", {"mil": "dmil", "bmi": "qbmi",
                    "qbmi_init_req_per_minst": (4, 4)}),
 ]
-CASES = BASE_CASES + [
+
+# Issue-through (docs/PERF.md section 8) engages where loads hit: the
+# compute-type kernels alone, and dc beside a memory-intensive
+# co-runner under the schemes whose hooks the fused path has to feed in
+# the queue path's order.
+HIT_CASES = [
+    ("hit-dc", ("dc",), (4,), {}, {}),
+    ("hit-bs", ("bs",), (4,), {}, {}),  # streams: never hits at all
+    ("hit-st", ("st",), (4,), {}, {}),
+    ("hit-dc-dmil+qbmi", ("dc",), (4,),
+     {"mil": "dmil", "sample_window": 32, "bmi": "qbmi",
+      "qbmi_init_req_per_minst": (4,)}, {}),
+    ("hit-dc+ks-even", ("dc", "ks"), (8, 1), {}, {}),
+    ("hit-dc+ks-dmil", ("dc", "ks"), (8, 1),
+     {"mil": "dmil", "sample_window": 32}, {}),
+    ("hit-dc+ks-qbmi", ("dc", "ks"), (8, 1),
+     {"bmi": "qbmi", "qbmi_init_req_per_minst": (4, 4)}, {}),
+    ("hit-dc+ks-ucp", ("dc", "ks"), (8, 1),
+     {"ucp": True, "ucp_interval": 500}, {}),
+    ("hit-dc+ks-lrr", ("dc", "ks"), (8, 1), {},
+     {"scheduler_policy": "lrr"}),
+]
+CASES = BASE_CASES + HIT_CASES + [
     (f"stall-{name}-{mix}-{policy}", kernels, (4, 4), scheme_kwargs,
      {"scheduler_policy": policy})
     for name, scheme_kwargs in STALL_SCHEMES
@@ -183,6 +205,27 @@ def test_observed_production_report_equals_observed_oracle(
     assert oracle.sleep["obs_batched_slots"] == 0
     if slept(plain):
         assert slept(observed) > 0
+
+
+@pytest.mark.parametrize(
+    "kernels,tbs,scheme_kwargs,cfg_kwargs",
+    [case[1:] for case in HIT_CASES],
+    ids=[case[0] for case in HIT_CASES])
+def test_hits_finish_where_they_are_found(kernels, tbs, scheme_kwargs,
+                                          cfg_kwargs):
+    """The sweeps above hold these cells to the oracle; here, that
+    issue-through engages on them and cannot silently stop: all-hit
+    loads finish at issue — and none does on an observed run or on the
+    oracle."""
+    plain = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                     reference=False)
+    hits = sum(plain.l1d_hits.values())
+    assert (hits > 0) == (plain.sleep["insts_through"] > 0)
+    assert plain.sleep["insts_through"] <= hits
+    for kwargs in ({"reference": False, "obs": True}, {"reference": True}):
+        other = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, **kwargs)
+        assert other.sleep["insts_through"] == 0
+        assert result_signature(other) == result_signature(plain)
 
 
 @pytest.mark.parametrize(

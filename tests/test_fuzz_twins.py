@@ -15,6 +15,8 @@ run it explicitly).  ``derandomize=True`` keeps the suite
 deterministic in CI — no flaky example databases, no fresh seeds.
 """
 
+import dataclasses
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -317,3 +319,71 @@ def test_mil_capped_production_equals_oracle(kernels, tbs, kind, limits,
         assert_reports_equal(report, oracle.obs)
         assert sum(report.sched_stalls.values()) == report.issue_slots()
         assert sum(report.lsu_stalls.values()) == production.lsu_stall_cycles
+
+
+# ----------------------------------------------------------------------
+# Issue-through (docs/PERF.md section 8): dc-shaped kernels whose
+# footprint sits around the L1's 96 lines, so runs of hits and cold
+# lines interleave — all-hit loads finish at issue, mixed ones queue —
+# alone or beside a co-runner, under the schemes whose hooks the fused
+# path must feed in the queue path's order.
+HIT_SCHEMES = (
+    {}, {"mil": "dmil", "sample_window": 32}, {"mil": "gdmil"},
+    {"bmi": "qbmi"}, {"ucp": True, "ucp_interval": 300},
+    {"smk_quotas": (3, 1)}, {"l1d_bypass": (False, True)},
+)
+hit_patterns = st.one_of(
+    st.builds(lambda ws: ("reuse", ws), st.integers(2, 160)),
+    st.builds(lambda ws, frac, slots: ("mix", ws, frac, 32, slots),
+              st.integers(2, 64), st.floats(0.5, 0.98), recycle),
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(reqs=st.integers(1, 5), mlp=st.integers(1, 3),
+       write_frac=st.floats(0.0, 0.3), sfu_frac=st.floats(0.0, 0.3),
+       pattern=hit_patterns,
+       co_runner=st.one_of(st.none(),
+                           st.sampled_from(sorted(PROFILES_BY_NAME))),
+       tbs=st.tuples(st.integers(1, 8), st.integers(1, 2)),
+       scheme=st.sampled_from(HIT_SCHEMES),
+       policy=st.sampled_from(("gto", "lrr")),
+       seed=st.integers(0, 999),
+       split=st.one_of(st.none(), st.integers(1, 899)))
+def test_hit_heavy_production_equals_oracle(reqs, mlp, write_frac, sfu_frac,
+                                            pattern, co_runner, tbs, scheme,
+                                            policy, seed, split):
+    kind, *args = pattern
+    profiles = [dataclasses.replace(
+        get_profile("dc"), name="dc-fuzz", reqs_per_minst=reqs, mlp=mlp,
+        write_frac=write_frac, sfu_frac=sfu_frac,
+        pattern_factory=lambda: PATTERN_CLASSES[kind](*args))]
+    if co_runner is not None:
+        profiles.append(get_profile(co_runner))
+    scheme = dict(scheme)
+    for key in PER_KERNEL_KEYS:
+        if key in scheme:
+            scheme[key] = scheme[key][:len(profiles)]
+    if "qbmi" in scheme.values():
+        scheme["qbmi_init_req_per_minst"] = (4,) * len(profiles)
+    config = scaled_config(scheduler_policy=policy)
+    cycles = 900
+
+    def run(reference, pieces):
+        launches = make_launches(profiles, list(tbs[:len(profiles)]),
+                                 config, seed=seed)
+        gpu = GPU(config, launches, SchemeConfig(**scheme),
+                  reference=reference)
+        for piece in pieces:
+            result = gpu.run(piece)
+        return gpu, result
+
+    ref_gpu, oracle = run(True, (cycles,))
+    gpu, production = run(False,
+                          (split, cycles - split) if split else (cycles,))
+    assert result_signature(production) == result_signature(oracle)
+    for l1, ref_l1 in zip(gpu.memory.l1s, ref_gpu.memory.l1s):
+        assert vars(l1.stats) == vars(ref_l1.stats)
+    assert (production.sleep["insts_through"]
+            <= sum(production.l1d_hits.values()))
+    assert oracle.sleep["insts_through"] == 0

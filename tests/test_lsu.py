@@ -54,7 +54,7 @@ def make_inst(lines, is_store=False, kernel=0):
     stream = InstructionStream(profile, StreamPattern(), 0, seed=0)
     warp = Warp(0, kernel, tb, stream, age=0, mlp=4)
     completions = []
-    inst = MemInst(warp, tuple(lines), is_store, 0,
+    inst = MemInst(warp, tuple(lines), is_store,
                    on_complete=lambda i, c: completions.append(c))
     return inst, completions
 
@@ -272,3 +272,38 @@ def test_partition_swap_still_voids_the_stall_memo():
     assert lsu._stall_memo[3] == verdict
     assert (lsu.stall_cycles, lsu._stall_owed) == (looked_up + 2, 0)
     assert rig.wakes == []
+
+
+# ----------------------------------------------------------------------
+# ``PooledL1DCache.probe_hit``: what issue-through asks before it
+# commits anything (docs/PERF.md s.8).
+def make_pooled_lsu(width=2):
+    l1d = CacheConfig(size_bytes=8 * 128, line_size=128, assoc=2,
+                      mshrs=4, miss_queue=4, xor_index=False)
+    config = dataclasses.replace(scaled_config(num_sms=1), l1d=l1d)
+    l1 = PooledMemorySubsystem(config).l1s[0]
+    for line in (0, 1):  # resident and valid
+        l1.tags.reserve(line, 0)
+        l1.tags.fill(line)
+    return LoadStoreUnit(0, l1, width=width)
+
+
+def l1_footprint(l1):
+    tags, stats = l1.tags, l1.stats
+    return (tags.use_clock, list(tags.last_use), list(tags.valid),
+            list(tags.reserved), dict(stats.accesses), dict(stats.hits),
+            dict(stats.misses), len(l1.miss_queue), len(l1.mshrs))
+
+
+def test_probe_hit_is_read_only():
+    lsu = make_pooled_lsu()
+    l1 = lsu.l1
+    inst, _ = make_inst([5])
+    lsu.enqueue(inst)
+    lsu._tick_pooled(0, FakeSM())  # line 5: reserved, fill outstanding
+    before = l1_footprint(l1)
+    assert [l1.probe_hit(line) for line in (0, 1)] == [
+        l1.tags.find(0), l1.tags.find(1)]
+    assert l1.probe_hit(5) == -1 and l1.tags.find(5) >= 0
+    assert l1.probe_hit(9) == -1
+    assert l1_footprint(l1) == before

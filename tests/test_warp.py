@@ -63,7 +63,7 @@ class TestMemInst:
     def test_completion_after_expansion_and_fills(self):
         warp = make_warp()
         done = []
-        inst = MemInst(warp, (1, 2), is_store=False, issued_cycle=0,
+        inst = MemInst(warp, (1, 2), is_store=False,
                        on_complete=lambda i, c: done.append(c))
         inst.note_request_sent(waits_for_data=True)
         inst.note_request_sent(waits_for_data=True)
@@ -76,7 +76,7 @@ class TestMemInst:
     def test_all_hits_completes_immediately(self):
         warp = make_warp()
         done = []
-        inst = MemInst(warp, (1,), False, 0, lambda i, c: done.append(c))
+        inst = MemInst(warp, (1,), False, lambda i, c: done.append(c))
         inst.note_request_sent(waits_for_data=False)
         inst.maybe_complete(3)
         assert done == [3]
@@ -84,7 +84,7 @@ class TestMemInst:
     def test_completion_fires_once(self):
         warp = make_warp()
         done = []
-        inst = MemInst(warp, (1,), False, 0, lambda i, c: done.append(c))
+        inst = MemInst(warp, (1,), False, lambda i, c: done.append(c))
         inst.note_request_sent(waits_for_data=False)
         inst.maybe_complete(3)
         inst.maybe_complete(4)
@@ -92,7 +92,7 @@ class TestMemInst:
 
     def test_overcompletion_detected(self):
         warp = make_warp()
-        inst = MemInst(warp, (1,), False, 0, lambda i, c: None)
+        inst = MemInst(warp, (1,), False, lambda i, c: None)
         inst.note_request_sent(waits_for_data=False)
         inst.maybe_complete(0)
         with pytest.raises(RuntimeError):
