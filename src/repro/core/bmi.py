@@ -48,8 +48,8 @@ class ReqPerMinstEstimator:
         self._minsts = 0
         self._reqs = 0
         self._estimate = 1
-        #: window-boundary hook (wired by the SM to the engine's event
-        #: wheel); fired when the estimate is refreshed.  None = no
+        #: window-boundary hook (subscribed to by the SM, which wakes
+        #: on it); fired when the estimate is refreshed.  None = no
         #: listener.
         self.on_window = None
 
@@ -160,8 +160,8 @@ class QuotaBMI(MemIssuePolicy):
         #: below so the sentinel check is always valid).
         self._obs = None
         self._obs_key = 0
-        #: window-boundary hook (wired by the SM to the engine's event
-        #: wheel); fired on every quota replenish.  Set before the
+        #: window-boundary hook (subscribed to by the SM, which wakes
+        #: on it); fired on every quota replenish.  Set before the
         #: initial replenish so the sentinel check is always valid.
         self.on_window = None
         self._replenish()

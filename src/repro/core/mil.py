@@ -77,9 +77,8 @@ class MILG:
         #: window-boundary hook (subscribed to by every SM that issues
         #: under this MILG, see :func:`subscribe_window`): fired
         #: whenever a 1024-request window completes and the limit is
-        #: recomputed, so a sleeping SM wakes and the cycle leap
-        #: re-evaluates issue eligibility at the next cycle.  None = no
-        #: listener.
+        #: recomputed, so a sleeping SM wakes and re-evaluates issue
+        #: eligibility.  None = no listener.
         self.on_window = None
 
     def observe_inflight(self, inflight: int) -> None:

@@ -395,8 +395,8 @@ class PooledL1DCache:
         #: release costs one comparison.
         self.on_release = [None, None]
         #: shared one-cell counter of queued miss entries across all
-        #: L1s (owned by the pooled subsystem; gives its idle check and
-        #: leap gate an O(1) "any miss queue non-empty" answer).
+        #: L1s (owned by the pooled subsystem; gives its idle check
+        #: an O(1) "any miss queue non-empty" answer).
         self._mq_pending = mq_pending if mq_pending is not None else [0]
         self._miss_queue_cap = config.miss_queue
 

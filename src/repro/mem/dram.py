@@ -26,7 +26,7 @@ FRFCFS_WINDOW = 8
 class DRAMChannel:
     """One memory channel: bounded queue + open-row state."""
 
-    def __init__(self, config: GPUConfig, capacity: int = 64, wheel=None):
+    def __init__(self, config: GPUConfig, capacity: int = 64):
         self.config = config
         self.capacity = capacity
         self.queue: Deque[Tuple[int, bool, object]] = deque()  # (row, is_write, payload)
@@ -34,10 +34,6 @@ class DRAMChannel:
         self.open_row: Optional[int] = None
         self.serviced = 0
         self.row_hits = 0
-        #: engine event wheel (may be None for standalone channels):
-        #: each service start posts its completion cycle so the
-        #: engine's leap never jumps past a channel freeing up.
-        self.wheel = wheel
 
     @property
     def full(self) -> bool:
@@ -72,8 +68,6 @@ class DRAMChannel:
             start = max(self.busy_until, cycle)
             self.busy_until = start + service
             self.serviced += 1
-            if self.wheel is not None:
-                self.wheel.post(self.busy_until)
             if not is_write:
                 on_read_done(payload, self.busy_until + cfg.dram_latency)
 
@@ -81,10 +75,10 @@ class DRAMChannel:
 class DRAMModel:
     """All channels; line addresses are interleaved across channels."""
 
-    def __init__(self, config: GPUConfig, queue_capacity: int = 64, wheel=None):
+    def __init__(self, config: GPUConfig, queue_capacity: int = 64):
         self.config = config
         self.channels: List[DRAMChannel] = [
-            DRAMChannel(config, queue_capacity, wheel=wheel)
+            DRAMChannel(config, queue_capacity)
             for _ in range(config.dram_channels)
         ]
         self.dropped_writes = 0

@@ -71,20 +71,10 @@ class MemorySubsystem:
     machine runs :class:`PooledMemorySubsystem` below, which the tests
     hold bit-identical to this one."""
 
-    def __init__(self, config: GPUConfig, obs=None, wheel=None):
+    def __init__(self, config: GPUConfig, obs=None):
         self.config = config
         #: observability collector (None = zero-cost sentinel checks).
         self._obs = obs
-        #: the engine's unified event wheel: every scheduled event and
-        #: every DRAM service completion is posted so the engine's
-        #: cycle leap sees backend activity without scanning the heap
-        #: and channels.  Standalone subsystems get a private wheel.
-        if wheel is None:
-            # Imported lazily: repro.sim.lsu imports this module, so a
-            # top-level import of repro.sim.wheel would be circular.
-            from repro.sim.wheel import EventWheel
-            wheel = EventWheel()
-        self.wheel = wheel
         # The three stores below are built through overridable
         # factories so the pooled subclass swaps in its array-backed
         # twins without double construction.
@@ -94,7 +84,7 @@ class MemorySubsystem:
         self.l2_mshrs = self._build_l2_mshrs(config)
         self.l2_stats = CacheStats()
         self.l2_in: Deque[MemRequest] = deque()
-        self.dram = DRAMModel(config, wheel=wheel)
+        self.dram = DRAMModel(config)
         self._line_flits = Interconnect.line_flits(config)
         self._l2_hit_latency = config.l2.hit_latency
         self._icnt_latency = config.icnt_latency
@@ -128,7 +118,6 @@ class MemorySubsystem:
         if bucket is None:
             self._events[cycle] = [(kind, payload)]
             heapq.heappush(self._event_heap, cycle)
-            self.wheel.post(cycle)
         else:
             bucket.append((kind, payload))
 
@@ -145,36 +134,6 @@ class MemorySubsystem:
         self._l2_process(cycle)
         self._send_responses(cycle)
         self._drain_l1_miss_queues(cycle)
-
-    def next_activity(self, cycle: int) -> int:
-        """Earliest future cycle at which the backend can make progress,
-        assuming no new requests arrive.  ``cycle + 1`` when queued work
-        is retrying (bandwidth/credit stalls); otherwise the earliest of
-        the next due event and the first DRAM channel service-completion
-        (post-tick, every non-empty channel is busy past ``cycle``).
-        Cycles strictly before the returned one are provably no-ops for
-        the backend, which is what lets the engine leap over them.
-
-        No run calls this: the production engine leaps to the event
-        wheel's next entry, and this scan is the oracle that leap is
-        tested against (the wheel may only ever be *conservative* —
-        wake earlier than this, never later)."""
-        if self.l2_in or self._rsp_queue:
-            return cycle + 1
-        for l1 in self.l1s:
-            if l1.miss_queue:
-                return cycle + 1
-        heap = self._event_heap
-        nxt = heap[0] if heap else (1 << 62)
-        if self.dram.queued:
-            for channel in self.dram.channels:
-                if channel.queue and channel.busy_until < nxt:
-                    nxt = channel.busy_until
-            # An enqueued-but-unserved entry (stale busy_until) makes
-            # progress on the very next DRAM tick.
-            if nxt <= cycle:
-                nxt = cycle + 1
-        return nxt
 
     def _process_events(self, cycle: int) -> None:
         heap = self._event_heap
@@ -221,13 +180,7 @@ class MemorySubsystem:
         if line is not None and line.valid:
             line.dirty = True
         else:
-            if (self.dram.enqueue_write(request.line)
-                    and self.dram.channel_for(request.line).busy_until
-                    <= cycle):
-                # Same wheel obligation as reads: the write's service
-                # (which the DRAM counters in the result signature see)
-                # must not be leapt over before it starts.
-                self.wheel.post(cycle + 1)
+            self.dram.enqueue_write(request.line)
 
     def _l2_read(self, request: MemRequest, cycle: int) -> bool:
         """Returns False when the head must stall (resource shortage)."""
@@ -270,26 +223,10 @@ class MemorySubsystem:
             return False
         self.l2_mshrs.allocate(line_addr, kernel, request)
         self.dram.enqueue_read(line_addr, line_addr)
-        # An *idle* channel won't start service until the next DRAM
-        # tick and only posts its busy_until then — between enqueue
-        # and that tick the wheel would otherwise hold no entry for
-        # this read, and a fully-asleep engine could leap straight
-        # past it.  Pin the next cycle (conservative: at worst one
-        # inert wake tick).  A *busy* channel is already chained in
-        # the wheel: its current busy_until was posted at service
-        # start, and the tick at that cycle pops this entry and posts
-        # the next link.
-        if self.dram.channel_for(line_addr).busy_until <= cycle:
-            self.wheel.post(cycle + 1)
         if evicted_dirty:
             # Best-effort: the writeback may be dropped if its channel
-            # is saturated (bandwidth-only traffic).  Same idle-channel
-            # wheel obligation as above (the writeback may land on a
-            # different channel than the read).
-            if (self.dram.enqueue_write(evicted_tag)
-                    and self.dram.channel_for(evicted_tag).busy_until
-                    <= cycle):
-                self.wheel.post(cycle + 1)
+            # is saturated (bandwidth-only traffic).
+            self.dram.enqueue_write(evicted_tag)
         stats.accesses[kernel] += 1
         stats.misses[kernel] += 1
         if self._obs is not None:
@@ -394,27 +331,25 @@ class PooledMemorySubsystem(MemorySubsystem):
     Every override below is its base-class method with the object
     dereferences replaced by pool-array reads *in the same order*, and
     ``tick`` skips exactly the cycles the base class would spend doing
-    nothing (see :meth:`tick`, :meth:`skip_cycles`) — the bit-identity
-    proof obligation of docs/PERF.md, swept over the scheme space in
-    tests/test_fastpath.py and tests/test_pooled_identity.py and
-    scripted in tests/test_subsystem_leap.py.  Obs hooks receive
+    nothing (see :meth:`tick`) — the bit-identity proof obligation of
+    docs/PERF.md, swept over the scheme space in tests/test_fastpath.py
+    and tests/test_pooled_identity.py and scripted in
+    tests/test_subsystem.py.  Obs hooks receive
     :class:`~repro.mem.pool.PoolSlotView` facades, so the sentinel
     interface is unchanged.
     """
 
-    def __init__(self, config: GPUConfig, obs=None, wheel=None):
+    def __init__(self, config: GPUConfig, obs=None):
         # The pool and the shared miss-queue counter must exist before
         # the base constructor calls the _build_* factories.
         from repro.mem.pool import RequestPool
         self.pool = RequestPool()
         #: one-cell count of queued L1 miss entries across all SMs:
-        #: O(1) idle/leap checks instead of a 16-queue scan.
+        #: an O(1) idle check instead of a 16-queue scan.
         self._mq_pending = [0]
-        super().__init__(config, obs=obs, wheel=wheel)
+        super().__init__(config, obs=obs)
         #: idle cycles whose token refills are still owed to the icnt.
         self._skipped_refills = 0
-        #: count of idle-skipped backend cycles (perf introspection).
-        self.idle_cycles = 0
 
     # -- store factories ------------------------------------------------
     def _build_l1s(self, config: GPUConfig) -> List[PooledL1DCache]:
@@ -432,12 +367,11 @@ class PooledMemorySubsystem(MemorySubsystem):
     # -- event plumbing -------------------------------------------------
     def _schedule_ev(self, cycle: int, ev: int) -> None:
         """Int-event twin of :meth:`MemorySubsystem._schedule` (same
-        bucket structure, same wheel post on a new bucket)."""
+        bucket structure)."""
         bucket = self._events.get(cycle)
         if bucket is None:
             self._events[cycle] = [ev]
             heapq.heappush(self._event_heap, cycle)
-            self.wheel.post(cycle)
         else:
             bucket.append(ev)
 
@@ -465,24 +399,21 @@ class PooledMemorySubsystem(MemorySubsystem):
         self._schedule_ev(done_cycle, (line_addr << 2) | EV_DRAM_FILL)
 
     # -- per-cycle tick (O(1) idle check via the miss-queue counter) ----
-    def tick(self, cycle: int) -> bool:
+    def tick(self, cycle: int) -> None:
         """:meth:`MemorySubsystem.tick` with every phase guarded by its
         queue state, and quiet cycles skipped entirely — including
         *latency-shadow* cycles where events exist but none is due yet.
         A skipped cycle's only observable work would have been the
         interconnect token refill (batched into the next active cycle
         via an exactly-equivalent catch-up call) and the drain
-        round-robin pointer (advanced in place).  Returns True for such
-        an inert cycle: if the SMs are all asleep too, the engine may
-        leap over the latency shadow."""
+        round-robin pointer (advanced in place)."""
         heap = self._event_heap
         events_due = bool(heap) and heap[0] <= cycle
         if (not events_due and not self.l2_in and not self._rsp_queue
                 and not self.dram.queued and not self._mq_pending[0]):
             self._skipped_refills += 1
-            self.idle_cycles += 1
             self._drain_rr = (self._drain_rr + 1) % len(self.l1s)
-            return True
+            return
         self.icnt.begin_cycle(1 + self._skipped_refills)
         self._skipped_refills = 0
         if events_due:
@@ -499,26 +430,6 @@ class PooledMemorySubsystem(MemorySubsystem):
             # The drain's round-robin pointer advances every cycle even
             # when all queues are empty (as the base drain does).
             self._drain_rr = (self._drain_rr + 1) % len(self.l1s)
-        return False
-
-    def leapable(self) -> bool:
-        """True when no backend queue holds retrying work — the
-        precondition for the engine's cycle leap.  With the queues
-        drained, every future backend state change is reachable only
-        through a scheduled event or a DRAM service completion, both of
-        which were posted to the engine's event wheel when created; the
-        wheel therefore bounds the leap.  (``next_activity`` is the
-        scan-based oracle this is validated against in tests.)"""
-        return not (self.l2_in or self._rsp_queue or self._mq_pending[0])
-
-    def skip_cycles(self, count: int) -> None:
-        """Account for ``count`` cycles the engine leapt over while the
-        backend was provably inert (no queued work anywhere and no event
-        due).  Equivalent to ``count`` idle ticks: the owed interconnect
-        refills batch up and the drain round-robin pointer advances."""
-        self._skipped_refills += count
-        self.idle_cycles += count
-        self._drain_rr = (self._drain_rr + count) % len(self.l1s)
 
     # -- L2 controller --------------------------------------------------
     def _l2_process(self, cycle: int) -> None:
@@ -553,13 +464,7 @@ class PooledMemorySubsystem(MemorySubsystem):
             tags.touch(way)  # the lookup's LRU bump (valid hit only)
             tags.dirty[way] = True
         else:
-            if (self.dram.enqueue_write(line_addr)
-                    and self.dram.channel_for(line_addr).busy_until
-                    <= cycle):
-                # Same wheel obligation as reads: the write's service
-                # (which the DRAM counters in the result signature see)
-                # must not be leapt over before it starts.
-                self.wheel.post(cycle + 1)
+            self.dram.enqueue_write(line_addr)
 
     def _l2_read(self, slot: int, cycle: int) -> bool:
         """Returns False when the head must stall (resource shortage)."""
@@ -606,15 +511,8 @@ class PooledMemorySubsystem(MemorySubsystem):
             return False
         self.l2_mshrs.allocate(line_addr, kernel, slot)
         self.dram.enqueue_read(line_addr, line_addr)
-        # Idle-channel wheel pin: same obligation and comment as the
-        # base class (see MemorySubsystem._l2_read).
-        if self.dram.channel_for(line_addr).busy_until <= cycle:
-            self.wheel.post(cycle + 1)
         if evicted_dirty:
-            if (self.dram.enqueue_write(evicted_tag)
-                    and self.dram.channel_for(evicted_tag).busy_until
-                    <= cycle):
-                self.wheel.post(cycle + 1)
+            self.dram.enqueue_write(evicted_tag)
         stats.accesses[kernel] += 1
         stats.misses[kernel] += 1
         if self._obs is not None:

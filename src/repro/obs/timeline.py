@@ -156,9 +156,9 @@ class PhaseSampler:
     # ------------------------------------------------------------------
     # sampling
     def on_cycle(self, cycle: int, gpu) -> None:
-        """End-of-cycle hook from the engine (every cycle on the
-        oracle, boundary cycles only on the production machine);
-        commits one sample whenever an interval boundary completes."""
+        """End-of-cycle hook from the engine (called at the last cycle
+        of each interval, settled); commits one sample whenever an
+        interval boundary completes."""
         upto = cycle + 1
         if upto % self.interval == 0:
             self._append(self._measure(upto, gpu, commit=True))

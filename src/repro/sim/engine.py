@@ -27,7 +27,6 @@ from repro.sim.stats import (
     RunResult,
     TimelineRecorder,
 )
-from repro.sim.wheel import EventWheel
 from repro.workloads import trace as ktrace
 from repro.workloads.kernel import InstructionStream, KernelProfile, ReplayStream
 
@@ -53,7 +52,7 @@ class KernelLaunch:
         # wide; None when the profile is untraceable or tracing is
         # disabled (REPRO_NO_TRACE=1) — then streams fall back to live
         # RNG generation.  Replay is bit-identical either way, so both
-        # the fast and the reference loop replay the same arrays.
+        # machines replay the same arrays.
         self.trace = ktrace.get_trace(profile, self._stream_seed)
 
     def next_warp_index(self) -> int:
@@ -120,15 +119,20 @@ class GPU:
     A GPU is one of two machines, chosen by ``reference`` (default: the
     ``REPRO_REFERENCE_LOOP`` environment variable, else False):
 
-    * the **production machine** — the fast cycle loop (scheduler sleep
-      hints, SM sleep, the engine's cycle leap) over the slot-pooled
-      memory path (:class:`~repro.mem.subsystem.PooledMemorySubsystem`,
+    * the **production machine** — SMs that sleep (scheduler sleep
+      hints, whole-SM sleep) over the slot-pooled memory path
+      (:class:`~repro.mem.subsystem.PooledMemorySubsystem`,
       array-backed L1D/L2 tag stores and MSHRs, the memoising LSU tick);
-    * the **oracle** (``reference=True``) — the per-cycle scan over the
-      object memory path (:class:`~repro.mem.subsystem.MemorySubsystem`,
-      ``MemRequest`` objects, a plain replay per stalled cycle), kept as
-      the specification the tests hold the production machine
-      bit-identical to (tests/test_fastpath.py).
+    * the **oracle** (``reference=True``) — SMs that never sleep over
+      the object memory path
+      (:class:`~repro.mem.subsystem.MemorySubsystem`, ``MemRequest``
+      objects, a plain replay per stalled cycle), kept as the
+      specification the tests hold the production machine bit-identical
+      to (tests/test_fastpath.py).
+
+    The switch is read here, where the components are built, and
+    nowhere else: both machines run through the same cycle loop
+    (:meth:`_run_cycles`).
 
     ``obs`` enables the observability layer (``True``, an
     :class:`~repro.obs.ObsOptions`, or a prepared
@@ -136,7 +140,7 @@ class GPU:
     ``reference`` selects: it is orthogonal to the switch.  The
     production machine observes itself exactly — cycles it does not
     execute one by one (scheduler skips, autopilot bursts, SM sleeps,
-    engine leaps, deferred LSU replays) are attributed in batches,
+    deferred LSU replays) are attributed in batches,
     settled before anything reads them (:meth:`settle`) — and its
     report equals the oracle's field for field; simulated results stay
     bit-identical to an unobserved run.
@@ -156,13 +160,8 @@ class GPU:
         self.config = config
         self.launches = launches
         self.scheme = scheme or SchemeConfig()
-        #: the unified event wheel: every component posts its future
-        #: activity cycles here, so the fast loop's leap target is one
-        #: amortised O(1) query instead of a scan over schedulers, SMs,
-        #: the event heap and the DRAM channels.
-        self.wheel = EventWheel()
         mem_cls = MemorySubsystem if reference else PooledMemorySubsystem
-        self.memory = mem_cls(config, obs=self.obs, wheel=self.wheel)
+        self.memory = mem_cls(config, obs=self.obs)
         self.timeline = (TimelineRecorder(timeline_interval)
                          if timeline_interval else None)
         self.kernel_stats: Dict[int, KernelStats] = {
@@ -178,14 +177,8 @@ class GPU:
             self.sms.append(StreamingMultiprocessor(
                 sm_id, config, l1, launches, bundle,
                 self.kernel_stats, self.timeline, fastpath=not reference,
-                obs=self.obs, wheel=self.wheel))
+                obs=self.obs))
         self.cycles_run = 0
-        #: the fast loop's own work: cycle leaps taken, cycles they
-        #: skipped, and leap landings at which nothing ran at all (a
-        #: stale wheel entry's inert wake).
-        self._leaps = 0
-        self._leapt_cycles = 0
-        self._inert_wakes = 0
         #: what _sleep_report last added to the process registry.
         self._sleep_reported: Dict[str, int] = {}
         if self.obs is not None:
@@ -197,11 +190,7 @@ class GPU:
         naturally — no preemption)."""
         if limit < 0:
             raise ValueError("limit must be non-negative")
-        sm = self.sms[sm_id]
-        sm.kstate[slot].tb_limit = limit
-        # A raised cap can unblock TB launches on this SM.
-        sm._launch_blocked = False
-        sm._sleep_until = 0
+        self.sms[sm_id].set_tb_limit(slot, limit)
 
     def snapshot_insts(self) -> Dict[int, int]:
         """Per-kernel instruction counters (for window measurements)."""
@@ -216,52 +205,28 @@ class GPU:
         end = start + max_cycles
         obs = self.obs
         sampler = obs.sampler if obs is not None else None
-        if self.reference:
-            # Bind the per-cycle callees to locals: the loop body is
-            # pure dispatch, so attribute lookups would be a measurable
-            # share.
-            memory_tick = self.memory.tick
-            sm_ticks = [sm.tick for sm in self.sms]
-            if sampler is not None:
-                # Sampled reference loop: identical simulation order,
-                # plus an end-of-cycle pull-based sample hook and the
-                # current-cycle gauge that timestamps the adaptation
-                # event log.  Nothing feeds back into the components,
-                # so results stay bit-identical to the plain loops.
-                sampler_tick = sampler.on_cycle
-                for cycle in range(start, end):
-                    obs.cycle = cycle
-                    memory_tick(cycle)
-                    for sm_tick in sm_ticks:
-                        sm_tick(cycle)
-                    sampler_tick(cycle, self)
-            else:
-                for cycle in range(start, end):
-                    memory_tick(cycle)
-                    for sm_tick in sm_ticks:
-                        sm_tick(cycle)
-        elif sampler is None:
-            self._run_fast(start, end, self.memory.tick)
+        if sampler is None:
+            self._run_cycles(start, end, self.memory.tick)
         else:
-            # Sampled fast loop: run to each interval boundary, settle
-            # what the machine owes for the cycles before it, and
-            # sample there — the state the sampled reference loop reads
-            # at the end of the boundary's last cycle.  Settling early
-            # is exact because every debt is additive (a run boundary
-            # does the same); the leap never crosses a boundary, so the
-            # occupancy gauges are read at the cycle they describe.
+            # Sampled run: the same loop, cut at each interval boundary.
+            # There, settle what the machine owes for the cycles before
+            # it (nothing, on the oracle) and sample — the state at the
+            # end of the boundary's last cycle.  Settling early is exact
+            # because every debt is additive (a run boundary does the
+            # same).  Nothing feeds back into the components, so results
+            # stay bit-identical to an unsampled run.
             memory_tick = self.memory.tick
 
-            def stamped_tick(cycle: int) -> bool:
+            def stamped_tick(cycle: int) -> None:
                 # The cycle gauge that timestamps adaptation events.
                 obs.cycle = cycle
-                return memory_tick(cycle)
+                memory_tick(cycle)
 
             interval = sampler.interval
             cycle = start
             while cycle < end:
                 stop = min(end, cycle - cycle % interval + interval)
-                self._run_fast(cycle, stop, stamped_tick)
+                self._run_cycles(cycle, stop, stamped_tick)
                 if stop % interval == 0:
                     self.settle(stop)
                     sampler.on_cycle(stop - 1, self)
@@ -269,84 +234,38 @@ class GPU:
         self.cycles_run = end
         return self._collect()
 
-    def _run_fast(self, start: int, end: int, memory_tick) -> None:
-        """The production cycle loop over ``[start, end)``.
-
-        Fast loop with a latency-shadow leap: when every SM is asleep
-        past cycle+1 and the backend queues are drained, nothing can
-        happen until the earliest posted wheel event — jump there
-        directly.  SM sleeps, scheduler wakes, scheduled memory events
-        and DRAM service completions all post their cycles into the
-        wheel, so the leap target is one amortised-O(1) query instead
-        of a scan over every component.  The backend accounts for the
-        leapt cycles in one batch (skip_cycles, a provable no-op
-        replay); each SM's tick catches up its rotation state from the
-        cycle gap.  Stale wheel entries (events that resolved early) at
-        worst wake the engine for one inert tick — exactly what the
-        reference loop would have executed.
+    def _run_cycles(self, start: int, end: int, memory_tick) -> None:
+        """The cycle loop over ``[start, end)``, for both machines:
+        the backend ticks first, then every SM that is awake, in sm_id
+        order (pool slot ids depend on it).
 
         Sleeping SMs are skipped here rather than inside tick(): in a
         memory-pipeline stall most SMs sleep most cycles, and a Python
-        call apiece would dominate the loop.  Awake SMs still tick in
-        sm_id order (pool slot ids depend on it), and an SM's tick
-        touches no other SM's sleep horizon, so folding the all-asleep
-        scan into the same pass is exact.
+        call apiece would dominate the loop.  ``_sleep_until`` is the
+        one SM field the loop reads; the oracle's SMs never raise it,
+        so there this is the plain tick-everything-every-cycle scan.
         """
-        sms = self.sms
-        sm_pairs = [(sm, sm.tick) for sm in sms]
-        leapable = self.memory.leapable
-        skip_cycles = self.memory.skip_cycles
-        wheel_next = self.wheel.next_after
-        leaps = leapt = inert = 0
-        landed = -1
-        cycle = start
-        while cycle < end:
-            quiet = memory_tick(cycle)
-            nxt = cycle + 1
-            all_asleep = True
+        # Bind the per-cycle callees once: the loop body is pure
+        # dispatch, so attribute lookups would be a measurable share.
+        sm_pairs = [(sm, sm.tick) for sm in self.sms]
+        for cycle in range(start, end):
+            memory_tick(cycle)
             for sm, sm_tick in sm_pairs:
                 if sm._sleep_until <= cycle:
                     sm_tick(cycle)
-                if all_asleep and sm._sleep_until <= nxt:
-                    all_asleep = False
-            if all_asleep and leapable():
-                target = wheel_next(cycle)
-                if target > end:
-                    target = end
-                if target > nxt:
-                    if quiet and cycle == landed and not any(
-                            sm._last_tick == cycle for sm in sms):
-                        # The last leap landed on a cycle at which
-                        # neither the backend nor any SM did anything.
-                        inert += 1
-                    skip_cycles(target - nxt)
-                    leaps += 1
-                    leapt += target - nxt
-                    landed = nxt = target
-            cycle = nxt
-        self._leaps += leaps
-        self._leapt_cycles += leapt
-        self._inert_wakes += inert
 
     def settle(self, upto: Optional[int] = None) -> None:
         """Pay what the production machine owes for the cycles before
         ``upto`` (default: all simulated so far), so every counter and
         the observed stall tables read as if each cycle had been
-        executed on its own.  Per SM, in this order: the sleep debt (a
-        memory-stall sleep's settle adds owed stall replays, see
-        ``SM._settle_sleep_debt``), the LSU's deferred stall replays
-        (``LoadStoreUnit._flush_stall_debt``), then the owed issue-slot
-        attribution (``SM._obs_settle``).  Idempotent and additive:
+        executed on its own (each SM owns what and in which order, see
+        ``StreamingMultiprocessor.settle``).  Idempotent and additive:
         settling a prefix now and the rest later equals settling once.
         A no-op on the oracle, which owes nothing."""
         if upto is None:
             upto = self.cycles_run
-        observed = self.obs is not None
         for sm in self.sms:
-            sm._settle_sleep_debt(upto)
-            sm.lsu._flush_stall_debt()
-            if observed:
-                sm._obs_settle(upto)
+            sm.settle(upto)
 
     def _sleep_report(self) -> Dict[str, int]:
         """Cumulative self-observability of this GPU (see
@@ -361,9 +280,6 @@ class GPU:
             sm.lsu.replays_batched for sm in sms)
         report["stall_wakes"] = sum(sm._stall_wakes for sm in sms)
         report["insts_through"] = sum(sm.lsu.insts_through for sm in sms)
-        report["leaps"] = self._leaps
-        report["leap_cycles"] = self._leapt_cycles
-        report["wheel_inert_wakes"] = self._inert_wakes
         pool = getattr(self.memory, "pool", None)  # None on the oracle
         live_pool = pool is not None
         report["pool_high_water"] = pool.high_water() if live_pool else 0

@@ -225,12 +225,7 @@ class WarpScheduler:
     def wake_at(self, cycle: int) -> None:
         """An external event (a load return) made a warp potentially
         issuable at ``cycle``: lower the sleep hint accordingly, and
-        the owning SM's whole-tick sleep with it.  Nothing is posted to
-        the event wheel: a return moves a warp's readiness only to the
-        current or the next cycle, and a horizon that low already keeps
-        the engine from leaping; a later ``cycle`` (an SFU still in
-        flight) is one the sleep the SM is in had already accounted for
-        (docs/PERF.md section 3, "Wakes that post nothing")."""
+        the owning SM's whole-tick sleep with it."""
         # A load return can un-block an MLP-capped warp (or retire a
         # drained one): the issue-stall memo's premise is gone.
         self._mem_blocked = 0

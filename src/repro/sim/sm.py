@@ -93,7 +93,7 @@ class StreamingMultiprocessor:
                  launches: List, bundle: SchemeBundle,
                  kernel_stats: Dict[int, KernelStats],
                  timeline: Optional[TimelineRecorder] = None,
-                 fastpath: bool = True, obs=None, wheel=None):
+                 fastpath: bool = True, obs=None):
         self.sm_id = sm_id
         self.config = config
         self.l1 = l1
@@ -103,10 +103,6 @@ class StreamingMultiprocessor:
         self.timeline = timeline
         #: observability collector (None = zero-cost sentinel checks).
         self._obs = obs
-        #: engine event wheel (None for standalone SMs): sleep
-        #: decisions and external wakes post their cycles here so the
-        #: engine's cycle leap sees a global next-event time.
-        self._wheel = wheel
         #: per-tick scratch for stall attribution: scheduler id ->
         #: issuing kernel, and scheduler id -> kernel that lost the
         #: BMI arbitration without a compute fallback.
@@ -175,10 +171,11 @@ class StreamingMultiprocessor:
         # loop consume quota via note_issue — so gate verdicts are
         # always queried live, exactly as the reference closures do.
         self._fastpath = fastpath
-        # The SMK gate is fixed for the run; callbacks read it through
-        # this alias (kept for the standalone-SM test setups that
-        # construct the SM without a bundle gate).
+        # Run-constant scheme components, hoisted out of tick() and the
+        # issue callbacks.
         self._gate = bundle.smk_gate
+        self._ucp = bundle.ucp
+        self._limiter = bundle.limiter
         self._lsu_free = True
         #: the open-kernel mask of the latest tick that resolved one
         #: through the limiter (LSU free, MIL limited); a full LSU is
@@ -267,10 +264,6 @@ class StreamingMultiprocessor:
         self._stall_wakes = 0
         self._slept = [0] * len(SLEEP_CAUSES)
         self._lrr = config.scheduler_policy == "lrr"
-        # Run-constant scheme components, hoisted out of tick().
-        self._ucp = bundle.ucp
-        self._smk_gate = bundle.smk_gate
-        self._limiter = bundle.limiter
         #: issue autopilot eligibility (see WarpScheduler._auto_warp):
         #: after a compute issue the greedy warp's run of consecutive
         #: ALU ops is issued one per cycle without re-running select().
@@ -290,9 +283,8 @@ class StreamingMultiprocessor:
         # Scheme window boundaries (DMIL limit recompute, QBMI quota
         # replenish, Req/Minst refresh) change issue eligibility with
         # no scheduler wake attached: subscribe to them, so an SM
-        # asleep on a MIL verdict wakes and the cycle leap can never
-        # jump past one (a stale post costs at most one inert tick).
-        # Global DMIL's MILGs are shared: every SM subscribes.
+        # asleep on a MIL verdict wakes.  Global DMIL's MILGs are
+        # shared: every SM subscribes.
         limiter = bundle.limiter
         milgs = getattr(limiter, "milgs", None)
         if milgs is None:
@@ -451,7 +443,7 @@ class StreamingMultiprocessor:
             self.try_launch_tb(cycle)
         self._sfu_used = False
 
-        gate = self._smk_gate
+        gate = self._gate
         lsu = self.lsu
         self._lsu_free = lsu_free = len(lsu.queue) < lsu.queue_depth
         if fastpath:
@@ -711,13 +703,6 @@ class StreamingMultiprocessor:
                     # Every scheduler is frozen from the next cycle on:
                     # name the verdict its slept slots are owed to.
                     self._obs_freeze_all(cycle + 1)
-                wheel = self._wheel
-                if wheel is not None and wake < NEVER:
-                    # Post the wake so the engine's leap target covers
-                    # this SM; a NEVER wake needs no entry (only an
-                    # external event — which posts its own cycle — can
-                    # rouse the SM).
-                    wheel.post(wake)
 
     def _issue_compute(self, sched: WarpScheduler, warp: Warp, op: str,
                        cycle: int) -> None:
@@ -1071,8 +1056,8 @@ class StreamingMultiprocessor:
                 sched, upto, len(lsu.queue) < lsu.queue_depth)
 
     def _obs_settle(self, upto: int) -> None:
-        """Pay every owed issue slot before cycle ``upto`` (the engine
-        settles before anything reads the stall table)."""
+        """Pay every owed issue slot before cycle ``upto`` (the last
+        step of :meth:`settle`)."""
         for sid, stretch in enumerate(self._obs_owed):
             if stretch is not None:
                 self._obs_pay(sid, stretch, upto)
@@ -1085,15 +1070,11 @@ class StreamingMultiprocessor:
         changed with no scheduler wake attached, so end any sleep — a
         MIL-capped one rests on the limits just recomputed.  A boundary
         fires inside an LSU tick: this SM's own (awake, mid-tick: the
-        sleep decision that follows reads the new limits and posts its
-        own wake) or, for global DMIL's shared MILGs, the monitor's —
-        SM 0, which ticks first, so every other subscriber sees the
-        lowered horizon later in the same SM pass and ticks on the
-        boundary's own cycle, as the oracle's SMs read the new limits.
-        Either way the SM ticks before the engine next considers a
-        leap, and a horizon of 0 keeps it from leaping until the SM
-        sleeps again — no wheel entry is needed (docs/PERF.md
-        section 3, "Wakes that post nothing")."""
+        sleep decision that follows reads the new limits) or, for
+        global DMIL's shared MILGs, the monitor's — SM 0, which ticks
+        first, so every other subscriber sees the lowered horizon later
+        in the same SM pass and ticks on the boundary's own cycle, as
+        the oracle's SMs read the new limits."""
         self._sleep_until = 0
 
     def on_request_issued(self, request, result: str, cycle: int) -> None:
@@ -1239,9 +1220,8 @@ class StreamingMultiprocessor:
         A sleeping SM defers its per-cycle bookkeeping to the wake-up
         tick; if the run's final cycle falls inside the sleep window
         that tick never comes, so result collection pays the slept
-        cycles ``last_tick+1 .. min(end, _sleep_until)-1`` here — and
-        must do so *before* the LSU's ``_flush_stall_debt``, which
-        settles the stall share.  Idempotent via the ``_last_tick``
+        cycles ``last_tick+1 .. min(end, _sleep_until)-1`` here (the
+        first step of :meth:`settle`).  Idempotent via the ``_last_tick``
         advance, so a later ``run`` (or a ``set_tb_limit`` landing
         mid-sleep) pays only what is still owed."""
         horizon = self._sleep_until
@@ -1251,6 +1231,26 @@ class StreamingMultiprocessor:
         if gap > 0:
             self._pay_sleep_debt(gap)
             self._last_tick = horizon - 1
+
+    def settle(self, upto: int) -> None:
+        """Pay everything this SM owes for the cycles before ``upto``
+        (``GPU.settle``).  The order matters: the sleep debt first (a
+        memory-stall sleep's share lands in the LSU's ``_stall_owed``),
+        then the LSU's deferred stall replays, then the owed issue-slot
+        attribution.  Idempotent and additive; a no-op on the oracle,
+        which never sleeps, defers or owes."""
+        self._settle_sleep_debt(upto)
+        self.lsu._flush_stall_debt()
+        if self._obs is not None:
+            self._obs_settle(upto)
+
+    def set_tb_limit(self, slot: int, limit: int) -> None:
+        """Reconfigure one kernel's TB cap (``GPU.set_tb_limit``).  A
+        raised cap can unblock TB launches: rescan, and end any sleep
+        (it rested on nothing being launchable)."""
+        self.kstate[slot].tb_limit = limit
+        self._launch_blocked = False
+        self._sleep_until = 0
 
     # ------------------------------------------------------------------
     def resident_warps(self) -> int:

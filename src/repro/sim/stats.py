@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
-#: causes of a whole-SM sleep on the fast loop, in the order of the
+#: causes of a whole-SM sleep (production machine), in the order of the
 #: SM's per-cause counters: nothing to do at all, every busy scheduler
 #: mid-ALU-burst, the LSU head replaying a memoised reservation
 #: failure (the paper's memory-pipeline stall), or — with the LSU
@@ -32,11 +32,9 @@ SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall", "mil_capped")
 #: in batches, L1 release hooks that ended a memory-stall sleep (each
 #: buys one real lookup of the stalled head), memory instructions the
 #: SM finished at issue (all-hit loads that never became a ``MemInst``),
-#: engine leaps and the cycles they skipped (mean distance = the
-#: ratio), leap landings where nothing ran, the request pool's
-#: peak live slots (a gauge: the registry keeps the highest) and
-#: doublings, and issue slots an observed run attributed in batches
-#: rather than per cycle.
+#: the request pool's peak live slots (a gauge: the registry keeps the
+#: highest) and doublings, and issue slots an observed run attributed
+#: in batches rather than per cycle.
 SELF_OBS_REGISTRY = {
     "idle": "sim.sleep.idle",
     "alu_burst": "sim.sleep.alu_burst",
@@ -46,9 +44,6 @@ SELF_OBS_REGISTRY = {
     "stall_replays_batched": "sim.sleep.stall_replays_batched",
     "stall_wakes": "sim.sleep.stall_wakes",
     "insts_through": "sim.lsu.insts_through",
-    "leaps": "sim.leap.count",
-    "leap_cycles": "sim.leap.cycles",
-    "wheel_inert_wakes": "sim.wheel.inert_wakes",
     "pool_high_water": "mem.pool.high_water",
     "pool_grows": "mem.pool.grows",
     "obs_batched_slots": "sim.obs.batched_slots",
@@ -139,13 +134,13 @@ class RunResult:
     obs: Optional[object] = None
     #: the simulator's own accounting of its machinery — host-side,
     #: not a simulated quantity, so it is kept out of
-    #: ``result_signature`` (the oracle never sleeps, leaps, pools or
+    #: ``result_signature`` (the oracle never sleeps, pools or
     #: batches): slept SM-cycles by cause (:data:`SLEEP_CAUSES`),
     #: ``sm_cycles`` (cycles x SMs), ``stall_replays_batched`` (LSU
     #: stall replays settled in batches instead of replayed against the
     #: L1), ``stall_wakes`` (L1 release hooks that woke a stalled SM to
     #: retry), ``insts_through`` (all-hit loads finished at issue) and
-    #: the leap / wheel / request-pool / batched-attribution counts
+    #: the request-pool / batched-attribution counts
     #: keyed as in :data:`SELF_OBS_REGISTRY`.
     sleep: Optional[Dict[str, int]] = None
 
@@ -169,7 +164,7 @@ class RunResult:
         return self.l1d_rsfails.get(kernel, 0) / acc if acc else 0.0
 
     def sleep_ratio(self, cause: Optional[str] = None) -> float:
-        """Share of SM-cycles the fast loop slept through (all causes,
+        """Share of SM-cycles the SMs slept through (all causes,
         or one of :data:`SLEEP_CAUSES`)."""
         sleep = self.sleep
         if not sleep or not sleep["sm_cycles"]:

@@ -4,8 +4,8 @@
 callback closures, no scheduler sleep hints, every memory phase ticked
 every cycle over ``MemRequest`` objects, a plain L1D replay per stalled
 cycle — the straightforward scan the seed implementation used.  The
-default ``GPU`` is the production machine (sleep, leap, slot-pooled
-memory path, memoised stall replays).  These tests drive both over the
+default ``GPU`` is the production machine (sleep, slot-pooled memory
+path, memoised stall replays).  These tests drive both over the
 scheme space (GTO/LRR, BMI, MIL variants, SMK gating, UCP, L1D bypass)
 and require every collected statistic to match exactly — and, with
 observability attached to both, every field of the observed report
@@ -304,7 +304,7 @@ def assert_split_run_equals_one_run(kernels, scheme_kwargs, policy, cause):
 def test_observed_trace_equals_oracle_trace():
     """``ObsOptions(trace=True)`` keeps per-issue ticking (no issue
     autopilot — the sampled issue slices want every issue) but sleeps
-    and leaps like any run; the event list is the oracle's, in order."""
+    like any run; the event list is the oracle's, in order."""
     def options():
         return ObsOptions(trace=True, trace_issue_sample=3,
                           trace_mem_sample=2)
@@ -372,8 +372,8 @@ def test_one_switch_selects_one_of_two_machines(monkeypatch):
 
 
 def test_mid_run_tb_limit_change_matches_reference():
-    """Dynamic reconfiguration (Warped-Slicer §3) crosses the sleep and
-    leap machinery: raising a cap must wake a slept SM identically."""
+    """Dynamic reconfiguration (Warped-Slicer §3) crosses the sleep
+    machinery: raising a cap must wake a slept SM identically."""
     results = []
     for reference in (True, False):
         launches = make_launches([get_profile("3m"), get_profile("bp")],
@@ -428,15 +428,11 @@ def test_stall_sleep_engages_at_paper_scale():
     assert fast.sleep["obs_batched_slots"] == 0  # nothing observed it
 
 
-def test_leaps_and_pool_growth_are_counted():
-    """The engine's own work shows in ``RunResult.sleep``: dc on the
-    Table-1 machine idles into cycle leaps (mean distance =
-    leap_cycles / leaps), an M+M mix outgrows the request pool's
-    initial 256 slots; the oracle does neither."""
+def test_pool_growth_is_counted():
+    """The request pool's own work shows in ``RunResult.sleep``: dc on
+    the Table-1 machine stays inside the pool's initial 256 slots, an
+    M+M mix outgrows them; the oracle has no pool at all."""
     dc = build_gpu(("dc",), (6,), config=MAXWELL_CONFIG).run(CYCLES)
-    assert dc.sleep["leaps"] > 0
-    assert dc.sleep["leap_cycles"] >= dc.sleep["leaps"]
-    assert 0 <= dc.sleep["wheel_inert_wakes"] <= dc.sleep["leaps"]
     assert 0 < dc.sleep["pool_high_water"] <= 256
     assert dc.sleep["pool_grows"] == 0
     mm = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG).run(CYCLES)
@@ -446,6 +442,48 @@ def test_leaps_and_pool_growth_are_counted():
                        reference=True).run(CYCLES)
     assert not any(oracle.sleep[key] for key in oracle.sleep
                    if key != "sm_cycles")
+
+
+@pytest.mark.parametrize("gpu_kwargs", (
+    {}, {"obs": True}, {"reference": True}, {"reference": True, "obs": True}),
+    ids=("production", "production-obs", "oracle", "oracle-obs"))
+def test_sleep_report_keys_are_the_registry_keys(gpu_kwargs):
+    """``RunResult.sleep`` and ``SELF_OBS_REGISTRY`` name the same
+    counters, on both machines, observed or not."""
+    result = build_gpu(("bp", "cd"), (2, 2), **gpu_kwargs).run(200)
+    assert set(result.sleep) == set(SELF_OBS_REGISTRY)
+
+
+@pytest.mark.parametrize("obs", (None, ObsOptions(phase_interval=64)),
+                         ids=("plain", "sampled"))
+def test_oracle_sms_never_raise_their_sleep_horizon(obs):
+    """Both machines run through one cycle loop that skips an SM while
+    ``cycle < sm._sleep_until``; on the oracle that must be the plain
+    tick-everything scan, so no oracle SM may ever hold a horizon —
+    across LSU stalls, MIL caps, global-DMIL window hooks and a mid-run
+    TB-limit change."""
+    gpu = build_gpu(("ks", "bp"), (2, 2), {"mil": "gdmil", "sample_window": 32},
+                    reference=True, obs=obs)
+    seen = []
+    ticks = [sm.tick for sm in gpu.sms]
+
+    def watch(sm, tick):
+        def watched(cycle):
+            seen.append(sm._sleep_until)
+            tick(cycle)
+        return watched
+
+    for sm, tick in zip(gpu.sms, ticks):
+        sm.tick = watch(sm, tick)
+    gpu.run(CYCLES // 2)
+    for sm_id in range(CONFIG.num_sms):
+        gpu.set_tb_limit(sm_id, 1, 4)
+    result = gpu.run(CYCLES // 2)
+    # Every SM ticked every cycle, and none ever held a horizon.
+    assert len(seen) == CYCLES * CONFIG.num_sms
+    assert not any(seen)
+    assert all(sm._sleep_until == 0 for sm in gpu.sms)
+    assert result.lsu_stall_cycles > 0
 
 
 def test_stall_sleep_stays_out_of_bypass_and_oracle_runs():
@@ -495,11 +533,11 @@ def test_tb_limit_change_mid_stall_sleep():
     assert result_signature(fast.run(880)) == result_signature(ref.run(880))
 
 
-def test_leap_onto_the_fill_that_ends_a_stall_sleep():
-    """One SM, two MSHRs: the LSU stalls on RSFAIL_MSHR with every
-    queue drained, so the engine leaps — and the leap's landing cycle
-    is the L1 fill whose ``on_release`` ends the stall sleep.  The SM
-    must tick on that very cycle and pay the leapt cycles as stalls."""
+def test_fill_release_ends_a_stall_sleep_on_its_own_cycle():
+    """One SM, two MSHRs: the LSU stalls on RSFAIL_MSHR and the SM
+    sleeps on it.  The L1 fill's ``on_release`` ends that sleep, the SM
+    ticks on the fill's own cycle (the memory tick runs first), and the
+    cycles it slept through are paid as stalls."""
     base = scaled_config(num_sms=1)
     config = dataclasses.replace(
         base, l1d=dataclasses.replace(base.l1d, mshrs=2))
@@ -507,24 +545,31 @@ def test_leap_onto_the_fill_that_ends_a_stall_sleep():
     gpu = build_gpu(("sv",), (4,), config=config)
     memory, sm = gpu.memory, gpu.sms[0]
     ticked, ended = [], []
-    memory_tick, deliver_fill = memory.tick, memory._deliver_fill
+    sm_tick, deliver_fill = sm.tick, memory._deliver_fill
 
     def tick(cycle):
         ticked.append(cycle)
-        return memory_tick(cycle)
+        sm_tick(cycle)
 
     def deliver(slot, cycle):
         napping = (sm._sleep_cause == SLEEP_STALL
-                   and sm._sleep_until > cycle)
+                   and sm._sleep_until > cycle + 1
+                   and sm._last_tick < cycle - 1)
         deliver_fill(slot, cycle)
         if napping and sm._sleep_until == 0:
             ended.append(cycle)
 
-    memory.tick = tick
+    sm.tick = tick
     memory._deliver_fill = deliver
     fast = gpu.run(CYCLES)
-    landings = [b for a, b in zip(ticked, ticked[1:]) if b - a > 1]
-    assert landings and sorted(set(landings) & set(ended))
+    # Fills that ended a stall sleep more than one cycle old: the SM
+    # was skipped up to the fill's cycle and ticked on it.
+    assert ended and set(ended) <= set(ticked)
+    assert all(cycle - 1 not in ticked for cycle in ended)
+    assert fast.sleep["mem_stall"] > 0
+    assert fast.sleep["stall_wakes"] >= len(ended)
+    # The slept cycles were paid as stalls: the totals are the oracle's.
+    assert fast.lsu_stall_cycles == ref.lsu_stall_cycles > 0
     assert result_signature(fast) == result_signature(ref)
 
 
@@ -533,10 +578,9 @@ def test_far_ready_load_return_lowers_a_burst_sleep():
     horizon to a cycle more than one out: a load returns to a warp
     whose SFU is still in flight while its scheduler's autopilot burst
     has the SM asleep.  The named profiles never get there (a long ALU
-    run, SFU ops and two loads in flight per warp on one SM do), and
-    nothing posts the lowered horizon to the wheel: the tick it asks
-    for is one more burst step, which the sleep debt pays as well
-    (docs/PERF.md section 3, "Wakes that post nothing")."""
+    run, SFU ops and two loads in flight per warp on one SM do); the
+    tick the lowered horizon asks for is one more burst step, which
+    the sleep debt pays as well."""
     profile = dataclasses.replace(
         get_profile("cp"), name="cp-long-runs", sfu_frac=0.2,
         cinst_per_minst=30, mlp=2, threads_per_tb=128)
