@@ -168,7 +168,6 @@ def cmd_run(args) -> int:
         # (0% on the reference loop).
         print(f"  SM sleep        : {result.sleep_ratio():.1%} of SM-cycles "
               f"(idle {result.sleep_ratio('idle'):.1%}, "
-              f"ALU-burst {result.sleep_ratio('alu_burst'):.1%}, "
               f"memory-stall {result.sleep_ratio('mem_stall'):.1%}, "
               f"MIL-capped {result.sleep_ratio('mil_capped'):.1%}; "
               f"{result.sleep['stall_wakes']} stall wakes)")

@@ -351,8 +351,8 @@ class PooledL1DCache:
     ``access_slot`` is ``L1DCache.access`` with the request fields
     passed as scalars (the LSU already holds them) — every stats bump,
     LRU touch and resource check happens in the same order, so the two
-    controllers are bit-identical (swept in tests/test_fastpath.py and
-    fuzzed in tests/test_pooled_identity.py).
+    controllers are bit-identical (the production-vs-oracle sweeps,
+    docs/PERF.md §6).
 
     On top, the controller tells the LSU's stall memo and the SM's
     stall sleep *which* resource was released outside ``access_slot``:

@@ -25,10 +25,10 @@ observed or not) runs on:
   ids.
 
 Every class here is held bit-identical to its object twin:
-tests/test_request_pool.py fuzzes each component against it,
-tests/test_fastpath.py and tests/test_pooled_identity.py require
-``result_signature`` equality between the production machine and the
-oracle across schemes and randomized mixes, and ``benchmarks/e2e``
+tests/test_request_pool.py fuzzes each component against it, the
+production-vs-oracle sweeps require ``result_signature`` equality
+between the two machines across schemes and randomized mixes, and
+``benchmarks/e2e``
 re-asserts it on every workload it measures (see docs/PERF.md §6).
 """
 

@@ -332,9 +332,8 @@ class PooledMemorySubsystem(MemorySubsystem):
     dereferences replaced by pool-array reads *in the same order*, and
     ``tick`` skips exactly the cycles the base class would spend doing
     nothing (see :meth:`tick`) — the bit-identity proof obligation of
-    docs/PERF.md, swept over the scheme space in tests/test_fastpath.py
-    and tests/test_pooled_identity.py and scripted in
-    tests/test_subsystem.py.  Obs hooks receive
+    docs/PERF.md, swept over the scheme space against the oracle and
+    scripted in tests/test_subsystem.py.  Obs hooks receive
     :class:`~repro.mem.pool.PoolSlotView` facades, so the sentinel
     interface is unchanged.
     """

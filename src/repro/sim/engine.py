@@ -19,10 +19,9 @@ from repro.core.arbiter import SchemeConfig
 from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
 from repro.obs.collector import ObsLike, resolve_obs
 from repro.obs.registry import process_registry
-from repro.sim.sm import StreamingMultiprocessor
+from repro.sim.sm import SleepingSM, StreamingMultiprocessor
 from repro.sim.stats import (
     SELF_OBS_REGISTRY,
-    SLEEP_CAUSES,
     KernelStats,
     RunResult,
     TimelineRecorder,
@@ -119,16 +118,18 @@ class GPU:
     A GPU is one of two machines, chosen by ``reference`` (default: the
     ``REPRO_REFERENCE_LOOP`` environment variable, else False):
 
-    * the **production machine** — SMs that sleep (scheduler sleep
-      hints, whole-SM sleep) over the slot-pooled memory path
+    * the **production machine** — SMs that sleep
+      (:class:`~repro.sim.sm.SleepingSM`: scheduler sleep hints,
+      whole-SM sleep) over the slot-pooled memory path
       (:class:`~repro.mem.subsystem.PooledMemorySubsystem`,
       array-backed L1D/L2 tag stores and MSHRs, the memoising LSU tick);
-    * the **oracle** (``reference=True``) — SMs that never sleep over
-      the object memory path
+    * the **oracle** (``reference=True``) — SMs that never sleep
+      (:class:`~repro.sim.sm.StreamingMultiprocessor`) over the object
+      memory path
       (:class:`~repro.mem.subsystem.MemorySubsystem`, ``MemRequest``
       objects, a plain replay per stalled cycle), kept as the
       specification the tests hold the production machine bit-identical
-      to (tests/test_fastpath.py).
+      to (docs/PERF.md).
 
     The switch is read here, where the components are built, and
     nowhere else: both machines run through the same cycle loop
@@ -161,6 +162,7 @@ class GPU:
         self.launches = launches
         self.scheme = scheme or SchemeConfig()
         mem_cls = MemorySubsystem if reference else PooledMemorySubsystem
+        sm_cls = StreamingMultiprocessor if reference else SleepingSM
         self.memory = mem_cls(config, obs=self.obs)
         self.timeline = (TimelineRecorder(timeline_interval)
                          if timeline_interval else None)
@@ -174,10 +176,9 @@ class GPU:
             bundle = self.scheme.build(len(launches), config, l1.tags,
                                        shared=shared_scheme_state,
                                        sm_id=sm_id)
-            self.sms.append(StreamingMultiprocessor(
-                sm_id, config, l1, launches, bundle,
-                self.kernel_stats, self.timeline, fastpath=not reference,
-                obs=self.obs))
+            self.sms.append(sm_cls(sm_id, config, l1, launches, bundle,
+                                   self.kernel_stats, self.timeline,
+                                   obs=self.obs))
         self.cycles_run = 0
         #: what _sleep_report last added to the process registry.
         self._sleep_reported: Dict[str, int] = {}
@@ -242,8 +243,9 @@ class GPU:
         Sleeping SMs are skipped here rather than inside tick(): in a
         memory-pipeline stall most SMs sleep most cycles, and a Python
         call apiece would dominate the loop.  ``_sleep_until`` is the
-        one SM field the loop reads; the oracle's SMs never raise it,
-        so there this is the plain tick-everything-every-cycle scan.
+        one SM field the loop reads; the oracle's SMs never raise it
+        (a class attribute 0), so there this is the plain
+        tick-everything-every-cycle scan.
         """
         # Bind the per-cycle callees once: the loop body is pure
         # dispatch, so attribute lookups would be a measurable share.
@@ -259,7 +261,7 @@ class GPU:
         ``upto`` (default: all simulated so far), so every counter and
         the observed stall tables read as if each cycle had been
         executed on its own (each SM owns what and in which order, see
-        ``StreamingMultiprocessor.settle``).  Idempotent and additive:
+        ``SleepingSM.settle``).  Idempotent and additive:
         settling a prefix now and the rest later equals settling once.
         A no-op on the oracle, which owes nothing."""
         if upto is None:
@@ -272,19 +274,15 @@ class GPU:
         ``RunResult.sleep``); what is new since the last collection is
         also added to the process-wide counters named in
         :data:`~repro.sim.stats.SELF_OBS_REGISTRY`."""
-        sms = self.sms
-        report = {cause: sum(sm._slept[i] for sm in sms)
-                  for i, cause in enumerate(SLEEP_CAUSES)}
-        report["sm_cycles"] = self.cycles_run * len(sms)
-        report["stall_replays_batched"] = sum(
-            sm.lsu.replays_batched for sm in sms)
-        report["stall_wakes"] = sum(sm._stall_wakes for sm in sms)
-        report["insts_through"] = sum(sm.lsu.insts_through for sm in sms)
+        report = dict.fromkeys(SELF_OBS_REGISTRY, 0)
+        for sm in self.sms:
+            for key, value in sm.sleep_counters().items():
+                report[key] += value
+        report["sm_cycles"] = self.cycles_run * len(self.sms)
         pool = getattr(self.memory, "pool", None)  # None on the oracle
-        live_pool = pool is not None
-        report["pool_high_water"] = pool.high_water() if live_pool else 0
-        report["pool_grows"] = pool.grows if live_pool else 0
-        report["obs_batched_slots"] = sum(sm._obs_batched for sm in sms)
+        if pool is not None:
+            report["pool_high_water"] = pool.high_water()
+            report["pool_grows"] = pool.grows
         registry = process_registry()
         reported = self._sleep_reported
         for key, value in report.items():

@@ -237,14 +237,13 @@ class LoadStoreUnit:
         stats order mirror :meth:`tick` exactly; on top, a stalled
         head's verdict is memoised (``_stall_memo``) and the replays'
         stats bumps are deferred into ``_stall_owed`` (bit-identity,
-        observed reports included, is swept in tests/test_fastpath.py
-        and tests/test_pooled_identity.py).
+        observed reports included: docs/PERF.md §5).
 
         Returns True when the cycle ends with the head stalled on a
         memoised verdict: until the L1 release class it waits on moves
         its ``l1.version`` entry, every further tick is exactly
         ``_stall_owed += 1`` — the state the owning SM may sleep
-        through (see ``StreamingMultiprocessor.tick``).  ``_stall_owed``
+        through (see ``SleepingSM.tick``).  ``_stall_owed``
         is non-zero then iff this tick already was such a replay (a
         lookup that failed this very cycle flushed the debt first)."""
         queue = self.queue

@@ -29,9 +29,9 @@ Hot-loop design (the selection loop dominates whole-simulation cost):
   earliest ``ready_at``; warps blocked on MLP (a full complement of
   outstanding loads) wake the scheduler through :meth:`wake_at` when a
   load returns.  The hint only ever skips cycles whose selection would
-  provably return ``None``, so simulated behaviour is bit-identical;
-  construct with ``fastpath=False`` to force the reference scan every
-  cycle (used by the perf suite's equivalence checks);
+  provably return ``None``, so simulated behaviour is bit-identical to
+  :meth:`WarpScheduler.select_reference`, the plain scan the oracle's
+  SM calls every cycle;
 * an *issue-stall memo* does the same for the paper's two refusals:
   when a scan finds ready warps and every one holds a memory
   instruction it was told not to issue — the LSU queue is full, or MIL
@@ -72,12 +72,12 @@ class WarpScheduler:
     """One warp scheduler and the warps it owns."""
 
     __slots__ = ("sched_id", "policy", "warps", "sm", "_greedy", "_lrr_pos",
-                 "_is_lrr", "_fastpath", "_next_wake", "_gto_order",
+                 "_is_lrr", "_next_wake", "_gto_order",
                  "_gto_dirty", "_rot_buf", "_sel", "_auto_warp",
                  "_auto_left", "_auto_stats", "_mem_blocked", "_mem_wake",
                  "_scan")
 
-    def __init__(self, sched_id: int, policy: str, fastpath: bool = True):
+    def __init__(self, sched_id: int, policy: str):
         if policy not in ("gto", "lrr"):
             raise ValueError(f"unknown scheduler policy {policy!r}")
         self.sched_id = sched_id
@@ -89,17 +89,16 @@ class WarpScheduler:
         self._greedy: Optional[Warp] = None
         self._lrr_pos = 0
         self._is_lrr = policy == "lrr"
-        self._fastpath = fastpath
         #: earliest cycle at which select() could possibly pick a warp;
         #: 0 forces a scan (used whenever membership changes).
         self._next_wake = 0
         self._gto_order: List[Warp] = []
         self._gto_dirty = True
         self._rot_buf: List[Warp] = []
-        #: reusable Selection for the fast path: one live selection per
+        #: reusable Selection for select(): one live selection per
         #: scheduler per cycle, consumed by the SM before the next call.
         self._sel: Selection = Selection.__new__(Selection)
-        #: issue autopilot (fast path, GTO only): after a compute issue
+        #: issue autopilot (production SM, GTO only): after a compute issue
         #: the issuing warp is the greedy warp, and while its stream
         #: head is a run of ALU ops every per-cycle selection provably
         #: re-picks it (greedy is priority[0]; ALU has no port limit;
@@ -110,7 +109,7 @@ class WarpScheduler:
         #: the burst warp's KernelStats, cached at arming so each burst
         #: pop skips the per-kernel stats lookup.
         self._auto_stats = None
-        #: scan list (GTO fast path): the age-sorted subset of ``warps``
+        #: scan list (select() under GTO): the age-sorted subset of ``warps``
         #: that selection could possibly pick — everything except warps
         #: blocked on the MLP cap (a full complement of outstanding
         #: loads) or drained (stream exhausted, awaiting retirement).
@@ -119,10 +118,10 @@ class WarpScheduler:
         #: issue/completion paths maintain membership exactly via
         #: :meth:`scan_block`/:meth:`scan_unblock` and the hot scan
         #: skips permanently-ineligible warps without touching them.
-        #: The reference scan (:meth:`_select_reference`) and LRR keep
+        #: The reference scan (:meth:`select_reference`) and LRR keep
         #: iterating ``warps`` — the list this one is proven against.
         self._scan: List[Warp] = []
-        #: issue-stall memo (fast path, ungated runs): the bit set of
+        #: issue-stall memo (select() on ungated runs): the bit set of
         #: kernel slots whose memory instructions the last scan refused
         #: — non-zero iff that scan found latency-ready warps and every
         #: one of them holds a memory instruction of a kernel in the
@@ -238,7 +237,7 @@ class WarpScheduler:
     # ------------------------------------------------------------------
     def _priority_order(self) -> List[Warp]:
         """Warps in this cycle's selection priority, computed from
-        scratch (the reference loop's path; the fast path consumes the
+        scratch (:meth:`select_reference`; :meth:`select` consumes the
         same orders from cached structures without re-sorting)."""
         if not self._is_lrr:
             ordered = sorted(self.warps, key=_age_of)
@@ -284,14 +283,11 @@ class WarpScheduler:
         must be side-effect-free: the scheduler calls them only for
         candidates that matter.
 
-        The fast path accepts three extra sentinels that let the SM
-        pre-resolve per-cycle verdicts: ``mem_ok=None`` means *no*
-        memory instruction can issue this cycle (LSU full — the common
-        memory-pipeline-stall case this paper studies), ``mem_ok=True``
-        means *every* kernel's memory instructions may issue (LSU free,
-        no gate, unlimited MIL — the common baseline case), and
-        ``compute_ok=None`` means *every* compute port is available.
-        All produce exactly the verdicts the callbacks would.
+        Three sentinels let the SM pre-resolve per-cycle verdicts:
+        ``mem_ok=None`` — *no* memory instruction can issue (LSU full,
+        the paper's memory-pipeline stall), ``mem_ok=True`` — *every*
+        kernel's may (LSU free, no gate, unlimited MIL), and
+        ``compute_ok=None`` — every compute port is free.
 
         A scan under ``compute_ok=None, warp_gated=None`` that finds
         ready warps and issues nothing leaves the issue-stall memo: the
@@ -307,9 +303,6 @@ class WarpScheduler:
         The returned :class:`Selection` is a per-scheduler scratch
         object, valid until this scheduler's next ``select`` call.
         """
-        if not self._fastpath:
-            return self._select_reference(cycle, mem_ok, compute_ok,
-                                          warp_gated)
         warps = self.warps
         if cycle < self._next_wake:
             # Every warp is blocked on latency until _next_wake: the
@@ -494,14 +487,14 @@ class WarpScheduler:
                 picks[i] = pick
         return ("ready" if best == 2 else "blocked"), picks
 
-    def _select_reference(self, cycle: int,
-                          mem_ok: Callable[[Warp, str], bool],
-                          compute_ok: Callable[[str], bool],
-                          warp_gated: Optional[Callable[[Warp], bool]],
-                          ) -> Optional[Selection]:
-        """Straightforward per-cycle scan (no caching, no sleep hints);
-        the baseline the perf suite measures fast paths against, and
-        the oracle the equivalence tests compare them to."""
+    def select_reference(self, cycle: int,
+                         mem_ok: Callable[[Warp, str], bool],
+                         compute_ok: Callable[[str], bool],
+                         warp_gated: Optional[Callable[[Warp], bool]],
+                         ) -> Optional[Selection]:
+        """Straightforward per-cycle scan (no caching, no sleep hints,
+        no sentinels): the oracle SM's selection, which :meth:`select`
+        is held bit-identical to."""
         primary: Optional[Warp] = None
         primary_op: Optional[str] = None
         for warp in self._priority_order():

@@ -12,6 +12,14 @@ Per cycle each SM:
    quota gate;
 3. ticks the LSU (one L1D request, or a stall).
 
+One class per machine (chosen in ``repro.sim.engine.GPU``):
+:class:`StreamingMultiprocessor` is the oracle — the plain
+specification of those issue and stall semantics, executed every
+cycle — and :class:`SleepingSM` is the production machine's SM, which
+adds exactly the machinery that skips provably inert work and settles
+it later (sleep and its wakes, the issue-stall memo, the issue
+autopilot, issue-through, owed attribution; docs/PERF.md section 3).
+
 The SM reports all scheme-relevant events (requests, reservation
 failures, in-flight counts) to its :class:`~repro.core.SchemeBundle`.
 """
@@ -39,13 +47,14 @@ from repro.obs.stalls import (
 )
 from repro.sim.lsu import LoadStoreUnit
 from repro.sim.scheduler import NEVER, WarpScheduler
-from repro.sim.stats import SLEEP_CAUSES, KernelStats, TimelineRecorder
+from repro.sim.stats import (SLEEP_CAUSES, SM_COUNTERS, KernelStats,
+                             TimelineRecorder)
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
 
 
 #: whole-SM sleep causes as indices into ``_slept`` (SLEEP_CAUSES order).
-SLEEP_IDLE, SLEEP_BURST, SLEEP_STALL, SLEEP_MIL = range(len(SLEEP_CAUSES))
+SLEEP_IDLE, SLEEP_STALL, SLEEP_MIL = range(len(SLEEP_CAUSES))
 
 #: ``WarpScheduler.stall_verdict`` status -> the reason a scheduler
 #: that is not being scanned owes its issue slots to.  ``ready`` can
@@ -87,13 +96,19 @@ class SMKernelState:
 
 
 class StreamingMultiprocessor:
-    """One SM instance."""
+    """One SM of the oracle: every cycle, every scheduler scans its
+    warps against per-cycle closures, and nothing is remembered, skipped
+    or deferred.  The specification :class:`SleepingSM` is held
+    bit-identical to (docs/PERF.md section 3)."""
+
+    #: the cycle loop skips an SM while ``cycle < _sleep_until``; the
+    #: oracle never raises it.
+    _sleep_until = 0
 
     def __init__(self, sm_id: int, config: GPUConfig, l1: L1DCache,
                  launches: List, bundle: SchemeBundle,
                  kernel_stats: Dict[int, KernelStats],
-                 timeline: Optional[TimelineRecorder] = None,
-                 fastpath: bool = True, obs=None):
+                 timeline: Optional[TimelineRecorder] = None, obs=None):
         self.sm_id = sm_id
         self.config = config
         self.l1 = l1
@@ -108,25 +123,10 @@ class StreamingMultiprocessor:
         #: BMI arbitration without a compute fallback.
         self._obs_issued: Dict[int, int] = {}
         self._obs_lost: Dict[int, int] = {}
-        #: scheduler id -> the stretch of issue slots attribution still
-        #: owes (see ``_obs_account``), the table they are paid into
-        #: (None with obs off: nothing is ever owed then), and how many
-        #: slots were paid in such batches (self-observability).
-        self._obs_owed: List[Optional[_OwedSlots]] = (
-            [None] * config.schedulers_per_sm)
-        self._stall_table = obs.stalls if obs is not None else None
-        self._obs_batched = 0
 
         self.lsu = LoadStoreUnit(sm_id, l1, width=config.lsu_width)
         self.lsu._obs = obs
-        # One LSU tick per machine, bound once: the production tick
-        # over pool slots (``l1`` is then a PooledL1DCache), or the
-        # oracle's plain specification it is validated against
-        # (bit-identity is asserted in tests/test_fastpath.py).
-        self._lsu_tick = (self.lsu._tick_pooled if fastpath
-                          else self.lsu.tick)
-        self.schedulers = [WarpScheduler(i, config.scheduler_policy,
-                                         fastpath=fastpath)
+        self.schedulers = [WarpScheduler(i, config.scheduler_policy)
                            for i in range(config.schedulers_per_sm)]
         for sched in self.schedulers:
             sched.sm = self
@@ -134,10 +134,6 @@ class StreamingMultiprocessor:
             launch.slot: SMKernelState(launch.tb_limits[sm_id])
             for launch in launches
         }
-        #: kstate as a list — the slot set is fixed for the whole run,
-        #: so per-tick iteration avoids rebuilding a dict view.
-        self._kstate_items = list(self.kstate.items())
-        self._launch_by_slot = {launch.slot: launch for launch in launches}
         # The bypass set is fixed per run: give the LSU a plain dict
         # instead of a per-request predicate call.
         self.lsu.bypass_by_kernel = {
@@ -159,35 +155,17 @@ class StreamingMultiprocessor:
         self._sfu_used = False
         self.alu_busy = 0
         self.sfu_busy = 0
-
-        # Hot-loop state for the issue callbacks (set per tick) plus
-        # bound-method references so tick() allocates no closures.
-        # LSU occupancy and MIL verdicts depend only on the kernel slot
-        # and on state that is frozen during the selection phase, so
-        # the fast path resolves them once per tick into the
-        # open-kernel mask (bit k: kernel k's memory instructions may
-        # issue) instead of re-deriving them per candidate warp.  The
-        # SMK gate is NOT frozen — compute issues during the scheduler
-        # loop consume quota via note_issue — so gate verdicts are
-        # always queried live, exactly as the reference closures do.
-        self._fastpath = fastpath
-        # Run-constant scheme components, hoisted out of tick() and the
-        # issue callbacks.
+        # Run-constant scheme components.
         self._gate = bundle.smk_gate
         self._ucp = bundle.ucp
         self._limiter = bundle.limiter
+        #: whether the LSU queue had room when this tick's issue phase
+        #: began (stall attribution reads it after the scheduler loop).
         self._lsu_free = True
-        #: the open-kernel mask of the latest tick that resolved one
-        #: through the limiter (LSU free, MIL limited); a full LSU is
-        #: mask 0 and an unlimited MIL all-ones, neither stored.
-        self._open = 0
-        # With no SMK gate and an unlimited MIL, the per-kernel verdict
-        # collapses to "is the LSU free".
-        self._limiter_unlimited = isinstance(bundle.limiter, NoLimit)
         # Baseline runs leave every scheme observation hook at its
         # empty base-class implementation; detecting that once lets
-        # the per-issue and per-request paths skip the calls outright
-        # (a pure no-op either way, so both loops take the same skip).
+        # the per-request paths skip the calls outright (a pure no-op
+        # either way).
         lim_cls = type(bundle.limiter)
         pol_cls = type(bundle.mem_policy)
         self._mem_hooks_inert = (
@@ -198,106 +176,12 @@ class StreamingMultiprocessor:
             and pol_cls.note_request is MemIssuePolicy.note_request
             and bundle.ucp is None
         )
-        # Everything the pooled LSU tick's per-call checks depend on
-        # (hook inertness, timeline) is fixed for the run: resolve
-        # them into the LSU once instead of per cycle.
-        self.lsu._inline_stats = (
-            kernel_stats
-            if self._mem_hooks_inert and timeline is None else None)
-        if lim_cls.note_rsfail is not MemInstLimiter.note_rsfail:
-            self.lsu._rsfail_hook = bundle.limiter.note_rsfail
-        #: issue-through (see ``_issue_mem``) is the production
-        #: machine's, and only unobserved: an observed or timelined run
-        #: wants every request's events, so it keeps the queue path.
-        self._through_ok = fastpath and obs is None and timeline is None
-        #: the baseline policy's pick is pure "first proposer wins":
-        #: skip the candidate-list build and the dispatch entirely.
-        self._pick_trivial = pol_cls.pick is UnmanagedIssue.pick
         # Scheduler issue orders for each round-robin start, prebuilt.
         nsched = len(self.schedulers)
         self._sched_orders = [
             tuple(self.schedulers[(s + o) % nsched] for o in range(nsched))
             for s in range(nsched)
         ]
-        self._mem_ok_cb = self._mem_ok
-        self._mem_ok_gated_cb = self._mem_ok_gated
-        self._compute_ok_cb = self._compute_ok
-        self._warp_gated_cb = self._warp_gated
-        #: True while a TB-launch scan is known to be futile; cleared
-        #: whenever residency or a TB limit changes.
-        self._launch_blocked = False
-        #: whole-SM sleep: while ``cycle < _sleep_until`` the entire
-        #: tick is provably a no-op and is skipped.  Eligible under
-        #: GTO and LRR with no UCP (UCP ticks its epoch counter every
-        #: cycle).  LRR's only per-cycle state is the rotation
-        #: position, which tick() catches up from the cycle gap —
-        #: select() advances it exactly once per call whenever the
-        #: scheduler owns warps, so skipped cycles owe one advance
-        #: each.
-        self._sleep_until = 0
-        self._last_tick = -1
-        self._sleep_eligible = (fastpath
-                                and config.scheduler_policy in ("gto", "lrr")
-                                and bundle.ucp is None)
-        #: why the SM last went to sleep, whether any scheduler was
-        #: mid-burst when it did, and slept cycles per cause
-        #: (self-observability; paid once per wake in _pay_sleep_debt).
-        self._sleep_cause = SLEEP_IDLE
-        self._sleep_bursting = False
-        #: kernels whose MIL cap this sleep rests on: the union of the
-        #: issue-stall memos that froze a scheduler while the LSU queue
-        #: had room (0 when it was full — nothing can open then).  An
-        #: in-flight decrement that re-opens one of them ends the sleep
-        #: (``_on_meminst_complete``).
-        self._sleep_blocked = 0
-        #: whether the last memory-stall sleep skipped any cycle at
-        #: all.  A release on the very next cycle makes a sleep pure
-        #: overhead (scan, arm, wake) — the rule on a machine whose L1s
-        #: see a fill or a drain almost every cycle — so after such a
-        #: sleep the SM waits for a replayed stall (a cycle without a
-        #: release) before sleeping again.  Host-time heuristic only:
-        #: sleeping less is always exact.
-        self._stall_sleep_pays = True
-        #: times an L1 release hook ended (or came after) a memory-stall
-        #: sleep: each costs one tick and one real lookup of the stalled
-        #: head (self-observability).
-        self._stall_wakes = 0
-        self._slept = [0] * len(SLEEP_CAUSES)
-        self._lrr = config.scheduler_policy == "lrr"
-        #: issue autopilot eligibility (see WarpScheduler._auto_warp):
-        #: after a compute issue the greedy warp's run of consecutive
-        #: ALU ops is issued one per cycle without re-running select().
-        #: Bursts bypass _issue_compute's gate/timeline/trace hooks, so
-        #: autopilot only arms when all of those are provably inert,
-        #: and only under GTO (the burst relies on the greedy warp
-        #: holding priority[0] between issues).  Stall attribution
-        #: needs no hook: a burst's slots are owed as ``issued`` to the
-        #: bursting kernel (see ``_obs_account``); only a recorded
-        #: trace wants its per-issue slices and keeps the burst off.
-        self._auto_ok = (fastpath
-                         and config.scheduler_policy == "gto"
-                         and bundle.smk_gate is None
-                         and timeline is None
-                         and not (obs is not None
-                                  and obs.trace is not None))
-        # Scheme window boundaries (DMIL limit recompute, QBMI quota
-        # replenish, Req/Minst refresh) change issue eligibility with
-        # no scheduler wake attached: subscribe to them, so an SM
-        # asleep on a MIL verdict wakes.  Global DMIL's MILGs are
-        # shared: every SM subscribes.
-        limiter = bundle.limiter
-        milgs = getattr(limiter, "milgs", None)
-        if milgs is None:
-            shared = getattr(limiter, "shared", None)
-            if shared is not None:
-                milgs = getattr(shared, "milgs", None)
-        policy = bundle.mem_policy
-        sources = list(milgs or ()) + list(
-            getattr(policy, "estimators", None) or ())
-        if hasattr(policy, "on_window"):
-            sources.append(policy)
-        for source in sources:
-            subscribe_window(source, self._note_scheme_window)
 
     # ------------------------------------------------------------------
     # thread block launch
@@ -314,31 +198,19 @@ class StreamingMultiprocessor:
             and self._used_smem + profile.smem_per_tb <= cfg.smem_per_sm
         )
 
-    def try_launch_tb(self, cycle: int) -> None:
-        """Launch at most one TB, round-robin over kernels.
-
-        A failed scan is remembered (``_launch_blocked``): launchability
-        only changes when a TB retires or a TB limit is reconfigured,
-        both of which clear the flag, so blocked cycles skip the scan
-        (fast path only; the reference loop always rescans).
-        """
-        if self._launch_blocked and self._fastpath:
-            return
+    def try_launch_tb(self, cycle: int) -> bool:
+        """Launch at most one TB, round-robin over kernels; True if one
+        launched."""
         n = len(self.launches)
-        if not n:
-            return
         start = self._launch_rr
         for offset in range(n):
             launch = self.launches[(start + offset) % n]
             state = self.kstate[launch.slot]
-            if state.tb_count >= state.tb_limit:
-                continue
-            if not self._fits(launch):
-                continue
-            self._launch_rr = (start + offset + 1) % n
-            self._launch(launch, cycle)
-            return
-        self._launch_blocked = True
+            if state.tb_count < state.tb_limit and self._fits(launch):
+                self._launch_rr = (start + offset + 1) % n
+                self._launch(launch, cycle)
+                return True
+        return False
 
     def _launch(self, launch, cycle: int) -> None:
         cfg = self.config
@@ -367,11 +239,6 @@ class StreamingMultiprocessor:
         self._used_regs += profile.regs_per_thread * profile.threads_per_tb
         self._used_smem += profile.smem_per_tb
         self.kernel_stats[launch.slot].tbs_launched += 1
-        if self._obs is not None:
-            # New warps change who a latency-asleep scheduler's slots
-            # are owed to (an empty one now has work): pay up to here.
-            for sched in self.schedulers:
-                self._obs_thaw(sched, cycle)
 
     def _retire_tb(self, tb: ThreadBlock) -> None:
         profile = tb.profile
@@ -384,9 +251,6 @@ class StreamingMultiprocessor:
         self._used_warps -= warps_per_tb
         self._used_regs -= profile.regs_per_thread * profile.threads_per_tb
         self._used_smem -= profile.smem_per_tb
-        self._launch_blocked = False
-        # Freed residency may admit a new TB: resume ticking.
-        self._sleep_until = 0
         self.kernel_stats[tb.kernel_slot].tbs_completed += 1
 
     def _finish_warp(self, warp: Warp) -> None:
@@ -396,6 +260,355 @@ class StreamingMultiprocessor:
         warp.tb.note_warp_done()
         if warp.tb.done:
             self._retire_tb(warp.tb)
+
+    def set_tb_limit(self, slot: int, limit: int) -> None:
+        """Reconfigure one kernel's TB cap (``GPU.set_tb_limit``)."""
+        self.kstate[slot].tb_limit = limit
+
+    # ------------------------------------------------------------------
+    # issue
+    def tick(self, cycle: int) -> None:
+        if self._ucp is not None:
+            self._ucp.tick(cycle)
+        self.try_launch_tb(cycle)
+        self._sfu_used = False
+        gate = self._gate
+        limiter = self._limiter
+        self._lsu_free = lsu_free = self.lsu.can_accept()
+
+        def mem_ok(warp: Warp, op: str) -> bool:
+            k = warp.kernel_slot
+            if gate is not None and not gate.can_issue(k):
+                return False
+            return lsu_free and limiter.can_issue(
+                k, self.kstate[k].inflight_minsts)
+
+        def compute_ok(op: str) -> bool:
+            return not (op == OP_SFU and self._sfu_used)
+
+        def warp_gated(warp: Warp) -> bool:
+            return gate is None or gate.can_issue(warp.kernel_slot)
+
+        proposals = []
+        start = self._sched_rr
+        self._sched_rr = (start + 1) % len(self.schedulers)
+        for sched in self._sched_orders[start]:
+            sel = sched.select_reference(cycle, mem_ok, compute_ok,
+                                         warp_gated)
+            if sel is None:
+                continue
+            if sel.is_mem:
+                proposals.append((sched, sel))
+            else:
+                self._issue_compute(sched, sel.warp, sel.op, cycle)
+        if proposals:
+            # One LSU issue slot: the BMI policy picks the winner, and a
+            # loser issues its compute fallback if it has one.
+            winner = self.bundle.mem_policy.pick(
+                [sel.warp.kernel_slot for _, sel in proposals])
+            for idx, (sched, sel) in enumerate(proposals):
+                if idx == winner:
+                    self._issue_mem(sched, sel.warp, sel.op, cycle)
+                elif (sel.fallback is not None
+                      and compute_ok(sel.fallback_op)):
+                    self._issue_compute(sched, sel.fallback,
+                                        sel.fallback_op, cycle)
+                elif self._obs is not None:
+                    self._obs_lost[sched.sched_id] = sel.warp.kernel_slot
+        if self._obs is not None:
+            self._obs_account(self._obs, cycle)
+        self.lsu.tick(cycle, self)
+        if gate is not None:
+            resident = [k for k, st in self.kstate.items() if st.resident_warps]
+            if resident:
+                gate.maybe_reset(resident)
+
+    def _issue_compute(self, sched: WarpScheduler, warp: Warp, op: str,
+                       cycle: int) -> None:
+        warp.stream.pop()
+        k = warp.kernel_slot
+        stats = self.kernel_stats[k]
+        stats.warp_insts += 1
+        if op is OP_ALU:
+            stats.alu_insts += 1
+            self.alu_busy += 1
+            warp.ready_at = cycle + 1
+        else:
+            stats.sfu_insts += 1
+            self.sfu_busy += 1
+            self._sfu_used = True
+            warp.ready_at = cycle + 4
+        self._note_issue(sched, warp, op, cycle)
+
+    def _issue_mem(self, sched: WarpScheduler, warp: Warp, op: str,
+                   cycle: int) -> None:
+        k = warp.kernel_slot
+        is_store = op == OP_STORE
+        # Lines are already rebased into global line space by the
+        # stream (see KernelLaunch.new_stream) and are a fresh list:
+        # safe to hand to the MemInst without copying.
+        lines = warp.stream.pop_mem(is_store)
+        state = self.kstate[k]
+        state.inflight_minsts += 1
+        self.bundle.limiter.observe_inflight(k, state.inflight_minsts)
+        self.bundle.mem_policy.note_mem_inst(k)
+        self.lsu.enqueue(MemInst(warp, lines, is_store,
+                                 self._on_meminst_complete))
+        if not is_store:
+            warp.outstanding_loads += 1
+        stats = self.kernel_stats[k]
+        stats.warp_insts += 1
+        stats.mem_insts += 1
+        warp.ready_at = cycle + 1
+        self._note_issue(sched, warp, op, cycle)
+
+    def _note_issue(self, sched: WarpScheduler, warp: Warp, op: str,
+                    cycle: int) -> None:
+        """What every issue does after its own bookkeeping: the
+        scheduler, gate, timeline and observer hear of it, and a warp
+        whose stream it drained retires once no load is in flight."""
+        k = warp.kernel_slot
+        sched.note_issued(warp)
+        if self._gate is not None:
+            self._gate.note_issue(k)
+        if self.timeline is not None:
+            self.timeline.bump("insts", k, cycle)
+        if self._obs is not None:
+            self._obs_issued[sched.sched_id] = k
+            self._obs.issue_event(self.sm_id, sched.sched_id, k, op, cycle)
+        if warp.stream.next_op is None and not warp.outstanding_loads:
+            self._finish_warp(warp)
+
+    # ------------------------------------------------------------------
+    # stall attribution (observability; never reached with obs off)
+    def _obs_account(self, obs, cycle: int) -> None:
+        """Classify every scheduler's issue-slot outcome this cycle
+        (:mod:`repro.obs.stalls` has the taxonomy): ``issued``, a lost
+        BMI arbitration, or the reason its highest-priority
+        latency-ready warp could not go.  Residual same-cycle races (a
+        gate quota consumed between selection and attribution) land in
+        ``other``.  ``obs`` is the caller's already-guarded sentinel."""
+        table = obs.stalls
+        issued = self._obs_issued
+        lost = self._obs_lost
+        for sched in self.schedulers:
+            sid = sched.sched_id
+            k = issued.get(sid)
+            if k is not None:
+                reason = ISSUED
+            elif sid in lost:
+                k, reason = lost[sid], STALL_BMI_LOSS
+            else:
+                k, reason = self._obs_verdict(sched, cycle)
+            table.bump_sched(self.sm_id, sid, k, reason)
+        issued.clear()
+        lost.clear()
+
+    def _obs_verdict(self, sched: WarpScheduler, cycle: int):
+        """``(kernel, reason)`` for a scanned scheduler that neither
+        issued nor lost the arbitration: pin the denial on the
+        scoreboard, the gate, the port, or the memory pipeline."""
+        warp, op, status = sched.first_ready(cycle)
+        if status == "empty":
+            return KERNEL_NONE, STALL_NO_WARP
+        k = warp.kernel_slot
+        if status == "blocked":
+            return k, STALL_SCOREBOARD
+        gate = self._gate
+        if gate is not None and not gate.can_issue(k):
+            return k, STALL_SMK_GATE
+        if op == OP_SFU or op == OP_ALU:
+            return k, (STALL_EXEC_PORT if op == OP_SFU and self._sfu_used
+                       else STALL_OTHER)
+        if not self._lsu_free:
+            return k, STALL_LSU_FULL
+        if not self._limiter.can_issue(k, self.kstate[k].inflight_minsts):
+            return k, STALL_MIL_CAPPED
+        return k, STALL_OTHER
+
+    # ------------------------------------------------------------------
+    # scheme event hooks (called by the LSU)
+    def on_request_issued(self, request, result: str, cycle: int) -> None:
+        self.on_request_issued_values(request.kernel, request.line,
+                                      request.is_write, result, cycle)
+
+    def on_request_issued_values(self, kernel: int, line: int,
+                                 is_write: bool, result: str,
+                                 cycle: int) -> None:
+        """:meth:`on_request_issued` over scalars — the pooled LSU path
+        already holds the request fields unpacked, so no request object
+        (or slot view) needs materialising per issue."""
+        k = kernel
+        if not self._mem_hooks_inert:
+            state = self.kstate[k]
+            self.bundle.limiter.note_request(k, state.inflight_minsts)
+            self.bundle.mem_policy.note_request(k)
+            if self.bundle.ucp is not None and not is_write:
+                self.bundle.ucp.observe(k, line)
+        self.kernel_stats[k].mem_requests += 1
+        if self.timeline is not None:
+            self.timeline.bump("l1d_access", k, cycle)
+
+    def on_rsfail(self, kernel: int, cycle: int) -> None:
+        if not self._mem_hooks_inert:
+            self.bundle.limiter.note_rsfail(kernel)
+
+    def _on_meminst_complete(self, inst: MemInst, cycle: int) -> None:
+        k = inst.kernel
+        state = self.kstate[k]
+        state.inflight_minsts -= 1
+        self.bundle.limiter.observe_inflight(k, state.inflight_minsts)
+        if not inst.is_store:
+            warp = inst.warp
+            warp.note_load_done(cycle)
+            if warp.stream.next_op is None and not warp.outstanding_loads:
+                self._finish_warp(warp)
+
+    # ------------------------------------------------------------------
+    def settle(self, upto: int) -> None:
+        """Pay everything owed for the cycles before ``upto``
+        (``GPU.settle``): nothing — the oracle never sleeps, defers or
+        owes."""
+
+    def sleep_counters(self) -> Dict[str, int]:
+        """This SM's share of ``RunResult.sleep`` (the keys in
+        :data:`~repro.sim.stats.SM_COUNTERS`): all zero on the oracle,
+        which never sleeps, batches or finishes a load at issue."""
+        return dict.fromkeys(SM_COUNTERS, 0)
+
+
+class SleepingSM(StreamingMultiprocessor):
+    """One SM of the production machine: the oracle's semantics plus
+    the machinery that skips what is provably inert and settles it
+    later — whole-SM sleep (idle, memory-stall, MIL-capped) and its
+    wakes, scheduler sleep hints and the issue-stall memo, the issue
+    autopilot, issue-through, owed stall attribution — over the
+    slot-pooled memory path (``l1`` is a PooledL1DCache).  Every trick
+    is a no-op rewrite of :class:`StreamingMultiprocessor`
+    (docs/PERF.md sections 3, 7 and 8)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        config, bundle = self.config, self.bundle
+        obs, timeline = self._obs, self.timeline
+        #: scheduler id -> the stretch of issue slots attribution still
+        #: owes (see ``_obs_account``), the table they are paid into
+        #: (None with obs off: nothing is ever owed then), and how many
+        #: slots were paid in such batches (self-observability).
+        self._obs_owed: List[Optional[_OwedSlots]] = (
+            [None] * config.schedulers_per_sm)
+        self._stall_table = obs.stalls if obs is not None else None
+        self._obs_batched = 0
+        # The production LSU tick over pool slots, bound once; the
+        # per-call checks it depends on (hook inertness, timeline) are
+        # fixed for the run, so they are resolved into the LSU here.
+        self._lsu_tick = self.lsu._tick_pooled
+        self.lsu._inline_stats = (
+            self.kernel_stats
+            if self._mem_hooks_inert and timeline is None else None)
+        if type(bundle.limiter).note_rsfail is not MemInstLimiter.note_rsfail:
+            self.lsu._rsfail_hook = bundle.limiter.note_rsfail
+        #: the open-kernel mask (bit k: kernel k's memory instructions
+        #: may issue) of the latest tick that resolved one through the
+        #: limiter (LSU free, MIL limited); a full LSU is mask 0 and an
+        #: unlimited MIL all-ones, neither stored.  See ``tick``.
+        self._open = 0
+        #: kstate as a list — the slot set is fixed for the whole run,
+        #: so the per-tick mask avoids rebuilding a dict view.
+        self._kstate_items = list(self.kstate.items())
+        self._limiter_unlimited = isinstance(bundle.limiter, NoLimit)
+        #: issue-through (see ``_issue_mem``) only unobserved: an
+        #: observed or timelined run wants every request's events.
+        self._through_ok = obs is None and timeline is None
+        #: the baseline policy's pick is pure "first proposer wins".
+        self._pick_trivial = (type(bundle.mem_policy).pick
+                              is UnmanagedIssue.pick)
+        # Bound-method references so tick() allocates no closures.
+        self._mem_ok_cb = self._mem_ok
+        self._mem_ok_gated_cb = self._mem_ok_gated
+        self._compute_ok_cb = self._compute_ok
+        self._warp_gated_cb = self._warp_gated
+        #: True while a TB-launch scan is known to be futile; cleared
+        #: whenever residency or a TB limit changes.
+        self._launch_blocked = False
+        #: whole-SM sleep: while ``cycle < _sleep_until`` the entire
+        #: tick is provably a no-op and is skipped; the wake-up tick
+        #: pays the gap (``_pay_sleep_debt``).  Not with UCP (it ticks
+        #: its epoch counter every cycle) nor with an SMK gate (its
+        #: quota resets in every tick).
+        self._sleep_until = 0
+        self._last_tick = -1
+        self._sleep_eligible = bundle.ucp is None
+        #: why the SM last went to sleep, and slept cycles per cause.
+        self._sleep_cause = SLEEP_IDLE
+        self._slept = [0] * len(SLEEP_CAUSES)
+        #: kernels whose MIL cap this sleep rests on: the union of the
+        #: issue-stall memos that froze a scheduler while the LSU queue
+        #: had room.  An in-flight decrement that re-opens one of them
+        #: ends the sleep (``_on_meminst_complete``).
+        self._sleep_blocked = 0
+        #: whether the last memory-stall sleep skipped any cycle at all:
+        #: after one that did not (a release came the very next cycle)
+        #: the SM waits for a replayed stall before sleeping on a stall
+        #: again.  Host-time heuristic only: sleeping less is exact.
+        self._stall_sleep_pays = True
+        #: L1 release hooks that ended (or came after) a memory-stall
+        #: sleep, each one tick and one real lookup of the stalled head.
+        self._stall_wakes = 0
+        self._lrr = config.scheduler_policy == "lrr"
+        #: issue autopilot eligibility (see WarpScheduler._auto_warp):
+        #: bursts bypass _issue_compute's gate / timeline / trace hooks
+        #: and rely on GTO's greedy warp holding priority[0], so they
+        #: arm only under GTO with all of those inert.  Observed runs
+        #: owe a burst's slots as ``issued``; only a recorded trace
+        #: wants its per-issue slices.
+        self._auto_ok = (config.scheduler_policy == "gto"
+                         and bundle.smk_gate is None
+                         and timeline is None
+                         and not (obs is not None
+                                  and obs.trace is not None))
+        # Scheme window boundaries (DMIL limit recompute, QBMI quota
+        # replenish, Req/Minst refresh) change issue eligibility with
+        # no scheduler wake attached: subscribe, so an SM asleep on a
+        # MIL verdict wakes.  Global DMIL's MILGs are shared: every SM
+        # subscribes.
+        limiter = bundle.limiter
+        milgs = getattr(limiter, "milgs", None)
+        if milgs is None:
+            shared = getattr(limiter, "shared", None)
+            if shared is not None:
+                milgs = getattr(shared, "milgs", None)
+        policy = bundle.mem_policy
+        sources = list(milgs or ()) + list(
+            getattr(policy, "estimators", None) or ())
+        if hasattr(policy, "on_window"):
+            sources.append(policy)
+        for source in sources:
+            subscribe_window(source, self._note_scheme_window)
+
+    # ------------------------------------------------------------------
+    # thread block launch
+    def _launch(self, launch, cycle: int) -> None:
+        super()._launch(launch, cycle)
+        if self._obs is not None:
+            # New warps change who a latency-asleep scheduler's slots
+            # are owed to (an empty one now has work): pay up to here.
+            for sched in self.schedulers:
+                self._obs_thaw(sched, cycle)
+
+    def _retire_tb(self, tb: ThreadBlock) -> None:
+        super()._retire_tb(tb)
+        # Freed residency may admit a new TB: rescan, and resume
+        # ticking.
+        self._launch_blocked = False
+        self._sleep_until = 0
+
+    def set_tb_limit(self, slot: int, limit: int) -> None:
+        """A raised cap can unblock TB launches: rescan, and end any
+        sleep (it rested on nothing being launchable)."""
+        super().set_tb_limit(slot, limit)
+        self._launch_blocked = False
+        self._sleep_until = 0
 
     # ------------------------------------------------------------------
     # issue
@@ -432,72 +645,45 @@ class StreamingMultiprocessor:
             return
         last = self._last_tick
         self._last_tick = cycle
-        if cycle - last > 1 and self._fastpath:
+        if cycle - last > 1:
             self._pay_sleep_debt(cycle - last - 1)
-        fastpath = self._fastpath
         if self._ucp is not None:
             self._ucp.tick(cycle)
-        if not (self._launch_blocked and fastpath):
-            # Inlined try_launch_tb fast-out: a blocked scan stays
-            # blocked until residency or a limit changes.
-            self.try_launch_tb(cycle)
+        if not self._launch_blocked:
+            # A failed scan stays futile until residency or a limit
+            # changes (``_retire_tb``, ``set_tb_limit``).
+            self._launch_blocked = not self.try_launch_tb(cycle)
         self._sfu_used = False
 
         gate = self._gate
         lsu = self.lsu
         self._lsu_free = lsu_free = len(lsu.queue) < lsu.queue_depth
-        if fastpath:
-            # Resolve the open-kernel mask once: the gate, the limiter
-            # and the LSU occupancy are all frozen during the selection
-            # phase, and all their predicates are pure.  A full LSU
-            # closes every kernel (mask 0, ``mem_ok=None``: the
-            # scheduler's "nothing mem can issue" sentinel — the
-            # memory-pipeline-stall case, where per-warp callback
-            # dispatch would be pure overhead); an unlimited MIL opens
-            # every kernel (``mem_ok=True``: no dispatch either, and no
-            # mask — ``None``, on which the memo test below
-            # short-circuits, as it does under a gate, which never
-            # leaves a memo); else one bit per kernel from the limiter.
-            open_mask = None
-            if gate is None:
-                # With no SMK gate every warp is ungated; passing None
-                # lets the scheduler skip the per-warp check entirely.
-                warp_gated = None
-                if not lsu_free:
-                    mem_ok = None
-                    open_mask = 0
-                elif self._limiter_unlimited:
-                    mem_ok = True
-                else:
-                    self._open = open_mask = self._open_mask()
-                    mem_ok = self._mem_ok_cb
+        # Resolve the open-kernel mask once (the limiter and the LSU
+        # occupancy are frozen during the selection phase; the SMK gate
+        # is not, so it is queried live): a full LSU closes every kernel
+        # (mask 0, ``mem_ok=None``), an unlimited MIL opens every kernel
+        # (``mem_ok=True``, no mask: the memo test below short-circuits
+        # on None, as under a gate, which never leaves a memo), else one
+        # bit per kernel.  ``warp_gated=None``: no gate at all.
+        open_mask = None
+        if gate is None:
+            warp_gated = None
+            if not lsu_free:
+                mem_ok = None
+                open_mask = 0
+            elif self._limiter_unlimited:
+                mem_ok = True
             else:
-                warp_gated = self._warp_gated_cb
-                if lsu_free:
-                    self._open = self._open_mask()
-                    mem_ok = self._mem_ok_gated_cb
-                else:
-                    mem_ok = None
-            compute_ok = self._compute_ok_cb
+                self._open = open_mask = self._open_mask()
+                mem_ok = self._mem_ok_cb
         else:
-            # Reference loop: allocate the callbacks as per-cycle
-            # closures, the straightforward implementation the fast
-            # path is benchmarked against.
-            limiter = self.bundle.limiter
-            lsu_free = self._lsu_free
-
-            def mem_ok(warp: Warp, op: str) -> bool:
-                k = warp.kernel_slot
-                if gate is not None and not gate.can_issue(k):
-                    return False
-                return lsu_free and limiter.can_issue(
-                    k, self.kstate[k].inflight_minsts)
-
-            def compute_ok(op: str) -> bool:
-                return not (op == OP_SFU and self._sfu_used)
-
-            def warp_gated(warp: Warp) -> bool:
-                return gate is None or gate.can_issue(warp.kernel_slot)
+            warp_gated = self._warp_gated_cb
+            if lsu_free:
+                self._open = self._open_mask()
+                mem_ok = self._mem_ok_gated_cb
+            else:
+                mem_ok = None
+        compute_ok = self._compute_ok_cb
 
         mem_proposals = None
         n = len(self.schedulers)
@@ -505,16 +691,12 @@ class StreamingMultiprocessor:
         self._sched_rr = (start + 1) % n
         for sched in self._sched_orders[start]:
             if sched._auto_left:
-                # Issue autopilot: the greedy warp's precompiled run of
-                # consecutive ALU ops issues one instruction per cycle
-                # without re-running selection — provably what select()
-                # would pick (see WarpScheduler._auto_warp).  Armed
-                # only when gate/timeline/obs are inert (_auto_ok), so
-                # this inlines exactly _issue_compute's live effects.
+                # Issue autopilot: the greedy warp's run of ALU ops issues
+                # one per cycle without selection — provably select()'s
+                # pick (WarpScheduler._auto_warp).  The stream is already
+                # past the run, and _auto_ok leaves only these effects.
                 warp = sched._auto_warp
                 if warp.ready_at <= cycle:
-                    # The stream was advanced past the whole run at
-                    # arming time, so a burst pop is pure bookkeeping.
                     stats = sched._auto_stats
                     stats.warp_insts += 1
                     stats.alu_insts += 1
@@ -531,48 +713,37 @@ class StreamingMultiprocessor:
                             else:
                                 sched.scan_block(warp)
                     continue
-                # A returned load raised the warp's scoreboard past
-                # this cycle (Warp.note_load_done): select() would now
-                # skip it and may pick a different warp, so the burst
-                # premise is gone — disarm, give the unissued remainder
-                # of the pre-advanced run back to the stream, and fall
-                # through to the normal selection path.
+                # A returned load raised the warp's scoreboard past this
+                # cycle: select() may pick another warp now.  Disarm,
+                # give the unissued rest of the run back to the stream,
+                # and select as usual.
                 sched._auto_warp = None
                 warp.stream.rewind_alu(sched._auto_left)
                 sched._auto_left = 0
                 if self._obs is not None:
                     # The burst's owed ``issued`` slots end here.
                     self._obs_close(sched.sched_id, cycle)
-            if fastpath:
-                if cycle < sched._next_wake:
-                    # select()'s latency-sleep early-out, inlined to
-                    # save the call: every warp is blocked until
-                    # _next_wake, so select would return None (LRR
-                    # still owes its per-call rotation).
-                    if self._lrr and sched.warps:
-                        sched._lrr_pos += 1
-                    continue
-                if (open_mask is not None
-                        and (blocked := sched._mem_blocked)
-                        and not blocked & open_mask
-                        and cycle < sched._mem_wake):
-                    # Issue-stall memo: every ready warp still holds a
-                    # memory instruction of a kernel that is still
-                    # closed — by the full LSU (every kernel) or by its
-                    # MIL cap (see WarpScheduler._mem_blocked) — so
-                    # select() would provably return None.  Keep LRR's
-                    # once-per-call rotation exactly as that call
-                    # would have.
-                    if self._lrr and sched.warps:
-                        sched._lrr_pos += 1
-                    continue
-                # compute_ok=None: every port free (no SFU issued yet
-                # this cycle) — the scheduler skips the callback.
-                sel = sched.select(
-                    cycle, mem_ok,
-                    compute_ok if self._sfu_used else None, warp_gated)
-            else:
-                sel = sched.select(cycle, mem_ok, compute_ok, warp_gated)
+            if cycle < sched._next_wake:
+                # select()'s latency-sleep early-out, inlined (LRR still
+                # owes its per-call rotation).
+                if self._lrr and sched.warps:
+                    sched._lrr_pos += 1
+                continue
+            if (open_mask is not None
+                    and (blocked := sched._mem_blocked)
+                    and not blocked & open_mask
+                    and cycle < sched._mem_wake):
+                # Issue-stall memo: every ready warp still holds a memory
+                # instruction of a still-closed kernel (full LSU or MIL
+                # cap, WarpScheduler._mem_blocked): select() returns None.
+                if self._lrr and sched.warps:
+                    sched._lrr_pos += 1
+                continue
+            # compute_ok=None: every port free (no SFU issued yet this
+            # cycle) — the scheduler skips the callback.
+            sel = sched.select(
+                cycle, mem_ok,
+                compute_ok if self._sfu_used else None, warp_gated)
             if sel is None:
                 continue
             if sel.is_mem:
@@ -608,79 +779,40 @@ class StreamingMultiprocessor:
         elif self._sleep_eligible and self._launch_blocked and (
                 (lsu._stall_owed or self._stall_sleep_pays) if stalled
                 else not lsu.queue):
-            # Every scheduler is either mid-ALU-burst (autopilot) or its
-            # latest scan found nothing latency-ready (future hint), no
-            # TB can launch and the LSU is drained: the SM's next ticks
-            # are fully determined — each slept cycle issues exactly one
-            # ALU per bursting scheduler and nothing else.  Sleep until
-            # the earliest of the burst ends and the scheduler wakes;
-            # the wake-up tick pays the slept issues in one batch
-            # (_pay_sleep_debt).  A load return that would break a
-            # burst early lowers _sleep_until to its own cycle
-            # (_on_meminst_complete), so the burst premise provably
-            # holds for every slept cycle.  (A mid-burst scheduler's
-            # _next_wake is <= its arming cycle, so bursts contribute
-            # their end cycle here instead.)
-            #
-            # Memory-stall sleep: the LSU is not drained but its head
-            # ended this cycle on a memoised, deferrable reservation
-            # failure (``stalled``; only ``_tick_pooled`` ever reports
-            # it), so until the L1 releases a resource of the class the
-            # verdict reads (a miss-queue drain for ``rsfail_missq``, a
-            # fill for the rest) each LSU tick is exactly
-            # ``_stall_owed += 1`` — and that class's release site calls
-            # the hook armed below, which wakes this SM in the same
-            # cycle (memory ticks first); the other class cannot move
-            # the verdict and no longer wakes anybody.
-            # A failure that is new this cycle (no replay owed yet) is
-            # slept on only while such sleeps pay (_stall_sleep_pays).
-            #
-            # Issue-stall sleep: a scheduler whose latest scan left the
-            # issue-stall memo keeps skipping select() until
-            # ``_mem_wake`` while every kernel in its blocked set stays
-            # closed, exactly as the per-cycle check above would.  The
-            # mask the next ticks would resolve is re-derived here,
-            # after this cycle's issues and LSU tick (which may have
-            # moved the queue, an in-flight count or a DMIL limit).  It
-            # cannot move while the SM sleeps: the queue can neither
-            # grow (nothing issues) nor shrink (the head is stuck, or
-            # there is none), so its fullness is frozen for the whole
-            # gap; a static limit never moves, a local MILG recomputes
-            # only inside this SM's LSU tick, a global one wakes every
-            # SM (``_note_scheme_window``); and an in-flight decrement
-            # that opens a kernel some scheduler waits on
-            # (``_sleep_blocked``) wakes the SM on its own cycle
-            # (``_on_meminst_complete``).  With an unlimited MIL and
-            # the queue drained every kernel is open and no memo can
-            # hold: such runs skip the test on a local.
+            # No TB can launch and the LSU is drained (idle) or its head
+            # ended this cycle on a memoised reservation failure (memory
+            # stall; a fresh one only while such sleeps pay).  If no
+            # scheduler acts next cycle — none mid-burst, each
+            # latency-asleep until ``_next_wake`` or behind a memo that
+            # holds until ``_mem_wake`` (MIL-capped, with room in the
+            # queue) — sleep to the earliest horizon.  The mask is
+            # re-derived after this cycle's issues and LSU tick; what
+            # can move it during the sleep wakes the SM (docs/PERF.md
+            # section 3).  Unlimited MIL, drained queue: no memo holds.
             memo_live = stalled or not self._limiter_unlimited
             open_next = None
             waits_on = 0
-            bursting = False
             soonest = cycle + 1
             wake = NEVER
             for sched in self.schedulers:
-                left = sched._auto_left
-                if left:
-                    nw = cycle + left
-                    bursting = True
-                else:
-                    nw = sched._next_wake
-                    if memo_live and nw <= cycle:
-                        blocked = sched._mem_blocked
-                        if blocked:
-                            if open_next is None:
-                                lsu_full = len(lsu.queue) >= lsu.queue_depth
-                                if lsu_full:
-                                    open_next = 0
-                                elif self._limiter_unlimited:
-                                    open_next = -1
-                                else:
-                                    open_next = self._open_mask()
-                            if not blocked & open_next:
-                                nw = sched._mem_wake
-                                if not lsu_full:
-                                    waits_on |= blocked
+                if sched._auto_left:
+                    break  # mid-burst: it issues next cycle
+                nw = sched._next_wake
+                if memo_live and nw <= cycle:
+                    blocked = sched._mem_blocked
+                    if blocked:
+                        if open_next is None:
+                            lsu_full = len(lsu.queue) >= lsu.queue_depth
+                            if lsu_full:
+                                open_next = 0
+                            elif self._limiter_unlimited:
+                                open_next = -1
+                            else:
+                                open_next = self._open_mask()
+                        if not blocked & open_next:
+                            nw = sched._mem_wake
+                            if not lsu_full:
+                                waits_on |= blocked
                 if nw <= soonest:
                     # This scheduler acts next cycle: no sleep.
                     break
@@ -688,16 +820,18 @@ class StreamingMultiprocessor:
                     wake = nw
             else:
                 if stalled:
+                    # Until the L1 releases a resource of the class the
+                    # verdict reads, each LSU tick is exactly
+                    # ``_stall_owed += 1``; that release site calls the
+                    # hook armed here, in the same cycle.
                     self._sleep_cause = SLEEP_STALL
                     self._stall_sleep_pays = False
                     lsu.arm_release(self._end_stall_sleep)
                 elif waits_on:
                     self._sleep_cause = SLEEP_MIL
                 else:
-                    self._sleep_cause = (SLEEP_BURST if bursting
-                                         else SLEEP_IDLE)
+                    self._sleep_cause = SLEEP_IDLE
                 self._sleep_blocked = waits_on
-                self._sleep_bursting = bursting
                 self._sleep_until = wake
                 if self._obs is not None:
                     # Every scheduler is frozen from the next cycle on:
@@ -716,21 +850,13 @@ class StreamingMultiprocessor:
             self.alu_busy += 1
             warp.ready_at = cycle + 1
             if self._auto_ok:
-                # This warp is now the greedy warp; if its (precompiled)
-                # stream continues with a run of ALU ops, arm the issue
-                # autopilot to burn the run down without reselection.
-                # The fused pop advances past the whole run up front
-                # (one call instead of one pop per burst cycle); a
-                # mid-burst disarm rewinds the unissued remainder.
-                # Pre-advancing leaves ``next_op`` pointing past the
-                # run for the rest of the burst, so it is only allowed
-                # when no in-flight load of this warp could observe
-                # that future state through ``_on_meminst_complete`` —
-                # i.e. when the warp has no outstanding loads
-                # (``allow_end``), or when the run provably leaves more
-                # work (``next_op`` non-None), which is all the
-                # completion path inspects.
-                run = stream.pop_alu_burst(not warp.outstanding_loads)
+                # The greedy warp's stream continues with a run of ALU
+                # ops: arm the issue autopilot, advancing past the whole
+                # run up front (a disarm rewinds the rest).  The early
+                # ``next_op`` is only visible to ``_on_meminst_complete``,
+                # which reads no more than "drained or not": a run may
+                # end the stream only with no load in flight.
+                run = stream.pop_alu_run(not warp.outstanding_loads)
                 if run:
                     sched._auto_warp = warp
                     sched._auto_left = run
@@ -744,6 +870,8 @@ class StreamingMultiprocessor:
             self.sfu_busy += 1
             self._sfu_used = True
             warp.ready_at = cycle + 4
+        # The oracle's _note_issue, inlined (no call per issue), plus
+        # scan-list upkeep.
         sched.note_issued(warp)
         gate = self._gate
         if gate is not None:
@@ -768,10 +896,6 @@ class StreamingMultiprocessor:
         stream = warp.stream
         k = warp.kernel_slot
         is_store = op == OP_STORE
-        # Lines are already rebased into global line space by the
-        # stream (see KernelLaunch.new_stream); for replay streams this
-        # is a fresh slice, for live streams a fresh pattern list —
-        # safe to hand to the MemInst without copying.
         lines = stream.pop_mem(is_store)
         lsu = self.lsu
         stats = self.kernel_stats[k]
@@ -783,13 +907,10 @@ class StreamingMultiprocessor:
             bundle.limiter.observe_inflight(k, state.inflight_minsts)
             bundle.mem_policy.note_mem_inst(k)
         # Issue-through (docs/PERF.md section 8): with the LSU queue
-        # empty, this cycle's LSU tick would look up exactly these
-        # lines, against exactly this L1 state.  If a read-only probe
-        # finds every one a hit the load is finished right here — the
-        # hits committed in line order with the per-request hooks, then
-        # what the completion callback would do — and no MemInst, queue
-        # entry, pool slot or callback exists.  One cold line, and the
-        # probe has changed nothing: the queue path below runs as ever.
+        # empty, this cycle's LSU tick would look up exactly these lines
+        # against exactly this L1 state.  If a read-only probe finds
+        # them all hits, finish the load here — no MemInst, queue entry,
+        # pool slot or callback; one cold line, and the queue path runs.
         through = False
         if (self._through_ok and not is_store and not lsu.queue
                 and len(lines) <= lsu.width
@@ -852,29 +973,15 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     # stall attribution (observability; never reached with obs off)
     def _obs_account(self, obs, cycle: int) -> None:
-        """Classify every scheduler's issue-slot outcome this cycle.
-
-        An issuing scheduler counts as ``issued``; a non-issuing one is
-        attributed to the reason its highest-priority latency-ready
-        warp (the warp the hardware would have issued) could not go —
-        see :mod:`repro.obs.stalls` for the taxonomy.  Residual
-        same-cycle races (e.g. a gate quota consumed between selection
-        and attribution) land in ``other``.
-
-        A scheduler the production machine does not scan — mid-burst on
-        the issue autopilot, latency-asleep until ``_next_wake``, or
-        behind the memory-stall memo — repeats one verdict for the whole
-        stretch (docs/PERF.md, "Attribution debts"), so its slots are
-        *owed* (``_obs_owed``) and charged ``reason x gap`` when the
-        stretch ends: here, at the disarm, launch and load-return hooks,
-        or when the engine settles.  A whole-SM sleep is every
-        scheduler's stretch running on while this is not called at all.
-        The oracle never sets the hints below, so it classifies every
-        slot on the spot.
-
-        ``obs`` is the already-guarded sentinel: the caller only
-        reaches here under ``if self._obs is not None``.
-        """
+        """The oracle's classification, except that a scheduler this
+        machine does not scan — mid-burst on the issue autopilot,
+        latency-asleep until ``_next_wake``, or behind the issue-stall
+        memo — repeats one verdict for the whole stretch (docs/PERF.md
+        section 7), so its slots are *owed* (``_obs_owed``) and charged
+        ``reason x gap`` when the stretch ends: here, at the disarm,
+        launch and load-return hooks, or when the engine settles.  A
+        whole-SM sleep is every scheduler's stretch running on while
+        this is not called at all."""
         table = obs.stalls
         sm_id = self.sm_id
         issued = self._obs_issued
@@ -916,30 +1023,7 @@ class StreamingMultiprocessor:
                 # slot and the following ones to one verdict.
                 owed[sid] = self._obs_freeze(sched, cycle, self._lsu_free)
                 continue
-            warp, op, status = sched.first_ready(cycle)
-            if status == "empty":
-                table.bump_sched(sm_id, sid, KERNEL_NONE, STALL_NO_WARP)
-                continue
-            k = warp.kernel_slot
-            if status == "blocked":
-                table.bump_sched(sm_id, sid, k, STALL_SCOREBOARD)
-                continue
-            # A latency-ready warp had work but nothing issued: pin the
-            # denial on the gate, the port, or the memory pipeline.
-            gate = self._gate
-            if gate is not None and not gate.can_issue(k):
-                reason = STALL_SMK_GATE
-            elif op == OP_SFU or op == OP_ALU:
-                reason = (STALL_EXEC_PORT
-                          if op == OP_SFU and self._sfu_used
-                          else STALL_OTHER)
-            elif not self._lsu_free:
-                reason = STALL_LSU_FULL
-            elif not self.bundle.limiter.can_issue(
-                    k, self.kstate[k].inflight_minsts):
-                reason = STALL_MIL_CAPPED
-            else:
-                reason = STALL_OTHER
+            k, reason = self._obs_verdict(sched, cycle)
             table.bump_sched(sm_id, sid, k, reason)
         issued.clear()
         lost.clear()
@@ -965,14 +1049,12 @@ class StreamingMultiprocessor:
     def _obs_freeze(self, sched: WarpScheduler, first: int,
                     lsu_free: bool) -> _OwedSlots:
         """The verdict ``sched``'s slots from cycle ``first`` on are
-        owed to while it is not scanned: what the oracle's per-slot
-        classification reads at ``first``, which nothing but an issue,
+        owed to while it is not scanned: what the oracle's
+        ``_obs_verdict`` reads at ``first``, which nothing but an issue,
         a launch, a load return, the LSU queue crossing full
-        (``lsu_free``: the queue state the tick at ``first`` resolves)
-        or the hint's expiry can change.  Under
-        LRR the pick rotates with ``_lrr_pos`` (advanced once per
-        cycle, here or in ``_pay_sleep_debt``); the rotation start at
-        ``first`` follows from the cycles ``_lrr_pos`` is behind."""
+        (``lsu_free``: the queue state at ``first``) or the hint's
+        expiry can change.  Under LRR the rotation start at ``first``
+        follows from the cycles ``_lrr_pos`` is behind."""
         status, warps = sched.stall_verdict(first)
         if status != "ready":
             reason = _FROZEN_REASON[status]
@@ -1055,52 +1137,14 @@ class StreamingMultiprocessor:
             self._obs_owed[sched.sched_id] = self._obs_freeze(
                 sched, upto, len(lsu.queue) < lsu.queue_depth)
 
-    def _obs_settle(self, upto: int) -> None:
-        """Pay every owed issue slot before cycle ``upto`` (the last
-        step of :meth:`settle`)."""
-        for sid, stretch in enumerate(self._obs_owed):
-            if stretch is not None:
-                self._obs_pay(sid, stretch, upto)
-
     # ------------------------------------------------------------------
-    # scheme event hooks (called by the LSU)
+    # wakes
     def _note_scheme_window(self) -> None:
-        """A scheme window boundary fired (DMIL limit recompute, QBMI
-        quota replenish, Req/Minst refresh): issue eligibility may have
-        changed with no scheduler wake attached, so end any sleep — a
-        MIL-capped one rests on the limits just recomputed.  A boundary
-        fires inside an LSU tick: this SM's own (awake, mid-tick: the
-        sleep decision that follows reads the new limits) or, for
-        global DMIL's shared MILGs, the monitor's — SM 0, which ticks
-        first, so every other subscriber sees the lowered horizon later
-        in the same SM pass and ticks on the boundary's own cycle, as
-        the oracle's SMs read the new limits."""
+        """A scheme window boundary fired inside an LSU tick — this
+        SM's own, or global DMIL's monitor's (SM 0, which ticks first,
+        so every other SM still ticks on the boundary's cycle): issue
+        eligibility may have changed, so end any sleep."""
         self._sleep_until = 0
-
-    def on_request_issued(self, request, result: str, cycle: int) -> None:
-        self.on_request_issued_values(request.kernel, request.line,
-                                      request.is_write, result, cycle)
-
-    def on_request_issued_values(self, kernel: int, line: int,
-                                 is_write: bool, result: str,
-                                 cycle: int) -> None:
-        """:meth:`on_request_issued` over scalars — the pooled LSU path
-        already holds the request fields unpacked, so no request object
-        (or slot view) needs materialising per issue."""
-        k = kernel
-        if not self._mem_hooks_inert:
-            state = self.kstate[k]
-            self.bundle.limiter.note_request(k, state.inflight_minsts)
-            self.bundle.mem_policy.note_request(k)
-            if self.bundle.ucp is not None and not is_write:
-                self.bundle.ucp.observe(k, line)
-        self.kernel_stats[k].mem_requests += 1
-        if self.timeline is not None:
-            self.timeline.bump("l1d_access", k, cycle)
-
-    def on_rsfail(self, kernel: int, cycle: int) -> None:
-        if not self._mem_hooks_inert:
-            self.bundle.limiter.note_rsfail(kernel)
 
     def _on_meminst_complete(self, inst: MemInst, cycle: int) -> None:
         k = inst.kernel
@@ -1112,11 +1156,9 @@ class StreamingMultiprocessor:
                 and self._sleep_blocked >> k & 1
                 and self._limiter.can_issue(k, state.inflight_minsts)):
             # The decrement re-opened a kernel a sleeping scheduler's
-            # issue-stall memo waits on: the tick at ``cycle`` resolves
-            # the new mask, so the SM must run it (this return came
-            # with the memory tick, ahead of the SM pass).  Keyed on
-            # the sleep, not on hook inertness: SMIL's hooks are inert
-            # and its caps open the same way.
+            # memo waits on: run the tick at ``cycle`` (the memory tick
+            # comes first).  Keyed on the sleep, not on hook inertness:
+            # SMIL's hooks are inert and its caps open the same way.
             self._sleep_until = cycle
         warp = inst.warp
         if not inst.is_store:
@@ -1130,68 +1172,47 @@ class StreamingMultiprocessor:
                     self._settle_sleep_debt(cycle)
                 self._finish_warp(warp)
             else:
-                # The returned load may unblock an MLP-capped warp the
-                # scheduler's sleep hint knows nothing about.  Crossing
-                # back below the MLP cap restores scan-list membership
-                # (the exact inverse of the scan_block at issue).
+                # Back below the MLP cap: the exact inverse of the
+                # scan_block at issue; and wake the scheduler's hint.
                 if (warp.outstanding_loads == warp.mlp - 1
                         and warp.stream.next_op is not None):
                     sched.scan_unblock(warp)
                 sched.wake_at(warp.ready_at)
-                if sched._auto_warp is warp and cycle < self._sleep_until:
-                    # The return just raised the bursting warp's
-                    # scoreboard: the burst disarms THIS cycle and the
-                    # freed issue slot may go to another warp, so a
-                    # burst-sleeping SM must tick at ``cycle`` itself
-                    # (wake_at above only wakes it at ready_at).
-                    self._sleep_until = cycle
             if self._obs is not None:
-                # The return moved a scoreboard: the warp's scheduler
-                # may owe its slots to another warp from here on — this
-                # cycle's slot when the return came with the memory
-                # tick, the next one's when it came out of this SM's
-                # own LSU tick (after this cycle's accounting).
+                # The scheduler may owe its slots to another warp from
+                # here: this cycle's when the return came with the memory
+                # tick, the next one's when it came out of this SM's LSU
+                # tick (after this cycle's accounting).
                 self._obs_thaw(sched, cycle + 1
                                if self._last_tick == cycle else cycle)
 
-    # ------------------------------------------------------------------
-    # whole-SM sleep accounting
     def _end_stall_sleep(self) -> None:
-        """The L1 release hook a memory-stall sleep arms
-        (``LoadStoreUnit.arm_release``; one shot: it disarms itself):
-        the resource class the memoised verdict reads was just
-        released, so the verdict the sleep rests on is void — tick
-        this very cycle.  If the sleep already ended another way (a
-        scheduler horizon, a load return) the hook fires late, on an SM
-        that is awake (a no-op) or in a sleep of another kind (an
-        early, inert wake)."""
+        """The one-shot L1 release hook a memory-stall sleep arms
+        (``LoadStoreUnit.arm_release``): the verdict the sleep rests on
+        is void, tick this very cycle.  Firing after the sleep ended
+        another way is a no-op or an early, inert wake."""
         self.lsu.arm_release(None)
         self._stall_wakes += 1
         self._sleep_until = 0
 
+    # ------------------------------------------------------------------
+    # settling what was skipped
     def _pay_sleep_debt(self, gap: int) -> None:
         """Pay, in one batch, what ``gap`` slept cycles would have done
         one cycle at a time.
 
         * The scheduler round-robin start advances once per cycle in
-          the reference loop, slept or not; under LRR so does each
-          scheduler's rotation position while it owns warps (every
-          skipped select() early-out owes one advance).
-        * Each slept cycle issued exactly one ALU per mid-burst
-          scheduler: the sleep horizon was capped at every burst's
-          remaining length, and any event that could break a burst
-          early lowers ``_sleep_until`` to its own cycle
-          (``_on_meminst_complete``).  The warp's stale ``ready_at`` is
-          harmless: the burst step and ``note_load_done`` compare it
-          against the current cycle the same way a per-cycle value
-          would.
+          the oracle, slept or not; under LRR so does each scheduler's
+          rotation position while it owns warps (every skipped
+          select() early-out owes one advance).
         * Each cycle of a memory-stall sleep replayed the memoised
           reservation failure once; the LSU settles the count with its
           other deferred replays (``_flush_stall_debt``).
 
-        Every term is additive, so paying a prefix at a run boundary
-        (``_settle_sleep_debt``) and the rest on wake-up equals paying
-        the whole gap at once."""
+        Nothing else happens on a slept cycle: no scheduler sleeps with
+        an autopilot burst armed.  Every term is additive, so paying a
+        prefix at a run boundary (``_settle_sleep_debt``) and the rest
+        on wake-up equals paying the whole gap at once."""
         cause = self._sleep_cause
         self._slept[cause] += gap
         if cause == SLEEP_STALL:
@@ -1202,28 +1223,12 @@ class StreamingMultiprocessor:
             for sched in self.schedulers:
                 if sched.warps:
                     sched._lrr_pos += gap
-            return
-        if not self._sleep_bursting:
-            return  # bursts cannot arm while asleep
-        for sched in self.schedulers:
-            left = sched._auto_left
-            if left:
-                stats = sched._auto_stats
-                stats.warp_insts += gap
-                stats.alu_insts += gap
-                self.alu_busy += gap
-                sched._auto_left = left - gap
 
     def _settle_sleep_debt(self, end: int) -> None:
-        """Settle sleep accounting when the run ends mid-sleep.
-
-        A sleeping SM defers its per-cycle bookkeeping to the wake-up
-        tick; if the run's final cycle falls inside the sleep window
-        that tick never comes, so result collection pays the slept
-        cycles ``last_tick+1 .. min(end, _sleep_until)-1`` here (the
-        first step of :meth:`settle`).  Idempotent via the ``_last_tick``
-        advance, so a later ``run`` (or a ``set_tb_limit`` landing
-        mid-sleep) pays only what is still owed."""
+        """Pay the slept cycles ``last_tick+1 .. min(end,
+        _sleep_until)-1`` now rather than at a wake-up tick that may
+        never come (a run boundary, a retirement).  Idempotent via the
+        ``_last_tick`` advance: later ticks pay only what is owed."""
         horizon = self._sleep_until
         if horizon > end:
             horizon = end
@@ -1237,21 +1242,19 @@ class StreamingMultiprocessor:
         (``GPU.settle``).  The order matters: the sleep debt first (a
         memory-stall sleep's share lands in the LSU's ``_stall_owed``),
         then the LSU's deferred stall replays, then the owed issue-slot
-        attribution.  Idempotent and additive; a no-op on the oracle,
-        which never sleeps, defers or owes."""
+        attribution.  Idempotent and additive."""
         self._settle_sleep_debt(upto)
         self.lsu._flush_stall_debt()
         if self._obs is not None:
-            self._obs_settle(upto)
+            for sid, stretch in enumerate(self._obs_owed):
+                if stretch is not None:
+                    self._obs_pay(sid, stretch, upto)
 
-    def set_tb_limit(self, slot: int, limit: int) -> None:
-        """Reconfigure one kernel's TB cap (``GPU.set_tb_limit``).  A
-        raised cap can unblock TB launches: rescan, and end any sleep
-        (it rested on nothing being launchable)."""
-        self.kstate[slot].tb_limit = limit
-        self._launch_blocked = False
-        self._sleep_until = 0
-
-    # ------------------------------------------------------------------
-    def resident_warps(self) -> int:
-        return self._used_warps
+    def sleep_counters(self) -> Dict[str, int]:
+        lsu = self.lsu
+        counters = dict(zip(SLEEP_CAUSES, self._slept))
+        counters.update(stall_replays_batched=lsu.replays_batched,
+                        stall_wakes=self._stall_wakes,
+                        insts_through=lsu.insts_through,
+                        obs_batched_slots=self._obs_batched)
+        return counters

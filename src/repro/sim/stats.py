@@ -19,12 +19,12 @@ from typing import Dict, List, Optional
 
 
 #: causes of a whole-SM sleep (production machine), in the order of the
-#: SM's per-cause counters: nothing to do at all, every busy scheduler
-#: mid-ALU-burst, the LSU head replaying a memoised reservation
-#: failure (the paper's memory-pipeline stall), or — with the LSU
-#: drained — every ready warp holding a memory instruction of a kernel
-#: at its MIL cap (the paper's mechanism at work).
-SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall", "mil_capped")
+#: SM's per-cause counters: nothing to do at all, the LSU head
+#: replaying a memoised reservation failure (the paper's
+#: memory-pipeline stall), or — with the LSU drained — every ready warp
+#: holding a memory instruction of a kernel at its MIL cap (the
+#: paper's mechanism at work).
+SLEEP_CAUSES = ("idle", "mem_stall", "mil_capped")
 
 #: ``RunResult.sleep`` key -> the process-registry name the same
 #: number accumulates under (``repro.obs.process_registry()``): slept
@@ -37,7 +37,6 @@ SLEEP_CAUSES = ("idle", "alu_burst", "mem_stall", "mil_capped")
 #: in batches rather than per cycle.
 SELF_OBS_REGISTRY = {
     "idle": "sim.sleep.idle",
-    "alu_burst": "sim.sleep.alu_burst",
     "mem_stall": "sim.sleep.mem_stall",
     "mil_capped": "sim.sleep.mil_capped",
     "sm_cycles": "sim.sleep.sm_cycles",
@@ -48,6 +47,11 @@ SELF_OBS_REGISTRY = {
     "pool_grows": "mem.pool.grows",
     "obs_batched_slots": "sim.obs.batched_slots",
 }
+
+#: the ``RunResult.sleep`` keys each SM counts (``sleep_counters``);
+#: the engine adds ``sm_cycles`` and the request pool's two.
+SM_COUNTERS = SLEEP_CAUSES + ("stall_replays_batched", "stall_wakes",
+                              "insts_through", "obs_batched_slots")
 
 
 class KernelStats:

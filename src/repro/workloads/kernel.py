@@ -256,19 +256,11 @@ class InstructionStream:
         desc.is_store = is_store
         return desc
 
-    def alu_run_len(self) -> int:
-        """Number of consecutive ALU instructions at the stream head.
-
-        Live streams cannot look ahead without drawing RNG state, so
-        they report 0; precompiled :class:`ReplayStream`\\ s scan their
-        opcode array.  The SM's issue autopilot uses this to batch
-        provably-identical back-to-back ALU issues."""
-        return 0
-
-    def pop_alu_burst(self, allow_end: bool) -> int:
+    def pop_alu_run(self, allow_end: bool) -> int:
         """Fused pop + autopilot-arming probe (see
-        :meth:`ReplayStream.pop_alu_burst`).  Live streams cannot look
-        ahead, so this is a plain pop that never arms."""
+        :meth:`ReplayStream.pop_alu_run`).  Live streams cannot look
+        ahead without drawing RNG state, so this is a plain pop that
+        never arms."""
         self.pop()
         return 0
 
@@ -351,26 +343,12 @@ class ReplayStream:
         desc.is_store = is_store
         return desc
 
-    def alu_run_len(self) -> int:
-        ops = self._ops
-        pos = self._pos
-        end = self._len
-        j = pos
-        while j < end and ops[j] == ALU_CODE:
-            j += 1
-        return j - pos
-
-    def run_ends_stream(self, run: int) -> bool:
-        """True when ``run`` more pops would exhaust the stream."""
-        return self._pos + run >= self._len
-
-    def pop_alu_burst(self, allow_end: bool) -> int:
+    def pop_alu_run(self, allow_end: bool) -> int:
         """Pop one ALU op and, when the following opcodes continue the
         run, pre-advance past the whole run in the same scan — the
-        fused form of ``pop()`` + ``alu_run_len()`` +
-        ``run_ends_stream()`` + ``skip_alu_run()`` the issue autopilot
-        arms with.  Returns the pre-advanced remainder length (0 means
-        nothing armed; the single pop still happened).  ``allow_end``
+        issue autopilot arms with it.  Returns the pre-advanced
+        remainder length (0 means nothing armed; the single pop still
+        happened).  ``allow_end``
         False refuses a run that would exhaust the stream (the
         caller's in-flight loads could observe the drained
         ``next_op``)."""
@@ -388,15 +366,6 @@ class ReplayStream:
         self._pos = pos
         self.next_op = OP_BY_CODE[ops[pos]] if pos < end else None
         return 0
-
-    def skip_alu_run(self, run: int) -> None:
-        """Advance past ``run`` consecutive ALU opcodes in one step —
-        the SM's issue autopilot consumed the whole run up front.
-        Exactly equivalent to ``run`` pop() calls returning ALU: an ALU
-        pop touches nothing but the position."""
-        pos = self._pos + run
-        self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
 
     def rewind_alu(self, count: int) -> None:
         """Give back ``count`` unissued ALU opcodes of a skipped run
