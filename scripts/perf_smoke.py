@@ -2,10 +2,10 @@
 wall-clock assertion), on the scaled-down config except for the two
 legs that name the Table-1 machine.
 
-* production machine (fast loop, slot-pooled memory path) == oracle
-  (``GPU(reference=True)``: per-cycle loop, object memory path), bit
-  for bit, on two compute-leaning workloads and one memory-bound mix
-  (``st+sv-even``);
+* production machine (sleeping SMs) == oracle
+  (``GPU(reference=True)``: SMs ticked every cycle), both over the one
+  memory path, bit for bit, on two compute-leaning workloads and one
+  memory-bound mix (``st+sv-even``);
 * on a second memory-bound leg the two agree again, and the production
   run spends at least ``STALL_SLEEP_FLOOR`` of its SM-cycles in
   memory-stall sleep — so a refactor that breaks the L1 release
@@ -45,7 +45,7 @@ from repro.cke.partition import even_partition
 from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
-from repro.mem.cache import PooledL1DCache
+from repro.mem.cache import L1DCache
 from repro.obs import ObsOptions, process_registry
 from repro.sim.engine import GPU, make_launches
 from repro.workloads import trace as ktrace
@@ -175,18 +175,18 @@ def missq_retry_check():
     """``rsfail_missq`` lookups per accepted primary miss on Table-1
     ks+ax, counted at the L1 (every real lookup, no batched replay)."""
     outcomes = collections.Counter()
-    access_slot = PooledL1DCache.access_slot
+    access = L1DCache.access
 
     def counting(self, *args):
-        result = access_slot(self, *args)
+        result = access(self, *args)
         outcomes[result] += 1
         return result
 
-    PooledL1DCache.access_slot = counting
+    L1DCache.access = counting
     try:
         run(MAXWELL_CONFIG, ("ks", "ax"), (8, 8), 0, cycles=4000)
     finally:
-        PooledL1DCache.access_slot = access_slot
+        L1DCache.access = access
     return outcomes["rsfail_missq"] / outcomes["miss"]
 
 

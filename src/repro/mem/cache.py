@@ -37,13 +37,13 @@ class AccessResult:
 
 
 #: the two classes of L1 resource release that happen outside
-#: ``access_slot``: a fill (frees the line reservation, the MSHR entry
-#: and its merge list) and a miss-queue drain (frees one queue entry).
+#: ``access``: a fill (frees the line reservation, the MSHR entry and
+#: its merge list) and a miss-queue drain (frees one queue entry).
 RELEASE_FILL, RELEASE_DRAIN = 0, 1
 
 #: reservation failure -> the release class that can change it.  Each
 #: verdict is decided by the first failing test on one path through
-#: ``PooledL1DCache.access_slot``; a release of the other class leaves
+#: ``L1DCache.access``; a release of the other class leaves
 #: that test, and every test before it, as they were (docs/PERF.md
 #: section 3 walks the paths).
 RSFAIL_RELEASE = {
@@ -249,6 +249,14 @@ class L1DCache:
     controller secures a line slot, an MSHR, and a miss-queue entry
     before accepting; the miss queue is drained into the interconnect
     by :class:`repro.mem.subsystem.MemorySubsystem`.
+
+    Both machines run this controller.  The production machine's LSU
+    and SM also use the hooks below: ``version`` / ``on_release`` tell
+    the stall memo and the stall sleep *which* resource was released
+    outside ``access`` (one entry per :data:`RELEASE_FILL`,
+    :data:`RELEASE_DRAIN`; a stalled verdict only ever waits on one of
+    them, :data:`RSFAIL_RELEASE`), and ``probe_hit`` / ``commit_hit``
+    split a load hit for issue-through.  The oracle never arms them.
     """
 
     def __init__(self, config: CacheConfig):
@@ -257,10 +265,40 @@ class L1DCache:
         self.mshrs = MSHRFile(config.mshrs, config.mshr_merge)
         self.miss_queue: Deque[object] = deque()
         self.stats = CacheStats()
+        #: one counter per release class, bumped whenever a resource an
+        #: ``access`` outcome depends on is released *outside* ``access``
+        #: itself: a fill freeing the line + MSHR here, the subsystem
+        #: draining a miss-queue entry.  The LSU's stall memo keys a
+        #: stalled request's verdict on the entry of the class it waits
+        #: on: same request + same version (+ same way partition) must
+        #: fail the same way, so only the stats bumps need replaying.
+        self.version = [0, 0]
+        #: per release class, called right after that class's
+        #: ``version`` bump while the owning SM sleeps on a memoised
+        #: verdict (``LoadStoreUnit.arm_release``); None = nobody
+        #: sleeps on that class, and a release costs one comparison.
+        self.on_release = [None, None]
 
     @property
     def miss_queue_full(self) -> bool:
         return len(self.miss_queue) >= self.config.miss_queue
+
+    def probe_hit(self, line_addr: int) -> Optional[_Line]:
+        """The line a load of ``line_addr`` hits in (resident and
+        valid), or None.  Read-only: a caller may probe every line of an
+        instruction and commit none."""
+        line = self.tags.probe(line_addr)
+        return line if line is not None and line.valid else None
+
+    def commit_hit(self, line: _Line, kernel: int) -> None:
+        """Everything a load hit does to the L1, in ``access``'s order:
+        the access count, the lookup's LRU bump and the hit count; never
+        validity, so a hit cannot change the verdict of any other
+        probe."""
+        stats = self.stats
+        stats.accesses[kernel] += 1
+        self.tags._touch(line)
+        stats.hits[kernel] += 1
 
     def access(self, request, cycle: int) -> str:
         """Attempt one request; returns an :class:`AccessResult` label.
@@ -337,164 +375,11 @@ class L1DCache:
     def fill(self, line_addr: int) -> List[object]:
         """A fill returned from L2: complete the line and release the
         MSHR.  Returns the requests waiting on this line."""
-        self.tags.fill(line_addr)
-        entry = self.mshrs.release(line_addr)
-        return entry.waiters
-
-
-class PooledL1DCache:
-    """The production machine's L1D controller, the allocation-free
-    twin of :class:`L1DCache`: an :class:`~repro.mem.pool.ArrayTagStore`
-    tag store, an :class:`~repro.mem.pool.ArrayMSHRFile`, and a miss
-    queue of :class:`~repro.mem.pool.RequestPool` slot ids.
-
-    ``access_slot`` is ``L1DCache.access`` with the request fields
-    passed as scalars (the LSU already holds them) — every stats bump,
-    LRU touch and resource check happens in the same order, so the two
-    controllers are bit-identical (the production-vs-oracle sweeps,
-    docs/PERF.md §6).
-
-    On top, the controller tells the LSU's stall memo and the SM's
-    stall sleep *which* resource was released outside ``access_slot``:
-    ``version`` and ``on_release`` hold one entry per release class
-    (:data:`RELEASE_FILL`, :data:`RELEASE_DRAIN`), and a stalled
-    verdict only ever waits on one of them (:data:`RSFAIL_RELEASE`).
-    """
-
-    __slots__ = ("config", "pool", "tags", "mshrs", "miss_queue", "stats",
-                 "version", "on_release", "_mq_pending", "_miss_queue_cap")
-
-    def __init__(self, config: CacheConfig, pool, mq_pending=None):
-        # Imported here: repro.mem.pool imports nothing from this
-        # module's consumers, but keeping cache.py's import graph
-        # object-path-only preserves the reference path's independence.
-        from repro.mem.pool import ArrayMSHRFile, ArrayTagStore
-        self.config = config
-        self.pool = pool
-        self.tags = ArrayTagStore(config)
-        self.mshrs = ArrayMSHRFile(config.mshrs, config.mshr_merge)
-        self.miss_queue: Deque[int] = deque()
-        self.stats = CacheStats()
-        #: one counter per release class (``RELEASE_FILL``,
-        #: ``RELEASE_DRAIN``), bumped whenever a resource an
-        #: ``access_slot`` outcome depends on is released *outside*
-        #: ``access_slot`` itself: a fill freeing the line + MSHR here,
-        #: the subsystem draining a miss-queue slot.  The LSU uses the
-        #: entry of the class a failure waits on
-        #: (:data:`RSFAIL_RELEASE`) to memoise a stalled request's
-        #: replay verdict: same slot + same version (+ same way
-        #: partition) must fail the same way, so only the stats bumps
-        #: need replaying.
-        self.version = [0, 0]
-        #: per release class, called right after that class's
-        #: ``version`` bump while the owning SM is in a memory-stall
-        #: sleep, whose premise is exactly "the memoised verdict still
-        #: holds"; the SM arms the class its verdict waits on when it
-        #: goes to sleep (``LoadStoreUnit.arm_release``) and disarms it
-        #: in the call.  None = nobody sleeps on that class, and a
-        #: release costs one comparison.
-        self.on_release = [None, None]
-        #: shared one-cell counter of queued miss entries across all
-        #: L1s (owned by the pooled subsystem; gives its idle check
-        #: an O(1) "any miss queue non-empty" answer).
-        self._mq_pending = mq_pending if mq_pending is not None else [0]
-        self._miss_queue_cap = config.miss_queue
-
-    @property
-    def miss_queue_full(self) -> bool:
-        return len(self.miss_queue) >= self._miss_queue_cap
-
-    def probe_hit(self, line_addr: int) -> int:
-        """The way a load of ``line_addr`` hits in (resident and valid),
-        or -1.  Read-only: a caller may probe every line of an
-        instruction and commit none."""
-        tags = self.tags
-        way = tags.find(line_addr)
-        return way if way >= 0 and tags.valid[way] else -1
-
-    def commit_hit(self, way: int, kernel: int) -> None:
-        """Everything a load hit does to the L1 — the access and hit
-        counts and the lookup's LRU bump; never validity, so a hit
-        cannot change the verdict of any other probe.  The one hit arm:
-        ``access_slot`` and the SM's issue-through both end here."""
-        stats = self.stats
-        stats.accesses[kernel] += 1
-        self.tags.touch(way)
-        stats.hits[kernel] += 1
-
-    def access_slot(self, slot: int, line_addr: int, kernel: int,
-                    is_write: bool, bypass: bool) -> str:
-        """``L1DCache.access`` over a pool slot; same result labels,
-        same stats/LRU mutation order, reservation failures leave all
-        state untouched."""
-        stats = self.stats
-        miss_queue = self.miss_queue
-
-        if bypass and not is_write:
-            if len(miss_queue) >= self._miss_queue_cap:
-                stats.rsfails[kernel] += 1
-                stats.rsfail_reasons[AccessResult.RSFAIL_MISSQ] += 1
-                return AccessResult.RSFAIL_MISSQ
-            stats.bypasses[kernel] += 1
-            miss_queue.append(slot)
-            self._mq_pending[0] += 1
-            return AccessResult.MISS
-
-        if is_write:
-            if len(miss_queue) >= self._miss_queue_cap:
-                stats.rsfails[kernel] += 1
-                stats.rsfail_reasons[AccessResult.RSFAIL_MISSQ] += 1
-                return AccessResult.RSFAIL_MISSQ
-            stats.writes[kernel] += 1
-            self.tags.invalidate(line_addr)
-            miss_queue.append(slot)
-            self._mq_pending[0] += 1
-            return AccessResult.MISS
-
-        tags = self.tags
-        way = tags.find(line_addr)
-        if way >= 0 and tags.valid[way]:
-            self.commit_hit(way, kernel)
-            return AccessResult.HIT
-        stats.accesses[kernel] += 1
-        if way >= 0:
-            # Secondary miss (reserved line): merge into the MSHR.
-            if not self.mshrs.try_merge(line_addr, slot):
-                stats.accesses[kernel] -= 1
-                stats.rsfails[kernel] += 1
-                stats.rsfail_reasons[AccessResult.RSFAIL_MERGE] += 1
-                return AccessResult.RSFAIL_MERGE
-            stats.misses[kernel] += 1
-            return AccessResult.MISS_MERGED
-
-        # Primary miss: need line slot + MSHR + miss-queue entry.
-        failure = None
-        if not self.mshrs.can_allocate():
-            failure = AccessResult.RSFAIL_MSHR
-        elif len(miss_queue) >= self._miss_queue_cap:
-            failure = AccessResult.RSFAIL_MISSQ
-        if failure is None:
-            ok, _, _ = tags.reserve(line_addr, kernel)
-            if not ok:
-                failure = AccessResult.RSFAIL_LINE
-        if failure is not None:
-            stats.accesses[kernel] -= 1
-            stats.rsfails[kernel] += 1
-            stats.rsfail_reasons[failure] += 1
-            return failure
-
-        self.mshrs.allocate(line_addr, kernel, slot)
-        miss_queue.append(slot)
-        self._mq_pending[0] += 1
-        stats.misses[kernel] += 1
-        return AccessResult.MISS
-
-    def fill(self, line_addr: int) -> List[int]:
-        """A fill returned from L2: returns the waiting slot ids (the
-        recycled list is valid until the MSHR entry is re-allocated)."""
         self.version[RELEASE_FILL] += 1
         hook = self.on_release[RELEASE_FILL]
         if hook is not None:
             hook()
         self.tags.fill(line_addr)
-        return self.mshrs.release(line_addr)
+        entry = self.mshrs.release(line_addr)
+        return entry.waiters
+

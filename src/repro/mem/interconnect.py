@@ -44,14 +44,9 @@ class Interconnect:
     def line_flits(config: GPUConfig) -> int:
         return max(1, config.l1d.line_size // FLIT_BYTES)
 
-    def begin_cycle(self, cycles: int = 1) -> None:
-        """Refill both token buckets for ``cycles`` elapsed cycles.
-
-        Refill is linear and capped, so one call with ``cycles=k`` is
-        exactly equivalent to ``k`` single-cycle calls — the memory
-        subsystem uses this to catch up after idle-skipped cycles.
-        """
-        rate = self.rate * cycles
+    def begin_cycle(self) -> None:
+        """Refill both token buckets for one elapsed cycle (capped)."""
+        rate = self.rate
         cap = self.burst_cap
         req = self._req_tokens + rate
         rsp = self._rsp_tokens + rate

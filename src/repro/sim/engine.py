@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.config import GPUConfig
 from repro.core.arbiter import SchemeConfig
-from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
+from repro.mem.subsystem import MemorySubsystem
 from repro.obs.collector import ObsLike, resolve_obs
 from repro.obs.registry import process_registry
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
@@ -120,20 +120,17 @@ class GPU:
 
     * the **production machine** — SMs that sleep
       (:class:`~repro.sim.sm.SleepingSM`: scheduler sleep hints,
-      whole-SM sleep) over the slot-pooled memory path
-      (:class:`~repro.mem.subsystem.PooledMemorySubsystem`,
-      array-backed L1D/L2 tag stores and MSHRs, the memoising LSU tick);
+      whole-SM sleep, issue-through, the memoising LSU tick);
     * the **oracle** (``reference=True``) — SMs that never sleep
-      (:class:`~repro.sim.sm.StreamingMultiprocessor`) over the object
-      memory path
-      (:class:`~repro.mem.subsystem.MemorySubsystem`, ``MemRequest``
-      objects, a plain replay per stalled cycle), kept as the
-      specification the tests hold the production machine bit-identical
-      to (docs/PERF.md).
+      (:class:`~repro.sim.sm.StreamingMultiprocessor`, a plain replay
+      per stalled cycle), kept as the specification the tests hold the
+      production machine bit-identical to (docs/PERF.md).
 
-    The switch is read here, where the components are built, and
-    nowhere else: both machines run through the same cycle loop
-    (:meth:`_run_cycles`).
+    Both share one memory path
+    (:class:`~repro.mem.subsystem.MemorySubsystem`, ``MemRequest``
+    objects); the switch picks the SM class here, where the components
+    are built, and nowhere else: both machines run through the same
+    cycle loop (:meth:`_run_cycles`).
 
     ``obs`` enables the observability layer (``True``, an
     :class:`~repro.obs.ObsOptions`, or a prepared
@@ -161,9 +158,8 @@ class GPU:
         self.config = config
         self.launches = launches
         self.scheme = scheme or SchemeConfig()
-        mem_cls = MemorySubsystem if reference else PooledMemorySubsystem
         sm_cls = StreamingMultiprocessor if reference else SleepingSM
-        self.memory = mem_cls(config, obs=self.obs)
+        self.memory = MemorySubsystem(config, obs=self.obs)
         self.timeline = (TimelineRecorder(timeline_interval)
                          if timeline_interval else None)
         self.kernel_stats: Dict[int, KernelStats] = {
@@ -238,7 +234,7 @@ class GPU:
     def _run_cycles(self, start: int, end: int, memory_tick) -> None:
         """The cycle loop over ``[start, end)``, for both machines:
         the backend ticks first, then every SM that is awake, in sm_id
-        order (pool slot ids depend on it).
+        order.
 
         Sleeping SMs are skipped here rather than inside tick(): in a
         memory-pipeline stall most SMs sleep most cycles, and a Python
@@ -279,20 +275,10 @@ class GPU:
             for key, value in sm.sleep_counters().items():
                 report[key] += value
         report["sm_cycles"] = self.cycles_run * len(self.sms)
-        pool = getattr(self.memory, "pool", None)  # None on the oracle
-        if pool is not None:
-            report["pool_high_water"] = pool.high_water()
-            report["pool_grows"] = pool.grows
         registry = process_registry()
         reported = self._sleep_reported
         for key, value in report.items():
-            name = SELF_OBS_REGISTRY[key]
-            if key == "pool_high_water":
-                # A peak, not a total: the registry keeps the highest.
-                gauge = registry.gauge(name)
-                gauge.set(max(gauge.value, value))
-            else:
-                registry.bump(name, value - reported.get(key, 0))
+            registry.bump(SELF_OBS_REGISTRY[key], value - reported.get(key, 0))
         self._sleep_reported = report
         return dict(report)
 

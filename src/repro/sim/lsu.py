@@ -11,11 +11,12 @@ resources alone cannot help: the pipeline is in-order).
 Every successful request and every reservation failure is reported to
 the scheme bundle (MILG counters, QBMI estimators, UCP shadow tags).
 
-One class, two ticks, one per machine (see ``repro.sim.engine.GPU``):
-:meth:`LoadStoreUnit.tick` is the oracle's plain specification — object
-``MemRequest``s, one L1D lookup per replayed cycle — and
-:meth:`LoadStoreUnit._tick_pooled` is the production tick over pool
-slots, which memoises a stalled head's verdict — keyed to the class of
+One class, two ticks, one per machine (see ``repro.sim.engine.GPU``),
+both over ``MemRequest`` objects and the same ``L1DCache``:
+:meth:`LoadStoreUnit.tick` is the oracle's plain specification — one
+L1D lookup per replayed cycle — and
+:meth:`LoadStoreUnit.tick_memoised` is the production tick, which
+memoises a stalled head's verdict — keyed to the class of
 L1 release that can change it: a miss-queue drain for ``rsfail_missq``,
 a fill for the rest — defers the replays' stats into one batch and lets
 the SM sleep through them, woken by that class alone — observed or
@@ -44,7 +45,7 @@ class LoadStoreUnit:
     __slots__ = ("sm_id", "l1", "queue_depth", "width", "queue",
                  "_current_request", "_stall_memo", "_stall_owed",
                  "stall_cycles", "busy_cycles",
-                 "bypass_by_kernel", "_obs", "pool", "_inline_stats",
+                 "bypass_by_kernel", "_obs", "_inline_stats",
                  "_rsfail_hook", "replays_batched", "insts_through")
 
     def __init__(self, sm_id: int, l1: L1DCache, queue_depth: int = LSU_QUEUE_DEPTH,
@@ -56,26 +57,22 @@ class LoadStoreUnit:
         self.queue_depth = queue_depth
         self.width = width
         self.queue: Deque[MemInst] = deque()
-        #: the head instruction's request in flight to the L1D: a
-        #: ``MemRequest`` on the oracle, the unpacked ``(slot, line,
-        #: kernel, is_store, bypass)`` on the production machine.
+        #: the head instruction's ``MemRequest`` in flight to the L1D.
         self._current_request = None
-        #: production tick only: (slot, l1.version[release],
+        #: production tick only: (request, l1.version[release],
         #: l1.tags.partition, result, kernel, release) of the last
         #: reservation failure, where ``release`` is the class of L1
         #: release the verdict can be moved by
         #: (:data:`~repro.mem.cache.RSFAIL_RELEASE`: a miss-queue drain
         #: for ``rsfail_missq``, a fill for the other three).  While the
-        #: head slot, that class's version, and the partition object are
-        #: all unchanged, a replay must fail identically — every RSFAIL
-        #: path in ``PooledL1DCache.access_slot`` is pure apart from its
-        #: two stats bumps, and a release of the other class leaves
-        #: every test on the path to this verdict as it was (docs/PERF.md
-        #: section 3) — so the lookup can be skipped and only the stats
-        #: replayed.  Slot ids are stable while the request stalls (the
-        #: memo is cleared before the slot can be recycled).  The
-        #: oracle's ``tick`` is the plain replay this is validated
-        #: against.
+        #: head request (by identity), that class's version, and the
+        #: partition object are all unchanged, a replay must fail
+        #: identically — every RSFAIL path in ``L1DCache.access`` is
+        #: pure apart from its two stats bumps, and a release of the
+        #: other class leaves every test on the path to this verdict as
+        #: it was (docs/PERF.md section 3) — so the lookup can be
+        #: skipped and only the stats replayed.  The oracle's ``tick``
+        #: is the plain replay this is validated against.
         self._stall_memo = None
         #: replayed-stall cycles whose stats bumps are deferred (memo
         #: valid): the whole stretch is paid in one batch when the
@@ -101,10 +98,6 @@ class LoadStoreUnit:
         self.bypass_by_kernel = None
         #: observability collector (set by the owning SM; None = off).
         self._obs = None
-        #: the shared :class:`~repro.mem.pool.RequestPool` behind a
-        #: ``PooledL1DCache`` (production machine); None on the
-        #: oracle's object ``L1DCache``.
-        self.pool = getattr(l1, "pool", None)
         #: production-tick per-run constants resolved by the owning SM:
         #: the kernel-stats dict when the per-request SM hook reduces
         #: to one stats bump (else None), and the limiter's batchable
@@ -158,6 +151,24 @@ class LoadStoreUnit:
             raise RuntimeError("LSU queue full")
         self.queue.append(inst)
 
+    def _new_head_request(self, inst: MemInst, cycle: int, sm) -> MemRequest:
+        """The request for the head instruction's next line, held in
+        ``_current_request`` until the L1 accepts it."""
+        is_store = inst.is_store
+        if is_store:
+            bypass = False
+        elif self.bypass_by_kernel is not None:
+            bypass = self.bypass_by_kernel[inst.kernel]
+        else:
+            bypass = sm.bundle.bypasses_l1d(inst.kernel)
+        request = MemRequest(inst.lines[inst.next_idx], inst.kernel,
+                             self.sm_id, is_store,
+                             None if is_store else inst, cycle, bypass)
+        self._current_request = request
+        if self._obs is not None:
+            self._obs.mem_request_created(request, cycle)
+        return request
+
     def tick(self, cycle: int, sm) -> None:
         """Process up to ``width`` L1D requests this cycle, in order.
 
@@ -165,12 +176,11 @@ class LoadStoreUnit:
         cycle (one failure counted per stalled cycle, as a hardware
         replay would) and the head request is looked up again next
         cycle.  This is the oracle's tick: the specification
-        :meth:`_tick_pooled` is held bit-identical to."""
+        :meth:`tick_memoised` is held bit-identical to."""
         queue = self.queue
         if not queue:
             return
         l1_access = self.l1.access
-        bypass_map = self.bypass_by_kernel
         obs = self._obs
         busy = False
         for _ in range(self.width):
@@ -179,25 +189,7 @@ class LoadStoreUnit:
             inst = queue[0]
             request = self._current_request
             if request is None:
-                is_store = inst.is_store
-                if is_store:
-                    bypass = False
-                elif bypass_map is not None:
-                    bypass = bypass_map[inst.kernel]
-                else:
-                    bypass = sm.bundle.bypasses_l1d(inst.kernel)
-                request = MemRequest(
-                    inst.lines[inst.next_idx],
-                    inst.kernel,
-                    self.sm_id,
-                    is_store,
-                    None if is_store else inst,
-                    cycle,
-                    bypass,
-                )
-                self._current_request = request
-                if obs is not None:
-                    obs.mem_request_created(request, cycle)
+                request = self._new_head_request(inst, cycle, sm)
 
             result = l1_access(request, cycle)
             if result in _RSFAILS:
@@ -229,11 +221,8 @@ class LoadStoreUnit:
         if busy:
             self.busy_cycles += 1
 
-    def _tick_pooled(self, cycle: int, sm) -> bool:
-        """:meth:`tick` on the production machine: requests are pool
-        slots, the head request's scalars ride in ``_current_request``
-        as ``(slot, line, kernel, is_store, bypass)``, and the L1 is a
-        :class:`~repro.mem.cache.PooledL1DCache`.  Control flow and
+    def tick_memoised(self, cycle: int, sm) -> bool:
+        """:meth:`tick` on the production machine.  Control flow and
         stats order mirror :meth:`tick` exactly; on top, a stalled
         head's verdict is memoised (``_stall_memo``) and the replays'
         stats bumps are deferred into ``_stall_owed`` (bit-identity,
@@ -255,50 +244,32 @@ class LoadStoreUnit:
             # Stalled-head fast-out: in a long memory-pipeline stall
             # this is the per-cycle common case, so the deferral check
             # runs before any of the loop bindings below.
-            current = self._current_request
-            if (current is not None and memo[0] == current[0]
+            if (memo[0] is self._current_request
                     and memo[1] == l1.version[memo[5]]
                     and memo[2] is l1.tags.partition):
                 self._stall_owed += 1
                 return True
-        pool = self.pool
-        access_slot = l1.access_slot
+        l1_access = l1.access
         rsfails = _RSFAILS
-        hit = AccessResult.HIT
-        bypass_map = self.bypass_by_kernel
         obs = self._obs
         # With every scheme hook inert and no timeline, the SM's
         # on_request_issued reduces to one stats bump — inlined here
         # (resolved once per run by the owning SM).
         kernel_stats = self._inline_stats
         busy = False
-        current = self._current_request
         for _ in range(self.width):
             if not queue:
                 break
             inst = queue[0]
-            if current is None:
-                is_store = inst.is_store
-                if is_store:
-                    bypass = False
-                elif bypass_map is not None:
-                    bypass = bypass_map[inst.kernel]
-                else:
-                    bypass = sm.bundle.bypasses_l1d(inst.kernel)
-                line = inst.lines[inst.next_idx]
-                kernel = inst.kernel
-                slot = pool.alloc(line, kernel, self.sm_id, is_store,
-                                  None if is_store else inst, cycle, bypass)
-                current = (slot, line, kernel, is_store, bypass)
-                self._current_request = current
-                if obs is not None:
-                    obs.mem_request_created(pool.view(slot), cycle)
-            else:
-                slot, line, kernel, is_store, bypass = current
+            request = self._current_request
+            if request is None:
+                request = self._new_head_request(inst, cycle, sm)
+            kernel = request.kernel
 
             memo = self._stall_memo
             if memo is not None:
-                if (memo[0] == slot and memo[1] == l1.version[memo[5]]
+                if (memo[0] is request
+                        and memo[1] == l1.version[memo[5]]
                         and memo[2] is l1.tags.partition):
                     # Nothing a failing lookup depends on changed since
                     # the last replay: it fails identically, so skip
@@ -308,11 +279,11 @@ class LoadStoreUnit:
                     return True
                 if self._stall_owed:
                     self._flush_stall_debt()
-            result = access_slot(slot, line, kernel, is_store, bypass)
+            result = l1_access(request, cycle)
             if result in rsfails:
                 # Memory pipeline stall: replay the request next cycle.
                 release = RSFAIL_RELEASE[result]
-                self._stall_memo = (slot, l1.version[release],
+                self._stall_memo = (request, l1.version[release],
                                     l1.tags.partition, result, kernel,
                                     release)
                 self.stall_cycles += 1
@@ -324,21 +295,16 @@ class LoadStoreUnit:
             busy = True
             self._stall_memo = None
             self._current_request = None
-            current = None
             next_idx = inst.next_idx + 1
             inst.next_idx = next_idx
-            if not is_store and result in _MISSES:
+            if not inst.is_store and result in _MISSES:
                 inst.pending += 1
             if kernel_stats is not None:
                 kernel_stats[kernel].mem_requests += 1
             else:
-                sm.on_request_issued_values(kernel, line, is_store, result,
-                                            cycle)
+                sm.on_request_issued(request, result, cycle)
             if obs is not None:
-                obs.mem_request_l1(pool.view(slot), result, cycle)
-            if result is hit:
-                # A hit's lifetime ends here: the slot never travels.
-                pool.free(slot)
+                obs.mem_request_l1(request, result, cycle)
             if next_idx >= len(inst.lines):
                 queue.popleft()
                 if not (inst._completed or inst.pending):

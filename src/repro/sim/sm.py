@@ -435,9 +435,8 @@ class StreamingMultiprocessor:
     def on_request_issued_values(self, kernel: int, line: int,
                                  is_write: bool, result: str,
                                  cycle: int) -> None:
-        """:meth:`on_request_issued` over scalars — the pooled LSU path
-        already holds the request fields unpacked, so no request object
-        (or slot view) needs materialising per issue."""
+        """:meth:`on_request_issued` over scalars — issue-through has
+        no request object to pass."""
         k = kernel
         if not self._mem_hooks_inert:
             state = self.kstate[k]
@@ -482,10 +481,11 @@ class SleepingSM(StreamingMultiprocessor):
     the machinery that skips what is provably inert and settles it
     later — whole-SM sleep (idle, memory-stall, MIL-capped) and its
     wakes, scheduler sleep hints and the issue-stall memo, the issue
-    autopilot, issue-through, owed stall attribution — over the
-    slot-pooled memory path (``l1`` is a PooledL1DCache).  Every trick
-    is a no-op rewrite of :class:`StreamingMultiprocessor`
-    (docs/PERF.md sections 3, 7 and 8)."""
+    autopilot, issue-through, owed stall attribution — over the same
+    memory path as the oracle, whose ``L1DCache`` release hooks and
+    hit probe it uses.  Every trick is a no-op rewrite of
+    :class:`StreamingMultiprocessor` (docs/PERF.md sections 3, 7
+    and 8)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -499,10 +499,10 @@ class SleepingSM(StreamingMultiprocessor):
             [None] * config.schedulers_per_sm)
         self._stall_table = obs.stalls if obs is not None else None
         self._obs_batched = 0
-        # The production LSU tick over pool slots, bound once; the
-        # per-call checks it depends on (hook inertness, timeline) are
-        # fixed for the run, so they are resolved into the LSU here.
-        self._lsu_tick = self.lsu._tick_pooled
+        # The memoising LSU tick, bound once; the per-call checks it
+        # depends on (hook inertness, timeline) are fixed for the run,
+        # so they are resolved into the LSU here.
+        self._lsu_tick = self.lsu.tick_memoised
         self.lsu._inline_stats = (
             self.kernel_stats
             if self._mem_hooks_inert and timeline is None else None)
@@ -910,18 +910,18 @@ class SleepingSM(StreamingMultiprocessor):
         # empty, this cycle's LSU tick would look up exactly these lines
         # against exactly this L1 state.  If a read-only probe finds
         # them all hits, finish the load here — no MemInst, queue entry,
-        # pool slot or callback; one cold line, and the queue path runs.
+        # MemRequest or callback; one cold line, and the queue path runs.
         through = False
         if (self._through_ok and not is_store and not lsu.queue
                 and len(lines) <= lsu.width
                 and not lsu.bypass_by_kernel[k]):
             l1 = self.l1
-            ways = [l1.probe_hit(line) for line in lines]
-            if -1 not in ways:
+            hits = [l1.probe_hit(line) for line in lines]
+            if None not in hits:
                 through = True
                 if hooks_live:
-                    for way, line in zip(ways, lines):
-                        l1.commit_hit(way, k)
+                    for hit, line in zip(hits, lines):
+                        l1.commit_hit(hit, k)
                         self.on_request_issued_values(
                             k, line, False, AccessResult.HIT, cycle)
                 else:
@@ -929,9 +929,9 @@ class SleepingSM(StreamingMultiprocessor):
                     # timeline is this one bump (what the LSU tick's
                     # ``_inline_stats`` does); the call per request
                     # costs 3.5 % of sm16_compute's wall_s (PERF.md §8).
-                    for way in ways:
-                        l1.commit_hit(way, k)
-                    stats.mem_requests += len(ways)
+                    for hit in hits:
+                        l1.commit_hit(hit, k)
+                    stats.mem_requests += len(hits)
                 lsu.busy_cycles += 1
                 lsu.insts_through += 1
                 state.inflight_minsts -= 1

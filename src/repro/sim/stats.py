@@ -32,9 +32,8 @@ SLEEP_CAUSES = ("idle", "mem_stall", "mil_capped")
 #: in batches, L1 release hooks that ended a memory-stall sleep (each
 #: buys one real lookup of the stalled head), memory instructions the
 #: SM finished at issue (all-hit loads that never became a ``MemInst``),
-#: the request pool's peak live slots (a gauge: the registry keeps the
-#: highest) and doublings, and issue slots an observed run attributed
-#: in batches rather than per cycle.
+#: and issue slots an observed run attributed in batches rather than
+#: per cycle.
 SELF_OBS_REGISTRY = {
     "idle": "sim.sleep.idle",
     "mem_stall": "sim.sleep.mem_stall",
@@ -43,13 +42,11 @@ SELF_OBS_REGISTRY = {
     "stall_replays_batched": "sim.sleep.stall_replays_batched",
     "stall_wakes": "sim.sleep.stall_wakes",
     "insts_through": "sim.lsu.insts_through",
-    "pool_high_water": "mem.pool.high_water",
-    "pool_grows": "mem.pool.grows",
     "obs_batched_slots": "sim.obs.batched_slots",
 }
 
 #: the ``RunResult.sleep`` keys each SM counts (``sleep_counters``);
-#: the engine adds ``sm_cycles`` and the request pool's two.
+#: the engine adds ``sm_cycles``.
 SM_COUNTERS = SLEEP_CAUSES + ("stall_replays_batched", "stall_wakes",
                               "insts_through", "obs_batched_slots")
 
@@ -138,14 +135,13 @@ class RunResult:
     obs: Optional[object] = None
     #: the simulator's own accounting of its machinery — host-side,
     #: not a simulated quantity, so it is kept out of
-    #: ``result_signature`` (the oracle never sleeps, pools or
-    #: batches): slept SM-cycles by cause (:data:`SLEEP_CAUSES`),
+    #: ``result_signature`` (the oracle never sleeps or batches):
+    #: slept SM-cycles by cause (:data:`SLEEP_CAUSES`),
     #: ``sm_cycles`` (cycles x SMs), ``stall_replays_batched`` (LSU
     #: stall replays settled in batches instead of replayed against the
     #: L1), ``stall_wakes`` (L1 release hooks that woke a stalled SM to
     #: retry), ``insts_through`` (all-hit loads finished at issue) and
-    #: the request-pool / batched-attribution counts
-    #: keyed as in :data:`SELF_OBS_REGISTRY`.
+    #: ``obs_batched_slots``, keyed as in :data:`SELF_OBS_REGISTRY`.
     sleep: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------

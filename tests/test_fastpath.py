@@ -5,8 +5,8 @@ per-cycle callback closures, no scheduler sleep hints — over the object
 memory path, every memory phase ticked every cycle over ``MemRequest``
 objects, a plain L1D replay per stalled cycle.  The default ``GPU`` is
 the production machine: ``SleepingSM``s (sleep, memo, autopilot,
-issue-through) over the slot-pooled memory path with its memoised
-stall replays.  These tests drive both over the scheme space (GTO/LRR,
+issue-through, memoised stall replays) over the same memory path.
+These tests drive both over the scheme space (GTO/LRR,
 BMI, MIL variants, SMK gating, UCP, L1D bypass), at two seeds and over
 randomized mixes, and require every collected statistic to match
 exactly — and, with observability attached to both, every field of the
@@ -25,7 +25,7 @@ import pytest
 from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
-from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
+from repro.mem.subsystem import MemorySubsystem
 from repro.obs import ObsOptions, process_registry
 from repro.obs.stalls import ISSUED, LSU_STALL_REASONS, SCHED_STALL_REASONS
 from repro.obs.timeline import ADAPT_MECHANISMS, adapt_events_from_record
@@ -373,7 +373,8 @@ def test_malformed_reference_env_var_is_rejected(monkeypatch, value):
 
 def test_one_switch_selects_one_of_two_machines(monkeypatch):
     """``reference`` is the only substrate switch: it picks the SM class
-    and the memory path together, ``obs`` is orthogonal to it (either
+    (both machines build the one ``MemorySubsystem``), ``obs`` is
+    orthogonal to it (either
     machine can be observed; the environment variable still decides the
     default), and the retired ``pooled`` argument is gone rather than
     ignored.  tests/test_pooled_identity.py runs the (reference, obs)
@@ -382,8 +383,7 @@ def test_one_switch_selects_one_of_two_machines(monkeypatch):
         for reference in (False, True):
             gpu = build_gpu(("3m",), (1,), reference=reference, obs=obs)
             assert gpu.reference is reference
-            assert type(gpu.memory) is (MemorySubsystem if reference
-                                        else PooledMemorySubsystem)
+            assert type(gpu.memory) is MemorySubsystem
             assert {type(sm) for sm in gpu.sms} == {
                 StreamingMultiprocessor if reference else SleepingSM}
     assert build_gpu(("3m",), (1,), obs=True).reference is False
@@ -519,30 +519,11 @@ def test_stall_sleep_engages_at_paper_scale():
     # Every slept stall cycle was settled as a batched replay.
     assert fast.sleep["stall_replays_batched"] >= fast.sleep["mem_stall"]
     # The same numbers accumulate process-wide (sim.sleep.* and the
-    # rest of SELF_OBS_REGISTRY); the pool's peak is kept as a maximum.
+    # rest of SELF_OBS_REGISTRY).
     assert sorted(fast.sleep) == sorted(SELF_OBS_REGISTRY)
     for key, name in SELF_OBS_REGISTRY.items():
-        if key == "pool_high_water":
-            assert after[name] >= fast.sleep[key] > 0
-        else:
-            assert after[name] - before.get(name, 0) == fast.sleep[key]
+        assert after[name] - before.get(name, 0) == fast.sleep[key]
     assert fast.sleep["obs_batched_slots"] == 0  # nothing observed it
-
-
-def test_pool_growth_is_counted():
-    """The request pool's own work shows in ``RunResult.sleep``: dc on
-    the Table-1 machine stays inside the pool's initial 256 slots, an
-    M+M mix outgrows them; the oracle has no pool at all."""
-    dc = build_gpu(("dc",), (6,), config=MAXWELL_CONFIG).run(CYCLES)
-    assert 0 < dc.sleep["pool_high_water"] <= 256
-    assert dc.sleep["pool_grows"] == 0
-    mm = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG).run(CYCLES)
-    assert mm.sleep["pool_grows"] > 0
-    assert mm.sleep["pool_high_water"] > 256
-    oracle = build_gpu(("dc",), (6,), config=MAXWELL_CONFIG,
-                       reference=True).run(CYCLES)
-    assert not any(oracle.sleep[key] for key in oracle.sleep
-                   if key != "sm_cycles")
 
 
 @pytest.mark.parametrize("gpu_kwargs", (

@@ -1,13 +1,8 @@
-"""Property-based fuzzing of the production memory-path components
-against their oracle twins, of the trace compiler against its
-live-stream oracle, and of the production machine's batched stall
-attribution against the oracle's per-cycle one.
-
-The hand-rolled ``random`` fuzz in ``test_request_pool.py`` walks one
-seeded trajectory per twin; this suite lets hypothesis search the
-operation space for sequences that split an array-backed component
-from its object twin — the shrunk counterexample is then a minimal
-reproduction, not a 4000-step haystack.
+"""Property-based fuzzing of the trace compiler against its
+live-stream oracle and of the production machine against the oracle
+end to end: observed runs (batched stall attribution against the
+oracle's per-cycle one), MIL-capped runs and hit-heavy runs.  A shrunk
+counterexample is a minimal reproduction, not a 4000-step haystack.
 
 Rides under the ``fuzz`` marker (excluded from tier-1 via the default
 ``-m "not fuzz"`` addopts; CI's chaos-smoke job and ``pytest -m fuzz``
@@ -24,16 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.config import CacheConfig, scaled_config  # noqa: E402
+from repro.config import scaled_config  # noqa: E402
 from repro.core.arbiter import SchemeConfig  # noqa: E402
 from repro.harness.perfbench import result_signature  # noqa: E402
-from repro.mem.cache import SetAssocCache  # noqa: E402
-from repro.mem.mshr import MSHRFile  # noqa: E402
-from repro.mem.pool import (  # noqa: E402
-    ArrayMSHRFile,
-    ArrayTagStore,
-    RequestPool,
-)
 from repro.obs import ObsOptions  # noqa: E402
 from repro.sim.engine import GPU, make_launches  # noqa: E402
 from repro.sim.stats import SLEEP_CAUSES  # noqa: E402
@@ -50,130 +38,6 @@ from tests.test_fastpath import assert_reports_equal  # noqa: E402
 pytestmark = pytest.mark.fuzz
 
 FUZZ = settings(derandomize=True, max_examples=50, deadline=None)
-
-TAG_CONFIG = CacheConfig(size_bytes=4096, line_size=128, assoc=4,
-                         mshrs=8, miss_queue=8)
-
-
-# ----------------------------------------------------------------------
-# RequestPool: model-based liveness + twin determinism
-@FUZZ
-@given(ops=st.lists(st.integers(min_value=0, max_value=99),
-                    min_size=1, max_size=300))
-def test_pool_alloc_free_matches_set_model(ops):
-    pool = RequestPool(capacity=4)
-    twin = RequestPool(capacity=4)
-    live = {}
-    for step, op in enumerate(ops):
-        if live and op < 45:  # free a live slot, deterministically
-            slot = sorted(live)[op % len(live)]
-            pool.free(slot)
-            twin.free(slot)
-            del live[slot]
-        else:
-            slot = pool.alloc(line=step, kernel=op % 3, sm_id=0,
-                              is_write=bool(op % 2), meminst=None,
-                              issued_cycle=step, bypass=False)
-            # Determinism: an identically-driven pool hands out the
-            # identical slot (free-list order is part of the contract).
-            assert twin.alloc(step, op % 3, 0, bool(op % 2), None,
-                              step, False) == slot
-            assert slot not in live, "alloc returned a live slot"
-            assert pool.live[slot]
-            live[slot] = step
-        assert pool.live_count() == len(live)
-        assert (pool.capacity, pool.grows) == (twin.capacity, twin.grows)
-    # Surviving slots still carry the fields they were allocated with.
-    for slot, step in live.items():
-        assert pool.line[slot] == step
-        assert pool.issued_cycle[slot] == step
-
-
-# ----------------------------------------------------------------------
-# ArrayTagStore vs SetAssocCache
-def _tag_state(obj):
-    return [(ln.tag, ln.valid, ln.reserved, ln.dirty, ln.kernel,
-             ln.last_use)
-            for target_set in obj._sets for ln in target_set]
-
-
-def _array_state(arr):
-    return [(arr.tag[i], arr.valid[i], arr.reserved[i], arr.dirty[i],
-             arr.kernel[i], arr.last_use[i])
-            for i in range(arr.num_sets * arr.assoc)]
-
-
-tag_ops = st.lists(st.tuples(st.integers(0, 99),      # op selector
-                             st.integers(0, 127),     # line
-                             st.integers(0, 1)),      # kernel
-                   min_size=1, max_size=300)
-
-
-@FUZZ
-@given(ops=tag_ops, partitioned=st.booleans())
-def test_tag_store_twin_equivalence(ops, partitioned):
-    obj = SetAssocCache(TAG_CONFIG)
-    arr = ArrayTagStore(TAG_CONFIG)
-    obj.partition = arr.partition = {0: 1, 1: 3} if partitioned else None
-    for op, line, kernel in ops:
-        if op < 40:
-            found = obj.lookup(line)
-            way = arr.find(line)
-            assert (found is not None) == (way >= 0)
-            if way >= 0 and arr.valid[way]:
-                arr.touch(way)
-        elif op < 70:
-            # Reserve only after a miss: the pool's documented contract
-            # (duplicate resident tags would break the _where index).
-            resident = arr.find(line) >= 0
-            assert (obj.probe(line) is not None) == resident
-            if not resident:
-                assert obj.reserve(line, kernel) == arr.reserve(line,
-                                                                kernel)
-        elif op < 90:
-            # Fills target absent lines or outstanding reservations.
-            way = arr.find(line)
-            if way < 0 or arr.reserved[way]:
-                obj.fill(line)
-                arr.fill(line)
-        else:
-            obj.invalidate(line)
-            arr.invalidate(line)
-        assert _tag_state(obj) == _array_state(arr)
-    assert obj.occupancy_by_kernel() == arr.occupancy_by_kernel()
-
-
-# ----------------------------------------------------------------------
-# ArrayMSHRFile vs MSHRFile
-mshr_ops = st.lists(st.tuples(st.integers(0, 99),     # op selector
-                              st.integers(0, 31)),    # line
-                    min_size=1, max_size=300)
-
-
-@FUZZ
-@given(ops=mshr_ops)
-def test_mshr_file_twin_equivalence(ops):
-    obj = MSHRFile(capacity=6, merge_limit=3)
-    arr = ArrayMSHRFile(capacity=6, merge_limit=3)
-    outstanding = []
-    for waiter, (op, line) in enumerate(ops):
-        if outstanding and op < 35:
-            line = outstanding.pop(op % len(outstanding))
-            assert obj.release(line).waiters == arr.release(line)
-        else:
-            assert obj.can_merge(line) == arr.can_merge(line)
-            if obj.try_merge(line, waiter):
-                assert line in outstanding
-                assert arr.try_merge(line, waiter)
-            elif line not in outstanding and obj.can_allocate():
-                assert not arr.try_merge(line, waiter)
-                obj.allocate(line, waiter % 2, waiter)
-                arr.allocate(line, waiter % 2, waiter)
-                outstanding.append(line)
-        assert len(obj) == len(arr)
-        assert obj.full == arr.full
-        assert obj.peak_used == arr.peak_used
-        assert obj.occupancy_by_kernel() == arr.occupancy_by_kernel()
 
 
 # ----------------------------------------------------------------------

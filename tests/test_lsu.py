@@ -7,7 +7,7 @@ import pytest
 from repro.config import CacheConfig, scaled_config
 from repro.mem.cache import (RELEASE_DRAIN, RELEASE_FILL, RSFAIL_RELEASE,
                              L1DCache)
-from repro.mem.subsystem import PooledMemorySubsystem
+from repro.mem.subsystem import MemorySubsystem
 from repro.sim.lsu import LoadStoreUnit
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.address import StreamPattern
@@ -195,15 +195,15 @@ KEYED_STALLS = [
 ]
 
 
-class PooledStall:
-    """One pooled LSU + L1 driven to a memoised reservation failure,
-    with both release classes scriptable."""
+class MemoisedStall:
+    """One LSU on its memoising tick + L1 driven to a memoised
+    reservation failure, with both release classes scriptable."""
 
     def __init__(self, overrides, accepted, stalled):
         l1d = CacheConfig(size_bytes=4 * 128, line_size=128, assoc=2,
                           xor_index=False, **overrides)
         config = dataclasses.replace(scaled_config(num_sms=1), l1d=l1d)
-        self.mem = PooledMemorySubsystem(config)
+        self.mem = MemorySubsystem(config)
         self.l1 = self.mem.l1s[0]
         self.lsu = LoadStoreUnit(0, self.l1, width=1)
         self.sm = FakeSM()
@@ -219,14 +219,14 @@ class PooledStall:
 
     def tick(self):
         self.cycle += 1
-        return self.lsu._tick_pooled(self.cycle, self.sm)
+        return self.lsu.tick_memoised(self.cycle, self.sm)
 
     def release(self, cls):
         if cls == RELEASE_FILL:
             self.l1.fill(self.filled)
         else:
             before = len(self.l1.miss_queue)
-            self.mem.icnt.begin_cycle(1)
+            self.mem.icnt.begin_cycle()
             self.mem._drain_l1_miss_queues(self.cycle)
             assert len(self.l1.miss_queue) == before - 1
 
@@ -235,7 +235,7 @@ class PooledStall:
                          ids=[case[0] for case in KEYED_STALLS])
 def test_only_its_own_release_class_moves_a_stalled_verdict(
         verdict, overrides, accepted, stalled):
-    rig = PooledStall(overrides, accepted, stalled)
+    rig = MemoisedStall(overrides, accepted, stalled)
     lsu = rig.lsu
     assert lsu._stall_memo[3] == verdict
     own = RSFAIL_RELEASE[verdict]
@@ -261,7 +261,7 @@ def test_partition_swap_still_voids_the_stall_memo():
     """UCP installs a new partition object: whatever class the verdict
     waits on, the next tick looks the head up again."""
     verdict, overrides, accepted, stalled = KEYED_STALLS[2]
-    rig = PooledStall(overrides, accepted, stalled)
+    rig = MemoisedStall(overrides, accepted, stalled)
     lsu = rig.lsu
     assert rig.tick() and lsu._stall_owed == 1
     looked_up = lsu.stall_cycles
@@ -275,35 +275,29 @@ def test_partition_swap_still_voids_the_stall_memo():
 
 
 # ----------------------------------------------------------------------
-# ``PooledL1DCache.probe_hit``: what issue-through asks before it
-# commits anything (docs/PERF.md s.8).
-def make_pooled_lsu(width=2):
-    l1d = CacheConfig(size_bytes=8 * 128, line_size=128, assoc=2,
-                      mshrs=4, miss_queue=4, xor_index=False)
-    config = dataclasses.replace(scaled_config(num_sms=1), l1d=l1d)
-    l1 = PooledMemorySubsystem(config).l1s[0]
-    for line in (0, 1):  # resident and valid
-        l1.tags.reserve(line, 0)
-        l1.tags.fill(line)
-    return LoadStoreUnit(0, l1, width=width)
-
-
+# ``L1DCache.probe_hit``: what issue-through asks before it commits
+# anything (docs/PERF.md s.8).
 def l1_footprint(l1):
     tags, stats = l1.tags, l1.stats
-    return (tags.use_clock, list(tags.last_use), list(tags.valid),
-            list(tags.reserved), dict(stats.accesses), dict(stats.hits),
+    lines = [(ln.tag, ln.valid, ln.reserved, ln.last_use)
+             for target_set in tags._sets for ln in target_set]
+    return (tags._use_clock, lines, dict(stats.accesses), dict(stats.hits),
             dict(stats.misses), len(l1.miss_queue), len(l1.mshrs))
 
 
 def test_probe_hit_is_read_only():
-    lsu = make_pooled_lsu()
+    lsu = make_lsu(mshrs=4, miss_queue=4)
     l1 = lsu.l1
+    for line in (0, 1):  # resident and valid
+        l1.tags.reserve(line, 0)
+        l1.tags.fill(line)
     inst, _ = make_inst([5])
     lsu.enqueue(inst)
-    lsu._tick_pooled(0, FakeSM())  # line 5: reserved, fill outstanding
+    lsu.tick_memoised(0, FakeSM())  # line 5: reserved, fill outstanding
     before = l1_footprint(l1)
-    assert [l1.probe_hit(line) for line in (0, 1)] == [
-        l1.tags.find(0), l1.tags.find(1)]
-    assert l1.probe_hit(5) == -1 and l1.tags.find(5) >= 0
-    assert l1.probe_hit(9) == -1
+    hits = [l1.probe_hit(line) for line in (0, 1)]
+    assert None not in hits
+    assert hits == [l1.tags.probe(0), l1.tags.probe(1)]
+    assert l1.probe_hit(5) is None and l1.tags.probe(5) is not None
+    assert l1.probe_hit(9) is None
     assert l1_footprint(l1) == before

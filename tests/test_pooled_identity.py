@@ -1,10 +1,10 @@
 """The production machine's sleeps and observed reports must be
 invisible next to the oracle's.
 
-The production machine (``SleepingSM`` over the slot-pooled memory
-path) skips the cycles it proves nothing happens in; the oracle
-(``reference=True``: ``StreamingMultiprocessor`` over the ``MemRequest``
-object path) ticks every one.  tests/test_fastpath.py sweeps the scheme
+The production machine (``SleepingSM``) skips the cycles it proves
+nothing happens in; the oracle (``reference=True``:
+``StreamingMultiprocessor``) ticks every one.  Both run over the one
+``MemRequest`` memory path; only the SM class differs.  tests/test_fastpath.py sweeps the scheme
 space; this file pins memory-stall sleep engagement per scheme at a
 second seed, and covers the (reference, obs) matrix and what
 ``obs=True`` alone observes.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import scaled_config
 from repro.harness.perfbench import result_signature
-from repro.mem.subsystem import MemorySubsystem, PooledMemorySubsystem
+from repro.mem.subsystem import MemorySubsystem
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
 from tests.test_fastpath import (CONFIG, CYCLES, assert_reports_equal,
                                  build_gpu)
@@ -25,8 +25,7 @@ def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, *, reference,
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
     gpu = build_gpu(kernels, tbs, scheme_kwargs, config, seed=seed,
                     reference=reference, obs=obs)
-    assert type(gpu.memory) is (MemorySubsystem if reference
-                                else PooledMemorySubsystem)
+    assert type(gpu.memory) is MemorySubsystem
     assert {type(sm) for sm in gpu.sms} == {
         StreamingMultiprocessor if reference else SleepingSM}
     return gpu.run(CYCLES)
@@ -45,10 +44,10 @@ def test_stall_sleep_is_pooled_only_and_invisible(scheme_kwargs, policy):
     cfg_kwargs = {"scheduler_policy": policy}
     obj = run_once(("ks", "ax"), (4, 4), scheme_kwargs, cfg_kwargs,
                    reference=True)
-    pool = run_once(("ks", "ax"), (4, 4), scheme_kwargs, cfg_kwargs,
+    prod = run_once(("ks", "ax"), (4, 4), scheme_kwargs, cfg_kwargs,
                     reference=False)
-    assert result_signature(pool) == result_signature(obj)
-    assert pool.sleep["mem_stall"] > 0
+    assert result_signature(prod) == result_signature(obj)
+    assert prod.sleep["mem_stall"] > 0
     assert obj.sleep["mem_stall"] == 0
 
 
@@ -70,13 +69,13 @@ def test_obs_matrix_identical():
 
 
 def test_obs_default_prefers_object_path():
-    """The id is historical: ``obs=True`` no longer prefers anything.
-    It observes the production machine — sleeping SMs, pooled memory
-    path, asleep through the stalls it attributes — unless ``reference``
-    says otherwise."""
+    """The id is historical: ``obs=True`` no longer prefers anything,
+    and both machines run the object path.  It observes the production
+    machine — sleeping SMs, asleep through the stalls it attributes —
+    unless ``reference`` says otherwise."""
     gpu = build_gpu(("st", "sv"), (2, 2), seed=1, obs=True)
     assert gpu.reference is False
-    assert type(gpu.memory) is PooledMemorySubsystem
+    assert type(gpu.memory) is MemorySubsystem
     assert {type(sm) for sm in gpu.sms} == {SleepingSM}
     result = gpu.run(CYCLES)
     assert result.sleep["mem_stall"] > 0

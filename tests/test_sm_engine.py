@@ -218,12 +218,8 @@ class OneSM:
     def lru(self, lines):
         """The LRU clock and each line's stamp (None: not resident)."""
         tags = self.l1.tags
-        if self.gpu.reference:
-            found = [tags.probe(line) for line in lines]
-            return tags._use_clock, [ln and ln.last_use for ln in found]
-        ways = [tags.find(line) for line in lines]
-        return tags.use_clock, [tags.last_use[w] if w >= 0 else None
-                                for w in ways]
+        found = [tags.probe(line) for line in lines]
+        return tags._use_clock, [ln and ln.last_use for ln in found]
 
     def state(self, lines):
         sm, stats = self.sm, self.l1.stats
@@ -247,6 +243,10 @@ def no_meminst(*args, **kwargs):
     raise AssertionError("a MemInst was built")
 
 
+def no_memrequest(*args, **kwargs):
+    raise AssertionError("a MemRequest was built")
+
+
 class TestIssueThrough:
     @pytest.mark.parametrize("reqs", (1, 3), ids=("one-line", "multi-line"))
     def test_all_hit_load_finishes_at_issue(self, reqs, monkeypatch):
@@ -255,12 +255,13 @@ class TestIssueThrough:
                        reference=True)
         oracle.tick(2)
         monkeypatch.setattr("repro.sim.sm.MemInst", no_meminst)
+        monkeypatch.setattr("repro.sim.lsu.MemRequest", no_memrequest)
         rig = OneSM([("la", lines)], hot=lines, reqs=reqs)
         rig.tick(2)
-        pool = rig.gpu.memory.pool
         assert rig.sm.lsu.insts_through == 1
+        # No MemRequest reached the L1, and the LSU queue stayed empty.
         assert not rig.sm.lsu.queue
-        assert pool.live_count() == pool.high_water() == 0
+        assert not rig.l1.miss_queue and len(rig.l1.mshrs) == 0
         state = rig.state(lines)
         assert state == oracle.state(lines)
         assert state["insts"][:3] == (1, 1, reqs) and state["busy"] == 1

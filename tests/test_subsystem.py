@@ -1,12 +1,15 @@
 """Integration tests for the memory backend (L1 → icnt → L2 → DRAM →
-back), including backpressure behaviour, and the production backend's
-idle skip held to the oracle's every-phase-every-cycle tick."""
+back), including backpressure behaviour, and request conservation
+over a whole run."""
 
+from collections import Counter
 
 from repro.config import scaled_config
+from repro.core.arbiter import SchemeConfig
 from repro.mem.cache import AccessResult
-from repro.mem.subsystem import (MemRequest, MemorySubsystem,
-                                 PooledMemorySubsystem)
+from repro.mem.subsystem import MemRequest, MemorySubsystem
+from repro.sim.engine import GPU, make_launches
+from repro.workloads.profiles import get_profile
 
 
 class FakeMemInst:
@@ -127,105 +130,68 @@ class TestBackpressure:
         assert all(inst.completions for inst in pending)
 
 
-def submit(mem, cycle, line, sm_id, is_write, meminst=None):
-    """One L1D access, the way each machine's LSU tick makes it: a pool
-    slot through ``access_slot`` on the production backend (freed here
-    when the access ends its lifetime on the spot), a ``MemRequest``
-    through ``access`` on the oracle."""
-    l1 = mem.l1s[sm_id]
-    if not isinstance(mem, PooledMemorySubsystem):
-        return l1.access(MemRequest(line, 0, sm_id, is_write,
-                                    meminst=meminst), cycle)
-    slot = mem.pool.alloc(line, 0, sm_id, is_write, meminst, cycle, False)
-    result = l1.access_slot(slot, line, 0, is_write, False)
-    if result is AccessResult.HIT or result in AccessResult.RSFAILS:
-        mem.pool.free(slot)
-    return result
+
+# ----------------------------------------------------------------------
+# request conservation over a whole run
+def reachable_reads(gpu):
+    """``(LSU heads, in flight)``: the read requests an LSU holds before
+    the L1 accepted them, and every read request some later stage of
+    the memory pipeline holds — miss queues, L1/L2 MSHR waiter lists,
+    ``l2_in``, the response queue and pending events.  An L1 MSHR holds
+    its primary miss by reference while that request travels, so only
+    its merged waiters (``waiters[1:]``) are counted there."""
+    mem = gpu.memory
+    heads = [sm.lsu._current_request for sm in gpu.sms
+             if sm.lsu._current_request is not None]
+    held = []
+    for l1 in mem.l1s:
+        held.extend(l1.miss_queue)
+        for entry in l1.mshrs._entries.values():
+            held.extend(entry.waiters[1:])
+    for entry in mem.l2_mshrs._entries.values():
+        held.extend(entry.waiters)
+    held.extend(mem.l2_in)
+    held.extend(mem._rsp_queue)
+    for bucket in mem._events.values():
+        held.extend(payload for _, payload in bucket)
+
+    def reads(requests):
+        # DRAM fills travel as ("dram_fill", line) tuples, not requests.
+        return [r for r in requests
+                if isinstance(r, MemRequest) and not r.is_write]
+    return reads(heads), reads(held)
 
 
-def replay(events, mem, horizon):
-    """Feed ``(cycle, line, sm_id, is_write)`` events into ``mem``,
-    ticking every cycle as the engine does; returns the sorted
-    ``(line, sm_id, completion_cycle)`` triples and the number of
-    cycles the backend's idle skip left a token refill owed."""
-    pooled = isinstance(mem, PooledMemorySubsystem)
-    insts = {}
-    pending = sorted(events)
-    skipped = 0
-    for cycle in range(horizon):
-        while pending and pending[0][0] == cycle:
-            _, line, sm_id, is_write = pending.pop(0)
-            inst = None
-            if not is_write:
-                inst = insts[(line, sm_id)] = FakeMemInst()
-            submit(mem, cycle, line, sm_id, is_write, inst)
-        owed = mem._skipped_refills if pooled else 0
-        mem.tick(cycle)
-        if pooled:
-            skipped += mem._skipped_refills > owed
-            if mem.quiescent():
-                # Every pool slot is free whenever nothing is in flight.
-                assert mem.pool.live_count() == 0
-    assert mem.quiescent(), "horizon too short for the script"
-    return sorted((line, sm_id, c) for (line, sm_id), inst in insts.items()
-                  for c in inst.completions), skipped
-
-
-class TestPooledIdleSkip:
-    def test_batched_refills_match_the_oracle(self):
-        """Bursty traffic separated by idle gaps: the production
-        backend owes the interconnect one token refill per idle-skipped
-        cycle, and the batched catch-up must reproduce the oracle's
-        completion cycles exactly (tokens cap out identically)."""
-        cfg = scaled_config()
-        events = []
-        # Write bursts drain request tokens (writes carry line_flits
-        # each), then short idle shadows, then reads that contend for
-        # the recovering tokens.
-        line = 0
-        for burst_at in (0, 40, 95, 160):
-            for i in range(6):
-                events.append((burst_at, line, i % 2, True))
-                line += 64 * 97
-            events.append((burst_at + 2, line, 0, False))
-            line += 64 * 97
-        ref, _ = replay(events, MemorySubsystem(cfg), 600)
-        fast, skipped = replay(events, PooledMemorySubsystem(cfg), 600)
-        assert ref, "script must produce completions"
-        assert fast == ref
-        assert skipped > 300, "the replay must have skipped idle cycles"
-
-    def test_idle_skip_advances_drain_pointer(self):
-        mem = PooledMemorySubsystem(scaled_config())
-        oracle = MemorySubsystem(scaled_config())
-        for cycle in range(3):
-            mem.tick(cycle)
-            oracle.tick(cycle)
-        assert mem._drain_rr == oracle._drain_rr == 3 % len(mem.l1s)
-        assert mem._skipped_refills == 3
-
-    def test_quiescent_false_until_fill_delivered(self):
-        """While a read waits on DRAM every queue is drained and the
-        backend idle-skips, but the request is still in flight:
-        quiescent() must say so, and its pool slot must stay live."""
-        mem = PooledMemorySubsystem(scaled_config())
-        inst = FakeMemInst()
-        submit(mem, 0, 0, 0, False, inst)
-        saw_drained_in_flight = False
-        cycle = 0
-        while not inst.completions:
-            assert not mem.quiescent()
-            assert mem.pool.live_count() == 1
-            mem.tick(cycle)
-            if (not inst.completions and mem._skipped_refills
-                    and not mem.dram.queued):
-                # Nothing queued anywhere: only a scheduled event (the
-                # DRAM read's completion) still holds the request.
-                saw_drained_in_flight = True
-            cycle += 1
-            assert cycle < 1000, "read never completed"
-        assert saw_drained_in_flight, \
-            "test must observe the drained-but-in-flight state"
-        mem.tick(cycle)
-        assert mem.quiescent()
-        assert mem.pool.live_count() == 0
+def test_run_holds_each_in_flight_request_exactly_once():
+    """st+sv with st bypassing the L1D: reads, writes, MSHR merges and
+    bypassed loads.  At every run boundary no read request is reachable
+    twice, each in-flight ``MemInst`` is reachable through exactly its
+    ``pending`` count of requests past the L1, and each SM's in-flight
+    count is the ``MemInst``s its LSU queue and those requests reach —
+    nothing leaked, nothing delivered while still travelling."""
+    config = scaled_config()
+    launches = make_launches([get_profile("st"), get_profile("sv")],
+                             [2, 2], config, seed=3)
+    gpu = GPU(config, launches, SchemeConfig(l1d_bypass=(True, False)))
+    for step in (700, 800, 1, 1):
+        gpu.run(step)
+        heads, held = reachable_reads(gpu)
+        assert held
+        ids = [id(r) for r in heads + held]
+        assert len(ids) == len(set(ids))
+        per_inst = Counter(id(r.meminst) for r in held)
+        insts = {id(r.meminst): r.meminst for r in held}
+        for sm in gpu.sms:
+            insts.update((id(inst), inst) for inst in sm.lsu.queue
+                         if not inst.is_store)
+        assert {key: inst.pending for key, inst in insts.items()} \
+            == {key: per_inst[key] for key in insts}
+        for sm in gpu.sms:
+            in_flight = {id(inst) for inst in sm.lsu.queue}
+            in_flight.update(id(r.meminst) for r in held
+                             if r.sm_id == sm.sm_id)
+            assert len(in_flight) == sum(state.inflight_minsts
+                                         for state in sm.kstate.values())
+    stats = [l1.stats for l1 in gpu.memory.l1s]
+    assert sum(sum(s.writes.values()) for s in stats) > 0
+    assert sum(sum(s.bypasses.values()) for s in stats) > 0
