@@ -21,6 +21,11 @@ legs that name the Table-1 machine.
   observed oracle, and the SMs sleep through MIL-capped stretches
   (``mil_capped`` > 0), so the issue-stall memo's wakes (in-flight
   decrements, limit recomputes) are exercised where they matter;
+* the partitioned victim order at the paper's machine: Table-1
+  ``dc+ks``, even partition, UCP repartitioning every
+  ``TABLE1_UCP.ucp_interval`` cycles — production == oracle, and UCP
+  applied a way partition (``partitions_applied`` > 0), so the indexed
+  tag store's UCP path picks 6-way victims in LRU order on both machines;
 * cause-keyed release, by count: on Table-1 ``ks+ax`` the L1 sees at
   most ``MISSQ_RETRY_BOUND`` ``rsfail_missq`` lookups per accepted
   primary miss — a fill waking an SM that waits for a miss-queue drain
@@ -83,6 +88,10 @@ OBSERVED_WORKLOADS = (
 #: within a seconds-long run, so MIL-capped sleeps occur.
 TABLE1_DMIL = SchemeConfig(mil="dmil", sample_window=128)
 TABLE1_CYCLES = 3000
+
+#: UCP at the paper's 5000-cycle interval would not repartition within
+#: TABLE1_CYCLES; every 500 cycles it does, five times per SM.
+TABLE1_UCP = SchemeConfig(ucp=True, ucp_interval=500)
 
 #: ``rsfail_missq`` lookups per accepted primary miss on Table-1 ks+ax
 #: over 4000 cycles: 0.88 with releases keyed by cause (0.98 over the
@@ -169,6 +178,26 @@ def table1_dmil_check():
     identical = result_signature(plain) == result_signature(observed)
     slept = min(plain.sleep["mil_capped"], observed.sleep["mil_capped"])
     return identical, observed_identical, slept
+
+
+def table1_ucp_check():
+    """UCP way partitioning at the paper's machine.  Returns
+    ``(identical, applied)``: production == oracle, and the partitions
+    the production run's UCP controllers applied over all SMs."""
+    kernels = ("dc", "ks")
+    profiles = [get_profile(k) for k in kernels]
+    tb_limits = even_partition(profiles, MAXWELL_CONFIG)
+
+    def build(**gpu_kwargs):
+        launches = make_launches(profiles, list(tb_limits), MAXWELL_CONFIG,
+                                 seed=3)
+        return GPU(MAXWELL_CONFIG, launches, TABLE1_UCP, **gpu_kwargs)
+
+    oracle = build(reference=True).run(TABLE1_CYCLES)
+    gpu = build()
+    production = gpu.run(TABLE1_CYCLES)
+    identical = result_signature(production) == result_signature(oracle)
+    return identical, sum(sm.bundle.ucp.partitions_applied for sm in gpu.sms)
 
 
 def missq_retry_check():
@@ -267,6 +296,14 @@ def main() -> int:
     print(f"ok table-1 bp+cd even:DMIL: production == oracle, observed "
           f"production == observed oracle, {slept} SM-cycles of MIL-capped "
           f"sleep")
+    identical, applied = table1_ucp_check()
+    if not (identical and applied):
+        print(f"FAIL table-1 dc+ks even:UCP: production "
+              f"{'==' if identical else '!='} oracle, {applied} partitions "
+              f"applied")
+        return 1
+    print(f"ok table-1 dc+ks even:UCP: production == oracle, {applied} "
+          f"partitions applied")
     retries = missq_retry_check()
     if retries > MISSQ_RETRY_BOUND:
         print(f"FAIL table-1 ks+ax: {retries:.2f} rsfail_missq lookups per "

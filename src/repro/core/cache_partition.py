@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.config import CacheConfig
-from repro.mem.cache import SetAssocCache
+from repro.mem.cache import SetAssocCache, set_indexer
 
 
 class ShadowTagArray:
@@ -34,11 +34,10 @@ class ShadowTagArray:
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.way_hits = [0] * self.assoc
         self.misses = 0
-        self._geometry = SetAssocCache(config)
+        self._set_index = set_indexer(config)
 
     def access(self, line_addr: int) -> None:
-        idx = self._geometry.set_index(line_addr)
-        stack = self._sets[idx]
+        stack = self._sets[self._set_index(line_addr)]
         try:
             pos = stack.index(line_addr)
         except ValueError:

@@ -9,14 +9,15 @@ stalls the memory pipeline (§2.1).  The controller reports which
 resource failed, which the stats layer and DMIL use.
 
 The same tag store is reused by the L2 controller in
-:mod:`repro.mem.subsystem` and by the UCP shadow tags in
-:mod:`repro.core.cache_partition`.
+:mod:`repro.mem.subsystem`; UCP (:mod:`repro.core.cache_partition`)
+sets its per-kernel way partition, and its shadow tags index sets
+through the same :func:`set_indexer`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.mem.mshr import MSHRFile
@@ -54,16 +55,29 @@ RSFAIL_RELEASE = {
 }
 
 
-class _Line:
-    __slots__ = ("tag", "valid", "reserved", "dirty", "kernel", "last_use")
+def set_indexer(config: CacheConfig) -> Callable[[int], int]:
+    """The line-address -> set function of ``config``'s geometry: the
+    low bits xor-folded with the next ones when ``xor_index`` (Table 1),
+    else the low bits alone.  The tag store and UCP's shadow tags both
+    index through it; built once per tag array, so indexing a line is
+    one call with no config reads."""
+    sets = config.num_sets
+    if config.xor_index:
+        return lambda line_addr: (line_addr ^ (line_addr // sets)) % sets
+    return lambda line_addr: line_addr % sets
 
-    def __init__(self) -> None:
+
+class _Line:
+    __slots__ = ("tag", "valid", "reserved", "dirty", "kernel", "lru")
+
+    def __init__(self, lru: List["_Line"]) -> None:
         self.tag = -1
         self.valid = False
         self.reserved = False
         self.dirty = False
         self.kernel = -1
-        self.last_use = 0
+        #: the lines of this line's set, least recently used first.
+        self.lru = lru
 
 
 class CacheStats:
@@ -90,155 +104,155 @@ class CacheStats:
 
 class SetAssocCache:
     """Tag store with LRU replacement, reservation (allocate-on-miss)
-    support, and optional per-kernel way partitioning (UCP)."""
+    support, and optional per-kernel way partitioning (UCP).
+
+    Indexed rather than scanned (docs/PERF.md section 10): a dict maps
+    each tag to its one valid-or-reserved line, so ``probe`` /
+    ``lookup`` / ``fill`` / ``invalidate`` are one lookup; each set's
+    list holds its lines least recently used first, a touch moving the
+    line to the end (never-touched ways stay at the front in way
+    order); and a per-set count of free lines — neither valid nor
+    reserved — tells the victim search whether to look for one.
+    """
 
     def __init__(self, config: CacheConfig):
         self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        self._xor = config.xor_index
-        self._sets: List[List[_Line]] = [
-            [_Line() for _ in range(self.assoc)] for _ in range(self.num_sets)
-        ]
-        self._use_clock = 0
+        self.set_index = set_indexer(config)
+        self._sets: List[List[_Line]] = []
+        for _ in range(self.num_sets):
+            lru: List[_Line] = []
+            lru.extend(_Line(lru) for _ in range(self.assoc))
+            self._sets.append(lru)
+        #: tag -> its valid or reserved line.
+        self._lines: Dict[int, _Line] = {}
+        #: per set, how many of its lines are neither valid nor reserved.
+        self._free = [self.assoc] * self.num_sets
         #: kernel -> allotted ways; None disables partitioning.
         self.partition: Optional[Dict[int, int]] = None
 
-    def set_index(self, line_addr: int) -> int:
-        sets = self.num_sets
-        if self._xor:
-            return (line_addr ^ (line_addr // sets)) % sets
-        return line_addr % sets
-
-    def _touch(self, line: _Line) -> None:
-        self._use_clock += 1
-        line.last_use = self._use_clock
+    def touch(self, line: _Line) -> None:
+        """Make ``line`` the most recently used of its set."""
+        lru = line.lru
+        if lru[-1] is not line:
+            lru.remove(line)
+            lru.append(line)
 
     def probe(self, line_addr: int) -> Optional[_Line]:
         """Find the line without updating LRU state."""
-        sets = self.num_sets
-        if self._xor:
-            idx = (line_addr ^ (line_addr // sets)) % sets
-        else:
-            idx = line_addr % sets
-        for line in self._sets[idx]:
-            if line.tag == line_addr and (line.valid or line.reserved):
-                return line
-        return None
+        return self._lines.get(line_addr)
 
     def lookup(self, line_addr: int) -> Optional[_Line]:
         """Find the line and mark it most-recently-used if valid."""
-        sets = self.num_sets
-        if self._xor:
-            idx = (line_addr ^ (line_addr // sets)) % sets
-        else:
-            idx = line_addr % sets
-        for line in self._sets[idx]:
-            if line.tag == line_addr and (line.valid or line.reserved):
-                if line.valid:
-                    self._use_clock += 1
-                    line.last_use = self._use_clock
-                return line
-        return None
+        line = self._lines.get(line_addr)
+        if line is not None and line.valid:
+            lru = line.lru
+            if lru[-1] is not line:
+                lru.remove(line)
+                lru.append(line)
+        return line
 
-    def _candidate_victims(self, target_set: List[_Line], kernel: int) -> List[_Line]:
-        free = [ln for ln in target_set if not ln.valid and not ln.reserved]
-        if self.partition is None:
-            if free:
-                return free
-            return [ln for ln in target_set if not ln.reserved]
-        # UCP enforcement: a kernel at or over its allocation may only
-        # evict its own lines; under-allocated kernels prefer invalid
-        # slots, then lines of kernels exceeding their own allocation.
-        quota = self.partition.get(kernel, self.assoc)
-        mine = sum(1 for ln in target_set
-                   if (ln.valid or ln.reserved) and ln.kernel == kernel)
-        if mine >= quota:
-            return [ln for ln in target_set
-                    if ln.valid and not ln.reserved and ln.kernel == kernel]
-        if free:
-            return free
+    def _partition_victim(self, lru: List[_Line], kernel: int,
+                          free: int) -> Optional[_Line]:
+        """UCP enforcement: a kernel at or over its allocation may only
+        evict its own lines; under-allocated kernels prefer free slots,
+        then lines of kernels exceeding their own allocation.  Each
+        rule takes its first candidate in LRU order."""
+        partition = self.partition
+        assoc = self.assoc
         counts: Dict[int, int] = defaultdict(int)
-        for ln in target_set:
+        for ln in lru:
             if ln.valid or ln.reserved:
                 counts[ln.kernel] += 1
-        over = [ln for ln in target_set
-                if ln.valid and not ln.reserved
-                and counts[ln.kernel] > self.partition.get(ln.kernel, self.assoc)]
-        if over:
-            return over
-        return [ln for ln in target_set if ln.valid and not ln.reserved]
+        if counts[kernel] >= partition.get(kernel, assoc):
+            for ln in lru:
+                if ln.valid and ln.kernel == kernel:
+                    return ln
+            return None
+        if free:
+            for ln in lru:
+                if not ln.valid and not ln.reserved:
+                    return ln
+        for ln in lru:
+            if ln.valid and counts[ln.kernel] > partition.get(ln.kernel,
+                                                              assoc):
+                return ln
+        for ln in lru:
+            if ln.valid:
+                return ln
+        return None
 
     def reserve(self, line_addr: int, kernel: int) -> Tuple[bool, bool, int]:
         """Allocate-on-miss: reserve a slot for an outstanding fill.
 
         Returns ``(ok, evicted_dirty, evicted_tag)``; ``ok`` False means
-        no evictable slot exists (a line reservation failure).
+        no evictable slot exists (a line reservation failure).  The line
+        must not be valid or reserved already: each tag has one line.
         """
-        target_set = self._sets[self.set_index(line_addr)]
-        if self.partition is None:
-            # Fused victim scan (the common, unpartitioned case): the
-            # LRU free slot if any, else the LRU unreserved line.  The
-            # strict ``<`` keeps first-wins tie-breaking, matching
-            # ``min`` over the candidate list.
-            victim = None
-            best_free = None
-            best_any = None
-            for ln in target_set:
-                if ln.reserved:
-                    continue
-                lu = ln.last_use
-                if not ln.valid and (best_free is None
-                                     or lu < best_free.last_use):
-                    best_free = ln
-                if best_any is None or lu < best_any.last_use:
-                    best_any = ln
-            victim = best_free if best_free is not None else best_any
-            if victim is None:
-                return False, False, -1
+        lines = self._lines
+        if line_addr in lines:
+            raise RuntimeError(f"line {line_addr:#x} is already valid or "
+                               f"reserved")
+        idx = self.set_index(line_addr)
+        lru = self._sets[idx]
+        free = self._free[idx]
+        victim = None
+        if self.partition is not None:
+            victim = self._partition_victim(lru, kernel, free)
+        elif free:
+            # The LRU free slot.
+            for ln in lru:
+                if not ln.valid and not ln.reserved:
+                    victim = ln
+                    break
         else:
-            victims = self._candidate_victims(target_set, kernel)
-            if not victims:
-                return False, False, -1
-            victim = min(victims, key=lambda ln: ln.last_use)
-        evicted_dirty = victim.valid and victim.dirty
+            # No free slot: the LRU line with no fill outstanding.
+            for ln in lru:
+                if not ln.reserved:
+                    victim = ln
+                    break
+        if victim is None:
+            return False, False, -1
         evicted_tag = victim.tag
+        if victim.valid:
+            evicted_dirty = victim.dirty
+            del lines[evicted_tag]
+        else:
+            evicted_dirty = False
+            self._free[idx] = free - 1
+        lines[line_addr] = victim
         victim.tag = line_addr
         victim.valid = False
         victim.reserved = True
         victim.dirty = False
         victim.kernel = kernel
-        self._touch(victim)
+        self.touch(victim)
         return True, evicted_dirty, evicted_tag
 
     def fill(self, line_addr: int) -> None:
         """Complete an outstanding reservation (the fill arrived)."""
-        line = self.probe(line_addr)
+        line = self._lines.get(line_addr)
         if line is None or not line.reserved:
-            # The reservation may have been made under a different
-            # partition configuration; insert fresh if possible.
-            ok, _, _ = self.reserve(line_addr, kernel=-1)
-            if not ok:
-                return
-            line = self.probe(line_addr)
-            assert line is not None
+            raise RuntimeError(f"no reservation outstanding for line "
+                               f"{line_addr:#x}")
         line.reserved = False
         line.valid = True
-        self._touch(line)
+        self.touch(line)
 
     def invalidate(self, line_addr: int) -> None:
-        line = self.probe(line_addr)
+        line = self._lines.get(line_addr)
         if line is not None and line.valid:
+            del self._lines[line_addr]
+            self._free[self.set_index(line_addr)] += 1
             line.valid = False
             line.tag = -1
             line.dirty = False
 
     def occupancy_by_kernel(self) -> Dict[int, int]:
         out: Dict[int, int] = defaultdict(int)
-        for target_set in self._sets:
-            for line in target_set:
-                if line.valid or line.reserved:
-                    out[line.kernel] += 1
+        for line in self._lines.values():
+            out[line.kernel] += 1
         return dict(out)
 
 
@@ -297,7 +311,7 @@ class L1DCache:
         probe."""
         stats = self.stats
         stats.accesses[kernel] += 1
-        self.tags._touch(line)
+        self.tags.touch(line)
         stats.hits[kernel] += 1
 
     def access(self, request, cycle: int) -> str:

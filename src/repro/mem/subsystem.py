@@ -175,7 +175,7 @@ class MemorySubsystem:
         kernel = request.kernel
         line = self.l2_tags.probe(line_addr)
         if line is not None and line.valid:
-            self.l2_tags.lookup(line_addr)  # LRU update
+            self.l2_tags.touch(line)
             stats.accesses[kernel] += 1
             stats.hits[kernel] += 1
             self._schedule(cycle + self._l2_hit_latency, "rsp_ready", request)

@@ -1,9 +1,16 @@
 """Unit tests for the set-associative tag store and the L1D controller
-(reservation-failure semantics of paper §2.1)."""
+(reservation-failure semantics of paper §2.1), and the indexed tag
+store held to a timestamp-scan reference model."""
 
+from collections import defaultdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CacheConfig
-from repro.mem.cache import AccessResult, L1DCache, SetAssocCache
+from repro.mem.cache import (AccessResult, L1DCache, SetAssocCache,
+                             set_indexer)
 from repro.mem.subsystem import MemRequest
 
 
@@ -88,6 +95,226 @@ class TestSetAssocCache:
         stride_sets_xor = {tags.set_index(i * tags.num_sets) for i in range(8)}
         assert len(stride_sets_plain) == 1
         assert len(stride_sets_xor) > 1
+
+    def test_fill_without_a_reservation_is_an_error(self):
+        tags = SetAssocCache(small_cache_config())
+        with pytest.raises(RuntimeError, match="no reservation"):
+            tags.fill(0)
+        tags.reserve(0, 0)
+        tags.fill(0)
+        with pytest.raises(RuntimeError, match="no reservation"):
+            tags.fill(0)  # valid now, not reserved
+        assert_tag_index_exact(tags)
+
+    def test_reserving_a_resident_line_is_an_error(self):
+        tags = SetAssocCache(small_cache_config())
+        tags.reserve(0, 0)
+        with pytest.raises(RuntimeError, match="already"):
+            tags.reserve(0, 1)  # reserved
+        tags.fill(0)
+        with pytest.raises(RuntimeError, match="already"):
+            tags.reserve(0, 1)  # valid
+        assert tags.occupancy_by_kernel() == {0: 1}
+        assert_tag_index_exact(tags)
+
+
+def assert_tag_index_exact(tags):
+    """The index holds what the sets hold: the tag map is exactly the
+    valid-or-reserved lines under their tags (one line per tag, each in
+    the set its tag indexes to), and each set's free count is its
+    number of lines that are neither valid nor reserved."""
+    resident = {}
+    for idx, lru in enumerate(tags._sets):
+        assert len(lru) == tags.assoc
+        for line in lru:
+            assert line.lru is lru
+            assert not (line.valid and line.reserved)
+            if line.valid or line.reserved:
+                assert line.tag not in resident
+                assert tags.set_index(line.tag) == idx
+                resident[line.tag] = line
+    assert tags._lines == resident
+    assert tags._free == [
+        sum(not line.valid and not line.reserved for line in lru)
+        for lru in tags._sets]
+
+
+# ----------------------------------------------------------------------
+# The indexed tag store against the timestamp scans it replaced: every
+# line carries the clock value of its last touch, and each query walks
+# its set's ways (never-touched ways tie at 0; ``min`` takes the lowest).
+class StampedLine:
+    def __init__(self):
+        self.tag, self.valid, self.reserved = -1, False, False
+        self.dirty, self.kernel, self.last_use = False, -1, 0
+
+
+class TimestampTags:
+    def __init__(self, config):
+        self.assoc = config.assoc
+        self.set_index = set_indexer(config)
+        self.sets = [[StampedLine() for _ in range(config.assoc)]
+                     for _ in range(config.num_sets)]
+        self.clock = 0
+        self.partition = None
+
+    def touch(self, line):
+        self.clock += 1
+        line.last_use = self.clock
+
+    def probe(self, addr):
+        for line in self.sets[self.set_index(addr)]:
+            if line.tag == addr and (line.valid or line.reserved):
+                return line
+        return None
+
+    def lookup(self, addr):
+        line = self.probe(addr)
+        if line is not None and line.valid:
+            self.touch(line)
+        return line
+
+    def candidates(self, lines, kernel):
+        free = [ln for ln in lines if not ln.valid and not ln.reserved]
+        if self.partition is None:
+            return free or [ln for ln in lines if not ln.reserved]
+        quota = self.partition.get
+        mine = sum(1 for ln in lines
+                   if (ln.valid or ln.reserved) and ln.kernel == kernel)
+        if mine >= quota(kernel, self.assoc):
+            return [ln for ln in lines
+                    if ln.valid and not ln.reserved and ln.kernel == kernel]
+        if free:
+            return free
+        counts = defaultdict(int)
+        for ln in lines:
+            if ln.valid or ln.reserved:
+                counts[ln.kernel] += 1
+        evictable = [ln for ln in lines if ln.valid and not ln.reserved]
+        return [ln for ln in evictable
+                if counts[ln.kernel] > quota(ln.kernel, self.assoc)
+                ] or evictable
+
+    def reserve(self, addr, kernel):
+        victims = self.candidates(self.sets[self.set_index(addr)], kernel)
+        if not victims:
+            return False, False, -1
+        victim = min(victims, key=lambda ln: ln.last_use)
+        result = True, victim.valid and victim.dirty, victim.tag
+        victim.tag, victim.valid, victim.reserved = addr, False, True
+        victim.dirty, victim.kernel = False, kernel
+        self.touch(victim)
+        return result
+
+    def fill(self, addr):
+        line = self.probe(addr)
+        line.reserved, line.valid = False, True
+        self.touch(line)
+
+    def invalidate(self, addr):
+        line = self.probe(addr)
+        if line is not None and line.valid:
+            line.valid, line.tag, line.dirty = False, -1, False
+
+    def occupancy_by_kernel(self):
+        out = defaultdict(int)
+        for lines in self.sets:
+            for line in lines:
+                if line.valid or line.reserved:
+                    out[line.kernel] += 1
+        return dict(out)
+
+
+def line_state(line):
+    return line and (line.tag, line.valid, line.reserved, line.dirty,
+                     line.kernel)
+
+
+#: weighted so that sets fill up and victims get chosen.
+TAG_OPS = ("reserve",) * 4 + ("fill",) * 3 + (
+    "lookup", "probe", "invalidate", "dirty", "repartition")
+
+
+def tag_store_runs(max_ops):
+    """(geometry, xor, quotas, partitioned, ops) of one reference-model
+    run: 1-4 sets of 1-6 ways, addresses spanning three times the
+    lines, kernels 0-2 against random per-kernel way quotas (0
+    included) that are on from the start or not, and ``max_ops / 2`` to
+    ``max_ops`` operations, each aimed at a resident line or not by a
+    coin (a fill's target is a reserved line)."""
+    def run(sets, ways):
+        op = st.tuples(st.sampled_from(TAG_OPS),
+                       st.integers(0, 3 * sets * ways - 1),
+                       st.integers(0, 2), st.booleans())
+        return st.tuples(
+            st.just((sets, ways)), st.booleans(),
+            st.dictionaries(st.integers(0, 2), st.integers(0, ways + 1),
+                            min_size=1, max_size=3),
+            st.booleans(),
+            st.lists(op, min_size=max_ops // 2, max_size=max_ops))
+    return st.tuples(st.integers(1, 4), st.integers(1, 6)).flatmap(
+        lambda geometry: run(*geometry))
+
+
+def check_against_timestamp_scans(geometry, xor, quotas, partitioned, ops):
+    """Drive the indexed store and the reference through ``ops`` and
+    compare every answer.  Calls the index forbids — a second line for
+    a resident tag, a fill with no reservation — must raise there and
+    are not applied to either side; ``repartition`` toggles the quotas
+    on and off with reservations outstanding, as UCP swaps partitions."""
+    sets, ways = geometry
+    config = CacheConfig(size_bytes=sets * ways * 128, line_size=128,
+                         assoc=ways, mshrs=1, miss_queue=1, xor_index=xor)
+    tags, ref = SetAssocCache(config), TimestampTags(config)
+    tags.partition = ref.partition = quotas if partitioned else None
+    for op, addr, kernel, resident in ops:
+        if resident:
+            targets = sorted(line.tag for lines in ref.sets for line in lines
+                             if line.reserved
+                             or (line.valid and op != "fill"))
+            if targets:
+                addr = targets[addr % len(targets)]
+        present = ref.probe(addr)
+        if op == "reserve":
+            if present is not None:
+                with pytest.raises(RuntimeError):
+                    tags.reserve(addr, kernel)
+                continue
+            assert tags.reserve(addr, kernel) == ref.reserve(addr, kernel)
+        elif op == "fill":
+            if present is None or not present.reserved:
+                with pytest.raises(RuntimeError):
+                    tags.fill(addr)
+                continue
+            tags.fill(addr)
+            ref.fill(addr)
+        elif op == "dirty":  # the L2's write hit
+            line, want = tags.lookup(addr), ref.lookup(addr)
+            assert line_state(line) == line_state(want)
+            if want is not None and want.valid:
+                line.dirty = want.dirty = True
+        elif op == "repartition":
+            tags.partition = ref.partition = (
+                None if tags.partition is not None else quotas)
+        elif op == "invalidate":
+            tags.invalidate(addr)
+            ref.invalidate(addr)
+        else:
+            assert (line_state(getattr(tags, op)(addr))
+                    == line_state(getattr(ref, op)(addr)))
+        assert tags.occupancy_by_kernel() == ref.occupancy_by_kernel()
+        # LRU order is (last_use, way) order (``sorted`` is stable).
+        for lru, lines in zip(tags._sets, ref.sets):
+            assert ([line_state(line) for line in lru] == [
+                line_state(line)
+                for line in sorted(lines, key=lambda ln: ln.last_use)])
+    assert_tag_index_exact(tags)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(run=tag_store_runs(max_ops=80))
+def test_indexed_tags_pick_the_timestamp_scans_victims(run):
+    check_against_timestamp_scans(*run)
 
 
 class TestL1DCache:

@@ -1,5 +1,6 @@
 """Property-based fuzzing of the trace compiler against its
-live-stream oracle and of the production machine against the oracle
+live-stream oracle, of the indexed tag store against the timestamp
+scans it replaced, and of the production machine against the oracle
 end to end: observed runs (batched stall attribution against the
 oracle's per-cycle one), MIL-capped runs and hit-heavy runs.  A shrunk
 counterexample is a minimal reproduction, not a 4000-step haystack.
@@ -33,6 +34,10 @@ from repro.workloads.address import (  # noqa: E402
 )
 from repro.workloads.kernel import KernelProfile  # noqa: E402
 from repro.workloads.profiles import PROFILES_BY_NAME, get_profile  # noqa: E402
+from tests.test_cache import (  # noqa: E402
+    check_against_timestamp_scans,
+    tag_store_runs,
+)
 from tests.test_fastpath import assert_reports_equal  # noqa: E402
 
 pytestmark = pytest.mark.fuzz
@@ -74,6 +79,15 @@ def test_compiled_trace_equals_live_stream(cinst, reqs, sfu_frac, write_frac,
     ops_per_warp, lines_per_warp = trace._compile_chunk(chunk_index)
     assert ((ops_per_warp[offset], lines_per_warp[offset])
             == ktrace.live_warp_arrays(profile, warp_index, seed))
+
+
+# ----------------------------------------------------------------------
+# Indexed tag store vs timestamp scans (docs/PERF.md section 10): the
+# tier-1 property of tests/test_cache.py, longer runs, many more draws.
+@settings(FUZZ, max_examples=1000)
+@given(run=tag_store_runs(max_ops=300))
+def test_indexed_tags_equal_timestamp_scans(run):
+    check_against_timestamp_scans(*run)
 
 
 # ----------------------------------------------------------------------

@@ -278,10 +278,11 @@ def test_partition_swap_still_voids_the_stall_memo():
 # ``L1DCache.probe_hit``: what issue-through asks before it commits
 # anything (docs/PERF.md s.8).
 def l1_footprint(l1):
+    """Every set's lines in LRU order, the stats and the queue depths."""
     tags, stats = l1.tags, l1.stats
-    lines = [(ln.tag, ln.valid, ln.reserved, ln.last_use)
-             for target_set in tags._sets for ln in target_set]
-    return (tags._use_clock, lines, dict(stats.accesses), dict(stats.hits),
+    lines = [[(ln.tag, ln.valid, ln.reserved) for ln in lru]
+             for lru in tags._sets]
+    return (lines, dict(stats.accesses), dict(stats.hits),
             dict(stats.misses), len(l1.miss_queue), len(l1.mshrs))
 
 

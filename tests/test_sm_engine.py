@@ -216,10 +216,11 @@ class OneSM:
         self.sm._issue_mem(warp.sched, warp, warp.stream.next_op, 1)
 
     def lru(self, lines):
-        """The LRU clock and each line's stamp (None: not resident)."""
+        """Each set ``lines`` index to: its lines' tags and validity,
+        least recently used first."""
         tags = self.l1.tags
-        found = [tags.probe(line) for line in lines]
-        return tags._use_clock, [ln and ln.last_use for ln in found]
+        return {idx: [(ln.tag, ln.valid) for ln in tags._sets[idx]]
+                for idx in {tags.set_index(line) for line in lines}}
 
     def state(self, lines):
         sm, stats = self.sm, self.l1.stats

@@ -10,6 +10,7 @@ from repro.mem.cache import AccessResult
 from repro.mem.subsystem import MemRequest, MemorySubsystem
 from repro.sim.engine import GPU, make_launches
 from repro.workloads.profiles import get_profile
+from tests.test_cache import assert_tag_index_exact
 
 
 class FakeMemInst:
@@ -168,7 +169,8 @@ def test_run_holds_each_in_flight_request_exactly_once():
     twice, each in-flight ``MemInst`` is reachable through exactly its
     ``pending`` count of requests past the L1, and each SM's in-flight
     count is the ``MemInst``s its LSU queue and those requests reach —
-    nothing leaked, nothing delivered while still travelling."""
+    nothing leaked, nothing delivered while still travelling.  The tag
+    index of every L1 and of the L2 holds exactly what its sets hold."""
     config = scaled_config()
     launches = make_launches([get_profile("st"), get_profile("sv")],
                              [2, 2], config, seed=3)
@@ -192,6 +194,8 @@ def test_run_holds_each_in_flight_request_exactly_once():
                              if r.sm_id == sm.sm_id)
             assert len(in_flight) == sum(state.inflight_minsts
                                          for state in sm.kstate.values())
+        for tags in [l1.tags for l1 in gpu.memory.l1s] + [gpu.memory.l2_tags]:
+            assert_tag_index_exact(tags)
     stats = [l1.stats for l1 in gpu.memory.l1s]
     assert sum(sum(s.writes.values()) for s in stats) > 0
     assert sum(sum(s.bypasses.values()) for s in stats) > 0
