@@ -5,10 +5,9 @@ configuration.  Isolated-profiling runs are cached on disk under
 ``.repro_cache`` so the whole suite amortises Warped-Slicer profiling.
 
 Cycle budgets scale with the ``REPRO_BENCH_SCALE`` environment variable
-(default 1.0); raise it for higher-fidelity numbers.  Campaign-shaped
-benches can fan their grids over worker processes via :func:`campaign`;
-``REPRO_BENCH_WORKERS`` caps the pool size (see
-``repro.harness.parallel``).
+(default 1.0); raise it for higher-fidelity numbers.  Scheme sweeps
+fan their grids over worker processes; ``REPRO_BENCH_WORKERS`` caps
+the pool size (see ``repro.harness.parallel``).
 """
 
 import os
@@ -63,13 +62,3 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run a driver exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
-
-
-def campaign(runner, mixes, schemes, workers=None, cycles=None):
-    """Run a mixes×schemes grid through the parallel executor.
-
-    ``workers=None`` resolves from ``$REPRO_BENCH_WORKERS`` (or the CPU
-    count); results are bit-identical to the serial nested loop, so
-    benches can adopt this freely for wall-clock relief."""
-    return runner.run_campaign(mixes, schemes, workers=workers,
-                               cycles=cycles)

@@ -14,7 +14,7 @@ Quickstart::
 
     cfg = scaled_config()
     outcome = run_pair("bp", "sv", SchemeConfig(mil="dmil"), cfg)
-    print(outcome.weighted_speedup)
+    print(outcome.scheme)  # ws:DMIL
 """
 
 from repro._lazy import lazy_getattr

@@ -18,6 +18,7 @@ from repro.core.bmi import QuotaBMI
 from repro.core.mil import MILG
 from repro.harness.reporting import geomean
 from repro.harness.runner import ExperimentRunner, WorkloadOutcome
+from repro.obs.collector import ObsOptions
 from repro.workloads.mixes import (
     WorkloadMix,
     mix,
@@ -252,24 +253,25 @@ def figure14_three_kernels(runner: ExperimentRunner,
 
 # ----------------------------------------------------------------------
 # Figures 6 and 8 — timelines
+def _phase_series(result, name: str, kernel: int) -> List[int]:
+    """One per-kernel series of a phase-sampled run's record."""
+    return result.obs.phases[0]["series"][f"k{kernel}.{name}"]
+
+
 def figure6_timelines(runner: ExperimentRunner, a: str = "bp", b: str = "sv",
                       interval: int = 1000,
                       cycles: Optional[int] = None) -> Dict[str, List[int]]:
-    """L1D accesses per interval: each kernel alone, then concurrent."""
+    """L1D requests per interval: each kernel alone, then concurrent."""
+    obs = ObsOptions(phase=True, phase_interval=interval)
     pa, pb = mix(a, b).profiles
-    iso_a = runner.isolated_result(pa, timeline_interval=interval,
-                                   cycles=cycles)
-    iso_b = runner.isolated_result(pb, timeline_interval=interval,
-                                   cycles=cycles)
-    shared = runner.run_mix(mix(a, b), "ws", cycles=cycles,
-                            timeline_interval=interval)
-    timeline = shared.result.timeline
-    assert timeline is not None
+    iso_a = runner.isolated_result(pa, cycles=cycles, obs=obs)
+    iso_b = runner.isolated_result(pb, cycles=cycles, obs=obs)
+    shared = runner.run_mix(mix(a, b), "ws", cycles=cycles, obs=obs).result
     return {
-        f"{a}_alone": iso_a.timeline.get("l1d_access", 0),
-        f"{b}_alone": iso_b.timeline.get("l1d_access", 0),
-        f"{a}_shared": timeline.get("l1d_access", 0),
-        f"{b}_shared": timeline.get("l1d_access", 1),
+        f"{a}_alone": _phase_series(iso_a, "mem_requests", 0),
+        f"{b}_alone": _phase_series(iso_b, "mem_requests", 0),
+        f"{a}_shared": _phase_series(shared, "mem_requests", 0),
+        f"{b}_shared": _phase_series(shared, "mem_requests", 1),
     }
 
 
@@ -279,15 +281,13 @@ def figure8_issue_timelines(runner: ExperimentRunner, a: str = "bp",
                             ) -> Dict[str, Dict[str, object]]:
     """Warp instructions issued per interval and normalized IPC under
     WS, WS-RBMI and WS-QBMI (paper Figure 8)."""
+    obs = ObsOptions(phase=True, phase_interval=interval)
     out: Dict[str, Dict[str, object]] = {}
     for scheme in ("ws", "ws-rbmi", "ws-qbmi"):
-        outcome = runner.run_mix(mix(a, b), scheme, cycles=cycles,
-                                 timeline_interval=interval)
-        timeline = outcome.result.timeline
-        assert timeline is not None
+        outcome = runner.run_mix(mix(a, b), scheme, cycles=cycles, obs=obs)
         out[scheme] = {
-            f"{a}_insts": timeline.get("insts", 0),
-            f"{b}_insts": timeline.get("insts", 1),
+            f"{a}_insts": _phase_series(outcome.result, "warp_insts", 0),
+            f"{b}_insts": _phase_series(outcome.result, "warp_insts", 1),
             "norm_ipc": tuple(outcome.norm_ipcs),
         }
     return out

@@ -23,9 +23,10 @@ so concurrent workers cannot corrupt records.
 There is one dispatcher, :func:`repro.harness.resilience.run_jobs_resilient`
 (dedup, journal replay, parent-cache probe, cost ordering, worker
 processes or the in-process loop, retry/quarantine accounting).
-:func:`run_jobs` and :func:`run_campaign` here are its plain-policy
-spellings: no timeout, no retries, no quarantine, no journal — the
-first failing cell raises :class:`~repro.harness.resilience.JobError`.
+:func:`run_jobs` here is its plain-policy spelling (and
+``ExperimentRunner.run_campaign`` the campaign one): no timeout, no
+retries, no quarantine, no journal — the first failing cell raises
+:class:`~repro.harness.resilience.JobError`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cke.warped_slicer import ScalabilityCurve
-from repro.harness.runner import (ExperimentRunner, IsoRecord,
-                                  RunnerSettings, WorkloadOutcome)
+from repro.harness.runner import ExperimentRunner, IsoRecord, RunnerSettings
 from repro.obs.telemetry import JobHeartbeat
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
@@ -310,21 +310,3 @@ def prefetch_jobs(mixes: Sequence[WorkloadMix],
     if any(s.lower().startswith(("ws", "dws")) for s in schemes):
         jobs += [CurveJob(k) for k in kernels]
     return jobs
-
-
-def run_campaign(runner: ExperimentRunner, mixes: Sequence[WorkloadMix],
-                 schemes: Sequence[str], workers: Optional[int] = None,
-                 cycles: Optional[int] = None, obs: bool = False,
-                 progress: Optional[ProgressFn] = None,
-                 phase_interval: Optional[int] = None,
-                 artifacts_dir: Optional[str] = None
-                 ) -> List[WorkloadOutcome]:
-    """Run the full mixes×schemes grid under the plain policy: the
-    outcomes of :func:`repro.harness.resilience.run_campaign_resilient`
-    in mix-major grid order, bit-identical to the serial loop, with no
-    journal and no ``campaign`` block in the ledger."""
-    from repro.harness.resilience import PLAIN, run_campaign_resilient
-    return run_campaign_resilient(
-        runner, mixes, schemes, policy=PLAIN, workers=workers, cycles=cycles,
-        obs=obs, progress=progress, phase_interval=phase_interval,
-        artifacts_dir=artifacts_dir)[0]

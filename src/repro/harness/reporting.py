@@ -62,10 +62,19 @@ def format_series(series: Dict[str, Sequence[Number]], precision: int = 2,
 
 
 def geomean(values: Sequence[float]) -> float:
-    """Geometric mean (the paper averages weighted speedups this way)."""
-    vals = [v for v in values if v > 0]
+    """Geometric mean (the paper averages weighted speedups this way).
+
+    A zero factor makes the mean 0.0: a fully starved cell pulls its
+    class mean down instead of dropping out of it.  Negative or empty
+    input raises ``ValueError``.  Imports nothing of the simulator, so
+    ``repro compare`` can share it."""
+    vals = list(values)
     if not vals:
-        raise ValueError("geomean needs positive values")
+        raise ValueError("geomean needs at least one value")
+    if any(v < 0 for v in vals):
+        raise ValueError("geomean needs non-negative values")
+    if 0 in vals:
+        return 0.0
     product = 1.0
     for v in vals:
         product *= v

@@ -233,15 +233,14 @@ class ExperimentRunner:
     def isolated_result(self, profile: KernelProfile,
                         tbs: Optional[int] = None,
                         cycles: Optional[int] = None,
-                        timeline_interval: Optional[int] = None) -> RunResult:
-        """Uncached isolated run returning the full RunResult (used by
-        timeline experiments such as Figure 6a/6b)."""
+                        obs=None) -> RunResult:
+        """Uncached isolated run returning the full RunResult; ``obs``
+        as in :meth:`run_mix` (Figure 6a/6b read its phase records)."""
         if tbs is None:
             tbs = profile.max_tbs_per_sm(self.config)
         launches = make_launches([profile], [tbs], self.config,
                                  seed=self.settings.seed)
-        gpu = GPU(self.config, launches, SchemeConfig(),
-                  timeline_interval=timeline_interval)
+        gpu = GPU(self.config, launches, SchemeConfig(), obs=obs)
         return gpu.run(cycles or self.settings.iso_cycles)
 
     def curve(self, profile: KernelProfile) -> ScalabilityCurve:
@@ -280,11 +279,11 @@ class ExperimentRunner:
         timeout, retries, quarantine or journal; a failing cell raises
         :class:`~repro.harness.resilience.JobError`): just the
         outcomes, in mix-major grid order."""
-        from repro.harness.parallel import run_campaign
-        return run_campaign(self, mixes, schemes, workers=workers,
-                            cycles=cycles, obs=obs, progress=progress,
-                            phase_interval=phase_interval,
-                            artifacts_dir=artifacts_dir)
+        from repro.harness.resilience import PLAIN
+        return self.run_campaign_resilient(
+            mixes, schemes, policy=PLAIN, workers=workers, cycles=cycles,
+            obs=obs, progress=progress, phase_interval=phase_interval,
+            artifacts_dir=artifacts_dir)[0]
 
     def run_campaign_resilient(self, mixes: Sequence[WorkloadMix],
                                schemes: Sequence[str],
@@ -431,7 +430,6 @@ class ExperimentRunner:
     def run_mix_with_stack(self, mix: WorkloadMix, stack: SchemeConfig,
                            partition_scheme: str = "ws",
                            cycles: Optional[int] = None,
-                           timeline_interval: Optional[int] = None,
                            obs=None) -> WorkloadOutcome:
         """Run a workload with an explicit mechanism stack on top of a
         named TB-partitioning scheme — the hook ablation studies use
@@ -439,12 +437,10 @@ class ExperimentRunner:
         profiles = list(mix.profiles)
         tb_limits, masks, _ = self.resolve_scheme(partition_scheme, profiles)
         return self._run(mix, f"{partition_scheme}:{stack.describe()}",
-                         tb_limits, masks, stack, cycles, timeline_interval,
-                         obs=obs)
+                         tb_limits, masks, stack, cycles, obs=obs)
 
     def run_mix(self, mix: WorkloadMix, scheme: str,
                 cycles: Optional[int] = None,
-                timeline_interval: Optional[int] = None,
                 obs=None) -> WorkloadOutcome:
         """Run one workload under one scheme and compute the metrics.
 
@@ -461,7 +457,7 @@ class ExperimentRunner:
         profiles = list(mix.profiles)
         tb_limits, masks, stack = self.resolve_scheme(scheme, profiles)
         return self._run(mix, scheme, tb_limits, masks, stack, cycles,
-                         timeline_interval, obs=obs)
+                         obs=obs)
 
     def _run_dynamic_ws(self, mix: WorkloadMix, scheme: str,
                         cycles: Optional[int]) -> WorkloadOutcome:
@@ -495,12 +491,11 @@ class ExperimentRunner:
 
     def _run(self, mix: WorkloadMix, scheme_label: str, tb_limits, masks,
              stack: SchemeConfig, cycles: Optional[int],
-             timeline_interval: Optional[int], obs=None) -> WorkloadOutcome:
+             obs=None) -> WorkloadOutcome:
         profiles = list(mix.profiles)
         launches = make_launches(profiles, tb_limits, self.config,
                                  sm_masks=masks, seed=self.settings.seed)
-        gpu = GPU(self.config, launches, stack,
-                  timeline_interval=timeline_interval, obs=obs)
+        gpu = GPU(self.config, launches, stack, obs=obs)
         result = gpu.run(cycles or self.settings.concurrent_cycles)
         iso = [self.isolated(p).ipc for p in profiles]
         # Spatial multitasking concentrates each kernel on a subset of
@@ -530,23 +525,11 @@ def run_pair(a: str, b: str, scheme="ws",
     """Convenience one-shot: run benchmarks ``a``+``b`` under a scheme.
 
     ``scheme`` may be a scheme name (see module docstring) or a
-    :class:`SchemeConfig` (run with the Warped-Slicer partition).
+    :class:`SchemeConfig` (run with the Warped-Slicer partition, labelled
+    ``ws:<describe>``).
     """
     runner = ExperimentRunner(config)
     mix = WorkloadMix((get_profile(a), get_profile(b)))
     if isinstance(scheme, SchemeConfig):
-        profiles = list(mix.profiles)
-        curves = [runner.curve(p) for p in profiles]
-        partition = sweet_spot(profiles, curves, runner.config)
-        launches = make_launches(profiles, list(partition), runner.config,
-                                 seed=runner.settings.seed)
-        gpu = GPU(runner.config, launches, scheme)
-        result = gpu.run(cycles or runner.settings.concurrent_cycles)
-        iso = [runner.isolated(p).ipc for p in profiles]
-        shared = [result.ipc(i) for i in range(len(profiles))]
-        norms = normalized_ipcs(shared, iso)
-        return WorkloadOutcome(mix.name, mix.mix_class, scheme.describe(),
-                               tuple(partition), iso, shared, norms,
-                               weighted_speedup(norms), antt(norms),
-                               fairness(norms), result)
+        return runner.run_mix_with_stack(mix, scheme, "ws", cycles)
     return runner.run_mix(mix, scheme, cycles=cycles)

@@ -28,7 +28,7 @@ from repro.lint.rules import Rule, SRC_SCOPE
 PICKLED_CLASSES: Set[str] = {
     "IsoJob", "CurveJob", "MixJob", "JobHeartbeat",
     "RunResult", "ObsReport", "IsoRecord", "ScalabilityCurve",
-    "WorkloadOutcome", "StallTable", "KernelStats", "TimelineRecorder",
+    "WorkloadOutcome", "StallTable", "KernelStats",
 }
 
 _UNPICKLABLE = (ast.Lambda, ast.GeneratorExp)

@@ -11,10 +11,10 @@ counterpart of the wall-clock ``benchmarks/e2e/run.py --compare`` gate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.harness.reporting import geomean
 from repro.obs.ledger import load_artifacts
 
 #: default allowed geomean total-IPC drop, percent.
@@ -59,10 +59,9 @@ class Comparison:
     only_b: List[Tuple[str, str]]
 
     def geomean_ratio(self) -> float:
-        ratios = [cell.ipc_ratio for cell in self.cells if cell.ipc_ratio > 0]
-        if not ratios:
-            return 0.0
-        return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        """Geomean of the per-cell B/A total-IPC ratios; a cell whose
+        IPC collapsed to zero makes it 0.0 (raises with no cells)."""
+        return geomean([cell.ipc_ratio for cell in self.cells])
 
     def regressed(self, threshold_pct: float = DEFAULT_THRESHOLD_PCT) -> bool:
         """True when the geomean total-IPC ratio drops more than the

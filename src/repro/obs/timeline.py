@@ -12,6 +12,10 @@ co-running kernel:
 * per-kernel IPC and issue-slot stall mix (*deltas* of the PR-2
   taxonomy, so the per-interval counts sum exactly to the aggregate
   :class:`~repro.obs.stalls.StallTable`);
+* per-kernel warp instructions issued and L1D requests accepted
+  (integer deltas of :class:`~repro.sim.stats.KernelStats`, summing
+  exactly to the run's totals — the paper's Figure 8 and Figure 6
+  series);
 * per-kernel LSU stall reasons and windowed L1D miss rate;
 * per-kernel in-flight memory instructions vs. the live DMIL cap, the
   QBMI quota and the windowed ``Req/Minst`` estimate (monitor-SM view);
@@ -129,6 +133,7 @@ class PhaseSampler:
         self._covered = 0
         # Delta baselines, committed at each interval boundary.
         self._prev_insts: Dict[int, int] = {}
+        self._prev_reqs: Dict[int, int] = {}
         self._prev_kr: Dict[Tuple[int, str], int] = {}
         self._prev_sm_issued: Dict[int, int] = {}
         self._prev_lsu: Dict[Tuple[int, str], int] = {}
@@ -222,11 +227,17 @@ class PhaseSampler:
                 row[f"k{kernel}.lsu.{reason}"] = float(
                     cur_lsu.get(key, 0) - prev_lsu.get(key, 0))
 
-        # Per-kernel IPC over the window (machine-wide, like
+        # Per-kernel warp instructions issued and L1D requests accepted
+        # in the window (exact KernelStats deltas: the Fig. 8 and Fig. 6
+        # series), IPC over the window (machine-wide, like
         # RunResult.ipc) and windowed L1D miss rate.
         prev_insts = self._prev_insts
+        prev_reqs = self._prev_reqs
         for kernel in slots:
             delta = stats[kernel].warp_insts - prev_insts.get(kernel, 0)
+            row[f"k{kernel}.warp_insts"] = delta
+            row[f"k{kernel}.mem_requests"] = (
+                stats[kernel].mem_requests - prev_reqs.get(kernel, 0))
             row[f"k{kernel}.ipc"] = delta / window if window else 0.0
         cur_l1: Dict[int, List[int]] = {kernel: [0, 0] for kernel in slots}
         for l1 in gpu.memory.l1s:
@@ -290,6 +301,8 @@ class PhaseSampler:
             self._prev_lsu = cur_lsu
             self._prev_insts = {kernel: stats[kernel].warp_insts
                                 for kernel in slots}
+            self._prev_reqs = {kernel: stats[kernel].mem_requests
+                               for kernel in slots}
             self._prev_l1 = {kernel: (cur_l1[kernel][0], cur_l1[kernel][1])
                              for kernel in slots}
             self._prev_dram = serviced

@@ -1,7 +1,7 @@
 """Cycle-level SM core model: warps, GTO/LRR schedulers, execution
 units, the LSU memory pipeline, and the top-level GPU engine."""
 
-from repro.sim.stats import KernelStats, RunResult, TimelineRecorder
+from repro.sim.stats import KernelStats, RunResult
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.sim.scheduler import WarpScheduler
 from repro.sim.lsu import LoadStoreUnit
@@ -11,7 +11,6 @@ from repro.sim.engine import GPU, KernelLaunch
 __all__ = [
     "KernelStats",
     "RunResult",
-    "TimelineRecorder",
     "MemInst",
     "ThreadBlock",
     "Warp",

@@ -20,12 +20,7 @@ from repro.mem.subsystem import MemorySubsystem
 from repro.obs.collector import ObsLike, resolve_obs
 from repro.obs.registry import process_registry
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
-from repro.sim.stats import (
-    SELF_OBS_REGISTRY,
-    KernelStats,
-    RunResult,
-    TimelineRecorder,
-)
+from repro.sim.stats import SELF_OBS_REGISTRY, KernelStats, RunResult
 from repro.workloads import trace as ktrace
 from repro.workloads.kernel import InstructionStream, KernelProfile, ReplayStream
 
@@ -146,7 +141,6 @@ class GPU:
 
     def __init__(self, config: GPUConfig, launches: List[KernelLaunch],
                  scheme: Optional[SchemeConfig] = None,
-                 timeline_interval: Optional[int] = None,
                  reference: Optional[bool] = None,
                  obs: ObsLike = None):
         if not launches:
@@ -160,8 +154,6 @@ class GPU:
         self.scheme = scheme or SchemeConfig()
         sm_cls = StreamingMultiprocessor if reference else SleepingSM
         self.memory = MemorySubsystem(config, obs=self.obs)
-        self.timeline = (TimelineRecorder(timeline_interval)
-                         if timeline_interval else None)
         self.kernel_stats: Dict[int, KernelStats] = {
             launch.slot: KernelStats() for launch in launches
         }
@@ -173,8 +165,7 @@ class GPU:
                                        shared=shared_scheme_state,
                                        sm_id=sm_id)
             self.sms.append(sm_cls(sm_id, config, l1, launches, bundle,
-                                   self.kernel_stats, self.timeline,
-                                   obs=self.obs))
+                                   self.kernel_stats, obs=self.obs))
         self.cycles_run = 0
         #: what _sleep_report last added to the process registry.
         self._sleep_reported: Dict[str, int] = {}
@@ -314,7 +305,6 @@ class GPU:
             sfu_busy=sum(sm.sfu_busy for sm in self.sms),
             alu_slots=cycles * cfg.alu_units * cfg.num_sms,
             sfu_slots=cycles * cfg.sfu_units * cfg.num_sms,
-            timeline=self.timeline,
             dram_row_hit_rate=self.memory.dram.row_hit_rate(),
             num_sms=cfg.num_sms,
             l2_accesses=sum(self.memory.l2_stats.accesses.values())

@@ -252,9 +252,9 @@ class LoadStoreUnit:
         l1_access = l1.access
         rsfails = _RSFAILS
         obs = self._obs
-        # With every scheme hook inert and no timeline, the SM's
-        # on_request_issued reduces to one stats bump — inlined here
-        # (resolved once per run by the owning SM).
+        # With every scheme hook inert, the SM's on_request_issued
+        # reduces to one stats bump — inlined here (resolved once per
+        # run by the owning SM).
         kernel_stats = self._inline_stats
         busy = False
         for _ in range(self.width):

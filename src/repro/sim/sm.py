@@ -47,8 +47,7 @@ from repro.obs.stalls import (
 )
 from repro.sim.lsu import LoadStoreUnit
 from repro.sim.scheduler import NEVER, WarpScheduler
-from repro.sim.stats import (SLEEP_CAUSES, SM_COUNTERS, KernelStats,
-                             TimelineRecorder)
+from repro.sim.stats import SLEEP_CAUSES, SM_COUNTERS, KernelStats
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
 
@@ -107,15 +106,13 @@ class StreamingMultiprocessor:
 
     def __init__(self, sm_id: int, config: GPUConfig, l1: L1DCache,
                  launches: List, bundle: SchemeBundle,
-                 kernel_stats: Dict[int, KernelStats],
-                 timeline: Optional[TimelineRecorder] = None, obs=None):
+                 kernel_stats: Dict[int, KernelStats], obs=None):
         self.sm_id = sm_id
         self.config = config
         self.l1 = l1
         self.launches = launches
         self.bundle = bundle
         self.kernel_stats = kernel_stats
-        self.timeline = timeline
         #: observability collector (None = zero-cost sentinel checks).
         self._obs = obs
         #: per-tick scratch for stall attribution: scheduler id ->
@@ -365,14 +362,12 @@ class StreamingMultiprocessor:
     def _note_issue(self, sched: WarpScheduler, warp: Warp, op: str,
                     cycle: int) -> None:
         """What every issue does after its own bookkeeping: the
-        scheduler, gate, timeline and observer hear of it, and a warp
-        whose stream it drained retires once no load is in flight."""
+        scheduler, gate and observer hear of it, and a warp whose
+        stream it drained retires once no load is in flight."""
         k = warp.kernel_slot
         sched.note_issued(warp)
         if self._gate is not None:
             self._gate.note_issue(k)
-        if self.timeline is not None:
-            self.timeline.bump("insts", k, cycle)
         if self._obs is not None:
             self._obs_issued[sched.sched_id] = k
             self._obs.issue_event(self.sm_id, sched.sched_id, k, op, cycle)
@@ -445,8 +440,6 @@ class StreamingMultiprocessor:
             if self.bundle.ucp is not None and not is_write:
                 self.bundle.ucp.observe(k, line)
         self.kernel_stats[k].mem_requests += 1
-        if self.timeline is not None:
-            self.timeline.bump("l1d_access", k, cycle)
 
     def on_rsfail(self, kernel: int, cycle: int) -> None:
         if not self._mem_hooks_inert:
@@ -489,8 +482,7 @@ class SleepingSM(StreamingMultiprocessor):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        config, bundle = self.config, self.bundle
-        obs, timeline = self._obs, self.timeline
+        config, bundle, obs = self.config, self.bundle, self._obs
         #: scheduler id -> the stretch of issue slots attribution still
         #: owes (see ``_obs_account``), the table they are paid into
         #: (None with obs off: nothing is ever owed then), and how many
@@ -499,13 +491,12 @@ class SleepingSM(StreamingMultiprocessor):
             [None] * config.schedulers_per_sm)
         self._stall_table = obs.stalls if obs is not None else None
         self._obs_batched = 0
-        # The memoising LSU tick, bound once; the per-call checks it
-        # depends on (hook inertness, timeline) are fixed for the run,
-        # so they are resolved into the LSU here.
+        # The memoising LSU tick, bound once; the per-call check it
+        # depends on (hook inertness) is fixed for the run, so it is
+        # resolved into the LSU here.
         self._lsu_tick = self.lsu.tick_memoised
         self.lsu._inline_stats = (
-            self.kernel_stats
-            if self._mem_hooks_inert and timeline is None else None)
+            self.kernel_stats if self._mem_hooks_inert else None)
         if type(bundle.limiter).note_rsfail is not MemInstLimiter.note_rsfail:
             self.lsu._rsfail_hook = bundle.limiter.note_rsfail
         #: the open-kernel mask (bit k: kernel k's memory instructions
@@ -518,8 +509,8 @@ class SleepingSM(StreamingMultiprocessor):
         self._kstate_items = list(self.kstate.items())
         self._limiter_unlimited = isinstance(bundle.limiter, NoLimit)
         #: issue-through (see ``_issue_mem``) only unobserved: an
-        #: observed or timelined run wants every request's events.
-        self._through_ok = obs is None and timeline is None
+        #: observed run wants every request's events.
+        self._through_ok = obs is None
         #: the baseline policy's pick is pure "first proposer wins".
         self._pick_trivial = (type(bundle.mem_policy).pick
                               is UnmanagedIssue.pick)
@@ -557,14 +548,13 @@ class SleepingSM(StreamingMultiprocessor):
         self._stall_wakes = 0
         self._lrr = config.scheduler_policy == "lrr"
         #: issue autopilot eligibility (see WarpScheduler._auto_warp):
-        #: bursts bypass _issue_compute's gate / timeline / trace hooks
-        #: and rely on GTO's greedy warp holding priority[0], so they
-        #: arm only under GTO with all of those inert.  Observed runs
-        #: owe a burst's slots as ``issued``; only a recorded trace
-        #: wants its per-issue slices.
+        #: bursts bypass _issue_compute's gate / trace hooks and rely
+        #: on GTO's greedy warp holding priority[0], so they arm only
+        #: under GTO with both of those inert.  Observed runs owe a
+        #: burst's slots as ``issued``; only a recorded trace wants its
+        #: per-issue slices.
         self._auto_ok = (config.scheduler_policy == "gto"
                          and bundle.smk_gate is None
-                         and timeline is None
                          and not (obs is not None
                                   and obs.trace is not None))
         # Scheme window boundaries (DMIL limit recompute, QBMI quota
@@ -876,8 +866,6 @@ class SleepingSM(StreamingMultiprocessor):
         gate = self._gate
         if gate is not None:
             gate.note_issue(k)
-        if self.timeline is not None:
-            self.timeline.bump("insts", k, cycle)
         if self._obs is not None:
             self._obs_issued[sched.sched_id] = k
             self._obs.issue_event(self.sm_id, sched.sched_id, k, op, cycle)
@@ -925,8 +913,8 @@ class SleepingSM(StreamingMultiprocessor):
                         self.on_request_issued_values(
                             k, line, False, AccessResult.HIT, cycle)
                 else:
-                    # on_request_issued_values with inert hooks and no
-                    # timeline is this one bump (what the LSU tick's
+                    # on_request_issued_values with inert hooks is this
+                    # one bump (what the LSU tick's
                     # ``_inline_stats`` does); the call per request
                     # costs 3.5 % of sm16_compute's wall_s (PERF.md §8).
                     for hit in hits:
@@ -952,8 +940,6 @@ class SleepingSM(StreamingMultiprocessor):
         gate = self._gate
         if gate is not None:
             gate.note_issue(k)
-        if self.timeline is not None:
-            self.timeline.bump("insts", k, cycle)
         if self._obs is not None:
             self._obs_issued[sched.sched_id] = k
             self._obs.issue_event(self.sm_id, sched.sched_id, k, op, cycle)

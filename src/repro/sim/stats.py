@@ -1,5 +1,8 @@
-"""Run statistics: per-kernel counters, utilization, and the sampled
-timelines used by the paper's Figure 6 and Figure 8.
+"""Run statistics: per-kernel counters and utilization.
+
+Interval time series (the paper's Figures 6 and 8 among them) are the
+phase sampler's, :mod:`repro.obs.timeline`, which reads the
+:class:`KernelStats` counters defined here at interval boundaries.
 
 The metrics mirror the paper's methodology (§2.3/§2.4):
 
@@ -13,7 +16,6 @@ The metrics mirror the paper's methodology (§2.3/§2.4):
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -70,40 +72,6 @@ class KernelStats:
         return self.warp_insts / cycles if cycles else 0.0
 
 
-class TimelineRecorder:
-    """Per-interval sample series, e.g. L1D accesses per 1K cycles
-    (Figure 6) or warp instructions issued per 1K cycles (Figure 8)."""
-
-    def __init__(self, interval: int = 1000):
-        if interval < 1:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-        self.series: Dict[str, Dict[int, List[int]]] = defaultdict(dict)
-
-    def bump(self, series: str, kernel: int, cycle: int, amount: int = 1) -> None:
-        bucket = cycle // self.interval
-        samples = self.series[series].setdefault(kernel, [])
-        gap = bucket + 1 - len(samples)
-        if gap > 0:
-            # Single C-level extend instead of a per-slot append loop:
-            # O(1) amortized even after a long quiet stretch.
-            samples.extend([0] * gap)
-        samples[bucket] += amount
-
-    def get(self, series: str, kernel: int) -> List[int]:
-        return list(self.series.get(series, {}).get(kernel, []))
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form: ``{series: {kernel: [samples...]}}`` plus the
-        sampling interval."""
-        return {
-            "interval": self.interval,
-            "series": {series: {kernel: list(samples)
-                                for kernel, samples in per_kernel.items()}
-                       for series, per_kernel in self.series.items()},
-        }
-
-
 @dataclass
 class RunResult:
     """Everything measured in one simulation run."""
@@ -122,7 +90,6 @@ class RunResult:
     sfu_busy: int = 0
     alu_slots: int = 0
     sfu_slots: int = 0
-    timeline: Optional[TimelineRecorder] = None
     dram_row_hit_rate: float = 0.0
     num_sms: int = 1
     # backend activity (for the energy model)

@@ -164,6 +164,23 @@ class TestCompareCLI:
                      "--threshold", "25"]) == 0
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_zero_ipc_cell_exits_one_with_check(self, tmp_path, capsys):
+        """A cell whose IPC collapsed to zero is a regression however
+        well the other cells did: it zeroes the geomean rather than
+        dropping out of it."""
+        dir_a = tmp_path / "a"
+        dir_b = tmp_path / "b"
+        write_artifacts(str(dir_a), [fake_artifact(scheme="even"),
+                                     fake_artifact(scheme="ws")])
+        write_artifacts(str(dir_b), [fake_artifact(scheme="even"),
+                                     fake_artifact(scheme="ws",
+                                                   total_ipc=0.0)])
+        comparison = compare_paths(str(dir_a), str(dir_b))
+        assert comparison.geomean_ratio() == 0.0
+        assert comparison.regressed(2.0)
+        assert main(["compare", str(dir_a), str(dir_b), "--check"]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
     def test_no_overlap_exits_two(self, tmp_path):
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"

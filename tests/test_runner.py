@@ -172,6 +172,20 @@ class TestReportingHelpers:
         assert len(text.split()) <= 12
 
     def test_geomean(self):
+        from types import SimpleNamespace
+
+        from repro.harness.experiments import SchemeSweep
         assert geomean([1.0, 4.0]) == pytest.approx(2.0)
+        # A zero factor is a zero mean, not a dropped value.
+        assert geomean([0.0, 4.0]) == 0.0
         with pytest.raises(ValueError):
             geomean([])
+        with pytest.raises(ValueError):
+            geomean([-1.0, 4.0])
+        # So a fully starved cell (fairness 0) pulls its class mean to
+        # 0 instead of dropping out of it.
+        sweep = SchemeSweep(("ws",))
+        for name, fair in (("a+b", 0.0), ("c+d", 0.5)):
+            sweep.add(SimpleNamespace(mix_name=name, mix_class="C+M",
+                                      scheme="ws", fairness=fair))
+        assert sweep.mean_metric("ws", "fairness", "C+M") == 0.0

@@ -139,17 +139,6 @@ class TestSpatialMasks:
         assert gpu.sms[1].kstate[1].tb_count > 0
 
 
-class TestTimeline:
-    def test_timeline_recording(self):
-        gpu, result = run_gpu([get_profile("bp"), get_profile("sv")], [2, 2],
-                              cycles=3000, timeline_interval=500)
-        insts = result.timeline.get("insts", 0)
-        assert len(insts) == 6
-        assert sum(insts) == result.kernels[0].warp_insts
-        accesses = result.timeline.get("l1d_access", 1)
-        assert sum(accesses) > 0
-
-
 class TestLaunchHelpers:
     def test_make_launches_validates_lengths(self):
         cfg = scaled_config()
@@ -332,7 +321,6 @@ class TestIssueThrough:
         ("wider-than-the-lsu", "la", (3, 4, 5, 6, 7), (3, 4, 5, 6, 7),
          scaled_config().lsu_width + 1, {}),
         ("observed", "la", (3,), (3,), 1, {"obs": True}),
-        ("timeline", "la", (3,), (3,), 1, {"timeline_interval": 100}),
         ("oracle", "la", (3,), (3,), 1, {"reference": True}),
     ]
 

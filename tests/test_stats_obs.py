@@ -1,7 +1,7 @@
 """Satellite regression tests for the stats layer: the cycles==0 IPC
-guard and the timeline recorder's gap-filling bump/export."""
+guard."""
 
-from repro.sim.stats import KernelStats, RunResult, TimelineRecorder
+from repro.sim.stats import KernelStats, RunResult
 
 
 class TestTotalIpcGuard:
@@ -18,29 +18,3 @@ class TestTotalIpcGuard:
         result = RunResult(cycles=1000, kernel_names=["bp"],
                            kernels={0: stats})
         assert result.total_ipc() == 0.5
-
-
-class TestTimelineRecorder:
-    def test_bump_fills_long_gap(self):
-        rec = TimelineRecorder(interval=100)
-        rec.bump("l1d", 0, cycle=50)
-        rec.bump("l1d", 0, cycle=950)       # 8 empty buckets between
-        assert rec.get("l1d", 0) == [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]
-
-    def test_bump_accumulates_within_bucket(self):
-        rec = TimelineRecorder(interval=100)
-        rec.bump("issue", 1, cycle=10)
-        rec.bump("issue", 1, cycle=99, amount=4)
-        assert rec.get("issue", 1) == [5]
-
-    def test_to_dict_round_trip(self):
-        rec = TimelineRecorder(interval=10)
-        rec.bump("l1d", 0, cycle=5)
-        rec.bump("l1d", 1, cycle=25, amount=2)
-        d = rec.to_dict()
-        assert d["interval"] == 10
-        assert d["series"]["l1d"][0] == [1]
-        assert d["series"]["l1d"][1] == [0, 0, 2]
-        # exported lists are copies, not live references
-        d["series"]["l1d"][0].append(99)
-        assert rec.get("l1d", 0) == [1]

@@ -28,18 +28,21 @@ ADAPTIVE_SCHEME = {"bmi": "qbmi", "qbmi_init_req_per_minst": (4, 4),
                    "mil": "dmil"}
 
 
-def run_mix(kernels, tbs, scheme_kwargs=None, cycles=1500, obs=None):
+def run_mix(kernels, tbs, scheme_kwargs=None, cycles=1500, obs=None,
+            reference=None):
     cfg = scaled_config()
     launches = make_launches([get_profile(k) for k in kernels], list(tbs),
                              cfg, seed=3)
-    gpu = GPU(cfg, launches, SchemeConfig(**(scheme_kwargs or {})), obs=obs)
+    gpu = GPU(cfg, launches, SchemeConfig(**(scheme_kwargs or {})), obs=obs,
+              reference=reference)
     return gpu.run(cycles)
 
 
 def phase_record(kernels, tbs, scheme_kwargs=None, cycles=1500,
-                 interval=256):
+                 interval=256, reference=None):
     result = run_mix(kernels, tbs, scheme_kwargs, cycles,
-                     obs=ObsOptions(phase=True, phase_interval=interval))
+                     obs=ObsOptions(phase=True, phase_interval=interval),
+                     reference=reference)
     assert len(result.obs.phases) == 1
     return result, result.obs, result.obs.phases[0]
 
@@ -106,6 +109,25 @@ class TestExactSum:
             for reason in LSU_STALL_REASONS:
                 assert (sum(series[f"k{kernel}.lsu.{reason}"])
                         == per_kernel.get((kernel, reason), 0))
+
+    @pytest.mark.parametrize("reference", (False, True),
+                             ids=("production", "oracle"))
+    def test_counter_series_sum_to_kernel_stats(self, reference):
+        """The Figure 8 / Figure 6 series — warp instructions issued
+        and L1D requests accepted per interval — are integer deltas
+        that sum exactly to the run's KernelStats, tail row included."""
+        result, _report, record = phase_record(("bp", "sv"), (2, 2),
+                                               cycles=3100, interval=500,
+                                               reference=reference)
+        series = record["series"]
+        for kernel in (0, 1):
+            insts = series[f"k{kernel}.warp_insts"]
+            reqs = series[f"k{kernel}.mem_requests"]
+            assert len(insts) == len(reqs) == 7  # 6 intervals + a tail
+            assert all(type(v) is int for v in insts + reqs)
+            assert sum(insts) == result.kernels[kernel].warp_insts
+            assert sum(reqs) == result.kernels[kernel].mem_requests
+            assert sum(reqs) > 0
 
 
 class TestIntervals:
