@@ -3,51 +3,33 @@
 run every kernel in isolation, measure utilization / LSU stalls / L1D
 behaviour, and classify kernels as compute- or memory-intensive.
 
-This regenerates the data behind Table 2 and Figure 2 and prints the
+This runs the Table 2 and Figure 2 entries of the figure registry
+(``repro.harness.experiments.FIGURES``) — the same tables and
+paper-shape verdicts ``repro report`` prints — and shows the
 classification rule in action.
 
 Usage::
 
-    python examples/characterize_workloads.py [bench ...]
+    python examples/characterize_workloads.py
 """
 
-import sys
-
 from repro import scaled_config
-from repro.harness import ExperimentRunner, format_table
-from repro.workloads.profiles import ALL_PROFILES, get_profile
+from repro.harness import ExperimentRunner
+from repro.harness.experiments import FIGURES
 
 
 def main() -> None:
-    names = sys.argv[1:]
-    profiles = ([get_profile(n) for n in names] if names else ALL_PROFILES)
-
     runner = ExperimentRunner(scaled_config())
-    rows = []
-    for profile in profiles:
-        iso = runner.isolated(profile)
-        measured_kind = "M" if iso.lsu_stall_pct > 0.20 else "C"
-        rows.append([
-            profile.name, profile.full_name, profile.suite,
-            iso.ipc, iso.alu_utilization, iso.sfu_utilization,
-            iso.lsu_stall_pct, iso.l1d_miss_rate, iso.l1d_rsfail_rate,
-            measured_kind, profile.paper["type"],
-        ])
-    rows.sort(key=lambda r: -r[4])  # decreasing ALU utilization, as Fig. 2
-
-    print("Isolated characterisation (sorted by ALU utilization):")
-    print(format_table(
-        ["bench", "application", "suite", "IPC", "ALU", "SFU",
-         "LSU_stall", "L1D_miss", "L1D_rsfail", "type", "paper"],
-        rows, precision=2))
-
-    print("\nClassification rule (paper §2.4): LSU stalls > 20% => "
+    for figure in FIGURES:
+        if figure.key not in ("table2", "fig2"):
+            continue
+        data = figure.run(runner)
+        print(f"{figure.title}\n{figure.render(data)}")
+        for claim, holds in figure.verdicts(data):
+            print(f"  {'ok  ' if holds else 'FAIL'} {claim}")
+        print()
+    print("Classification rule (paper §2.4): LSU stalls > 20% => "
           "memory-intensive (M).")
-    mism = [r[0] for r in rows if r[-2] != r[-1]]
-    if mism:
-        print(f"disagreements with the paper: {mism}")
-    else:
-        print("classification matches the paper for every kernel.")
 
 
 if __name__ == "__main__":

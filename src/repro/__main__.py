@@ -3,8 +3,6 @@
 Commands
 --------
 
-``characterize``
-    Isolated characterisation of all 13 benchmarks (Table 2 / Fig 2).
 ``run A B [--scheme S] [--cycles N] [--obs] [--trace OUT.json]
 [--phase-interval N] [--artifacts DIR]``
     One concurrent workload under one scheme.  ``--obs`` appends the
@@ -20,7 +18,10 @@ Commands
     Record a concurrent run as Chrome trace-event JSON — open in
     Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 ``report OUT.md [--quick]``
-    Full campaign report written to a markdown file.
+    Every paper table, figure and study of the figure registry
+    (``repro.harness.experiments.FIGURES``) with its paper-shape
+    verdicts, written to a markdown file.  ``--quick`` runs on short
+    cycle budgets and skips the workloads×schemes grids.
 ``campaign A,B [C,D ...] [--schemes S1,S2] [--workers N] [--progress]
 [--obs] [--phase-interval N] [--artifacts DIR] [--timeout S]
 [--retries N] [--backoff S] [--resume] [--fault-plan PLAN.json]
@@ -84,23 +85,6 @@ def _scaled_runner(settings=None, cache_dir=None):
     from repro.config import scaled_config
     from repro.harness.runner import ExperimentRunner
     return ExperimentRunner(scaled_config(), settings, cache_dir=cache_dir)
-
-
-def cmd_characterize(_args) -> int:
-    from repro.harness.reporting import format_table
-    from repro.workloads.profiles import ALL_PROFILES
-    runner = _scaled_runner()
-    rows = []
-    for profile in ALL_PROFILES:
-        iso = runner.isolated(profile)
-        rows.append([profile.name, profile.kind, iso.ipc,
-                     iso.alu_utilization, iso.lsu_stall_pct,
-                     iso.l1d_miss_rate, iso.l1d_rsfail_rate])
-    rows.sort(key=lambda r: -r[3])
-    print(format_table(
-        ["bench", "type", "IPC", "ALU_util", "LSU_stall", "L1D_miss",
-         "rsfail"], rows, precision=2))
-    return 0
 
 
 def _obs_options(args):
@@ -278,6 +262,12 @@ def cmd_campaign(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if _bad_names([n for names in specs for n in names], schemes):
         return 2
+    from repro.harness.parallel import requested_workers
+    try:
+        requested_workers(args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     mixes = [mix(*names) for names in specs]
     # Any of the four flags asks for a resilience policy, which
     # checkpoints under the cache dir — so it defaults one on; the
@@ -393,8 +383,6 @@ def main(argv=None) -> int:
         prog="repro",
         description="HPCA'18 CKE memory-pipeline-stall reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("characterize").set_defaults(fn=cmd_characterize)
 
     run = sub.add_parser("run")
     run.add_argument("a")

@@ -46,16 +46,22 @@ WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
 
 def requested_workers(workers: Optional[int] = None) -> int:
-    """The parallelism a batch asks for: an explicit ``workers``, else
-    ``$REPRO_BENCH_WORKERS``, else the CPU count; never below 1."""
+    """The parallelism a batch asks for: an explicit ``workers`` (never
+    below 1), else ``$REPRO_BENCH_WORKERS``, else the CPU count.  A set
+    ``$REPRO_BENCH_WORKERS`` that is not a positive integer raises
+    ``ValueError`` rather than silently running on every CPU."""
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            pass
+            value = 0
+        if value < 1:
+            raise ValueError(
+                f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return value
     return os.cpu_count() or 1
 
 
@@ -299,8 +305,8 @@ def campaign_jobs(mixes: Sequence[WorkloadMix], schemes: Sequence[str],
             for mix in mixes for scheme in schemes]
 
 
-def prefetch_jobs(mixes: Sequence[WorkloadMix],
-                  schemes: Sequence[str]) -> List[Job]:
+def shared_input_jobs(mixes: Sequence[WorkloadMix],
+                      schemes: Sequence[str]) -> List[Job]:
     """Shared inputs of a campaign: every kernel's isolated run (for
     normalisation) and — when any scheme partitions via Warped-Slicer —
     every kernel's scalability curve."""

@@ -1,19 +1,17 @@
 """Report rendering for the experiment harness.
 
-Two layers live here (consolidated from the former near-duplicate
-``harness/report.py``):
+Two layers live here:
 
-* plain-text table/series formatters used by the experiment drivers —
-  the paper's figures are bar/line charts; the drivers regenerate the
-  underlying rows/series and these helpers render them the way the
-  benches and ``EXPERIMENTS.md`` present them;
-* the full-campaign markdown report generator (:func:`build_report` /
-  :func:`write_report`) behind ``python -m repro report out.md``.
+* plain-text table/series formatters and :func:`geomean` — the
+  paper's figures are bar/line charts; the renderers of the figure
+  registry (:data:`repro.harness.experiments.FIGURES`) print their
+  underlying rows/series with these helpers;
+* the markdown report (:func:`build_report` / :func:`write_report`)
+  behind ``python -m repro report out.md``: a loop over the registry.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Dict, List, Sequence, Union
 
 Number = Union[int, float]
@@ -83,82 +81,33 @@ def geomean(values: Sequence[float]) -> float:
 
 # ----------------------------------------------------------------------
 # full-campaign markdown report (``python -m repro report out.md``)
-def _scheme_metric_table(sweep, schemes, metric: str) -> str:
-    classes = [*sweep.classes(), None]
-    labels = [c or "ALL" for c in classes]
-    rows = [[scheme] + [sweep.mean_metric(scheme, metric, cls)
-                        for cls in classes]
-            for scheme in schemes]
-    return format_table(["scheme", *labels], rows, precision=3)
-
-
 def build_report(runner, include_sweeps: bool = True) -> str:
-    """Run every experiment driver against ``runner`` and render one
-    markdown document — the programmatic counterpart of
-    ``EXPERIMENTS.md`` (which records one such campaign)."""
+    """Run every entry of the figure registry
+    (:data:`repro.harness.experiments.FIGURES`) against ``runner`` and
+    render one markdown document: each entry's table, then one ✓/✗
+    line per paper-shape verdict.  ``include_sweeps=False`` skips the
+    entries that run a workloads×schemes grid."""
     # Imported lazily: the experiment drivers import the runner module,
     # which this module must not depend on at import time (both are
     # pulled in by ``harness/__init__``).
-    from repro.harness import experiments as ex
+    from repro.harness.experiments import FIGURES
 
-    out = io.StringIO()
-    w = out.write
-
-    w("# Reproduction campaign report\n\n")
-    w(f"config: {runner.config.num_sms} SMs, "
-      f"{runner.config.max_warps_per_sm} warps/SM, "
-      f"L1D {runner.config.l1d.size_bytes // 1024}KB/"
-      f"{runner.config.l1d.mshrs} MSHRs, "
-      f"scheduler {runner.config.scheduler_policy.upper()}; "
-      f"windows iso={runner.settings.iso_cycles} "
-      f"conc={runner.settings.concurrent_cycles} cycles\n\n")
-
-    w("## Table 2 — workload characterisation\n\n```\n")
-    rows = ex.table2_characteristics(runner)
-    classes = ex.classify_measured(rows)
-    w(format_table(
-        ["bench", "miss", "miss(paper)", "rsfail", "rsfail(paper)",
-         "lsu_stall", "type", "type(paper)"],
-        [[r["name"], r["l1d_miss_rate"], r["paper"]["l1d_miss_rate"],
-          r["l1d_rsfail_rate"], r["paper"]["l1d_rsfail_rate"],
-          r["lsu_stall_pct"], classes[str(r["name"])], r["paper"]["type"]]
-         for r in rows], precision=2))
-    w("\n```\n\n")
-
-    w("## Figure 3 — sweet spot (bp+sv)\n\n```\n")
-    spot = ex.figure3_sweet_spot(runner)
-    w(format_series({k: v for k, v in spot.curves.items()}))
-    w(f"\nsweet spot: {spot.partition}, theoretical WS "
-      f"{spot.theoretical_ws:.2f}\n```\n\n")
-
-    w("## Figure 4 — theoretical vs achieved\n\n```\n")
-    gaps = ex.figure4_gap(runner)
-    w(format_table(["mix", "class", "theoretical", "achieved"],
-                   [[g.mix_name, g.mix_class, g.theoretical, g.achieved]
-                    for g in gaps], precision=2))
-    w("\n```\n\n")
-
-    if include_sweeps:
-        w("## Figure 12 — main result (Warped-Slicer)\n\n")
-        sweep = ex.figure12_main(runner)
-        for metric in ("weighted_speedup", "antt", "fairness"):
-            w(f"### {metric}\n\n```\n")
-            w(_scheme_metric_table(sweep, ex.WS_SCHEMES, metric))
-            w("\n```\n\n")
-
-        w("## Figure 13 — main result (SMK)\n\n")
-        smk = ex.figure13_smk(runner)
-        for metric in ("weighted_speedup", "antt"):
-            w(f"### {metric}\n\n```\n")
-            w(_scheme_metric_table(smk, ex.SMK_SCHEMES, metric))
-            w("\n```\n\n")
-
-    w("## §4.4 — hardware overhead\n\n```\n")
-    cost = ex.hardware_overhead()
-    w(format_table(["component", "bits"],
-                   [[k, v] for k, v in cost.items() if k != "detail"]))
-    w("\n```\n")
-    return out.getvalue()
+    config, settings = runner.config, runner.settings
+    out = ["# Reproduction campaign report\n",
+           f"config: {config.num_sms} SMs, "
+           f"{config.max_warps_per_sm} warps/SM, "
+           f"L1D {config.l1d.size_bytes // 1024}KB/{config.l1d.mshrs} MSHRs, "
+           f"scheduler {config.scheduler_policy.upper()}; "
+           f"windows iso={settings.iso_cycles} "
+           f"conc={settings.concurrent_cycles} cycles\n"]
+    for figure in FIGURES:
+        if figure.grid and not include_sweeps:
+            continue
+        data = figure.run(runner)
+        out.append(f"## {figure.title}\n\n```\n{figure.render(data)}\n```\n")
+        out.append("\n".join(f"- {'✓' if holds else '✗'} {claim}"
+                             for claim, holds in figure.verdicts(data)) + "\n")
+    return "\n".join(out)
 
 
 def write_report(path: str, runner=None, include_sweeps: bool = True) -> str:

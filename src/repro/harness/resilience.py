@@ -1086,7 +1086,7 @@ def run_campaign_resilient(runner: ExperimentRunner,
     if journal is not None and not resume:
         journal.reset()
     _prefetch, report = run_jobs_resilient(
-        runner, _par.prefetch_jobs(mixes, schemes), policy=policy,
+        runner, _par.shared_input_jobs(mixes, schemes), policy=policy,
         workers=workers, progress=progress, journal=journal,
         resume=True, fault_plan=fault_plan)
     cost_hints = None

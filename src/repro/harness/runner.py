@@ -258,14 +258,6 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     # campaigns (see repro.harness.resilience, the one dispatcher)
-    def prefetch(self, jobs, workers: Optional[int] = None,
-                 progress=None) -> None:
-        """Execute a batch of jobs (``IsoJob``/``CurveJob``/``MixJob``)
-        under the plain policy and install the cacheable results, so
-        subsequent serial calls are cache hits."""
-        from repro.harness.parallel import run_jobs
-        run_jobs(self, jobs, workers=workers, progress=progress)
-
     def run_campaign(self, mixes: Sequence[WorkloadMix],
                      schemes: Sequence[str],
                      workers: Optional[int] = None,

@@ -121,6 +121,21 @@ class TestCLI:
         assert known in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_campaign_rejects_bad_worker_env(self, value, tmp_path,
+                                             monkeypatch, capsys):
+        """A malformed ``$REPRO_BENCH_WORKERS`` is a usage error too,
+        not a silent fall-back to every CPU (or a clamp to 1)."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", value)
+        assert main(["campaign", "bp,cd", "--schemes", "ws",
+                     "--cache", "c"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: REPRO_BENCH_WORKERS must be a "
+                                f"positive integer, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_cli_import_does_not_load_concurrent_futures(self):
         """The one dispatcher manages its own processes; nothing on the
         CLI's import path may pull the executor framework back in."""

@@ -1,11 +1,18 @@
-"""Tests for the per-figure experiment drivers (fast budgets)."""
+"""Tests for the per-figure experiment drivers (fast budgets) and the
+figure registry that runs them."""
+
+import dataclasses
+import inspect
+from collections import Counter
 
 import pytest
 
 from repro.config import scaled_config
 from repro.harness import experiments as ex
+from repro.harness.reporting import build_report
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import mix
+from tests.test_cli_and_report import TINY
 
 FAST = RunnerSettings(iso_cycles=1500, curve_cycles=1200, concurrent_cycles=2000)
 
@@ -95,3 +102,57 @@ class TestOverheadDriver:
         three = ex.hardware_overhead(3, 16)
         assert three["milg_per_sm_bits"] > two["milg_per_sm_bits"]
         assert two["milg_gpu_bits"] == two["milg_per_sm_bits"] * 16
+
+
+class TestFigureRegistry:
+    #: public functions of ``experiments`` that are not drivers: helpers
+    #: the drivers, renderers and verdicts share.
+    HELPERS = {"classify_measured", "gap_by_class", "scheme_sweep",
+               "smil_optimum"}
+
+    def test_keys_unique(self):
+        keys = [figure.key for figure in ex.FIGURES]
+        assert len(keys) == len(set(keys))
+
+    def test_every_driver_reached_by_exactly_one_entry(self):
+        """A public driver no entry runs is an orphan nothing prints or
+        checks; add it to the registry or delete it."""
+        drivers = {name for name, fn in vars(ex).items()
+                   if inspect.isfunction(fn) and fn.__module__ == ex.__name__
+                   and not name.startswith("_")} - self.HELPERS
+        reached = Counter()
+        for figure in ex.FIGURES:
+            run = figure.run
+            names = ([name for name in inspect.getclosurevars(run).globals
+                      if name in drivers]
+                     if run.__name__ == "<lambda>" else [run.__name__])
+            assert len(names) == 1 and names[0] in drivers, figure.key
+            reached[names[0]] += 1
+        # Fig. 9's three panels share one driver.
+        assert reached == Counter(dict.fromkeys(drivers, 1)) \
+            + Counter(figure9_smil_sweep=2)
+
+    def test_quick_report_prints_every_non_grid_entry_and_verdict(
+            self, monkeypatch):
+        recorded = {}
+
+        def recording(figure):
+            def verdicts(data):
+                recorded[figure.key] = figure.verdicts(data)
+                return recorded[figure.key]
+            return dataclasses.replace(figure, verdicts=verdicts)
+
+        monkeypatch.setattr(ex, "FIGURES",
+                            tuple(recording(f) for f in ex.FIGURES))
+        text = build_report(ExperimentRunner(scaled_config(), TINY),
+                            include_sweeps=False)
+        quick = [f for f in ex.FIGURES if not f.grid]
+        assert set(recorded) == {f.key for f in quick}
+        for figure in ex.FIGURES:
+            assert (f"## {figure.title}\n" in text) == (not figure.grid)
+        lines = text.splitlines()
+        verdict_lines = [line for line in lines
+                         if line.startswith(("- ✓ ", "- ✗ "))]
+        expected = [f"- {'✓' if holds else '✗'} {claim}"
+                    for f in quick for claim, holds in recorded[f.key]]
+        assert verdict_lines == expected

@@ -16,8 +16,8 @@ import pytest
 
 from repro.config import scaled_config
 from repro.harness.parallel import (CurveJob, IsoJob, MixJob,
-                                    campaign_jobs, prefetch_jobs,
-                                    requested_workers, run_jobs)
+                                    campaign_jobs, requested_workers,
+                                    run_jobs, shared_input_jobs)
 from repro.harness.perfbench import outcome_signature
 from repro.harness.resilience import (PLAIN, ResiliencePolicy,
                                       default_journal_path)
@@ -98,7 +98,7 @@ def test_run_jobs_dedups_and_preserves_order(tmp_path):
 def test_prefetch_seeds_caches_for_serial_reuse(tmp_path):
     runner = make_runner(tmp_path, "prefetch")
     mixes = make_mixes((("3m", "bp"),))
-    runner.prefetch(prefetch_jobs(mixes, ["ws"]), workers=2)
+    run_jobs(runner, shared_input_jobs(mixes, ["ws"]), workers=2)
     # Curves and isolated records are now in-memory; run_mix must not
     # need to recompute them (observable: in-memory caches populated).
     assert runner._iso_cache and runner._curve_cache
@@ -147,16 +147,18 @@ def test_campaign_jobs_grid_is_mix_major():
 def test_prefetch_jobs_skip_curves_without_ws():
     mixes = make_mixes((("3m", "bp"),))
     assert not any(isinstance(j, CurveJob)
-                   for j in prefetch_jobs(mixes, ["even", "smk"]))
+                   for j in shared_input_jobs(mixes, ["even", "smk"]))
     assert any(isinstance(j, CurveJob)
-               for j in prefetch_jobs(mixes, ["even", "ws-dmil"]))
+               for j in shared_input_jobs(mixes, ["even", "ws-dmil"]))
 
 
 def test_requested_workers_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_WORKERS", "3")
     assert requested_workers() == 3
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "not-a-number")
-    assert requested_workers() == (os.cpu_count() or 1)
+    for bad in ("not-a-number", "0", "-2"):
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", bad)
+        with pytest.raises(ValueError, match="REPRO_BENCH_WORKERS"):
+            requested_workers()
     assert requested_workers(5) == 5
     assert requested_workers(0) == 1
 
