@@ -13,21 +13,23 @@ Usage::
     python examples/characterize_workloads.py
 """
 
+import argparse
+
 from repro import scaled_config
 from repro.harness import ExperimentRunner
 from repro.harness.experiments import FIGURES
+from repro.harness.reporting import format_verdicts
 
 
 def main() -> None:
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    figures = {figure.key: figure for figure in FIGURES}
     runner = ExperimentRunner(scaled_config())
-    for figure in FIGURES:
-        if figure.key not in ("table2", "fig2"):
-            continue
+    for key in ("table2", "fig2"):
+        figure = figures[key]
         data = figure.run(runner)
-        print(f"{figure.title}\n{figure.render(data)}")
-        for claim, holds in figure.verdicts(data):
-            print(f"  {'ok  ' if holds else 'FAIL'} {claim}")
-        print()
+        print(f"{figure.title}\n{figure.render(data)}\n"
+              f"{format_verdicts(figure.verdicts(data))}\n")
     print("Classification rule (paper §2.4): LSU stalls > 20% => "
           "memory-intensive (M).")
 

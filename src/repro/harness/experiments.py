@@ -120,6 +120,7 @@ def table2_characteristics(runner: ExperimentRunner) -> List[Dict[str, object]]:
         occ = profile.occupancy(runner.config)
         rows.append({
             "name": profile.name,
+            "application": profile.full_name, "suite": profile.suite,
             "rf_oc": occ["rf"], "smem_oc": occ["smem"],
             "thread_oc": occ["threads"], "tb_oc": occ["tbs"],
             "cinst_per_minst": profile.cinst_per_minst,
@@ -153,11 +154,11 @@ def _class_mismatches(rows) -> List[object]:
 def _render_table2(rows) -> str:
     classes = classify_measured(rows)
     table = format_table(
-        ["bench", "rf", "smem", "thr", "tb", "C/M inst", "Req/M", "IPC",
-         "miss", "miss(paper)", "rsfail", "rsfail(paper)", "lsu_stall",
-         "type", "type(paper)"],
-        [[r["name"], r["rf_oc"], r["smem_oc"], r["thread_oc"], r["tb_oc"],
-          r["cinst_per_minst"], r["req_per_minst"], r["ipc"],
+        ["bench", "application", "suite", "rf", "smem", "thr", "tb",
+         "C/M inst", "Req/M", "IPC", "miss", "miss(paper)", "rsfail",
+         "rsfail(paper)", "lsu_stall", "type", "type(paper)"],
+        [[r["name"], r["application"], r["suite"], r["rf_oc"], r["smem_oc"],
+          r["thread_oc"], r["tb_oc"], r["cinst_per_minst"], r["req_per_minst"], r["ipc"],
           r["l1d_miss_rate"], r["paper"]["l1d_miss_rate"],
           r["l1d_rsfail_rate"], r["paper"]["l1d_rsfail_rate"],
           r["lsu_stall_pct"], classes[str(r["name"])], r["paper"]["type"]]
@@ -751,27 +752,29 @@ def _variant_runner(runner: ExperimentRunner, **changes) -> ExperimentRunner:
                             cache_dir=runner.cache_dir)
 
 
-def l1d_capacity_sweeps(runner: ExperimentRunner,
-                        l1d_kbs: Sequence[int] = (12, 24, 48)
-                        ) -> Dict[int, SchemeSweep]:
-    """WS vs WS-QBMI vs WS-DMIL across L1D capacities (the scaled
-    analogue of the paper's 24/48/96 KB)."""
+#: L1D capacities of the §4.3 study (the scaled analogue of the
+#: paper's 24/48/96 KB).
+L1D_KBS = (12, 24, 48)
+#: warp schedulers of the §4.3 study.
+SCHED_POLICIES = ("gto", "lrr")
+
+
+def l1d_capacity_sweeps(runner: ExperimentRunner) -> Dict[int, SchemeSweep]:
+    """WS vs WS-QBMI vs WS-DMIL at each of :data:`L1D_KBS`."""
     l1d = runner.config.l1d
     return {kb: scheme_sweep(
                 _variant_runner(runner, l1d=dataclasses.replace(
                     l1d, size_bytes=kb * 1024)),
                 BMI_MIL_SCHEMES, paper_pairs())
-            for kb in l1d_kbs}
+            for kb in L1D_KBS}
 
 
-def scheduler_sweeps(runner: ExperimentRunner,
-                     policies: Sequence[str] = ("gto", "lrr")
-                     ) -> Dict[str, SchemeSweep]:
-    """The same sweep under GTO and LRR warp scheduling."""
+def scheduler_sweeps(runner: ExperimentRunner) -> Dict[str, SchemeSweep]:
+    """The same sweep under each of :data:`SCHED_POLICIES`."""
     return {policy: scheme_sweep(
                 _variant_runner(runner, scheduler_policy=policy),
                 BMI_MIL_SCHEMES, paper_pairs())
-            for policy in policies}
+            for policy in SCHED_POLICIES}
 
 
 def _render_sensitivity(header: str, label: Callable[[object], str]):
@@ -1003,13 +1006,16 @@ def dmil_recovery(runner: ExperimentRunner) -> List[list]:
     return rows
 
 
-def dmil_sampling_window(runner: ExperimentRunner,
-                         windows: Sequence[int] = (128, 256, 512)
-                         ) -> List[list]:
-    """DMIL on bp+ks per MILG sampling window (the paper picks 1024
-    requests; the scaled machine defaults to 256)."""
+#: MILG sampling windows of the ablation, in requests.
+DMIL_WINDOWS = (128, 256, 512)
+
+
+def dmil_sampling_window(runner: ExperimentRunner) -> List[list]:
+    """DMIL on bp+ks per MILG sampling window in :data:`DMIL_WINDOWS`
+    (the paper picks 1024 requests; the scaled machine defaults to
+    256)."""
     rows = []
-    for window in windows:
+    for window in DMIL_WINDOWS:
         out = runner.run_mix_with_stack(
             mix("bp", "ks"), SchemeConfig(mil="dmil", sample_window=window))
         rows.append([window, out.weighted_speedup, out.antt, out.fairness])

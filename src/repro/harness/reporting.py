@@ -5,14 +5,15 @@ Two layers live here:
 * plain-text table/series formatters and :func:`geomean` — the
   paper's figures are bar/line charts; the renderers of the figure
   registry (:data:`repro.harness.experiments.FIGURES`) print their
-  underlying rows/series with these helpers;
+  underlying rows/series with these helpers, and
+  :func:`format_verdicts` prints an entry's paper-shape verdicts;
 * the markdown report (:func:`build_report` / :func:`write_report`)
   behind ``python -m repro report out.md``: a loop over the registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -105,9 +106,14 @@ def build_report(runner, include_sweeps: bool = True) -> str:
             continue
         data = figure.run(runner)
         out.append(f"## {figure.title}\n\n```\n{figure.render(data)}\n```\n")
-        out.append("\n".join(f"- {'✓' if holds else '✗'} {claim}"
-                             for claim, holds in figure.verdicts(data)) + "\n")
+        out.append(format_verdicts(figure.verdicts(data)) + "\n")
     return "\n".join(out)
+
+
+def format_verdicts(verdicts: Sequence[Tuple[str, bool]]) -> str:
+    """One ``- ✓ claim`` / ``- ✗ claim`` line per paper-shape verdict."""
+    return "\n".join(f"- {'✓' if holds else '✗'} {claim}"
+                     for claim, holds in verdicts)
 
 
 def write_report(path: str, runner=None, include_sweeps: bool = True) -> str:

@@ -3,28 +3,33 @@
 import pytest
 
 from repro.__main__ import main
-from repro.config import scaled_config
-from repro.harness.reporting import build_report, write_report
-from repro.harness.runner import ExperimentRunner, RunnerSettings
-
-TINY = RunnerSettings(iso_cycles=1000, curve_cycles=800,
-                      concurrent_cycles=1200)
+from repro.harness import reporting
 
 
 class TestReport:
-    def test_build_report_contains_sections(self):
-        runner = ExperimentRunner(scaled_config(), TINY)
-        text = build_report(runner, include_sweeps=False)
+    def test_build_report_contains_sections(self, quick_report):
+        text, _verdicts = quick_report
         assert "# Reproduction campaign report" in text
         assert "Table 2" in text
         assert "sweet spot" in text
         assert "hardware overhead" in text
 
-    def test_write_report_round_trip(self, tmp_path):
+    def test_write_report_round_trip(self, tmp_path, monkeypatch,
+                                     quick_report):
+        text, _verdicts = quick_report
+        calls = []
+
+        def build_report(runner, include_sweeps):
+            calls.append((runner, include_sweeps))
+            return text
+
+        monkeypatch.setattr(reporting, "build_report", build_report)
         path = tmp_path / "report.md"
-        runner = ExperimentRunner(scaled_config(), TINY)
-        text = write_report(str(path), runner, include_sweeps=False)
+        runner = object()
+        assert reporting.write_report(str(path), runner,
+                                      include_sweeps=False) == text
         assert path.read_text() == text
+        assert calls == [(runner, False)]
 
 
 class TestCLI:

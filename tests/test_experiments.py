@@ -1,7 +1,6 @@
 """Tests for the per-figure experiment drivers (fast budgets) and the
 figure registry that runs them."""
 
-import dataclasses
 import inspect
 from collections import Counter
 
@@ -9,10 +8,8 @@ import pytest
 
 from repro.config import scaled_config
 from repro.harness import experiments as ex
-from repro.harness.reporting import build_report
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import mix
-from tests.test_cli_and_report import TINY
 
 FAST = RunnerSettings(iso_cycles=1500, curve_cycles=1200, concurrent_cycles=2000)
 
@@ -133,26 +130,14 @@ class TestFigureRegistry:
             + Counter(figure9_smil_sweep=2)
 
     def test_quick_report_prints_every_non_grid_entry_and_verdict(
-            self, monkeypatch):
-        recorded = {}
-
-        def recording(figure):
-            def verdicts(data):
-                recorded[figure.key] = figure.verdicts(data)
-                return recorded[figure.key]
-            return dataclasses.replace(figure, verdicts=verdicts)
-
-        monkeypatch.setattr(ex, "FIGURES",
-                            tuple(recording(f) for f in ex.FIGURES))
-        text = build_report(ExperimentRunner(scaled_config(), TINY),
-                            include_sweeps=False)
+            self, quick_report):
+        text, recorded = quick_report
         quick = [f for f in ex.FIGURES if not f.grid]
         assert set(recorded) == {f.key for f in quick}
         for figure in ex.FIGURES:
             assert (f"## {figure.title}\n" in text) == (not figure.grid)
-        lines = text.splitlines()
-        verdict_lines = [line for line in lines
+        verdict_lines = [line for line in text.splitlines()
                          if line.startswith(("- ✓ ", "- ✗ "))]
-        expected = [f"- {'✓' if holds else '✗'} {claim}"
-                    for f in quick for claim, holds in recorded[f.key]]
-        assert verdict_lines == expected
+        assert verdict_lines == [
+            f"- {'✓' if holds else '✗'} {claim}"
+            for f in quick for claim, holds in recorded[f.key]]
