@@ -79,6 +79,36 @@ SCHEME_HELP = [
 ]
 
 
+def _at_least(convert, minimum, exclusive=False):
+    """An argparse ``type``: ``convert(text)`` no less than ``minimum``
+    (above it if ``exclusive``).  A bad value is a usage error — exit 2
+    before any runner, job or cache dir exists — not a silent default
+    and not a cell fault to retry and quarantine."""
+    kind = "an integer" if convert is int else "a number"
+    rule = f"{kind} {'>' if exclusive else '>='} {minimum}"
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not (value > minimum if exclusive
+                                 else value >= minimum):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+    return parse
+
+
+#: cycle budgets, sampling intervals and rates, worker counts.
+POSITIVE_INT = _at_least(int, 1)
+#: retry counts.
+COUNT = _at_least(int, 0)
+#: a timeout in seconds.
+POSITIVE_SECONDS = _at_least(float, 0, exclusive=True)
+#: a backoff in seconds.
+SECONDS = _at_least(float, 0)
+
+
 def _scaled_runner(settings=None, cache_dir=None):
     """An :class:`ExperimentRunner` on the scaled machine — what every
     simulating subcommand drives."""
@@ -250,7 +280,8 @@ def cmd_report(args) -> int:
 def cmd_campaign(args) -> int:
     from repro.harness.reporting import format_table
     from repro.harness.resilience import (PLAIN, JobError, Quarantined,
-                                          ResiliencePolicy)
+                                          ResiliencePolicy,
+                                          run_campaign_resilient)
     from repro.workloads.mixes import mix
     specs = []
     for spec in args.mixes:
@@ -289,8 +320,8 @@ def cmd_campaign(args) -> int:
         telemetry = CampaignTelemetry()
     obs = args.obs or bool(args.phase_interval) or bool(args.artifacts)
     try:
-        outcomes, report = runner.run_campaign_resilient(
-            mixes, schemes, policy=policy, workers=args.workers,
+        outcomes, report = run_campaign_resilient(
+            runner, mixes, schemes, policy=policy, workers=args.workers,
             obs=obs, progress=telemetry,
             phase_interval=args.phase_interval,
             artifacts_dir=args.artifacts, resume=args.resume,
@@ -388,16 +419,16 @@ def main(argv=None) -> int:
     run.add_argument("a")
     run.add_argument("b")
     run.add_argument("--scheme", default="ws-dmil")
-    run.add_argument("--cycles", type=int, default=None)
+    run.add_argument("--cycles", type=POSITIVE_INT, default=None)
     run.add_argument("--obs", action="store_true",
                      help="collect and print the stall-attribution breakdown")
     run.add_argument("--trace", metavar="OUT.json", default=None,
                      help="also record a Chrome trace (implies --obs)")
-    run.add_argument("--issue-sample", type=int, default=16,
+    run.add_argument("--issue-sample", type=POSITIVE_INT, default=16,
                      help="record every Nth warp-issue slice (default 16)")
-    run.add_argument("--mem-sample", type=int, default=4,
+    run.add_argument("--mem-sample", type=POSITIVE_INT, default=4,
                      help="trace every Nth memory request (default 4)")
-    run.add_argument("--phase-interval", type=int, default=None,
+    run.add_argument("--phase-interval", type=POSITIVE_INT, default=None,
                      metavar="N",
                      help="sample phase time-series every N cycles "
                           "(implies --obs)")
@@ -410,7 +441,7 @@ def main(argv=None) -> int:
     stalls.add_argument("a")
     stalls.add_argument("b")
     stalls.add_argument("--scheme", default="ws-dmil")
-    stalls.add_argument("--cycles", type=int, default=None)
+    stalls.add_argument("--cycles", type=POSITIVE_INT, default=None)
     stalls.set_defaults(fn=cmd_stalls)
 
     trace = sub.add_parser("trace")
@@ -418,10 +449,10 @@ def main(argv=None) -> int:
     trace.add_argument("b")
     trace.add_argument("out", metavar="OUT.json")
     trace.add_argument("--scheme", default="ws-dmil")
-    trace.add_argument("--cycles", type=int, default=None)
-    trace.add_argument("--issue-sample", type=int, default=16,
+    trace.add_argument("--cycles", type=POSITIVE_INT, default=None)
+    trace.add_argument("--issue-sample", type=POSITIVE_INT, default=16,
                        help="record every Nth warp-issue slice (default 16)")
-    trace.add_argument("--mem-sample", type=int, default=4,
+    trace.add_argument("--mem-sample", type=POSITIVE_INT, default=4,
                        help="trace every Nth memory request (default 4)")
     trace.set_defaults(fn=cmd_trace)
 
@@ -434,13 +465,13 @@ def main(argv=None) -> int:
     campaign.add_argument("mixes", nargs="+", metavar="A,B",
                           help="comma-separated kernel names per mix")
     campaign.add_argument("--schemes", default="ws,ws-dmil")
-    campaign.add_argument("--workers", type=int, default=None)
+    campaign.add_argument("--workers", type=POSITIVE_INT, default=None)
     campaign.add_argument("--progress", action="store_true",
                           help="print one heartbeat line per finished job")
     campaign.add_argument("--obs", action="store_true",
                           help="observe each cell; print a merged stall "
                                "report after the table")
-    campaign.add_argument("--phase-interval", type=int, default=None,
+    campaign.add_argument("--phase-interval", type=POSITIVE_INT, default=None,
                           metavar="N",
                           help="sample phase time-series in every cell "
                                "every N cycles (implies --obs)")
@@ -448,16 +479,16 @@ def main(argv=None) -> int:
                           help="write one run-artifact JSON per cell plus "
                                "a ledger.json index under DIR "
                                "(implies --obs)")
-    campaign.add_argument("--timeout", type=float, default=None,
+    campaign.add_argument("--timeout", type=POSITIVE_SECONDS, default=None,
                           metavar="S",
                           help="per-job wall-clock budget in seconds; a "
                                "worker past it is killed and the cell "
                                "retried")
-    campaign.add_argument("--retries", type=int, default=None, metavar="N",
+    campaign.add_argument("--retries", type=COUNT, default=None, metavar="N",
                           help="extra attempts per failed cell before "
                                "quarantine (default 2 under --timeout/"
                                "--resume/--fault-plan)")
-    campaign.add_argument("--backoff", type=float, default=0.25,
+    campaign.add_argument("--backoff", type=SECONDS, default=0.25,
                           metavar="S",
                           help="base retry backoff in seconds, doubled "
                                "per attempt (default 0.25)")

@@ -380,13 +380,14 @@ def scheme_sweep(runner: ExperimentRunner, schemes: Sequence[str],
     journal, and ``resume`` re-runs only the unfinished remainder.
     Quarantined cells are simply absent from the sweep (their metrics
     never existed), so downstream geomeans stay well-defined."""
-    from repro.harness.resilience import PLAIN, Quarantined
+    from repro.harness.resilience import (PLAIN, Quarantined,
+                                          run_campaign_resilient)
     if policy is None and not resume:
         policy = PLAIN
     sweep = SchemeSweep(tuple(schemes))
-    outcomes, _report = runner.run_campaign_resilient(
-        list(workloads), list(schemes), policy=policy, cycles=cycles,
-        resume=resume)
+    outcomes, _report = run_campaign_resilient(
+        runner, list(workloads), list(schemes), policy=policy,
+        cycles=cycles, resume=resume)
     for outcome in outcomes:
         if not isinstance(outcome, Quarantined):
             sweep.add(outcome)

@@ -24,9 +24,9 @@ There is one dispatcher, :func:`repro.harness.resilience.run_jobs_resilient`
 (dedup, journal replay, parent-cache probe, cost ordering, worker
 processes or the in-process loop, retry/quarantine accounting).
 :func:`run_jobs` here is its plain-policy spelling (and
-``ExperimentRunner.run_campaign`` the campaign one): no timeout, no
-retries, no quarantine, no journal — the first failing cell raises
-:class:`~repro.harness.resilience.JobError`.
+``run_campaign_resilient(runner, ..., policy=PLAIN)[0]`` the campaign
+one): no timeout, no retries, no quarantine, no journal — the first
+failing cell raises :class:`~repro.harness.resilience.JobError`.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ class MixJob:
 
     ``obs=True`` runs the cell with the observability layer attached:
     the outcome's ``result.obs`` carries a picklable
-    :class:`~repro.obs.collector.ObsReport` (stall taxonomy + counter
-    snapshot) back across the worker boundary, mergeable in the parent
-    with ``ObsReport.merged``.
+    :class:`~repro.obs.collector.ObsReport` (the stall taxonomy) back
+    across the worker boundary, mergeable in the parent with
+    ``ObsReport.merged``.
 
     ``phase_interval`` additionally turns on the phase sampler
     (:mod:`repro.obs.timeline`) at that cycle interval — the report
@@ -139,14 +139,7 @@ def _install_iso(runner: ExperimentRunner, record: IsoRecord,
 
 
 def _install_curve(runner: ExperimentRunner, curve: ScalabilityCurve) -> None:
-    key = (runner._cfg_key, curve.kernel, runner.settings.curve_cycles,
-           runner.settings.seed, _cache_version())
-    runner._curve_cache[key] = curve
-
-
-def _cache_version() -> int:
-    from repro.harness.runner import CACHE_VERSION
-    return CACHE_VERSION
+    runner._curve_cache[runner._curve_key(curve.kernel)] = curve
 
 
 def _absorb(runner: ExperimentRunner, job: Job, result) -> None:
@@ -158,19 +151,17 @@ def _absorb(runner: ExperimentRunner, job: Job, result) -> None:
 
 
 def _seed_payload(runner: ExperimentRunner):
-    """Everything the parent's in-memory caches hold, as initargs.
-
-    ``_iso_key`` is ``(version, cfg, name, tbs, cycles, seed)`` — the
-    cycle budget rides along so the worker re-keys records exactly."""
-    iso_seed = [(key[4], record)
-                for key, record in runner._iso_cache.items()]
-    curve_seed = list(runner._curve_cache.values())
-    return iso_seed, curve_seed
+    """Everything the parent's in-memory caches hold, as initargs:
+    ``(key, value)`` pairs under the parent's keys, which a worker's
+    runner (same config, settings and ``CACHE_VERSION``) builds
+    identically."""
+    return list(runner._iso_cache.items()), list(runner._curve_cache.items())
 
 
 def seeded_runner(config, settings: RunnerSettings, cache_dir: Optional[str],
-                  iso_seed: Sequence[Tuple[Optional[int], IsoRecord]],
-                  curve_seed: Sequence[ScalabilityCurve]) -> ExperimentRunner:
+                  iso_seed: Sequence[Tuple[Tuple, IsoRecord]],
+                  curve_seed: Sequence[Tuple[Tuple, ScalabilityCurve]]
+                  ) -> ExperimentRunner:
     """A worker process's private runner, pre-seeded with everything
     the parent already knows so shared inputs are never recomputed.
 
@@ -179,10 +170,8 @@ def seeded_runner(config, settings: RunnerSettings, cache_dir: Optional[str],
     so workers share compiled trace chunks with the parent and a
     version bump invalidates both caches together."""
     runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
-    for cycles, record in iso_seed:
-        _install_iso(runner, record, cycles)
-    for curve in curve_seed:
-        _install_curve(runner, curve)
+    runner._iso_cache.update(iso_seed)
+    runner._curve_cache.update(curve_seed)
     return runner
 
 
@@ -206,9 +195,8 @@ def _probe_cache(runner: ExperimentRunner, job: Job):
         key = runner._iso_key(job.kernel, tbs, cycles)
         return runner._iso_cache.get(key, _CACHE_MISS)
     if isinstance(job, CurveJob):
-        key = (runner._cfg_key, job.kernel, runner.settings.curve_cycles,
-               runner.settings.seed, _cache_version())
-        return runner._curve_cache.get(key, _CACHE_MISS)
+        return runner._curve_cache.get(runner._curve_key(job.kernel),
+                                       _CACHE_MISS)
     return _CACHE_MISS
 
 

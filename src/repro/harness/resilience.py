@@ -1057,7 +1057,9 @@ def run_campaign_resilient(runner: ExperimentRunner,
 
     ``obs=True`` runs every cell observed (stall-attribution report on
     each outcome's ``result.obs``); ``phase_interval`` also turns on
-    the phase sampler in every cell.
+    the phase sampler in every cell.  ``progress`` (e.g. a
+    :class:`~repro.obs.telemetry.CampaignTelemetry`) receives one
+    :class:`~repro.obs.telemetry.JobHeartbeat` per finished job.
 
     The checkpoint journal lives at ``journal_path``; left None, a
     policy that isolates failures (or ``resume=True``) journals under

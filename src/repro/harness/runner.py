@@ -163,6 +163,10 @@ class ExperimentRunner:
         return (CACHE_VERSION, self._cfg_key, name, tbs, cycles,
                 self.settings.seed)
 
+    def _curve_key(self, name: str) -> Tuple:
+        return (self._cfg_key, name, self.settings.curve_cycles,
+                self.settings.seed, CACHE_VERSION)
+
     def _disk_path(self, key: Tuple) -> Optional[str]:
         if not self.cache_dir:
             return None
@@ -245,8 +249,7 @@ class ExperimentRunner:
 
     def curve(self, profile: KernelProfile) -> ScalabilityCurve:
         """Scalability curve (Warped-Slicer profiling, Figure 3a)."""
-        key = (self._cfg_key, profile.name, self.settings.curve_cycles,
-               self.settings.seed, CACHE_VERSION)
+        key = self._curve_key(profile.name)
         if key in self._curve_cache:
             return self._curve_cache[key]
         max_tbs = profile.max_tbs_per_sm(self.config)
@@ -255,66 +258,6 @@ class ExperimentRunner:
         curve = ScalabilityCurve(profile.name, tuple(points))
         self._curve_cache[key] = curve
         return curve
-
-    # ------------------------------------------------------------------
-    # campaigns (see repro.harness.resilience, the one dispatcher)
-    def run_campaign(self, mixes: Sequence[WorkloadMix],
-                     schemes: Sequence[str],
-                     workers: Optional[int] = None,
-                     cycles: Optional[int] = None,
-                     obs: bool = False,
-                     progress=None,
-                     phase_interval: Optional[int] = None,
-                     artifacts_dir: Optional[str] = None
-                     ) -> List[WorkloadOutcome]:
-        """:meth:`run_campaign_resilient` under the plain policy (no
-        timeout, retries, quarantine or journal; a failing cell raises
-        :class:`~repro.harness.resilience.JobError`): just the
-        outcomes, in mix-major grid order."""
-        from repro.harness.resilience import PLAIN
-        return self.run_campaign_resilient(
-            mixes, schemes, policy=PLAIN, workers=workers, cycles=cycles,
-            obs=obs, progress=progress, phase_interval=phase_interval,
-            artifacts_dir=artifacts_dir)[0]
-
-    def run_campaign_resilient(self, mixes: Sequence[WorkloadMix],
-                               schemes: Sequence[str],
-                               policy=None,
-                               workers: Optional[int] = None,
-                               cycles: Optional[int] = None,
-                               obs: bool = False,
-                               progress=None,
-                               phase_interval: Optional[int] = None,
-                               artifacts_dir: Optional[str] = None,
-                               journal_path: Optional[str] = None,
-                               resume: bool = False,
-                               fault_plan: Optional[str] = None):
-        """Run every mix under every scheme, fanned over worker
-        processes; returns ``(outcomes, report)`` with outcomes in
-        mix-major grid order, bit-identical to the serial loop.
-
-        ``policy`` (a :class:`~repro.harness.resilience.ResiliencePolicy`)
-        sets per-job timeouts, retry with backoff and quarantine instead
-        of abort — quarantined cells appear as
-        :class:`~repro.harness.resilience.Quarantined` placeholders —
-        and, with a cache dir, a checkpoint journal that ``resume=True``
-        replays so only unfinished/quarantined cells re-run.
-
-        ``obs=True`` attaches a stall-attribution report to every
-        cell's result; ``phase_interval`` also samples interval
-        time-series + the adaptation event log in every cell
-        (:mod:`repro.obs.timeline`); ``artifacts_dir`` writes one
-        versioned run artifact per cell plus a ``ledger.json`` index
-        (:mod:`repro.obs.ledger`); ``progress`` (e.g. a
-        :class:`~repro.obs.telemetry.CampaignTelemetry`) receives one
-        :class:`~repro.obs.telemetry.JobHeartbeat` per finished job."""
-        from repro.harness.resilience import run_campaign_resilient
-        return run_campaign_resilient(
-            self, mixes, schemes, policy=policy, workers=workers,
-            cycles=cycles, obs=obs, progress=progress,
-            phase_interval=phase_interval, artifacts_dir=artifacts_dir,
-            journal_path=journal_path, resume=resume,
-            fault_plan=fault_plan)
 
     # ------------------------------------------------------------------
     # scheme resolution

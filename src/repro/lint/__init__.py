@@ -9,7 +9,7 @@ process-boundary classes.  This package machine-checks them:
 
 * :mod:`repro.lint.rules.determinism` — ``REPRO-D001..D004``;
 * :mod:`repro.lint.rules.hooks` — ``REPRO-O001``;
-* :mod:`repro.lint.rules.stats` — ``REPRO-S001..S003``;
+* :mod:`repro.lint.rules.stats` — ``REPRO-S002..S003``;
 * :mod:`repro.lint.rules.pickles` — ``REPRO-P001``.
 
 The linter is one pass over one file at a time: every rule judges a

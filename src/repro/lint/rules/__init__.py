@@ -101,8 +101,7 @@ def all_rules() -> List[Rule]:
                                               WallClockRule)
     from repro.lint.rules.hooks import UnguardedHookRule
     from repro.lint.rules.pickles import ProcessBoundaryRule
-    from repro.lint.rules.stats import (CounterNameRule,
-                                        ExhaustiveStallChainRule,
+    from repro.lint.rules.stats import (ExhaustiveStallChainRule,
                                         StallReasonRule)
     return [
         SetIterationRule(),
@@ -110,7 +109,6 @@ def all_rules() -> List[Rule]:
         WallClockRule(),
         IdOrderingRule(),
         UnguardedHookRule(),
-        CounterNameRule(),
         StallReasonRule(),
         ExhaustiveStallChainRule(),
         ProcessBoundaryRule(),

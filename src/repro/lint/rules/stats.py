@@ -3,16 +3,10 @@
 PR 2's stall-attribution taxonomy is *exact by construction*: every
 scheduler issue slot and every stalled LSU cycle lands in exactly one
 class, and the classes sum to the engine totals.  That exactness is
-easy to lose through typos — a counter name that doesn't parse, a
-stall-reason literal outside the taxonomy, an ``if``/``elif`` chain
-that silently drops a class.  These rules machine-check it:
+easy to lose through typos — a stall-reason literal outside the
+taxonomy, an ``if``/``elif`` chain that silently drops a class.  These
+rules machine-check it:
 
-* **REPRO-S001** — every counter/gauge name passed to the obs registry
-  as a source literal must parse as a dotted name (f-string
-  placeholders count as one segment-safe token), and a literal leaf
-  under an ``issue.`` / ``stall.`` segment must belong to the declared
-  taxonomy; leaves under ``phase.`` / ``adapt.`` must belong to the
-  phase-telemetry registry schema.
 * **REPRO-S002** — stall-reason literals passed to
   ``StallTable.bump_sched`` / ``bump_lsu`` must belong to the declared
   scheduler / LSU taxonomy; mechanism literals passed to
@@ -27,24 +21,11 @@ that silently drops a class.  These rules machine-check it:
 from __future__ import annotations
 
 import ast
-import re
 from typing import List, Optional, Set
 
-from repro.lint.rules import Rule, SRC_SCOPE, expr_key
+from repro.lint.rules import Rule, SRC_SCOPE
 from repro.obs.stalls import ISSUED, LSU_STALL_REASONS, SCHED_STALL_REASONS
-from repro.obs.timeline import (
-    ADAPT_MECHANISMS,
-    ADAPT_REGISTRY_LEAVES,
-    PHASE_REGISTRY_LEAVES,
-)
-
-#: registry methods whose first argument is a dotted metric name.
-_REGISTRY_METHODS = frozenset(("counter", "gauge", "bump", "set", "scoped"))
-
-#: placeholder standing in for an f-string interpolation.
-_HOLE = "\x00"
-
-_SEGMENT_RE = re.compile(r"[A-Za-z0-9_\x00]+\Z")
+from repro.obs.timeline import ADAPT_MECHANISMS
 
 #: valid scheduler issue-slot outcomes (taxonomy + the issued class).
 SCHED_REASONS: Set[str] = set(SCHED_STALL_REASONS) | {ISSUED}
@@ -53,15 +34,6 @@ ALL_REASONS: Set[str] = SCHED_REASONS | LSU_REASONS
 #: adaptation-mechanism labels (phase-telemetry event log taxonomy).
 ADAPT_REASONS: Set[str] = set(ADAPT_MECHANISMS)
 
-#: segment -> allowed literal leaves beneath it (None = any leaf from
-#: ALL_REASONS; see CounterNameRule.check).
-_SEGMENT_LEAVES = {
-    "issue": ALL_REASONS,
-    "stall": ALL_REASONS,
-    "phase": set(PHASE_REGISTRY_LEAVES),
-    "adapt": set(ADAPT_REGISTRY_LEAVES),
-}
-
 #: names of the taxonomy constants as they appear in source.
 TAXONOMY_CONST_NAMES: Set[str] = {"ISSUED", "ADAPT_MIL", "ADAPT_QBMI"} | {
     f"STALL_{reason.upper()}" for reason in SCHED_STALL_REASONS
@@ -69,83 +41,6 @@ TAXONOMY_CONST_NAMES: Set[str] = {"ISSUED", "ADAPT_MIL", "ADAPT_QBMI"} | {
 
 #: string literals that mark a classification chain for REPRO-S003.
 CHAIN_LITERALS: Set[str] = ALL_REASONS | ADAPT_REASONS
-
-
-def _literal_pattern(node: ast.AST) -> Optional[str]:
-    """The string a literal produces, with f-string interpolations
-    replaced by a placeholder token; None for non-literals."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        parts: List[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant):
-                parts.append(str(value.value))
-            else:
-                parts.append(_HOLE)
-        return "".join(parts)
-    return None
-
-
-def _dotted_ok(pattern: str) -> bool:
-    segments = pattern.split(".")
-    return all(seg and _SEGMENT_RE.match(seg) for seg in segments)
-
-
-class CounterNameRule(Rule):
-    """REPRO-S001: registry metric names must be well-formed."""
-
-    id = "REPRO-S001"
-    name = "counter-name"
-    rationale = (
-        "The registry's fnmatch queries, snapshot merging and tree "
-        "nesting all key on dotted names; a malformed literal silently "
-        "creates an unreachable metric.  Literal leaves under issue./"
-        "stall. segments must come from the declared taxonomy (and "
-        "under phase./adapt. from the phase-telemetry schema) or the "
-        "exact-sum reports miss them.")
-    hint = ("use dot-separated [A-Za-z0-9_] segments, e.g. "
-            "f\"sm{sm_id}.lsu.stall_cycles\"; spell taxonomy leaves via "
-            "the repro.obs.stalls constants")
-    scope = SRC_SCOPE
-    bad = 'registry.counter("sm0 issue slots!")'
-    good = 'registry.counter(f"sm{sm_id}.issue.slots")'
-
-    def check(self, tree: ast.AST, ctx) -> None:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (not isinstance(func, ast.Attribute)
-                    or func.attr not in _REGISTRY_METHODS or not node.args):
-                continue
-            receiver = expr_key(func.value) or ""
-            if "trace" in receiver.lower():
-                # Chrome-trace track names are display strings, not
-                # registry metrics.
-                continue
-            pattern = _literal_pattern(node.args[0])
-            if pattern is None:
-                continue
-            if not _dotted_ok(pattern):
-                shown = pattern.replace(_HOLE, "{...}")
-                ctx.report(node.args[0],
-                           f"metric name {shown!r} is not a dotted name "
-                           f"(segments of [A-Za-z0-9_])")
-                continue
-            segments = pattern.split(".")
-            if len(segments) < 2 or _HOLE in segments[-1]:
-                continue
-            allowed_leaves = _SEGMENT_LEAVES.get(segments[-2])
-            if allowed_leaves is not None \
-                    and segments[-1] not in allowed_leaves:
-                family = ("stall taxonomy"
-                          if segments[-2] in ("issue", "stall")
-                          else "phase-telemetry registry schema")
-                ctx.report(node.args[0],
-                           f"leaf {segments[-1]!r} under "
-                           f"{segments[-2]!r} is not in the declared "
-                           f"{family}")
 
 
 class StallReasonRule(Rule):

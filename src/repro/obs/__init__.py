@@ -4,9 +4,6 @@ The package turns the paper's "look inside the memory pipeline"
 methodology (§2.3–§2.4, Figures 3/6/8) into first-class, queryable
 instrumentation:
 
-* :mod:`repro.obs.registry` — a hierarchical counter/gauge registry
-  with dotted names (``sm0.sched2.issue.mil_capped``), snapshot-able
-  mid-run and mergeable across parallel campaign workers;
 * :mod:`repro.obs.stalls` — the stall-attribution taxonomy: every
   cycle a warp scheduler fails to issue is classified (scoreboard,
   LSU reservation failure by resource, BMI arbitration loss, MIL cap,
@@ -25,7 +22,10 @@ instrumentation:
   HTML dashboard renderer and the ``repro compare`` regression gate;
 * :mod:`repro.obs.collector` — :class:`Observability`, the per-run
   façade the engine wires through the SMs, schedulers, LSUs and the
-  memory backend.
+  memory backend, and :class:`ObsReport`, the one record of an
+  observed run (stall tables, phase records, trace);
+* :mod:`repro.obs.registry` — the process-wide counters of the
+  simulator's infrastructure (``trace_cache.*``).
 
 Everything is zero-cost when disabled: instrumentation hooks in the
 simulator's hot paths are sentinel-checked (``if self._obs is not
@@ -47,7 +47,7 @@ from repro.obs.ledger import (
     load_artifacts,
     write_artifacts,
 )
-from repro.obs.registry import Counter, CounterRegistry, Gauge, process_registry
+from repro.obs.registry import process_registry
 from repro.obs.stalls import (
     ISSUED,
     LSU_STALL_REASONS,
@@ -84,10 +84,7 @@ __all__ = [
     "AdaptEvent",
     "CampaignTelemetry",
     "Comparison",
-    "Counter",
-    "CounterRegistry",
     "DEFAULT_PHASE_INTERVAL",
-    "Gauge",
     "ISSUED",
     "JobHeartbeat",
     "LSU_STALL_REASONS",

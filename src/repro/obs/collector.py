@@ -13,21 +13,20 @@ slots are paid into :attr:`Observability.stalls` when a stretch ends —
 and :meth:`Observability.report` has the engine settle first, so the
 report equals the per-cycle oracle's.
 
-At collection time :meth:`Observability.report` folds the live push
-counters together with the simulator's pull-based statistics (cache,
-LSU, interconnect, L2, DRAM) into one :class:`ObsReport` — a
+At collection time :meth:`Observability.report` copies the stall
+tables, the phase record and the trace into one :class:`ObsReport` — a
 plain-data, picklable record that survives the parallel-campaign
-worker boundary and merges across workers.
+worker boundary and merges across workers.  The simulator's own
+statistics (cache, LSU, interconnect, L2, DRAM) travel on the
+:class:`~repro.sim.stats.RunResult` beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.registry import CounterRegistry, Number, aggregate, snapshot_tree
-from repro.obs.stalls import KERNEL_NONE, StallTable
+from repro.obs.stalls import StallTable
 from repro.obs.timeline import (
     ADAPT_MIL,
     ADAPT_QBMI,
@@ -36,25 +35,6 @@ from repro.obs.timeline import (
     merge_phase_records,
 )
 from repro.obs.trace import DEFAULT_MAX_EVENTS, TraceRecorder, write_trace_events
-
-#: counter names :meth:`ObsReport.merged` must not sum, as ``fnmatch``
-#: pattern -> rule: :data:`MERGE_LAST` keeps the latest report's value
-#: (a setting, not a total); any other string names the additive
-#: counter a rate is weighted by, so the merged rate is the rate of the
-#: merged totals.  Everything else in a report's counters is a total.
-MERGE_LAST = "last"
-MERGE_RULES: Dict[str, str] = {
-    "*.limit": MERGE_LAST,
-    "phase.interval": MERGE_LAST,
-    "dram.row_hit_rate": "dram.serviced",
-}
-
-
-def _merge_rule(name: str) -> Optional[str]:
-    for pattern, rule in MERGE_RULES.items():
-        if fnmatchcase(name, pattern):
-            return rule
-    return None
 
 
 @dataclass(frozen=True)
@@ -82,7 +62,6 @@ class Observability:
 
     def __init__(self, options: Optional[ObsOptions] = None):
         self.options = options or ObsOptions()
-        self.registry = CounterRegistry()
         self.stalls = StallTable()
         #: current simulation cycle, maintained by the engine's sampled
         #: loops; timestamps the adaptation event log.
@@ -196,9 +175,6 @@ class Observability:
         resets its window so the adaptation log can show the
         ``old -> new`` transition and what drove it."""
         sm_id, kernel = key
-        scope = self.registry.scoped(f"sm{sm_id}.mil.k{kernel}")
-        scope.counter("recomputes").add()
-        scope.gauge("limit").set(-1 if limit is None else limit)
         sampler = self.sampler
         if sampler is not None:
             sampler.log_adapt(ADAPT_MIL, self.cycle, sm_id, kernel,
@@ -217,7 +193,6 @@ class Observability:
         """QBMI re-armed its per-kernel quota set.  ``old_quotas`` is
         the (possibly exhausted) set before the replenish, ``estimates``
         the windowed Req/Minst values the fresh quotas derive from."""
-        self.registry.counter(f"sm{sm_id}.bmi.replenishes").add()
         sampler = self.sampler
         if sampler is not None:
             for kernel, new in enumerate(quotas):
@@ -233,66 +208,14 @@ class Observability:
     # collection
     def report(self, gpu) -> "ObsReport":
         """Snapshot everything into a plain-data report.  Callable
-        mid-run (the registry folding is pull-based) or at the end;
-        the machine first settles what it owes (``GPU.settle``), so
-        batched attribution and deferred LSU replays are all in."""
+        mid-run or at the end; the machine first settles what it owes
+        (``GPU.settle``), so batched attribution and deferred LSU
+        replays are all in."""
         gpu.settle()
         cfg = gpu.config
-        registry = self.registry
-        # Fold the simulator's pull-based statistics into the registry
-        # hierarchy so one snapshot answers "what happened where".
-        registry.set("engine.cycles", gpu.cycles_run)
-        for sm in gpu.sms:
-            scope = registry.scoped(f"sm{sm.sm_id}")
-            lsu_scope = scope.scoped("lsu")
-            lsu_scope.gauge("stall_cycles").set(sm.lsu.stall_cycles)
-            lsu_scope.gauge("busy_cycles").set(sm.lsu.busy_cycles)
-            l1_scope = scope.scoped("l1d")
-            stats = sm.l1.stats
-            for kernel, value in stats.accesses.items():
-                l1_scope.gauge(f"accesses.k{kernel}").set(value)
-            for kernel, value in stats.hits.items():
-                l1_scope.gauge(f"hits.k{kernel}").set(value)
-            for kernel, value in stats.misses.items():
-                l1_scope.gauge(f"misses.k{kernel}").set(value)
-            for kernel, value in stats.rsfails.items():
-                l1_scope.gauge(f"rsfails.k{kernel}").set(value)
-            for reason, value in stats.rsfail_reasons.items():
-                l1_scope.gauge(f"rsfail_reasons.{reason}").set(value)
-        memory = gpu.memory
-        l2_scope = registry.scoped("l2")
-        for kernel, value in memory.l2_stats.accesses.items():
-            l2_scope.gauge(f"accesses.k{kernel}").set(value)
-        for kernel, value in memory.l2_stats.misses.items():
-            l2_scope.gauge(f"misses.k{kernel}").set(value)
-        for kernel, value in memory.l2_stats.writes.items():
-            l2_scope.gauge(f"writes.k{kernel}").set(value)
-        l2_scope.gauge("head_stall_cycles").set(memory.l2_head_stall_cycles)
-        icnt_scope = registry.scoped("icnt")
-        icnt_scope.gauge("req_flits").set(memory.icnt.req_flits_sent)
-        icnt_scope.gauge("rsp_flits").set(memory.icnt.rsp_flits_sent)
-        dram_scope = registry.scoped("dram")
-        dram_scope.gauge("serviced").set(memory.dram.total_serviced())
-        dram_scope.gauge("row_hit_rate").set(memory.dram.row_hit_rate())
-        # Fold the stall table under per-scheduler dotted names
-        # (summed over kernels; per-kernel machine-wide views too).
-        folded: Dict[str, Number] = {}
-        for (sm_id, sched_id, kernel, reason), v in self.stalls.sched.items():
-            _refold(folded, f"sm{sm_id}.sched{sched_id}.issue.{reason}", v)
-            if kernel != KERNEL_NONE:
-                _refold(folded, f"kernel{kernel}.stall.{reason}", v)
-        for (sm_id, kernel, reason), v in self.stalls.lsu.items():
-            _refold(folded, f"sm{sm_id}.lsu.{reason}.k{kernel}", v)
-        for name, v in folded.items():
-            registry.set(name, v)
         sampler = self.sampler
         phases: List[Dict[str, object]] = []
         if sampler is not None:
-            registry.set("phase.interval", sampler.interval)
-            registry.set("phase.samples", sampler.samples)
-            event_counts = sampler.adapt_event_counts()
-            registry.set("adapt.mil_events", event_counts[ADAPT_MIL])
-            registry.set("adapt.qbmi_events", event_counts[ADAPT_QBMI])
             phases.append(sampler.snapshot(gpu))
 
         return ObsReport(
@@ -300,7 +223,6 @@ class Observability:
             num_sms=cfg.num_sms,
             schedulers_per_sm=cfg.schedulers_per_sm,
             kernel_names=[launch.profile.name for launch in gpu.launches],
-            counters=registry.snapshot(),
             sched_stalls=dict(self.stalls.sched),
             lsu_stalls=dict(self.stalls.lsu),
             trace_events=(list(self.trace.events)
@@ -309,10 +231,6 @@ class Observability:
                            if self.trace is not None else 0),
             phases=phases,
         )
-
-
-def _refold(registry_names: Dict[str, Number], name: str, v: Number) -> None:
-    registry_names[name] = registry_names.get(name, 0) + v
 
 
 @dataclass
@@ -328,8 +246,6 @@ class ObsReport:
     num_sms: int
     schedulers_per_sm: int
     kernel_names: List[str]
-    #: flat dotted-name registry snapshot.
-    counters: Dict[str, Number] = field(default_factory=dict)
     #: (sm, sched, kernel, reason) -> count
     sched_stalls: Dict[Tuple[int, int, int, str], int] = field(
         default_factory=dict)
@@ -373,13 +289,6 @@ class ObsReport:
         return {reason: count / slots
                 for reason, count in table.sched_by_reason(kernel).items()}
 
-    def total(self, pattern: str) -> Number:
-        """Aggregate the counter snapshot over an ``fnmatch`` pattern."""
-        return aggregate(self.counters, pattern)
-
-    def tree(self) -> Dict[str, object]:
-        return snapshot_tree(self.counters)
-
     def write_trace(self, path: str) -> None:
         if self.trace_events is None:
             raise ValueError("this report carries no trace "
@@ -390,9 +299,8 @@ class ObsReport:
     @staticmethod
     def merged(reports: Sequence["ObsReport"]) -> "ObsReport":
         """Combine reports from parallel campaign cells/workers:
-        stall counts and counter totals accumulate, cycle totals add,
-        settings and rates follow :data:`MERGE_RULES` (so a merged rate
-        never exceeds 1), kernel names keep the first report's
+        stall counts, cycle totals and dropped trace events add, phase
+        records concatenate, kernel names keep the first report's
         labels."""
         if not reports:
             raise ValueError("need at least one report")
@@ -403,27 +311,13 @@ class ObsReport:
             schedulers_per_sm=first.schedulers_per_sm,
             kernel_names=list(first.kernel_names),
         )
-        #: rate name -> [sum of rate x base, base counter's name].
-        weighted: Dict[str, List] = {}
         for report in reports:
             out.cycles += report.cycles
             for key, v in report.sched_stalls.items():
                 out.sched_stalls[key] = out.sched_stalls.get(key, 0) + v
             for key, v in report.lsu_stalls.items():
                 out.lsu_stalls[key] = out.lsu_stalls.get(key, 0) + v
-            for name, v in report.counters.items():
-                rule = _merge_rule(name)
-                if rule is None:
-                    out.counters[name] = out.counters.get(name, 0) + v
-                elif rule == MERGE_LAST:
-                    out.counters[name] = v
-                else:
-                    cell = weighted.setdefault(name, [0.0, rule])
-                    cell[0] += v * report.counters.get(rule, 0)
             out.trace_dropped += report.trace_dropped
-        for name, (total, base_name) in weighted.items():
-            base = out.counters.get(base_name, 0)
-            out.counters[name] = total / base if base else 0.0
         out.phases = merge_phase_records([report.phases
                                           for report in reports])
         return out

@@ -59,7 +59,7 @@ class JobHeartbeat:
 
 
 class CampaignTelemetry:
-    """Progress consumer for ``run_jobs``/``run_campaign``.
+    """Progress consumer for ``run_jobs``/``run_campaign_resilient``.
 
     Pass the instance itself as the ``progress`` callback.  Thread-safe
     enough for the harness's usage: heartbeats arrive from the single

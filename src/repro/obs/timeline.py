@@ -60,11 +60,6 @@ ADAPT_MIL = "mil"
 ADAPT_QBMI = "qbmi"
 ADAPT_MECHANISMS: Tuple[str, ...] = (ADAPT_MIL, ADAPT_QBMI)
 
-#: declared registry leaves under a ``phase.`` segment (REPRO-S001).
-PHASE_REGISTRY_LEAVES: Tuple[str, ...] = ("interval", "samples")
-#: declared registry leaves under an ``adapt.`` segment (REPRO-S001).
-ADAPT_REGISTRY_LEAVES: Tuple[str, ...] = ("mil_events", "qbmi_events")
-
 #: every scheduler issue-slot outcome the stall-mix series cover.
 PHASE_SCHED_OUTCOMES: Tuple[str, ...] = (ISSUED,) + SCHED_STALL_REASONS
 
@@ -150,13 +145,6 @@ class PhaseSampler:
         self.adapt_events.append(AdaptEvent(
             cycle, sm_id, kernel, mechanism, old, new, rsfails,
             req_per_minst))
-
-    def adapt_event_counts(self) -> Dict[str, int]:
-        """Event totals per mechanism (registry fold + reports)."""
-        counts = {mechanism: 0 for mechanism in ADAPT_MECHANISMS}
-        for event in self.adapt_events:
-            counts[event.mechanism] = counts.get(event.mechanism, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # sampling

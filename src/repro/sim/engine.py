@@ -18,9 +18,8 @@ from repro.config import GPUConfig
 from repro.core.arbiter import SchemeConfig
 from repro.mem.subsystem import MemorySubsystem
 from repro.obs.collector import ObsLike, resolve_obs
-from repro.obs.registry import process_registry
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
-from repro.sim.stats import SELF_OBS_REGISTRY, KernelStats, RunResult
+from repro.sim.stats import SM_COUNTERS, KernelStats, RunResult
 from repro.workloads import trace as ktrace
 from repro.workloads.kernel import InstructionStream, KernelProfile, ReplayStream
 
@@ -167,8 +166,6 @@ class GPU:
             self.sms.append(sm_cls(sm_id, config, l1, launches, bundle,
                                    self.kernel_stats, obs=self.obs))
         self.cycles_run = 0
-        #: what _sleep_report last added to the process registry.
-        self._sleep_reported: Dict[str, int] = {}
         if self.obs is not None:
             self.obs.attach(self)
 
@@ -258,20 +255,13 @@ class GPU:
 
     def _sleep_report(self) -> Dict[str, int]:
         """Cumulative self-observability of this GPU (see
-        ``RunResult.sleep``); what is new since the last collection is
-        also added to the process-wide counters named in
-        :data:`~repro.sim.stats.SELF_OBS_REGISTRY`."""
-        report = dict.fromkeys(SELF_OBS_REGISTRY, 0)
+        ``RunResult.sleep``)."""
+        report = dict.fromkeys(SM_COUNTERS, 0)
         for sm in self.sms:
             for key, value in sm.sleep_counters().items():
                 report[key] += value
         report["sm_cycles"] = self.cycles_run * len(self.sms)
-        registry = process_registry()
-        reported = self._sleep_reported
-        for key, value in report.items():
-            registry.bump(SELF_OBS_REGISTRY[key], value - reported.get(key, 0))
-        self._sleep_reported = report
-        return dict(report)
+        return report
 
     def _collect(self) -> RunResult:
         self.settle()

@@ -28,27 +28,13 @@ from typing import Dict, List, Optional
 #: paper's mechanism at work).
 SLEEP_CAUSES = ("idle", "mem_stall", "mil_capped")
 
-#: ``RunResult.sleep`` key -> the process-registry name the same
-#: number accumulates under (``repro.obs.process_registry()``): slept
-#: SM-cycles by cause, SM-cycles simulated, LSU stall replays settled
-#: in batches, L1 release hooks that ended a memory-stall sleep (each
-#: buys one real lookup of the stalled head), memory instructions the
-#: SM finished at issue (all-hit loads that never became a ``MemInst``),
-#: and issue slots an observed run attributed in batches rather than
-#: per cycle.
-SELF_OBS_REGISTRY = {
-    "idle": "sim.sleep.idle",
-    "mem_stall": "sim.sleep.mem_stall",
-    "mil_capped": "sim.sleep.mil_capped",
-    "sm_cycles": "sim.sleep.sm_cycles",
-    "stall_replays_batched": "sim.sleep.stall_replays_batched",
-    "stall_wakes": "sim.sleep.stall_wakes",
-    "insts_through": "sim.lsu.insts_through",
-    "obs_batched_slots": "sim.obs.batched_slots",
-}
-
-#: the ``RunResult.sleep`` keys each SM counts (``sleep_counters``);
-#: the engine adds ``sm_cycles``.
+#: the ``RunResult.sleep`` keys each SM counts (``sleep_counters``):
+#: slept SM-cycles by cause, LSU stall replays settled in batches, L1
+#: release hooks that ended a memory-stall sleep (each buys one real
+#: lookup of the stalled head), memory instructions the SM finished at
+#: issue (all-hit loads that never became a ``MemInst``), and issue
+#: slots an observed run attributed in batches rather than per cycle.
+#: The engine adds ``sm_cycles``, the SM-cycles simulated.
 SM_COUNTERS = SLEEP_CAUSES + ("stall_replays_batched", "stall_wakes",
                               "insts_through", "obs_batched_slots")
 
@@ -97,7 +83,7 @@ class RunResult:
     l2_misses: int = 0
     dram_accesses: int = 0
     icnt_flits: int = 0
-    #: observability report (stall taxonomy, counter snapshot, trace
+    #: observability report (stall taxonomy, phase records, trace
     #: events) when the run was observed; None otherwise.
     obs: Optional[object] = None
     #: the simulator's own accounting of its machinery — host-side,
@@ -108,7 +94,7 @@ class RunResult:
     #: stall replays settled in batches instead of replayed against the
     #: L1), ``stall_wakes`` (L1 release hooks that woke a stalled SM to
     #: retry), ``insts_through`` (all-hit loads finished at issue) and
-    #: ``obs_batched_slots``, keyed as in :data:`SELF_OBS_REGISTRY`.
+    #: ``obs_batched_slots`` — keys :data:`SM_COUNTERS` + ``sm_cycles``.
     sleep: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------

@@ -5,6 +5,30 @@ import pytest
 from repro.__main__ import main
 from repro.harness import reporting
 
+#: (command, the flag argparse names) — each value is out of range.
+BAD_NUMBERS = [
+    ("run bp cd --cycles 0", "--cycles"),
+    ("run bp cd --cycles -3", "--cycles"),
+    ("run bp cd --phase-interval 0", "--phase-interval"),
+    ("run bp cd --trace t.json --issue-sample 0", "--issue-sample"),
+    ("run bp cd --trace t.json --mem-sample -1", "--mem-sample"),
+    ("stalls bp cd --cycles 0", "--cycles"),
+    ("trace bp cd t.json --cycles 0", "--cycles"),
+    ("trace bp cd t.json --issue-sample 0", "--issue-sample"),
+    ("campaign bp,cd --schemes even --phase-interval -5 --workers 1",
+     "--phase-interval"),
+    ("campaign bp,cd --schemes even --phase-interval -5 --workers 1 "
+     "--retries 1", "--phase-interval"),
+    ("campaign bp,cd --schemes even --workers 0", "--workers"),
+    ("campaign bp,cd --schemes even --workers two", "--workers"),
+    ("campaign bp,cd --schemes even --retries -1", "--retries"),
+    ("campaign bp,cd --schemes even --timeout 0", "--timeout"),
+    ("campaign bp,cd --schemes even --timeout -2", "--timeout"),
+    ("campaign bp,cd --schemes even --timeout nan", "--timeout"),
+    ("campaign bp,cd --schemes even --retries 1 --backoff -1",
+     "--backoff"),
+]
+
 
 class TestReport:
     def test_build_report_contains_sections(self, quick_report):
@@ -139,6 +163,26 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == ("error: REPRO_BENCH_WORKERS must be a "
                                 f"positive integer, got {value!r}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,flag", BAD_NUMBERS,
+                             ids=[command for command, _ in BAD_NUMBERS])
+    def test_bad_numbers_exit_2_before_any_work(self, command, flag,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        """A numeric flag outside its range is a usage error, not a
+        silent default budget (``--cycles 0``), an in-process clamp
+        (``--workers 0``), a disabled deadline (``--timeout 0``) or a
+        cell fault retried and quarantined (``--phase-interval -5``):
+        argparse names the flag and exits 2 before any runner, job,
+        cache dir or journal exists."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: expected " in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_cli_import_does_not_load_concurrent_futures(self):

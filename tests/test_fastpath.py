@@ -10,10 +10,10 @@ These tests drive both over the scheme space (GTO/LRR,
 BMI, MIL variants, SMK gating, UCP, L1D bypass), at two seeds and over
 randomized mixes, and require every collected statistic to match
 exactly — and, with observability attached to both, every field of the
-observed report (stall taxonomy, counters, phase series, adaptation
-events): ``obs`` is orthogonal to the machine switch, and the
-production machine's batched attribution is held to the oracle's
-per-cycle one.
+observed report (stall taxonomy, phase series, adaptation events) and
+every count the components keep beside it: ``obs`` is orthogonal to
+the machine switch, and the production machine's batched attribution
+is held to the oracle's per-cycle one.
 """
 
 import dataclasses
@@ -26,13 +26,13 @@ from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem
-from repro.obs import ObsOptions, process_registry
+from repro.obs import ObsOptions
 from repro.obs.stalls import ISSUED, LSU_STALL_REASONS, SCHED_STALL_REASONS
 from repro.obs.timeline import ADAPT_MECHANISMS, adapt_events_from_record
 from repro.sim.engine import GPU, make_launches
 from repro.sim.sm import (SLEEP_MIL, SLEEP_STALL, SleepingSM,
                           StreamingMultiprocessor)
-from repro.sim.stats import SELF_OBS_REGISTRY, SLEEP_CAUSES
+from repro.sim.stats import SLEEP_CAUSES, SM_COUNTERS
 from repro.workloads.profiles import PROFILES_BY_NAME, get_profile
 
 CONFIG = scaled_config()
@@ -131,13 +131,19 @@ def build_gpu(kernels, tbs, scheme_kwargs=None, config=CONFIG, seed=7,
                **gpu_kwargs)
 
 
-def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, reference, obs=None,
-             seed=3):
+def run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs, reference, obs=None,
+            seed=3):
+    """``(gpu, result)`` after CYCLES: the GPU for its components'
+    counts, the result for everything collected."""
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
     gpu = build_gpu(kernels, tbs, scheme_kwargs, config, seed=seed,
                     reference=reference, obs=obs)
     assert gpu.reference is reference
-    return gpu.run(CYCLES)
+    return gpu, gpu.run(CYCLES)
+
+
+def run_once(*args, **kwargs):
+    return run_gpu(*args, **kwargs)[1]
 
 
 def slept(result):
@@ -149,10 +155,36 @@ def assert_reports_equal(report, oracle):
     exact" means."""
     assert report.sched_stalls == oracle.sched_stalls
     assert report.lsu_stalls == oracle.lsu_stalls
-    assert report.counters == oracle.counters
     assert report.phases == oracle.phases
     assert report.trace_events == oracle.trace_events
     assert report.cycles == oracle.cycles
+
+
+def component_counts(gpu):
+    """What the components count that no ``result_signature``, stall
+    table or phase record carries: per SM the L1D's per-kernel accesses,
+    hits, misses, rsfails (and the rest of its ``CacheStats``) with its
+    ``rsfail_reasons``, and the LSU's busy cycles; the L2's stats and
+    head-stall cycles; the interconnect's request and response flits,
+    each way; every MILG's final limit."""
+    memory = gpu.memory
+    milgs = []
+    for sm in gpu.sms:
+        limiter = sm.bundle.limiter
+        milgs += getattr(getattr(limiter, "shared", limiter), "milgs", [])
+    return {
+        "l1d": [vars(sm.l1.stats) for sm in gpu.sms],
+        "lsu_busy_cycles": [sm.lsu.busy_cycles for sm in gpu.sms],
+        "l2": vars(memory.l2_stats),
+        "l2_head_stall_cycles": memory.l2_head_stall_cycles,
+        "icnt_flits": (memory.icnt.req_flits_sent,
+                       memory.icnt.rsp_flits_sent),
+        "mil_limits": [milg.limit for milg in milgs],
+    }
+
+
+def assert_components_equal(gpu, oracle_gpu):
+    assert component_counts(gpu) == component_counts(oracle_gpu)
 
 
 def assert_taxonomy_closed(report):
@@ -205,10 +237,10 @@ def test_observed_production_report_equals_observed_oracle(
     def options():
         return ObsOptions(phase=True, phase_interval=256)
 
-    oracle = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
-                      reference=True, obs=options())
-    observed = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
-                        reference=False, obs=options())
+    oracle_gpu, oracle = run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                                 reference=True, obs=options())
+    gpu, observed = run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                            reference=False, obs=options())
     plain = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
                      reference=False)
     assert (result_signature(observed) == result_signature(plain)
@@ -217,6 +249,7 @@ def test_observed_production_report_equals_observed_oracle(
     assert_taxonomy_closed(report)
     assert_taxonomy_closed(oracle.obs)
     assert_reports_equal(report, oracle.obs)
+    assert_components_equal(gpu, oracle_gpu)
     assert sum(report.sched_stalls.values()) == report.issue_slots() == (
         CYCLES * CONFIG.num_sms * CONFIG.schedulers_per_sm)
     assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles
@@ -260,10 +293,10 @@ def test_mil_capped_sleep_is_exact_and_engages(kernels, tbs, scheme_kwargs,
     def options():
         return ObsOptions(phase=True, phase_interval=256)
 
-    oracle = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
-                      reference=True, obs=options())
-    observed = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
-                        reference=False, obs=options())
+    oracle_gpu, oracle = run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                                 reference=True, obs=options())
+    gpu, observed = run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
+                            reference=False, obs=options())
     plain = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
                      reference=False)
     assert (result_signature(observed) == result_signature(plain)
@@ -272,6 +305,7 @@ def test_mil_capped_sleep_is_exact_and_engages(kernels, tbs, scheme_kwargs,
     assert_taxonomy_closed(report)
     assert_taxonomy_closed(oracle.obs)
     assert_reports_equal(report, oracle.obs)
+    assert_components_equal(gpu, oracle_gpu)
     assert sum(report.sched_stalls.values()) == report.issue_slots() == (
         CYCLES * CONFIG.num_sms * CONFIG.schedulers_per_sm)
     assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles
@@ -313,11 +347,14 @@ def assert_split_run_equals_one_run(kernels, scheme_kwargs, policy, cause):
     head = run_into_sleep(split, cause)
     assert head.obs.issue_slots() == sum(head.obs.sched_stalls.values())
     tail = split.run(CYCLES - head.cycles)
-    whole = gpu().run(CYCLES)
-    oracle = gpu(reference=True).run(CYCLES)
+    whole_gpu, oracle_gpu = gpu(), gpu(reference=True)
+    whole = whole_gpu.run(CYCLES)
+    oracle = oracle_gpu.run(CYCLES)
     assert result_signature(tail) == result_signature(oracle)
     assert_reports_equal(tail.obs, whole.obs)
     assert_reports_equal(tail.obs, oracle.obs)
+    assert_components_equal(split, whole_gpu)
+    assert_components_equal(split, oracle_gpu)
 
 
 def test_observed_trace_equals_oracle_trace():
@@ -328,12 +365,13 @@ def test_observed_trace_equals_oracle_trace():
         return ObsOptions(trace=True, trace_issue_sample=3,
                           trace_mem_sample=2)
 
-    oracle = run_once(("bp", "cd"), (4, 4), {"mil": "dmil"}, {},
-                      reference=True, obs=options())
-    traced = run_once(("bp", "cd"), (4, 4), {"mil": "dmil"}, {},
-                      reference=False, obs=options())
+    oracle_gpu, oracle = run_gpu(("bp", "cd"), (4, 4), {"mil": "dmil"}, {},
+                                 reference=True, obs=options())
+    gpu, traced = run_gpu(("bp", "cd"), (4, 4), {"mil": "dmil"}, {},
+                          reference=False, obs=options())
     assert traced.obs.trace_events
     assert_reports_equal(traced.obs, oracle.obs)
+    assert_components_equal(gpu, oracle_gpu)
     assert slept(traced) > 0
 
 
@@ -510,19 +548,12 @@ def test_stall_sleep_engages_at_paper_scale():
     silently disengage)."""
     ref = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG,
                     reference=True).run(CYCLES)
-    before = process_registry().snapshot()
     fast = build_gpu(("ks", "ax"), (8, 8), config=MAXWELL_CONFIG).run(CYCLES)
-    after = process_registry().snapshot()
     assert result_signature(fast) == result_signature(ref)
     assert fast.sleep_ratio("mem_stall") > 0.5
     assert fast.sleep["sm_cycles"] == CYCLES * MAXWELL_CONFIG.num_sms
     # Every slept stall cycle was settled as a batched replay.
     assert fast.sleep["stall_replays_batched"] >= fast.sleep["mem_stall"]
-    # The same numbers accumulate process-wide (sim.sleep.* and the
-    # rest of SELF_OBS_REGISTRY).
-    assert sorted(fast.sleep) == sorted(SELF_OBS_REGISTRY)
-    for key, name in SELF_OBS_REGISTRY.items():
-        assert after[name] - before.get(name, 0) == fast.sleep[key]
     assert fast.sleep["obs_batched_slots"] == 0  # nothing observed it
 
 
@@ -530,10 +561,10 @@ def test_stall_sleep_engages_at_paper_scale():
     {}, {"obs": True}, {"reference": True}, {"reference": True, "obs": True}),
     ids=("production", "production-obs", "oracle", "oracle-obs"))
 def test_sleep_report_keys_are_the_registry_keys(gpu_kwargs):
-    """``RunResult.sleep`` and ``SELF_OBS_REGISTRY`` name the same
-    counters, on both machines, observed or not."""
+    """``RunResult.sleep`` holds what each SM counts plus the
+    engine's ``sm_cycles``, on both machines, observed or not."""
     result = build_gpu(("bp", "cd"), (2, 2), **gpu_kwargs).run(200)
-    assert set(result.sleep) == set(SELF_OBS_REGISTRY)
+    assert list(result.sleep) == list(SM_COUNTERS + ("sm_cycles",))
 
 
 @pytest.mark.parametrize("obs", (None, ObsOptions(phase_interval=64)),

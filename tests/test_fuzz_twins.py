@@ -38,7 +38,10 @@ from tests.test_cache import (  # noqa: E402
     check_against_timestamp_scans,
     tag_store_runs,
 )
-from tests.test_fastpath import assert_reports_equal  # noqa: E402
+from tests.test_fastpath import (  # noqa: E402
+    assert_components_equal,
+    assert_reports_equal,
+)
 
 pytestmark = pytest.mark.fuzz
 
@@ -133,13 +136,15 @@ def test_observed_production_equals_observed_oracle(kernels, tbs, scheme,
                   reference=reference, obs=obs)
         for piece in pieces:
             result = gpu.run(piece)
-        return result
+        return gpu, result
 
-    oracle = run(True, (cycles,))
-    observed = run(False, (split, cycles - split) if split else (cycles,))
+    oracle_gpu, oracle = run(True, (cycles,))
+    gpu, observed = run(False,
+                        (split, cycles - split) if split else (cycles,))
     assert result_signature(observed) == result_signature(oracle)
     report = observed.obs
     assert_reports_equal(report, oracle.obs)
+    assert_components_equal(gpu, oracle_gpu)
     assert sum(report.sched_stalls.values()) == report.issue_slots()
     assert sum(report.lsu_stalls.values()) == observed.lsu_stall_cycles
 
@@ -186,11 +191,13 @@ def test_mil_capped_production_equals_oracle(kernels, tbs, kind, limits,
                   if observed else None)
         for piece in pieces:
             result = gpu.run(piece)
-        return result
+        return gpu, result
 
-    oracle = run(True, (cycles,))
-    production = run(False, (split, cycles - split) if split else (cycles,))
+    oracle_gpu, oracle = run(True, (cycles,))
+    gpu, production = run(False,
+                          (split, cycles - split) if split else (cycles,))
     assert result_signature(production) == result_signature(oracle)
+    assert_components_equal(gpu, oracle_gpu)
     assert not any(oracle.sleep[cause] for cause in SLEEP_CAUSES)
     if observed:
         report = production.obs

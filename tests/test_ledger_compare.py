@@ -285,6 +285,7 @@ class TestCampaignArtifacts:
         and the parent writes one artifact per cell plus the index."""
         from repro.config import scaled_config
         from repro.harness.perfbench import outcome_signature
+        from repro.harness.resilience import PLAIN, run_campaign_resilient
         from repro.harness.runner import ExperimentRunner, RunnerSettings
         from repro.workloads.mixes import WorkloadMix
         from repro.workloads.profiles import get_profile
@@ -297,9 +298,9 @@ class TestCampaignArtifacts:
 
         sampled_runner = ExperimentRunner(
             scaled_config(), settings, cache_dir=str(tmp_path / "sampled"))
-        sampled = sampled_runner.run_campaign(
-            mixes, schemes, workers=2, phase_interval=128,
-            artifacts_dir=str(arts))
+        sampled, _report = run_campaign_resilient(
+            sampled_runner, mixes, schemes, policy=PLAIN, workers=2,
+            phase_interval=128, artifacts_dir=str(arts))
 
         plain_runner = ExperimentRunner(
             scaled_config(), settings, cache_dir=str(tmp_path / "plain"))

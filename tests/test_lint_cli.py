@@ -84,32 +84,32 @@ def test_select_accepts_family_prefixes(capsys):
     capsys.readouterr()
 
 
-NINE_RULES = ("REPRO-D001", "REPRO-D002", "REPRO-D003", "REPRO-D004",
-              "REPRO-O001", "REPRO-S001", "REPRO-S002", "REPRO-S003",
-              "REPRO-P001")
+RULES = ("REPRO-D001", "REPRO-D002", "REPRO-D003", "REPRO-D004",
+         "REPRO-O001", "REPRO-S002", "REPRO-S003", "REPRO-P001")
 
 
 def test_unknown_family_prefix_exits_2(capsys):
-    # REPRO-X never existed; the rest are the retired whole-program
-    # rules, which must not be selectable as silent no-ops.
-    for selector in ("REPRO-X", "REPRO-W", "REPRO-R", "W001", "S004"):
+    # REPRO-X never existed; the rest are retired rules, which must not
+    # be selectable as silent no-ops.
+    for selector in ("REPRO-X", "REPRO-W", "REPRO-R", "W001", "S004",
+                     "S001"):
         code = run(["src", "--root", REPO_ROOT, "--select", selector])
         assert code == 2
         err = capsys.readouterr().err
         assert "family prefix" in err
         known = err[err.index("(known: "):]
-        assert known.count("REPRO-") == len(NINE_RULES)
-        for rid in NINE_RULES:  # the known-rule list names every rule
+        assert known.count("REPRO-") == len(RULES)
+        for rid in RULES:  # the known-rule list names every rule
             assert rid in known
 
 
 def test_list_rules_prints_catalog(capsys):
     assert run(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rid in NINE_RULES:
+    for rid in RULES:
         assert rid in out
     assert sum(line.startswith("REPRO-") for line in out.splitlines()) \
-        == len(NINE_RULES)
+        == len(RULES)
     assert "bad:" in out and "good:" in out
 
 

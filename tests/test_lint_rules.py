@@ -19,7 +19,6 @@ FIXTURES = {
     "REPRO-D003": "src/repro/sim/fix_d003.py",
     "REPRO-D004": "src/repro/sim/fix_d004.py",
     "REPRO-O001": "src/repro/sim/fix_o001.py",
-    "REPRO-S001": "src/repro/sim/fix_s001.py",
     "REPRO-S002": "src/repro/sim/fix_s002.py",
     "REPRO-S003": "src/repro/sim/fix_s003.py",
     "REPRO-P001": "src/repro/harness/fix_p001.py",

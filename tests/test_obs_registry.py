@@ -1,9 +1,7 @@
-"""Unit tests for the hierarchical counter/gauge registry."""
+"""Unit tests for the process-wide counter registry's cells and
+prefix snapshots (the ``trace_cache.*`` counters live on one)."""
 
-import pytest
-
-from repro.obs.registry import (Counter, CounterRegistry, Gauge, aggregate,
-                                snapshot_tree)
+from repro.obs.registry import Counter, CounterRegistry
 
 
 class TestCells:
@@ -12,103 +10,21 @@ class TestCells:
         c.add()
         c.add(4)
         assert c.value == 5
-        assert c.kind == "counter"
-
-    def test_gauge_last_write_wins(self):
-        g = Gauge("y")
-        g.set(3)
-        g.set(7)
-        assert g.value == 7
-        assert g.kind == "gauge"
 
 
 class TestRegistry:
     def test_counter_handle_is_stable(self):
         reg = CounterRegistry()
-        a = reg.counter("sm0.sched2.issue.mil_capped")
-        b = reg.counter("sm0.sched2.issue.mil_capped")
+        a = reg.counter("trace_cache.warp_hits")
+        b = reg.counter("trace_cache.warp_hits")
         assert a is b
         a.add(3)
-        assert reg.snapshot()["sm0.sched2.issue.mil_capped"] == 3
-
-    def test_kind_conflicts_raise(self):
-        reg = CounterRegistry()
-        reg.counter("a.b")
-        reg.gauge("a.c")
-        with pytest.raises(TypeError):
-            reg.gauge("a.b")
-        with pytest.raises(TypeError):
-            reg.counter("a.c")
-
-    def test_bump_and_set_shortcuts(self):
-        reg = CounterRegistry()
-        reg.bump("hits")
-        reg.bump("hits", 2)
-        reg.set("limit", 6)
-        assert reg.snapshot() == {"hits": 3, "limit": 6}
-        assert "hits" in reg
-        assert "misses" not in reg
-        assert len(reg) == 2
-
-    def test_scoped_prefixes_and_nests(self):
-        reg = CounterRegistry()
-        sm = reg.scoped("sm0")
-        lsu = sm.scoped("lsu")
-        lsu.counter("rsfail_line").add(2)
-        sm.gauge("limit").set(4)
-        snap = reg.snapshot()
-        assert snap == {"sm0.lsu.rsfail_line": 2, "sm0.limit": 4}
+        assert reg.snapshot("trace_cache") == {"trace_cache.warp_hits": 3}
 
     def test_snapshot_prefix_filter(self):
         reg = CounterRegistry()
-        reg.bump("sm0.issue")
-        reg.bump("sm1.issue", 5)
-        reg.bump("sm10.issue", 7)
+        reg.counter("sm0.issue").add()
+        reg.counter("sm1.issue").add(5)
+        reg.counter("sm10.issue").add(7)
         assert reg.snapshot("sm1") == {"sm1.issue": 5}
         assert reg.snapshot("sm1.issue") == {"sm1.issue": 5}
-
-    def test_total_and_matching_patterns(self):
-        reg = CounterRegistry()
-        reg.bump("sm0.sched0.issue.mil_capped", 2)
-        reg.bump("sm0.sched1.issue.mil_capped", 3)
-        reg.bump("sm1.sched0.issue.scoreboard", 9)
-        assert reg.total("sm*.sched*.issue.mil_capped") == 5
-        assert reg.matching("sm1.*") == {"sm1.sched0.issue.scoreboard": 9}
-
-    def test_tree_nests_by_dot(self):
-        reg = CounterRegistry()
-        reg.bump("sm0.sched2.issue.mil_capped", 7)
-        assert reg.tree() == {"sm0": {"sched2": {"issue": {"mil_capped": 7}}}}
-
-
-class TestMerge:
-    def test_counters_add_gauges_overwrite(self):
-        reg = CounterRegistry()
-        reg.counter("stalls").add(10)
-        reg.gauge("limit").set(2)
-        reg.merge_snapshot({"stalls": 5, "limit": 9})
-        snap = reg.snapshot()
-        assert snap["stalls"] == 15
-        assert snap["limit"] == 9
-
-    def test_gauge_hint_applies_to_new_names(self):
-        reg = CounterRegistry()
-        reg.merge_snapshot({"sm0.mil.k0.limit": 3}, gauges=["sm0.mil.k0.limit"])
-        reg.merge_snapshot({"sm0.mil.k0.limit": 4}, gauges=["sm0.mil.k0.limit"])
-        assert reg.snapshot()["sm0.mil.k0.limit"] == 4
-
-    def test_static_merged(self):
-        merged = CounterRegistry.merged(
-            [{"a": 1, "b": 2}, {"a": 3}, {"b": 4, "c": 5}])
-        assert merged == {"a": 4, "b": 6, "c": 5}
-
-
-class TestModuleHelpers:
-    def test_snapshot_tree_leaf_and_interior_conflict(self):
-        tree = snapshot_tree({"a": 1, "a.b": 2})
-        assert tree == {"a": {"": 1, "b": 2}}
-
-    def test_aggregate_over_snapshot(self):
-        snap = {"sm0.x": 1, "sm1.x": 2, "sm1.y": 10}
-        assert aggregate(snap, "sm*.x") == 3
-        assert aggregate(snap, "nope.*") == 0

@@ -20,7 +20,8 @@ from repro.harness.parallel import (CurveJob, IsoJob, MixJob,
                                     run_jobs, shared_input_jobs)
 from repro.harness.perfbench import outcome_signature
 from repro.harness.resilience import (PLAIN, ResiliencePolicy,
-                                      default_journal_path)
+                                      default_journal_path,
+                                      run_campaign_resilient)
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
@@ -63,8 +64,8 @@ def test_campaign_serial_vs_parallel_bit_identical(tmp_path, pairs, schemes,
               for mix in mixes for scheme in schemes]
 
     parallel_runner = make_runner(tmp_path, "parallel")
-    parallel, report = parallel_runner.run_campaign_resilient(
-        mixes, schemes, policy=policy, workers=2)
+    parallel, report = run_campaign_resilient(
+        parallel_runner, mixes, schemes, policy=policy, workers=2)
 
     assert len(serial) == len(parallel)
     for s, p in zip(serial, parallel):
@@ -81,8 +82,10 @@ def test_campaign_serial_vs_parallel_bit_identical(tmp_path, pairs, schemes,
 def test_single_worker_falls_back_to_serial(tmp_path):
     """workers=1 must not spawn a pool and must match workers>1."""
     mixes = make_mixes((("3m", "bp"),))
-    one = make_runner(tmp_path, "one").run_campaign(mixes, ["ws"], workers=1)
-    two = make_runner(tmp_path, "two").run_campaign(mixes, ["ws"], workers=2)
+    one, _ = run_campaign_resilient(make_runner(tmp_path, "one"), mixes,
+                                    ["ws"], policy=PLAIN, workers=1)
+    two, _ = run_campaign_resilient(make_runner(tmp_path, "two"), mixes,
+                                    ["ws"], policy=PLAIN, workers=2)
     assert [outcome_signature(o) for o in one] \
         == [outcome_signature(o) for o in two]
 
@@ -264,13 +267,15 @@ def test_campaign_with_artifacts_reuses_hints_bit_identically(tmp_path):
 
     first = make_runner(tmp_path, "first")
     arts = tmp_path / "campaign_arts"
-    first.run_campaign(mixes, schemes, workers=2, artifacts_dir=str(arts))
+    run_campaign_resilient(first, mixes, schemes, policy=PLAIN, workers=2,
+                           artifacts_dir=str(arts))
     assert (arts / "ledger.json").exists()
 
     serial = [make_runner(tmp_path, "serial2").run_mix(mix, "ws")
               for mix in mixes]
     second = make_runner(tmp_path, "second")
-    hinted = second.run_campaign(mixes, schemes, workers=2,
-                                 artifacts_dir=str(arts))
+    hinted, _report = run_campaign_resilient(
+        second, mixes, schemes, policy=PLAIN, workers=2,
+        artifacts_dir=str(arts))
     for s, p in zip(serial, hinted):
         assert outcome_signature(s) == outcome_signature(p)

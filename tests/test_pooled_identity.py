@@ -16,19 +16,23 @@ from repro.config import scaled_config
 from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
-from tests.test_fastpath import (CONFIG, CYCLES, assert_reports_equal,
-                                 build_gpu)
+from tests.test_fastpath import (CONFIG, CYCLES, assert_components_equal,
+                                 assert_reports_equal, build_gpu)
 
 
-def run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, *, reference,
-             obs=False, seed=5):
+def run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs, *, reference,
+            obs=False, seed=5):
     config = scaled_config(**cfg_kwargs) if cfg_kwargs else CONFIG
     gpu = build_gpu(kernels, tbs, scheme_kwargs, config, seed=seed,
                     reference=reference, obs=obs)
     assert type(gpu.memory) is MemorySubsystem
     assert {type(sm) for sm in gpu.sms} == {
         StreamingMultiprocessor if reference else SleepingSM}
-    return gpu.run(CYCLES)
+    return gpu, gpu.run(CYCLES)
+
+
+def run_once(*args, **kwargs):
+    return run_gpu(*args, **kwargs)[1]
 
 
 @pytest.mark.parametrize("policy", ("gto", "lrr"))
@@ -57,15 +61,17 @@ def test_obs_matrix_identical():
     ``reference`` value names, observed or not — and the two observed
     cells on the report: the production machine's batched attribution
     says what the oracle's per-cycle attribution says."""
-    cells = {}
+    gpus, cells = {}, {}
     for reference in (False, True):
         for obs in (False, True):
-            cells[(reference, obs)] = run_once(
+            gpus[(reference, obs)], cells[(reference, obs)] = run_gpu(
                 ("st", "sv"), (3, 3), {"mil": "dmil"}, {},
                 reference=reference, obs=obs)
     assert len({result_signature(result)
                 for result in cells.values()}) == 1, cells.keys()
     assert_reports_equal(cells[(False, True)].obs, cells[(True, True)].obs)
+    for gpu in gpus.values():
+        assert_components_equal(gpu, gpus[(True, True)])
 
 
 def test_obs_default_prefers_object_path():

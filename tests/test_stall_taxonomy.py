@@ -44,17 +44,14 @@ def by_reason(report):
 
 class TestInvariants:
     def test_declared_taxonomy_holds_no_duplicate(self):
-        """A reason or leaf declared twice would be counted once and
-        reported twice (the membership tuples index report rows and
-        registry leaves); the scheduler and LSU classes share the
-        ``stall.`` registry segment, so they must not collide either."""
+        """A reason declared twice would be counted once and reported
+        twice (the membership tuples index report rows); the scheduler
+        and LSU classes share the stall report and the phase series, so
+        they must not collide either."""
         from repro.obs.stalls import LSU_STALL_REASONS, SCHED_STALL_REASONS
-        from repro.obs.timeline import (ADAPT_MECHANISMS,
-                                        ADAPT_REGISTRY_LEAVES,
-                                        PHASE_REGISTRY_LEAVES)
+        from repro.obs.timeline import ADAPT_MECHANISMS
         for members in ((ISSUED, *SCHED_STALL_REASONS, *LSU_STALL_REASONS),
-                        ADAPT_MECHANISMS, PHASE_REGISTRY_LEAVES,
-                        ADAPT_REGISTRY_LEAVES):
+                        ADAPT_MECHANISMS):
             assert len(set(members)) == len(members), members
 
     @pytest.mark.parametrize("kernels,tbs,scheme_kwargs", [
@@ -149,19 +146,9 @@ class TestObsNeutrality:
         launches = make_launches([get_profile("bp")], [2], cfg, seed=3)
         assert GPU(cfg, launches, SchemeConfig(), obs=True).reference is False
         assert reports[False].sched_stalls == reports[True].sched_stalls
-        assert reports[False].counters == reports[True].counters
 
 
 class TestReportSurface:
-    def test_registry_fold_matches_raw_tables(self):
-        _result, report = observed(("st", "sv"), (4, 4))
-        agg = by_reason(report)
-        assert report.total("sm*.sched*.issue.scoreboard") == \
-            agg[STALL_SCOREBOARD]
-        assert report.total("sm*.lsu.rsfail_*.k*") == \
-            sum(report.lsu_stalls.values())
-        assert report.counters["engine.cycles"] == report.cycles
-
     def test_kernel_labels(self):
         _result, report = observed(("st", "sv"), (2, 2), cycles=500)
         assert report.kernel_label(0) == "st#0"
@@ -182,35 +169,6 @@ class TestReportSurface:
         assert sum(merged.sched_stalls.values()) == merged.issue_slots()
         assert merged.kernel_names == a.kernel_names
 
-    def test_merged_reports_keep_rates_rates(self):
-        """Totals add, but a rate is not a total: the merged DRAM row
-        hit rate is the rate of the merged totals (each cell's rate
-        weighted by its serviced requests), never above 1; settings
-        keep the latest value."""
-        _r1, a = observed(("bp", "cd"), (3, 3), {"mil": "dmil"},
-                          cycles=3000)
-        _r2, b = observed(("bp", "cd"), (3, 3), cycles=3000)
-        merged = ObsReport.merged([a, b])
-        rate_a, rate_b = (r.counters["dram.row_hit_rate"] for r in (a, b))
-        assert rate_a + rate_b > 1.0  # what summing used to report
-        rate = merged.counters["dram.row_hit_rate"]
-        assert min(rate_a, rate_b) <= rate <= max(rate_a, rate_b) <= 1.0
-        served = [r.counters["dram.serviced"] for r in (a, b)]
-        assert rate == pytest.approx(
-            (rate_a * served[0] + rate_b * served[1]) / sum(served))
-        assert not [name for name, value in merged.counters.items()
-                    if "rate" in name and value > 1.0]
-        for name in ("sm0.lsu.stall_cycles", "dram.serviced",
-                     "engine.cycles"):
-            assert merged.counters[name] == (a.counters[name]
-                                             + b.counters[name])
-        assert merged.total("sm*.lsu.stall_cycles") == (
-            a.total("sm*.lsu.stall_cycles") + b.total("sm*.lsu.stall_cycles"))
-        limits = [name for name in a.counters if name.endswith(".limit")]
-        assert limits
-        for name in limits:  # only the DMIL cell has them: kept as is
-            assert merged.counters[name] == a.counters[name]
-
     def test_merged_requires_reports(self):
         with pytest.raises(ValueError):
             ObsReport.merged([])
@@ -229,7 +187,6 @@ class TestReportSurface:
         _result, report = observed(("st", "sv"), (2, 2), cycles=500)
         clone = pickle.loads(pickle.dumps(report))
         assert clone.sched_stalls == report.sched_stalls
-        assert clone.counters == report.counters
 
 
 class TestRunnerGuard:

@@ -176,7 +176,7 @@ class TestIntervals:
 
 class TestAdaptEvents:
     def test_mil_and_qbmi_events_recorded(self):
-        _result, report, record = phase_record(("st", "sv"), (4, 4),
+        _result, _report, record = phase_record(("st", "sv"), (4, 4),
                                                ADAPTIVE_SCHEME,
                                                cycles=3000)
         events = adapt_events_from_record(record)
@@ -185,11 +185,6 @@ class TestAdaptEvents:
         assert mechanisms <= set(ADAPT_MECHANISMS)
         assert ADAPT_MIL in mechanisms
         assert ADAPT_QBMI in mechanisms
-        # Registry counters fold the same totals.
-        assert report.counters["adapt.mil_events"] == sum(
-            1 for e in events if e.mechanism == ADAPT_MIL)
-        assert report.counters["adapt.qbmi_events"] == sum(
-            1 for e in events if e.mechanism == ADAPT_QBMI)
 
     def test_events_ordered_and_mil_chain_consistent(self):
         """Event cycles are nondecreasing, and each MIL recompute's old
