@@ -21,14 +21,14 @@ from repro._lazy import lazy_getattr
 from repro.config import MAXWELL_CONFIG, CacheConfig, GPUConfig, scaled_config
 
 #: names re-exported from the simulator packages, imported on first use.
-__getattr__ = lazy_getattr(__name__, {
+_EXPORTS = {
     "SchemeConfig": "repro.core.arbiter",
-    "GPU": "repro.sim.engine",
-    "KernelLaunch": "repro.sim.engine",
-    "make_launches": "repro.sim.engine",
-    "ALL_PROFILES": "repro.workloads",
-    "get_profile": "repro.workloads",
-})
+    **dict.fromkeys(("GPU", "KernelLaunch", "make_launches"),
+                    "repro.sim.engine"),
+    **dict.fromkeys(("ALL_PROFILES", "get_profile"),
+                    "repro.workloads.profiles"),
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
@@ -37,11 +37,6 @@ __all__ = [
     "GPUConfig",
     "MAXWELL_CONFIG",
     "scaled_config",
-    "SchemeConfig",
-    "GPU",
-    "KernelLaunch",
-    "make_launches",
-    "ALL_PROFILES",
-    "get_profile",
+    *_EXPORTS,
     "__version__",
 ]

@@ -60,9 +60,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-# Each ``cmd_*`` imports what it runs: ``lint``, ``dash``, ``compare``
-# and ``schemes`` never load the simulator (``repro.sim``/``repro.mem``),
-# and a ``campaign --resume`` pays for the harness only.
+# Each ``cmd_*`` imports what it runs, and so does everything below it:
+# the packages re-export lazily (``repro._lazy``), the runner imports the
+# simulator where it simulates and ``SchemeConfig`` its mechanisms where
+# it builds them.  ``lint``, ``dash``, ``compare`` and ``schemes`` never
+# load ``repro.sim``/``repro.mem``, and a fully journaled ``campaign
+# --resume`` loads the harness, the ledger and the classes its pickled
+# records name (``sim.stats``, ``obs.collector``), but none of the cycle
+# model.  ``tests/test_cli_and_report.py`` holds both.
 
 SCHEME_HELP = [
     ("spatial", "spatial multitasking (SM split)"),

@@ -1,9 +1,18 @@
 """Lazily re-exported package names (PEP 562).
 
-``python -m repro lint|dash|compare|schemes`` import the ``repro`` and
-``repro.harness`` packages and must neither pay for nor depend on the
-simulator those packages re-export, so their ``__init__`` modules
-resolve the re-exports on first attribute access instead of at import.
+The contract: a process imports the code it runs, and nothing more.
+Every ``repro`` package whose ``__init__`` re-exports names from its
+leaf modules (``repro``, ``harness``, ``sim``, ``mem``, ``core``,
+``cke``, ``obs``, ``workloads``, ``metrics``) declares an export map
+(``_EXPORTS``: public name -> the leaf module that defines it) and
+serves it through :func:`lazy_getattr`, with ``__all__`` listing its
+keys.  Importing a package therefore imports none of its leaves; a
+name's defining module loads on first access, and ``from pkg import
+X`` / ``from pkg import *`` behave as with eager re-exports.  So
+``python -m repro lint|dash|compare|schemes`` never load the
+simulator, and a fully journaled ``campaign --resume`` loads the
+harness, the pickled records' classes and the ledger, but none of the
+cycle model (``tests/test_cli_and_report.py`` probes both).
 """
 
 import importlib

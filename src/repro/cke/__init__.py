@@ -13,36 +13,22 @@ multiple kernels are partitioned across and within SMs.
   style): first kernel takes what it wants, the second gets the rest.
 """
 
-from repro.cke.partition import (
-    TBPartition,
-    even_partition,
-    feasible_partitions,
-    fits_together,
-    max_feasible,
-)
-from repro.cke.warped_slicer import (
-    ScalabilityCurve,
-    sweet_spot,
-    theoretical_weighted_speedup,
-)
-from repro.cke.dynamic_ws import DynamicWarpedSlicer, DynamicWSResult
-from repro.cke.smk import drf_partition, smk_quotas
-from repro.cke.spatial import spatial_masks
-from repro.cke.leftover import leftover_partition
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "TBPartition",
-    "even_partition",
-    "feasible_partitions",
-    "fits_together",
-    "max_feasible",
-    "ScalabilityCurve",
-    "sweet_spot",
-    "theoretical_weighted_speedup",
-    "DynamicWarpedSlicer",
-    "DynamicWSResult",
-    "drf_partition",
-    "smk_quotas",
-    "spatial_masks",
-    "leftover_partition",
-]
+#: public name -> defining module, imported on first use: only
+#: ``dynamic_ws`` runs the simulator, and only a ``dws`` cell needs it.
+_EXPORTS = {
+    **dict.fromkeys(("TBPartition", "even_partition", "feasible_partitions",
+                     "fits_together", "max_feasible"),
+                    "repro.cke.partition"),
+    **dict.fromkeys(("ScalabilityCurve", "sweet_spot",
+                     "theoretical_weighted_speedup"),
+                    "repro.cke.warped_slicer"),
+    **dict.fromkeys(("DynamicWarpedSlicer", "DynamicWSResult"),
+                    "repro.cke.dynamic_ws"),
+    **dict.fromkeys(("drf_partition", "smk_quotas"), "repro.cke.smk"),
+    "spatial_masks": "repro.cke.spatial",
+    "leftover_partition": "repro.cke.leftover",
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

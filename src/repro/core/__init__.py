@@ -3,34 +3,20 @@
 with the MILG generator, §3.3), and the UCP L1D cache-partitioning
 comparison point (§3.1)."""
 
-from repro.core.bmi import (
-    MemIssuePolicy,
-    QuotaBMI,
-    ReqPerMinstEstimator,
-    RoundRobinBMI,
-    UnmanagedIssue,
-    compute_quotas,
-)
-from repro.core.mil import MILG, DynamicLimiter, MemInstLimiter, NoLimit, StaticLimiter
-from repro.core.cache_partition import ShadowTagArray, UCPController, lookahead_partition
-from repro.core.arbiter import SchemeBundle, SchemeConfig, SMKQuotaGate
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "MemIssuePolicy",
-    "UnmanagedIssue",
-    "RoundRobinBMI",
-    "QuotaBMI",
-    "ReqPerMinstEstimator",
-    "compute_quotas",
-    "MILG",
-    "MemInstLimiter",
-    "NoLimit",
-    "StaticLimiter",
-    "DynamicLimiter",
-    "ShadowTagArray",
-    "UCPController",
-    "lookahead_partition",
-    "SchemeBundle",
-    "SchemeConfig",
-    "SMKQuotaGate",
-]
+#: public name -> defining module, imported on first use: the scheme
+#: grammar needs ``arbiter.SchemeConfig``, not the mechanisms it builds.
+_EXPORTS = {
+    **dict.fromkeys(("MemIssuePolicy", "UnmanagedIssue", "RoundRobinBMI",
+                     "QuotaBMI", "ReqPerMinstEstimator", "compute_quotas"),
+                    "repro.core.bmi"),
+    **dict.fromkeys(("MILG", "MemInstLimiter", "NoLimit", "StaticLimiter",
+                     "DynamicLimiter"), "repro.core.mil"),
+    **dict.fromkeys(("ShadowTagArray", "UCPController",
+                     "lookahead_partition"), "repro.core.cache_partition"),
+    **dict.fromkeys(("SchemeBundle", "SchemeConfig", "SMKQuotaGate"),
+                    "repro.core.arbiter"),
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

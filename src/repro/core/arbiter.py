@@ -20,17 +20,16 @@ paper's evaluation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.core.bmi import MemIssuePolicy, QuotaBMI, RoundRobinBMI, UnmanagedIssue
-from repro.core.cache_partition import UCPController
-from repro.core.mil import (
-    DynamicLimiter,
-    GlobalLimiterView,
-    MemInstLimiter,
-    NoLimit,
-    StaticLimiter,
-)
+if TYPE_CHECKING:
+    from repro.core.bmi import MemIssuePolicy
+    from repro.core.cache_partition import UCPController
+    from repro.core.mil import MemInstLimiter
+
+# The mechanisms are imported by :meth:`SchemeConfig.build`, which
+# instantiates them: the scheme grammar (``ExperimentRunner.check_scheme``)
+# and every pickled ``SchemeConfig`` need the declaration only.
 
 BMI_CHOICES = ("none", "rbmi", "qbmi")
 MIL_CHOICES = ("none", "smil", "dmil", "gdmil")
@@ -132,6 +131,10 @@ class SchemeConfig:
         cross-SM state (global DMIL); ``sm_id`` identifies the SM so
         SM 0 can act as the monitor.
         """
+        from repro.core.bmi import QuotaBMI, RoundRobinBMI, UnmanagedIssue
+        from repro.core.cache_partition import UCPController
+        from repro.core.mil import (DynamicLimiter, GlobalLimiterView,
+                                    NoLimit, StaticLimiter)
         window = self.sample_window or gpu_config.sample_window
 
         if self.bmi == "rbmi":

@@ -9,8 +9,7 @@ injection as policy values)."""
 from repro._lazy import lazy_getattr
 
 #: public name -> defining module, imported on first use: ``repro
-#: schemes`` wants ``reporting.format_table`` and nothing of the
-#: simulator the runner drags in.
+#: schemes`` wants ``reporting.format_table`` and none of the runner.
 _EXPORTS = {
     **dict.fromkeys(("ExperimentRunner", "IsoRecord", "RunnerSettings",
                      "WorkloadOutcome", "run_pair"),

@@ -48,7 +48,6 @@ import fnmatch
 import glob as globmod
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
 import queue as queuemod
@@ -767,6 +766,9 @@ class _WorkerPool:
         runner = batch.runner
         self.init_payload = (runner.config, runner.settings,
                              runner.cache_dir) + _par._seed_payload(runner)
+        # Imported here: in-process and fully journaled campaigns
+        # never start a pool.
+        import multiprocessing
         self.ctx = multiprocessing.get_context()
         self.result_q = self.ctx.Queue()
         self.workers: List[_Worker] = []

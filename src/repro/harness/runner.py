@@ -39,19 +39,17 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import GPUConfig, scaled_config
 from repro.core.arbiter import SchemeConfig
-from repro.cke.leftover import leftover_partition
-from repro.cke.partition import even_partition
-from repro.cke.smk import drf_partition, smk_quotas
-from repro.cke.spatial import spatial_masks, spatial_tb_limits
-from repro.cke.dynamic_ws import DynamicWarpedSlicer
 from repro.cke.warped_slicer import ScalabilityCurve, sweet_spot
 from repro.metrics.speedup import antt, fairness, normalized_ipcs, weighted_speedup
-from repro.sim.engine import GPU, make_launches
 from repro.sim.stats import RunResult
 from repro.workloads.kernel import KernelProfile
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import configure_disk_cache
+
+# The simulator and the TB partitioners are imported by the methods
+# that run them: a ``campaign --resume`` unpickles this module's
+# records and replays them without loading the cycle model.
 
 #: bump when profile calibration or simulator timing changes, to
 #: invalidate the on-disk isolated-run cache.
@@ -213,6 +211,7 @@ class ExperimentRunner:
                 budget for budget in shared
                 if budget == cycles or self._recall_iso(
                     self._iso_key(profile.name, tbs, budget)) is None)
+        from repro.sim.engine import GPU, make_launches
         launches = make_launches([profile], [tbs], self.config,
                                  seed=settings.seed)
         gpu = GPU(self.config, launches, SchemeConfig())
@@ -240,6 +239,7 @@ class ExperimentRunner:
                         obs=None) -> RunResult:
         """Uncached isolated run returning the full RunResult; ``obs``
         as in :meth:`run_mix` (Figure 6a/6b read its phase records)."""
+        from repro.sim.engine import GPU, make_launches
         if tbs is None:
             tbs = profile.max_tbs_per_sm(self.config)
         launches = make_launches([profile], [tbs], self.config,
@@ -301,6 +301,10 @@ class ExperimentRunner:
     def resolve_scheme(self, name: str, profiles: Sequence[KernelProfile]
                        ) -> Tuple[List[int], Optional[List[Set[int]]], SchemeConfig]:
         """Translate a scheme name into (tb_limits, sm_masks, stack)."""
+        from repro.cke.leftover import leftover_partition
+        from repro.cke.partition import even_partition
+        from repro.cke.smk import drf_partition, smk_quotas
+        from repro.cke.spatial import spatial_masks, spatial_tb_limits
         name = name.lower()
         suffix = self._mechanism_suffix(name)
 
@@ -402,6 +406,7 @@ class ExperimentRunner:
         window only (the paper reports steady-state numbers); the
         attached RunResult is cumulative over the whole run.
         """
+        from repro.cke.dynamic_ws import DynamicWarpedSlicer
         profiles = list(mix.profiles)
         stack = self._stack_for(scheme[len("dws"):], profiles)
         slicer = DynamicWarpedSlicer(profiles, self.config, stack,
@@ -427,6 +432,7 @@ class ExperimentRunner:
     def _run(self, mix: WorkloadMix, scheme_label: str, tb_limits, masks,
              stack: SchemeConfig, cycles: Optional[int],
              obs=None) -> WorkloadOutcome:
+        from repro.sim.engine import GPU, make_launches
         profiles = list(mix.profiles)
         launches = make_launches(profiles, tb_limits, self.config,
                                  sm_masks=masks, seed=self.settings.seed)

@@ -3,21 +3,17 @@ queues (including the reservation-failure semantics the paper's DMIL
 scheme keys on), a crossbar interconnect, and FR-FCFS-like DRAM
 channels."""
 
-from repro.mem.mshr import MSHRFile
-from repro.mem.cache import AccessResult, CacheStats, L1DCache, SetAssocCache
-from repro.mem.interconnect import Interconnect
-from repro.mem.dram import DRAMChannel, DRAMModel
-from repro.mem.subsystem import MemRequest, MemorySubsystem
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "MSHRFile",
-    "AccessResult",
-    "CacheStats",
-    "SetAssocCache",
-    "L1DCache",
-    "Interconnect",
-    "DRAMChannel",
-    "DRAMModel",
-    "MemRequest",
-    "MemorySubsystem",
-]
+#: public name -> defining module, imported on first use.
+_EXPORTS = {
+    "MSHRFile": "repro.mem.mshr",
+    **dict.fromkeys(("AccessResult", "CacheStats", "SetAssocCache",
+                     "L1DCache"), "repro.mem.cache"),
+    "Interconnect": "repro.mem.interconnect",
+    **dict.fromkeys(("DRAMChannel", "DRAMModel"), "repro.mem.dram"),
+    **dict.fromkeys(("MemRequest", "MemorySubsystem"),
+                    "repro.mem.subsystem"),
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

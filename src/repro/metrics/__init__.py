@@ -1,20 +1,14 @@
 """Multiprogramming metrics used throughout the paper's evaluation,
 plus the §4.5 event-based energy model."""
 
-from repro.metrics.energy import EnergyModel, EnergyReport, energy_report
-from repro.metrics.speedup import (
-    antt,
-    fairness,
-    normalized_ipcs,
-    weighted_speedup,
-)
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "normalized_ipcs",
-    "weighted_speedup",
-    "antt",
-    "fairness",
-    "EnergyModel",
-    "EnergyReport",
-    "energy_report",
-]
+#: public name -> defining module, imported on first use.
+_EXPORTS = {
+    **dict.fromkeys(("normalized_ipcs", "weighted_speedup", "antt",
+                     "fairness"), "repro.metrics.speedup"),
+    **dict.fromkeys(("EnergyModel", "EnergyReport", "energy_report"),
+                    "repro.metrics.energy"),
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

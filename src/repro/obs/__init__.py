@@ -38,80 +38,34 @@ them, and the report equals the observed oracle's field for field
 bit-identical either way.
 """
 
-from repro.obs.collector import Observability, ObsOptions, ObsReport
-from repro.obs.compare import Comparison, compare_paths, format_comparison
-from repro.obs.dash import render_dashboard, write_dashboard
-from repro.obs.ledger import (
-    ARTIFACT_VERSION,
-    artifact_from_outcome,
-    load_artifacts,
-    write_artifacts,
-)
-from repro.obs.registry import process_registry
-from repro.obs.stalls import (
-    ISSUED,
-    LSU_STALL_REASONS,
-    SCHED_STALL_REASONS,
-    STALL_BMI_LOSS,
-    STALL_EXEC_PORT,
-    STALL_LSU_FULL,
-    STALL_MIL_CAPPED,
-    STALL_NO_WARP,
-    STALL_OTHER,
-    STALL_SCOREBOARD,
-    STALL_SMK_GATE,
-    StallTable,
-    format_stall_report,
-)
-from repro.obs.telemetry import CampaignTelemetry, JobHeartbeat
-from repro.obs.timeline import (
-    ADAPT_MECHANISMS,
-    ADAPT_MIL,
-    ADAPT_QBMI,
-    AdaptEvent,
-    DEFAULT_PHASE_INTERVAL,
-    PhaseSampler,
-    adapt_events_from_record,
-    merge_phase_records,
-)
-from repro.obs.trace import TraceRecorder
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "ADAPT_MECHANISMS",
-    "ADAPT_MIL",
-    "ADAPT_QBMI",
-    "ARTIFACT_VERSION",
-    "AdaptEvent",
-    "CampaignTelemetry",
-    "Comparison",
-    "DEFAULT_PHASE_INTERVAL",
-    "ISSUED",
-    "JobHeartbeat",
-    "LSU_STALL_REASONS",
-    "Observability",
-    "ObsOptions",
-    "ObsReport",
-    "PhaseSampler",
-    "SCHED_STALL_REASONS",
-    "STALL_BMI_LOSS",
-    "STALL_EXEC_PORT",
-    "STALL_LSU_FULL",
-    "STALL_MIL_CAPPED",
-    "STALL_NO_WARP",
-    "STALL_OTHER",
-    "STALL_SCOREBOARD",
-    "STALL_SMK_GATE",
-    "StallTable",
-    "TraceRecorder",
-    "adapt_events_from_record",
-    "artifact_from_outcome",
-    "compare_paths",
-    "format_comparison",
-    "format_stall_report",
-    "load_artifacts",
-    "merge_phase_records",
-    "process_registry",
-    "render_dashboard",
-    "write_artifacts",
-    "write_dashboard",
-]
+#: public name -> defining module, imported on first use: the engine
+#: needs ``collector``, a campaign ``telemetry`` and ``ledger``, and
+#: neither needs ``dash`` or ``compare``.
+_EXPORTS = {
+    **dict.fromkeys(("Observability", "ObsOptions", "ObsReport"),
+                    "repro.obs.collector"),
+    **dict.fromkeys(("Comparison", "compare_paths", "format_comparison"),
+                    "repro.obs.compare"),
+    **dict.fromkeys(("render_dashboard", "write_dashboard"),
+                    "repro.obs.dash"),
+    **dict.fromkeys(("ARTIFACT_VERSION", "artifact_from_outcome",
+                     "load_artifacts", "write_artifacts"),
+                    "repro.obs.ledger"),
+    "process_registry": "repro.obs.registry",
+    **dict.fromkeys(("ISSUED", "LSU_STALL_REASONS", "SCHED_STALL_REASONS",
+                     "STALL_BMI_LOSS", "STALL_EXEC_PORT", "STALL_LSU_FULL",
+                     "STALL_MIL_CAPPED", "STALL_NO_WARP", "STALL_OTHER",
+                     "STALL_SCOREBOARD", "STALL_SMK_GATE", "StallTable",
+                     "format_stall_report"), "repro.obs.stalls"),
+    **dict.fromkeys(("CampaignTelemetry", "JobHeartbeat"),
+                    "repro.obs.telemetry"),
+    **dict.fromkeys(("ADAPT_MECHANISMS", "ADAPT_MIL", "ADAPT_QBMI",
+                     "AdaptEvent", "DEFAULT_PHASE_INTERVAL", "PhaseSampler",
+                     "adapt_events_from_record", "merge_phase_records"),
+                    "repro.obs.timeline"),
+    "TraceRecorder": "repro.obs.trace",
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -38,11 +38,17 @@ def config_fingerprint(config) -> str:
     return hashlib.md5(payload.encode()).hexdigest()[:16]
 
 
+#: the ``repro`` package directory: the checkout whose code ran.
+PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def current_git_sha(root: Optional[str] = None) -> Optional[str]:
-    """The repo's HEAD sha, or None when git is unavailable."""
+    """HEAD's sha of the checkout holding ``root`` (default: the one
+    the ``repro`` package runs from, whatever the working directory),
+    or None when git or the checkout is unavailable."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root,
+            ["git", "rev-parse", "HEAD"], cwd=root or PACKAGE_DIR,
             capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None

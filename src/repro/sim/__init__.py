@@ -1,22 +1,17 @@
 """Cycle-level SM core model: warps, GTO/LRR schedulers, execution
 units, the LSU memory pipeline, and the top-level GPU engine."""
 
-from repro.sim.stats import KernelStats, RunResult
-from repro.sim.warp import MemInst, ThreadBlock, Warp
-from repro.sim.scheduler import WarpScheduler
-from repro.sim.lsu import LoadStoreUnit
-from repro.sim.sm import StreamingMultiprocessor
-from repro.sim.engine import GPU, KernelLaunch
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "KernelStats",
-    "RunResult",
-    "MemInst",
-    "ThreadBlock",
-    "Warp",
-    "WarpScheduler",
-    "LoadStoreUnit",
-    "StreamingMultiprocessor",
-    "GPU",
-    "KernelLaunch",
-]
+#: public name -> defining module, imported on first use: unpickling a
+#: ``RunResult`` needs ``stats``, not the cycle model beside it.
+_EXPORTS = {
+    **dict.fromkeys(("KernelStats", "RunResult"), "repro.sim.stats"),
+    **dict.fromkeys(("MemInst", "ThreadBlock", "Warp"), "repro.sim.warp"),
+    "WarpScheduler": "repro.sim.scheduler",
+    "LoadStoreUnit": "repro.sim.lsu",
+    "StreamingMultiprocessor": "repro.sim.sm",
+    **dict.fromkeys(("GPU", "KernelLaunch"), "repro.sim.engine"),
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

@@ -10,53 +10,23 @@ parameterised instruction/address stream generator
 (:class:`~repro.workloads.kernel.KernelProfile`).
 """
 
-from repro.workloads.address import AccessPattern, MixPattern, ReusePattern, StreamPattern
-from repro.workloads.coalescer import (
-    ThreadAddressPattern,
-    coalesce,
-    coalescing_degree,
-    gather,
-    strided,
-    unit_stride,
-)
-from repro.workloads.kernel import InstructionStream, KernelProfile, MemInstDescriptor
-from repro.workloads.profiles import (
-    ALL_PROFILES,
-    COMPUTE_PROFILES,
-    MEMORY_PROFILES,
-    PROFILES_BY_NAME,
-    get_profile,
-)
-from repro.workloads.mixes import (
-    WorkloadMix,
-    classify_mix,
-    paper_pairs,
-    representative_pairs,
-    representative_triples,
-)
+from repro._lazy import lazy_getattr
 
-__all__ = [
-    "AccessPattern",
-    "ThreadAddressPattern",
-    "coalesce",
-    "coalescing_degree",
-    "unit_stride",
-    "strided",
-    "gather",
-    "StreamPattern",
-    "ReusePattern",
-    "MixPattern",
-    "KernelProfile",
-    "InstructionStream",
-    "MemInstDescriptor",
-    "ALL_PROFILES",
-    "COMPUTE_PROFILES",
-    "MEMORY_PROFILES",
-    "PROFILES_BY_NAME",
-    "get_profile",
-    "WorkloadMix",
-    "classify_mix",
-    "paper_pairs",
-    "representative_pairs",
-    "representative_triples",
-]
+#: public name -> defining module, imported on first use.
+_EXPORTS = {
+    **dict.fromkeys(("AccessPattern", "StreamPattern", "ReusePattern",
+                     "MixPattern"), "repro.workloads.address"),
+    **dict.fromkeys(("ThreadAddressPattern", "coalesce",
+                     "coalescing_degree", "unit_stride", "strided",
+                     "gather"), "repro.workloads.coalescer"),
+    **dict.fromkeys(("KernelProfile", "InstructionStream",
+                     "MemInstDescriptor"), "repro.workloads.kernel"),
+    **dict.fromkeys(("ALL_PROFILES", "COMPUTE_PROFILES", "MEMORY_PROFILES",
+                     "PROFILES_BY_NAME", "get_profile"),
+                    "repro.workloads.profiles"),
+    **dict.fromkeys(("WorkloadMix", "classify_mix", "paper_pairs",
+                     "representative_pairs", "representative_triples"),
+                    "repro.workloads.mixes"),
+}
+__getattr__ = lazy_getattr(__name__, _EXPORTS)
+__all__ = list(_EXPORTS)

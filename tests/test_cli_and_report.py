@@ -241,6 +241,44 @@ assert repro.harness.experiments.__name__ == "repro.harness.experiments"
                 text=True, env=dict(os.environ, PYTHONPATH=src))
         assert done.returncode == 0, done.stderr
 
+    def test_journaled_resume_never_loads_the_cycle_model(self, tmp_path):
+        """A ``campaign --resume`` whose every cell is journaled prints
+        the cold run's table byte for byte from a fresh interpreter
+        that never loaded the simulator's engine, SMs, LSU, memory
+        hierarchy or dynamic Warped-Slicer."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        argv = ["campaign", "st,sv", "--schemes", "ws", "--workers", "1",
+                "--cache", str(tmp_path / "cache")]
+        cold = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--retries", "1"],
+            capture_output=True, text=True, env=env)
+        assert cold.returncode == 0, cold.stderr
+        probe = f"""
+import contextlib, io, sys
+from repro.__main__ import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main({argv + ["--resume"]!r})
+assert code == 0, code
+assert out.getvalue() == sys.argv[1], out.getvalue()
+heavy = ["repro.sim." + m for m in ("engine", "sm", "scheduler", "lsu", "warp")]
+heavy += ["repro.mem." + m for m in ("subsystem", "dram", "interconnect", "cache")]
+heavy.append("repro.cke.dynamic_ws")
+loaded = [m for m in heavy if m in sys.modules]
+assert not loaded, loaded
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", probe, cold.stdout], capture_output=True,
+            text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "resumed from journal" in done.stderr
+
     def test_unknown_benchmark_raises(self, capsys):
         """...a usage error, no longer a ``KeyError`` traceback: the
         first kernel of ``run`` (the sweep above has the second)."""

@@ -322,3 +322,34 @@ class TestCampaignArtifacts:
             assert artifact["metrics"]["total_ipc"] > 0
             assert artifact["stall_shares"]
             assert len(artifact["phases"]) == 1
+
+    def test_git_sha_is_the_checkout_head_from_any_cwd(self, tmp_path,
+                                                       monkeypatch):
+        """A campaign started outside the checkout (CI's examples step
+        runs from a temp dir) still records the HEAD of the checkout
+        whose code ran, not ``null`` or the cwd's repo."""
+        import subprocess
+
+        from repro.config import scaled_config
+        from repro.harness.resilience import PLAIN, run_campaign_resilient
+        from repro.harness.runner import ExperimentRunner, RunnerSettings
+        from repro.workloads.mixes import mix
+
+        here = os.path.dirname(os.path.abspath(__file__))
+        try:
+            head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=here,
+                                  capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.SubprocessError):
+            pytest.skip("git unavailable")
+        if head.returncode != 0:
+            pytest.skip("not run from a git checkout")
+        cwd = tmp_path / "elsewhere"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        runner = ExperimentRunner(scaled_config(), RunnerSettings(
+            iso_cycles=300, curve_cycles=200, concurrent_cycles=300))
+        run_campaign_resilient(runner, [mix("st", "sv")], ["even"],
+                               policy=PLAIN, workers=1,
+                               artifacts_dir=str(tmp_path / "arts"))
+        (artifact,) = load_artifacts(str(tmp_path / "arts")).values()
+        assert artifact["git_sha"] == head.stdout.strip()

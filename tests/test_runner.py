@@ -46,7 +46,7 @@ class TestIsolatedCache:
         is asked for first simulates once and installs both records —
         the records separate simulations produce, under the same keys —
         in memory and on disk."""
-        from repro.harness import runner as runner_module
+        from repro.sim import engine as engine_module
         profile = get_profile("bp")
         config = scaled_config()
         max_tbs = profile.max_tbs_per_sm(config)
@@ -59,13 +59,13 @@ class TestIsolatedCache:
             for name, cycles in budgets.items()}
 
         built = []
-        real_gpu = runner_module.GPU
+        real_gpu = engine_module.GPU
 
         def counting_gpu(*args, **kwargs):
             built.append(args)
             return real_gpu(*args, **kwargs)
 
-        monkeypatch.setattr(runner_module, "GPU", counting_gpu)
+        monkeypatch.setattr(engine_module, "GPU", counting_gpu)
         shared = ExperimentRunner(config, FAST, cache_dir=str(tmp_path))
         other = "curve" if first == "iso" else "iso"
         assert shared.isolated(profile, max_tbs, budgets[first]) \
