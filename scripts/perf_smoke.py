@@ -40,11 +40,16 @@ legs that name the Table-1 machine.
   profile equals the live ``InstructionStream`` (the compiler's oracle)
   on sampled warps, and ``trace_cache.ops_compiled`` moves by exactly
   ``CHUNK_WARPS * iters * (cinst + 1)`` — so an edit to the stream or a
-  pattern that forgets the compiler's draw order fails here too.
+  pattern that forgets the compiler's draw order fails here too; each
+  chunk is then stored in a temporary disk cache, dropped from memory
+  and reloaded (one disk hit, no compile) and must equal the live
+  stream again, so the packed on-disk encoding is exercised on every
+  profile.
 """
 
 import collections
 import sys
+import tempfile
 
 from repro.cke.partition import even_partition
 from repro.config import MAXWELL_CONFIG, scaled_config
@@ -219,31 +224,54 @@ def missq_retry_check():
 
 
 def cold_start_check():
-    """Compile one chunk of every profile.  Returns the failures (empty
-    when every sampled warp equals the live stream and the compiled-op
-    count is the profile's arithmetic)."""
+    """Compile one chunk of every profile, store it in a temporary disk
+    cache and reload it.  Returns the failures (empty when every
+    sampled warp equals the live stream both as compiled and as
+    reloaded, the compiled-op count is the profile's arithmetic and the
+    reload is a disk hit, not a compile)."""
     seed = 3
     failures = []
 
-    def ops_compiled():
-        return process_registry().snapshot("trace_cache")[
-            "trace_cache.ops_compiled"]
+    def counts():
+        snapshot = process_registry().snapshot("trace_cache")
+        return (snapshot["trace_cache.ops_compiled"],
+                snapshot["trace_cache.chunk_compiles"],
+                snapshot["trace_cache.disk_hits"])
 
-    ktrace.clear_memory_cache()
-    for profile in ALL_PROFILES:
-        ops_before = ops_compiled()
+    def compare(profile, origin):
         trace = ktrace.get_trace(profile, seed)
         for warp_index in (0, 1, ktrace.CHUNK_WARPS - 1):
             if trace.warp_arrays(warp_index) != ktrace.live_warp_arrays(
                     profile, warp_index, seed):
-                failures.append(f"{profile.name}: warp {warp_index} differs "
-                                f"from the live stream")
-        compiled = ops_compiled() - ops_before
-        expected = (ktrace.CHUNK_WARPS * profile.iters_per_warp
-                    * (profile.cinst_per_minst + 1))
-        if compiled != expected:
-            failures.append(f"{profile.name}: {compiled} ops compiled, "
-                            f"expected {expected}")
+                failures.append(f"{profile.name}: {origin} warp "
+                                f"{warp_index} differs from the live stream")
+
+    ktrace.clear_memory_cache()
+    with tempfile.TemporaryDirectory() as disk:
+        ktrace.configure_disk_cache(disk)
+        try:
+            for profile in ALL_PROFILES:
+                ops_before = counts()[0]
+                compare(profile, "compiled")
+                compiled = counts()[0] - ops_before
+                expected = (ktrace.CHUNK_WARPS * profile.iters_per_warp
+                            * (profile.cinst_per_minst + 1))
+                if compiled != expected:
+                    failures.append(f"{profile.name}: {compiled} ops "
+                                    f"compiled, expected {expected}")
+                ktrace.clear_memory_cache()
+                _, compiles_before, hits_before = counts()
+                compare(profile, "reloaded")
+                _, compiles, hits = counts()
+                if (compiles, hits) != (compiles_before, hits_before + 1):
+                    failures.append(f"{profile.name}: the reload compiled "
+                                    f"{compiles - compiles_before} chunks "
+                                    f"and hit the disk "
+                                    f"{hits - hits_before} times, "
+                                    f"expected 0 and 1")
+        finally:
+            ktrace.configure_disk_cache(None)
+            ktrace.clear_memory_cache()
     return failures
 
 
@@ -316,7 +344,7 @@ def main() -> int:
     if failures:
         return 1
     print(f"ok cold start: {len(ALL_PROFILES)} profiles compile to the live "
-          f"stream's arrays, op counts exact")
+          f"stream's arrays, op counts exact, and reload them from disk")
     return 0
 
 

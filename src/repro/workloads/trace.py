@@ -48,9 +48,16 @@ Traces are memoized process-wide keyed by a *profile fingerprint*
 warps so memory stays bounded for long windows (a global LRU keeps at
 most :data:`MAX_CHUNKS` chunks resident).  When a disk directory is
 configured (:func:`configure_disk_cache` — the harness points it
-inside its atomic result cache), chunks are persisted as JSON with the
-same temp-file + ``os.replace`` discipline, letting campaign worker
+inside its atomic result cache), chunks are persisted with the same
+temp-file + ``os.replace`` discipline, letting campaign worker
 processes share one compile.
+
+A warp's line footprint is packed, in memory and on disk: one
+``array('q')`` (8 bytes per line, no per-line int object) in the chunk
+cache, and base64 of its little-endian int64 bytes inside the chunk
+file's JSON envelope.  The element type is int64 because the streaming
+kernels' lines pass 2**31 near warp 32 700 and 2**32 near warp 70 000,
+which a long Table-1 window reaches.
 
 Opt-outs: profiles whose pattern lacks ``trace_signature`` fall back
 to live RNG streams, as does ``REPRO_NO_TRACE=1`` (useful for
@@ -63,7 +70,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
+from array import array
+from base64 import b64decode, b64encode
 from collections import OrderedDict
 from hashlib import sha1
 from typing import Dict, List, Optional, Tuple
@@ -85,8 +95,11 @@ from repro.workloads.kernel import (
 
 #: bump when the arrays a profile compiles to change (their layout, or
 #: the draws behind them); embedded in fingerprints and in the
-#: disk-cache directory name.
-TRACE_FORMAT = 1
+#: disk-cache directory name.  2: lines packed as int64.
+TRACE_FORMAT = 2
+
+#: the element type of a warp's packed line footprint.
+LINE_TYPECODE = "q"
 
 #: warps compiled (and persisted) together.  64 warps of a typical
 #: profile are a few hundred KB of arrays — big enough to amortise the
@@ -114,7 +127,7 @@ _TRACES: Dict[Tuple, "KernelTrace"] = {}
 
 #: (digest, seed, chunk_index) -> (ops bytes per warp, lines per warp),
 #: in LRU order (popitem(last=False) evicts the coldest chunk).
-_CHUNKS: "OrderedDict[Tuple, Tuple[List[bytes], List[List[int]]]]" = OrderedDict()
+_CHUNKS: "OrderedDict[Tuple, Tuple[List[bytes], List[array]]]" = OrderedDict()
 
 _DISK_DIR: Optional[str] = None
 
@@ -162,7 +175,7 @@ def get_trace(profile: KernelProfile, seed: int) -> Optional["KernelTrace"]:
 
 
 def live_warp_arrays(profile: KernelProfile, warp_index: int,
-                     seed: int) -> Tuple[bytes, List[int]]:
+                     seed: int) -> Tuple[bytes, array]:
     """The compiler's oracle: the ``(ops, lines)`` a live
     :class:`InstructionStream` yields for one warp when driven through
     the SM's call sequence (``pop()``, then ``memory_descriptor()`` for
@@ -178,7 +191,32 @@ def live_warp_arrays(profile: KernelProfile, warp_index: int,
         codes.append(CODE_BY_OP[op])
         if not (op is OP_ALU or op is OP_SFU):
             lines.extend(stream.memory_descriptor(op is OP_STORE).lines)
-    return "".join(codes).encode("ascii"), lines
+    return "".join(codes).encode("ascii"), array(LINE_TYPECODE, lines)
+
+
+def _pack_lines(lines: array) -> str:
+    """A warp's footprint as base64 of little-endian int64."""
+    if sys.byteorder == "big":
+        lines = array(LINE_TYPECODE, lines)
+        lines.byteswap()
+    return b64encode(lines.tobytes()).decode("ascii")
+
+
+def _unpack_lines(text, n_lines: int) -> Optional[array]:
+    """Inverse of :func:`_pack_lines`, or ``None`` unless ``text`` is
+    base64 of exactly ``n_lines`` int64s."""
+    if not isinstance(text, str):
+        return None
+    try:
+        raw = b64decode(text, validate=True)
+    except ValueError:  # binascii.Error: not base64
+        return None
+    if len(raw) != 8 * n_lines:
+        return None
+    lines = array(LINE_TYPECODE, raw)
+    if sys.byteorder == "big":
+        lines.byteswap()
+    return lines
 
 
 def configure_disk_cache(path: Optional[str]) -> Optional[str]:
@@ -218,7 +256,7 @@ class KernelTrace:
         self.fingerprint = fingerprint
         self.digest = sha1(repr(fingerprint).encode()).hexdigest()[:20]
 
-    def warp_arrays(self, warp_index: int) -> Tuple[bytes, List[int]]:
+    def warp_arrays(self, warp_index: int) -> Tuple[bytes, array]:
         """``(ops, lines)`` for one warp, compiling or loading the
         containing chunk on demand."""
         chunk_index, offset = divmod(warp_index, CHUNK_WARPS)
@@ -270,7 +308,7 @@ class KernelTrace:
             def extend_lines(out, warp_index, rng, count):
                 out.extend(pattern.lines(warp_index, rng, count))
         ops_per_warp: List[bytes] = []
-        lines_per_warp: List[List[int]] = []
+        lines_per_warp: List[array] = []
         first = chunk_index * CHUNK_WARPS
         for warp_index in range(first, first + CHUNK_WARPS):
             rng = warp_rng(seed, warp_index)
@@ -293,7 +331,7 @@ class KernelTrace:
             if ops:
                 extend_lines(lines, warp_index, rng, reqs)
             ops_per_warp.append(bytes(ops))
-            lines_per_warp.append(lines)
+            lines_per_warp.append(array(LINE_TYPECODE, lines))
             _OPS_COMPILED.value += len(ops)
             _LINES_COMPILED.value += len(lines)
         _WARPS_COMPILED.value += CHUNK_WARPS
@@ -331,37 +369,48 @@ class KernelTrace:
         iters = max(0, profile.iters_per_warp)
         n_ops = iters * (profile.cinst_per_minst + 1)
         n_lines = iters * profile.reqs_per_minst
+        packed = []
         for warp_ops, warp_lines in zip(ops, lines):
-            if not (isinstance(warp_ops, str) and len(warp_ops) == n_ops
-                    and isinstance(warp_lines, list)
-                    and len(warp_lines) == n_lines):
+            if not (isinstance(warp_ops, str) and len(warp_ops) == n_ops):
                 return None
+            warp_lines = _unpack_lines(warp_lines, n_lines)
+            if warp_lines is None:
+                return None
+            packed.append(warp_lines)
         try:
             ops = [entry.encode("ascii") for entry in ops]
         except UnicodeEncodeError:
             return None
         _DISK_HITS.value += 1
-        return ops, lines
+        return ops, packed
 
     def _store_chunk(self, chunk_index: int, chunk) -> None:
         path = self._chunk_path(chunk_index)
         if path is None:
             return
-        payload = {
+        text = json.dumps({
             "format": TRACE_FORMAT,
             "fingerprint": repr(self.fingerprint),
             "ops": [entry.decode("ascii") for entry in chunk[0]],
-            "lines": chunk[1],
-        }
+            "lines": [_pack_lines(entry) for entry in chunk[1]],
+        }, separators=(",", ":"))
         # Same atomic discipline as the harness result cache: concurrent
         # campaign workers may race on the same chunk, and the winner's
         # os.replace is indistinguishable from the loser's.
         try:
             fd, tmp_path = tempfile.mkstemp(
                 dir=os.path.dirname(path), suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-            os.replace(tmp_path, path)
-            _DISK_WRITES.value += 1
         except OSError:
             return
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp_path, path)
+        except OSError:
+            # Persistence is best-effort; never leave the temp file.
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+            return
+        _DISK_WRITES.value += 1

@@ -3,9 +3,12 @@
 against live streams, disk persistence, observability counters, and
 the harness wiring that versions the disk directory."""
 
+import base64
 import dataclasses
 import json
 import os
+import sys
+from array import array
 
 import pytest
 
@@ -149,8 +152,33 @@ class TestCompileCorrectness:
 
     def test_arrays_are_bytes_and_int_lists(self):
         ops, lines = compiled(get_profile("bp"), 0, 0)
-        assert type(ops) is bytes and type(lines) is list
+        assert type(ops) is bytes
+        assert type(lines) is array and lines.typecode == "q"
         assert all(type(line) is int for line in lines)
+
+
+class TestPackedLines:
+    def test_lines_are_packed_int64(self, tmp_path):
+        """Every warp of a compiled ks chunk holds 8 bytes per line; a
+        warp far enough out that its lines pass 2**32 survives the disk
+        round trip."""
+        profile = get_profile("ks")
+        trace = ktrace.get_trace(profile, 0)
+        header = sys.getsizeof(array("q"))
+        for warp_index in range(ktrace.CHUNK_WARPS):
+            lines = trace.warp_arrays(warp_index)[1]
+            assert lines.itemsize == 8
+            assert sys.getsizeof(lines) <= 8 * len(lines) + header
+
+        ktrace.configure_disk_cache(str(tmp_path))
+        far = 70_000
+        expected = live_call_order(profile, far, 0)
+        assert max(expected[1]) > 1 << 32
+        assert ktrace.get_trace(profile, 0).warp_arrays(far) == expected
+        ktrace.clear_memory_cache()
+        hits0 = ktrace._DISK_HITS.value
+        assert ktrace.get_trace(profile, 0).warp_arrays(far) == expected
+        assert ktrace._DISK_HITS.value == hits0 + 1
 
 
 class TestReplayRebase:
@@ -232,6 +260,11 @@ class TestCounters:
             ktrace.CHUNK_WARPS * per_warp_lines]
 
 
+def repack(text, cut):
+    """A packed lines entry with ``cut`` applied to its raw bytes."""
+    return base64.b64encode(cut(base64.b64decode(text))).decode("ascii")
+
+
 class TestDiskCache:
     def test_round_trip_spares_the_recompile(self, tmp_path):
         assert ktrace.configure_disk_cache(str(tmp_path)) == str(tmp_path)
@@ -285,8 +318,15 @@ class TestDiskCache:
         lambda payload: dict(payload, lines=[l[1:] for l in payload["lines"]]),
         lambda payload: dict(payload, ops=payload["ops"][:-1] + ["\u00e9" * len(
             payload["ops"][-1])]),
+        lambda payload: dict(payload, lines=payload["lines"][:-1] + [
+            "!" * len(payload["lines"][-1])]),
+        lambda payload: dict(payload, lines=payload["lines"][:-1] + [
+            repack(payload["lines"][-1], lambda raw: raw[:-1])]),
+        lambda payload: dict(payload, lines=payload["lines"][:-1] + [
+            repack(payload["lines"][-1], lambda raw: raw[:-8])]),
     ], ids=["list", "no-arrays", "int-ops", "one-op-null-lines",
-            "short-ops", "short-lines", "non-ascii-ops"])
+            "short-ops", "short-lines", "non-ascii-ops", "lines-not-base64",
+            "lines-ragged-bytes", "lines-one-short"])
     def test_wrong_shape_is_a_miss_and_overwritten(self, tmp_path, rewrite):
         ktrace.configure_disk_cache(str(tmp_path))
         profile = get_profile("bp")
@@ -301,6 +341,23 @@ class TestDiskCache:
         assert ktrace._COMPILES.value == compiles0 + 1
         assert ktrace._DISK_HITS.value == hits0
         assert path.read_text() == good, "the bad chunk must be overwritten"
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.workloads.trace.os.replace", refuse)
+        ktrace.configure_disk_cache(str(tmp_path))
+        profile = get_profile("bp")
+        writes0 = ktrace._DISK_WRITES.value
+        compiles0 = ktrace._COMPILES.value
+        expected = live_call_order(profile, 0, 0)
+        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
+        assert ktrace.get_trace(profile, 0).warp_arrays(1) == live_call_order(
+            profile, 1, 0)
+        assert ktrace._COMPILES.value == compiles0 + 1, "served from memory"
+        assert ktrace._DISK_WRITES.value == writes0
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestHarnessWiring:
