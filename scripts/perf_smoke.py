@@ -37,14 +37,15 @@ legs that name the Table-1 machine.
   neither falls back to per-cycle work nor drifts from the
   specification;
 * cold start, by count: one compiled trace chunk of every Table-2
-  profile equals the live ``InstructionStream`` (the compiler's oracle)
-  on sampled warps, and ``trace_cache.ops_compiled`` moves by exactly
-  ``CHUNK_WARPS * iters * (cinst + 1)`` — so an edit to the stream or a
-  pattern that forgets the compiler's draw order fails here too; each
-  chunk is then stored in a temporary disk cache, dropped from memory
-  and reloaded (one disk hit, no compile) and must equal the live
-  stream again, so the packed on-disk encoding is exercised on every
-  profile.
+  profile holds one key per memory instruction and, replayed through a
+  ``ReplayStream``, equals the live ``InstructionStream`` (the
+  compiler's oracle) on sampled warps, and
+  ``trace_cache.ops_compiled`` moves by exactly ``CHUNK_WARPS * iters *
+  (cinst + 1)`` — so an edit to the stream or a pattern that forgets
+  the compiler's draw order fails here too; each chunk is then stored
+  in a temporary disk cache, dropped from memory and reloaded (one disk
+  hit, no compile) and must replay the live stream again, so the packed
+  on-disk key encoding is exercised on every profile.
 """
 
 import collections
@@ -226,9 +227,10 @@ def missq_retry_check():
 def cold_start_check():
     """Compile one chunk of every profile, store it in a temporary disk
     cache and reload it.  Returns the failures (empty when every
-    sampled warp equals the live stream both as compiled and as
-    reloaded, the compiled-op count is the profile's arithmetic and the
-    reload is a disk hit, not a compile)."""
+    sampled warp holds one key per memory instruction and, replayed
+    through a ReplayStream, equals the live stream both as compiled and
+    as reloaded, the compiled-op count is the profile's arithmetic and
+    the reload is a disk hit, not a compile)."""
     seed = 3
     failures = []
 
@@ -241,10 +243,17 @@ def cold_start_check():
     def compare(profile, origin):
         trace = ktrace.get_trace(profile, seed)
         for warp_index in (0, 1, ktrace.CHUNK_WARPS - 1):
-            if trace.warp_arrays(warp_index) != ktrace.live_warp_arrays(
+            ops, keys = trace.warp_arrays(warp_index)
+            if len(keys) != profile.iters_per_warp:
+                failures.append(f"{profile.name}: {origin} warp "
+                                f"{warp_index} has {len(keys)} keys, "
+                                f"expected {profile.iters_per_warp}")
+            if ktrace.replayed_warp_arrays(
+                    profile, warp_index, ops, keys) != ktrace.live_warp_arrays(
                     profile, warp_index, seed):
                 failures.append(f"{profile.name}: {origin} warp "
-                                f"{warp_index} differs from the live stream")
+                                f"{warp_index} replays differently from "
+                                f"the live stream")
 
     ktrace.clear_memory_cache()
     with tempfile.TemporaryDirectory() as disk:
@@ -343,8 +352,9 @@ def main() -> int:
         print(f"FAIL cold start {failure}")
     if failures:
         return 1
-    print(f"ok cold start: {len(ALL_PROFILES)} profiles compile to the live "
-          f"stream's arrays, op counts exact, and reload them from disk")
+    print(f"ok cold start: {len(ALL_PROFILES)} profiles replay the live "
+          f"stream from one key per memory instruction, op counts exact, "
+          f"compiled and reloaded from disk")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import os
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.config import GPUConfig
@@ -57,8 +58,9 @@ class KernelLaunch:
         # line space.
         trace = self.trace
         if trace is not None:
-            ops, lines = trace.warp_arrays(warp_index)
-            return ReplayStream(self.profile, ops, lines,
+            ops, keys = trace.warp_arrays(warp_index)
+            return ReplayStream(self.profile, ops, keys,
+                                partial(self.pattern.footprint, warp_index),
                                 base_line=self.base_line)
         return InstructionStream(self.profile, self.pattern, warp_index,
                                  seed=self._stream_seed,

@@ -342,8 +342,8 @@ class StreamingMultiprocessor:
         k = warp.kernel_slot
         is_store = op == OP_STORE
         # Lines are already rebased into global line space by the
-        # stream (see KernelLaunch.new_stream) and are a fresh list:
-        # safe to hand to the MemInst without copying.
+        # stream (see KernelLaunch.new_stream), as a range or a fresh
+        # list: safe to hand to the MemInst without copying.
         lines = warp.stream.pop_mem(is_store)
         state = self.kstate[k]
         state.inflight_minsts += 1

@@ -14,18 +14,22 @@ request completes (loads) or until it is fully expanded (stores).
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 from repro.workloads.kernel import InstructionStream, KernelProfile
 
 
 class MemInst:
-    """One issued (post-coalescing) memory instruction in flight."""
+    """One issued (post-coalescing) memory instruction in flight.
+
+    ``lines`` are global line addresses as the stream handed them out:
+    a ``range`` for a replayed instruction whose lines are adjacent, a
+    list when they wrap or the stream is live."""
 
     __slots__ = ("warp", "kernel", "lines", "next_idx", "pending",
                  "is_store", "on_complete", "_completed")
 
-    def __init__(self, warp: "Warp", lines: tuple, is_store: bool,
+    def __init__(self, warp: "Warp", lines: Sequence[int], is_store: bool,
                  on_complete: Callable[["MemInst", int], None]):
         self.warp = warp
         self.kernel = warp.kernel_slot

@@ -19,7 +19,7 @@ Three patterns cover the behaviours in Table 2:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Protocol
+from typing import List, Optional, Protocol, Sequence
 
 
 class AccessPattern(Protocol):
@@ -28,38 +28,60 @@ class AccessPattern(Protocol):
     def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
         """Return ``count`` line indices for one memory instruction."""
 
-    def extend_lines(self, out: List[int], warp_index: int,
-                     rng: random.Random, count: int) -> None:
-        """Append to ``out`` exactly what :meth:`lines` would return,
-        with the same RNG draws and state changes (optional).
+    def first_key(self, warp_index: int, rng: random.Random,
+                  count: int) -> int:
+        """Take exactly the RNG draws and cursor step :meth:`lines`
+        takes, and return the instruction's *key*: its first line
+        ``first``, or ``~first`` (negative) when its ``count`` lines do
+        not run ``first, first + 1, ...`` because the footprint wraps
+        the pattern's region or working set (optional)."""
 
-        The bulk form the trace compiler fills a warp's footprint
-        with; the built-in patterns define :meth:`lines` through it.
-        A pattern without it is compiled through :meth:`lines`."""
+    def footprint(self, warp_index: int, first: int, count: int,
+                  base: int) -> Sequence[int]:
+        """The ``count`` lines, each plus ``base``, of the instruction
+        of ``warp_index`` whose first line is ``first`` — what
+        :meth:`lines` returned after the :meth:`first_key` call that
+        gave ``first`` (or ``~first``).  A ``range`` when the lines are
+        adjacent, a list when they wrap.  Pure: no draw, no state
+        change (optional).
+
+        The trace compiler (:mod:`repro.workloads.trace`) stores one
+        key per memory instruction and replay expands it: inline for a
+        non-negative key, through this method for a wrapped one.  A
+        pattern without ``first_key`` and ``footprint`` replays live."""
 
     def trace_signature(self) -> tuple:
         """Hashable description of every parameter that influences the
         line sequence this pattern produces (optional).
 
-        Patterns that implement it are eligible for trace
-        precompilation (:mod:`repro.workloads.trace`): two pattern
-        instances with equal signatures must generate identical line
-        sequences for identical ``(warp_index, rng draws, count)``
-        inputs.  Patterns without the method simply fall back to live
-        RNG generation — correct, just slower."""
+        Patterns that implement it (and :meth:`first_key` /
+        :meth:`footprint`) are eligible for trace precompilation
+        (:mod:`repro.workloads.trace`): two pattern instances with
+        equal signatures must generate identical line sequences for
+        identical ``(warp_index, rng draws, count)`` inputs.  Other
+        patterns simply fall back to live RNG generation — correct,
+        just slower."""
 
 
-class _BulkPattern:
-    """``lines`` defined through ``extend_lines``, so a pattern's
-    arithmetic exists once."""
+class _KeyedPattern:
+    """``lines`` and ``extend_lines`` defined through ``first_key`` and
+    ``footprint``, so a pattern's arithmetic exists once.  Keywords
+    (StreamPattern's ``origin``) reach both."""
 
     def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
         out: List[int] = []
         self.extend_lines(out, warp_index, rng, count)
         return out
 
+    def extend_lines(self, out: List[int], warp_index: int,
+                     rng: random.Random, count: int, **kw) -> None:
+        """Append to ``out`` exactly what :meth:`lines` returns."""
+        key = self.first_key(warp_index, rng, count, **kw)
+        out.extend(self.footprint(warp_index, key if key >= 0 else ~key,
+                                  count, 0, **kw))
 
-class StreamPattern(_BulkPattern):
+
+class StreamPattern(_KeyedPattern):
     """Per-warp sequential walk over a private region of ``region_lines``.
 
     Consecutive memory instructions of a warp touch consecutive lines,
@@ -89,30 +111,41 @@ class StreamPattern(_BulkPattern):
         self.recycle_slots = recycle_slots
         self._cursors: dict = {}
 
-    def extend_lines(self, out: List[int], warp_index: int,
-                     rng: random.Random, count: int, origin: int = 0) -> None:
+    def _region_start(self, warp_index: int, origin: int) -> int:
+        slot = (warp_index if self.recycle_slots is None
+                else warp_index % self.recycle_slots)
+        return origin + slot * (self.region_lines + self.ROW_STAGGER)
+
+    def first_key(self, warp_index: int, rng: random.Random, count: int,
+                  origin: int = 0) -> int:
         """``origin`` shifts every line (MixPattern places the regions
         above its working set)."""
         region = self.region_lines
-        slot = (warp_index if self.recycle_slots is None
-                else warp_index % self.recycle_slots)
-        cursor = self._cursors.get(warp_index, 0)
-        base = origin + slot * (region + self.ROW_STAGGER)
+        cursors = self._cursors
+        cursor = cursors.get(warp_index, 0)
         end = cursor + count
-        if count == 1:  # cannot wrap; append skips the range object
-            out.append(base + cursor)
-        elif end <= region:
-            out.extend(range(base + cursor, base + end))
-        else:  # the walk wraps its region mid-instruction
-            out.extend([base + (cursor + i) % region for i in range(count)])
-        self._cursors[warp_index] = end % region
+        cursors[warp_index] = end % region
+        first = self._region_start(warp_index, origin) + cursor
+        # count == 1 cannot wrap: the cursor is below the region size.
+        return first if end <= region else ~first
+
+    def footprint(self, warp_index: int, first: int, count: int,
+                  base: int, origin: int = 0) -> Sequence[int]:
+        start = self._region_start(warp_index, origin)
+        cursor = first - start
+        region = self.region_lines
+        if cursor + count <= region:
+            return range(base + first, base + first + count)
+        # The walk wraps its region mid-instruction.
+        start += base
+        return [start + (cursor + i) % region for i in range(count)]
 
     def trace_signature(self) -> tuple:
         return ("stream", self.region_lines, self.recycle_slots,
                 self.ROW_STAGGER)
 
 
-class ReusePattern(_BulkPattern):
+class ReusePattern(_KeyedPattern):
     """Uniform random lines from a working set shared by all warps."""
 
     def __init__(self, working_set_lines: int):
@@ -121,8 +154,8 @@ class ReusePattern(_BulkPattern):
         self.working_set_lines = working_set_lines
         self._ws_bits = working_set_lines.bit_length()
 
-    def extend_lines(self, out: List[int], warp_index: int,
-                     rng: random.Random, count: int) -> None:
+    def first_key(self, warp_index: int, rng: random.Random,
+                  count: int) -> int:
         ws = self.working_set_lines
         # start = rng.randrange(ws), as Random draws it (one
         # getrandbits rejection loop) without the two Python frames;
@@ -133,18 +166,21 @@ class ReusePattern(_BulkPattern):
         while start >= ws:
             start = getrandbits(bits)
         # A coalesced instruction touches adjacent lines of the set.
-        if count == 1:  # cannot wrap; append skips the range object
-            out.append(start)
-        elif start + count <= ws:
-            out.extend(range(start, start + count))
-        else:  # the access wraps the working set
-            out.extend([(start + i) % ws for i in range(count)])
+        return start if start + count <= ws else ~start
+
+    def footprint(self, warp_index: int, first: int, count: int,
+                  base: int) -> Sequence[int]:
+        ws = self.working_set_lines
+        if first + count <= ws:
+            return range(base + first, base + first + count)
+        # The access wraps the working set.
+        return [base + (first + i) % ws for i in range(count)]
 
     def trace_signature(self) -> tuple:
         return ("reuse", self.working_set_lines)
 
 
-class MixPattern(_BulkPattern):
+class MixPattern(_KeyedPattern):
     """Bernoulli mixture: reuse a shared working set with probability
     ``reuse_frac``, otherwise stream from the warp's private region."""
 
@@ -156,15 +192,22 @@ class MixPattern(_BulkPattern):
         self.reuse_frac = reuse_frac
         self._reuse = ReusePattern(working_set_lines)
         self._stream = StreamPattern(region_lines, recycle_slots)
-        # Streamed lines must not collide with the shared working set.
+        # Streamed lines must not collide with the shared working set
+        # (which is also how footprint() tells the two apart).
         self._stream_base = working_set_lines + 1024
 
-    def extend_lines(self, out: List[int], warp_index: int,
-                     rng: random.Random, count: int) -> None:
+    def first_key(self, warp_index: int, rng: random.Random,
+                  count: int) -> int:
         if rng.random() < self.reuse_frac:
-            self._reuse.extend_lines(out, warp_index, rng, count)
-        else:
-            self._stream.extend_lines(out, warp_index, rng, count,
+            return self._reuse.first_key(warp_index, rng, count)
+        return self._stream.first_key(warp_index, rng, count,
+                                      self._stream_base)
+
+    def footprint(self, warp_index: int, first: int, count: int,
+                  base: int) -> Sequence[int]:
+        if first < self._stream_base:
+            return self._reuse.footprint(warp_index, first, count, base)
+        return self._stream.footprint(warp_index, first, count, base,
                                       self._stream_base)
 
     def trace_signature(self) -> tuple:

@@ -281,8 +281,12 @@ class ReplayStream:
     Drop-in replacement for :class:`InstructionStream`, built from the
     flat arrays a :class:`repro.workloads.trace.KernelTrace` compiled:
     ``ops`` is one opcode byte per instruction (:data:`OP_BY_CODE`
-    encoding), ``lines`` is the concatenated line footprint of every
-    memory instruction in order, ``reqs_per_minst`` entries each.
+    encoding), ``keys`` one int per memory instruction in order — its
+    first region-local line, or ``~first`` when its footprint wraps
+    (:meth:`repro.workloads.address.AccessPattern.first_key`).  A
+    non-negative key expands inline to the ``reqs_per_minst`` adjacent
+    lines; a wrapped one through ``footprint(first, count, base)``, the
+    warp's bound :meth:`~repro.workloads.address.AccessPattern.footprint`.
     Popping is an index bump and a table lookup — no RNG, no pattern
     cursor arithmetic — and is bit-identical to the live stream: the
     compiler takes the per-warp RNG's draws in the order the SM's
@@ -291,25 +295,25 @@ class ReplayStream:
     obligations).
     """
 
-    __slots__ = ("profile", "next_op", "_ops", "_lines", "_base", "_pos",
-                 "_len", "_rpm", "_mem_seen", "_desc_start", "_iters_left",
-                 "_scratch")
+    __slots__ = ("profile", "next_op", "_ops", "_keys", "_footprint",
+                 "_base", "_pos", "_len", "_rpm", "_mem_seen", "_desc_key",
+                 "_iters_left", "_scratch")
 
-    def __init__(self, profile: KernelProfile, ops: bytes, lines,
-                 base_line: int = 0):
+    def __init__(self, profile: KernelProfile, ops: bytes, keys,
+                 footprint: Callable, base_line: int = 0):
         self.profile = profile
         self._ops = ops
         # The compiled arrays are region-local and shared by every
         # launch of the profile, so the kernel's base is added to the
-        # reqs_per_minst lines an instruction hands out, not to a copy
-        # of the whole footprint (a window consumes a fraction of it).
-        self._lines = lines
+        # lines an instruction hands out, never to the trace.
+        self._keys = keys
+        self._footprint = footprint
         self._base = base_line
         self._pos = 0
         self._len = len(ops)
         self._rpm = profile.reqs_per_minst
         self._mem_seen = 0
-        self._desc_start = 0
+        self._desc_key = 0
         self._iters_left = profile.iters_per_warp
         self._scratch = MemInstDescriptor((), False)
         self.next_op: Optional[str] = OP_BY_CODE[ops[0]] if ops else None
@@ -326,7 +330,7 @@ class ReplayStream:
         if op is None:
             raise RuntimeError("instruction stream exhausted")
         if not (op is OP_ALU or op is OP_SFU):
-            self._desc_start = self._mem_seen * self._rpm
+            self._desc_key = self._keys[self._mem_seen]
             self._mem_seen += 1
             self._iters_left -= 1
         pos = self._pos + 1
@@ -336,10 +340,12 @@ class ReplayStream:
 
     def memory_descriptor(self, is_store: bool) -> MemInstDescriptor:
         desc = self._scratch
-        start = self._desc_start
-        lines = self._lines[start:start + self._rpm]
-        base = self._base
-        desc.lines = [base + line for line in lines] if base else lines
+        key = self._desc_key
+        if key >= 0:
+            first = self._base + key
+            desc.lines = range(first, first + self._rpm)
+        else:
+            desc.lines = self._footprint(~key, self._rpm, self._base)
         desc.is_store = is_store
         return desc
 
@@ -376,18 +382,19 @@ class ReplayStream:
 
     def pop_mem(self, is_store: bool):
         """Fused ``pop()`` + ``memory_descriptor()`` for a memory
-        opcode: one call returning the instruction's line slice
-        directly (the descriptor scratch object only exists for the
-        live stream's pattern plumbing)."""
-        start = self._mem_seen * self._rpm
+        opcode: one call returning the instruction's lines directly
+        (the descriptor scratch object only exists for the live
+        stream's pattern plumbing)."""
+        key = self._keys[self._mem_seen]
         self._mem_seen += 1
         self._iters_left -= 1
         pos = self._pos + 1
         self._pos = pos
         self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
-        lines = self._lines[start:start + self._rpm]
-        base = self._base
-        return [base + line for line in lines] if base else lines
+        if key >= 0:
+            first = self._base + key
+            return range(first, first + self._rpm)
+        return self._footprint(~key, self._rpm, self._base)
 
     def remaining_iterations(self) -> int:
         return self._iters_left

@@ -11,13 +11,18 @@ serves every scheme leg, every rep, and both the fast and reference
 loops of a campaign.
 
 This module compiles streams once into flat parallel arrays — one
-opcode byte per instruction plus the concatenated coalesced line
-footprint of every memory instruction — and replays them by index bump
+opcode byte per instruction plus one *key* per memory instruction —
+and replays them by index bump
 (:class:`repro.workloads.kernel.ReplayStream`).  The compiler writes a
 warp's arrays straight from the profile's integers: per iteration the
 ``cinst_per_minst`` compute opcodes, one load/store choice, and the
-footprint appended in bulk by the pattern's ``extend_lines``.  What
-makes the arrays bit-identical to a live
+key the pattern's ``first_key`` returns.  The coalescer makes an
+instruction's ``reqs_per_minst`` lines adjacent, so the key is its
+first line, and replay expands it to ``range(base + key, base + key +
+reqs_per_minst)``; an instruction whose lines wrap the pattern's
+region or working set is keyed ``~first`` (negative), and replay
+expands it through the pattern's ``footprint``.  What makes the
+replayed footprint bit-identical to a live
 :class:`~repro.workloads.kernel.InstructionStream` is the **draw-order
 contract**: the compiler takes the same draws from the same per-warp
 RNG in the order ``pop()`` + ``memory_descriptor()`` take them.
@@ -37,9 +42,10 @@ The live stream is the oracle, not the engine
 (:func:`live_warp_arrays`): ``tests/test_trace_cache.py`` (every
 profile, edge mixes, wrapping footprints), the ``fuzz`` twin in
 ``tests/test_fuzz_twins.py`` and ``scripts/perf_smoke.py`` compare
-compiled arrays with it, so a change to ``InstructionStream.pop`` /
-``_advance`` or to a pattern's draws must change
-``KernelTrace._compile_chunk`` in lockstep (and bump
+what a :class:`~repro.workloads.kernel.ReplayStream` of the compiled
+arrays yields (:func:`replayed_warp_arrays`) with it, so a change to
+``InstructionStream.pop`` / ``_advance`` or to a pattern's draws must
+change ``KernelTrace._compile_chunk`` in lockstep (and bump
 :data:`TRACE_FORMAT` if the arrays change).
 
 Traces are memoized process-wide keyed by a *profile fingerprint*
@@ -52,16 +58,17 @@ inside its atomic result cache), chunks are persisted with the same
 temp-file + ``os.replace`` discipline, letting campaign worker
 processes share one compile.
 
-A warp's line footprint is packed, in memory and on disk: one
-``array('q')`` (8 bytes per line, no per-line int object) in the chunk
+A warp's keys are packed, in memory and on disk: one ``array('q')``
+(8 bytes per memory instruction, no per-key int object) in the chunk
 cache, and base64 of its little-endian int64 bytes inside the chunk
 file's JSON envelope.  The element type is int64 because the streaming
 kernels' lines pass 2**31 near warp 32 700 and 2**32 near warp 70 000,
 which a long Table-1 window reaches.
 
-Opt-outs: profiles whose pattern lacks ``trace_signature`` fall back
-to live RNG streams, as does ``REPRO_NO_TRACE=1`` (useful for
-disambiguating trace bugs from timing bugs).  Cache traffic is
+Opt-outs: profiles whose pattern lacks ``trace_signature``,
+``first_key`` or ``footprint`` fall back to live RNG streams, as does
+``REPRO_NO_TRACE=1`` (useful for disambiguating trace bugs from timing
+bugs).  Cache traffic is
 observable through the process-wide counter registry
 (``trace_cache.*`` — :func:`repro.obs.process_registry`).
 """
@@ -70,11 +77,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import tempfile
 from array import array
 from base64 import b64decode, b64encode
 from collections import OrderedDict
+from functools import partial
 from hashlib import sha1
 from typing import Dict, List, Optional, Tuple
 
@@ -90,15 +99,17 @@ from repro.workloads.kernel import (
     STORE_CODE,
     InstructionStream,
     KernelProfile,
+    ReplayStream,
     warp_rng,
 )
 
 #: bump when the arrays a profile compiles to change (their layout, or
 #: the draws behind them); embedded in fingerprints and in the
-#: disk-cache directory name.  2: lines packed as int64.
-TRACE_FORMAT = 2
+#: disk-cache directory name.  2: lines packed as int64.  3: one key
+#: per memory instruction instead of its lines.
+TRACE_FORMAT = 3
 
-#: the element type of a warp's packed line footprint.
+#: the element type of a warp's packed keys (and of the oracle's lines).
 LINE_TYPECODE = "q"
 
 #: warps compiled (and persisted) together.  64 warps of a typical
@@ -125,7 +136,7 @@ _LINES_COMPILED = _COUNTERS.counter("trace_cache.lines_compiled")
 #: process (campaign legs re-create GPU objects constantly).
 _TRACES: Dict[Tuple, "KernelTrace"] = {}
 
-#: (digest, seed, chunk_index) -> (ops bytes per warp, lines per warp),
+#: (digest, seed, chunk_index) -> (ops bytes per warp, keys per warp),
 #: in LRU order (popitem(last=False) evicts the coldest chunk).
 _CHUNKS: "OrderedDict[Tuple, Tuple[List[bytes], List[array]]]" = OrderedDict()
 
@@ -135,7 +146,7 @@ _DISK_DIR: Optional[str] = None
 def profile_fingerprint(profile: KernelProfile) -> Optional[Tuple]:
     """Hashable key covering everything that shapes the instruction
     stream, or ``None`` when the profile is not traceable (its address
-    pattern does not declare a ``trace_signature``).
+    pattern lacks ``trace_signature``, ``first_key`` or ``footprint``).
 
     Deliberately excludes fields that only affect *timing* (``mlp``,
     resources, latencies): profiles differing only in those share one
@@ -143,7 +154,8 @@ def profile_fingerprint(profile: KernelProfile) -> Optional[Tuple]:
     """
     pattern = profile.pattern_factory()
     signature = getattr(pattern, "trace_signature", None)
-    if signature is None:
+    if (signature is None or not hasattr(pattern, "first_key")
+            or not hasattr(pattern, "footprint")):
         return None
     return (
         TRACE_FORMAT,
@@ -180,8 +192,8 @@ def live_warp_arrays(profile: KernelProfile, warp_index: int,
     :class:`InstructionStream` yields for one warp when driven through
     the SM's call sequence (``pop()``, then ``memory_descriptor()`` for
     a memory op).  No run uses it; the tests and
-    ``scripts/perf_smoke.py`` hold :meth:`KernelTrace.warp_arrays`
-    equal to it."""
+    ``scripts/perf_smoke.py`` hold :func:`replayed_warp_arrays` equal
+    to it."""
     stream = InstructionStream(profile, profile.pattern_factory(),
                                warp_index, seed)
     codes: List[str] = []
@@ -194,29 +206,50 @@ def live_warp_arrays(profile: KernelProfile, warp_index: int,
     return "".join(codes).encode("ascii"), array(LINE_TYPECODE, lines)
 
 
-def _pack_lines(lines: array) -> str:
-    """A warp's footprint as base64 of little-endian int64."""
+def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
+                         ops: bytes, keys: array) -> Tuple[bytes, array]:
+    """The ``(ops, lines)`` a :class:`ReplayStream` of one compiled
+    warp (:meth:`KernelTrace.warp_arrays`) yields through the SM's
+    fused call sequence (``pop_mem`` for a memory op), in
+    :func:`live_warp_arrays`' shape — so compile, disk encoding and key
+    expansion are checked against the oracle in one comparison."""
+    footprint = partial(profile.pattern_factory().footprint, warp_index)
+    stream = ReplayStream(profile, ops, keys, footprint)
+    lines = array(LINE_TYPECODE)
+    codes = bytearray()
+    while stream.next_op is not None:
+        op = stream.next_op
+        codes += CODE_BY_OP[op].encode("ascii")
+        if op is OP_ALU or op is OP_SFU:
+            stream.pop()
+        else:
+            lines.extend(stream.pop_mem(op is OP_STORE))
+    return bytes(codes), lines
+
+
+def _pack_keys(keys: array) -> str:
+    """A warp's keys as base64 of little-endian int64."""
     if sys.byteorder == "big":
-        lines = array(LINE_TYPECODE, lines)
-        lines.byteswap()
-    return b64encode(lines.tobytes()).decode("ascii")
+        keys = array(LINE_TYPECODE, keys)
+        keys.byteswap()
+    return b64encode(keys.tobytes()).decode("ascii")
 
 
-def _unpack_lines(text, n_lines: int) -> Optional[array]:
-    """Inverse of :func:`_pack_lines`, or ``None`` unless ``text`` is
-    base64 of exactly ``n_lines`` int64s."""
+def _unpack_keys(text, n_keys: int) -> Optional[array]:
+    """Inverse of :func:`_pack_keys`, or ``None`` unless ``text`` is
+    base64 of exactly ``n_keys`` int64s."""
     if not isinstance(text, str):
         return None
     try:
         raw = b64decode(text, validate=True)
     except ValueError:  # binascii.Error: not base64
         return None
-    if len(raw) != 8 * n_lines:
+    if len(raw) != 8 * n_keys:
         return None
-    lines = array(LINE_TYPECODE, raw)
+    keys = array(LINE_TYPECODE, raw)
     if sys.byteorder == "big":
-        lines.byteswap()
-    return lines
+        keys.byteswap()
+    return keys
 
 
 def configure_disk_cache(path: Optional[str]) -> Optional[str]:
@@ -257,7 +290,7 @@ class KernelTrace:
         self.digest = sha1(repr(fingerprint).encode()).hexdigest()[:20]
 
     def warp_arrays(self, warp_index: int) -> Tuple[bytes, array]:
-        """``(ops, lines)`` for one warp, compiling or loading the
+        """``(ops, keys)`` for one warp, compiling or loading the
         containing chunk on demand."""
         chunk_index, offset = divmod(warp_index, CHUNK_WARPS)
         key = (self.digest, self.seed, chunk_index)
@@ -278,9 +311,9 @@ class KernelTrace:
 
     # ------------------------------------------------------------------
     def _compile_chunk(self, chunk_index: int):
-        """Generate the arrays for warps ``[chunk*C, (chunk+1)*C)``
-        from the profile's integers, reproducing the live stream's RNG
-        draw order (module docstring)."""
+        """Generate the ops and keys for warps ``[chunk*C,
+        (chunk+1)*C)`` from the profile's integers, reproducing the live
+        stream's RNG draw order (module docstring)."""
         _COMPILES.value += 1
         profile = self.profile
         seed = self.seed
@@ -302,25 +335,21 @@ class KernelTrace:
         # A fresh pattern per chunk is sound: pattern state is keyed by
         # warp index (or drawn from the per-warp RNG), never shared
         # across warps, so chunk boundaries cannot leak state.
-        pattern = profile.pattern_factory()
-        extend_lines = getattr(pattern, "extend_lines", None)
-        if extend_lines is None:
-            def extend_lines(out, warp_index, rng, count):
-                out.extend(pattern.lines(warp_index, rng, count))
+        first_key = profile.pattern_factory().first_key
         ops_per_warp: List[bytes] = []
-        lines_per_warp: List[array] = []
+        keys_per_warp: List[array] = []
         first = chunk_index * CHUNK_WARPS
         for warp_index in range(first, first + CHUNK_WARPS):
             rng = warp_rng(seed, warp_index)
             rnd = rng.random
             ops = bytearray(template)
-            lines: List[int] = []
+            keys: List[int] = []
             for pos in range(0, len(ops), stride):
                 if head_draws and rnd() < head_frac:
                     ops[pos] = head_code
                 if pos:
                     # The previous iteration's footprint, one op draw late.
-                    extend_lines(lines, warp_index, rng, reqs)
+                    keys.append(first_key(warp_index, rng, reqs))
                 if cinst:
                     if sfu_frac:
                         for j in later_cinsts:
@@ -329,13 +358,13 @@ class KernelTrace:
                     if rnd() < write_frac:
                         ops[pos + cinst] = STORE_CODE
             if ops:
-                extend_lines(lines, warp_index, rng, reqs)
+                keys.append(first_key(warp_index, rng, reqs))
             ops_per_warp.append(bytes(ops))
-            lines_per_warp.append(array(LINE_TYPECODE, lines))
+            keys_per_warp.append(array(LINE_TYPECODE, keys))
             _OPS_COMPILED.value += len(ops)
-            _LINES_COMPILED.value += len(lines)
+            _LINES_COMPILED.value += len(keys) * reqs
         _WARPS_COMPILED.value += CHUNK_WARPS
-        return ops_per_warp, lines_per_warp
+        return ops_per_warp, keys_per_warp
 
     # ------------------------------------------------------------------
     def _chunk_path(self, chunk_index: int) -> Optional[str]:
@@ -348,7 +377,9 @@ class KernelTrace:
         """The chunk from disk, or ``None`` (a miss: the caller
         recompiles and overwrites) when the file is absent, unreadable,
         from another format/profile, or not the shape this profile
-        compiles to."""
+        compiles to: per warp, ``iters_per_warp`` iterations of
+        ``cinst_per_minst`` ops from ``a``/``s`` and one from ``l``/``w``,
+        and as many keys."""
         path = self._chunk_path(chunk_index)
         if path is None:
             return None
@@ -361,28 +392,29 @@ class KernelTrace:
                 or payload.get("format") != TRACE_FORMAT
                 or payload.get("fingerprint") != repr(self.fingerprint)):
             return None
-        ops, lines = payload.get("ops"), payload.get("lines")
-        if not (isinstance(ops, list) and isinstance(lines, list)
-                and len(ops) == len(lines) == CHUNK_WARPS):
+        ops, keys = payload.get("ops"), payload.get("lines")
+        if not (isinstance(ops, list) and isinstance(keys, list)
+                and len(ops) == len(keys) == CHUNK_WARPS):
             return None
         profile = self.profile
         iters = max(0, profile.iters_per_warp)
-        n_ops = iters * (profile.cinst_per_minst + 1)
-        n_lines = iters * profile.reqs_per_minst
-        packed = []
-        for warp_ops, warp_lines in zip(ops, lines):
-            if not (isinstance(warp_ops, str) and len(warp_ops) == n_ops):
+        template = re.compile(
+            b"(?:[as]{%d}[lw]){%d}" % (profile.cinst_per_minst, iters))
+        ops_per_warp, keys_per_warp = [], []
+        for warp_ops, warp_keys in zip(ops, keys):
+            if not isinstance(warp_ops, str):
                 return None
-            warp_lines = _unpack_lines(warp_lines, n_lines)
-            if warp_lines is None:
+            try:
+                warp_ops = warp_ops.encode("ascii")
+            except UnicodeEncodeError:
                 return None
-            packed.append(warp_lines)
-        try:
-            ops = [entry.encode("ascii") for entry in ops]
-        except UnicodeEncodeError:
-            return None
+            warp_keys = _unpack_keys(warp_keys, iters)
+            if template.fullmatch(warp_ops) is None or warp_keys is None:
+                return None
+            ops_per_warp.append(warp_ops)
+            keys_per_warp.append(warp_keys)
         _DISK_HITS.value += 1
-        return ops, packed
+        return ops_per_warp, keys_per_warp
 
     def _store_chunk(self, chunk_index: int, chunk) -> None:
         path = self._chunk_path(chunk_index)
@@ -392,7 +424,7 @@ class KernelTrace:
             "format": TRACE_FORMAT,
             "fingerprint": repr(self.fingerprint),
             "ops": [entry.decode("ascii") for entry in chunk[0]],
-            "lines": [_pack_lines(entry) for entry in chunk[1]],
+            "lines": [_pack_keys(entry) for entry in chunk[1]],
         }, separators=(",", ":"))
         # Same atomic discipline as the harness result cache: concurrent
         # campaign workers may race on the same chunk, and the winner's

@@ -126,8 +126,8 @@ def test_mix_reuse_fraction_roughly_respected(frac, seed):
 
 
 # ----------------------------------------------------------------------
-# extend_lines: the bulk emitter the trace compiler fills footprints
-# with.  The references below are the patterns' definitions in their
+# extend_lines: lines() in bulk, both defined through first_key and
+# footprint.  The references below are the patterns' definitions in their
 # plainest (always-modulo) form, drawing from a twin RNG.
 def stream_reference(region, recycle, cursors, warp, count, origin=0):
     slot = warp if recycle is None else warp % recycle
@@ -208,3 +208,99 @@ class TestExtendLines:
                                         recycle_slots=recycle),
                      reference,
                      [(i % 3, 1 + i % 7) for i in range(200)], seed=9)
+
+
+# ----------------------------------------------------------------------
+# first_key + footprint: the trace compiler stores the key, replay
+# expands it.  Each reference returns an access as ``(off, s, M)``, its
+# lines being ``off + (s + i) % M``, drawing from a twin RNG.
+def stream_access(region, recycle, cursors, warp, count, origin=0):
+    slot = warp if recycle is None else warp % recycle
+    cursor = cursors.get(warp, 0)
+    cursors[warp] = (cursor + count) % region
+    return origin + slot * (region + StreamPattern.ROW_STAGGER), cursor, region
+
+
+def reuse_access(ws, rng, count):
+    return 0, rng.randrange(ws), ws
+
+
+def stream_case(region, recycle):
+    cursors = {}
+    return (lambda: StreamPattern(region, recycle_slots=recycle),
+            lambda warp, rng, count: stream_access(region, recycle, cursors,
+                                                   warp, count),
+            lambda pattern: pattern._cursors)
+
+
+def reuse_case(ws):
+    return (lambda: ReusePattern(ws),
+            lambda warp, rng, count: reuse_access(ws, rng, count),
+            lambda pattern: None)
+
+
+def mix_case(ws, region, recycle, frac=0.5):
+    cursors = {}
+
+    def access(warp, rng, count):
+        if rng.random() < frac:
+            return reuse_access(ws, rng, count)
+        return stream_access(region, recycle, cursors, warp, count,
+                             origin=ws + 1024)
+
+    return (lambda: MixPattern(ws, frac, region_lines=region,
+                               recycle_slots=recycle),
+            access, lambda pattern: pattern._stream._cursors)
+
+
+#: (case, counts): 1, the region's size, one above it, above the
+#: working set, and small counts that leave the cursor mid-region.
+KEYED_CASES = [
+    pytest.param(lambda: stream_case(7, None), (1, 7, 8, 16, 2, 3),
+                 id="stream"),
+    pytest.param(lambda: stream_case(7, 3), (1, 7, 8, 16, 2, 3),
+                 id="stream-recycled"),
+    pytest.param(lambda: reuse_case(5), (1, 5, 6, 11, 2, 3), id="reuse"),
+    pytest.param(lambda: mix_case(6, 4, None), (1, 4, 5, 7, 2, 3), id="mix"),
+    pytest.param(lambda: mix_case(6, 4, 2), (1, 4, 5, 7, 2, 3),
+                 id="mix-recycled"),
+]
+
+
+class TestFirstKeyAndFootprint:
+    @pytest.mark.parametrize("case,counts", KEYED_CASES)
+    def test_key_expands_to_the_lines(self, case, counts):
+        make, access, cursors = case()
+        keyed, via_lines = make(), make()
+        rng_key, rng_lines, rng_ref = (random.Random(7) for _ in range(3))
+        base = 1 << 40
+        wrapped_seen = set()
+        for step in range(240):
+            warp, count = step % 5, counts[step // 5 % len(counts)]
+            off, s, m = access(warp, rng_ref, count)
+            expected = [off + (s + i) % m for i in range(count)]
+            key = keyed.first_key(warp, rng_key, count)
+            assert via_lines.lines(warp, rng_lines, count) == expected
+            # first_key draws and steps exactly as lines() does.
+            assert rng_key.getstate() == rng_lines.getstate()
+            assert rng_key.getstate() == rng_ref.getstate()
+            assert cursors(keyed) == cursors(via_lines)
+            wraps = s + count > m
+            assert (key < 0) == wraps, (step, key, s, count, m)
+            first = ~key if wraps else key
+            assert first == expected[0]
+            lines = keyed.footprint(warp, first, count, base)
+            assert type(lines) is (list if wraps else range)
+            assert list(lines) == [base + line for line in expected]
+            assert list(keyed.footprint(warp, first, count, 0)) == expected
+            wrapped_seen.add(wraps)
+        assert wrapped_seen == {False, True}
+
+    def test_footprint_is_pure(self):
+        pattern = MixPattern(6, 0.5, region_lines=4)
+        rng = random.Random(1)
+        keys = [pattern.first_key(1, rng, 3) for _ in range(20)]
+        cursors = dict(pattern._stream._cursors)
+        for key in keys:
+            pattern.footprint(1, key if key >= 0 else ~key, 3, 0)
+        assert pattern._stream._cursors == cursors

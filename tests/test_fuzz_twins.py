@@ -79,8 +79,10 @@ def test_compiled_trace_equals_live_stream(cinst, reqs, sfu_frac, write_frac,
     trace = ktrace.KernelTrace(profile, seed,
                                ktrace.profile_fingerprint(profile))
     chunk_index, offset = divmod(warp_index, ktrace.CHUNK_WARPS)
-    ops_per_warp, lines_per_warp = trace._compile_chunk(chunk_index)
-    assert ((ops_per_warp[offset], lines_per_warp[offset])
+    ops_per_warp, keys_per_warp = trace._compile_chunk(chunk_index)
+    assert (ktrace.replayed_warp_arrays(profile, warp_index,
+                                        ops_per_warp[offset],
+                                        keys_per_warp[offset])
             == ktrace.live_warp_arrays(profile, warp_index, seed))
 
 

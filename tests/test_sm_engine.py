@@ -164,7 +164,8 @@ class OneSM:
     """A single-SM GPU under direct drive: one thread block whose warps
     replay hand-written streams — ``scripts[i]`` is warp *i*'s ``(ops,
     lines)`` in the trace encoding (``l`` load, ``w`` store, ``a`` ALU;
-    ``reqs`` lines per memory op) — with the ``hot`` lines resident in
+    ``reqs`` adjacent lines per memory op, replayed from its first
+    line's key) — with the ``hot`` lines resident in
     the L1 up front.  ``co_kernel`` adds a second kernel that never
     launches (UCP only exists with two)."""
 
@@ -185,7 +186,10 @@ class OneSM:
         self.warps = sorted((w for s in sm.schedulers for w in s.warps),
                             key=lambda w: w.age)
         for warp, (ops, lines) in zip(self.warps, scripts):
-            warp.stream = ReplayStream(profile, ops.encode(), tuple(lines))
+            keys = lines[::reqs]
+            assert list(lines) == [k + i for k in keys for i in range(reqs)]
+            warp.stream = ReplayStream(profile, ops.encode(), keys,
+                                       no_wrapped_key)
         for line in hot:
             self.l1.tags.reserve(line, 0)
             self.l1.tags.fill(line)
@@ -227,6 +231,10 @@ class OneSM:
             "warps": [(w.outstanding_loads, w.ready_at, w.stream.next_op)
                       for w in self.warps],
         }
+
+
+def no_wrapped_key(*args):
+    raise AssertionError("a scripted key was expanded as wrapped")
 
 
 def no_meminst(*args, **kwargs):
@@ -336,7 +344,8 @@ class TestIssueThrough:
         # instruction waits in the queue for the LSU tick.
         assert rig.lru(lines) == before
         assert not rig.l1.stats.accesses and not rig.l1.stats.hits
-        assert [inst.lines for inst in rig.sm.lsu.queue] == [tuple(lines)]
+        assert [tuple(inst.lines) for inst in rig.sm.lsu.queue] == [
+            tuple(lines)]
         assert rig.sm.lsu.insts_through == 0
         assert rig.sm.lsu.busy_cycles == 0
         assert rig.sm.kstate[0].inflight_minsts == 1
@@ -347,7 +356,8 @@ class TestIssueThrough:
         rig = OneSM([("la", (90,)), ("la", (3,))], hot=(3,))
         rig.issue(0)
         rig.issue(1)
-        assert [inst.lines for inst in rig.sm.lsu.queue] == [(90,), (3,)]
+        assert [tuple(inst.lines) for inst in rig.sm.lsu.queue] == [
+            (90,), (3,)]
         assert rig.sm.lsu.insts_through == 0
         assert not rig.l1.stats.accesses
 

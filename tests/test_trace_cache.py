@@ -5,6 +5,7 @@ the harness wiring that versions the disk directory."""
 
 import base64
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -59,17 +60,21 @@ class TestMemoization:
 
 
 def compiled(profile, warp_index, seed):
+    """The compiled warp as a ReplayStream hands it out, in the
+    oracle's ``(ops, lines)`` shape."""
     trace = ktrace.get_trace(profile, seed)
     assert trace is not None
-    return trace.warp_arrays(warp_index)
+    return ktrace.replayed_warp_arrays(profile, warp_index,
+                                       *trace.warp_arrays(warp_index))
 
 
 SEEDS = [0, 11]
 
 
 class LinesOnlyPattern:
-    """A traceable third-party pattern from before ``extend_lines``:
-    it draws from the RNG and only implements ``lines``."""
+    """A third-party pattern from before ``first_key``/``footprint``:
+    it draws from the RNG, only implements ``lines`` and declares a
+    ``trace_signature``."""
 
     def lines(self, warp_index, rng, count):
         start = rng.randrange(1000)
@@ -118,7 +123,6 @@ EDGE_PROFILES = [
     edge("st", pattern_factory=lambda: MixPattern(5, 0.5, region_lines=3,
                                                   recycle_slots=None)),
     edge("3m", pattern_factory=lambda: ReusePattern(1)),
-    edge("sv", pattern_factory=LinesOnlyPattern),
 ]
 
 
@@ -151,46 +155,49 @@ class TestCompileCorrectness:
                         ), (seed, warp_index)
 
     def test_arrays_are_bytes_and_int_lists(self):
-        ops, lines = compiled(get_profile("bp"), 0, 0)
+        ops, keys = ktrace.get_trace(get_profile("bp"), 0).warp_arrays(0)
         assert type(ops) is bytes
-        assert type(lines) is array and lines.typecode == "q"
-        assert all(type(line) is int for line in lines)
+        assert type(keys) is array and keys.typecode == "q"
+        assert all(type(key) is int for key in keys)
 
 
 class TestPackedLines:
     def test_lines_are_packed_int64(self, tmp_path):
-        """Every warp of a compiled ks chunk holds 8 bytes per line; a
-        warp far enough out that its lines pass 2**32 survives the disk
-        round trip."""
+        """Every warp of a compiled ks chunk holds one 8-byte key per
+        memory instruction; a warp far enough out that its lines pass
+        2**32 survives the disk round trip."""
         profile = get_profile("ks")
         trace = ktrace.get_trace(profile, 0)
         header = sys.getsizeof(array("q"))
         for warp_index in range(ktrace.CHUNK_WARPS):
-            lines = trace.warp_arrays(warp_index)[1]
-            assert lines.itemsize == 8
-            assert sys.getsizeof(lines) <= 8 * len(lines) + header
+            keys = trace.warp_arrays(warp_index)[1]
+            assert keys.itemsize == 8
+            assert len(keys) == profile.iters_per_warp
+            assert sys.getsizeof(keys) <= 8 * len(keys) + header
 
         ktrace.configure_disk_cache(str(tmp_path))
         far = 70_000
         expected = live_call_order(profile, far, 0)
         assert max(expected[1]) > 1 << 32
-        assert ktrace.get_trace(profile, 0).warp_arrays(far) == expected
+        assert compiled(profile, far, 0) == expected
         ktrace.clear_memory_cache()
         hits0 = ktrace._DISK_HITS.value
-        assert ktrace.get_trace(profile, 0).warp_arrays(far) == expected
+        assert compiled(profile, far, 0) == expected
         assert ktrace._DISK_HITS.value == hits0 + 1
 
 
 class TestReplayRebase:
     def test_base_line_is_added_per_instruction_not_by_copying(self):
         profile = get_profile("ax")
-        ops, lines = compiled(profile, 5, 0)
+        ops, keys = ktrace.get_trace(profile, 0).warp_arrays(5)
+        footprint = functools.partial(profile.pattern_factory().footprint, 5)
         base = 1 << 20
-        stream = ReplayStream(profile, ops, lines, base_line=base)
-        assert stream._lines is lines, "footprint must stay shared"
+        pristine = array("q", keys)
+        stream = ReplayStream(profile, ops, keys, footprint, base_line=base)
+        assert stream._keys is keys, "keys must stay shared"
         live = InstructionStream(profile, profile.pattern_factory(), 5, 0,
                                  base_line=base)
-        fused = ReplayStream(profile, ops, lines, base_line=base)
+        fused = ReplayStream(profile, ops, keys, footprint, base_line=base)
         while live.next_op is not None:
             op = live.pop()
             assert stream.pop() is op
@@ -198,11 +205,12 @@ class TestReplayRebase:
                 fused.pop()
                 continue
             expected = list(live.memory_descriptor(op is OP_STORE).lines)
-            assert stream.memory_descriptor(op is OP_STORE).lines == expected
-            assert fused.pop_mem(op is OP_STORE) == expected
+            assert list(stream.memory_descriptor(op is OP_STORE).lines
+                        ) == expected
+            assert list(fused.pop_mem(op is OP_STORE)) == expected
             assert min(expected) >= base
         assert stream.next_op is None and fused.next_op is None
-        assert lines == live_call_order(profile, 5, 0)[1], "shared list mutated"
+        assert keys == pristine, "shared keys mutated"
 
 
 class TestCounters:
@@ -226,6 +234,34 @@ class TestCounters:
         before = ktrace._FALLBACKS.value
         assert ktrace.get_trace(profile, 0) is None
         assert ktrace._FALLBACKS.value == before + 1
+
+    def test_lines_only_pattern_replays_live(self, monkeypatch):
+        """A pattern with ``trace_signature`` but no ``footprint`` is
+        not compiled: its streams run live, counted as fallbacks, and
+        the run equals the same run with tracing disabled."""
+        from repro.config import scaled_config
+        from repro.core.arbiter import SchemeConfig
+        from repro.harness.perfbench import result_signature
+        from repro.sim.engine import GPU, make_launches
+
+        profile = dataclasses.replace(get_profile("sv"),
+                                      pattern_factory=LinesOnlyPattern,
+                                      iters_per_warp=40)
+        cfg = scaled_config(num_sms=2)
+
+        def run():
+            launches = make_launches([profile], [2], cfg)
+            return result_signature(GPU(cfg, launches, SchemeConfig()).run(600))
+
+        before = ktrace._FALLBACKS.value
+        assert ktrace.get_trace(profile, 0) is None
+        assert ktrace._FALLBACKS.value == before + 1
+        compiles0 = ktrace._COMPILES.value
+        signature = run()
+        assert ktrace._FALLBACKS.value == before + 2
+        assert ktrace._COMPILES.value == compiles0
+        monkeypatch.setenv("REPRO_NO_TRACE", "1")
+        assert run() == signature
 
     def test_env_opt_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_TRACE", "1")
@@ -324,9 +360,14 @@ class TestDiskCache:
             repack(payload["lines"][-1], lambda raw: raw[:-1])]),
         lambda payload: dict(payload, lines=payload["lines"][:-1] + [
             repack(payload["lines"][-1], lambda raw: raw[:-8])]),
+        lambda payload: dict(payload, ops=["a" * len(o)
+                                           for o in payload["ops"]]),
+        lambda payload: dict(payload, ops=[o.replace("l", "z")
+                                           for o in payload["ops"]]),
     ], ids=["list", "no-arrays", "int-ops", "one-op-null-lines",
             "short-ops", "short-lines", "non-ascii-ops", "lines-not-base64",
-            "lines-ragged-bytes", "lines-one-short"])
+            "lines-ragged-bytes", "lines-one-short", "ops-all-alu",
+            "ops-unknown-code"])
     def test_wrong_shape_is_a_miss_and_overwritten(self, tmp_path, rewrite):
         ktrace.configure_disk_cache(str(tmp_path))
         profile = get_profile("bp")
@@ -352,9 +393,8 @@ class TestDiskCache:
         writes0 = ktrace._DISK_WRITES.value
         compiles0 = ktrace._COMPILES.value
         expected = live_call_order(profile, 0, 0)
-        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
-        assert ktrace.get_trace(profile, 0).warp_arrays(1) == live_call_order(
-            profile, 1, 0)
+        assert compiled(profile, 0, 0) == expected
+        assert compiled(profile, 1, 0) == live_call_order(profile, 1, 0)
         assert ktrace._COMPILES.value == compiles0 + 1, "served from memory"
         assert ktrace._DISK_WRITES.value == writes0
         assert not list(tmp_path.glob("*.tmp"))
