@@ -22,7 +22,7 @@ from repro.obs.collector import ObsLike, resolve_obs
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
 from repro.sim.stats import SM_COUNTERS, KernelStats, RunResult
 from repro.workloads import trace as ktrace
-from repro.workloads.kernel import InstructionStream, KernelProfile, ReplayStream
+from repro.workloads.kernel import KernelProfile, ReplayStream
 
 #: address-space stride separating kernel instances (in lines).
 KERNEL_REGION_LINES = 1 << 40
@@ -43,28 +43,27 @@ class KernelLaunch:
         self._warp_counter = itertools.count()
         self._stream_seed = seed * 7919 + slot
         # Precompiled trace for this (profile, seed), shared process-
-        # wide; None when the profile is untraceable or tracing is
-        # disabled (REPRO_NO_TRACE=1) — then streams fall back to live
-        # RNG generation.  Replay is bit-identical either way, so both
-        # machines replay the same arrays.
+        # wide; None when the compiler cannot key the profile's pattern
+        # — then each warp's stream is generated at launch.  Either way
+        # a warp replays, so both machines replay the same arrays.
         self.trace = ktrace.get_trace(profile, self._stream_seed)
 
     def next_warp_index(self) -> int:
         return next(self._warp_counter)
 
-    def new_stream(self, warp_index: int):
-        # Streams add base_line to the region-local lines themselves,
-        # so every footprint they hand the SM is already in global
-        # line space.
+    def new_stream(self, warp_index: int) -> ReplayStream:
+        # The stream adds base_line to the region-local lines itself,
+        # so every footprint it hands the SM is already in global line
+        # space.
         trace = self.trace
         if trace is not None:
             ops, keys = trace.warp_arrays(warp_index)
-            return ReplayStream(self.profile, ops, keys,
-                                partial(self.pattern.footprint, warp_index),
-                                base_line=self.base_line)
-        return InstructionStream(self.profile, self.pattern, warp_index,
-                                 seed=self._stream_seed,
-                                 base_line=self.base_line)
+            footprint = partial(self.pattern.footprint, warp_index)
+        else:
+            ops, keys, footprint = ktrace.live_warp(
+                self.profile, warp_index, self._stream_seed)
+        return ReplayStream(self.profile, ops, keys, footprint,
+                            base_line=self.base_line)
 
 
 def make_launches(

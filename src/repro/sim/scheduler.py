@@ -502,7 +502,7 @@ class WarpScheduler:
                 continue
             if warp_gated is not None and not warp_gated(warp):
                 continue
-            op = warp.stream.peek()
+            op = warp.stream.next_op
             if op in (OP_ALU, OP_SFU):
                 if not compute_ok(op):
                     continue

@@ -341,10 +341,10 @@ class StreamingMultiprocessor:
                    cycle: int) -> None:
         k = warp.kernel_slot
         is_store = op == OP_STORE
-        # Lines are already rebased into global line space by the
-        # stream (see KernelLaunch.new_stream), as a range or a fresh
-        # list: safe to hand to the MemInst without copying.
-        lines = warp.stream.pop_mem(is_store)
+        # Every warp replays (KernelLaunch.new_stream), and replay hands
+        # out global lines: a range, or a fresh list from the warp's
+        # footprint — safe to give the MemInst without copying.
+        lines = warp.stream.pop_mem()
         state = self.kstate[k]
         state.inflight_minsts += 1
         self.bundle.limiter.observe_inflight(k, state.inflight_minsts)
@@ -884,7 +884,7 @@ class SleepingSM(StreamingMultiprocessor):
         stream = warp.stream
         k = warp.kernel_slot
         is_store = op == OP_STORE
-        lines = stream.pop_mem(is_store)
+        lines = stream.pop_mem()
         lsu = self.lsu
         stats = self.kernel_stats[k]
         state = self.kstate[k]

@@ -1,7 +1,7 @@
 """Warps, thread blocks, and in-flight memory instructions.
 
-A warp executes its :class:`~repro.workloads.kernel.InstructionStream`
-one instruction per issue.  Compute instructions are fully pipelined
+A warp executes its :class:`~repro.workloads.kernel.ReplayStream` one
+instruction per issue.  Compute instructions are fully pipelined
 (the warp is ready again next cycle; SFU ops have a longer initiation
 interval).  A load blocks the warp until every coalesced request of
 that instruction has returned — the standard GTO-era simplification
@@ -16,15 +16,16 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
-from repro.workloads.kernel import InstructionStream, KernelProfile
+from repro.workloads.kernel import KernelProfile, ReplayStream
 
 
 class MemInst:
     """One issued (post-coalescing) memory instruction in flight.
 
     ``lines`` are global line addresses as the stream handed them out:
-    a ``range`` for a replayed instruction whose lines are adjacent, a
-    list when they wrap or the stream is live."""
+    a ``range`` when the instruction's key expands inline, the
+    footprint's list when its lines wrap or the oracle generated the
+    warp at launch."""
 
     __slots__ = ("warp", "kernel", "lines", "next_idx", "pending",
                  "is_store", "on_complete", "_completed")
@@ -78,7 +79,7 @@ class Warp:
                  "outstanding_loads", "mlp", "age", "sched")
 
     def __init__(self, warp_id: int, kernel_slot: int, tb: "ThreadBlock",
-                 stream: InstructionStream, age: int, mlp: int = 2):
+                 stream: ReplayStream, age: int, mlp: int = 2):
         if mlp < 1:
             raise ValueError("mlp must be >= 1")
         self.warp_id = warp_id

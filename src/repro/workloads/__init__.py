@@ -19,8 +19,8 @@ _EXPORTS = {
     **dict.fromkeys(("ThreadAddressPattern", "coalesce",
                      "coalescing_degree", "unit_stride", "strided",
                      "gather"), "repro.workloads.coalescer"),
-    **dict.fromkeys(("KernelProfile", "InstructionStream",
-                     "MemInstDescriptor"), "repro.workloads.kernel"),
+    **dict.fromkeys(("KernelProfile", "InstructionStream"),
+                    "repro.workloads.kernel"),
     **dict.fromkeys(("ALL_PROFILES", "COMPUTE_PROFILES", "MEMORY_PROFILES",
                      "PROFILES_BY_NAME", "get_profile"),
                     "repro.workloads.profiles"),

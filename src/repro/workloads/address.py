@@ -47,8 +47,9 @@ class AccessPattern(Protocol):
 
         The trace compiler (:mod:`repro.workloads.trace`) stores one
         key per memory instruction and replay expands it: inline for a
-        non-negative key, through this method for a wrapped one.  A
-        pattern without ``first_key`` and ``footprint`` replays live."""
+        non-negative key, through this method for a wrapped one.  For a
+        pattern without ``first_key`` and ``footprint`` the oracle
+        generates each warp once at launch, and the warp replays that."""
 
     def trace_signature(self) -> tuple:
         """Hashable description of every parameter that influences the
@@ -58,27 +59,21 @@ class AccessPattern(Protocol):
         :meth:`footprint`) are eligible for trace precompilation
         (:mod:`repro.workloads.trace`): two pattern instances with
         equal signatures must generate identical line sequences for
-        identical ``(warp_index, rng draws, count)`` inputs.  Other
-        patterns simply fall back to live RNG generation — correct,
-        just slower."""
+        identical ``(warp_index, rng draws, count)`` inputs.  For other
+        patterns the oracle generates each warp at launch — correct,
+        just not shared between launches."""
 
 
 class _KeyedPattern:
-    """``lines`` and ``extend_lines`` defined through ``first_key`` and
-    ``footprint``, so a pattern's arithmetic exists once.  Keywords
-    (StreamPattern's ``origin``) reach both."""
+    """``lines`` defined through ``first_key`` and ``footprint``, so a
+    pattern's arithmetic exists once.  Keywords (StreamPattern's
+    ``origin``) reach both."""
 
-    def lines(self, warp_index: int, rng: random.Random, count: int) -> List[int]:
-        out: List[int] = []
-        self.extend_lines(out, warp_index, rng, count)
-        return out
-
-    def extend_lines(self, out: List[int], warp_index: int,
-                     rng: random.Random, count: int, **kw) -> None:
-        """Append to ``out`` exactly what :meth:`lines` returns."""
+    def lines(self, warp_index: int, rng: random.Random, count: int,
+              **kw) -> List[int]:
         key = self.first_key(warp_index, rng, count, **kw)
-        out.extend(self.footprint(warp_index, key if key >= 0 else ~key,
-                                  count, 0, **kw))
+        return list(self.footprint(warp_index, key if key >= 0 else ~key,
+                                   count, 0, **kw))
 
 
 class StreamPattern(_KeyedPattern):

@@ -12,19 +12,21 @@ instruction sequence one warp executes: groups of ``cinst_per_minst``
 compute instructions followed by one memory instruction, repeated for
 ``iters_per_warp`` iterations per thread block.  All randomness is
 drawn from a per-warp :class:`random.Random` seeded from
-``(kernel seed, tb index, warp index)``, so runs are exactly
-reproducible.
+``(kernel seed, warp index)``, so runs are exactly reproducible.  It is
+the oracle: the SM runs every warp as a :class:`ReplayStream` of the
+same sequence, compiled ahead (:mod:`repro.workloads.trace`) or, for a
+pattern the compiler cannot key, generated once at warp launch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.workloads.address import AccessPattern
 
-#: Instruction opcodes produced by an InstructionStream.
+#: Instruction opcodes of a warp's stream.
 OP_ALU = "alu"
 OP_SFU = "sfu"
 OP_LOAD = "ld"
@@ -44,27 +46,6 @@ OP_BY_CODE[SFU_CODE] = OP_SFU
 OP_BY_CODE[LOAD_CODE] = OP_LOAD
 OP_BY_CODE[STORE_CODE] = OP_STORE
 CODE_BY_OP = {OP_ALU: "a", OP_SFU: "s", OP_LOAD: "l", OP_STORE: "w"}
-
-
-class MemInstDescriptor:
-    """One memory instruction after coalescing: the line addresses it
-    touches (kernel-region-local) and whether it is a store.
-
-    Streams hand out one *scratch* descriptor, overwritten by each
-    :meth:`InstructionStream.memory_descriptor` call — the descriptor
-    is only valid until the stream's next one (the SM consumes it
-    immediately).  ``lines`` may be any sequence of ints.
-    """
-
-    __slots__ = ("lines", "is_store")
-
-    def __init__(self, lines, is_store: bool):
-        self.lines = lines
-        self.is_store = is_store
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "store" if self.is_store else "load"
-        return f"<MemInstDescriptor {kind} lines={list(self.lines)!r}>"
 
 
 @dataclass(frozen=True)
@@ -149,155 +130,89 @@ def warp_rng(seed: int, global_warp_index: int) -> random.Random:
 
 
 class InstructionStream:
-    """Deterministic instruction sequence for one warp of one TB.
+    """The live, RNG-driven instruction sequence of one warp of one TB
+    — the trace compiler's oracle
+    (:func:`repro.workloads.trace.live_warp`), never driven by an SM.
 
     The stream interleaves ``cinst_per_minst`` compute instructions
     (ALU, or SFU with probability ``sfu_frac``) with one memory
-    instruction per iteration.  ``next_op`` exposes the next opcode so
-    the scheduler can decide issue eligibility without consuming it
-    (``peek`` is the equivalent method form); it is ``None`` once the
-    warp's work is finished.
+    instruction per iteration.  ``next_op`` is the next opcode, ``None``
+    once the warp's work is finished.
     """
 
     __slots__ = ("profile", "next_op", "_pattern", "_warp_index", "_rng",
-                 "_rng_random", "_iters_left", "_compute_left",
-                 "_cinst_per_minst", "_sfu_frac", "_write_frac", "_scratch",
-                 "_base")
+                 "_iters_left", "_compute_left")
 
     def __init__(self, profile: KernelProfile, pattern: AccessPattern,
-                 global_warp_index: int, seed: int, base_line: int = 0):
+                 global_warp_index: int, seed: int):
         self.profile = profile
         self._pattern = pattern
         self._warp_index = global_warp_index
         self._rng = warp_rng(seed, global_warp_index)
-        # Hot-loop bindings: pop/_advance run once per issued
-        # instruction, so dataclass field lookups are hoisted here.
-        self._rng_random = self._rng.random
-        self._cinst_per_minst = profile.cinst_per_minst
-        self._sfu_frac = profile.sfu_frac
-        self._write_frac = profile.write_frac
         self._iters_left = profile.iters_per_warp
         self._compute_left = profile.cinst_per_minst
-        #: reusable descriptor (see MemInstDescriptor): one allocation
-        #: per stream instead of one per memory instruction.
-        self._scratch = MemInstDescriptor((), False)
-        #: kernel-region base line added into every descriptor, so the
-        #: SM can hand descriptor lines straight to the LSU without
-        #: rebasing per instruction.  0 keeps region-local lines (the
-        #: trace compiler and unit tests rely on that).
-        self._base = base_line
         self.next_op: Optional[str] = None
         self._advance()
 
     def _advance(self) -> None:
+        profile = self.profile
         if self._iters_left <= 0:
             self.next_op = None
-            return
-        if self._compute_left > 0:
-            if self._sfu_frac and self._rng_random() < self._sfu_frac:
+        elif self._compute_left > 0:
+            sfu_frac = profile.sfu_frac
+            if sfu_frac and self._rng.random() < sfu_frac:
                 self.next_op = OP_SFU
             else:
                 self.next_op = OP_ALU
+        elif self._rng.random() < profile.write_frac:
+            self.next_op = OP_STORE
         else:
-            if self._rng_random() < self._write_frac:
-                self.next_op = OP_STORE
-            else:
-                self.next_op = OP_LOAD
-
-    @property
-    def done(self) -> bool:
-        return self.next_op is None
-
-    def peek(self) -> Optional[str]:
-        """Opcode of the next instruction, or None when the TB's work
-        for this warp is finished."""
-        return self.next_op
+            self.next_op = OP_LOAD
 
     def pop(self) -> str:
-        """Consume and return the next opcode.  For memory opcodes the
-        caller must follow up with :meth:`memory_descriptor`.
-
-        Runs once per issued instruction; the body of :meth:`_advance`
-        is inlined to keep the per-issue cost to one call."""
+        """Consume and return the next opcode.  For a memory opcode the
+        caller then takes its lines with :meth:`memory_lines`."""
         op = self.next_op
         if op is None:
             raise RuntimeError("instruction stream exhausted")
         if op is OP_ALU or op is OP_SFU:
             self._compute_left -= 1
         else:
-            self._compute_left = self._cinst_per_minst
+            self._compute_left = self.profile.cinst_per_minst
             self._iters_left -= 1
-        # _advance(), inlined:
-        if self._iters_left <= 0:
-            self.next_op = None
-        elif self._compute_left > 0:
-            if self._sfu_frac and self._rng_random() < self._sfu_frac:
-                self.next_op = OP_SFU
-            else:
-                self.next_op = OP_ALU
-        elif self._rng_random() < self._write_frac:
-            self.next_op = OP_STORE
-        else:
-            self.next_op = OP_LOAD
+        self._advance()
         return op
 
-    def memory_descriptor(self, is_store: bool) -> MemInstDescriptor:
-        """Coalesced line addresses for the memory instruction just
-        popped (``Req/Minst`` lines).  Returns the stream's scratch
-        descriptor — valid until the next call."""
-        desc = self._scratch
-        lines = self._pattern.lines(
-            self._warp_index, self._rng, self.profile.reqs_per_minst)
-        base = self._base
-        if base:
-            desc.lines = [base + line for line in lines]
-        else:
-            desc.lines = lines
-        desc.is_store = is_store
-        return desc
-
-    def pop_alu_run(self, allow_end: bool) -> int:
-        """Fused pop + autopilot-arming probe (see
-        :meth:`ReplayStream.pop_alu_run`).  Live streams cannot look
-        ahead without drawing RNG state, so this is a plain pop that
-        never arms."""
-        self.pop()
-        return 0
-
-    def pop_mem(self, is_store: bool):
-        """Fused pop + memory footprint for a memory opcode: returns
-        the popped instruction's line list (see
-        :meth:`ReplayStream.pop_mem`)."""
-        self.pop()
-        return self.memory_descriptor(is_store).lines
-
-    def remaining_iterations(self) -> int:
-        return self._iters_left
+    def memory_lines(self) -> List[int]:
+        """The region-local lines of the memory instruction just popped
+        (``Req/Minst`` requested; the pattern decides)."""
+        return self._pattern.lines(self._warp_index, self._rng,
+                                   self.profile.reqs_per_minst)
 
 
 class ReplayStream:
-    """Replays a precompiled ``(profile, warp_index, seed)`` trace.
+    """The instruction stream every warp on the machine executes.
 
-    Drop-in replacement for :class:`InstructionStream`, built from the
-    flat arrays a :class:`repro.workloads.trace.KernelTrace` compiled:
-    ``ops`` is one opcode byte per instruction (:data:`OP_BY_CODE`
-    encoding), ``keys`` one int per memory instruction in order — its
-    first region-local line, or ``~first`` when its footprint wraps
-    (:meth:`repro.workloads.address.AccessPattern.first_key`).  A
-    non-negative key expands inline to the ``reqs_per_minst`` adjacent
-    lines; a wrapped one through ``footprint(first, count, base)``, the
-    warp's bound :meth:`~repro.workloads.address.AccessPattern.footprint`.
-    Popping is an index bump and a table lookup — no RNG, no pattern
-    cursor arithmetic — and is bit-identical to the live stream: the
-    compiler takes the per-warp RNG's draws in the order the SM's
-    ``pop()`` / ``memory_descriptor()`` call sequence does (the
+    Built from flat arrays: ``ops`` is one opcode byte per instruction
+    (:data:`OP_BY_CODE` encoding), ``keys`` one int per memory
+    instruction in order.  A non-negative key is the instruction's
+    first region-local line and expands inline to the
+    ``reqs_per_minst`` adjacent lines; a negative key ``~k`` expands
+    through ``footprint(k, count, base)``.  A compiled warp
+    (:class:`repro.workloads.trace.KernelTrace`) keys an instruction
+    whose footprint wraps ``~first`` and passes the pattern's bound
+    :meth:`~repro.workloads.address.AccessPattern.footprint`; a warp of
+    a pattern the compiler cannot key
+    (:func:`repro.workloads.trace.live_warp`) keys instruction ``i``
+    ``~i`` and passes the oracle's footprints.  Popping is an index
+    bump and a table lookup — no RNG, no pattern cursor arithmetic —
+    and yields what the live :class:`InstructionStream` yields (the
     draw-order contract; see ``docs/PERF.md`` for the proof
     obligations).
     """
 
     __slots__ = ("profile", "next_op", "_ops", "_keys", "_footprint",
-                 "_base", "_pos", "_len", "_rpm", "_mem_seen", "_desc_key",
-                 "_iters_left", "_scratch")
+                 "_base", "_pos", "_len", "_rpm", "_mem_seen")
 
     def __init__(self, profile: KernelProfile, ops: bytes, keys,
                  footprint: Callable, base_line: int = 0):
@@ -313,41 +228,24 @@ class ReplayStream:
         self._len = len(ops)
         self._rpm = profile.reqs_per_minst
         self._mem_seen = 0
-        self._desc_key = 0
-        self._iters_left = profile.iters_per_warp
-        self._scratch = MemInstDescriptor((), False)
         self.next_op: Optional[str] = OP_BY_CODE[ops[0]] if ops else None
 
     @property
     def done(self) -> bool:
         return self.next_op is None
 
-    def peek(self) -> Optional[str]:
-        return self.next_op
-
     def pop(self) -> str:
+        """Consume and return the next opcode (a memory opcode's lines
+        are skipped; the SM takes them with :meth:`pop_mem`)."""
         op = self.next_op
         if op is None:
             raise RuntimeError("instruction stream exhausted")
         if not (op is OP_ALU or op is OP_SFU):
-            self._desc_key = self._keys[self._mem_seen]
             self._mem_seen += 1
-            self._iters_left -= 1
         pos = self._pos + 1
         self._pos = pos
         self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
         return op
-
-    def memory_descriptor(self, is_store: bool) -> MemInstDescriptor:
-        desc = self._scratch
-        key = self._desc_key
-        if key >= 0:
-            first = self._base + key
-            desc.lines = range(first, first + self._rpm)
-        else:
-            desc.lines = self._footprint(~key, self._rpm, self._base)
-        desc.is_store = is_store
-        return desc
 
     def pop_alu_run(self, allow_end: bool) -> int:
         """Pop one ALU op and, when the following opcodes continue the
@@ -380,14 +278,12 @@ class ReplayStream:
         self._pos = pos
         self.next_op = OP_BY_CODE[self._ops[pos]]
 
-    def pop_mem(self, is_store: bool):
-        """Fused ``pop()`` + ``memory_descriptor()`` for a memory
-        opcode: one call returning the instruction's lines directly
-        (the descriptor scratch object only exists for the live
-        stream's pattern plumbing)."""
+    def pop_mem(self):
+        """Pop a memory opcode and return its lines in global line
+        space: a ``range`` for a non-negative key, the footprint's
+        fresh list otherwise."""
         key = self._keys[self._mem_seen]
         self._mem_seen += 1
-        self._iters_left -= 1
         pos = self._pos + 1
         self._pos = pos
         self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
@@ -395,6 +291,3 @@ class ReplayStream:
             first = self._base + key
             return range(first, first + self._rpm)
         return self._footprint(~key, self._rpm, self._base)
-
-    def remaining_iterations(self) -> int:
-        return self._iters_left

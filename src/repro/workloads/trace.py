@@ -25,7 +25,7 @@ expands it through the pattern's ``footprint``.  What makes the
 replayed footprint bit-identical to a live
 :class:`~repro.workloads.kernel.InstructionStream` is the **draw-order
 contract**: the compiler takes the same draws from the same per-warp
-RNG in the order ``pop()`` + ``memory_descriptor()`` take them.
+RNG in the order the oracle's ``pop()`` + ``memory_lines()`` take them.
 
 * The draw that decides an instruction happens inside the ``pop()`` of
   the instruction before it (the constructor, for the first).
@@ -33,17 +33,17 @@ RNG in the order ``pop()`` + ``memory_descriptor()`` take them.
   ``sfu_frac > 0``; a memory instruction always draws once (the
   load/store choice).
 * The pattern draws a memory instruction's lines in
-  ``memory_descriptor()``, after its ``pop()`` — so *after* the draw for
+  ``memory_lines()``, after its ``pop()`` — so *after* the draw for
   the instruction that follows it: the next iteration's SFU choice when
   ``sfu_frac > 0``, its load/store choice when ``cinst_per_minst == 0``,
   nothing when ``sfu_frac == 0 < cinst_per_minst`` or the stream ends.
 
-The live stream is the oracle, not the engine
-(:func:`live_warp_arrays`): ``tests/test_trace_cache.py`` (every
-profile, edge mixes, wrapping footprints), the ``fuzz`` twin in
-``tests/test_fuzz_twins.py`` and ``scripts/perf_smoke.py`` compare
-what a :class:`~repro.workloads.kernel.ReplayStream` of the compiled
-arrays yields (:func:`replayed_warp_arrays`) with it, so a change to
+The live stream is the oracle, not the engine (:func:`live_warp`):
+``tests/test_trace_cache.py`` (every profile, edge mixes, wrapping
+footprints), the ``fuzz`` twin in ``tests/test_fuzz_twins.py`` and
+``scripts/perf_smoke.py`` compare what a
+:class:`~repro.workloads.kernel.ReplayStream` of the compiled arrays
+yields (:func:`replayed_warp_arrays`) with it, so a change to
 ``InstructionStream.pop`` / ``_advance`` or to a pattern's draws must
 change ``KernelTrace._compile_chunk`` in lockstep (and bump
 :data:`TRACE_FORMAT` if the arrays change).
@@ -65,12 +65,13 @@ file's JSON envelope.  The element type is int64 because the streaming
 kernels' lines pass 2**31 near warp 32 700 and 2**32 near warp 70 000,
 which a long Table-1 window reaches.
 
-Opt-outs: profiles whose pattern lacks ``trace_signature``,
-``first_key`` or ``footprint`` fall back to live RNG streams, as does
-``REPRO_NO_TRACE=1`` (useful for disambiguating trace bugs from timing
-bugs).  Cache traffic is
-observable through the process-wide counter registry
-(``trace_cache.*`` — :func:`repro.obs.process_registry`).
+A profile whose pattern lacks ``trace_signature``, ``first_key`` or
+``footprint`` is not compiled (:func:`get_trace` returns ``None``,
+counted in ``trace_cache.fallback_streams``): each of its warps runs
+the oracle once at launch (:func:`live_warp`) and replays that, so the
+machine has one stream class.  Cache traffic is observable through
+the process-wide counter registry (``trace_cache.*`` —
+:func:`repro.obs.process_registry`).
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from base64 import b64decode, b64encode
 from collections import OrderedDict
 from functools import partial
 from hashlib import sha1
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import process_registry
 from repro.workloads.kernel import (
@@ -94,7 +95,6 @@ from repro.workloads.kernel import (
     LOAD_CODE,
     OP_ALU,
     OP_SFU,
-    OP_STORE,
     SFU_CODE,
     STORE_CODE,
     InstructionStream,
@@ -128,9 +128,7 @@ _COMPILES = _COUNTERS.counter("trace_cache.chunk_compiles")
 _DISK_HITS = _COUNTERS.counter("trace_cache.disk_hits")
 _DISK_WRITES = _COUNTERS.counter("trace_cache.disk_writes")
 _FALLBACKS = _COUNTERS.counter("trace_cache.fallback_streams")
-_WARPS_COMPILED = _COUNTERS.counter("trace_cache.warps_compiled")
 _OPS_COMPILED = _COUNTERS.counter("trace_cache.ops_compiled")
-_LINES_COMPILED = _COUNTERS.counter("trace_cache.lines_compiled")
 
 #: (fingerprint, seed) -> KernelTrace, shared by every launch in the
 #: process (campaign legs re-create GPU objects constantly).
@@ -170,10 +168,7 @@ def profile_fingerprint(profile: KernelProfile) -> Optional[Tuple]:
 
 def get_trace(profile: KernelProfile, seed: int) -> Optional["KernelTrace"]:
     """The process-wide compiled trace for ``(profile, seed)``, or
-    ``None`` when tracing is unavailable or disabled."""
-    if os.environ.get("REPRO_NO_TRACE", "") == "1":
-        _FALLBACKS.value += 1
-        return None
+    ``None`` when the profile's pattern cannot be keyed."""
     fingerprint = profile_fingerprint(profile)
     if fingerprint is None:
         _FALLBACKS.value += 1
@@ -186,31 +181,52 @@ def get_trace(profile: KernelProfile, seed: int) -> Optional["KernelTrace"]:
     return trace
 
 
-def live_warp_arrays(profile: KernelProfile, warp_index: int,
-                     seed: int) -> Tuple[bytes, array]:
-    """The compiler's oracle: the ``(ops, lines)`` a live
-    :class:`InstructionStream` yields for one warp when driven through
-    the SM's call sequence (``pop()``, then ``memory_descriptor()`` for
-    a memory op).  No run uses it; the tests and
-    ``scripts/perf_smoke.py`` hold :func:`replayed_warp_arrays` equal
-    to it."""
+def live_warp(profile: KernelProfile, warp_index: int,
+              seed: int) -> Tuple[bytes, array, Callable]:
+    """The compiler's oracle, run once for one warp: the ops a live
+    :class:`InstructionStream` yields (``pop()``, then ``memory_lines()``
+    for a memory op), the key ``~i`` of memory instruction ``i``, and a
+    ``footprint(i, count, base)`` returning instruction ``i``'s lines,
+    each plus ``base`` — a :class:`ReplayStream`'s inputs.  A launch
+    builds its warps from it when the profile's pattern cannot be keyed
+    (:meth:`repro.sim.engine.KernelLaunch.new_stream`).  Each call
+    draws a fresh pattern: pattern state is per warp (module
+    docstring)."""
     stream = InstructionStream(profile, profile.pattern_factory(),
                                warp_index, seed)
     codes: List[str] = []
-    lines: List[int] = []
+    footprints: List[List[int]] = []
     while stream.next_op is not None:
         op = stream.pop()
         codes.append(CODE_BY_OP[op])
         if not (op is OP_ALU or op is OP_SFU):
-            lines.extend(stream.memory_descriptor(op is OP_STORE).lines)
-    return "".join(codes).encode("ascii"), array(LINE_TYPECODE, lines)
+            footprints.append(stream.memory_lines())
+
+    def footprint(index: int, count: int, base: int) -> List[int]:
+        return [base + line for line in footprints[index]]
+
+    keys = array(LINE_TYPECODE, [~i for i in range(len(footprints))])
+    return "".join(codes).encode("ascii"), keys, footprint
+
+
+def live_warp_arrays(profile: KernelProfile, warp_index: int,
+                     seed: int) -> Tuple[bytes, array]:
+    """:func:`live_warp` flattened: the warp's ops and the region-local
+    lines of its memory instructions in order.  No run uses it; the
+    tests and ``scripts/perf_smoke.py`` hold
+    :func:`replayed_warp_arrays` equal to it."""
+    ops, keys, footprint = live_warp(profile, warp_index, seed)
+    lines = array(LINE_TYPECODE)
+    for key in keys:
+        lines.extend(footprint(~key, profile.reqs_per_minst, 0))
+    return ops, lines
 
 
 def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
                          ops: bytes, keys: array) -> Tuple[bytes, array]:
     """The ``(ops, lines)`` a :class:`ReplayStream` of one compiled
     warp (:meth:`KernelTrace.warp_arrays`) yields through the SM's
-    fused call sequence (``pop_mem`` for a memory op), in
+    call sequence (``pop_mem`` for a memory op), in
     :func:`live_warp_arrays`' shape — so compile, disk encoding and key
     expansion are checked against the oracle in one comparison."""
     footprint = partial(profile.pattern_factory().footprint, warp_index)
@@ -223,7 +239,7 @@ def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
         if op is OP_ALU or op is OP_SFU:
             stream.pop()
         else:
-            lines.extend(stream.pop_mem(op is OP_STORE))
+            lines.extend(stream.pop_mem())
     return bytes(codes), lines
 
 
@@ -362,8 +378,6 @@ class KernelTrace:
             ops_per_warp.append(bytes(ops))
             keys_per_warp.append(array(LINE_TYPECODE, keys))
             _OPS_COMPILED.value += len(ops)
-            _LINES_COMPILED.value += len(keys) * reqs
-        _WARPS_COMPILED.value += CHUNK_WARPS
         return ops_per_warp, keys_per_warp
 
     # ------------------------------------------------------------------

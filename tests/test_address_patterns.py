@@ -126,8 +126,8 @@ def test_mix_reuse_fraction_roughly_respected(frac, seed):
 
 
 # ----------------------------------------------------------------------
-# extend_lines: lines() in bulk, both defined through first_key and
-# footprint.  The references below are the patterns' definitions in their
+# TestExtendLines: lines(), defined through first_key and footprint.
+# The references below are the patterns' definitions in their
 # plainest (always-modulo) form, drawing from a twin RNG.
 def stream_reference(region, recycle, cursors, warp, count, origin=0):
     slot = warp if recycle is None else warp % recycle
@@ -143,21 +143,14 @@ def reuse_reference(ws, rng, count):
 
 
 def assert_emits(pattern, reference, warps_and_counts, seed):
-    """``lines`` and ``extend_lines`` (on twin pattern instances and
-    RNGs) both produce ``reference``'s lines and leave the RNG where
-    the reference's twin is."""
-    via_lines, via_extend = pattern(), pattern()
-    rng_lines, rng_extend, rng_ref = (random.Random(seed) for _ in range(3))
-    out = ["sentinel"]
+    """``lines`` produces ``reference``'s lines and leaves the RNG
+    where the reference's twin is."""
+    via_lines = pattern()
+    rng_lines, rng_ref = random.Random(seed), random.Random(seed)
     for warp, count in warps_and_counts:
         expected = reference(warp, rng_ref, count)
         assert via_lines.lines(warp, rng_lines, count) == expected
-        before = len(out)
-        assert via_extend.extend_lines(out, warp, rng_extend, count) is None
-        assert out[before:] == expected
         assert rng_lines.getstate() == rng_ref.getstate()
-        assert rng_extend.getstate() == rng_ref.getstate()
-    assert out[0] == "sentinel", "extend_lines must only append"
 
 
 class TestExtendLines:
@@ -175,10 +168,9 @@ class TestExtendLines:
             seed=1)
 
     def test_stream_unwrapped_access_is_a_plain_run(self):
-        out = []
-        StreamPattern(100).extend_lines(out, 0, random.Random(0), 4)
-        StreamPattern(100).extend_lines(out, 1, random.Random(0), 2, origin=50)
-        assert out == [0, 1, 2, 3, 50 + 133, 50 + 134]
+        assert StreamPattern(100).lines(0, random.Random(0), 4) == [0, 1, 2, 3]
+        assert StreamPattern(100).lines(1, random.Random(0), 2,
+                                        origin=50) == [50 + 133, 50 + 134]
 
     @pytest.mark.parametrize("ws", [1, 2, 5, 24, 32, 33, 1 << 16])
     def test_reuse_start_is_randrange(self, ws):

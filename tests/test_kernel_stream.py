@@ -1,17 +1,18 @@
-"""Unit and property tests for repro.workloads.kernel."""
+"""Unit and property tests for repro.workloads.kernel: profiles, and
+the stream a launch hands each warp."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import scaled_config
+from repro.sim.engine import KernelLaunch
 from repro.workloads.address import StreamPattern
 from repro.workloads.kernel import (
     OP_ALU,
     OP_LOAD,
     OP_SFU,
     OP_STORE,
-    InstructionStream,
     KernelProfile,
 )
 
@@ -25,6 +26,11 @@ def make_profile(**overrides):
     )
     defaults.update(overrides)
     return KernelProfile(**defaults)
+
+
+def make_stream(profile, warp_index=0, seed=1):
+    """The ReplayStream the SM would run for this warp."""
+    return KernelLaunch(0, profile, [1], seed=seed).new_stream(warp_index)
 
 
 class TestKernelProfile:
@@ -68,36 +74,28 @@ class TestKernelProfile:
 class TestInstructionStream:
     def test_group_structure(self):
         profile = make_profile(cinst_per_minst=3, iters_per_warp=2)
-        stream = InstructionStream(profile, StreamPattern(), 0, seed=1)
+        stream = make_stream(profile)
         ops = []
         while not stream.done:
             ops.append(stream.pop())
         assert ops == [OP_ALU] * 3 + [OP_LOAD] + [OP_ALU] * 3 + [OP_LOAD]
 
-    def test_peek_does_not_consume(self):
-        profile = make_profile()
-        stream = InstructionStream(profile, StreamPattern(), 0, seed=1)
-        assert stream.peek() == stream.peek()
-        first = stream.peek()
-        assert stream.pop() == first
-
     def test_store_fraction_all_writes(self):
         profile = make_profile(write_frac=1.0, cinst_per_minst=0, iters_per_warp=4)
-        stream = InstructionStream(profile, StreamPattern(), 0, seed=1)
+        stream = make_stream(profile)
         ops = [stream.pop() for _ in range(4)]
         assert ops == [OP_STORE] * 4
 
     def test_memory_descriptor_matches_req_per_minst(self):
         profile = make_profile(reqs_per_minst=5, cinst_per_minst=0, iters_per_warp=1)
-        stream = InstructionStream(profile, StreamPattern(), 0, seed=1)
-        assert stream.pop() == OP_LOAD
-        desc = stream.memory_descriptor(is_store=False)
-        assert len(desc.lines) == 5
-        assert not desc.is_store
+        stream = make_stream(profile)
+        assert stream.next_op is OP_LOAD
+        assert len(stream.pop_mem()) == 5
+        assert stream.done
 
     def test_exhausted_stream_raises(self):
         profile = make_profile(iters_per_warp=1, cinst_per_minst=0)
-        stream = InstructionStream(profile, StreamPattern(), 0, seed=1)
+        stream = make_stream(profile)
         stream.pop()
         assert stream.done
         with pytest.raises(RuntimeError):
@@ -107,17 +105,10 @@ class TestInstructionStream:
         profile = make_profile(sfu_frac=0.5, write_frac=0.3, iters_per_warp=20)
         ops_a, ops_b = [], []
         for ops in (ops_a, ops_b):
-            stream = InstructionStream(profile, StreamPattern(), 7, seed=42)
+            stream = make_stream(profile, warp_index=7, seed=42)
             while not stream.done:
                 ops.append(stream.pop())
         assert ops_a == ops_b
-
-    def test_remaining_iterations_counts_down(self):
-        profile = make_profile(cinst_per_minst=0, iters_per_warp=3)
-        stream = InstructionStream(profile, StreamPattern(), 0, seed=1)
-        assert stream.remaining_iterations() == 3
-        stream.pop()
-        assert stream.remaining_iterations() == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,7 +117,7 @@ def test_stream_length_is_exact(cinst, iters, seed):
     """Total instructions = iters * (cinst + 1) regardless of randomness."""
     profile = make_profile(cinst_per_minst=cinst, iters_per_warp=iters,
                            sfu_frac=0.3, write_frac=0.2)
-    stream = InstructionStream(profile, StreamPattern(), 0, seed=seed)
+    stream = make_stream(profile, seed=seed)
     count = 0
     while not stream.done:
         stream.pop()
@@ -139,7 +130,7 @@ def test_stream_length_is_exact(cinst, iters, seed):
 def test_compute_to_memory_ratio_is_exact(cinst, seed):
     profile = make_profile(cinst_per_minst=cinst, iters_per_warp=25,
                            sfu_frac=0.4, write_frac=0.5)
-    stream = InstructionStream(profile, StreamPattern(), 0, seed=seed)
+    stream = make_stream(profile, seed=seed)
     compute = memory = 0
     while not stream.done:
         op = stream.pop()

@@ -8,10 +8,11 @@ from repro.config import CacheConfig, scaled_config
 from repro.mem.cache import (RELEASE_DRAIN, RELEASE_FILL, RSFAIL_RELEASE,
                              L1DCache)
 from repro.mem.subsystem import MemorySubsystem
+from repro.sim.engine import KernelLaunch
 from repro.sim.lsu import LoadStoreUnit
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.address import StreamPattern
-from repro.workloads.kernel import InstructionStream, KernelProfile
+from repro.workloads.kernel import KernelProfile
 
 
 class FakeBundle:
@@ -51,7 +52,7 @@ def make_inst(lines, is_store=False, kernel=0):
         pattern_factory=StreamPattern, iters_per_warp=1,
     )
     tb = ThreadBlock(0, kernel, profile)
-    stream = InstructionStream(profile, StreamPattern(), 0, seed=0)
+    stream = KernelLaunch(kernel, profile, [1]).new_stream(0)
     warp = Warp(0, kernel, tb, stream, age=0, mlp=4)
     completions = []
     inst = MemInst(warp, tuple(lines), is_store,

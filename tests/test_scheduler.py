@@ -1,9 +1,10 @@
 """Unit tests for the GTO and LRR warp schedulers."""
 
+from repro.sim.engine import KernelLaunch
 from repro.sim.scheduler import WarpScheduler
 from repro.sim.warp import ThreadBlock, Warp
 from repro.workloads.address import StreamPattern
-from repro.workloads.kernel import OP_ALU, InstructionStream, KernelProfile
+from repro.workloads.kernel import OP_ALU, KernelProfile
 
 
 def make_warp(age, kernel=0, cinst=5, iters=10, seed=0):
@@ -14,7 +15,7 @@ def make_warp(age, kernel=0, cinst=5, iters=10, seed=0):
         pattern_factory=StreamPattern, iters_per_warp=iters,
     )
     tb = ThreadBlock(0, kernel, profile)
-    stream = InstructionStream(profile, StreamPattern(), age, seed=seed)
+    stream = KernelLaunch(kernel, profile, [1], seed=seed).new_stream(age)
     return Warp(age, kernel, tb, stream, age=age, mlp=2)
 
 

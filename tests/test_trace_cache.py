@@ -15,13 +15,8 @@ import pytest
 
 from repro.workloads import trace as ktrace
 from repro.workloads.address import MixPattern, ReusePattern, StreamPattern
-from repro.workloads.kernel import (
-    OP_ALU,
-    OP_SFU,
-    OP_STORE,
-    InstructionStream,
-    ReplayStream,
-)
+from repro.workloads.coalescer import ThreadAddressPattern, gather, strided
+from repro.workloads.kernel import OP_ALU, OP_SFU, ReplayStream
 from repro.workloads.profiles import ALL_PROFILES, get_profile
 
 
@@ -128,7 +123,7 @@ EDGE_PROFILES = [
 
 class TestCompileCorrectness:
     """The live stream is the compiler's oracle: compiled arrays must
-    equal what ``pop()`` + ``memory_descriptor()`` produce, which pins
+    equal what ``pop()`` + ``memory_lines()`` produce, which pins
     the RNG draw order (module docstring of repro.workloads.trace)."""
 
     @pytest.mark.parametrize("name", [p.name for p in ALL_PROFILES])
@@ -186,6 +181,17 @@ class TestPackedLines:
         assert ktrace._DISK_HITS.value == hits0 + 1
 
 
+def replay_lines(stream):
+    """Every line a ReplayStream hands the SM, in order."""
+    lines = []
+    while stream.next_op is not None:
+        if stream.next_op is OP_ALU or stream.next_op is OP_SFU:
+            stream.pop()
+        else:
+            lines.extend(stream.pop_mem())
+    return lines
+
+
 class TestReplayRebase:
     def test_base_line_is_added_per_instruction_not_by_copying(self):
         profile = get_profile("ax")
@@ -195,22 +201,65 @@ class TestReplayRebase:
         pristine = array("q", keys)
         stream = ReplayStream(profile, ops, keys, footprint, base_line=base)
         assert stream._keys is keys, "keys must stay shared"
-        live = InstructionStream(profile, profile.pattern_factory(), 5, 0,
-                                 base_line=base)
-        fused = ReplayStream(profile, ops, keys, footprint, base_line=base)
-        while live.next_op is not None:
-            op = live.pop()
-            assert stream.pop() is op
-            if op is OP_ALU or op is OP_SFU:
-                fused.pop()
-                continue
-            expected = list(live.memory_descriptor(op is OP_STORE).lines)
-            assert list(stream.memory_descriptor(op is OP_STORE).lines
-                        ) == expected
-            assert list(fused.pop_mem(op is OP_STORE)) == expected
-            assert min(expected) >= base
-        assert stream.next_op is None and fused.next_op is None
+        live_ops, live_lines = live_call_order(profile, 5, 0)
+        assert ops == live_ops
+        assert replay_lines(stream) == [base + line for line in live_lines]
         assert keys == pristine, "shared keys mutated"
+
+
+#: the patterns the compiler cannot key: coalesced footprints of
+#: varying length, RNG-scattered under gather.
+UNTRACEABLE = [
+    pytest.param(lambda: ThreadAddressPattern(strided(8)), id="strided8"),
+    pytest.param(lambda: ThreadAddressPattern(gather(64)), id="gather64"),
+]
+
+
+class TestUntraceablePatterns:
+    """A pattern without ``first_key``/``footprint`` is generated by
+    the oracle at warp launch (``trace.live_warp``) and replayed like a
+    compiled warp."""
+
+    @pytest.mark.parametrize("factory", UNTRACEABLE)
+    def test_launch_replays_the_oracle_with_the_base_added(self, factory):
+        profile = dataclasses.replace(get_profile("sv"),
+                                      pattern_factory=factory,
+                                      iters_per_warp=30)
+        assert ktrace.get_trace(profile, 3) is None
+        base = 3 << 40
+        for warp_index in (0, 9):
+            ops, keys, footprint = ktrace.live_warp(profile, warp_index, 3)
+            assert list(keys) == [~i for i in range(30)]
+            stream = ReplayStream(profile, ops, keys, footprint,
+                                  base_line=base)
+            live_ops, live_lines = ktrace.live_warp_arrays(
+                profile, warp_index, 3)
+            assert ops == live_ops
+            assert replay_lines(stream) == [base + line
+                                            for line in live_lines]
+
+    @pytest.mark.parametrize("factory", UNTRACEABLE)
+    def test_production_equals_oracle(self, factory):
+        from repro.config import scaled_config
+        from repro.core.arbiter import SchemeConfig
+        from repro.harness.perfbench import result_signature
+        from repro.sim.engine import GPU, make_launches
+
+        profile = dataclasses.replace(get_profile("sv"),
+                                      pattern_factory=factory,
+                                      iters_per_warp=40)
+        cfg = scaled_config(num_sms=2)
+
+        def run(reference):
+            launches = make_launches([profile, get_profile("cd")], [2, 2],
+                                     cfg, seed=1)
+            return result_signature(GPU(cfg, launches, SchemeConfig(),
+                                        reference=reference).run(1500))
+
+        compiles0 = ktrace._COMPILES.value
+        production = run(False)
+        assert ktrace._COMPILES.value == compiles0 + 1, "cd's chunk only"
+        assert production == run(True)
 
 
 class TestCounters:
@@ -235,10 +284,10 @@ class TestCounters:
         assert ktrace.get_trace(profile, 0) is None
         assert ktrace._FALLBACKS.value == before + 1
 
-    def test_lines_only_pattern_replays_live(self, monkeypatch):
+    def test_lines_only_pattern_replays_live(self):
         """A pattern with ``trace_signature`` but no ``footprint`` is
-        not compiled: its streams run live, counted as fallbacks, and
-        the run equals the same run with tracing disabled."""
+        not compiled: each launch counts a fallback, its warps are
+        generated at launch, and production equals the oracle."""
         from repro.config import scaled_config
         from repro.core.arbiter import SchemeConfig
         from repro.harness.perfbench import result_signature
@@ -249,9 +298,10 @@ class TestCounters:
                                       iters_per_warp=40)
         cfg = scaled_config(num_sms=2)
 
-        def run():
+        def run(reference=False):
             launches = make_launches([profile], [2], cfg)
-            return result_signature(GPU(cfg, launches, SchemeConfig()).run(600))
+            return result_signature(GPU(cfg, launches, SchemeConfig(),
+                                        reference=reference).run(600))
 
         before = ktrace._FALLBACKS.value
         assert ktrace.get_trace(profile, 0) is None
@@ -260,40 +310,25 @@ class TestCounters:
         signature = run()
         assert ktrace._FALLBACKS.value == before + 2
         assert ktrace._COMPILES.value == compiles0
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
-        assert run() == signature
-
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_TRACE", "1")
-        before = ktrace._FALLBACKS.value
-        assert ktrace.get_trace(get_profile("bp"), 0) is None
-        assert ktrace._FALLBACKS.value == before + 1
+        assert run(reference=True) == signature
 
     def test_counters_live_in_the_process_registry(self):
         from repro.obs.registry import process_registry
         names = process_registry().snapshot("trace_cache")
         assert {"trace_cache.warp_hits", "trace_cache.chunk_compiles",
                 "trace_cache.disk_hits", "trace_cache.disk_writes",
-                "trace_cache.fallback_streams", "trace_cache.warps_compiled",
-                "trace_cache.ops_compiled", "trace_cache.lines_compiled"
+                "trace_cache.fallback_streams", "trace_cache.ops_compiled"
                 } <= set(names)
 
     def test_compiled_work_counts_are_exact(self):
         profile = get_profile("ks")
-        before = [c.value for c in (ktrace._WARPS_COMPILED,
-                                    ktrace._OPS_COMPILED,
-                                    ktrace._LINES_COMPILED)]
+        before = ktrace._OPS_COMPILED.value
         trace = ktrace.get_trace(profile, 0)
         trace.warp_arrays(0)
         trace.warp_arrays(ktrace.CHUNK_WARPS - 1)  # same chunk
-        after = [c.value for c in (ktrace._WARPS_COMPILED,
-                                   ktrace._OPS_COMPILED,
-                                   ktrace._LINES_COMPILED)]
         per_warp_ops = profile.iters_per_warp * (profile.cinst_per_minst + 1)
-        per_warp_lines = profile.iters_per_warp * profile.reqs_per_minst
-        assert [a - b for a, b in zip(after, before)] == [
-            ktrace.CHUNK_WARPS, ktrace.CHUNK_WARPS * per_warp_ops,
-            ktrace.CHUNK_WARPS * per_warp_lines]
+        assert (ktrace._OPS_COMPILED.value - before
+                == ktrace.CHUNK_WARPS * per_warp_ops)
 
 
 def repack(text, cut):

@@ -3,9 +3,10 @@ instructions (the MLP model)."""
 
 import pytest
 
+from repro.sim.engine import KernelLaunch
 from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.address import StreamPattern
-from repro.workloads.kernel import InstructionStream, KernelProfile
+from repro.workloads.kernel import KernelProfile
 
 
 def make_warp(mlp=2, iters=3, cinst=1):
@@ -16,7 +17,7 @@ def make_warp(mlp=2, iters=3, cinst=1):
         pattern_factory=StreamPattern, iters_per_warp=iters,
     )
     tb = ThreadBlock(0, 0, profile)
-    stream = InstructionStream(profile, StreamPattern(), 0, seed=0)
+    stream = KernelLaunch(0, profile, [1]).new_stream(0)
     warp = Warp(0, 0, tb, stream, age=0, mlp=mlp)
     tb.warps.append(warp)
     tb.live_warps = 1
