@@ -67,7 +67,9 @@ import sys
 # load ``repro.sim``/``repro.mem``, and a fully journaled ``campaign
 # --resume`` loads the harness, the ledger and the classes its pickled
 # records name (``sim.stats``, ``obs.collector``), but none of the cycle
-# model.  ``tests/test_cli_and_report.py`` holds both.
+# model.  No ``repro`` module imports ``hashlib`` (which maps OpenSSL):
+# every digest comes from ``repro._digest``.
+# ``tests/test_cli_and_report.py`` holds all three.
 
 SCHEME_HELP = [
     ("spatial", "spatial multitasking (SM split)"),

@@ -46,7 +46,6 @@ from __future__ import annotations
 import base64
 import fnmatch
 import glob as globmod
-import hashlib
 import json
 import os
 import pickle
@@ -57,6 +56,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._digest import md5, sha256
 from repro.harness import parallel as _par
 from repro.harness.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.telemetry import JobHeartbeat
@@ -299,7 +299,7 @@ def journal_key(runner: ExperimentRunner) -> str:
     identity, so one journal per (config, settings) is safe to share
     across campaigns — foreign cells simply never match."""
     blob = f"{CACHE_VERSION}:{runner._cfg_key}:{runner.settings!r}"
-    return hashlib.md5(blob.encode()).hexdigest()[:16]
+    return md5(blob.encode()).hexdigest()[:16]
 
 
 def default_journal_path(runner: ExperimentRunner) -> Optional[str]:
@@ -357,7 +357,7 @@ class CampaignJournal:
             "kind": "done",
             "key": job_key(job),
             "label": _par._job_label(job),
-            "sha": hashlib.sha256(blob).hexdigest(),
+            "sha": sha256(blob).hexdigest(),
             "blob": base64.b64encode(blob).decode("ascii"),
         })
 
@@ -404,7 +404,7 @@ class CampaignJournal:
                                             validate=True)
                 except (KeyError, ValueError, TypeError):
                     continue
-                if hashlib.sha256(blob).hexdigest() != entry.get("sha"):
+                if sha256(blob).hexdigest() != entry.get("sha"):
                     continue  # corrupted checkpoint: re-run the cell
                 try:
                     done[key] = pickle.loads(blob)

@@ -31,12 +31,12 @@ cycle budget.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro._digest import config_fingerprint, md5
 from repro.config import GPUConfig, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.cke.warped_slicer import ScalabilityCurve, sweet_spot
@@ -101,11 +101,6 @@ class WorkloadOutcome:
         return self.norm_ipcs[index]
 
 
-def _config_key(config: GPUConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True, default=str)
-    return hashlib.md5(blob.encode()).hexdigest()[:16]
-
-
 def _atomic_write_json(path: str, payload) -> None:
     """Write ``payload`` so concurrent readers (and writers) never see
     a partial record: dump to a same-directory temp file, then
@@ -153,7 +148,7 @@ class ExperimentRunner:
                 os.path.join(cache_dir, f"traces-v{CACHE_VERSION}"))
         self._iso_cache: Dict[Tuple, IsoRecord] = {}
         self._curve_cache: Dict[Tuple, ScalabilityCurve] = {}
-        self._cfg_key = _config_key(self.config)
+        self._cfg_key = config_fingerprint(self.config)
 
     # ------------------------------------------------------------------
     # isolated runs
@@ -168,7 +163,7 @@ class ExperimentRunner:
     def _disk_path(self, key: Tuple) -> Optional[str]:
         if not self.cache_dir:
             return None
-        digest = hashlib.md5(repr(key).encode()).hexdigest()
+        digest = md5(repr(key).encode()).hexdigest()
         return os.path.join(self.cache_dir, f"iso-{digest}.json")
 
     def _recall_iso(self, key: Tuple) -> Optional[IsoRecord]:

@@ -107,9 +107,6 @@ class MemorySubsystem:
         else:
             bucket.append((kind, payload))
 
-    def _l2_in_has_credit(self) -> bool:
-        return len(self.l2_in) + self._inflight_to_l2 < L2_IN_CAPACITY
-
     # ------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         """Advance the backend by one core cycle: every phase, every

@@ -18,24 +18,18 @@ tolerant read idiom as the harness disk caches.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import subprocess
-from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro._digest import config_fingerprint
 
 #: bump when the artifact schema changes; loaders skip other versions.
 ARTIFACT_VERSION = 1
 
 #: index file written next to the per-cell artifacts.
 INDEX_NAME = "ledger.json"
-
-
-def config_fingerprint(config) -> str:
-    """Stable short fingerprint of a (dataclass) GPU config."""
-    payload = json.dumps(asdict(config), sort_keys=True)
-    return hashlib.md5(payload.encode()).hexdigest()[:16]
 
 
 #: the ``repro`` package directory: the checkout whose code ran.

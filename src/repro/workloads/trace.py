@@ -85,9 +85,9 @@ from array import array
 from base64 import b64decode, b64encode
 from collections import OrderedDict
 from functools import partial
-from hashlib import sha1
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._digest import sha1
 from repro.obs.registry import process_registry
 from repro.workloads.kernel import (
     ALU_CODE,

@@ -245,7 +245,7 @@ assert repro.harness.experiments.__name__ == "repro.harness.experiments"
         """A ``campaign --resume`` whose every cell is journaled prints
         the cold run's table byte for byte from a fresh interpreter
         that never loaded the simulator's engine, SMs, LSU, memory
-        hierarchy or dynamic Warped-Slicer."""
+        hierarchy or dynamic Warped-Slicer, nor ``hashlib``."""
         import os
         import subprocess
         import sys
@@ -270,6 +270,7 @@ assert out.getvalue() == sys.argv[1], out.getvalue()
 heavy = ["repro.sim." + m for m in ("engine", "sm", "scheduler", "lsu", "warp")]
 heavy += ["repro.mem." + m for m in ("subsystem", "dram", "interconnect", "cache")]
 heavy.append("repro.cke.dynamic_ws")
+heavy += ["hashlib", "_hashlib"]
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, loaded
 """
@@ -278,6 +279,38 @@ assert not loaded, loaded
             text=True, env=env)
         assert done.returncode == 0, done.stderr
         assert "resumed from journal" in done.stderr
+
+    def test_cold_campaign_never_loads_hashlib(self, tmp_path):
+        """A cold resilient campaign digests through ``repro._digest``
+        only: iso-cache names, trace digests, journal fingerprints and
+        ledger config fingerprints all leave ``hashlib`` (and with it
+        OpenSSL) unloaded in a fresh interpreter."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        cache, artifacts = tmp_path / "cache", tmp_path / "artifacts"
+        argv = ["campaign", "st,sv", "--schemes", "ws", "--workers", "1",
+                "--retries", "1", "--cache", str(cache),
+                "--artifacts", str(artifacts)]
+        probe = f"""
+import sys
+from repro.__main__ import main
+assert main({argv!r}) == 0
+loaded = [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+assert not loaded, loaded
+assert "repro._digest" in sys.modules
+"""
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert list(cache.glob("iso-*.json"))
+        assert list(cache.glob("traces-v*/*"))
+        assert list(cache.glob("journal/campaign-*.jsonl"))
+        assert (artifacts / "ledger.json").exists()
 
     def test_unknown_benchmark_raises(self, capsys):
         """...a usage error, no longer a ``KeyError`` traceback: the

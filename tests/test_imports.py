@@ -76,17 +76,20 @@ def test_importing_a_package_imports_none_of_its_leaves():
 
 def test_the_engine_loads_no_harness_and_no_reporting():
     """The cycle model's import closure stops at the simulator: no
-    harness, no TB partitioner, and of ``repro.obs`` only what an
-    observed run records through (collector, stalls, timeline,
-    trace, registry)."""
+    harness, no TB partitioner, of ``repro.obs`` only what an observed
+    run records through (collector, stalls, timeline, trace, registry),
+    and no ``hashlib``: trace digests come from ``repro._digest``."""
     done = _fresh(
         "import sys\n"
         "import repro.sim.engine\n"
         "print(' '.join(sorted(m for m in sys.modules\n"
-        "                      if m.startswith('repro.'))))\n")
+        "                      if m.startswith('repro.')\n"
+        "                      or m in ('hashlib', '_hashlib'))))\n")
     assert done.returncode == 0, done.stderr
     loaded = done.stdout.split()
     assert "repro.sim.engine" in loaded
+    assert "repro._digest" in loaded
+    assert "hashlib" not in loaded and "_hashlib" not in loaded, loaded
     banned = [m for m in loaded if m.startswith(("repro.harness",
                                                  "repro.cke"))
               or m in ("repro.obs.dash", "repro.obs.compare",

@@ -163,39 +163,59 @@ def reachable_reads(gpu):
     return reads(heads), reads(held)
 
 
+def assert_cache_accounting(stats):
+    """Every access a cache counted ended as a hit or a miss (merged
+    misses included; a reservation failure un-counts its access), and
+    each reservation failure carries exactly one reason."""
+    for kernel in set(stats.accesses) | set(stats.hits) | set(stats.misses):
+        assert stats.accesses[kernel] \
+            == stats.hits[kernel] + stats.misses[kernel], kernel
+    assert sum(stats.rsfails.values()) == sum(stats.rsfail_reasons.values())
+
+
 def test_run_holds_each_in_flight_request_exactly_once():
     """st+sv with st bypassing the L1D: reads, writes, MSHR merges and
-    bypassed loads.  At every run boundary no read request is reachable
-    twice, each in-flight ``MemInst`` is reachable through exactly its
-    ``pending`` count of requests past the L1, and each SM's in-flight
-    count is the ``MemInst``s its LSU queue and those requests reach —
-    nothing leaked, nothing delivered while still travelling.  The tag
-    index of every L1 and of the L2 holds exactly what its sets hold."""
+    bypassed loads.  At every run boundary, on the production machine
+    and on the oracle, no read request is reachable twice, each
+    in-flight ``MemInst`` is reachable through exactly its ``pending``
+    count of requests past the L1, and each SM's in-flight count is the
+    ``MemInst``s its LSU queue and those requests reach — nothing
+    leaked, nothing delivered while still travelling.  The tag index of
+    every L1 and of the L2 holds exactly what its sets hold, and every
+    L1 and the L2 account for each access and reservation failure."""
     config = scaled_config()
-    launches = make_launches([get_profile("st"), get_profile("sv")],
-                             [2, 2], config, seed=3)
-    gpu = GPU(config, launches, SchemeConfig(l1d_bypass=(True, False)))
-    for step in (700, 800, 1, 1):
-        gpu.run(step)
-        heads, held = reachable_reads(gpu)
-        assert held
-        ids = [id(r) for r in heads + held]
-        assert len(ids) == len(set(ids))
-        per_inst = Counter(id(r.meminst) for r in held)
-        insts = {id(r.meminst): r.meminst for r in held}
-        for sm in gpu.sms:
-            insts.update((id(inst), inst) for inst in sm.lsu.queue
-                         if not inst.is_store)
-        assert {key: inst.pending for key, inst in insts.items()} \
-            == {key: per_inst[key] for key in insts}
-        for sm in gpu.sms:
-            in_flight = {id(inst) for inst in sm.lsu.queue}
-            in_flight.update(id(r.meminst) for r in held
-                             if r.sm_id == sm.sm_id)
-            assert len(in_flight) == sum(state.inflight_minsts
-                                         for state in sm.kstate.values())
-        for tags in [l1.tags for l1 in gpu.memory.l1s] + [gpu.memory.l2_tags]:
-            assert_tag_index_exact(tags)
-    stats = [l1.stats for l1 in gpu.memory.l1s]
-    assert sum(sum(s.writes.values()) for s in stats) > 0
-    assert sum(sum(s.bypasses.values()) for s in stats) > 0
+    for reference in (False, True):
+        launches = make_launches([get_profile("st"), get_profile("sv")],
+                                 [2, 2], config, seed=3)
+        gpu = GPU(config, launches, SchemeConfig(l1d_bypass=(True, False)),
+                  reference=reference)
+        for step in (700, 800, 1, 1):
+            gpu.run(step)
+            heads, held = reachable_reads(gpu)
+            assert held
+            ids = [id(r) for r in heads + held]
+            assert len(ids) == len(set(ids))
+            per_inst = Counter(id(r.meminst) for r in held)
+            insts = {id(r.meminst): r.meminst for r in held}
+            for sm in gpu.sms:
+                insts.update((id(inst), inst) for inst in sm.lsu.queue
+                             if not inst.is_store)
+            assert {key: inst.pending for key, inst in insts.items()} \
+                == {key: per_inst[key] for key in insts}
+            for sm in gpu.sms:
+                in_flight = {id(inst) for inst in sm.lsu.queue}
+                in_flight.update(id(r.meminst) for r in held
+                                 if r.sm_id == sm.sm_id)
+                assert len(in_flight) == sum(state.inflight_minsts
+                                             for state in sm.kstate.values())
+            memory = gpu.memory
+            for tags in [l1.tags for l1 in memory.l1s] + [memory.l2_tags]:
+                assert_tag_index_exact(tags)
+            for stats in [l1.stats for l1 in memory.l1s] + [memory.l2_stats]:
+                assert_cache_accounting(stats)
+        stats = [l1.stats for l1 in memory.l1s]
+        assert sum(sum(s.writes.values()) for s in stats) > 0
+        assert sum(sum(s.bypasses.values()) for s in stats) > 0
+        # The failure paths ran, so the rsfail check above is not vacuous.
+        assert sum(sum(s.rsfails.values()) for s in stats) > 0
+        assert sum(memory.l2_stats.rsfails.values()) > 0
