@@ -6,10 +6,11 @@ and ``benchmarks/e2e`` compare these.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from repro.harness.runner import WorkloadOutcome
-from repro.sim.stats import RunResult
+if TYPE_CHECKING:  # annotations only: a signature loads no harness
+    from repro.harness.runner import WorkloadOutcome
+    from repro.sim.stats import RunResult
 
 
 # ----------------------------------------------------------------------

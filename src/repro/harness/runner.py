@@ -97,9 +97,6 @@ class WorkloadOutcome:
     fairness: float
     result: RunResult = field(repr=False)
 
-    def kernel_norm(self, index: int) -> float:
-        return self.norm_ipcs[index]
-
 
 def _atomic_write_json(path: str, payload) -> None:
     """Write ``payload`` so concurrent readers (and writers) never see

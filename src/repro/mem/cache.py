@@ -68,16 +68,18 @@ def set_indexer(config: CacheConfig) -> Callable[[int], int]:
 
 
 class _Line:
-    __slots__ = ("tag", "valid", "reserved", "dirty", "kernel", "lru")
+    __slots__ = ("tag", "valid", "reserved", "dirty", "kernel", "set_idx")
 
-    def __init__(self, lru: List["_Line"]) -> None:
+    def __init__(self, set_idx: int) -> None:
         self.tag = -1
         self.valid = False
         self.reserved = False
         self.dirty = False
         self.kernel = -1
-        #: the lines of this line's set, least recently used first.
-        self.lru = lru
+        #: the index of this line's set.  An index, not the set's list:
+        #: a back-reference would make every set a reference cycle, and
+        #: a dropped machine's lines would wait for a full collection.
+        self.set_idx = set_idx
 
 
 class CacheStats:
@@ -96,11 +98,6 @@ class CacheStats:
         acc = self.accesses[kernel]
         return self.misses[kernel] / acc if acc else 0.0
 
-    def rsfail_rate(self, kernel: int) -> float:
-        acc = (self.accesses[kernel] + self.writes[kernel]
-               + self.bypasses[kernel])
-        return self.rsfails[kernel] / acc if acc else 0.0
-
 
 class SetAssocCache:
     """Tag store with LRU replacement, reservation (allocate-on-miss)
@@ -113,6 +110,14 @@ class SetAssocCache:
     line to the end (never-touched ways stay at the front in way
     order); and a per-set count of free lines — neither valid nor
     reserved — tells the victim search whether to look for one.
+
+    A set's lines are built when ``reserve`` first indexes it (until
+    then its entry is None and its free count ``assoc``): a run holds
+    only the sets it touches.  Every other method reaches a line
+    through the tag map, so it only ever sees lines of built sets, and
+    a set built in way order is exactly the never-touched set an eager
+    store would hold (docs/PERF.md, "Host memory follows what a run
+    touches").
     """
 
     def __init__(self, config: CacheConfig):
@@ -120,11 +125,9 @@ class SetAssocCache:
         self.num_sets = config.num_sets
         self.assoc = config.assoc
         self.set_index = set_indexer(config)
-        self._sets: List[List[_Line]] = []
-        for _ in range(self.num_sets):
-            lru: List[_Line] = []
-            lru.extend(_Line(lru) for _ in range(self.assoc))
-            self._sets.append(lru)
+        #: per set, its lines least recently used first; None until
+        #: ``reserve`` first indexes the set.
+        self._sets: List[Optional[List[_Line]]] = [None] * self.num_sets
         #: tag -> its valid or reserved line.
         self._lines: Dict[int, _Line] = {}
         #: per set, how many of its lines are neither valid nor reserved.
@@ -134,7 +137,7 @@ class SetAssocCache:
 
     def touch(self, line: _Line) -> None:
         """Make ``line`` the most recently used of its set."""
-        lru = line.lru
+        lru = self._sets[line.set_idx]
         if lru[-1] is not line:
             lru.remove(line)
             lru.append(line)
@@ -147,7 +150,7 @@ class SetAssocCache:
         """Find the line and mark it most-recently-used if valid."""
         line = self._lines.get(line_addr)
         if line is not None and line.valid:
-            lru = line.lru
+            lru = self._sets[line.set_idx]
             if lru[-1] is not line:
                 lru.remove(line)
                 lru.append(line)
@@ -196,6 +199,8 @@ class SetAssocCache:
                                f"reserved")
         idx = self.set_index(line_addr)
         lru = self._sets[idx]
+        if lru is None:
+            lru = self._sets[idx] = [_Line(idx) for _ in range(self.assoc)]
         free = self._free[idx]
         victim = None
         if self.partition is not None:
@@ -244,7 +249,7 @@ class SetAssocCache:
         line = self._lines.get(line_addr)
         if line is not None and line.valid:
             del self._lines[line_addr]
-            self._free[self.set_index(line_addr)] += 1
+            self._free[line.set_idx] += 1
             line.valid = False
             line.tag = -1
             line.dirty = False

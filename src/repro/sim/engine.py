@@ -13,16 +13,18 @@ import copy
 import itertools
 import os
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Union
 
 from repro.config import GPUConfig
 from repro.core.arbiter import SchemeConfig
 from repro.mem.subsystem import MemorySubsystem
-from repro.obs.collector import ObsLike, resolve_obs
 from repro.sim.sm import SleepingSM, StreamingMultiprocessor
 from repro.sim.stats import SM_COUNTERS, KernelStats, RunResult
 from repro.workloads import trace as ktrace
 from repro.workloads.kernel import KernelProfile, ReplayStream
+
+if TYPE_CHECKING:
+    from repro.obs.collector import ObsLike
 
 #: address-space stride separating kernel instances (in lines).
 KERNEL_REGION_LINES = 1 << 40
@@ -145,7 +147,13 @@ class GPU:
                  obs: ObsLike = None):
         if not launches:
             raise ValueError("need at least one kernel launch")
-        self.obs = resolve_obs(obs)
+        if obs is None or obs is False:
+            self.obs = None
+        else:
+            # Only an observed run loads the collector and the
+            # timeline and trace recorders behind it.
+            from repro.obs.collector import resolve_obs
+            self.obs = resolve_obs(obs)
         if reference is None:
             reference = _reference_from_env()
         self.reference = reference

@@ -58,10 +58,12 @@ inside its atomic result cache), chunks are persisted with the same
 temp-file + ``os.replace`` discipline, letting campaign worker
 processes share one compile.
 
-A warp's keys are packed, in memory and on disk: one ``array('q')``
-(8 bytes per memory instruction, no per-key int object) in the chunk
-cache, and base64 of its little-endian int64 bytes inside the chunk
-file's JSON envelope.  The element type is int64 because the streaming
+A warp's keys are packed, in memory and on disk: one array per warp
+(no per-key int object) in the chunk cache, at the width its keys need
+(:func:`key_array`: ``array('i')``, 4 bytes per memory instruction,
+when every key fits in 32 bits, else ``array('q')``), and base64 of
+their little-endian int64 bytes inside the chunk file's JSON envelope.
+The file is int64 whatever the width in memory, because the streaming
 kernels' lines pass 2**31 near warp 32 700 and 2**32 near warp 70 000,
 which a long Table-1 window reaches.
 
@@ -109,8 +111,12 @@ from repro.workloads.kernel import (
 #: per memory instruction instead of its lines.
 TRACE_FORMAT = 3
 
-#: the element type of a warp's packed keys (and of the oracle's lines).
+#: the element type of the oracle's lines, of a chunk file's keys, and
+#: of a warp's keys when one of them needs more than 32 bits.
 LINE_TYPECODE = "q"
+
+#: the element type of a warp's keys when every key fits in 32 bits.
+NARROW_TYPECODE = "i"
 
 #: warps compiled (and persisted) together.  64 warps of a typical
 #: profile are a few hundred KB of arrays — big enough to amortise the
@@ -205,7 +211,7 @@ def live_warp(profile: KernelProfile, warp_index: int,
     def footprint(index: int, count: int, base: int) -> List[int]:
         return [base + line for line in footprints[index]]
 
-    keys = array(LINE_TYPECODE, [~i for i in range(len(footprints))])
+    keys = key_array([~i for i in range(len(footprints))])
     return "".join(codes).encode("ascii"), keys, footprint
 
 
@@ -243,17 +249,28 @@ def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
     return bytes(codes), lines
 
 
+def key_array(keys) -> array:
+    """A warp's keys at the width they need: ``array('i')`` when every
+    key fits in 32 bits, else ``array('q')``."""
+    try:
+        return array(NARROW_TYPECODE, keys)
+    except OverflowError:
+        return array(LINE_TYPECODE, keys)
+
+
 def _pack_keys(keys: array) -> str:
-    """A warp's keys as base64 of little-endian int64."""
+    """A warp's keys as base64 of little-endian int64, whatever their
+    width in memory."""
+    keys = array(LINE_TYPECODE, keys)
     if sys.byteorder == "big":
-        keys = array(LINE_TYPECODE, keys)
         keys.byteswap()
     return b64encode(keys.tobytes()).decode("ascii")
 
 
 def _unpack_keys(text, n_keys: int) -> Optional[array]:
-    """Inverse of :func:`_pack_keys`, or ``None`` unless ``text`` is
-    base64 of exactly ``n_keys`` int64s."""
+    """Inverse of :func:`_pack_keys` (the keys at the width they need),
+    or ``None`` unless ``text`` is base64 of exactly ``n_keys``
+    int64s."""
     if not isinstance(text, str):
         return None
     try:
@@ -265,7 +282,7 @@ def _unpack_keys(text, n_keys: int) -> Optional[array]:
     keys = array(LINE_TYPECODE, raw)
     if sys.byteorder == "big":
         keys.byteswap()
-    return keys
+    return key_array(keys)
 
 
 def configure_disk_cache(path: Optional[str]) -> Optional[str]:
@@ -376,7 +393,7 @@ class KernelTrace:
             if ops:
                 keys.append(first_key(warp_index, rng, reqs))
             ops_per_warp.append(bytes(ops))
-            keys_per_warp.append(array(LINE_TYPECODE, keys))
+            keys_per_warp.append(key_array(keys))
             _OPS_COMPILED.value += len(ops)
         return ops_per_warp, keys_per_warp
 

@@ -2,14 +2,15 @@
 (reservation-failure semantics of paper §2.1), and the indexed tag
 store held to a timestamp-scan reference model."""
 
+import gc
 from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CacheConfig
-from repro.mem.cache import (AccessResult, L1DCache, SetAssocCache,
+from repro.config import MAXWELL_CONFIG, CacheConfig
+from repro.mem.cache import (AccessResult, L1DCache, SetAssocCache, _Line,
                              set_indexer)
 from repro.mem.subsystem import MemRequest
 
@@ -122,12 +123,18 @@ def assert_tag_index_exact(tags):
     """The index holds what the sets hold: the tag map is exactly the
     valid-or-reserved lines under their tags (one line per tag, each in
     the set its tag indexes to), and each set's free count is its
-    number of lines that are neither valid nor reserved."""
+    number of lines that are neither valid nor reserved.  A set no
+    ``reserve`` has indexed is unbuilt and reads as ``assoc``
+    never-touched ways: all free, and no resident tag indexes to it."""
     resident = {}
     for idx, lru in enumerate(tags._sets):
+        if lru is None:
+            assert tags._free[idx] == tags.assoc
+            assert not any(tags.set_index(tag) == idx for tag in tags._lines)
+            continue
         assert len(lru) == tags.assoc
         for line in lru:
-            assert line.lru is lru
+            assert line.set_idx == idx
             assert not (line.valid and line.reserved)
             if line.valid or line.reserved:
                 assert line.tag not in resident
@@ -135,7 +142,8 @@ def assert_tag_index_exact(tags):
                 resident[line.tag] = line
     assert tags._lines == resident
     assert tags._free == [
-        sum(not line.valid and not line.reserved for line in lru)
+        tags.assoc if lru is None
+        else sum(not line.valid and not line.reserved for line in lru)
         for lru in tags._sets]
 
 
@@ -266,6 +274,7 @@ def check_against_timestamp_scans(geometry, xor, quotas, partitioned, ops):
     config = CacheConfig(size_bytes=sets * ways * 128, line_size=128,
                          assoc=ways, mshrs=1, miss_queue=1, xor_index=xor)
     tags, ref = SetAssocCache(config), TimestampTags(config)
+    untouched = [StampedLine() for _ in range(ways)]
     tags.partition = ref.partition = quotas if partitioned else None
     for op, addr, kernel, resident in ops:
         if resident:
@@ -303,9 +312,10 @@ def check_against_timestamp_scans(geometry, xor, quotas, partitioned, ops):
             assert (line_state(getattr(tags, op)(addr))
                     == line_state(getattr(ref, op)(addr)))
         assert tags.occupancy_by_kernel() == ref.occupancy_by_kernel()
-        # LRU order is (last_use, way) order (``sorted`` is stable).
+        # LRU order is (last_use, way) order (``sorted`` is stable); an
+        # unbuilt set is ``ways`` never-touched lines.
         for lru, lines in zip(tags._sets, ref.sets):
-            assert ([line_state(line) for line in lru] == [
+            assert ([line_state(line) for line in lru or untouched] == [
                 line_state(line)
                 for line in sorted(lines, key=lambda ln: ln.last_use)])
     assert_tag_index_exact(tags)
@@ -315,6 +325,77 @@ def check_against_timestamp_scans(geometry, xor, quotas, partitioned, ops):
 @given(run=tag_store_runs(max_ops=80))
 def test_indexed_tags_pick_the_timestamp_scans_victims(run):
     check_against_timestamp_scans(*run)
+
+
+def built_sets(tags):
+    """The indexes of the sets ``reserve`` has built."""
+    return {idx for idx, lru in enumerate(tags._sets) if lru is not None}
+
+
+class TestSetsBuiltOnFirstAllocation:
+    """A tag store holds only the sets a run reserves in."""
+
+    def table1_dc(self):
+        from repro.sim.engine import GPU, make_launches
+        from repro.workloads.profiles import get_profile
+        profile = get_profile("dc")
+        launches = make_launches(
+            [profile], [profile.max_tbs_per_sm(MAXWELL_CONFIG)],
+            MAXWELL_CONFIG)
+        return GPU(MAXWELL_CONFIG, launches)
+
+    def test_a_fresh_table1_gpu_has_no_built_set(self):
+        memory = self.table1_dc().memory
+        assert not built_sets(memory.l2_tags)
+        assert memory.l2_tags._free == [MAXWELL_CONFIG.l2.assoc] * len(
+            memory.l2_tags._sets)
+        assert not any(built_sets(l1.tags) for l1 in memory.l1s)
+
+    def test_a_dc_run_builds_exactly_the_l2_sets_of_its_footprint(self):
+        """Every L2 access probes (a read) or looks up (a write) its
+        line first; the sets built are those lines' sets, no more.  dc's
+        working set is 24 lines: 24 L2 sets, and 24 sets in each L1,
+        from 1 000 cycles through the benchmark's 20 000."""
+        gpu = self.table1_dc()
+        l2 = gpu.memory.l2_tags
+        asked = set()
+        probe, lookup = l2.probe, l2.lookup
+
+        def asking(method):
+            def ask(line_addr):
+                asked.add(line_addr)
+                return method(line_addr)
+            return ask
+
+        l2.probe, l2.lookup = asking(probe), asking(lookup)
+        gpu.run(2000)
+        assert built_sets(l2) == {l2.set_index(line) for line in asked}
+        assert len(built_sets(l2)) == 24
+        assert [len(built_sets(l1.tags)) for l1 in gpu.memory.l1s] == [
+            24] * MAXWELL_CONFIG.num_sms
+        assert_tag_index_exact(l2)
+
+    def test_a_dropped_tag_store_leaves_no_line_to_the_collector(self):
+        """A line records its set's index, so no set is a reference
+        cycle: dropping a store frees its lines at once."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.garbage.clear()
+            tags = SetAssocCache(small_cache_config())
+            for addr in (0, 1, 2):
+                tags.reserve(addr, 0)
+            tags.fill(0)
+            tags.lookup(0)
+            assert built_sets(tags) == {0, 1}
+            del tags
+            gc.collect()
+            assert not [obj for obj in gc.garbage if isinstance(obj, _Line)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
 
 
 class TestL1DCache:

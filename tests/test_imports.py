@@ -76,9 +76,9 @@ def test_importing_a_package_imports_none_of_its_leaves():
 
 def test_the_engine_loads_no_harness_and_no_reporting():
     """The cycle model's import closure stops at the simulator: no
-    harness, no TB partitioner, of ``repro.obs`` only what an observed
-    run records through (collector, stalls, timeline, trace, registry),
-    and no ``hashlib``: trace digests come from ``repro._digest``."""
+    harness, no TB partitioner, of ``repro.obs`` only the stall
+    taxonomy and the counter registry, and no ``hashlib``: trace
+    digests come from ``repro._digest``."""
     done = _fresh(
         "import sys\n"
         "import repro.sim.engine\n"
@@ -95,3 +95,31 @@ def test_the_engine_loads_no_harness_and_no_reporting():
               or m in ("repro.obs.dash", "repro.obs.compare",
                        "repro.obs.ledger", "repro.obs.telemetry")]
     assert not banned, banned
+
+
+def test_an_unobserved_run_loads_no_collector():
+    """The collector, and the timeline and trace recorders behind it,
+    load when a run is observed, not with the engine."""
+    done = _fresh(
+        "import sys\n"
+        "import repro.sim.engine\n"
+        "from repro.config import scaled_config\n"
+        "from repro.sim.engine import GPU, make_launches\n"
+        "from repro.workloads.profiles import get_profile\n"
+        "cfg = scaled_config()\n"
+        "GPU(cfg, make_launches([get_profile('bp')], [2], cfg)).run(200)\n"
+        "print(' '.join(sorted(m for m in sys.modules\n"
+        "                      if m.startswith('repro.obs.'))))\n")
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "repro.obs.stalls" in loaded
+    assert not {"repro.obs.collector", "repro.obs.timeline",
+                "repro.obs.trace"} & set(loaded), loaded
+
+
+def test_signatures_load_no_runner():
+    """``perfbench`` names the runner's types for annotations only."""
+    done = _fresh("import sys\n"
+                  "import repro.harness.perfbench\n"
+                  "assert 'repro.harness.runner' not in sys.modules\n")
+    assert done.returncode == 0, done.stderr

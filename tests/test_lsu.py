@@ -279,9 +279,11 @@ def test_partition_swap_still_voids_the_stall_memo():
 # ``L1DCache.probe_hit``: what issue-through asks before it commits
 # anything (docs/PERF.md s.8).
 def l1_footprint(l1):
-    """Every set's lines in LRU order, the stats and the queue depths."""
+    """Every set's lines in LRU order (None for an unbuilt set), the
+    stats and the queue depths."""
     tags, stats = l1.tags, l1.stats
-    lines = [[(ln.tag, ln.valid, ln.reserved) for ln in lru]
+    lines = [None if lru is None
+             else [(ln.tag, ln.valid, ln.reserved) for ln in lru]
              for lru in tags._sets]
     return (lines, dict(stats.accesses), dict(stats.hits),
             dict(stats.misses), len(l1.miss_queue), len(l1.mshrs))
@@ -302,4 +304,8 @@ def test_probe_hit_is_read_only():
     assert hits == [l1.tags.probe(0), l1.tags.probe(1)]
     assert l1.probe_hit(5) is None and l1.tags.probe(5) is not None
     assert l1.probe_hit(9) is None
+    tags = l1.tags
+    unbuilt = next(line for line in range(4 * tags.num_sets)
+                   if tags._sets[tags.set_index(line)] is None)
+    assert l1.probe_hit(unbuilt) is None  # and builds no set
     assert l1_footprint(l1) == before

@@ -210,9 +210,10 @@ class OneSM:
 
     def lru(self, lines):
         """Each set ``lines`` index to: its lines' tags and validity,
-        least recently used first."""
+        least recently used first (None while the set is unbuilt)."""
         tags = self.l1.tags
-        return {idx: [(ln.tag, ln.valid) for ln in tags._sets[idx]]
+        return {idx: None if tags._sets[idx] is None
+                else [(ln.tag, ln.valid) for ln in tags._sets[idx]]
                 for idx in {tags.set_index(line) for line in lines}}
 
     def state(self, lines):

@@ -6,6 +6,7 @@ the harness wiring that versions the disk directory."""
 import base64
 import dataclasses
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -152,21 +153,21 @@ class TestCompileCorrectness:
     def test_arrays_are_bytes_and_int_lists(self):
         ops, keys = ktrace.get_trace(get_profile("bp"), 0).warp_arrays(0)
         assert type(ops) is bytes
-        assert type(keys) is array and keys.typecode == "q"
+        assert type(keys) is array and keys.typecode == "i"
         assert all(type(key) is int for key in keys)
 
 
 class TestPackedLines:
     def test_lines_are_packed_int64(self, tmp_path):
-        """Every warp of a compiled ks chunk holds one 8-byte key per
+        """Every warp of a compiled ks chunk holds one 4-byte key per
         memory instruction; a warp far enough out that its lines pass
-        2**32 survives the disk round trip."""
+        2**32 holds 8-byte keys and survives the disk round trip."""
         profile = get_profile("ks")
         trace = ktrace.get_trace(profile, 0)
         header = sys.getsizeof(array("q"))
         for warp_index in range(ktrace.CHUNK_WARPS):
             keys = trace.warp_arrays(warp_index)[1]
-            assert keys.itemsize == 8
+            assert keys.itemsize == 4
             assert len(keys) == profile.iters_per_warp
             assert sys.getsizeof(keys) <= 8 * len(keys) + header
 
@@ -175,10 +176,60 @@ class TestPackedLines:
         expected = live_call_order(profile, far, 0)
         assert max(expected[1]) > 1 << 32
         assert compiled(profile, far, 0) == expected
+        assert ktrace.get_trace(profile, 0).warp_arrays(far)[1].itemsize == 8
         ktrace.clear_memory_cache()
         hits0 = ktrace._DISK_HITS.value
         assert compiled(profile, far, 0) == expected
         assert ktrace._DISK_HITS.value == hits0 + 1
+
+
+#: (keys' typecode in memory, sha256 of the chunk file) of two ks
+#: chunks at seed 0: chunk 0 and chunk 1093, which holds warp 70 000.
+#: The file encodes keys as int64 whatever their width in memory, so
+#: these move only with the ks profile or ``TRACE_FORMAT``.
+KS_CHUNK_FILES = {
+    0: ("i", "9564cc0926a05120e3a36c395423141a"
+             "71a45de5415a38a517d4cac0ba9976f1"),
+    1093: ("q", "2ffdf54ce01547ce42acd7c362c2fcbf"
+                "ff1d83bba460aa300abdd3c37a07d3bc"),
+}
+
+
+class TestKeyWidth:
+    @pytest.mark.parametrize("keys,typecode", [
+        ([0, 2**31 - 1], "i"),
+        ([0, 2**31], "q"),
+        ([~0, ~(2**31 - 1)], "i"),  # wrapped keys ~first
+        ([~(2**31)], "q"),
+        ([], "i"),
+    ], ids=["max-narrow", "min-wide", "wrapped-narrow", "wrapped-wide",
+            "empty"])
+    def test_keys_are_stored_at_the_width_they_need(self, keys, typecode):
+        """Narrow when every key fits in 32 bits, and int64 on disk
+        either way; the unpacked keys are as wide as the packed ones."""
+        packed = ktrace.key_array(keys)
+        assert packed.typecode == typecode and list(packed) == keys
+        text = ktrace._pack_keys(packed)
+        assert len(base64.b64decode(text)) == 8 * len(keys)
+        unpacked = ktrace._unpack_keys(text, len(keys))
+        assert unpacked.typecode == typecode and unpacked == packed
+
+    def test_chunk_files_are_int64_at_either_width(self, tmp_path):
+        """A chunk of narrow keys and one of wide keys write the bytes
+        the int64 encoding always wrote, and reload at their width."""
+        ktrace.configure_disk_cache(str(tmp_path))
+        profile = get_profile("ks")
+        for chunk, (typecode, digest) in KS_CHUNK_FILES.items():
+            warp = chunk * ktrace.CHUNK_WARPS
+            keys = ktrace.get_trace(profile, 0).warp_arrays(warp)[1]
+            assert keys.typecode == typecode
+            (path,) = tmp_path.glob(f"*-s0-c{chunk}.json")
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+            ktrace.clear_memory_cache()
+            hits0 = ktrace._DISK_HITS.value
+            reloaded = ktrace.get_trace(profile, 0).warp_arrays(warp)[1]
+            assert ktrace._DISK_HITS.value == hits0 + 1
+            assert reloaded.typecode == typecode and reloaded == keys
 
 
 def replay_lines(stream):
