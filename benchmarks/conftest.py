@@ -11,12 +11,13 @@ Scheme sweeps fan their grids over worker processes;
 ``repro.harness.parallel``).
 """
 
+import dataclasses
 import os
 
 import pytest
 
 from repro.config import scaled_config
-from repro.harness.runner import ExperimentRunner, RunnerSettings
+from repro.harness.runner import BUDGETS, ExperimentRunner, RunnerSettings
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 if not SCALE > 0:
@@ -25,11 +26,14 @@ CACHE_DIR = os.path.join(os.path.dirname(__file__), "..", ".repro_cache")
 
 
 def bench_settings(scale: float = 1.0) -> RunnerSettings:
+    """The ``bench`` budget, scaled by ``REPRO_BENCH_SCALE * scale``."""
     factor = SCALE * scale
-    return RunnerSettings(
-        iso_cycles=int(6000 * factor),
-        curve_cycles=int(4000 * factor),
-        concurrent_cycles=int(8000 * factor),
+    bench = BUDGETS["bench"]
+    return dataclasses.replace(
+        bench,
+        iso_cycles=int(bench.iso_cycles * factor),
+        curve_cycles=int(bench.curve_cycles * factor),
+        concurrent_cycles=int(bench.concurrent_cycles * factor),
     )
 
 

@@ -3,25 +3,24 @@
 Commands
 --------
 
-``run A B [--scheme S] [--cycles N] [--obs] [--trace OUT.json]
-[--phase-interval N] [--artifacts DIR]``
+``run A B [--scheme S] [--cycles N] [--obs] [--trace OUT.json
+[--issue-sample N] [--mem-sample N]] [--phase-interval N]
+[--artifacts DIR]``
     One concurrent workload under one scheme.  ``--obs`` appends the
-    stall-attribution breakdown; ``--trace`` also records a Chrome
-    trace (Perfetto-loadable) of the run; ``--phase-interval`` samples
-    interval time-series + the mechanism-adaptation event log;
-    ``--artifacts`` writes a versioned run-artifact JSON to DIR.
-``stalls A B [--scheme S] [--cycles N]``
-    Per-kernel stall-attribution breakdown (the paper's Figure 3
+    per-kernel stall-attribution breakdown (the paper's Figure 3
     methodology): where every scheduler issue slot went, and which L1D
-    resource each LSU stall cycle waited on.
-``trace A B OUT.json [--scheme S] [--cycles N]``
-    Record a concurrent run as Chrome trace-event JSON — open in
-    Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+    resource each LSU stall cycle waited on.  ``--trace`` also records
+    the run as Chrome trace-event JSON — open in Perfetto
+    (https://ui.perfetto.dev) or ``chrome://tracing``;
+    ``--phase-interval`` samples interval time-series + the
+    mechanism-adaptation event log; ``--artifacts`` writes a versioned
+    run-artifact JSON to DIR.  Each of the three implies ``--obs``.
 ``report OUT.md [--quick]``
     Every paper table, figure and study of the figure registry
     (``repro.harness.experiments.FIGURES``) with its paper-shape
-    verdicts, written to a markdown file.  ``--quick`` runs on short
-    cycle budgets and skips the workloads×schemes grids.
+    verdicts, written to a markdown file.  ``--quick`` runs on the short
+    ``quick`` cycle budget (``repro.harness.runner.BUDGETS``) and
+    skips the workloads×schemes grids.
 ``campaign A,B [C,D ...] [--schemes S1,S2] [--workers N] [--progress]
 [--obs] [--phase-interval N] [--artifacts DIR] [--timeout S]
 [--retries N] [--backoff S] [--resume] [--fault-plan PLAN.json]
@@ -125,21 +124,16 @@ def _scaled_runner(settings=None, cache_dir=None):
 
 
 def _obs_options(args):
-    """Resolve the observability request of a run-like command."""
+    """Resolve the observability request of ``run``: any of ``--obs``,
+    ``--trace``, ``--phase-interval`` or ``--artifacts`` observes."""
     from repro.obs import ObsOptions
-    kwargs = {}
-    phase_interval = getattr(args, "phase_interval", None)
-    if phase_interval:
-        kwargs["phase"] = True
-        kwargs["phase_interval"] = phase_interval
-    if getattr(args, "trace", None):
-        return ObsOptions(trace=True,
-                          trace_issue_sample=args.issue_sample,
-                          trace_mem_sample=args.mem_sample, **kwargs)
-    if kwargs or getattr(args, "obs", False) \
-            or getattr(args, "artifacts", None):
-        return ObsOptions(**kwargs)
-    return None
+    if not (args.obs or args.trace or args.phase_interval
+            or args.artifacts):
+        return None
+    return ObsOptions(trace=bool(args.trace),
+                      trace_issue_sample=args.issue_sample,
+                      trace_mem_sample=args.mem_sample,
+                      phase_interval=args.phase_interval)
 
 
 def _bad_names(kernels, schemes) -> bool:
@@ -222,7 +216,7 @@ def cmd_run(args) -> int:
             git_sha=ledger.current_git_sha())
         paths = ledger.write_artifacts(args.artifacts, [artifact])
         print(f"artifact written to {paths[0]}")
-    if getattr(args, "trace", None):
+    if args.trace:
         report.write_trace(args.trace)
         print(f"\ntrace written to {args.trace} "
               f"({len(report.trace_events)} events, "
@@ -230,55 +224,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_stalls(args) -> int:
-    from repro.obs import format_stall_report
-    from repro.workloads.mixes import mix
-    if _bad_names((args.a, args.b), (args.scheme,)):
-        return 2
-    runner = _scaled_runner()
-    try:
-        outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
-                                 cycles=args.cycles, obs=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"workload {outcome.mix_name} ({outcome.mix_class}) "
-          f"under {outcome.scheme}")
-    print(format_stall_report(outcome.result.obs))
-    return 0
-
-
-def cmd_trace(args) -> int:
-    from repro.obs import ObsOptions
-    from repro.workloads.mixes import mix
-    if _bad_names((args.a, args.b), (args.scheme,)):
-        return 2
-    runner = _scaled_runner()
-    options = ObsOptions(trace=True,
-                         trace_issue_sample=args.issue_sample,
-                         trace_mem_sample=args.mem_sample)
-    try:
-        outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
-                                 cycles=args.cycles, obs=options)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = outcome.result.obs
-    report.write_trace(args.out)
-    print(f"trace written to {args.out} "
-          f"({len(report.trace_events)} events, "
-          f"{report.trace_dropped} dropped) — open in Perfetto "
-          f"(https://ui.perfetto.dev) or chrome://tracing")
-    return 0
-
-
 def cmd_report(args) -> int:
     from repro.harness.reporting import write_report
-    from repro.harness.runner import RunnerSettings
-    settings = (RunnerSettings(iso_cycles=3000, curve_cycles=2000,
-                               concurrent_cycles=4000)
-                if args.quick else None)
-    runner = _scaled_runner(settings)
+    from repro.harness.runner import BUDGETS
+    runner = _scaled_runner(BUDGETS["quick" if args.quick else "report"])
     write_report(args.out, runner, include_sweeps=not args.quick)
     print(f"report written to {args.out}")
     return 0
@@ -443,25 +392,6 @@ def main(argv=None) -> int:
                      help="write a versioned run-artifact JSON under DIR "
                           "(implies --obs)")
     run.set_defaults(fn=cmd_run)
-
-    stalls = sub.add_parser("stalls")
-    stalls.add_argument("a")
-    stalls.add_argument("b")
-    stalls.add_argument("--scheme", default="ws-dmil")
-    stalls.add_argument("--cycles", type=POSITIVE_INT, default=None)
-    stalls.set_defaults(fn=cmd_stalls)
-
-    trace = sub.add_parser("trace")
-    trace.add_argument("a")
-    trace.add_argument("b")
-    trace.add_argument("out", metavar="OUT.json")
-    trace.add_argument("--scheme", default="ws-dmil")
-    trace.add_argument("--cycles", type=POSITIVE_INT, default=None)
-    trace.add_argument("--issue-sample", type=POSITIVE_INT, default=16,
-                       help="record every Nth warp-issue slice (default 16)")
-    trace.add_argument("--mem-sample", type=POSITIVE_INT, default=4,
-                       help="trace every Nth memory request (default 4)")
-    trace.set_defaults(fn=cmd_trace)
 
     report = sub.add_parser("report")
     report.add_argument("out")

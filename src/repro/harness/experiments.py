@@ -614,7 +614,7 @@ def figure6_timelines(runner: ExperimentRunner, a: str = "bp", b: str = "sv",
                       interval: int = 1000,
                       cycles: Optional[int] = None) -> Dict[str, List[int]]:
     """L1D requests per interval: each kernel alone, then concurrent."""
-    obs = ObsOptions(phase=True, phase_interval=interval)
+    obs = ObsOptions(phase_interval=interval)
     pa, pb = mix(a, b).profiles
     iso_a = runner.isolated_result(pa, cycles=cycles, obs=obs)
     iso_b = runner.isolated_result(pb, cycles=cycles, obs=obs)
@@ -657,7 +657,7 @@ def figure8_issue_timelines(runner: ExperimentRunner, a: str = "bp",
                             ) -> Dict[str, Dict[str, object]]:
     """Warp instructions issued per interval and normalized IPC under
     WS, WS-RBMI and WS-QBMI (paper Figure 8)."""
-    obs = ObsOptions(phase=True, phase_interval=interval)
+    obs = ObsOptions(phase_interval=interval)
     out: Dict[str, Dict[str, object]] = {}
     for scheme in ("ws", "ws-rbmi", "ws-qbmi"):
         outcome = runner.run_mix(mix(a, b), scheme, cycles=cycles, obs=obs)

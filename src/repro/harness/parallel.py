@@ -21,8 +21,8 @@ is written atomically (temp file + ``os.replace`` — see ``runner.py``)
 so concurrent workers cannot corrupt records.
 
 There is one dispatcher, :func:`repro.harness.resilience.run_jobs_resilient`
-(dedup, journal replay, parent-cache probe, cost ordering, worker
-processes or the in-process loop, retry/quarantine accounting).
+(dedup, journal replay, parent-cache probe, worker processes or the
+in-process loop, retry/quarantine accounting).
 :func:`run_jobs` here is its plain-policy spelling (and
 ``run_campaign_resilient(runner, ..., policy=PLAIN)[0]`` the campaign
 one): no timeout, no retries, no quarantine, no journal — the first
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.cke.warped_slicer import ScalabilityCurve
 from repro.harness.runner import ExperimentRunner, IsoRecord, RunnerSettings
@@ -121,7 +121,7 @@ def execute_job(runner: ExperimentRunner, job: Job):
         obs: object = job.obs or None
         if job.phase_interval:
             from repro.obs.collector import ObsOptions
-            obs = ObsOptions(phase=True, phase_interval=job.phase_interval)
+            obs = ObsOptions(phase_interval=job.phase_interval)
         return runner.run_mix(mix, job.scheme, cycles=job.cycles, obs=obs)
     raise TypeError(f"unknown job type {type(job).__name__}")
 
@@ -224,64 +224,18 @@ def _job_cycles(runner: ExperimentRunner, job: Job) -> int:
 
 
 # ----------------------------------------------------------------------
-# ledger-informed job ordering
-def job_cost_key(job: Job) -> Optional[Tuple[str, str]]:
-    """The ledger ``(workload, scheme)`` key a job's cost hint lives
-    under, or None for job types the ledger does not record."""
-    if isinstance(job, MixJob):
-        return "+".join(job.kernels), job.scheme
-    return None
-
-
-def ledger_cost_hints(artifacts_path: str) -> Dict[Tuple[str, str], float]:
-    """Per-cell expected-cost hints from a prior campaign's run
-    artifacts: ``(workload, scheme) -> cost``.
-
-    Cost is the artifact's simulated-cycle budget scaled by its
-    measured activity (``1 + total_ipc``) — a deterministic wall-clock
-    proxy that needs no timing fields: a cell simulating more cycles,
-    or doing more work per cycle, takes a worker longer.  Missing or
-    unreadable artifacts simply yield no hint.
-    """
-    from repro.obs import ledger
-    hints: Dict[Tuple[str, str], float] = {}
-    for key, artifact in ledger.load_artifacts(artifacts_path).items():
-        cycles = artifact.get("cycles") or 0
-        metrics = artifact.get("metrics") or {}
-        ipc = metrics.get("total_ipc") or 0.0
-        hints[key] = float(cycles) * (1.0 + float(ipc))
-    return hints
-
-
-def _order_by_cost(pending: List[Job],
-                   cost_hints: Dict[Tuple[str, str], float]) -> List[Job]:
-    """Longest-expected-first (LPT) dispatch order.  A long cell
-    dispatched last leaves the pool tail-bound on one worker; front-
-    loading the expensive cells packs the workers tighter.  The sort is
-    stable with unknown-cost jobs at 0, so unhinted batches keep their
-    input order exactly — and results are returned in input order
-    regardless (ordering only moves dispatch)."""
-    indexed = list(enumerate(pending))
-    indexed.sort(key=lambda pair: (
-        -cost_hints.get(job_cost_key(pair[1]) or ("", ""), 0.0), pair[0]))
-    return [job for _i, job in indexed]
-
-
-# ----------------------------------------------------------------------
 # the plain-policy spellings of the one dispatcher
 def run_jobs(runner: ExperimentRunner, jobs: Sequence[Job],
              workers: Optional[int] = None,
-             progress: Optional[ProgressFn] = None,
-             cost_hints: Optional[Dict[Tuple[str, str], float]] = None
-             ) -> List:
+             progress: Optional[ProgressFn] = None) -> List:
     """Execute ``jobs`` under the plain policy and return their results
     in input order — see
     :func:`repro.harness.resilience.run_jobs_resilient` for dedup,
-    cache probing, ``progress`` heartbeats and ``cost_hints`` ordering.
-    A failing job raises :class:`~repro.harness.resilience.JobError`."""
+    cache probing and ``progress`` heartbeats.  A failing job raises
+    :class:`~repro.harness.resilience.JobError`."""
     from repro.harness.resilience import PLAIN, run_jobs_resilient
     return run_jobs_resilient(runner, jobs, policy=PLAIN, workers=workers,
-                              progress=progress, cost_hints=cost_hints)[0]
+                              progress=progress)[0]
 
 
 def campaign_jobs(mixes: Sequence[WorkloadMix], schemes: Sequence[str],

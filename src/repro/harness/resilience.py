@@ -487,7 +487,7 @@ class ResilienceReport:
 
     A plain class with per-instance state: the report is built
     parent-side and handed back to the caller, never shared through
-    the class object (REPRO-R002 discipline).
+    the class object.
     """
 
     def __init__(self, cells: Optional[Dict[str, CellReport]] = None):
@@ -943,9 +943,8 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                        journal: Optional[CampaignJournal] = None,
                        resume: bool = False,
                        fault_plan: Optional[str] = None,
-                       report: Optional[ResilienceReport] = None,
-                       cost_hints: Optional[Dict[Tuple[str, str], float]]
-                       = None) -> Tuple[List, ResilienceReport]:
+                       report: Optional[ResilienceReport] = None
+                       ) -> Tuple[List, ResilienceReport]:
     """The dispatcher: execute ``jobs`` under ``policy`` (default
     ``ResiliencePolicy()``) and return ``(results, report)`` with
     results in input order.
@@ -954,15 +953,13 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
     replays its verified checkpoints (``resume=False`` resets it) and
     every cell that completes or is quarantined is checkpointed.  Jobs
     the parent runner's in-memory caches already answer are never
-    dispatched.  What remains runs on worker processes or in-process
-    (:func:`_worker_count`), longest-expected-first when ``cost_hints``
-    (see :func:`repro.harness.parallel.ledger_cost_hints`) are given —
-    results are bit-identical with or without hints, ordering only
-    moves dispatch.  A failed attempt is retried with exponential
-    backoff; a cell out of budget is quarantined (a
-    :class:`Quarantined` placeholder in its slot) or, without
-    quarantine, raised as :class:`JobError`.  ``IsoJob`` / ``CurveJob``
-    results are installed into ``runner``'s in-memory caches.
+    dispatched.  What remains is dispatched in input order to worker
+    processes or run in-process (:func:`_worker_count`).  A failed
+    attempt is retried with exponential backoff; a cell out of budget
+    is quarantined (a :class:`Quarantined` placeholder in its slot)
+    or, without quarantine, raised as :class:`JobError`.  ``IsoJob`` /
+    ``CurveJob`` results are installed into ``runner``'s in-memory
+    caches.
 
     ``progress`` receives one :class:`JobHeartbeat` per settled unique
     job (plus ``retry`` beats) from the dispatching thread; results are
@@ -1000,8 +997,6 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                 index=len(results), total=total, label=_par._job_label(job),
                 duration_s=0.0, sim_cycles=_par._job_cycles(runner, job),
                 cache_hit=True, event="resumed" if resumed else "done"))
-    if cost_hints and len(pending) > 1:
-        pending = _par._order_by_cost(pending, cost_hints)
     prior_plan = os.environ.get(FAULT_PLAN_ENV)
     if fault_plan is not None:
         os.environ[FAULT_PLAN_ENV] = fault_plan
@@ -1075,9 +1070,7 @@ def run_campaign_resilient(runner: ExperimentRunner,
     that were retried or resumed carry per-cell provenance, and a
     journalled campaign adds the index's ``campaign`` block
     (``retries`` / ``quarantined`` / ``resumed`` / ``journal``); a
-    fault-free campaign without a journal writes neither.  When the
-    directory already holds artifacts from a prior campaign, their
-    per-cell costs order this one's dispatch longest-first.
+    fault-free campaign without a journal writes neither.
     """
     policy = policy or ResiliencePolicy()
     if journal_path is None and (policy.isolates or resume):
@@ -1093,15 +1086,12 @@ def run_campaign_resilient(runner: ExperimentRunner,
         runner, _par.shared_input_jobs(mixes, schemes), policy=policy,
         workers=workers, progress=progress, journal=journal,
         resume=True, fault_plan=fault_plan)
-    cost_hints = None
-    if artifacts_dir and os.path.isdir(artifacts_dir):
-        cost_hints = _par.ledger_cost_hints(artifacts_dir)
     cells = _par.campaign_jobs(mixes, schemes, cycles, obs=obs,
                                phase_interval=phase_interval)
     outcomes, report = run_jobs_resilient(
         runner, cells, policy=policy, workers=workers,
         progress=progress, journal=journal, resume=True,
-        fault_plan=fault_plan, report=report, cost_hints=cost_hints)
+        fault_plan=fault_plan, report=report)
     if artifacts_dir:
         from repro.obs import ledger
         sha = ledger.current_git_sha()

@@ -66,6 +66,19 @@ class RunnerSettings:
     seed: int = 0
 
 
+#: the named cycle budgets: ``quick`` is ``repro report --quick``,
+#: ``bench`` the figure bench's (``benchmarks/conftest.py``, scaled by
+#: ``REPRO_BENCH_SCALE``; EXPERIMENTS.md's numbers) and ``report`` the
+#: ``RunnerSettings`` defaults, what ``repro report`` runs.
+BUDGETS: Dict[str, RunnerSettings] = {
+    "quick": RunnerSettings(iso_cycles=3000, curve_cycles=2000,
+                            concurrent_cycles=4000),
+    "bench": RunnerSettings(iso_cycles=6000, curve_cycles=4000,
+                            concurrent_cycles=8000),
+    "report": RunnerSettings(),
+}
+
+
 @dataclass
 class IsoRecord:
     """Cached scalars from one isolated run."""
@@ -375,8 +388,8 @@ class ExperimentRunner:
                 obs=None) -> WorkloadOutcome:
         """Run one workload under one scheme and compute the metrics.
 
-        ``obs`` enables observability for the concurrent run (``True``,
-        an ``ObsOptions`` or an ``Observability``); the outcome's
+        ``obs`` enables observability for the concurrent run (``True``
+        or an ``ObsOptions``); the outcome's
         ``result.obs`` then carries the stall/trace report."""
         if scheme.lower().startswith("dws"):
             if obs:

@@ -62,8 +62,8 @@ _EXPORTS = {
     **dict.fromkeys(("CampaignTelemetry", "JobHeartbeat"),
                     "repro.obs.telemetry"),
     **dict.fromkeys(("ADAPT_MECHANISMS", "ADAPT_MIL", "ADAPT_QBMI",
-                     "AdaptEvent", "DEFAULT_PHASE_INTERVAL", "PhaseSampler",
-                     "adapt_events_from_record", "merge_phase_records"),
+                     "AdaptEvent", "PhaseSampler", "adapt_events_from_record",
+                     "merge_phase_records"),
                     "repro.obs.timeline"),
     "TraceRecorder": "repro.obs.trace",
 }

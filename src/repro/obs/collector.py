@@ -30,7 +30,6 @@ from repro.obs.stalls import StallTable
 from repro.obs.timeline import (
     ADAPT_MIL,
     ADAPT_QBMI,
-    DEFAULT_PHASE_INTERVAL,
     PhaseSampler,
     merge_phase_records,
 )
@@ -51,10 +50,9 @@ class ObsOptions:
     #: hard cap on buffered trace events.
     trace_max_events: int = DEFAULT_MAX_EVENTS
     #: record interval time-series + the adaptation event log
-    #: (:mod:`repro.obs.timeline`).
-    phase: bool = False
-    #: sampling interval in cycles for the phase sampler.
-    phase_interval: int = DEFAULT_PHASE_INTERVAL
+    #: (:mod:`repro.obs.timeline`) every this many cycles; ``None``
+    #: runs no phase sampler.
+    phase_interval: Optional[int] = None
 
 
 class Observability:
@@ -67,7 +65,7 @@ class Observability:
         #: loops; timestamps the adaptation event log.
         self.cycle = 0
         self.sampler: Optional[PhaseSampler] = None
-        if self.options.phase:
+        if self.options.phase_interval is not None:
             self.sampler = PhaseSampler(self.options.phase_interval)
         self.trace: Optional[TraceRecorder] = None
         if self.options.trace:
@@ -324,20 +322,17 @@ class ObsReport:
 
 
 #: accepted spellings for "turn observability on" at API boundaries.
-ObsLike = Union[None, bool, ObsOptions, Observability]
+ObsLike = Union[None, bool, ObsOptions]
 
 
 def resolve_obs(obs: ObsLike) -> Optional[Observability]:
     """Normalise the ``obs=`` argument accepted by the engine/runner:
     ``None``/``False`` → off, ``True`` → default options, an
-    :class:`ObsOptions` → fresh collector, an :class:`Observability` →
-    used as-is."""
+    :class:`ObsOptions` → a fresh collector with those options."""
     if obs is None or obs is False:
         return None
     if obs is True:
         return Observability()
     if isinstance(obs, ObsOptions):
         return Observability(obs)
-    if isinstance(obs, Observability):
-        return obs
     raise TypeError(f"cannot interpret obs={obs!r}")

@@ -163,7 +163,7 @@ def _share_row(label: str, counts: Dict[str, int], reasons: Iterable[str],
 
 def format_stall_report(report) -> str:
     """Human-readable per-kernel stall breakdown for an
-    :class:`~repro.obs.collector.ObsReport` (the ``stalls`` CLI)."""
+    :class:`~repro.obs.collector.ObsReport` (``repro run --obs``)."""
     stalls = report.stall_table()
     lines: List[str] = []
     issue_slots = report.issue_slots()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, List, Optional
 
 
@@ -208,12 +208,3 @@ class CampaignTelemetry:
             bits.append(f"{rate / 1e3:.0f}k sim-cycles/s per worker")
         return "campaign: " + ", ".join(bits)
 
-
-@dataclass
-class NullTelemetry:
-    """Progress sink that only counts (for tests / quiet embedding)."""
-
-    heartbeats: List[JobHeartbeat] = field(default_factory=list)
-
-    def __call__(self, beat: JobHeartbeat) -> None:
-        self.heartbeats.append(beat)

@@ -48,9 +48,6 @@ from repro.obs.stalls import (
     SCHED_STALL_REASONS,
 )
 
-#: default sampling interval in core cycles.
-DEFAULT_PHASE_INTERVAL = 256
-
 #: bump when the phase-record schema changes (see ``docs/TELEMETRY.md``).
 PHASE_RECORD_VERSION = 1
 
@@ -115,7 +112,7 @@ class PhaseSampler:
     later final report re-measures the (longer) tail correctly.
     """
 
-    def __init__(self, interval: int = DEFAULT_PHASE_INTERVAL):
+    def __init__(self, interval: int):
         if interval < 1:
             raise ValueError("phase interval must be positive")
         self.interval = interval

@@ -129,9 +129,8 @@ class GPU:
     are built, and nowhere else: both machines run through the same
     cycle loop (:meth:`_run_cycles`).
 
-    ``obs`` enables the observability layer (``True``, an
-    :class:`~repro.obs.ObsOptions`, or a prepared
-    :class:`~repro.obs.Observability`) on whichever machine
+    ``obs`` enables the observability layer (``True`` or an
+    :class:`~repro.obs.ObsOptions`) on whichever machine
     ``reference`` selects: it is orthogonal to the switch.  The
     production machine observes itself exactly — cycles it does not
     execute one by one (scheduler skips, autopilot bursts, SM sleeps,

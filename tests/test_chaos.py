@@ -24,7 +24,7 @@ from repro.harness.resilience import (FaultPlan, FaultSpec, Quarantined,
                                       default_journal_path,
                                       run_campaign_resilient)
 from repro.harness.runner import ExperimentRunner, RunnerSettings
-from repro.obs.telemetry import NullTelemetry
+from repro.obs.telemetry import CampaignTelemetry
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
 
@@ -154,7 +154,7 @@ def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
 
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    telemetry = NullTelemetry()
+    telemetry = CampaignTelemetry(quiet=True)
     outcomes, report = run_campaign_resilient(
         fresh, [make_mix()], ["ws"], workers=2, resume=True,
         progress=telemetry)
@@ -182,7 +182,7 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
 
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    telemetry = NullTelemetry()
+    telemetry = CampaignTelemetry(quiet=True)
     outcomes, report = run_campaign_resilient(
         fresh, [make_mix()], ["ws"], workers=2, resume=True,
         progress=telemetry)

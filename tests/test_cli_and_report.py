@@ -12,9 +12,6 @@ BAD_NUMBERS = [
     ("run bp cd --phase-interval 0", "--phase-interval"),
     ("run bp cd --trace t.json --issue-sample 0", "--issue-sample"),
     ("run bp cd --trace t.json --mem-sample -1", "--mem-sample"),
-    ("stalls bp cd --cycles 0", "--cycles"),
-    ("trace bp cd t.json --cycles 0", "--cycles"),
-    ("trace bp cd t.json --issue-sample 0", "--issue-sample"),
     ("campaign bp,cd --schemes even --phase-interval -5 --workers 1",
      "--phase-interval"),
     ("campaign bp,cd --schemes even --phase-interval -5 --workers 1 "
@@ -77,22 +74,26 @@ class TestCLI:
         assert "issued=" in out
 
     def test_stalls_command(self, capsys):
-        assert main(["stalls", "st", "sv", "--scheme", "even",
-                     "--cycles", "1200"]) == 0
+        """``run --obs`` is the one spelling of the per-kernel stall
+        breakdown."""
+        assert main(["run", "st", "sv", "--scheme", "even",
+                     "--cycles", "1200", "--obs"]) == 0
         out = capsys.readouterr().out
         assert "scheduler issue-slot breakdown" in out
         assert "st#0" in out and "sv#1" in out
 
     def test_stalls_rejects_dws(self, capsys):
-        assert main(["stalls", "st", "sv", "--scheme", "dws",
-                     "--cycles", "600"]) == 2
+        assert main(["run", "st", "sv", "--scheme", "dws",
+                     "--cycles", "600", "--obs"]) == 2
         assert "dynamic Warped-Slicer" in capsys.readouterr().err
 
     def test_trace_command_writes_chrome_json(self, tmp_path, capsys):
+        """``run --trace`` is the one spelling of the Chrome trace
+        export."""
         import json
         out_path = tmp_path / "trace.json"
-        assert main(["trace", "st", "sv", str(out_path), "--scheme", "even",
-                     "--cycles", "1200"]) == 0
+        assert main(["run", "st", "sv", "--scheme", "even",
+                     "--cycles", "1200", "--trace", str(out_path)]) == 0
         assert "trace written" in capsys.readouterr().out
         obj = json.loads(out_path.read_text())
         assert obj["traceEvents"]
@@ -124,10 +125,7 @@ class TestCLI:
     @pytest.mark.parametrize("command", [
         "run bp zz",
         "run bp cd --scheme nope",
-        "stalls bp zz",
-        "stalls bp cd --scheme ws-nope",
-        "trace zz bp trace.json",
-        "trace bp cd trace.json --scheme smk-x",
+        "run bp cd --scheme smk-x --trace trace.json",
         "campaign bp,zz --schemes ws --cache c",
         "campaign bp,cd --schemes ws,nope --cache c",
         "campaign bp,zz --schemes ws --cache c --retries 1",
@@ -322,4 +320,14 @@ assert "repro._digest" in sys.modules
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["stalls st sv",
+                                         "trace st sv t.json"])
+    def test_observed_runs_have_one_spelling(self, command, capsys):
+        """The stall breakdown and the Chrome trace are ``run --obs``
+        and ``run --trace``; no subcommand spells them twice."""
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 

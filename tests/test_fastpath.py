@@ -235,7 +235,7 @@ def test_observed_production_report_equals_observed_oracle(
     wherever the unobserved one does, so the batching cannot silently
     stop engaging."""
     def options():
-        return ObsOptions(phase=True, phase_interval=256)
+        return ObsOptions(phase_interval=256)
 
     oracle_gpu, oracle = run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
                                  reference=True, obs=options())
@@ -291,7 +291,7 @@ def test_mil_capped_sleep_is_exact_and_engages(kernels, tbs, scheme_kwargs,
     SMs do sleep through MIL-capped stretches — observed exactly as
     unobserved — and the oracle never does."""
     def options():
-        return ObsOptions(phase=True, phase_interval=256)
+        return ObsOptions(phase_interval=256)
 
     oracle_gpu, oracle = run_gpu(kernels, tbs, scheme_kwargs, cfg_kwargs,
                                  reference=True, obs=options())
@@ -340,7 +340,7 @@ def assert_split_run_equals_one_run(kernels, scheme_kwargs, policy, cause):
     def gpu(**kwargs):
         return build_gpu(kernels, (4, 4), scheme_kwargs,
                          scaled_config(scheduler_policy=policy),
-                         obs=ObsOptions(phase=True, phase_interval=100),
+                         obs=ObsOptions(phase_interval=100),
                          **kwargs)
 
     split = gpu()
@@ -597,6 +597,10 @@ def test_oracle_sms_never_raise_their_sleep_horizon(obs):
     assert not any(seen)
     assert all(sm._sleep_until == 0 for sm in gpu.sms)
     assert result.lsu_stall_cycles > 0
+    if obs is not None:
+        # The sampler ran, on its interval, to the end of the run.
+        sampled = result.obs.phases[0]["series"]["cycle"]
+        assert sampled[0] == obs.phase_interval and sampled[-1] == CYCLES
 
 
 def test_stall_sleep_stays_out_of_bypass_and_oracle_runs():

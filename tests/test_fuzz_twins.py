@@ -132,7 +132,7 @@ def test_observed_production_equals_observed_oracle(kernels, tbs, scheme,
     def run(reference, pieces):
         launches = make_launches([get_profile(k) for k in kernels],
                                  list(tbs[:len(kernels)]), config, seed=seed)
-        obs = (ObsOptions(phase=True, phase_interval=interval)
+        obs = (ObsOptions(phase_interval=interval)
                if interval else True)
         gpu = GPU(config, launches, SchemeConfig(**scheme),
                   reference=reference, obs=obs)
@@ -189,7 +189,7 @@ def test_mil_capped_production_equals_oracle(kernels, tbs, kind, limits,
                                  list(tbs[:len(kernels)]), config, seed=seed)
         gpu = GPU(config, launches, SchemeConfig(**scheme),
                   reference=reference,
-                  obs=ObsOptions(phase=True, phase_interval=100)
+                  obs=ObsOptions(phase_interval=100)
                   if observed else None)
         for piece in pieces:
             result = gpu.run(piece)

@@ -193,75 +193,10 @@ def test_corrupt_disk_cache_record_is_recomputed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# ledger-informed dispatch ordering
-def _fake_artifacts(tmp_path, cells):
-    """Write a minimal-but-valid artifact set: one per (workload,
-    scheme, cycles, total_ipc) cell."""
-    from repro.obs import ledger
-    artifacts = [{
-        "artifact_version": ledger.ARTIFACT_VERSION,
-        "workload": workload,
-        "scheme": scheme,
-        "cycles": cycles,
-        "metrics": {"total_ipc": ipc},
-    } for workload, scheme, cycles, ipc in cells]
-    directory = tmp_path / "arts"
-    ledger.write_artifacts(str(directory), artifacts)
-    return str(directory)
-
-
-def test_ledger_cost_hints_reads_artifacts(tmp_path):
-    from repro.harness.parallel import job_cost_key, ledger_cost_hints
-    path = _fake_artifacts(tmp_path, [
-        ("st+sv", "ws", 4000, 1.5),
-        ("3m+bp", "ws", 1000, 3.0),
-    ])
-    hints = ledger_cost_hints(path)
-    assert hints[("st+sv", "ws")] == pytest.approx(4000 * 2.5)
-    assert hints[("3m+bp", "ws")] == pytest.approx(1000 * 4.0)
-    # The hint key matches MixJob's ledger identity; iso/curve jobs
-    # have no ledger cell and therefore no hint.
-    assert job_cost_key(MixJob(("st", "sv"), "ws")) == ("st+sv", "ws")
-    assert job_cost_key(IsoJob("st", 2)) is None
-    # An empty/missing directory yields no hints, not an error.
-    assert ledger_cost_hints(str(tmp_path / "nope")) == {}
-
-
-def test_cost_hints_dispatch_longest_first_results_in_input_order(tmp_path):
-    jobs = [MixJob(("3m", "bp"), "ws"),
-            MixJob(("st", "sv"), "ws"),
-            MixJob(("hs", "cd"), "ws")]
-    hints = {("st+sv", "ws"): 300.0, ("hs+cd", "ws"): 900.0,
-             ("3m+bp", "ws"): 10.0}
-
-    dispatched = []
-    runner = make_runner(tmp_path, "lpt")
-    plain = run_jobs(runner, jobs, workers=1)
-    hinted = run_jobs(make_runner(tmp_path, "lpt2"), jobs, workers=1,
-                      cost_hints=hints,
-                      progress=lambda hb: dispatched.append(hb.label))
-    # Serial dispatch follows the LPT order exactly...
-    assert dispatched == ["mix ws hs+cd", "mix ws st+sv", "mix ws 3m+bp"]
-    # ...while results stay in input order and bit-identical.
-    for a, b in zip(plain, hinted):
-        assert outcome_signature(a) == outcome_signature(b)
-
-
-def test_unhinted_jobs_keep_input_order(tmp_path):
-    from repro.harness.parallel import _order_by_cost
-    jobs = [MixJob(("3m", "bp"), "ws"),
-            MixJob(("st", "sv"), "ws"),
-            IsoJob("3m", 1)]
-    # No hints at all: stable sort keeps input order.
-    assert _order_by_cost(jobs, {}) == jobs
-    # Partial hints: hinted jobs lead, unhinted keep relative order.
-    ordered = _order_by_cost(jobs, {("st+sv", "ws"): 5.0})
-    assert ordered == [jobs[1], jobs[0], jobs[2]]
-
-
+# campaigns into an existing artifacts dir
 def test_campaign_with_artifacts_reuses_hints_bit_identically(tmp_path):
     """End to end: a second campaign pointed at the first campaign's
-    artifacts dir orders by its ledger and still matches serial."""
+    artifacts dir still matches serial."""
     mixes = make_mixes([("3m", "bp"), ("st", "sv")])
     schemes = ["ws"]
 
@@ -274,8 +209,8 @@ def test_campaign_with_artifacts_reuses_hints_bit_identically(tmp_path):
     serial = [make_runner(tmp_path, "serial2").run_mix(mix, "ws")
               for mix in mixes]
     second = make_runner(tmp_path, "second")
-    hinted, _report = run_campaign_resilient(
+    again, _report = run_campaign_resilient(
         second, mixes, schemes, policy=PLAIN, workers=2,
         artifacts_dir=str(arts))
-    for s, p in zip(serial, hinted):
+    for s, p in zip(serial, again):
         assert outcome_signature(s) == outcome_signature(p)

@@ -7,8 +7,7 @@ import io
 from repro.config import scaled_config
 from repro.harness.parallel import IsoJob, MixJob, campaign_jobs, run_jobs
 from repro.harness.runner import ExperimentRunner, RunnerSettings
-from repro.obs.telemetry import (CampaignTelemetry, JobHeartbeat,
-                                 NullTelemetry)
+from repro.obs.telemetry import CampaignTelemetry, JobHeartbeat
 from repro.workloads.mixes import mix
 
 QUICK = RunnerSettings(iso_cycles=400, curve_cycles=300,
@@ -95,7 +94,7 @@ class TestCampaignTelemetry:
 class TestRunJobsProgress:
     def test_serial_path_emits_one_beat_per_unique_job(self):
         runner = ExperimentRunner(scaled_config(), QUICK)
-        sink = NullTelemetry()
+        sink = CampaignTelemetry(quiet=True)
         jobs = [IsoJob("bp"), MixJob(("bp", "st"), "ws"), IsoJob("bp")]
         results = run_jobs(runner, jobs, workers=1, progress=sink)
         assert len(results) == 3
@@ -108,7 +107,7 @@ class TestRunJobsProgress:
     def test_warm_rerun_flags_cache_hits(self):
         runner = ExperimentRunner(scaled_config(), QUICK)
         run_jobs(runner, [IsoJob("bp")], workers=1)
-        sink = NullTelemetry()
+        sink = CampaignTelemetry(quiet=True)
         run_jobs(runner, [IsoJob("bp")], workers=1, progress=sink)
         assert len(sink.heartbeats) == 1
         assert sink.heartbeats[0].cache_hit

@@ -41,7 +41,7 @@ def run_mix(kernels, tbs, scheme_kwargs=None, cycles=1500, obs=None,
 def phase_record(kernels, tbs, scheme_kwargs=None, cycles=1500,
                  interval=256, reference=None):
     result = run_mix(kernels, tbs, scheme_kwargs, cycles,
-                     obs=ObsOptions(phase=True, phase_interval=interval),
+                     obs=ObsOptions(phase_interval=interval),
                      reference=reference)
     assert len(result.obs.phases) == 1
     return result, result.obs, result.obs.phases[0]
@@ -67,7 +67,7 @@ class TestBitIdentity:
         plain = run_mix(kernels, tbs, scheme_kwargs, obs=None)
         observed = run_mix(kernels, tbs, scheme_kwargs, obs=True)
         sampled = run_mix(kernels, tbs, scheme_kwargs,
-                          obs=ObsOptions(phase=True, phase_interval=256))
+                          obs=ObsOptions(phase_interval=256))
         assert result_signature(sampled) == result_signature(plain)
         assert result_signature(sampled) == result_signature(observed)
 
@@ -160,7 +160,7 @@ class TestIntervals:
         measured without committing baselines."""
         result = run_mix(("st", "sv"), (4, 4), ADAPTIVE_SCHEME,
                          cycles=1000,
-                         obs=ObsOptions(phase=True, phase_interval=256))
+                         obs=ObsOptions(phase_interval=256))
         record = result.obs.phases[0]
         sampler = PhaseSampler(256)
         assert sampler.samples == 0
@@ -225,9 +225,9 @@ class TestMergeAndTransport:
     def test_obs_report_merge_keeps_every_phase_record(self):
         result_a = run_mix(("st", "sv"), (4, 4), ADAPTIVE_SCHEME,
                            cycles=512,
-                           obs=ObsOptions(phase=True, phase_interval=256))
+                           obs=ObsOptions(phase_interval=256))
         result_b = run_mix(("3m", "bp"), (2, 2), cycles=512,
-                           obs=ObsOptions(phase=True, phase_interval=128))
+                           obs=ObsOptions(phase_interval=128))
         merged = ObsReport.merged([result_a.obs, result_b.obs])
         assert len(merged.phases) == 2
         intervals = sorted(record["interval"] for record in merged.phases)
