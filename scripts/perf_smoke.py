@@ -53,16 +53,13 @@ that name the Table-1 machine.
   compiler's oracle) on sampled warps, and
   ``trace_cache.ops_compiled`` moves by exactly ``CHUNK_WARPS * iters *
   (cinst + 1)`` — so an edit to the stream or a pattern that forgets
-  the compiler's draw order fails here too; each chunk is then stored
-  in a temporary disk cache, dropped from memory and reloaded (one disk
-  hit, no compile) and must replay the live stream again, so the packed
-  on-disk key encoding is exercised on every profile.
+  the compiler's draw order fails here too, and
+  ``trace_cache.chunk_compiles`` by exactly one per profile.
 """
 
 import collections
 import dataclasses
 import sys
-import tempfile
 
 from repro.cke.partition import even_partition
 from repro.config import MAXWELL_CONFIG, scaled_config
@@ -293,62 +290,49 @@ def untraceable_check(config):
 
 
 def cold_start_check():
-    """Compile one chunk of every profile, store it in a temporary disk
-    cache and reload it.  Returns the failures (empty when every
-    sampled warp holds one key per memory instruction and, replayed
-    through a ReplayStream, equals the live stream both as compiled and
-    as reloaded, the compiled-op count is the profile's arithmetic and
-    the reload is a disk hit, not a compile)."""
+    """Compile one chunk of every profile.  Returns the failures (empty
+    when every sampled warp holds one key per memory instruction and,
+    replayed through a ReplayStream, equals the live stream, and each
+    profile compiled exactly one chunk of the profile's arithmetic in
+    ops)."""
     seed = 3
     failures = []
 
     def counts():
         snapshot = process_registry().snapshot("trace_cache")
         return (snapshot["trace_cache.ops_compiled"],
-                snapshot["trace_cache.chunk_compiles"],
-                snapshot["trace_cache.disk_hits"])
-
-    def compare(profile, origin):
-        trace = ktrace.get_trace(profile, seed)
-        for warp_index in (0, 1, ktrace.CHUNK_WARPS - 1):
-            ops, keys = trace.warp_arrays(warp_index)
-            if len(keys) != profile.iters_per_warp:
-                failures.append(f"{profile.name}: {origin} warp "
-                                f"{warp_index} has {len(keys)} keys, "
-                                f"expected {profile.iters_per_warp}")
-            if ktrace.replayed_warp_arrays(
-                    profile, warp_index, ops, keys) != ktrace.live_warp_arrays(
-                    profile, warp_index, seed):
-                failures.append(f"{profile.name}: {origin} warp "
-                                f"{warp_index} replays differently from "
-                                f"the live stream")
+                snapshot["trace_cache.chunk_compiles"])
 
     ktrace.clear_memory_cache()
-    with tempfile.TemporaryDirectory() as disk:
-        ktrace.configure_disk_cache(disk)
-        try:
-            for profile in ALL_PROFILES:
-                ops_before = counts()[0]
-                compare(profile, "compiled")
-                compiled = counts()[0] - ops_before
-                expected = (ktrace.CHUNK_WARPS * profile.iters_per_warp
-                            * (profile.cinst_per_minst + 1))
-                if compiled != expected:
-                    failures.append(f"{profile.name}: {compiled} ops "
-                                    f"compiled, expected {expected}")
-                ktrace.clear_memory_cache()
-                _, compiles_before, hits_before = counts()
-                compare(profile, "reloaded")
-                _, compiles, hits = counts()
-                if (compiles, hits) != (compiles_before, hits_before + 1):
-                    failures.append(f"{profile.name}: the reload compiled "
-                                    f"{compiles - compiles_before} chunks "
-                                    f"and hit the disk "
-                                    f"{hits - hits_before} times, "
-                                    f"expected 0 and 1")
-        finally:
-            ktrace.configure_disk_cache(None)
-            ktrace.clear_memory_cache()
+    try:
+        for profile in ALL_PROFILES:
+            ops_before, compiles_before = counts()
+            trace = ktrace.get_trace(profile, seed)
+            for warp_index in (0, 1, ktrace.CHUNK_WARPS - 1):
+                ops, keys = trace.warp_arrays(warp_index)
+                if len(keys) != profile.iters_per_warp:
+                    failures.append(f"{profile.name}: warp {warp_index} "
+                                    f"has {len(keys)} keys, expected "
+                                    f"{profile.iters_per_warp}")
+                if ktrace.replayed_warp_arrays(
+                        profile, warp_index, ops, keys
+                        ) != ktrace.live_warp_arrays(profile, warp_index,
+                                                     seed):
+                    failures.append(f"{profile.name}: warp {warp_index} "
+                                    f"replays differently from the live "
+                                    f"stream")
+            ops_after, compiles_after = counts()
+            expected = (ktrace.CHUNK_WARPS * profile.iters_per_warp
+                        * (profile.cinst_per_minst + 1))
+            if ops_after - ops_before != expected:
+                failures.append(f"{profile.name}: {ops_after - ops_before} "
+                                f"ops compiled, expected {expected}")
+            if compiles_after - compiles_before != 1:
+                failures.append(f"{profile.name}: "
+                                f"{compiles_after - compiles_before} "
+                                f"chunks compiled, expected 1")
+    finally:
+        ktrace.clear_memory_cache()
     return failures
 
 
@@ -435,8 +419,8 @@ def main() -> int:
     if failures:
         return 1
     print(f"ok cold start: {len(ALL_PROFILES)} profiles replay the live "
-          f"stream from one key per memory instruction, op counts exact, "
-          f"compiled and reloaded from disk")
+          f"stream from one key per memory instruction, one chunk "
+          f"compiled each, op counts exact")
     return 0
 
 

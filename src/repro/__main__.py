@@ -194,7 +194,6 @@ def cmd_run(args) -> int:
     cache = process_registry().snapshot("trace_cache")
     print(f"  trace cache     : "
           f"{cache['trace_cache.chunk_compiles']} chunk compiles, "
-          f"{cache['trace_cache.disk_hits']} disk hits, "
           f"{cache['trace_cache.warp_hits']} warp hits, "
           f"{cache['trace_cache.ops_compiled']} ops compiled")
     report = result.obs

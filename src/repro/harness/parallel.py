@@ -163,12 +163,7 @@ def seeded_runner(config, settings: RunnerSettings, cache_dir: Optional[str],
                   curve_seed: Sequence[Tuple[Tuple, ScalabilityCurve]]
                   ) -> ExperimentRunner:
     """A worker process's private runner, pre-seeded with everything
-    the parent already knows so shared inputs are never recomputed.
-
-    Constructing the runner also points the kernel-trace disk cache at
-    ``cache_dir/traces-v<CACHE_VERSION>`` (see ``ExperimentRunner``),
-    so workers share compiled trace chunks with the parent and a
-    version bump invalidates both caches together."""
+    the parent already knows so shared inputs are never recomputed."""
     runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
     runner._iso_cache.update(iso_seed)
     runner._curve_cache.update(curve_seed)

@@ -53,7 +53,7 @@ import queue as queuemod
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro._digest import md5, sha256
@@ -289,7 +289,8 @@ class FaultPlan:
 def job_key(job) -> str:
     """Stable identity of one job.  Frozen dataclasses of str/int/bool
     fields repr deterministically, and the repr carries every field
-    that affects the simulated result (kernels, scheme, cycles, obs)."""
+    that shapes the outcome (kernels, scheme, cycles, and what is
+    observed)."""
     return f"{type(job).__name__}:{job!r}"
 
 
@@ -936,6 +937,18 @@ def _worker_count(workers: Optional[int], pending: int,
     return min(request, pending) if request > 1 else 0
 
 
+def _checkpointed(checkpoints: Dict[str, object], job):
+    """``job``'s journaled outcome, or None.  An unobserved mix cell
+    also takes the outcome of the same cell run with ``obs=True``:
+    observing adds a report and changes no simulated number.  Never the
+    other way round: an observed cell needs its report."""
+    known = checkpoints.get(job_key(job))
+    if (known is None and isinstance(job, _par.MixJob) and not job.obs
+            and not job.phase_interval):
+        known = checkpoints.get(job_key(replace(job, obs=True)))
+    return known
+
+
 def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                        policy: Optional[ResiliencePolicy] = None,
                        workers: Optional[int] = None,
@@ -950,7 +963,8 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
     results in input order.
 
     Identical jobs execute once.  With a ``journal``, ``resume=True``
-    replays its verified checkpoints (``resume=False`` resets it) and
+    replays its verified checkpoints (an unobserved mix cell also
+    those of its observed twin; ``resume=False`` resets it) and
     every cell that completes or is quarantined is checkpointed.  Jobs
     the parent runner's in-memory caches already answer are never
     dispatched.  What remains is dispatched in input order to worker
@@ -982,7 +996,7 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
     results: Dict[object, object] = {}
     pending: List = []
     for job in unique:
-        known = checkpoints.get(job_key(job))
+        known = _checkpointed(checkpoints, job)
         resumed = known is not None
         if not resumed:
             known = _par._probe_cache(runner, job)

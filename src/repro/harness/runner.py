@@ -45,7 +45,6 @@ from repro.sim.stats import RunResult
 from repro.workloads.kernel import KernelProfile
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
-from repro.workloads.trace import configure_disk_cache
 
 # The simulator and the TB partitioners are imported by the methods
 # that run them: a ``campaign --resume`` unpickles this module's
@@ -149,13 +148,6 @@ class ExperimentRunner:
         self.cache_dir = cache_dir
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
-            # Compiled kernel-trace chunks live beside the result cache
-            # under a versioned directory, so the CACHE_VERSION bump
-            # that retires stale isolated-run records retires stale
-            # traces with it.  Worker processes inherit this through
-            # ``parallel.seeded_runner`` building their runner here.
-            configure_disk_cache(
-                os.path.join(cache_dir, f"traces-v{CACHE_VERSION}"))
         self._iso_cache: Dict[Tuple, IsoRecord] = {}
         self._curve_cache: Dict[Tuple, ScalabilityCurve] = {}
         self._cfg_key = config_fingerprint(self.config)

@@ -45,27 +45,21 @@ footprints), the ``fuzz`` twin in ``tests/test_fuzz_twins.py`` and
 :class:`~repro.workloads.kernel.ReplayStream` of the compiled arrays
 yields (:func:`replayed_warp_arrays`) with it, so a change to
 ``InstructionStream.pop`` / ``_advance`` or to a pattern's draws must
-change ``KernelTrace._compile_chunk`` in lockstep (and bump
-:data:`TRACE_FORMAT` if the arrays change).
+change ``KernelTrace._compile_chunk`` in lockstep.
 
 Traces are memoized process-wide keyed by a *profile fingerprint*
 (every stream-affecting profile field plus the address pattern's
 ``trace_signature()``) and compiled in chunks of :data:`CHUNK_WARPS`
 warps so memory stays bounded for long windows (a global LRU keeps at
-most :data:`MAX_CHUNKS` chunks resident).  When a disk directory is
-configured (:func:`configure_disk_cache` — the harness points it
-inside its atomic result cache), chunks are persisted with the same
-temp-file + ``os.replace`` discipline, letting campaign worker
-processes share one compile.
+most :data:`MAX_CHUNKS` chunks resident).  Compiled chunks live in
+process memory only: a chunk compiles in a few ms, and a process
+touches a dozen or so.
 
-A warp's keys are packed, in memory and on disk: one array per warp
-(no per-key int object) in the chunk cache, at the width its keys need
-(:func:`key_array`: ``array('i')``, 4 bytes per memory instruction,
-when every key fits in 32 bits, else ``array('q')``), and base64 of
-their little-endian int64 bytes inside the chunk file's JSON envelope.
-The file is int64 whatever the width in memory, because the streaming
-kernels' lines pass 2**31 near warp 32 700 and 2**32 near warp 70 000,
-which a long Table-1 window reaches.
+A warp's keys are packed: one array per warp (no per-key int object),
+at the width its keys need (:func:`key_array`: ``array('i')``, 4 bytes
+per memory instruction, when every key fits in 32 bits, else
+``array('q')`` — the streaming kernels' lines pass 2**31 near warp
+32 700, which a long Table-1 window reaches).
 
 A profile whose pattern lacks ``trace_signature``, ``first_key`` or
 ``footprint`` is not compiled (:func:`get_trace` returns ``None``,
@@ -78,18 +72,11 @@ the process-wide counter registry (``trace_cache.*`` —
 
 from __future__ import annotations
 
-import json
-import os
-import re
-import sys
-import tempfile
 from array import array
-from base64 import b64decode, b64encode
 from collections import OrderedDict
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro._digest import sha1
 from repro.obs.registry import process_registry
 from repro.workloads.kernel import (
     ALU_CODE,
@@ -105,22 +92,16 @@ from repro.workloads.kernel import (
     warp_rng,
 )
 
-#: bump when the arrays a profile compiles to change (their layout, or
-#: the draws behind them); embedded in fingerprints and in the
-#: disk-cache directory name.  2: lines packed as int64.  3: one key
-#: per memory instruction instead of its lines.
-TRACE_FORMAT = 3
-
-#: the element type of the oracle's lines, of a chunk file's keys, and
-#: of a warp's keys when one of them needs more than 32 bits.
+#: the element type of the oracle's lines, and of a warp's keys when
+#: one of them needs more than 32 bits.
 LINE_TYPECODE = "q"
 
 #: the element type of a warp's keys when every key fits in 32 bits.
 NARROW_TYPECODE = "i"
 
-#: warps compiled (and persisted) together.  64 warps of a typical
-#: profile are a few hundred KB of arrays — big enough to amortise the
-#: disk round-trip, small enough that eviction granularity stays fine.
+#: warps compiled together.  64 warps of a typical profile are a few
+#: hundred KB of arrays — big enough to amortise a compile's set-up,
+#: small enough that eviction granularity stays fine.
 CHUNK_WARPS = 64
 
 #: process-wide cap on resident chunks (LRU).  Long windows launch
@@ -131,8 +112,8 @@ MAX_CHUNKS = 256
 _COUNTERS = process_registry()
 _HITS = _COUNTERS.counter("trace_cache.warp_hits")
 _COMPILES = _COUNTERS.counter("trace_cache.chunk_compiles")
-_DISK_HITS = _COUNTERS.counter("trace_cache.disk_hits")
-_DISK_WRITES = _COUNTERS.counter("trace_cache.disk_writes")
+# Reads 0: there is no disk cache; registered while benchmarks/e2e reads it.
+_COUNTERS.counter("trace_cache.disk_hits")
 _FALLBACKS = _COUNTERS.counter("trace_cache.fallback_streams")
 _OPS_COMPILED = _COUNTERS.counter("trace_cache.ops_compiled")
 
@@ -140,11 +121,9 @@ _OPS_COMPILED = _COUNTERS.counter("trace_cache.ops_compiled")
 #: process (campaign legs re-create GPU objects constantly).
 _TRACES: Dict[Tuple, "KernelTrace"] = {}
 
-#: (digest, seed, chunk_index) -> (ops bytes per warp, keys per warp),
-#: in LRU order (popitem(last=False) evicts the coldest chunk).
+#: (fingerprint, seed, chunk_index) -> (ops bytes per warp, keys per
+#: warp), in LRU order (popitem(last=False) evicts the coldest chunk).
 _CHUNKS: "OrderedDict[Tuple, Tuple[List[bytes], List[array]]]" = OrderedDict()
-
-_DISK_DIR: Optional[str] = None
 
 
 def profile_fingerprint(profile: KernelProfile) -> Optional[Tuple]:
@@ -162,7 +141,6 @@ def profile_fingerprint(profile: KernelProfile) -> Optional[Tuple]:
             or not hasattr(pattern, "footprint")):
         return None
     return (
-        TRACE_FORMAT,
         profile.cinst_per_minst,
         profile.reqs_per_minst,
         profile.sfu_frac,
@@ -233,8 +211,8 @@ def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
     """The ``(ops, lines)`` a :class:`ReplayStream` of one compiled
     warp (:meth:`KernelTrace.warp_arrays`) yields through the SM's
     call sequence (``pop_mem`` for a memory op), in
-    :func:`live_warp_arrays`' shape — so compile, disk encoding and key
-    expansion are checked against the oracle in one comparison."""
+    :func:`live_warp_arrays`' shape — so compile and key expansion are
+    checked against the oracle in one comparison."""
     footprint = partial(profile.pattern_factory().footprint, warp_index)
     stream = ReplayStream(profile, ops, keys, footprint)
     lines = array(LINE_TYPECODE)
@@ -258,52 +236,6 @@ def key_array(keys) -> array:
         return array(LINE_TYPECODE, keys)
 
 
-def _pack_keys(keys: array) -> str:
-    """A warp's keys as base64 of little-endian int64, whatever their
-    width in memory."""
-    keys = array(LINE_TYPECODE, keys)
-    if sys.byteorder == "big":
-        keys.byteswap()
-    return b64encode(keys.tobytes()).decode("ascii")
-
-
-def _unpack_keys(text, n_keys: int) -> Optional[array]:
-    """Inverse of :func:`_pack_keys` (the keys at the width they need),
-    or ``None`` unless ``text`` is base64 of exactly ``n_keys``
-    int64s."""
-    if not isinstance(text, str):
-        return None
-    try:
-        raw = b64decode(text, validate=True)
-    except ValueError:  # binascii.Error: not base64
-        return None
-    if len(raw) != 8 * n_keys:
-        return None
-    keys = array(LINE_TYPECODE, raw)
-    if sys.byteorder == "big":
-        keys.byteswap()
-    return key_array(keys)
-
-
-def configure_disk_cache(path: Optional[str]) -> Optional[str]:
-    """Persist compiled chunks under ``path`` (None disables).
-
-    Returns the configured path, or ``None`` when the directory could
-    not be created (persistence is best-effort, like the harness's
-    result cache)."""
-    global _DISK_DIR
-    if path is None:
-        _DISK_DIR = None
-        return None
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError:
-        _DISK_DIR = None
-        return None
-    _DISK_DIR = path
-    return path
-
-
 def clear_memory_cache() -> None:
     """Drop every in-process trace and chunk (test hook)."""
     _TRACES.clear()
@@ -313,29 +245,25 @@ def clear_memory_cache() -> None:
 class KernelTrace:
     """Lazily compiled per-warp trace arrays for one (profile, seed)."""
 
-    __slots__ = ("profile", "seed", "fingerprint", "digest")
+    __slots__ = ("profile", "seed", "fingerprint")
 
     def __init__(self, profile: KernelProfile, seed: int,
                  fingerprint: Tuple):
         self.profile = profile
         self.seed = seed
         self.fingerprint = fingerprint
-        self.digest = sha1(repr(fingerprint).encode()).hexdigest()[:20]
 
     def warp_arrays(self, warp_index: int) -> Tuple[bytes, array]:
-        """``(ops, keys)`` for one warp, compiling or loading the
-        containing chunk on demand."""
+        """``(ops, keys)`` for one warp, compiling the containing chunk
+        on demand."""
         chunk_index, offset = divmod(warp_index, CHUNK_WARPS)
-        key = (self.digest, self.seed, chunk_index)
+        key = (self.fingerprint, self.seed, chunk_index)
         chunks = _CHUNKS
         chunk = chunks.get(key)
         if chunk is not None:
             chunks.move_to_end(key)
         else:
-            chunk = self._load_chunk(chunk_index)
-            if chunk is None:
-                chunk = self._compile_chunk(chunk_index)
-                self._store_chunk(chunk_index, chunk)
+            chunk = self._compile_chunk(chunk_index)
             chunks[key] = chunk
             while len(chunks) > MAX_CHUNKS:
                 chunks.popitem(last=False)
@@ -396,84 +324,3 @@ class KernelTrace:
             keys_per_warp.append(key_array(keys))
             _OPS_COMPILED.value += len(ops)
         return ops_per_warp, keys_per_warp
-
-    # ------------------------------------------------------------------
-    def _chunk_path(self, chunk_index: int) -> Optional[str]:
-        if _DISK_DIR is None:
-            return None
-        name = f"{self.digest}-s{self.seed}-c{chunk_index}.json"
-        return os.path.join(_DISK_DIR, name)
-
-    def _load_chunk(self, chunk_index: int):
-        """The chunk from disk, or ``None`` (a miss: the caller
-        recompiles and overwrites) when the file is absent, unreadable,
-        from another format/profile, or not the shape this profile
-        compiles to: per warp, ``iters_per_warp`` iterations of
-        ``cinst_per_minst`` ops from ``a``/``s`` and one from ``l``/``w``,
-        and as many keys."""
-        path = self._chunk_path(chunk_index)
-        if path is None:
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("format") != TRACE_FORMAT
-                or payload.get("fingerprint") != repr(self.fingerprint)):
-            return None
-        ops, keys = payload.get("ops"), payload.get("lines")
-        if not (isinstance(ops, list) and isinstance(keys, list)
-                and len(ops) == len(keys) == CHUNK_WARPS):
-            return None
-        profile = self.profile
-        iters = max(0, profile.iters_per_warp)
-        template = re.compile(
-            b"(?:[as]{%d}[lw]){%d}" % (profile.cinst_per_minst, iters))
-        ops_per_warp, keys_per_warp = [], []
-        for warp_ops, warp_keys in zip(ops, keys):
-            if not isinstance(warp_ops, str):
-                return None
-            try:
-                warp_ops = warp_ops.encode("ascii")
-            except UnicodeEncodeError:
-                return None
-            warp_keys = _unpack_keys(warp_keys, iters)
-            if template.fullmatch(warp_ops) is None or warp_keys is None:
-                return None
-            ops_per_warp.append(warp_ops)
-            keys_per_warp.append(warp_keys)
-        _DISK_HITS.value += 1
-        return ops_per_warp, keys_per_warp
-
-    def _store_chunk(self, chunk_index: int, chunk) -> None:
-        path = self._chunk_path(chunk_index)
-        if path is None:
-            return
-        text = json.dumps({
-            "format": TRACE_FORMAT,
-            "fingerprint": repr(self.fingerprint),
-            "ops": [entry.decode("ascii") for entry in chunk[0]],
-            "lines": [_pack_keys(entry) for entry in chunk[1]],
-        }, separators=(",", ":"))
-        # Same atomic discipline as the harness result cache: concurrent
-        # campaign workers may race on the same chunk, and the winner's
-        # os.replace is indistinguishable from the loser's.
-        try:
-            fd, tmp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp")
-        except OSError:
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp_path, path)
-        except OSError:
-            # Persistence is best-effort; never leave the temp file.
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            return
-        _DISK_WRITES.value += 1

@@ -243,7 +243,8 @@ assert repro.harness.experiments.__name__ == "repro.harness.experiments"
         """A ``campaign --resume`` whose every cell is journaled prints
         the cold run's table byte for byte from a fresh interpreter
         that never loaded the simulator's engine, SMs, LSU, memory
-        hierarchy or dynamic Warped-Slicer, nor ``hashlib``."""
+        hierarchy, trace compiler or dynamic Warped-Slicer, nor
+        ``hashlib``."""
         import os
         import subprocess
         import sys
@@ -267,7 +268,7 @@ assert code == 0, code
 assert out.getvalue() == sys.argv[1], out.getvalue()
 heavy = ["repro.sim." + m for m in ("engine", "sm", "scheduler", "lsu", "warp")]
 heavy += ["repro.mem." + m for m in ("subsystem", "dram", "interconnect", "cache")]
-heavy.append("repro.cke.dynamic_ws")
+heavy += ["repro.workloads.trace", "repro.cke.dynamic_ws"]
 heavy += ["hashlib", "_hashlib"]
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, loaded
@@ -278,11 +279,52 @@ assert not loaded, loaded
         assert done.returncode == 0, done.stderr
         assert "resumed from journal" in done.stderr
 
+    def test_unobserved_resume_replays_observed_cells(self, tmp_path):
+        """A journal written with ``--artifacts`` (observed cells)
+        resumed without it replays every cell: the cold run's table,
+        nothing simulated, the cycle model never loaded."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        argv = ["campaign", "bp,cd", "st,sv", "--schemes", "ws,ws-dmil",
+                "--workers", "1", "--retries", "1",
+                "--cache", str(tmp_path / "cache")]
+        cold = subprocess.run(
+            [sys.executable, "-m", "repro", *argv,
+             "--artifacts", str(tmp_path / "artifacts")],
+            capture_output=True, text=True, env=env)
+        assert cold.returncode == 0, cold.stderr
+        # The observed cells' merged stall report follows the table.
+        table, report = cold.stdout.split("\n\n", 1)
+        assert report.startswith("stall attribution merged over 4 cells")
+        probe = f"""
+import contextlib, io, sys
+from repro.__main__ import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main({argv + ["--resume"]!r})
+assert code == 0, code
+assert out.getvalue() == sys.argv[1], out.getvalue()
+loaded = [m for m in ("repro.sim.engine", "repro.workloads.trace")
+          if m in sys.modules]
+assert not loaded, loaded
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", probe, table + "\n"],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "resilience: 12 cells, 12 resumed from journal" in done.stderr
+
     def test_cold_campaign_never_loads_hashlib(self, tmp_path):
         """A cold resilient campaign digests through ``repro._digest``
-        only: iso-cache names, trace digests, journal fingerprints and
-        ledger config fingerprints all leave ``hashlib`` (and with it
-        OpenSSL) unloaded in a fresh interpreter."""
+        only: iso-cache names, journal fingerprints and ledger config
+        fingerprints all leave ``hashlib`` (and with it OpenSSL)
+        unloaded in a fresh interpreter.  Compiled traces stay in
+        process memory: the cache dir holds no trace directory."""
         import os
         import subprocess
         import sys
@@ -306,7 +348,7 @@ assert "repro._digest" in sys.modules
                               capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
         assert list(cache.glob("iso-*.json"))
-        assert list(cache.glob("traces-v*/*"))
+        assert [p.name for p in cache.iterdir() if p.is_dir()] == ["journal"]
         assert list(cache.glob("journal/campaign-*.jsonl"))
         assert (artifacts / "ledger.json").exists()
 

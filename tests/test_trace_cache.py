@@ -1,14 +1,10 @@
 """Tests for the precompiled kernel-trace cache
 (:mod:`repro.workloads.trace`): memoization, compile correctness
-against live streams, disk persistence, observability counters, and
-the harness wiring that versions the disk directory."""
+against live streams, key widths, replay of untraceable patterns and
+observability counters."""
 
-import base64
 import dataclasses
 import functools
-import hashlib
-import json
-import os
 import sys
 from array import array
 
@@ -23,14 +19,10 @@ from repro.workloads.profiles import ALL_PROFILES, get_profile
 
 @pytest.fixture(autouse=True)
 def isolated_trace_caches():
-    """Each test sees empty in-memory caches and no disk cache, and
-    leaves the process-wide state the way it found it."""
-    saved_dir = ktrace._DISK_DIR
+    """Each test sees empty in-memory caches and leaves them empty."""
     ktrace.clear_memory_cache()
-    ktrace.configure_disk_cache(None)
     yield
     ktrace.clear_memory_cache()
-    ktrace._DISK_DIR = saved_dir
 
 
 #: the oracle the compiler must match: a live stream driven through
@@ -158,10 +150,10 @@ class TestCompileCorrectness:
 
 
 class TestPackedLines:
-    def test_lines_are_packed_int64(self, tmp_path):
+    def test_lines_are_packed_int64(self):
         """Every warp of a compiled ks chunk holds one 4-byte key per
         memory instruction; a warp far enough out that its lines pass
-        2**32 holds 8-byte keys and survives the disk round trip."""
+        2**32 holds 8-byte keys and replays the live stream."""
         profile = get_profile("ks")
         trace = ktrace.get_trace(profile, 0)
         header = sys.getsizeof(array("q"))
@@ -171,28 +163,11 @@ class TestPackedLines:
             assert len(keys) == profile.iters_per_warp
             assert sys.getsizeof(keys) <= 8 * len(keys) + header
 
-        ktrace.configure_disk_cache(str(tmp_path))
         far = 70_000
         expected = live_call_order(profile, far, 0)
         assert max(expected[1]) > 1 << 32
         assert compiled(profile, far, 0) == expected
         assert ktrace.get_trace(profile, 0).warp_arrays(far)[1].itemsize == 8
-        ktrace.clear_memory_cache()
-        hits0 = ktrace._DISK_HITS.value
-        assert compiled(profile, far, 0) == expected
-        assert ktrace._DISK_HITS.value == hits0 + 1
-
-
-#: (keys' typecode in memory, sha256 of the chunk file) of two ks
-#: chunks at seed 0: chunk 0 and chunk 1093, which holds warp 70 000.
-#: The file encodes keys as int64 whatever their width in memory, so
-#: these move only with the ks profile or ``TRACE_FORMAT``.
-KS_CHUNK_FILES = {
-    0: ("i", "9564cc0926a05120e3a36c395423141a"
-             "71a45de5415a38a517d4cac0ba9976f1"),
-    1093: ("q", "2ffdf54ce01547ce42acd7c362c2fcbf"
-                "ff1d83bba460aa300abdd3c37a07d3bc"),
-}
 
 
 class TestKeyWidth:
@@ -205,31 +180,9 @@ class TestKeyWidth:
     ], ids=["max-narrow", "min-wide", "wrapped-narrow", "wrapped-wide",
             "empty"])
     def test_keys_are_stored_at_the_width_they_need(self, keys, typecode):
-        """Narrow when every key fits in 32 bits, and int64 on disk
-        either way; the unpacked keys are as wide as the packed ones."""
+        """Narrow when every key fits in 32 bits, else int64."""
         packed = ktrace.key_array(keys)
         assert packed.typecode == typecode and list(packed) == keys
-        text = ktrace._pack_keys(packed)
-        assert len(base64.b64decode(text)) == 8 * len(keys)
-        unpacked = ktrace._unpack_keys(text, len(keys))
-        assert unpacked.typecode == typecode and unpacked == packed
-
-    def test_chunk_files_are_int64_at_either_width(self, tmp_path):
-        """A chunk of narrow keys and one of wide keys write the bytes
-        the int64 encoding always wrote, and reload at their width."""
-        ktrace.configure_disk_cache(str(tmp_path))
-        profile = get_profile("ks")
-        for chunk, (typecode, digest) in KS_CHUNK_FILES.items():
-            warp = chunk * ktrace.CHUNK_WARPS
-            keys = ktrace.get_trace(profile, 0).warp_arrays(warp)[1]
-            assert keys.typecode == typecode
-            (path,) = tmp_path.glob(f"*-s0-c{chunk}.json")
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-            ktrace.clear_memory_cache()
-            hits0 = ktrace._DISK_HITS.value
-            reloaded = ktrace.get_trace(profile, 0).warp_arrays(warp)[1]
-            assert ktrace._DISK_HITS.value == hits0 + 1
-            assert reloaded.typecode == typecode and reloaded == keys
 
 
 def replay_lines(stream):
@@ -364,12 +317,15 @@ class TestCounters:
         assert run(reference=True) == signature
 
     def test_counters_live_in_the_process_registry(self):
+        """``disk_hits`` stays registered, reading 0: compiled chunks
+        live in process memory only."""
         from repro.obs.registry import process_registry
+        ktrace.get_trace(get_profile("bp"), 0).warp_arrays(0)
         names = process_registry().snapshot("trace_cache")
         assert {"trace_cache.warp_hits", "trace_cache.chunk_compiles",
-                "trace_cache.disk_hits", "trace_cache.disk_writes",
-                "trace_cache.fallback_streams", "trace_cache.ops_compiled"
-                } <= set(names)
+                "trace_cache.disk_hits", "trace_cache.fallback_streams",
+                "trace_cache.ops_compiled"} == set(names)
+        assert names["trace_cache.disk_hits"] == 0
 
     def test_compiled_work_counts_are_exact(self):
         profile = get_profile("ks")
@@ -380,118 +336,3 @@ class TestCounters:
         per_warp_ops = profile.iters_per_warp * (profile.cinst_per_minst + 1)
         assert (ktrace._OPS_COMPILED.value - before
                 == ktrace.CHUNK_WARPS * per_warp_ops)
-
-
-def repack(text, cut):
-    """A packed lines entry with ``cut`` applied to its raw bytes."""
-    return base64.b64encode(cut(base64.b64decode(text))).decode("ascii")
-
-
-class TestDiskCache:
-    def test_round_trip_spares_the_recompile(self, tmp_path):
-        assert ktrace.configure_disk_cache(str(tmp_path)) == str(tmp_path)
-        profile = get_profile("bp")
-        expected = ktrace.get_trace(profile, 0).warp_arrays(0)
-        writes0 = ktrace._DISK_WRITES.value
-        assert writes0 >= 1
-        assert list(tmp_path.glob("*-s0-c0.json"))
-
-        # A fresh process (simulated by dropping the in-memory caches)
-        # must load the chunk instead of recompiling it.
-        ktrace.clear_memory_cache()
-        compiles0 = ktrace._COMPILES.value
-        hits0 = ktrace._DISK_HITS.value
-        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
-        assert ktrace._COMPILES.value == compiles0
-        assert ktrace._DISK_HITS.value == hits0 + 1
-
-    def test_corrupt_chunk_recompiles(self, tmp_path):
-        ktrace.configure_disk_cache(str(tmp_path))
-        profile = get_profile("bp")
-        expected = ktrace.get_trace(profile, 0).warp_arrays(0)
-        (path,) = tmp_path.glob("*-s0-c0.json")
-        path.write_text("{not json")
-        ktrace.clear_memory_cache()
-        compiles0 = ktrace._COMPILES.value
-        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
-        assert ktrace._COMPILES.value == compiles0 + 1
-
-    def test_stale_format_rejected(self, tmp_path):
-        ktrace.configure_disk_cache(str(tmp_path))
-        profile = get_profile("bp")
-        expected = ktrace.get_trace(profile, 0).warp_arrays(0)
-        (path,) = tmp_path.glob("*-s0-c0.json")
-        payload = json.loads(path.read_text())
-        payload["format"] = -1
-        path.write_text(json.dumps(payload))
-        ktrace.clear_memory_cache()
-        hits0 = ktrace._DISK_HITS.value
-        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
-        assert ktrace._DISK_HITS.value == hits0
-
-
-    @pytest.mark.parametrize("rewrite", [
-        lambda payload: [],
-        lambda payload: {k: payload[k] for k in ("format", "fingerprint")},
-        lambda payload: dict(payload, ops=[7] * ktrace.CHUNK_WARPS),
-        lambda payload: dict(payload, ops=["a"] * ktrace.CHUNK_WARPS,
-                             lines=[None] * ktrace.CHUNK_WARPS),
-        lambda payload: dict(payload, ops=[o[:-1] for o in payload["ops"]]),
-        lambda payload: dict(payload, lines=[l[1:] for l in payload["lines"]]),
-        lambda payload: dict(payload, ops=payload["ops"][:-1] + ["\u00e9" * len(
-            payload["ops"][-1])]),
-        lambda payload: dict(payload, lines=payload["lines"][:-1] + [
-            "!" * len(payload["lines"][-1])]),
-        lambda payload: dict(payload, lines=payload["lines"][:-1] + [
-            repack(payload["lines"][-1], lambda raw: raw[:-1])]),
-        lambda payload: dict(payload, lines=payload["lines"][:-1] + [
-            repack(payload["lines"][-1], lambda raw: raw[:-8])]),
-        lambda payload: dict(payload, ops=["a" * len(o)
-                                           for o in payload["ops"]]),
-        lambda payload: dict(payload, ops=[o.replace("l", "z")
-                                           for o in payload["ops"]]),
-    ], ids=["list", "no-arrays", "int-ops", "one-op-null-lines",
-            "short-ops", "short-lines", "non-ascii-ops", "lines-not-base64",
-            "lines-ragged-bytes", "lines-one-short", "ops-all-alu",
-            "ops-unknown-code"])
-    def test_wrong_shape_is_a_miss_and_overwritten(self, tmp_path, rewrite):
-        ktrace.configure_disk_cache(str(tmp_path))
-        profile = get_profile("bp")
-        expected = ktrace.get_trace(profile, 0).warp_arrays(0)
-        (path,) = tmp_path.glob("*-s0-c0.json")
-        good = path.read_text()
-        path.write_text(json.dumps(rewrite(json.loads(good))))
-        ktrace.clear_memory_cache()
-        compiles0 = ktrace._COMPILES.value
-        hits0 = ktrace._DISK_HITS.value
-        assert ktrace.get_trace(profile, 0).warp_arrays(0) == expected
-        assert ktrace._COMPILES.value == compiles0 + 1
-        assert ktrace._DISK_HITS.value == hits0
-        assert path.read_text() == good, "the bad chunk must be overwritten"
-
-    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        def refuse(src, dst):
-            raise OSError("disk full")
-
-        monkeypatch.setattr("repro.workloads.trace.os.replace", refuse)
-        ktrace.configure_disk_cache(str(tmp_path))
-        profile = get_profile("bp")
-        writes0 = ktrace._DISK_WRITES.value
-        compiles0 = ktrace._COMPILES.value
-        expected = live_call_order(profile, 0, 0)
-        assert compiled(profile, 0, 0) == expected
-        assert compiled(profile, 1, 0) == live_call_order(profile, 1, 0)
-        assert ktrace._COMPILES.value == compiles0 + 1, "served from memory"
-        assert ktrace._DISK_WRITES.value == writes0
-        assert not list(tmp_path.glob("*.tmp"))
-
-
-class TestHarnessWiring:
-    def test_runner_versions_the_trace_dir(self, tmp_path):
-        from repro.config import scaled_config
-        from repro.harness.runner import CACHE_VERSION, ExperimentRunner
-
-        ExperimentRunner(scaled_config(), cache_dir=str(tmp_path))
-        expected = os.path.join(str(tmp_path), f"traces-v{CACHE_VERSION}")
-        assert ktrace._DISK_DIR == expected
-        assert os.path.isdir(expected)
