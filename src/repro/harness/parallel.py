@@ -2,23 +2,24 @@
 is executed, and what the parent knows about it before dispatch.
 
 Experiment campaigns in this repo are embarrassingly parallel — every
-isolated run, every scalability-curve point and every mix×scheme cell
-is an independent simulation.  This module describes each unit of work
-as a small picklable job dataclass:
+isolated run (a normalisation run, or one point of a Warped-Slicer
+scalability curve, paper §2.5 / Fig. 3a) and every mix×scheme cell is
+an independent simulation.  This module describes each unit of work as
+a small picklable job dataclass:
 
-* ``IsoJob``   — one kernel alone at one TB count (normalisation runs);
-* ``CurveJob`` — one kernel's full scalability curve (Warped-Slicer
-  profiling, paper §2.5 / Fig. 3a);
-* ``MixJob``   — one concurrent mix under one scheme (a campaign cell).
+* ``IsoJob`` — one kernel alone at one TB count and cycle budget;
+* ``MixJob`` — one concurrent mix under one scheme (a campaign cell).
 
 Jobs reference kernels by their short profile names so they pickle in
-a few bytes; each worker process rebuilds a private
-:class:`~repro.harness.runner.ExperimentRunner` from the parent's
-config/settings, pre-seeded with the isolated records and curves the
-parent already holds so it never re-derives shared inputs
-(:func:`seeded_runner`).  The shared on-disk cache (``.repro_cache``)
-is written atomically (temp file + ``os.replace`` — see ``runner.py``)
-so concurrent workers cannot corrupt records.
+a few bytes.  The parent asks its
+:class:`~repro.harness.runner.ExperimentRunner` what it already knows
+about a job (:meth:`~repro.harness.runner.ExperimentRunner.recall`:
+memory, then the ``iso-*.json`` records of its cache dir) and installs
+what workers return (``install``); each worker process starts from a
+copy of that runner, so it never re-derives what the parent held.  The
+shared on-disk cache (``.repro_cache``) is written atomically (temp
+file + ``os.replace`` — see ``runner.py``) so concurrent workers cannot
+corrupt records.
 
 There is one dispatcher, :func:`repro.harness.resilience.run_jobs_resilient`
 (dedup, journal replay, parent-cache probe, worker processes or the
@@ -35,8 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.cke.warped_slicer import ScalabilityCurve
-from repro.harness.runner import ExperimentRunner, IsoRecord, RunnerSettings
+from repro.harness.runner import ExperimentRunner
 from repro.obs.telemetry import JobHeartbeat
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import get_profile
@@ -69,18 +69,12 @@ def requested_workers(workers: Optional[int] = None) -> int:
 # job descriptions (frozen → hashable → dedupable; tiny → cheap pickles)
 @dataclass(frozen=True)
 class IsoJob:
-    """One isolated run of ``kernel`` at ``tbs`` TBs per SM."""
+    """One isolated run of ``kernel`` at ``tbs`` TBs per SM (default:
+    as many as fit) for ``cycles`` (default: the iso budget)."""
 
     kernel: str
     tbs: Optional[int] = None
     cycles: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CurveJob:
-    """One kernel's full scalability curve (all TB counts)."""
-
-    kernel: str
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,7 @@ class MixJob:
     phase_interval: Optional[int] = None
 
 
-Job = Union[IsoJob, CurveJob, MixJob]
+Job = Union[IsoJob, MixJob]
 
 
 # ----------------------------------------------------------------------
@@ -114,8 +108,6 @@ def execute_job(runner: ExperimentRunner, job: Job):
     """Run one job on ``runner`` (shared by workers and serial mode)."""
     if isinstance(job, IsoJob):
         return runner.isolated(get_profile(job.kernel), job.tbs, job.cycles)
-    if isinstance(job, CurveJob):
-        return runner.curve(get_profile(job.kernel))
     if isinstance(job, MixJob):
         mix = WorkloadMix(tuple(get_profile(k) for k in job.kernels))
         obs: object = job.obs or None
@@ -127,79 +119,30 @@ def execute_job(runner: ExperimentRunner, job: Job):
 
 
 # ----------------------------------------------------------------------
-# parent-side cache installation
-def _install_iso(runner: ExperimentRunner, record: IsoRecord,
-                 cycles: Optional[int]) -> None:
-    # ``isolated()`` resolves a default (None) TB count before its
-    # cache lookup, so keying by the record's resolved count serves
-    # both explicit and default-TB requests.
-    cycles = cycles or runner.settings.iso_cycles
-    runner._iso_cache[runner._iso_key(record.name, record.tbs, cycles)] \
-        = record
-
-
-def _install_curve(runner: ExperimentRunner, curve: ScalabilityCurve) -> None:
-    runner._curve_cache[runner._curve_key(curve.kernel)] = curve
-
-
-def _absorb(runner: ExperimentRunner, job: Job, result) -> None:
-    """Install a worker's result into the parent runner's caches."""
-    if isinstance(job, IsoJob):
-        _install_iso(runner, result, job.cycles)
-    elif isinstance(job, CurveJob):
-        _install_curve(runner, result)
-
-
-def _seed_payload(runner: ExperimentRunner):
-    """Everything the parent's in-memory caches hold, as initargs:
-    ``(key, value)`` pairs under the parent's keys, which a worker's
-    runner (same config, settings and ``CACHE_VERSION``) builds
-    identically."""
-    return list(runner._iso_cache.items()), list(runner._curve_cache.items())
-
-
-def seeded_runner(config, settings: RunnerSettings, cache_dir: Optional[str],
-                  iso_seed: Sequence[Tuple[Tuple, IsoRecord]],
-                  curve_seed: Sequence[Tuple[Tuple, ScalabilityCurve]]
-                  ) -> ExperimentRunner:
-    """A worker process's private runner, pre-seeded with everything
-    the parent already knows so shared inputs are never recomputed."""
-    runner = ExperimentRunner(config, settings, cache_dir=cache_dir)
-    runner._iso_cache.update(iso_seed)
-    runner._curve_cache.update(curve_seed)
-    return runner
-
-
-# ----------------------------------------------------------------------
 # what the parent knows about a job before dispatch
-_CACHE_MISS = object()
-
 #: per-finished-job progress callback (campaign telemetry).
 ProgressFn = Callable[[JobHeartbeat], None]
 
 
 def _probe_cache(runner: ExperimentRunner, job: Job):
-    """The parent-side cached result for ``job``, or ``_CACHE_MISS``:
-    a job the parent's in-memory caches already answer is never
+    """The runner's recalled result for ``job``, or None: an isolated
+    run the parent holds in memory or finds in its cache dir is never
     dispatched."""
     if isinstance(job, IsoJob):
-        tbs = job.tbs
-        if tbs is None:
-            tbs = get_profile(job.kernel).max_tbs_per_sm(runner.config)
-        cycles = job.cycles or runner.settings.iso_cycles
-        key = runner._iso_key(job.kernel, tbs, cycles)
-        return runner._iso_cache.get(key, _CACHE_MISS)
-    if isinstance(job, CurveJob):
-        return runner._curve_cache.get(runner._curve_key(job.kernel),
-                                       _CACHE_MISS)
-    return _CACHE_MISS
+        return runner.recall(get_profile(job.kernel), job.tbs, job.cycles)
+    return None
+
+
+def _absorb(runner: ExperimentRunner, job: Job, result) -> None:
+    """Install a worker's result into the parent runner."""
+    if isinstance(job, IsoJob):
+        runner.install(result, job.cycles)
 
 
 def _job_label(job: Job) -> str:
     if isinstance(job, IsoJob):
-        return f"iso {job.kernel}" + (f" tbs={job.tbs}" if job.tbs else "")
-    if isinstance(job, CurveJob):
-        return f"curve {job.kernel}"
+        return (f"iso {job.kernel}" + (f" tbs={job.tbs}" if job.tbs else "")
+                + (f" cycles={job.cycles}" if job.cycles else ""))
     if isinstance(job, MixJob):
         return f"mix {job.scheme} {'+'.join(job.kernels)}"
     return repr(job)
@@ -210,9 +153,6 @@ def _job_cycles(runner: ExperimentRunner, job: Job) -> int:
     settings = runner.settings
     if isinstance(job, IsoJob):
         return job.cycles or settings.iso_cycles
-    if isinstance(job, CurveJob):
-        points = get_profile(job.kernel).max_tbs_per_sm(runner.config)
-        return points * settings.curve_cycles
     if isinstance(job, MixJob):
         return job.cycles or settings.concurrent_cycles
     return 0
@@ -242,14 +182,18 @@ def campaign_jobs(mixes: Sequence[WorkloadMix], schemes: Sequence[str],
             for mix in mixes for scheme in schemes]
 
 
-def shared_input_jobs(mixes: Sequence[WorkloadMix],
-                      schemes: Sequence[str]) -> List[Job]:
+def shared_input_jobs(runner: ExperimentRunner,
+                      mixes: Sequence[WorkloadMix],
+                      schemes: Sequence[str]) -> List[IsoJob]:
     """Shared inputs of a campaign: every kernel's isolated run (for
-    normalisation) and — when any scheme partitions via Warped-Slicer —
-    every kernel's scalability curve."""
-    kernels = list(dict.fromkeys(
-        p.name for mix in mixes for p in mix.profiles))
-    jobs: List[Job] = [IsoJob(k) for k in kernels]
-    if any(s.lower().startswith(("ws", "dws")) for s in schemes):
-        jobs += [CurveJob(k) for k in kernels]
+    normalisation) and — when any scheme partitions by the static
+    Warped-Slicer sweet spot — every point of every kernel's
+    scalability curve.  Dynamic Warped-Slicer (``dws``) profiles
+    online and reads no curve."""
+    profiles = {p.name: p for mix in mixes for p in mix.profiles}
+    jobs = [IsoJob(k) for k in profiles]
+    if any(s.lower().startswith("ws") for s in schemes):
+        cycles = runner.settings.curve_cycles
+        jobs += [IsoJob(k, tbs, cycles) for k, p in profiles.items()
+                 for tbs in range(1, p.max_tbs_per_sm(runner.config) + 1)]
     return jobs

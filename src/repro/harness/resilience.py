@@ -13,19 +13,21 @@ partial results are expected events, not campaign aborts.
   retry budget is exhausted.  :data:`PLAIN` is the degenerate value
   (none of the three): the first failing cell raises.
 * :func:`run_jobs_resilient` — dedup, journal replay, parent-cache
-  probe, cost ordering, then a self-managed worker pool (one task pipe
-  per worker, a shared result queue) that detects dead workers, kills
-  and respawns hung ones and retries failed cells with backoff — or
-  the in-process loop with the same accounting — and returns a
+  probe, then a self-managed worker pool (one task pipe per worker, a
+  shared result queue) that detects dead workers, kills and respawns
+  hung ones and retries failed cells with backoff — or the in-process
+  loop with the same accounting — and returns a
   :class:`ResilienceReport` of the degradation alongside the results.
   Results stay bit-identical to a fault-free run: a retry re-executes
   the same deterministic simulation.
 * :class:`CampaignJournal` — an append-only, atomic, versioned
-  checkpoint journal under the harness cache dir.  Every completed
-  cell's pickled result rides in the journal with a SHA-256
-  fingerprint; ``repro campaign --resume`` replays verified entries
-  and re-runs only unfinished / quarantined / corrupted cells, yielding
-  a merged report bit-identical to an uninterrupted campaign.
+  checkpoint journal under the harness cache dir.  A campaign journals
+  its grid cells only: each completed cell's pickled result rides in
+  the journal with a SHA-256 fingerprint, while isolated runs are
+  already durable as the cache dir's ``iso-*.json`` records.
+  ``repro campaign --resume`` replays verified entries and re-runs
+  only unfinished / quarantined / corrupted cells, yielding a merged
+  report bit-identical to an uninterrupted campaign.
 * :class:`FaultPlan` — a seeded, deterministic fault-injection
   schedule (worker kills, injected hangs, poisoned cells, unpicklable
   results, cache/journal corruption), activated via
@@ -560,9 +562,10 @@ def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
         return "err", time.perf_counter() - start, err
 
 
-def _worker_main(worker_id: int, conn, result_q, config, settings,
-                 cache_dir, iso_seed, curve_seed) -> None:
-    """Worker loop: receive ``(seq, job)`` on the private pipe, execute,
+def _worker_main(worker_id: int, conn, result_q,
+                 runner: ExperimentRunner) -> None:
+    """Worker loop: receive ``(seq, job)`` on the private pipe, execute
+    it on ``runner`` (the parent's, as the parent held it at start-up),
     ship ``(worker_id, blob)`` on the shared result queue.
 
     ``$REPRO_FAULT_PLAN`` is loaded once here and consulted around
@@ -571,8 +574,6 @@ def _worker_main(worker_id: int, conn, result_q, config, settings,
     :class:`JobError`, instead of dying inside the queue's feeder
     thread where the parent would only see silence (and misread it as
     a hang)."""
-    runner = _par.seeded_runner(config, settings, cache_dir, iso_seed,
-                                curve_seed)
     plan = FaultPlan.from_env()
     while True:
         try:
@@ -696,14 +697,14 @@ def _run_in_process(batch: _Batch, plan: Optional[FaultPlan]) -> None:
 class _Worker:
     """One sacrificial worker process plus its private task pipe."""
 
-    def __init__(self, ctx, worker_id: int, init_payload, result_q):
+    def __init__(self, ctx, worker_id: int, runner: ExperimentRunner,
+                 result_q):
         self.id = worker_id
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         self.conn = send_conn
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(worker_id, recv_conn, result_q) + tuple(init_payload),
-            daemon=True)
+            args=(worker_id, recv_conn, result_q, runner), daemon=True)
         self.proc.start()
         recv_conn.close()
         #: (seq, attempt, deadline | None) while busy.
@@ -764,9 +765,6 @@ class _WorkerPool:
             (seq, 1) for seq in range(len(batch.jobs))]
         #: (eligible_monotonic, seq, attempt) sleeping out a backoff.
         self.backoff: List[Tuple[float, int, int]] = []
-        runner = batch.runner
-        self.init_payload = (runner.config, runner.settings,
-                             runner.cache_dir) + _par._seed_payload(runner)
         # Imported here: in-process and fully journaled campaigns
         # never start a pool.
         import multiprocessing
@@ -782,7 +780,7 @@ class _WorkerPool:
             raise
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self.ctx, self._next_wid, self.init_payload,
+        worker = _Worker(self.ctx, self._next_wid, self.batch.runner,
                          self.result_q)
         self._next_wid += 1
         return worker
@@ -966,14 +964,14 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
     replays its verified checkpoints (an unobserved mix cell also
     those of its observed twin; ``resume=False`` resets it) and
     every cell that completes or is quarantined is checkpointed.  Jobs
-    the parent runner's in-memory caches already answer are never
+    the parent runner recalls (memory, then its cache dir) are never
     dispatched.  What remains is dispatched in input order to worker
-    processes or run in-process (:func:`_worker_count`).  A failed
-    attempt is retried with exponential backoff; a cell out of budget
-    is quarantined (a :class:`Quarantined` placeholder in its slot)
-    or, without quarantine, raised as :class:`JobError`.  ``IsoJob`` /
-    ``CurveJob`` results are installed into ``runner``'s in-memory
-    caches.
+    processes, each started from a copy of ``runner``, or run
+    in-process (:func:`_worker_count`).  A failed attempt is retried
+    with exponential backoff; a cell out of budget is quarantined (a
+    :class:`Quarantined` placeholder in its slot) or, without
+    quarantine, raised as :class:`JobError`.  ``IsoJob`` results are
+    installed into ``runner``.
 
     ``progress`` receives one :class:`JobHeartbeat` per settled unique
     job (plus ``retry`` beats) from the dispatching thread; results are
@@ -1000,7 +998,7 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
         resumed = known is not None
         if not resumed:
             known = _par._probe_cache(runner, job)
-            if known is _par._CACHE_MISS:
+            if known is None:
                 pending.append(job)
                 continue
         results[job] = known
@@ -1056,15 +1054,15 @@ def run_campaign_resilient(runner: ExperimentRunner,
                            progress=None,
                            phase_interval: Optional[int] = None,
                            artifacts_dir: Optional[str] = None,
-                           journal_path: Optional[str] = None,
                            resume: bool = False,
                            fault_plan: Optional[str] = None):
     """Run the full mixes×schemes grid in two batches of
-    :func:`run_jobs_resilient`: the shared inputs (isolated runs,
-    curves) once, then the grid cells with every worker pre-seeded with
-    them.  Returns ``(outcomes, report)`` in mix-major grid order,
-    bit-identical to the serial loop; quarantined cells appear as
-    :class:`Quarantined` placeholders.
+    :func:`run_jobs_resilient`: the shared isolated runs (normalisation
+    runs and scalability-curve points) once, then the grid cells with
+    every worker started from the runner that holds them.  Returns
+    ``(outcomes, report)`` in mix-major grid order, bit-identical to
+    the serial loop; quarantined cells appear as :class:`Quarantined`
+    placeholders.
 
     ``obs=True`` runs every cell observed (stall-attribution report on
     each outcome's ``result.obs``); ``phase_interval`` also turns on
@@ -1072,11 +1070,13 @@ def run_campaign_resilient(runner: ExperimentRunner,
     :class:`~repro.obs.telemetry.CampaignTelemetry`) receives one
     :class:`~repro.obs.telemetry.JobHeartbeat` per finished job.
 
-    The checkpoint journal lives at ``journal_path``; left None, a
-    policy that isolates failures (or ``resume=True``) journals under
-    the runner's cache dir, and the plain policy or a runner without a
-    cache dir keeps no journal.  ``resume=True`` replays it and re-runs
-    only unfinished / quarantined cells.
+    A policy that isolates failures (or ``resume=True``) checkpoints
+    the grid cells to a journal under the runner's cache dir; the
+    plain policy, or a runner without a cache dir, keeps none.  The
+    isolated runs are not journaled: they are durable as the cache
+    dir's ``iso-*.json`` records, which the probe reads back.
+    ``resume=True`` replays the journal and re-runs only unfinished /
+    quarantined cells.
 
     ``artifacts_dir`` makes the parent emit one run-artifact JSON per
     completed cell (plus the ``ledger.json`` index) after all workers
@@ -1087,24 +1087,22 @@ def run_campaign_resilient(runner: ExperimentRunner,
     fault-free campaign without a journal writes neither.
     """
     policy = policy or ResiliencePolicy()
-    if journal_path is None and (policy.isolates or resume):
-        journal_path = default_journal_path(runner)
+    journal_path = (default_journal_path(runner)
+                    if policy.isolates or resume else None)
     if resume and journal_path is None:
         raise ValueError(
             "--resume needs a checkpoint journal: give the runner a "
-            "cache dir or pass journal_path explicitly")
+            "cache dir")
     journal = CampaignJournal(journal_path) if journal_path else None
-    if journal is not None and not resume:
-        journal.reset()
-    _prefetch, report = run_jobs_resilient(
-        runner, _par.shared_input_jobs(mixes, schemes), policy=policy,
-        workers=workers, progress=progress, journal=journal,
-        resume=True, fault_plan=fault_plan)
+    _inputs, report = run_jobs_resilient(
+        runner, _par.shared_input_jobs(runner, mixes, schemes),
+        policy=policy, workers=workers, progress=progress,
+        fault_plan=fault_plan)
     cells = _par.campaign_jobs(mixes, schemes, cycles, obs=obs,
                                phase_interval=phase_interval)
     outcomes, report = run_jobs_resilient(
         runner, cells, policy=policy, workers=workers,
-        progress=progress, journal=journal, resume=True,
+        progress=progress, journal=journal, resume=resume,
         fault_plan=fault_plan, report=report)
     if artifacts_dir:
         from repro.obs import ledger

@@ -26,7 +26,8 @@ Scheme names follow the paper's labels:
 Isolated runs (needed both for normalisation and for Warped-Slicer's
 scalability curves) are cached in memory and optionally on disk
 (``.repro_cache``), keyed by profile calibration, configuration and
-cycle budget.
+cycle budget.  A scalability curve is not stored: it is read off the
+kernel's isolated runs at each TB count.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ class ExperimentRunner:
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
         self._iso_cache: Dict[Tuple, IsoRecord] = {}
-        self._curve_cache: Dict[Tuple, ScalabilityCurve] = {}
         self._cfg_key = config_fingerprint(self.config)
 
     # ------------------------------------------------------------------
@@ -158,18 +158,21 @@ class ExperimentRunner:
         return (CACHE_VERSION, self._cfg_key, name, tbs, cycles,
                 self.settings.seed)
 
-    def _curve_key(self, name: str) -> Tuple:
-        return (self._cfg_key, name, self.settings.curve_cycles,
-                self.settings.seed, CACHE_VERSION)
-
     def _disk_path(self, key: Tuple) -> Optional[str]:
         if not self.cache_dir:
             return None
         digest = md5(repr(key).encode()).hexdigest()
         return os.path.join(self.cache_dir, f"iso-{digest}.json")
 
-    def _recall_iso(self, key: Tuple) -> Optional[IsoRecord]:
-        """The cached record under ``key`` (memory, then disk)."""
+    def recall(self, profile: KernelProfile, tbs: Optional[int] = None,
+               cycles: Optional[int] = None) -> Optional[IsoRecord]:
+        """The record :meth:`isolated` returns for these arguments
+        without simulating — from memory, else from the cache dir —
+        or None."""
+        if tbs is None:
+            tbs = profile.max_tbs_per_sm(self.config)
+        key = self._iso_key(profile.name, tbs,
+                            cycles or self.settings.iso_cycles)
         record = self._iso_cache.get(key)
         if record is not None:
             return record
@@ -184,6 +187,15 @@ class ExperimentRunner:
                 self._iso_cache[key] = record
         return record
 
+    def install(self, record: IsoRecord,
+                cycles: Optional[int] = None) -> None:
+        """Hold ``record`` in memory as ``isolated(profile, record.tbs,
+        cycles)`` — a run made by another runner with this config and
+        settings (a worker's), which already wrote the cache dir."""
+        self._iso_cache[self._iso_key(
+            record.name, record.tbs,
+            cycles or self.settings.iso_cycles)] = record
+
     def isolated(self, profile: KernelProfile, tbs: Optional[int] = None,
                  cycles: Optional[int] = None) -> IsoRecord:
         """Run (or recall) one kernel alone at ``tbs`` TBs per SM."""
@@ -193,7 +205,7 @@ class ExperimentRunner:
             raise ValueError(f"{profile.name} cannot fit a single TB")
         settings = self.settings
         cycles = cycles or settings.iso_cycles
-        record = self._recall_iso(self._iso_key(profile.name, tbs, cycles))
+        record = self.recall(profile, tbs, cycles)
         if record is not None:
             return record
         # The max-TB curve point and the iso run are one simulation
@@ -206,8 +218,8 @@ class ExperimentRunner:
         if cycles in shared and tbs == profile.max_tbs_per_sm(self.config):
             budgets = sorted(
                 budget for budget in shared
-                if budget == cycles or self._recall_iso(
-                    self._iso_key(profile.name, tbs, budget)) is None)
+                if budget == cycles
+                or self.recall(profile, tbs, budget) is None)
         from repro.sim.engine import GPU, make_launches
         launches = make_launches([profile], [tbs], self.config,
                                  seed=settings.seed)
@@ -223,9 +235,8 @@ class ExperimentRunner:
                 sfu_utilization=result.sfu_utilization(),
                 compute_utilization=result.compute_utilization(),
             )
-            key = self._iso_key(profile.name, tbs, budget)
-            self._iso_cache[key] = record
-            path = self._disk_path(key)
+            self.install(record, budget)
+            path = self._disk_path(self._iso_key(profile.name, tbs, budget))
             if path:
                 _atomic_write_json(path, asdict(record))
         return self._iso_cache[self._iso_key(profile.name, tbs, cycles)]
@@ -245,16 +256,12 @@ class ExperimentRunner:
         return gpu.run(cycles or self.settings.iso_cycles)
 
     def curve(self, profile: KernelProfile) -> ScalabilityCurve:
-        """Scalability curve (Warped-Slicer profiling, Figure 3a)."""
-        key = self._curve_key(profile.name)
-        if key in self._curve_cache:
-            return self._curve_cache[key]
-        max_tbs = profile.max_tbs_per_sm(self.config)
-        points = [self.isolated(profile, tbs, self.settings.curve_cycles).ipc
-                  for tbs in range(1, max_tbs + 1)]
-        curve = ScalabilityCurve(profile.name, tuple(points))
-        self._curve_cache[key] = curve
-        return curve
+        """Scalability curve (Warped-Slicer profiling, Figure 3a): the
+        kernel's isolated IPC at each TB count, at the curve budget."""
+        cycles = self.settings.curve_cycles
+        return ScalabilityCurve(profile.name, tuple(
+            self.isolated(profile, tbs, cycles).ipc
+            for tbs in range(1, profile.max_tbs_per_sm(self.config) + 1)))
 
     # ------------------------------------------------------------------
     # scheme resolution

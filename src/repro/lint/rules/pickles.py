@@ -24,10 +24,10 @@ from typing import Optional, Set
 from repro.lint.rules import Rule, SRC_SCOPE
 
 #: classes whose instances cross the run_jobs process boundary
-#: (jobs out, results/heartbeats back).
+#: (the runner a worker starts from, jobs out, results/heartbeats back).
 PICKLED_CLASSES: Set[str] = {
-    "IsoJob", "CurveJob", "MixJob", "JobHeartbeat",
-    "RunResult", "ObsReport", "IsoRecord", "ScalabilityCurve",
+    "ExperimentRunner", "IsoJob", "MixJob", "JobHeartbeat",
+    "RunResult", "ObsReport", "IsoRecord",
     "WorkloadOutcome", "StallTable", "KernelStats",
 }
 

@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.config import scaled_config
+from repro.harness.parallel import _job_label, shared_input_jobs
 from repro.harness.perfbench import outcome_signature
 from repro.harness.resilience import (FaultPlan, FaultSpec, Quarantined,
                                       ResiliencePolicy,
@@ -58,8 +59,10 @@ def golden(tmp_path_factory):
 
 
 def executed_labels(telemetry):
-    """Labels of cells that actually ran (checkpoint replays excluded)."""
-    return [b.label for b in telemetry.heartbeats if b.event == "done"]
+    """Labels of cells that actually ran (checkpoint replays and cache
+    hits excluded)."""
+    return [b.label for b in telemetry.heartbeats
+            if b.event == "done" and not b.cache_hit]
 
 
 # ----------------------------------------------------------------------
@@ -122,8 +125,8 @@ def test_unpicklable_result_retried_bit_identical(tmp_path, golden):
 # ----------------------------------------------------------------------
 def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
                                                              golden):
-    """Interrupted campaign: the journal holds a prefix of the cells
-    (append-only, torn at kill time).  Resume must re-run exactly the
+    """Interrupted campaign: the journal's checkpoint is torn and one
+    isolated record on disk is garbled.  Resume must re-run exactly the
     unproven remainder and still merge bit-identically."""
     cache = tmp_path / "cache"
     runner = make_runner(cache)
@@ -131,26 +134,18 @@ def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
 
     journal_path = default_journal_path(runner)
     lines = open(journal_path).read().splitlines()
-    assert len(lines) == 5  # 2 iso + 2 curve + 1 mix, all checkpointed
-    entries = [json.loads(line) for line in lines]
+    assert len(lines) == 1  # the one grid cell; isolated runs are iso-*.json
+    assert json.loads(lines[0])["label"] == MIX_LABEL
 
-    # Simulate dying mid-campaign: drop the mix checkpoint, corrupt one
-    # iso checkpoint in place, and garble that kernel's disk-cache file
-    # so the re-run cannot shortcut through a poisoned cache either.
-    keep = []
-    corrupted_iso = None
-    for line, entry in zip(lines, entries):
-        if entry["label"] == MIX_LABEL:
-            continue
-        if corrupted_iso is None and entry["label"].startswith("iso "):
-            corrupted_iso = entry["label"]
-            line = line.replace('"blob": "', '"blob": "XX', 1)
-        keep.append(line)
+    # Simulate dying mid-campaign: corrupt the mix checkpoint in place,
+    # and garble one curve point's disk-cache record so the re-run
+    # cannot shortcut through a poisoned cache either.
     with open(journal_path, "w") as fh:
-        fh.write("\n".join(keep) + "\n")
-    iso_files = sorted(cache.glob("iso-*.json"))
-    assert iso_files
-    iso_files[0].write_text("{not json")
+        fh.write(lines[0].replace('"blob": "', '"blob": "XX', 1) + "\n")
+    point = runner._disk_path(runner._iso_key("st", 1, SETTINGS.curve_cycles))
+    assert os.path.exists(point)
+    with open(point, "w") as fh:
+        fh.write("{not json")
 
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
@@ -160,9 +155,40 @@ def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
         progress=telemetry)
 
     ran = executed_labels(telemetry)
-    assert sorted(ran) == sorted([MIX_LABEL, corrupted_iso])
-    assert report.resumed == 3  # the three intact checkpoints replayed
+    assert sorted(ran) == sorted(
+        [MIX_LABEL, f"iso st tbs=1 cycles={SETTINGS.curve_cycles}"])
+    assert report.resumed == 0  # the only checkpoint was torn
     assert outcome_signature(outcomes[0]) == golden
+
+
+def test_journal_holds_grid_cells_and_resume_rebuilds_isolated_runs(
+        tmp_path):
+    """A resilient campaign journals exactly its grid cells: isolated
+    runs are durable as ``iso-*.json`` only.  A resume after every such
+    record is deleted simulates the isolated runs again, replays the
+    cells and returns the cold outcomes."""
+    cache = tmp_path / "cache"
+    runner = make_runner(cache)
+    mixes, schemes = [make_mix()], ["ws", "even"]
+    cold, _ = run_campaign_resilient(runner, mixes, schemes, workers=1)
+    entries = [json.loads(line)
+               for line in open(default_journal_path(runner))]
+    assert [e["label"] for e in entries] == [MIX_LABEL, "mix even st+sv"]
+
+    records = sorted(p.name for p in cache.glob("iso-*.json"))
+    for name in records:
+        (cache / name).unlink()
+    fresh = ExperimentRunner(scaled_config(), SETTINGS,
+                             cache_dir=str(cache))
+    telemetry = CampaignTelemetry(quiet=True)
+    again, report = run_campaign_resilient(
+        fresh, mixes, schemes, workers=1, resume=True, progress=telemetry)
+    assert report.resumed == 2
+    assert sorted(executed_labels(telemetry)) == sorted(
+        _job_label(job) for job in shared_input_jobs(fresh, mixes, schemes))
+    assert [outcome_signature(o) for o in again] \
+        == [outcome_signature(o) for o in cold]
+    assert sorted(p.name for p in cache.glob("iso-*.json")) == records
 
 
 def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
@@ -186,8 +212,10 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
     outcomes, report = run_campaign_resilient(
         fresh, [make_mix()], ["ws"], workers=2, resume=True,
         progress=telemetry)
+    # Every isolated run comes back from the cache dir: only the
+    # quarantined cell runs, and nothing is replayed from the journal.
     assert executed_labels(telemetry) == [MIX_LABEL]
-    assert report.resumed == 4
+    assert report.resumed == 0
     assert outcome_signature(outcomes[0]) == golden
 
 
@@ -198,21 +226,25 @@ def test_corrupt_fault_hits_journal_and_campaign_survives(tmp_path, golden):
     cache = tmp_path / "cache"
     runner = make_runner(cache)
     journal_glob = os.path.join(str(cache), "journal", "*.jsonl")
+    # The ws cell is journaled first; finishing the even cell garbles
+    # the journal before that cell's own checkpoint is appended.
     plan = write_plan(tmp_path,
-                      FaultSpec(id="c1", kind="corrupt", match="iso *",
-                                path=journal_glob))
+                      FaultSpec(id="c1", kind="corrupt",
+                                match="mix even st+sv", path=journal_glob))
     outcomes, report = run_campaign_resilient(
-        runner, [make_mix()], ["ws"], workers=2, fault_plan=plan)
+        runner, [make_mix()], ["ws", "even"], workers=1, fault_plan=plan)
     assert FaultPlan.from_file(plan).fired("c1") == 1
     assert outcome_signature(outcomes[0]) == golden
     assert report.retries == 0
+    assert open(default_journal_path(runner)).read().startswith("{corrupt")
 
-    # The truncated journal still loads; resume re-runs whatever the
+    # The garbled journal still loads; resume re-runs whatever the
     # corruption made unprovable and completes identically.
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    outcomes, _ = run_campaign_resilient(fresh, [make_mix()], ["ws"],
-                                         workers=2, resume=True)
+    outcomes, _ = run_campaign_resilient(fresh, [make_mix()],
+                                         ["ws", "even"], workers=2,
+                                         resume=True)
     assert outcome_signature(outcomes[0]) == golden
 
 

@@ -317,7 +317,7 @@ assert not loaded, loaded
             [sys.executable, "-c", probe, table + "\n"],
             capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
-        assert "resilience: 12 cells, 12 resumed from journal" in done.stderr
+        assert "resilience: 32 cells, 4 resumed from journal" in done.stderr
 
     def test_cold_campaign_never_loads_hashlib(self, tmp_path):
         """A cold resilient campaign digests through ``repro._digest``

@@ -15,9 +15,9 @@ import os
 import pytest
 
 from repro.config import scaled_config
-from repro.harness.parallel import (CurveJob, IsoJob, MixJob,
-                                    campaign_jobs, requested_workers,
-                                    run_jobs, shared_input_jobs)
+from repro.harness.parallel import (IsoJob, MixJob, campaign_jobs,
+                                    requested_workers, run_jobs,
+                                    shared_input_jobs)
 from repro.harness.perfbench import outcome_signature
 from repro.harness.resilience import (PLAIN, ResiliencePolicy,
                                       default_journal_path,
@@ -101,10 +101,13 @@ def test_run_jobs_dedups_and_preserves_order(tmp_path):
 def test_prefetch_seeds_caches_for_serial_reuse(tmp_path):
     runner = make_runner(tmp_path, "prefetch")
     mixes = make_mixes((("3m", "bp"),))
-    run_jobs(runner, shared_input_jobs(mixes, ["ws"]), workers=2)
-    # Curves and isolated records are now in-memory; run_mix must not
-    # need to recompute them (observable: in-memory caches populated).
-    assert runner._iso_cache and runner._curve_cache
+    jobs = shared_input_jobs(runner, mixes, ["ws"])
+    run_jobs(runner, jobs, workers=2)
+    # Every isolated record — normalisation runs and curve points — is
+    # now in memory; run_mix must not need to recompute them.
+    assert len(runner._iso_cache) == len(set(jobs))
+    assert all(runner.recall(get_profile(j.kernel), j.tbs, j.cycles)
+               is not None for j in jobs)
     outcome = runner.run_mix(mixes[0], "ws")
     assert outcome.scheme == "ws"
 
@@ -114,26 +117,30 @@ def test_prefetch_seeds_caches_for_serial_reuse(tmp_path):
 @pytest.mark.parametrize("with_progress", [False, True])
 def test_warm_batch_executes_and_spawns_nothing(tmp_path, monkeypatch,
                                                 policy, with_progress):
-    """Jobs the parent's in-memory caches already answer are settled
-    before dispatch — whether or not anyone is listening."""
+    """Jobs the parent runner already answers — from memory, or, for a
+    fresh runner, from the warm cache dir — are settled before
+    dispatch, whether or not anyone is listening."""
     from repro.harness import parallel, resilience
     runner = make_runner(tmp_path, "warm")
-    jobs = [IsoJob("3m"), CurveJob("3m"), IsoJob("bp")]
+    curve = SETTINGS.curve_cycles
+    jobs = [IsoJob("3m"), IsoJob("3m", 1, curve), IsoJob("3m", 2, curve),
+            IsoJob("bp")]
     cold = run_jobs(runner, jobs, workers=1)
 
     def boom(*_args, **_kwargs):
         raise AssertionError("a fully warm batch must not execute or spawn")
     monkeypatch.setattr(parallel, "execute_job", boom)
     monkeypatch.setattr(resilience, "_Worker", boom)
-    beats = []
-    warm, report = resilience.run_jobs_resilient(
-        runner, jobs, policy=policy, workers=2,
-        progress=beats.append if with_progress else None)
-    assert warm == cold
-    assert all(cell.attempts == 0 for cell in report.cells.values())
-    if with_progress:
-        assert [b.index for b in beats] == [1, 2, 3]
-        assert all(b.cache_hit and b.event == "done" for b in beats)
+    for warm_runner in (runner, make_runner(tmp_path, "warm")):
+        beats = []
+        warm, report = resilience.run_jobs_resilient(
+            warm_runner, jobs, policy=policy, workers=2,
+            progress=beats.append if with_progress else None)
+        assert warm == cold
+        assert all(cell.attempts == 0 for cell in report.cells.values())
+        if with_progress:
+            assert [b.index for b in beats] == [1, 2, 3, 4]
+            assert all(b.cache_hit and b.event == "done" for b in beats)
 
 
 def test_campaign_jobs_grid_is_mix_major():
@@ -147,12 +154,34 @@ def test_campaign_jobs_grid_is_mix_major():
     ]
 
 
-def test_prefetch_jobs_skip_curves_without_ws():
+def test_prefetch_jobs_skip_curves_without_ws(tmp_path):
+    """Curve points are scheduled for the static Warped-Slicer family
+    only: dynamic Warped-Slicer profiles online and reads no curve."""
+    runner = make_runner(tmp_path, "jobs")
     mixes = make_mixes((("3m", "bp"),))
-    assert not any(isinstance(j, CurveJob)
-                   for j in shared_input_jobs(mixes, ["even", "smk"]))
-    assert any(isinstance(j, CurveJob)
-               for j in shared_input_jobs(mixes, ["even", "ws-dmil"]))
+    normalisation = [IsoJob("3m"), IsoJob("bp")]
+    for schemes in (["even", "smk"], ["dws"], ["dws-dmil", "smk-p+w"]):
+        assert shared_input_jobs(runner, mixes, schemes) == normalisation
+    jobs = shared_input_jobs(runner, mixes, ["even", "ws-dmil"])
+    points = {(j.kernel, j.tbs) for j in jobs[2:]}
+    assert jobs[:2] == normalisation
+    assert points == {
+        (k, t) for k in ("3m", "bp")
+        for t in range(1, get_profile(k).max_tbs_per_sm(runner.config) + 1)}
+    assert all(j.cycles == SETTINGS.curve_cycles for j in jobs[2:])
+
+
+def test_job_labels_name_the_budget(tmp_path):
+    """A label names every field that tells two jobs of a batch apart,
+    so fault-plan globs and quarantine lists can target one job."""
+    from repro.harness.parallel import _job_label
+    runner = make_runner(tmp_path, "labels")
+    jobs = shared_input_jobs(runner, make_mixes((("3m", "bp"),)), ["ws"])
+    labels = [_job_label(j) for j in jobs]
+    assert len(set(labels)) == len(labels)
+    assert labels[0] == "iso 3m"
+    assert _job_label(IsoJob("bp", 3, 6000)) == "iso bp tbs=3 cycles=6000"
+    assert _job_label(IsoJob("bp", cycles=6000)) == "iso bp cycles=6000"
 
 
 def test_requested_workers_env_override(monkeypatch):
