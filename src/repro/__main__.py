@@ -195,7 +195,8 @@ def cmd_run(args) -> int:
     print(f"  trace cache     : "
           f"{cache['trace_cache.chunk_compiles']} chunk compiles, "
           f"{cache['trace_cache.warp_hits']} warp hits, "
-          f"{cache['trace_cache.ops_compiled']} ops compiled")
+          f"{cache['trace_cache.ops_compiled']} ops compiled in "
+          f"{cache['trace_cache.bytes_compiled']} bytes")
     report = result.obs
     if report is not None:
         from repro.obs import format_stall_report

@@ -537,7 +537,10 @@ class ResilienceReport:
 def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
              in_worker: bool) -> Tuple[str, float, object]:
     """Execute ``job`` once with the fault plan applied:
-    ``("ok", seconds, result)`` or ``("err", seconds, JobError)``.
+    ``("ok", seconds, result)``, ``("hit", seconds, result)`` when the
+    executing runner recalled the result without simulating (an
+    isolated run another job's simulation already made), or
+    ``("err", seconds, JobError)``.
 
     In-process nothing crosses a process boundary, so an ``unpicklable``
     fault's shell is turned into the failure a worker's pickling would
@@ -547,6 +550,7 @@ def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
     try:
         if plan is not None:
             plan.fire_pre(label, in_worker=in_worker)
+        status = "ok" if _par._probe_cache(runner, job) is None else "hit"
         result = _par.execute_job(runner, job)
         if plan is not None:
             result = plan.mutate_result(label, result)
@@ -555,7 +559,7 @@ def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
             raise JobError(label, "TypeError",
                            f"result of {label!r} could not be pickled "
                            f"across the process boundary")
-        return "ok", time.perf_counter() - start, result
+        return status, time.perf_counter() - start, result
     except Exception as exc:
         err = (exc if isinstance(exc, JobError)
                else JobError.from_exception(label, exc))
@@ -634,14 +638,18 @@ class _Batch:
                 label=_par._job_label(job), duration_s=duration,
                 attempt=attempt, **extra))
 
-    def succeeded(self, job, result, duration: float, attempt: int) -> None:
+    def succeeded(self, job, result, duration: float, attempt: int,
+                  simulated: bool = True) -> None:
+        """Settle ``job``; ``simulated`` False books a result the
+        executing runner recalled as a cache hit of 0 cycles."""
         if job in self.results:
             return  # pragma: no cover - duplicate completion guard
         self.results[job] = result
         if self.journal is not None:
             self.journal.record_done(job, result)
-        self._beat(job, duration, attempt,
-                   sim_cycles=_par._job_cycles(self.runner, job))
+        self._beat(job, duration, attempt, cache_hit=not simulated,
+                   sim_cycles=(_par._job_cycles(self.runner, job)
+                               if simulated else 0))
 
     def failed(self, job, attempt: int, fault: str, duration: float,
                error: Optional[JobError] = None) -> Optional[float]:
@@ -680,8 +688,9 @@ def _run_in_process(batch: _Batch, plan: Optional[FaultPlan]) -> None:
             batch.report.cell(job).attempts += 1
             status, duration, payload = _attempt(batch.runner, plan, job,
                                                  in_worker=False)
-            if status == "ok":
-                batch.succeeded(job, payload, duration, attempt)
+            if status != "err":
+                batch.succeeded(job, payload, duration, attempt,
+                                simulated=status == "ok")
                 break
             backoff = batch.failed(job, attempt,
                                    f"error:{payload.original_type}",
@@ -883,9 +892,9 @@ class _WorkerPool:
             return
         if got_seq != seq:  # pragma: no cover - protocol safety net
             self._failed(seq, attempt, "desequenced-result", 0.0)
-        elif status == "ok":
+        elif status != "err":
             self.batch.succeeded(self.batch.jobs[seq], payload, duration,
-                                 attempt)
+                                 attempt, simulated=status == "ok")
         else:
             self._failed(seq, attempt, f"error:{payload.original_type}",
                          duration, error=payload)
@@ -1045,6 +1054,18 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
     return [results[job] for job in jobs], report
 
 
+def _renumbered(progress, offset: int, total: int):
+    """``progress`` fed one batch's beats as beats ``offset + 1 ..`` of
+    a campaign of ``total`` jobs (None stays None)."""
+    if progress is None:
+        return None
+
+    def beat(heartbeat: JobHeartbeat) -> None:
+        progress(replace(heartbeat, index=offset + heartbeat.index,
+                         total=total))
+    return beat
+
+
 def run_campaign_resilient(runner: ExperimentRunner,
                            mixes: Sequence, schemes: Sequence[str],
                            policy: Optional[ResiliencePolicy] = None,
@@ -1094,16 +1115,20 @@ def run_campaign_resilient(runner: ExperimentRunner,
             "--resume needs a checkpoint journal: give the runner a "
             "cache dir")
     journal = CampaignJournal(journal_path) if journal_path else None
-    _inputs, report = run_jobs_resilient(
-        runner, _par.shared_input_jobs(runner, mixes, schemes),
-        policy=policy, workers=workers, progress=progress,
-        fault_plan=fault_plan)
+    inputs = _par.shared_input_jobs(runner, mixes, schemes)
     cells = _par.campaign_jobs(mixes, schemes, cycles, obs=obs,
                                phase_interval=phase_interval)
+    # Each batch numbers its beats from 1 against its own size; the
+    # campaign's beats count both batches against their sum.
+    n_inputs = len(set(inputs))
+    total = n_inputs + len(set(cells))
+    _inputs, report = run_jobs_resilient(
+        runner, inputs, policy=policy, workers=workers,
+        progress=_renumbered(progress, 0, total), fault_plan=fault_plan)
     outcomes, report = run_jobs_resilient(
         runner, cells, policy=policy, workers=workers,
-        progress=progress, journal=journal, resume=resume,
-        fault_plan=fault_plan, report=report)
+        progress=_renumbered(progress, n_inputs, total), journal=journal,
+        resume=resume, fault_plan=fault_plan, report=report)
     if artifacts_dir:
         from repro.obs import ledger
         sha = ledger.current_git_sha()

@@ -32,20 +32,44 @@ OP_SFU = "sfu"
 OP_LOAD = "ld"
 OP_STORE = "st"
 
-#: single-byte opcode encoding used by precompiled traces
-#: (:mod:`repro.workloads.trace`).  Ops are compared by identity
-#: throughout the simulator, so replay decodes codes back to the
-#: interned module constants above via :data:`OP_BY_CODE`.
+#: single-byte opcode encoding, one letter per instruction: what the
+#: live stream yields (:func:`repro.workloads.trace.live_warp_arrays`)
+#: and what :func:`encode_ops` reads.
 ALU_CODE = ord("a")
 SFU_CODE = ord("s")
 LOAD_CODE = ord("l")
 STORE_CODE = ord("w")
-OP_BY_CODE = [None] * 128
-OP_BY_CODE[ALU_CODE] = OP_ALU
-OP_BY_CODE[SFU_CODE] = OP_SFU
-OP_BY_CODE[LOAD_CODE] = OP_LOAD
-OP_BY_CODE[STORE_CODE] = OP_STORE
 CODE_BY_OP = {OP_ALU: "a", OP_SFU: "s", OP_LOAD: "l", OP_STORE: "w"}
+
+#: the longest ALU run one token holds: run tokens are the byte values
+#: ``1..RUN_CAP``, all below the letter codes.
+RUN_CAP = ALU_CODE - 1
+
+#: token -> opcode.  Ops are compared by identity throughout the
+#: simulator, so replay decodes tokens to the interned module constants
+#: above.  The ALU letter is not a token: a run is stored as its length.
+OP_BY_TOKEN = [None] * 128
+OP_BY_TOKEN[1:RUN_CAP + 1] = [OP_ALU] * RUN_CAP
+OP_BY_TOKEN[SFU_CODE] = OP_SFU
+OP_BY_TOKEN[LOAD_CODE] = OP_LOAD
+OP_BY_TOKEN[STORE_CODE] = OP_STORE
+
+_ALU_RUNS = [bytes([ALU_CODE]) * n for n in range(RUN_CAP + 1)]
+_RUN_TOKENS = [bytes([n]) for n in range(RUN_CAP + 1)]
+
+
+def encode_ops(codes: bytes, longest: int = RUN_CAP) -> bytes:
+    """Per-instruction opcode letters as the run tokens a
+    :class:`ReplayStream` replays: each maximal run of ALU letters
+    becomes one byte holding its length, SFU / load / store keep their
+    letter.  ``longest`` bounds the runs in ``codes`` (a profile's
+    ``cinst_per_minst``; a run never spans a memory instruction); a run
+    longer than it, or than :data:`RUN_CAP`, becomes adjacent tokens —
+    still exact, see :meth:`ReplayStream.pop_alu_run`.  Replacing the
+    longest run first makes each token a whole run, in C."""
+    for n in range(min(longest, RUN_CAP), 0, -1):
+        codes = codes.replace(_ALU_RUNS[n], _RUN_TOKENS[n])
+    return codes
 
 
 @dataclass(frozen=True)
@@ -193,12 +217,14 @@ class InstructionStream:
 class ReplayStream:
     """The instruction stream every warp on the machine executes.
 
-    Built from flat arrays: ``ops`` is one opcode byte per instruction
-    (:data:`OP_BY_CODE` encoding), ``keys`` one int per memory
-    instruction in order.  A non-negative key is the instruction's
-    first region-local line and expands inline to the
-    ``reqs_per_minst`` adjacent lines; a negative key ``~k`` expands
-    through ``footprint(k, count, base)``.  A compiled warp
+    Built from flat arrays: ``ops`` is the warp's run tokens
+    (:func:`encode_ops`: one byte per maximal ALU run holding its
+    length, one letter per SFU, load or store), ``keys`` one int per
+    memory instruction in order.  The stream keeps a token index plus
+    the ALU ops already consumed of the current run.  A non-negative
+    key is the instruction's first region-local line and expands inline
+    to the ``reqs_per_minst`` adjacent lines; a negative key ``~k``
+    expands through ``footprint(k, count, base)``.  A compiled warp
     (:class:`repro.workloads.trace.KernelTrace`) keys an instruction
     whose footprint wraps ``~first`` and passes the pattern's bound
     :meth:`~repro.workloads.address.AccessPattern.footprint`; a warp of
@@ -212,7 +238,7 @@ class ReplayStream:
     """
 
     __slots__ = ("profile", "next_op", "_ops", "_keys", "_footprint",
-                 "_base", "_pos", "_len", "_rpm", "_mem_seen")
+                 "_base", "_pos", "_off", "_len", "_rpm", "_mem_seen")
 
     def __init__(self, profile: KernelProfile, ops: bytes, keys,
                  footprint: Callable, base_line: int = 0):
@@ -225,10 +251,11 @@ class ReplayStream:
         self._footprint = footprint
         self._base = base_line
         self._pos = 0
+        self._off = 0
         self._len = len(ops)
         self._rpm = profile.reqs_per_minst
         self._mem_seen = 0
-        self.next_op: Optional[str] = OP_BY_CODE[ops[0]] if ops else None
+        self.next_op: Optional[str] = OP_BY_TOKEN[ops[0]] if ops else None
 
     @property
     def done(self) -> bool:
@@ -238,45 +265,55 @@ class ReplayStream:
         """Consume and return the next opcode (a memory opcode's lines
         are skipped; the SM takes them with :meth:`pop_mem`)."""
         op = self.next_op
-        if op is None:
+        if op is OP_ALU:
+            off = self._off + 1
+            if off < self._ops[self._pos]:
+                self._off = off
+                return op
+            self._off = 0
+        elif op is None:
             raise RuntimeError("instruction stream exhausted")
-        if not (op is OP_ALU or op is OP_SFU):
+        elif op is not OP_SFU:
             self._mem_seen += 1
         pos = self._pos + 1
         self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
+        self.next_op = OP_BY_TOKEN[self._ops[pos]] if pos < self._len else None
         return op
 
     def pop_alu_run(self, allow_end: bool) -> int:
-        """Pop one ALU op and, when the following opcodes continue the
-        run, pre-advance past the whole run in the same scan — the
-        issue autopilot arms with it.  Returns the pre-advanced
-        remainder length (0 means nothing armed; the single pop still
-        happened).  ``allow_end``
-        False refuses a run that would exhaust the stream (the
-        caller's in-flight loads could observe the drained
-        ``next_op``)."""
-        ops = self._ops
-        pos = self._pos + 1
-        end = self._len
-        j = pos
-        while j < end and ops[j] == ALU_CODE:
-            j += 1
-        run = j - pos
-        if run and (allow_end or j < end):
-            self._pos = j
-            self.next_op = OP_BY_CODE[ops[j]] if j < end else None
-            return run
+        """Pop one ALU op and pre-advance past the rest of its run
+        token — the issue autopilot arms with it.  Returns the
+        pre-advanced remainder length (0 means nothing armed; the
+        single pop still happened).  ``allow_end`` False refuses a run
+        that would exhaust the stream (the caller's in-flight loads
+        could observe the drained ``next_op``).  A run split over
+        adjacent tokens arms one token at a time: when a burst ends the
+        autopilot re-arms at the greedy warp's next issue, so where a
+        burst stops never changes what issues."""
+        pos = self._pos
+        off = self._off + 1
+        run = self._ops[pos] - off
+        pos += 1
+        if pos < self._len:
+            self.next_op = OP_BY_TOKEN[self._ops[pos]]
+        elif allow_end or not run:
+            self.next_op = None
+        else:
+            self._off = off
+            return 0
         self._pos = pos
-        self.next_op = OP_BY_CODE[ops[pos]] if pos < end else None
-        return 0
+        self._off = 0
+        return run
 
     def rewind_alu(self, count: int) -> None:
         """Give back ``count`` unissued ALU opcodes of a skipped run
-        (the autopilot disarmed mid-burst)."""
-        pos = self._pos - count
+        (the autopilot disarmed mid-burst): at most what the last
+        :meth:`pop_alu_run` returned, so the rewind lands inside the
+        token it advanced past."""
+        pos = self._pos - 1
         self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]]
+        self._off = self._ops[pos] - count
+        self.next_op = OP_ALU
 
     def pop_mem(self):
         """Pop a memory opcode and return its lines in global line
@@ -286,7 +323,7 @@ class ReplayStream:
         self._mem_seen += 1
         pos = self._pos + 1
         self._pos = pos
-        self.next_op = OP_BY_CODE[self._ops[pos]] if pos < self._len else None
+        self.next_op = OP_BY_TOKEN[self._ops[pos]] if pos < self._len else None
         if key >= 0:
             first = self._base + key
             return range(first, first + self._rpm)

@@ -10,16 +10,24 @@ change *when* instructions issue, not *which* — so one compiled trace
 serves every scheme leg, every rep, and both the fast and reference
 loops of a campaign.
 
-This module compiles streams once into flat parallel arrays — one
-opcode byte per instruction plus one *key* per memory instruction —
-and replays them by index bump
+This module compiles streams once into flat parallel arrays — the
+warp's *run tokens* plus one *key* per memory instruction — and
+replays them by index bump
 (:class:`repro.workloads.kernel.ReplayStream`).  The compiler writes a
 warp's arrays straight from the profile's integers: per iteration the
 ``cinst_per_minst`` compute opcodes, one load/store choice, and the
-key the pattern's ``first_key`` returns.  The coalescer makes an
-instruction's ``reqs_per_minst`` lines adjacent, so the key is its
-first line, and replay expands it to ``range(base + key, base + key +
-reqs_per_minst)``; an instruction whose lines wrap the pattern's
+key the pattern's ``first_key`` returns.  The opcodes are stored as
+tokens (:func:`~repro.workloads.kernel.encode_ops`): each maximal ALU
+run is one byte holding its length (a run longer than
+:data:`~repro.workloads.kernel.RUN_CAP` is adjacent tokens), an SFU,
+load or store one letter — so a warp's ops take one byte per ALU run,
+not per ALU instruction, and the autopilot reads a run in O(1).  The
+compiler writes tokens directly: an iteration's compute group is one
+run unless an SFU draw splits it, and a split iteration's tokens are
+looked up by its draw mask (:class:`_IterationTokens`).  The
+coalescer makes an instruction's ``reqs_per_minst`` lines adjacent, so
+the key is its first line, and replay expands it to ``range(base +
+key, base + key + reqs_per_minst)``; an instruction whose lines wrap the pattern's
 region or working set is keyed ``~first`` (negative), and replay
 expands it through the pattern's ``footprint``.  What makes the
 replayed footprint bit-identical to a live
@@ -43,7 +51,8 @@ The live stream is the oracle, not the engine (:func:`live_warp`):
 footprints), the ``fuzz`` twin in ``tests/test_fuzz_twins.py`` and
 ``scripts/perf_smoke.py`` compare what a
 :class:`~repro.workloads.kernel.ReplayStream` of the compiled arrays
-yields (:func:`replayed_warp_arrays`) with it, so a change to
+yields (:func:`replayed_warp_arrays`, decoded op by op through the
+stream) with it, instruction by instruction, so a change to
 ``InstructionStream.pop`` / ``_advance`` or to a pattern's draws must
 change ``KernelTrace._compile_chunk`` in lockstep.
 
@@ -56,10 +65,11 @@ process memory only: a chunk compiles in a few ms, and a process
 touches a dozen or so.
 
 A warp's keys are packed: one array per warp (no per-key int object),
-at the width its keys need (:func:`key_array`: ``array('i')``, 4 bytes
-per memory instruction, when every key fits in 32 bits, else
-``array('q')`` — the streaming kernels' lines pass 2**31 near warp
-32 700, which a long Table-1 window reaches).
+at the narrowest width that holds them (:func:`key_array`: 1, 2, 4 or
+8 bytes per memory instruction — ``dc``'s keys, 0..23, take one byte;
+the streaming kernels' lines pass 2**31 near warp 32 700, which a long
+Table-1 window reaches).  ``trace_cache.bytes_compiled`` counts the
+token and key bytes of every compiled chunk.
 
 A profile whose pattern lacks ``trace_signature``, ``first_key`` or
 ``footprint`` is not compiled (:func:`get_trace` returns ``None``,
@@ -89,6 +99,7 @@ from repro.workloads.kernel import (
     InstructionStream,
     KernelProfile,
     ReplayStream,
+    encode_ops,
     warp_rng,
 )
 
@@ -96,8 +107,8 @@ from repro.workloads.kernel import (
 #: one of them needs more than 32 bits.
 LINE_TYPECODE = "q"
 
-#: the element type of a warp's keys when every key fits in 32 bits.
-NARROW_TYPECODE = "i"
+#: the element types a warp's keys may take, narrowest first.
+KEY_TYPECODES = ("b", "h", "i", LINE_TYPECODE)
 
 #: warps compiled together.  64 warps of a typical profile are a few
 #: hundred KB of arrays — big enough to amortise a compile's set-up,
@@ -116,12 +127,13 @@ _COMPILES = _COUNTERS.counter("trace_cache.chunk_compiles")
 _COUNTERS.counter("trace_cache.disk_hits")
 _FALLBACKS = _COUNTERS.counter("trace_cache.fallback_streams")
 _OPS_COMPILED = _COUNTERS.counter("trace_cache.ops_compiled")
+_BYTES_COMPILED = _COUNTERS.counter("trace_cache.bytes_compiled")
 
 #: (fingerprint, seed) -> KernelTrace, shared by every launch in the
 #: process (campaign legs re-create GPU objects constantly).
 _TRACES: Dict[Tuple, "KernelTrace"] = {}
 
-#: (fingerprint, seed, chunk_index) -> (ops bytes per warp, keys per
+#: (fingerprint, seed, chunk_index) -> (run tokens per warp, keys per
 #: warp), in LRU order (popitem(last=False) evicts the coldest chunk).
 _CHUNKS: "OrderedDict[Tuple, Tuple[List[bytes], List[array]]]" = OrderedDict()
 
@@ -165,17 +177,14 @@ def get_trace(profile: KernelProfile, seed: int) -> Optional["KernelTrace"]:
     return trace
 
 
-def live_warp(profile: KernelProfile, warp_index: int,
-              seed: int) -> Tuple[bytes, array, Callable]:
-    """The compiler's oracle, run once for one warp: the ops a live
-    :class:`InstructionStream` yields (``pop()``, then ``memory_lines()``
-    for a memory op), the key ``~i`` of memory instruction ``i``, and a
+def _oracle_warp(profile: KernelProfile, warp_index: int,
+                 seed: int) -> Tuple[bytes, array, Callable]:
+    """One warp of a live :class:`InstructionStream` (``pop()``, then
+    ``memory_lines()`` for a memory op): its per-instruction opcode
+    letters, the key ``~i`` of memory instruction ``i``, and a
     ``footprint(i, count, base)`` returning instruction ``i``'s lines,
-    each plus ``base`` — a :class:`ReplayStream`'s inputs.  A launch
-    builds its warps from it when the profile's pattern cannot be keyed
-    (:meth:`repro.sim.engine.KernelLaunch.new_stream`).  Each call
-    draws a fresh pattern: pattern state is per warp (module
-    docstring)."""
+    each plus ``base``.  Each call draws a fresh pattern: pattern state
+    is per warp (module docstring)."""
     stream = InstructionStream(profile, profile.pattern_factory(),
                                warp_index, seed)
     codes: List[str] = []
@@ -193,26 +202,38 @@ def live_warp(profile: KernelProfile, warp_index: int,
     return "".join(codes).encode("ascii"), keys, footprint
 
 
+def live_warp(profile: KernelProfile, warp_index: int,
+              seed: int) -> Tuple[bytes, array, Callable]:
+    """The compiler's oracle, run once for one warp, as a
+    :class:`ReplayStream`'s inputs: its run tokens, keys and footprint
+    (:func:`_oracle_warp`).  A launch builds its warps from it when the
+    profile's pattern cannot be keyed
+    (:meth:`repro.sim.engine.KernelLaunch.new_stream`)."""
+    codes, keys, footprint = _oracle_warp(profile, warp_index, seed)
+    return encode_ops(codes, profile.cinst_per_minst), keys, footprint
+
+
 def live_warp_arrays(profile: KernelProfile, warp_index: int,
                      seed: int) -> Tuple[bytes, array]:
-    """:func:`live_warp` flattened: the warp's ops and the region-local
-    lines of its memory instructions in order.  No run uses it; the
-    tests and ``scripts/perf_smoke.py`` hold
+    """The live stream flattened: one opcode letter per instruction and
+    the region-local lines of its memory instructions in order.  No run
+    uses it; the tests and ``scripts/perf_smoke.py`` hold
     :func:`replayed_warp_arrays` equal to it."""
-    ops, keys, footprint = live_warp(profile, warp_index, seed)
+    codes, keys, footprint = _oracle_warp(profile, warp_index, seed)
     lines = array(LINE_TYPECODE)
     for key in keys:
         lines.extend(footprint(~key, profile.reqs_per_minst, 0))
-    return ops, lines
+    return codes, lines
 
 
 def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
                          ops: bytes, keys: array) -> Tuple[bytes, array]:
-    """The ``(ops, lines)`` a :class:`ReplayStream` of one compiled
+    """The ``(codes, lines)`` a :class:`ReplayStream` of one compiled
     warp (:meth:`KernelTrace.warp_arrays`) yields through the SM's
-    call sequence (``pop_mem`` for a memory op), in
-    :func:`live_warp_arrays`' shape — so compile and key expansion are
-    checked against the oracle in one comparison."""
+    call sequence (``pop_mem`` for a memory op), decoded one
+    instruction at a time into :func:`live_warp_arrays`' shape — so
+    compile, token encoding and key expansion are checked against the
+    oracle in one comparison."""
     footprint = partial(profile.pattern_factory().footprint, warp_index)
     stream = ReplayStream(profile, ops, keys, footprint)
     lines = array(LINE_TYPECODE)
@@ -228,18 +249,50 @@ def replayed_warp_arrays(profile: KernelProfile, warp_index: int,
 
 
 def key_array(keys) -> array:
-    """A warp's keys at the width they need: ``array('i')`` when every
-    key fits in 32 bits, else ``array('q')``."""
-    try:
-        return array(NARROW_TYPECODE, keys)
-    except OverflowError:
-        return array(LINE_TYPECODE, keys)
+    """A warp's keys at the narrowest width that holds them: tries
+    ``array('b')``, ``'h'``, ``'i'``, then ``'q'`` (1, 2, 4, 8 bytes
+    per key)."""
+    for typecode in KEY_TYPECODES[:-1]:
+        try:
+            return array(typecode, keys)
+        except OverflowError:
+            pass
+    return array(LINE_TYPECODE, keys)
 
 
 def clear_memory_cache() -> None:
     """Drop every in-process trace and chunk (test hook)."""
     _TRACES.clear()
     _CHUNKS.clear()
+
+
+#: entries one iteration table keeps; a profile with more compute ops
+#: than fit the mask space draws few repeats, so its table restarts.
+ITERATION_TABLE_CAP = 4096
+
+
+class _IterationTokens(dict):
+    """One iteration's run tokens by draw mask: bit ``j < cinst`` set
+    when compute op ``j`` is an SFU, bit ``cinst`` when the memory op
+    is a store.  Filled on first use."""
+
+    def __init__(self, cinst: int):
+        super().__init__()
+        self.cinst = cinst
+
+    def __missing__(self, mask: int) -> bytes:
+        cinst = self.cinst
+        codes = bytes([SFU_CODE if mask >> j & 1 else ALU_CODE
+                       for j in range(cinst)]
+                      + [STORE_CODE if mask >> cinst & 1 else LOAD_CODE])
+        if len(self) >= ITERATION_TABLE_CAP:
+            self.clear()
+        tokens = self[mask] = encode_ops(codes, cinst)
+        return tokens
+
+
+#: cinst -> its :class:`_IterationTokens`, shared by every compile.
+_ITERATION_TOKENS: Dict[int, _IterationTokens] = {}
 
 
 class KernelTrace:
@@ -272,7 +325,7 @@ class KernelTrace:
 
     # ------------------------------------------------------------------
     def _compile_chunk(self, chunk_index: int):
-        """Generate the ops and keys for warps ``[chunk*C,
+        """Generate the run tokens and keys for warps ``[chunk*C,
         (chunk+1)*C)`` from the profile's integers, reproducing the live
         stream's RNG draw order (module docstring)."""
         _COMPILES.value += 1
@@ -282,17 +335,22 @@ class KernelTrace:
         sfu_frac = profile.sfu_frac
         write_frac = profile.write_frac
         reqs = profile.reqs_per_minst
-        stride = cinst + 1
-        later_cinsts = range(1, cinst)
-        template = (bytes([ALU_CODE] * cinst + [LOAD_CODE])
-                    * profile.iters_per_warp)
-        # The draw for the first op of an iteration: the SFU choice
-        # (skipped, like the live stream's, when sfu_frac is 0) or, with
-        # no compute instructions, the load/store choice.
-        if cinst:
-            head_draws, head_frac, head_code = bool(sfu_frac), sfu_frac, SFU_CODE
-        else:
-            head_draws, head_frac, head_code = True, write_frac, STORE_CODE
+        iters = profile.iters_per_warp
+        # One iteration: the compute group, then a load.  When no draw
+        # can split the group (no SFU draws, or no compute ops) it is
+        # one whole ALU run, and a warp is this template with its stores
+        # patched in.
+        group = encode_ops(bytes([ALU_CODE] * cinst + [LOAD_CODE]), cinst)
+        stride = len(group)
+        template = group * iters
+        # Otherwise an iteration's draws are bits of a mask — bit ``j <
+        # cinst`` an SFU at compute op ``j``, bit ``cinst`` a store —
+        # and its tokens are looked up by mask.
+        split = bool(sfu_frac and cinst)
+        later_bits = [1 << j for j in range(1, cinst)]
+        store_bit = 1 << cinst
+        iteration_tokens = _ITERATION_TOKENS.setdefault(
+            cinst, _IterationTokens(cinst))
         # A fresh pattern per chunk is sound: pattern state is keyed by
         # warp index (or drawn from the per-warp RNG), never shared
         # across warps, so chunk boundaries cannot leak state.
@@ -303,24 +361,41 @@ class KernelTrace:
         for warp_index in range(first, first + CHUNK_WARPS):
             rng = warp_rng(seed, warp_index)
             rnd = rng.random
-            ops = bytearray(template)
             keys: List[int] = []
-            for pos in range(0, len(ops), stride):
-                if head_draws and rnd() < head_frac:
-                    ops[pos] = head_code
-                if pos:
-                    # The previous iteration's footprint, one op draw late.
-                    keys.append(first_key(warp_index, rng, reqs))
-                if cinst:
-                    if sfu_frac:
-                        for j in later_cinsts:
-                            if rnd() < sfu_frac:
-                                ops[pos + j] = SFU_CODE
+            key = keys.append
+            # A memory instruction's footprint is drawn after the draw
+            # that decides the op following it.
+            if not split:
+                ops = bytearray(template)
+                for pos in range(stride - 1, len(ops), stride):
                     if rnd() < write_frac:
-                        ops[pos + cinst] = STORE_CODE
-            if ops:
-                keys.append(first_key(warp_index, rng, reqs))
-            ops_per_warp.append(bytes(ops))
-            keys_per_warp.append(key_array(keys))
-            _OPS_COMPILED.value += len(ops)
+                        ops[pos] = STORE_CODE
+                    # With compute ops this is the iteration's own
+                    # footprint (pos > 0); without, the previous one's.
+                    if pos:
+                        key(first_key(warp_index, rng, reqs))
+                if iters and not cinst:
+                    key(first_key(warp_index, rng, reqs))
+                tokens = bytes(ops)
+            else:
+                parts: List[bytes] = []
+                part = parts.append
+                for i in range(iters):
+                    mask = 1 if rnd() < sfu_frac else 0
+                    if i:
+                        key(first_key(warp_index, rng, reqs))
+                    for bit in later_bits:
+                        if rnd() < sfu_frac:
+                            mask |= bit
+                    if rnd() < write_frac:
+                        mask |= store_bit
+                    part(iteration_tokens[mask])
+                if iters:
+                    key(first_key(warp_index, rng, reqs))
+                tokens = b"".join(parts)
+            packed = key_array(keys)
+            ops_per_warp.append(tokens)
+            keys_per_warp.append(packed)
+            _OPS_COMPILED.value += iters * (cinst + 1)
+            _BYTES_COMPILED.value += len(tokens) + len(packed) * packed.itemsize
         return ops_per_warp, keys_per_warp

@@ -184,8 +184,19 @@ def test_journal_holds_grid_cells_and_resume_rebuilds_isolated_runs(
     again, report = run_campaign_resilient(
         fresh, mixes, schemes, workers=1, resume=True, progress=telemetry)
     assert report.resumed == 2
+    # Each kernel's max-TB curve point is its isolated run's own
+    # simulation read at the curve budget: settled without simulating,
+    # it beats as a cache hit.
+    inputs = shared_input_jobs(fresh, mixes, schemes)
+    recalled = [job for job in inputs if job.tbs is not None
+                and job.tbs == get_profile(job.kernel).max_tbs_per_sm(
+                    fresh.config)]
+    assert len(recalled) == 2
     assert sorted(executed_labels(telemetry)) == sorted(
-        _job_label(job) for job in shared_input_jobs(fresh, mixes, schemes))
+        _job_label(job) for job in inputs if job not in recalled)
+    assert sorted(b.label for b in telemetry.heartbeats
+                  if b.event == "done" and b.cache_hit) == sorted(
+        _job_label(job) for job in recalled)
     assert [outcome_signature(o) for o in again] \
         == [outcome_signature(o) for o in cold]
     assert sorted(p.name for p in cache.glob("iso-*.json")) == records

@@ -7,7 +7,7 @@ import pytest
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.sim.engine import GPU, KernelLaunch, make_launches
-from repro.workloads.kernel import ReplayStream
+from repro.workloads.kernel import ReplayStream, encode_ops
 from repro.workloads.profiles import get_profile
 
 
@@ -163,7 +163,8 @@ class TestLaunchHelpers:
 class OneSM:
     """A single-SM GPU under direct drive: one thread block whose warps
     replay hand-written streams — ``scripts[i]`` is warp *i*'s ``(ops,
-    lines)`` in the trace encoding (``l`` load, ``w`` store, ``a`` ALU;
+    lines)``, one letter per instruction (``l`` load, ``w`` store, ``a``
+    ALU, stored as run tokens like a compiled warp's;
     ``reqs`` adjacent lines per memory op, replayed from its first
     line's key) — with the ``hot`` lines resident in
     the L1 up front.  ``co_kernel`` adds a second kernel that never
@@ -188,8 +189,8 @@ class OneSM:
         for warp, (ops, lines) in zip(self.warps, scripts):
             keys = lines[::reqs]
             assert list(lines) == [k + i for k in keys for i in range(reqs)]
-            warp.stream = ReplayStream(profile, ops.encode(), keys,
-                                       no_wrapped_key)
+            warp.stream = ReplayStream(profile, encode_ops(ops.encode()),
+                                       keys, no_wrapped_key)
         for line in hot:
             self.l1.tags.reserve(line, 0)
             self.l1.tags.fill(line)

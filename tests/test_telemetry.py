@@ -3,12 +3,14 @@ hook in ``run_jobs`` (exercised on the serial path so the test stays
 cheap and sandbox-proof)."""
 
 import io
+import tempfile
 
 from repro.config import scaled_config
 from repro.harness.parallel import IsoJob, MixJob, campaign_jobs, run_jobs
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.obs.telemetry import CampaignTelemetry, JobHeartbeat
 from repro.workloads.mixes import mix
+from repro.workloads.profiles import get_profile
 
 QUICK = RunnerSettings(iso_cycles=400, curve_cycles=300,
                        concurrent_cycles=600)
@@ -120,3 +122,59 @@ class TestRunJobsProgress:
         assert outcomes[0].result.obs is not None
         report = outcomes[0].result.obs
         assert sum(report.sched_stalls.values()) == report.issue_slots()
+
+
+class TestCampaignProgress:
+    """``run_campaign_resilient`` feeds one callback two batches: the
+    shared isolated runs, then the grid."""
+
+    def campaign(self, workers, cache_dir=None):
+        from repro.harness.resilience import PLAIN, run_campaign_resilient
+        runner = ExperimentRunner(scaled_config(), QUICK, cache_dir=cache_dir)
+        sink = CampaignTelemetry(quiet=True)
+        run_campaign_resilient(runner, [mix("bp", "cd")], ["ws"],
+                               policy=PLAIN, workers=workers, progress=sink)
+        return runner, sink
+
+    def test_beats_count_the_whole_campaign(self):
+        """Beats run 1..N against the campaign's N jobs, the grid cell
+        last — not 1..n per batch."""
+        _runner, sink = self.campaign(workers=1)
+        beats = sink.heartbeats
+        total = len(beats)
+        assert [b.index for b in beats] == list(range(1, total + 1))
+        assert {b.total for b in beats} == {total}
+        assert beats[-1].label == "mix ws bp+cd"
+        assert sink.eta_s() == 0.0
+
+    def test_a_recalled_curve_point_books_no_cycles(self):
+        """The max-TB curve point is settled by the isolated run's own
+        simulation: its beat is a cache hit of 0 cycles, and the closing
+        rate counts only what was simulated."""
+        runner, sink = self.campaign(workers=1)
+        max_tbs = {k: get_profile(k).max_tbs_per_sm(runner.config)
+                   for k in ("bp", "cd")}
+        recalled = [b for b in sink.heartbeats
+                    if b.label in (f"iso {k} tbs={t} cycles=300"
+                                   for k, t in max_tbs.items())]
+        assert len(recalled) == 2
+        assert all(b.cache_hit and b.sim_cycles == 0 for b in recalled)
+        simulated = [b for b in sink.heartbeats if not b.cache_hit]
+        assert sink.cycles_per_s() == (
+            sum(b.sim_cycles for b in simulated)
+            / sum(b.duration_s for b in simulated))
+        assert sink.summary().startswith(
+            f"campaign: {len(sink.heartbeats)} jobs in ")
+        assert ", 2 cached, " in sink.summary()
+
+    def test_a_worker_books_its_recalled_curve_point_as_a_hit(self):
+        """Same under a worker pool: the worker that ran the isolated
+        run, or read its record from the cache dir, reports the hit."""
+        with tempfile.TemporaryDirectory() as cache:
+            _runner, sink = self.campaign(workers=2, cache_dir=cache)
+        hits = [b for b in sink.heartbeats if b.cache_hit]
+        assert hits and all(b.sim_cycles == 0 for b in hits)
+        assert all(b.sim_cycles > 0 for b in sink.heartbeats
+                   if not b.cache_hit)
+        assert ([b.index for b in sink.heartbeats]
+                == list(range(1, len(sink.heartbeats) + 1)))

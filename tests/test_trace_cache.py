@@ -13,7 +13,18 @@ import pytest
 from repro.workloads import trace as ktrace
 from repro.workloads.address import MixPattern, ReusePattern, StreamPattern
 from repro.workloads.coalescer import ThreadAddressPattern, gather, strided
-from repro.workloads.kernel import OP_ALU, OP_SFU, ReplayStream
+from repro.workloads.kernel import (
+    CODE_BY_OP,
+    LOAD_CODE,
+    OP_ALU,
+    OP_LOAD,
+    OP_SFU,
+    RUN_CAP,
+    SFU_CODE,
+    STORE_CODE,
+    ReplayStream,
+    encode_ops,
+)
 from repro.workloads.profiles import ALL_PROFILES, get_profile
 
 
@@ -143,25 +154,32 @@ class TestCompileCorrectness:
                         ), (seed, warp_index)
 
     def test_arrays_are_bytes_and_int_lists(self):
-        ops, keys = ktrace.get_trace(get_profile("bp"), 0).warp_arrays(0)
+        """bp's ops are run tokens (no ALU letter, every run at most
+        ``cinst_per_minst`` long) and its warp-0 keys, 35..1k, 2-byte
+        ints."""
+        profile = get_profile("bp")
+        ops, keys = ktrace.get_trace(profile, 0).warp_arrays(0)
         assert type(ops) is bytes
-        assert type(keys) is array and keys.typecode == "i"
+        runs = set(range(1, profile.cinst_per_minst + 1))
+        assert set(ops) <= runs | {SFU_CODE, LOAD_CODE, STORE_CODE}
+        assert type(keys) is array and keys.typecode == "h"
         assert all(type(key) is int for key in keys)
 
 
 class TestPackedLines:
     def test_lines_are_packed_int64(self):
-        """Every warp of a compiled ks chunk holds one 4-byte key per
-        memory instruction; a warp far enough out that its lines pass
-        2**32 holds 8-byte keys and replays the live stream."""
+        """Every warp of a compiled ks chunk holds one key per memory
+        instruction, 2 bytes each for warp 0 (lines below 2**15) and 4
+        for the rest; a warp far enough out that its lines pass 2**32
+        holds 8-byte keys and replays the live stream."""
         profile = get_profile("ks")
         trace = ktrace.get_trace(profile, 0)
         header = sys.getsizeof(array("q"))
         for warp_index in range(ktrace.CHUNK_WARPS):
             keys = trace.warp_arrays(warp_index)[1]
-            assert keys.itemsize == 4
+            assert keys.itemsize == (2 if warp_index == 0 else 4)
             assert len(keys) == profile.iters_per_warp
-            assert sys.getsizeof(keys) <= 8 * len(keys) + header
+            assert sys.getsizeof(keys) <= keys.itemsize * len(keys) + header
 
         far = 70_000
         expected = live_call_order(profile, far, 0)
@@ -170,30 +188,85 @@ class TestPackedLines:
         assert ktrace.get_trace(profile, 0).warp_arrays(far)[1].itemsize == 8
 
 
+#: keys on each side of every width boundary, and the width they take.
+WIDTH_BOUNDARIES = [
+    pytest.param([0, 127], "b", id="b-max"),
+    pytest.param([0, 128], "h", id="h-min"),
+    pytest.param([-128, 5], "b", id="b-min-negative"),
+    pytest.param([-129, 5], "h", id="h-max-negative"),
+    pytest.param([0, 2**15 - 1], "h", id="h-max"),
+    pytest.param([0, 2**15], "i", id="i-min"),
+    pytest.param([~(2**15 - 1)], "h", id="wrapped-h"),
+    pytest.param([~(2**15)], "i", id="wrapped-i"),
+    pytest.param([0, 2**31 - 1], "i", id="max-narrow"),
+    pytest.param([0, 2**31], "q", id="min-wide"),
+    # wrapped keys ~first
+    pytest.param([~0, ~(2**31 - 1)], "i", id="wrapped-narrow"),
+    pytest.param([~(2**31)], "q", id="wrapped-wide"),
+]
+
+
 class TestKeyWidth:
-    @pytest.mark.parametrize("keys,typecode", [
-        ([0, 2**31 - 1], "i"),
-        ([0, 2**31], "q"),
-        ([~0, ~(2**31 - 1)], "i"),  # wrapped keys ~first
-        ([~(2**31)], "q"),
-        ([], "i"),
-    ], ids=["max-narrow", "min-wide", "wrapped-narrow", "wrapped-wide",
-            "empty"])
+    @pytest.mark.parametrize("keys,typecode", WIDTH_BOUNDARIES + [
+        pytest.param([], "b", id="empty")])
     def test_keys_are_stored_at_the_width_they_need(self, keys, typecode):
-        """Narrow when every key fits in 32 bits, else int64."""
+        """The narrowest of 1, 2, 4 and 8 bytes that holds every key."""
         packed = ktrace.key_array(keys)
         assert packed.typecode == typecode and list(packed) == keys
+
+    @pytest.mark.parametrize("keys,typecode", WIDTH_BOUNDARIES)
+    def test_boundary_keys_round_trip_through_pop_mem(self, keys, typecode):
+        """A key at each width's edge expands to the lines the same key
+        held in an int list does: ``range(base + key, ...)`` for a
+        first line, the footprint of ``~key`` for a wrapped one."""
+        profile = dataclasses.replace(get_profile("dc"), reqs_per_minst=2)
+        ops = encode_ops(b"al" * len(keys))
+        base = 1 << 40
+
+        def footprint(first, count, base_line):
+            return [base_line - first - 1 - i for i in range(count)]
+
+        def lines(packed):
+            stream = ReplayStream(profile, ops, packed, footprint,
+                                  base_line=base)
+            return replay_lines(stream)
+
+        packed = ktrace.key_array(keys)
+        assert packed.typecode == typecode
+        assert lines(packed) == lines(list(keys))
+        expected = []
+        for key in keys:
+            expected += (list(range(base + key, base + key + 2)) if key >= 0
+                         else footprint(~key, 2, base))
+        assert lines(packed) == expected
+
+    def test_dc_keys_take_one_byte(self):
+        """dc's keys, 0..23 (a 24-line reuse set), are ``array('b')``
+        in every warp of a chunk."""
+        trace = ktrace.get_trace(get_profile("dc"), 0)
+        for warp_index in range(ktrace.CHUNK_WARPS):
+            keys = trace.warp_arrays(warp_index)[1]
+            assert keys.typecode == "b"
+            assert set(keys) <= set(range(24))
 
 
 def replay_lines(stream):
     """Every line a ReplayStream hands the SM, in order."""
+    return replay(stream)[1]
+
+
+def replay(stream):
+    """What a ReplayStream hands the SM: one opcode letter per
+    instruction, and every line in order."""
+    codes = []
     lines = []
     while stream.next_op is not None:
+        codes.append(CODE_BY_OP[stream.next_op])
         if stream.next_op is OP_ALU or stream.next_op is OP_SFU:
             stream.pop()
         else:
             lines.extend(stream.pop_mem())
-    return lines
+    return "".join(codes).encode("ascii"), lines
 
 
 class TestReplayRebase:
@@ -206,9 +279,159 @@ class TestReplayRebase:
         stream = ReplayStream(profile, ops, keys, footprint, base_line=base)
         assert stream._keys is keys, "keys must stay shared"
         live_ops, live_lines = live_call_order(profile, 5, 0)
-        assert ops == live_ops
-        assert replay_lines(stream) == [base + line for line in live_lines]
+        assert ops == encode_ops(live_ops, profile.cinst_per_minst)
+        codes, lines = replay(stream)
+        assert codes == live_ops
+        assert lines == [base + line for line in live_lines]
         assert keys == pristine, "shared keys mutated"
+
+
+def letters(stream, pops=None):
+    """``pops`` opcodes popped one at a time (all, by default), as
+    letters."""
+    codes = []
+    while stream.next_op is not None and (pops is None or len(codes) < pops):
+        codes.append(CODE_BY_OP[stream.next_op])
+        if stream.next_op is OP_LOAD:
+            stream.pop_mem()
+        else:
+            stream.pop()
+    return "".join(codes)
+
+
+def script_stream(codes):
+    """A stream of per-instruction ``codes``, every memory op keyed 0."""
+    profile = get_profile("dc")
+    keys = array("b", [0] * sum(c in "lw" for c in codes))
+    return ReplayStream(profile, encode_ops(codes.encode()), keys,
+                        functools.partial(pytest.fail, "wrapped key"))
+
+
+class TestRunTokens:
+    """A warp's ops are run tokens: one byte per maximal ALU run
+    holding its length, one letter per SFU, load or store."""
+
+    @pytest.mark.parametrize("codes,tokens", [
+        (b"", b""),
+        (b"l", b"l"),
+        (b"al", b"\x01l"),
+        (b"aaasaaaaw", b"\x03s\x04w"),
+        (b"saaslaa", b"s\x02sl\x02"),
+        (b"a" * RUN_CAP + b"l", bytes([RUN_CAP]) + b"l"),
+        (b"a" * (2 * RUN_CAP + 3) + b"s",
+         bytes([RUN_CAP, RUN_CAP, 3]) + b"s"),
+    ], ids=["empty", "load", "one", "split-by-sfu", "edges", "cap",
+            "over-cap"])
+    def test_encoding(self, codes, tokens):
+        assert encode_ops(codes) == tokens
+        assert encode_ops(codes, RUN_CAP + 1000) == tokens
+
+    def test_a_short_bound_still_encodes_exactly(self):
+        """``longest`` below a run splits it into adjacent tokens."""
+        assert encode_ops(b"aaaaaaal", 3) == b"\x03\x03\x01l"
+        assert letters(script_stream("aaaaaaal")) == "aaaaaaal"
+
+    @pytest.mark.parametrize("run", range(1, 10))
+    def test_every_run_length_replays_the_oracle(self, run):
+        """Runs of 1..9 ALU ops (cd's compute group is 9): a whole-group
+        run without SFUs, and runs of every shorter length split by
+        SFU draws, replay equal to the live stream."""
+        stream = script_stream("a" * run + "l" + "a" * run)
+        assert letters(stream) == "a" * run + "l" + "a" * run
+        for sfu_frac in (0.0, 0.3):
+            profile = dataclasses.replace(
+                get_profile("cd"), cinst_per_minst=run, sfu_frac=sfu_frac,
+                iters_per_warp=40)
+            for warp_index in (0, 5):
+                assert (compiled(profile, warp_index, 0)
+                        == live_call_order(profile, warp_index, 0))
+
+    def test_run_over_the_cap_is_split_into_tokens(self):
+        """A compute group longer than RUN_CAP compiles to adjacent
+        run tokens and replays the live stream."""
+        profile = dataclasses.replace(
+            get_profile("bp"), cinst_per_minst=RUN_CAP + 5, sfu_frac=0.0,
+            iters_per_warp=6)
+        ops, _keys = ktrace.get_trace(profile, 0).warp_arrays(0)
+        assert ops.count(bytes([RUN_CAP, 5])) == 6
+        for sfu_frac in (0.0, 0.01):
+            profile = dataclasses.replace(profile, sfu_frac=sfu_frac)
+            for warp_index in (0, 1):
+                assert (compiled(profile, warp_index, 0)
+                        == live_call_order(profile, warp_index, 0))
+
+    @pytest.mark.parametrize("policy", ["gto", "lrr"])
+    def test_production_equals_oracle_with_split_runs(self, policy,
+                                                      monkeypatch):
+        """The autopilot arms one token of a split run at a time (under
+        GTO, whole tokens of RUN_CAP ops): the production machine still
+        equals the oracle."""
+        from repro.config import scaled_config
+        from repro.core.arbiter import SchemeConfig
+        from repro.harness.perfbench import result_signature
+        from repro.sim.engine import GPU, make_launches
+
+        long_runs = dataclasses.replace(
+            get_profile("bp"), name="long", cinst_per_minst=RUN_CAP + 30,
+            sfu_frac=0.01, iters_per_warp=8)
+        cfg = scaled_config(num_sms=2, scheduler_policy=policy)
+
+        def run(reference):
+            launches = make_launches([long_runs, get_profile("sv")], [2, 2],
+                                     cfg, seed=1)
+            return GPU(cfg, launches, SchemeConfig(),
+                       reference=reference).run(3000)
+
+        armed = []
+        pop_alu_run = ReplayStream.pop_alu_run
+
+        def spy(stream, allow_end):
+            armed.append(pop_alu_run(stream, allow_end))
+            return armed[-1]
+
+        monkeypatch.setattr(ReplayStream, "pop_alu_run", spy)
+        production = run(False)
+        assert result_signature(production) == result_signature(run(True))
+        assert production.kernels[0].alu_insts > 2 * RUN_CAP
+        assert max(armed, default=0) == (RUN_CAP - 1 if policy == "gto"
+                                         else 0)
+
+    def test_rewind_lands_inside_the_token(self):
+        """A disarmed burst gives back part of a run: the stream sits
+        inside the run token, then pops the rest of it and moves on."""
+        stream = script_stream("aaaaal" + "aa")
+        assert stream.pop_alu_run(True) == 4
+        assert stream.next_op is OP_LOAD and stream._pos == 1
+        stream.rewind_alu(3)
+        assert (stream._pos, stream._off) == (0, 2)
+        assert stream.next_op is OP_ALU
+        assert stream.pop_alu_run(True) == 2
+        stream.rewind_alu(2)
+        assert letters(stream) == "aal" + "aa"
+
+    def test_rewind_after_a_run_that_ended_the_stream(self):
+        stream = script_stream("l" + "aaa")
+        assert letters(stream, 1) == "l"
+        assert stream.pop_alu_run(True) == 2
+        assert stream.done
+        stream.rewind_alu(1)
+        assert letters(stream) == "a"
+
+    def test_allow_end_is_refused_on_a_trailing_run(self):
+        """With loads in flight a run may not end the stream: the one
+        pop happens, inside the token, and nothing is armed."""
+        stream = script_stream("l" + "aaa")
+        letters(stream, 1)
+        assert stream.pop_alu_run(False) == 0
+        assert stream.next_op is OP_ALU and (stream._pos, stream._off) == (1, 1)
+        assert stream.pop_alu_run(False) == 0
+        assert stream.pop_alu_run(False) == 0
+        assert stream.done
+
+    def test_a_run_before_more_ops_is_armed_without_allow_end(self):
+        stream = script_stream("aaal")
+        assert stream.pop_alu_run(False) == 2
+        assert stream.next_op is OP_LOAD
 
 
 #: the patterns the compiler cannot key: coalesced footprints of
@@ -238,9 +461,10 @@ class TestUntraceablePatterns:
                                   base_line=base)
             live_ops, live_lines = ktrace.live_warp_arrays(
                 profile, warp_index, 3)
-            assert ops == live_ops
-            assert replay_lines(stream) == [base + line
-                                            for line in live_lines]
+            assert ops == encode_ops(live_ops, profile.cinst_per_minst)
+            codes, lines = replay(stream)
+            assert codes == live_ops
+            assert lines == [base + line for line in live_lines]
 
     @pytest.mark.parametrize("factory", UNTRACEABLE)
     def test_production_equals_oracle(self, factory):
@@ -324,7 +548,8 @@ class TestCounters:
         names = process_registry().snapshot("trace_cache")
         assert {"trace_cache.warp_hits", "trace_cache.chunk_compiles",
                 "trace_cache.disk_hits", "trace_cache.fallback_streams",
-                "trace_cache.ops_compiled"} == set(names)
+                "trace_cache.ops_compiled",
+                "trace_cache.bytes_compiled"} == set(names)
         assert names["trace_cache.disk_hits"] == 0
 
     def test_compiled_work_counts_are_exact(self):
@@ -336,3 +561,17 @@ class TestCounters:
         per_warp_ops = profile.iters_per_warp * (profile.cinst_per_minst + 1)
         assert (ktrace._OPS_COMPILED.value - before
                 == ktrace.CHUNK_WARPS * per_warp_ops)
+
+    @pytest.mark.parametrize("name", ["dc", "bp", "ks"])
+    def test_bytes_compiled_are_the_chunk_arrays(self, name):
+        """``bytes_compiled`` moves by the token and key bytes the
+        chunk holds, counted once per compile."""
+        profile = get_profile(name)
+        before = ktrace._BYTES_COMPILED.value
+        trace = ktrace.get_trace(profile, 0)
+        held = 0
+        for warp_index in range(ktrace.CHUNK_WARPS):
+            ops, keys = trace.warp_arrays(warp_index)
+            held += len(ops) + len(keys) * keys.itemsize
+        assert ktrace._BYTES_COMPILED.value - before == held
+
