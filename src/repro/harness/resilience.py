@@ -13,11 +13,11 @@ partial results are expected events, not campaign aborts.
   retry budget is exhausted.  :data:`PLAIN` is the degenerate value
   (none of the three): the first failing cell raises.
 * :func:`run_jobs_resilient` — dedup, journal replay, parent-cache
-  probe, then a self-managed worker pool (one task pipe per worker, a
-  shared result queue) that detects dead workers, kills and respawns
-  hung ones and retries failed cells with backoff — or the in-process
-  loop with the same accounting — and returns a
-  :class:`ResilienceReport` of the degradation alongside the results.
+  probe, then a self-managed worker pool (one duplex pipe per worker)
+  that detects dead workers, kills hung ones and retries failed cells
+  with backoff — or the in-process loop with the same accounting — and
+  returns a :class:`ResilienceReport` of the degradation alongside the
+  results.
   Results stay bit-identical to a fault-free run: a retry re-executes
   the same deterministic simulation.
 * :class:`CampaignJournal` — an append-only, atomic, versioned
@@ -30,12 +30,12 @@ partial results are expected events, not campaign aborts.
   report bit-identical to an uninterrupted campaign.
 * :class:`FaultPlan` — a seeded, deterministic fault-injection
   schedule (worker kills, injected hangs, poisoned cells, unpicklable
-  results, cache/journal corruption), activated via
-  ``$REPRO_FAULT_PLAN`` (each worker process loads it at start-up).
-  Each fault fires a bounded number of times, coordinated across
-  processes by exclusive marker-file claims, so the chaos tests can
-  script "kill the worker on this cell, once" and know the retry will
-  succeed.
+  results, cache/journal corruption), loaded once by the parent (from
+  ``fault_plan=`` or else ``$REPRO_FAULT_PLAN``) and handed to every
+  worker as a start-up argument.  Each fault fires a bounded number
+  of times, coordinated across processes by exclusive marker-file
+  claims, so the chaos tests can script "kill the worker on this
+  cell, once" and know the retry will succeed.
 * :class:`JobError` — the one failure type of a cell: picklable, it
   carries the job label, the original exception type and the full
   formatted traceback across the process boundary.
@@ -51,7 +51,6 @@ import glob as globmod
 import json
 import os
 import pickle
-import queue as queuemod
 import signal
 import time
 import traceback
@@ -63,7 +62,8 @@ from repro.harness import parallel as _par
 from repro.harness.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.telemetry import JobHeartbeat
 
-#: environment variable naming the active fault-plan JSON file.
+#: environment variable naming the fault-plan JSON file a batch
+#: without ``fault_plan=`` loads.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: bump when the journal line schema changes; loaders skip other
@@ -72,6 +72,9 @@ JOURNAL_VERSION = 1
 
 #: fault kinds a plan may schedule.
 FAULT_KINDS = ("kill", "hang", "raise", "unpicklable", "corrupt")
+
+#: growth of the retry backoff per failed attempt.
+BACKOFF_FACTOR = 2.0
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +153,9 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of injected faults.
 
-    The plan is a JSON file named by ``$REPRO_FAULT_PLAN``; worker
-    processes load it at start-up and consult it around every job.
+    The plan is a JSON file; the dispatching parent loads it once per
+    batch and passes the value to the in-process loop or to every
+    worker at start-up, which consult it around every job.
     Firing is *claimed* before it happens: fault ``f`` with
     ``times=N`` owns marker slots ``f.fired.0 .. f.fired.N-1`` in the
     plan's state directory, and a worker fires only after exclusively
@@ -162,11 +166,9 @@ class FaultPlan:
 
     VERSION = 1
 
-    def __init__(self, faults: Sequence[FaultSpec], state_dir: str,
-                 seed: int = 0):
+    def __init__(self, faults: Sequence[FaultSpec], state_dir: str):
         self.faults = list(faults)
         self.state_dir = state_dir
-        self.seed = seed
         ids = [f.id for f in self.faults]
         if len(set(ids)) != len(ids):
             raise ValueError("fault ids must be unique")
@@ -176,7 +178,6 @@ class FaultPlan:
     def to_file(self, path: str) -> str:
         payload = {
             "version": self.VERSION,
-            "seed": self.seed,
             "state_dir": self.state_dir,
             "faults": [{k: v for k, v in {
                 "id": f.id, "kind": f.kind, "match": f.match,
@@ -205,7 +206,7 @@ class FaultPlan:
             seconds=float(entry.get("seconds", 3600.0)),
             path=entry.get("path"),
         ) for entry in payload.get("faults", [])]
-        return cls(faults, state_dir, seed=int(payload.get("seed", 0)))
+        return cls(faults, state_dir)
 
     @classmethod
     def from_env(cls) -> Optional["FaultPlan"]:
@@ -430,7 +431,7 @@ class ResiliencePolicy:
 
     ``timeout_s`` is the per-attempt wall-clock budget (None disables
     preemption); a cell gets ``retries`` extra attempts after its
-    first, sleeping ``backoff_s * backoff_factor**(attempt-1)`` between
+    first, sleeping ``backoff_s * BACKOFF_FACTOR**(attempt-1)`` between
     them; once the budget is gone the cell is quarantined (campaign
     continues) unless ``quarantine`` is False (the first exhausted cell
     raises :class:`JobError` and aborts the batch).
@@ -439,13 +440,12 @@ class ResiliencePolicy:
     timeout_s: Optional[float] = None
     retries: int = 2
     backoff_s: float = 0.25
-    backoff_factor: float = 2.0
     quarantine: bool = True
 
     def backoff_after(self, attempt: int) -> float:
         """Seconds to wait before re-dispatching after failed attempt
         number ``attempt`` (1-based)."""
-        return self.backoff_s * (self.backoff_factor ** (attempt - 1))
+        return self.backoff_s * (BACKOFF_FACTOR ** (attempt - 1))
 
     @property
     def max_attempts(self) -> int:
@@ -493,8 +493,8 @@ class ResilienceReport:
     the class object.
     """
 
-    def __init__(self, cells: Optional[Dict[str, CellReport]] = None):
-        self.cells: Dict[str, CellReport] = dict(cells) if cells else {}
+    def __init__(self):
+        self.cells: Dict[str, CellReport] = {}
 
     def cell(self, job) -> CellReport:
         key = job_key(job)
@@ -513,11 +513,6 @@ class ResilienceReport:
     @property
     def resumed(self) -> int:
         return sum(1 for c in self.cells.values() if c.resumed)
-
-    def merged(self, other: "ResilienceReport") -> "ResilienceReport":
-        out = ResilienceReport(dict(self.cells))
-        out.cells.update(other.cells)
-        return out
 
     def summary(self) -> str:
         bits = [f"{len(self.cells)} cells"]
@@ -566,40 +561,35 @@ def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
         return "err", time.perf_counter() - start, err
 
 
-def _worker_main(worker_id: int, conn, result_q,
-                 runner: ExperimentRunner) -> None:
-    """Worker loop: receive ``(seq, job)`` on the private pipe, execute
-    it on ``runner`` (the parent's, as the parent held it at start-up),
-    ship ``(worker_id, blob)`` on the shared result queue.
+def _worker_main(conn, runner: ExperimentRunner,
+                 plan: Optional[FaultPlan]) -> None:
+    """Worker loop: receive a job on ``conn``, execute it on ``runner``
+    (the parent's, as the parent held it at start-up) under ``plan``,
+    send the pickled ``(status, duration, payload)`` back on ``conn``.
 
-    ``$REPRO_FAULT_PLAN`` is loaded once here and consulted around
-    every job.  The payload is pre-pickled *in the worker*: an
-    unpicklable result is detected here and converted into a
-    :class:`JobError`, instead of dying inside the queue's feeder
-    thread where the parent would only see silence (and misread it as
-    a hang)."""
-    plan = FaultPlan.from_env()
+    The payload is pickled *here*, before anything is sent: an
+    unpicklable result becomes a :class:`JobError` reply instead of a
+    half-written message the parent would misread as a crash."""
     while True:
         try:
-            msg = conn.recv()
+            job = conn.recv()
         except (EOFError, OSError):
             break
-        if msg is None:
+        if job is None:
             break
-        seq, job = msg
         status, duration, payload = _attempt(runner, plan, job,
                                              in_worker=True)
         try:
-            blob = pickle.dumps((status, seq, duration, payload),
+            blob = pickle.dumps((status, duration, payload),
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             label = _par._job_label(job)
             err = JobError(label, type(exc).__name__,
                            f"result of {label!r} could not be pickled "
                            f"across the process boundary: {exc}")
-            blob = pickle.dumps(("err", seq, duration, err),
+            blob = pickle.dumps(("err", duration, err),
                                 protocol=pickle.HIGHEST_PROTOCOL)
-        result_q.put((worker_id, blob))
+        conn.send_bytes(blob)
 
 
 # ----------------------------------------------------------------------
@@ -704,41 +694,21 @@ def _run_in_process(batch: _Batch, plan: Optional[FaultPlan]) -> None:
 # ----------------------------------------------------------------------
 # the worker pool
 class _Worker:
-    """One sacrificial worker process plus its private task pipe."""
+    """One sacrificial worker process and its duplex pipe: jobs go
+    down, pickled replies come back up."""
 
-    def __init__(self, ctx, worker_id: int, runner: ExperimentRunner,
-                 result_q):
-        self.id = worker_id
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        self.conn = send_conn
-        self.proc = ctx.Process(
-            target=_worker_main,
-            args=(worker_id, recv_conn, result_q, runner), daemon=True)
+    def __init__(self, ctx, runner: ExperimentRunner,
+                 plan: Optional[FaultPlan]):
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_worker_main,
+                                args=(child, runner, plan), daemon=True)
         self.proc.start()
-        recv_conn.close()
+        child.close()
         #: (seq, attempt, deadline | None) while busy.
         self.busy: Optional[Tuple[int, int, Optional[float]]] = None
 
-    def dispatch(self, seq: int, job, attempt: int,
-                 deadline: Optional[float]) -> bool:
-        try:
-            self.conn.send((seq, job))
-        except (OSError, ValueError):
-            return False
-        self.busy = (seq, attempt, deadline)
-        return True
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
     def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except (OSError, AttributeError):  # pragma: no cover - defensive
-            try:
-                self.proc.terminate()
-            except OSError:
-                pass
+        self.proc.kill()
         self.proc.join(timeout=5.0)
 
     def shutdown(self) -> None:
@@ -749,26 +719,21 @@ class _Worker:
         self.proc.join(timeout=2.0)
         if self.proc.is_alive():
             self.kill()
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        self.conn.close()
 
 
 class _WorkerPool:
     """Parent-side state machine running one batch over self-managed
-    worker processes (one task pipe per worker, a shared result queue):
-    dead workers are respawned, hung ones killed at their deadline,
-    failed attempts re-queued after their backoff."""
+    worker processes.  The parent blocks on every busy worker's pipe
+    and process sentinel at once, until the nearest deadline or backoff
+    end; a dead worker is replaced when it is next dispatched to, and a
+    failed attempt is re-queued after its backoff."""
 
-    #: result-queue poll granularity; also bounds how late a timeout
-    #: can be noticed.  Jobs here take >= tens of milliseconds, so a
-    #: 50 ms tick costs nothing measurable.
-    POLL_S = 0.05
-
-    def __init__(self, batch: _Batch, nworkers: int):
+    def __init__(self, batch: _Batch, nworkers: int,
+                 plan: Optional[FaultPlan]):
         self.batch = batch
         self.policy = batch.policy
+        self.plan = plan
         #: FIFO of (seq, attempt) ready to dispatch now.
         self.runnable: List[Tuple[int, int]] = [
             (seq, 1) for seq in range(len(batch.jobs))]
@@ -778,9 +743,7 @@ class _WorkerPool:
         # never start a pool.
         import multiprocessing
         self.ctx = multiprocessing.get_context()
-        self.result_q = self.ctx.Queue()
         self.workers: List[_Worker] = []
-        self._next_wid = 0
         try:
             for _ in range(nworkers):
                 self.workers.append(self._spawn())
@@ -789,15 +752,11 @@ class _WorkerPool:
             raise
 
     def _spawn(self) -> _Worker:
-        worker = _Worker(self.ctx, self._next_wid, self.batch.runner,
-                         self.result_q)
-        self._next_wid += 1
-        return worker
+        return _Worker(self.ctx, self.batch.runner, self.plan)
 
     def close(self) -> None:
         for worker in self.workers:
             worker.shutdown()
-        self.result_q.close()
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -805,8 +764,7 @@ class _WorkerPool:
             while self.batch.outstanding:
                 self._promote_backoff()
                 self._dispatch_ready()
-                self._drain_results()
-                self._reap_dead_and_timed_out()
+                self._wait_and_settle()
         finally:
             self.close()
 
@@ -824,52 +782,70 @@ class _WorkerPool:
                 self.runnable.append((seq, attempt))
 
     def _dispatch_ready(self) -> None:
-        for worker in self.workers:
+        for i, worker in enumerate(self.workers):
             if not self.runnable:
                 return
             if worker.busy is not None:
                 continue
-            if not worker.alive():
-                self._respawn(worker)
+            if not worker.proc.is_alive():
+                worker.shutdown()
+                worker = self.workers[i] = self._spawn()
+            seq, attempt = self.runnable[0]
+            try:
+                worker.conn.send(self.batch.jobs[seq])
+            except (OSError, ValueError):
+                # It died after the liveness check: the next dispatch
+                # replaces it.
+                worker.kill()
                 continue
-            seq, attempt = self.runnable.pop(0)
-            job = self.batch.jobs[seq]
-            deadline = (time.monotonic() + self.policy.timeout_s
-                        if self.policy.timeout_s else None)
-            cell = self.batch.report.cell(job)
-            cell.attempts += 1
-            if not worker.dispatch(seq, job, attempt, deadline):
-                # Broken pipe: treat as a crash of this attempt.
-                cell.attempts -= 1
-                self.runnable.insert(0, (seq, attempt))
-                self._respawn(worker)
-
-    def _respawn(self, worker: _Worker) -> None:
-        worker.shutdown()
-        self.workers[self.workers.index(worker)] = self._spawn()
+            self.runnable.pop(0)
+            self.batch.report.cell(self.batch.jobs[seq]).attempts += 1
+            worker.busy = (seq, attempt,
+                           time.monotonic() + self.policy.timeout_s
+                           if self.policy.timeout_s else None)
 
     # ------------------------------------------------------------------
-    def _wait_timeout(self) -> float:
-        timeout = self.POLL_S
-        now = time.monotonic()
-        for worker in self.workers:
-            if worker.busy and worker.busy[2] is not None:
-                timeout = min(timeout, max(0.0, worker.busy[2] - now))
-        for when, _seq, _attempt in self.backoff:
-            timeout = min(timeout, max(0.0, when - now))
-        return max(0.001, timeout)
+    def _wait_and_settle(self) -> None:
+        from multiprocessing.connection import wait
+        busy = [w for w in self.workers if w.busy is not None]
+        ends = [w.busy[2] for w in busy if w.busy[2] is not None]
+        ends += [when for when, _seq, _attempt in self.backoff]
+        timeout = (max(0.0, min(ends) - time.monotonic())
+                   if ends else None)
+        if busy:
+            wait([obj for w in busy for obj in (w.conn, w.proc.sentinel)],
+                 timeout)
+        elif timeout is not None:
+            time.sleep(timeout)
+        for worker in busy:
+            self._settle(worker)
 
-    def _drain_results(self) -> None:
-        try:
-            wid, blob = self.result_q.get(timeout=self._wait_timeout())
-        except queuemod.Empty:
-            return
-        while True:
-            self._handle_result(wid, blob)
+    def _settle(self, worker: _Worker) -> None:
+        """Settle one busy worker: its reply first, then its death,
+        then its deadline.  Death and the clock are read *before* the
+        pipe, so a reply sent by a worker that then exited, or that
+        arrived just as its deadline passed, is still the cell's
+        result."""
+        seq, attempt, deadline = worker.busy
+        dead = not worker.proc.is_alive()
+        now = time.monotonic()
+        if worker.conn.poll():
             try:
-                wid, blob = self.result_q.get_nowait()
-            except queuemod.Empty:
+                blob = worker.conn.recv_bytes()
+            except (EOFError, OSError):
+                worker.kill()
+                dead = True
+            else:
+                worker.busy = None
+                self._handle_result(seq, attempt, blob)
                 return
+        if dead:
+            worker.busy = None
+            self._failed(seq, attempt, "worker-crash", 0.0)
+        elif deadline is not None and now >= deadline:
+            worker.busy = None
+            worker.kill()
+            self._failed(seq, attempt, "timeout", self.policy.timeout_s)
 
     def _failed(self, seq: int, attempt: int, fault: str, duration: float,
                 error: Optional[JobError] = None) -> None:
@@ -879,44 +855,18 @@ class _WorkerPool:
             self.backoff.append((time.monotonic() + backoff, seq,
                                  attempt + 1))
 
-    def _handle_result(self, wid: int, blob: bytes) -> None:
-        worker = next((w for w in self.workers if w.id == wid), None)
-        if worker is None or worker.busy is None:
-            return  # stale message from a worker already reaped
-        seq, attempt, _deadline = worker.busy
-        worker.busy = None
+    def _handle_result(self, seq: int, attempt: int, blob: bytes) -> None:
         try:
-            status, got_seq, duration, payload = pickle.loads(blob)
+            status, duration, payload = pickle.loads(blob)
         except Exception:
             self._failed(seq, attempt, "garbled-result", 0.0)
             return
-        if got_seq != seq:  # pragma: no cover - protocol safety net
-            self._failed(seq, attempt, "desequenced-result", 0.0)
-        elif status != "err":
+        if status != "err":
             self.batch.succeeded(self.batch.jobs[seq], payload, duration,
                                  attempt, simulated=status == "ok")
         else:
             self._failed(seq, attempt, f"error:{payload.original_type}",
                          duration, error=payload)
-
-    def _reap_dead_and_timed_out(self) -> None:
-        now = time.monotonic()
-        for worker in self.workers:
-            if worker.busy is None:
-                if not worker.alive():
-                    self._respawn(worker)
-                continue
-            seq, attempt, deadline = worker.busy
-            if not worker.alive():
-                worker.busy = None
-                self._respawn(worker)
-                self._failed(seq, attempt, "worker-crash", 0.0)
-            elif deadline is not None and now > deadline:
-                worker.busy = None
-                worker.kill()
-                self._respawn(worker)
-                self._failed(seq, attempt, "timeout",
-                             self.policy.timeout_s or 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -984,9 +934,10 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
 
     ``progress`` receives one :class:`JobHeartbeat` per settled unique
     job (plus ``retry`` beats) from the dispatching thread; results are
-    unaffected by its presence.  ``fault_plan`` exports
-    ``$REPRO_FAULT_PLAN`` for the duration of the batch (chaos tests
-    drive this).
+    unaffected by its presence.  ``fault_plan`` names the fault-plan
+    file the batch runs under (else ``$REPRO_FAULT_PLAN``, if set); it
+    is loaded once, when a job needs executing, and passed on as a
+    value.
     """
     policy = policy or ResiliencePolicy()
     report = report if report is not None else ResilienceReport()
@@ -1018,35 +969,26 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                 index=len(results), total=total, label=_par._job_label(job),
                 duration_s=0.0, sim_cycles=_par._job_cycles(runner, job),
                 cache_hit=True, event="resumed" if resumed else "done"))
-    prior_plan = os.environ.get(FAULT_PLAN_ENV)
-    if fault_plan is not None:
-        os.environ[FAULT_PLAN_ENV] = fault_plan
-    try:
-        if pending:
-            plan = FaultPlan.from_env()
-            batch = _Batch(runner, pending, policy, report, journal,
-                           progress, len(results), total)
-            nworkers = _worker_count(workers, len(pending), policy,
-                                     plan is not None)
-            pool = None
-            if nworkers:
-                try:
-                    pool = _WorkerPool(batch, nworkers)
-                except (OSError, ValueError, ImportError):
-                    # No usable multiprocessing here: same results
-                    # in-process, fewer guarantees.
-                    pass
-            if pool is not None:
-                pool.run()
-            else:
-                _run_in_process(batch, plan)
-            results.update(batch.results)
-    finally:
-        if fault_plan is not None:
-            if prior_plan is None:
-                os.environ.pop(FAULT_PLAN_ENV, None)
-            else:
-                os.environ[FAULT_PLAN_ENV] = prior_plan
+    if pending:
+        plan = (FaultPlan.from_file(fault_plan) if fault_plan is not None
+                else FaultPlan.from_env())
+        batch = _Batch(runner, pending, policy, report, journal,
+                       progress, len(results), total)
+        nworkers = _worker_count(workers, len(pending), policy,
+                                 plan is not None)
+        pool = None
+        if nworkers:
+            try:
+                pool = _WorkerPool(batch, nworkers, plan)
+            except (OSError, ValueError, ImportError):
+                # No usable multiprocessing here: same results
+                # in-process, fewer guarantees.
+                pass
+        if pool is not None:
+            pool.run()
+        else:
+            _run_in_process(batch, plan)
+        results.update(batch.results)
     for job in unique:
         result = results[job]
         if not isinstance(result, Quarantined):

@@ -1,7 +1,7 @@
 """REPRO-P0xx — process-boundary picklability.
 
-Parallel campaigns push jobs and results through worker-process pipes
-and queues: everything listed in :data:`PICKLED_CLASSES` crosses the
+Parallel campaigns start workers from a runner and a fault plan and
+push jobs and results through worker-process pipes: everything listed in :data:`PICKLED_CLASSES` crosses the
 worker boundary by pickling.  Lambdas, closures over local
 state, and live generators do not pickle — a field holding one turns
 into a ``PicklingError`` the first time a campaign runs with
@@ -24,10 +24,11 @@ from typing import Optional, Set
 from repro.lint.rules import Rule, SRC_SCOPE
 
 #: classes whose instances cross the run_jobs process boundary
-#: (the runner a worker starts from, jobs out, results/heartbeats back).
+#: (the runner and fault plan a worker starts from, jobs out,
+#: results/heartbeats back).
 PICKLED_CLASSES: Set[str] = {
-    "ExperimentRunner", "IsoJob", "MixJob", "JobHeartbeat",
-    "RunResult", "ObsReport", "IsoRecord",
+    "ExperimentRunner", "FaultPlan", "FaultSpec", "IsoJob", "MixJob",
+    "JobHeartbeat", "RunResult", "ObsReport", "IsoRecord",
     "WorkloadOutcome", "StallTable", "KernelStats",
 }
 

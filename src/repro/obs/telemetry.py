@@ -63,44 +63,33 @@ class CampaignTelemetry:
 
     Pass the instance itself as the ``progress`` callback.  Thread-safe
     enough for the harness's usage: heartbeats arrive from the single
-    dispatching thread (the dispatcher's poll loop), never from workers.
+    dispatching thread (the dispatcher's wait loop), never from workers.
     """
 
-    def __init__(self, stream: Optional[IO[str]] = None, quiet: bool = False):
+    def __init__(self, stream: Optional[IO[str]] = None):
         self.stream = stream if stream is not None else sys.stderr
-        self.quiet = quiet
         self.heartbeats: List[JobHeartbeat] = []
         self._started = time.monotonic()
         self._sim_cycles_done = 0
         self._busy_seconds = 0.0
         self._cache_hits = 0
         self._completed = 0
-        self._retries = 0
-        self._quarantined = 0
-        self._resumed = 0
 
     # ------------------------------------------------------------------
     def __call__(self, beat: JobHeartbeat) -> None:
         self.heartbeats.append(beat)
-        if not beat.completed:
-            # A failed attempt: churn, not progress.  Its wall-clock is
-            # excluded from the pace estimate — retried work shows up
-            # again in the successful attempt's beat.
-            self._retries += 1
-        else:
+        # A failed attempt is churn, not progress: its wall-clock is
+        # excluded from the pace estimate — retried work shows up
+        # again in the successful attempt's beat.
+        if beat.completed:
             self._completed += 1
-            if beat.event == "quarantined":
-                self._quarantined += 1
-            elif beat.event == "resumed":
-                self._resumed += 1
             if beat.cache_hit:
                 self._cache_hits += 1
             else:
                 self._sim_cycles_done += beat.sim_cycles
                 self._busy_seconds += beat.duration_s
-        if not self.quiet:
-            self.stream.write(self.format_beat(beat) + "\n")
-            self.stream.flush()
+        self.stream.write(self.format_beat(beat) + "\n")
+        self.stream.flush()
 
     # ------------------------------------------------------------------
     # derived figures
@@ -111,18 +100,6 @@ class CampaignTelemetry:
     @property
     def cache_hits(self) -> int:
         return self._cache_hits
-
-    @property
-    def retries(self) -> int:
-        return self._retries
-
-    @property
-    def quarantined(self) -> int:
-        return self._quarantined
-
-    @property
-    def resumed(self) -> int:
-        return self._resumed
 
     def elapsed_s(self) -> float:
         return time.monotonic() - self._started
@@ -189,19 +166,15 @@ class CampaignTelemetry:
         return f"{head} {mid}{rate}{tail}"
 
     def summary(self) -> str:
-        """One closing line for the campaign."""
+        """One closing line for the campaign: jobs, cache hits and
+        pace.  Retries, resumes and quarantines are the resilience
+        report's to count (``ResilienceReport.summary``)."""
         done = self.jobs_done
         elapsed = self.elapsed_s()
         rate = self.cycles_per_s()
         bits = [f"{done} jobs in {elapsed:.1f}s"]
         if self._cache_hits:
             bits.append(f"{self._cache_hits} cached")
-        if self._resumed:
-            bits.append(f"{self._resumed} resumed")
-        if self._retries:
-            bits.append(f"{self._retries} retries")
-        if self._quarantined:
-            bits.append(f"{self._quarantined} quarantined")
         if rate >= 1e6:
             bits.append(f"{rate / 1e6:.1f}M sim-cycles/s per worker")
         elif rate:

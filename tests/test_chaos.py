@@ -12,18 +12,23 @@ under the ``chaos`` marker; it stays in tier-1 (cycle budgets are
 tiny) but can be selected alone with ``pytest -m chaos``.
 """
 
+import io
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
 from repro.config import scaled_config
-from repro.harness.parallel import _job_label, shared_input_jobs
+from repro.harness import resilience
+from repro.harness.parallel import IsoJob, _job_label, shared_input_jobs
 from repro.harness.perfbench import outcome_signature
 from repro.harness.resilience import (FaultPlan, FaultSpec, Quarantined,
                                       ResiliencePolicy,
                                       default_journal_path,
-                                      run_campaign_resilient)
+                                      run_campaign_resilient,
+                                      run_jobs_resilient)
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.obs.telemetry import CampaignTelemetry
 from repro.workloads.mixes import WorkloadMix
@@ -149,7 +154,7 @@ def test_resume_after_mid_campaign_kill_runs_only_unfinished(tmp_path,
 
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    telemetry = CampaignTelemetry(quiet=True)
+    telemetry = CampaignTelemetry(stream=io.StringIO())
     outcomes, report = run_campaign_resilient(
         fresh, [make_mix()], ["ws"], workers=2, resume=True,
         progress=telemetry)
@@ -180,7 +185,7 @@ def test_journal_holds_grid_cells_and_resume_rebuilds_isolated_runs(
         (cache / name).unlink()
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    telemetry = CampaignTelemetry(quiet=True)
+    telemetry = CampaignTelemetry(stream=io.StringIO())
     again, report = run_campaign_resilient(
         fresh, mixes, schemes, workers=1, resume=True, progress=telemetry)
     assert report.resumed == 2
@@ -219,7 +224,7 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
 
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
-    telemetry = CampaignTelemetry(quiet=True)
+    telemetry = CampaignTelemetry(stream=io.StringIO())
     outcomes, report = run_campaign_resilient(
         fresh, [make_mix()], ["ws"], workers=2, resume=True,
         progress=telemetry)
@@ -281,3 +286,124 @@ def test_scheme_sweep_skips_quarantined_cells(tmp_path):
     # The quarantined mix never entered the sweep — no placeholder to
     # trip geomeans over, just an absent row.
     assert sweep.mixes() == []
+
+
+# ----------------------------------------------------------------------
+# the one-pipe pool: a worker's reply is read before its death or its
+# deadline is judged, and a dead idle worker is replaced on dispatch
+TINY = [IsoJob("bp", cycles=200), IsoJob("cd", cycles=200),
+        IsoJob("st", cycles=200)]
+#: no retry: any fault booked against a cell quarantines it.
+ONE_ATTEMPT = ResiliencePolicy(retries=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_golden(tmp_path_factory):
+    """The fault-free in-process results of ``TINY``."""
+    runner = make_runner(tmp_path_factory.mktemp("tiny"))
+    return run_jobs_resilient(runner, TINY, workers=1)[0]
+
+
+def assert_clean(report):
+    """Every cell ran once and nothing was booked against it."""
+    assert all(cell.attempts == 1 and not cell.faults
+               for cell in report.cells.values())
+
+
+@pytest.fixture
+def fork_context(monkeypatch):
+    """Workers are forked, so a patched worker loop reaches them."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: fork)
+
+
+def test_reply_of_a_worker_that_then_exits_is_counted(
+        tmp_path, monkeypatch, fork_context, tiny_golden):
+    """A worker that exits right after sending its reply leaves a dead
+    process and a readable pipe: the reply is the cell's result, not a
+    ``worker-crash``.  One cell per worker, so no cell is sent to a
+    worker that is on its way out."""
+    real = resilience._worker_main
+
+    class ExitAfterReply:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def recv(self):
+            return self.conn.recv()
+
+        def send_bytes(self, blob):
+            self.conn.send_bytes(blob)
+            os._exit(0)
+
+    monkeypatch.setattr(
+        resilience, "_worker_main",
+        lambda conn, runner, plan: real(ExitAfterReply(conn), runner, plan))
+    got, report = run_jobs_resilient(make_runner(tmp_path), TINY[:2],
+                                     policy=ONE_ATTEMPT, workers=2)
+    assert got == tiny_golden[:2]
+    assert_clean(report)
+
+
+def test_worker_killed_while_idle_is_replaced_at_next_dispatch(
+        tmp_path, monkeypatch, tiny_golden):
+    """A worker killed between cells costs nothing: the next cell sent
+    its way goes to a fresh process, and a worker that dies with
+    nothing left to dispatch is not replaced at all."""
+    pools, spawned = [], []
+
+    class RecordedPool(resilience._WorkerPool):
+        def __init__(self, *args):
+            pools.append(self)
+            super().__init__(*args)
+
+        def _spawn(self):
+            spawned.append(True)
+            return super()._spawn()
+
+    monkeypatch.setattr(resilience, "_WorkerPool", RecordedPool)
+    killed = []
+
+    def kill_idle_workers(beat):
+        # after the first cell (two remain) and after the last
+        if beat.index in (1, beat.total):
+            for worker in pools[0].workers:
+                if worker.busy is None and worker.proc.is_alive():
+                    worker.kill()
+                    killed.append(worker.proc.pid)
+
+    got, report = run_jobs_resilient(make_runner(tmp_path), TINY,
+                                     policy=ONE_ATTEMPT, workers=2,
+                                     progress=kill_idle_workers)
+    assert got == tiny_golden
+    assert_clean(report)
+    first, *last = killed
+    final = {w.proc.pid for w in pools[0].workers}
+    assert first not in final and set(last) <= final
+    assert len(spawned) == 3  # two at start, one for the third cell
+
+
+def test_reply_in_the_pipe_at_its_deadline_is_a_success(tmp_path,
+                                                        tiny_golden):
+    """A reply already waiting in the pipe when its worker's deadline
+    has passed is read as the cell's result, not killed as a
+    ``timeout``."""
+    batch = resilience._Batch(
+        make_runner(tmp_path), TINY[:1],
+        ResiliencePolicy(timeout_s=60.0, retries=0),
+        resilience.ResilienceReport(), None, None, 0, 1)
+    pool = resilience._WorkerPool(batch, 1, None)
+    try:
+        pool._dispatch_ready()
+        worker = pool.workers[0]
+        assert worker.conn.poll(60.0)
+        seq, attempt, _deadline = worker.busy
+        worker.busy = (seq, attempt, time.monotonic() - 1.0)
+        pool._wait_and_settle()
+    finally:
+        pool.close()
+    assert batch.results == {TINY[0]: tiny_golden[0]}
+    assert_clean(batch.report)

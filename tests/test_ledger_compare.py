@@ -1,6 +1,7 @@
 """Run-artifact ledger, the `repro compare` regression gate, the HTML
 dashboard, and the campaign-telemetry ETA fix."""
 
+import io
 import json
 import os
 
@@ -244,19 +245,19 @@ class TestTelemetryEta:
                             cache_hit=cached)
 
     def test_no_heartbeats_no_eta(self):
-        telemetry = CampaignTelemetry(quiet=True)
+        telemetry = CampaignTelemetry(stream=io.StringIO())
         assert telemetry.eta_s() is None
 
     def test_all_cached_reports_no_pace(self):
         """A fully warm rerun must not divide wall-clock ≈ 0 by the done
         count and claim an (absurd) instant ETA from cache hits."""
-        telemetry = CampaignTelemetry(quiet=True)
+        telemetry = CampaignTelemetry(stream=io.StringIO())
         for i in (1, 2):
             telemetry(self.beat(i, total=4, duration=0.0, cached=True))
         assert telemetry.eta_s() is None
 
     def test_uncached_pace_excludes_cache_hits(self):
-        telemetry = CampaignTelemetry(quiet=True)
+        telemetry = CampaignTelemetry(stream=io.StringIO())
         telemetry(self.beat(1, total=4, duration=0.0, cached=True))
         telemetry(self.beat(2, total=4, duration=0.5, cached=False))
         telemetry._started -= 1.0  # pretend 1s of wall-clock has passed
@@ -265,12 +266,12 @@ class TestTelemetryEta:
         assert eta == pytest.approx(2.0, rel=0.2)
 
     def test_done_campaign_eta_zero(self):
-        telemetry = CampaignTelemetry(quiet=True)
+        telemetry = CampaignTelemetry(stream=io.StringIO())
         telemetry(self.beat(1, total=1, duration=0.2))
         assert telemetry.eta_s() == 0.0
 
     def test_cache_hits_counted(self):
-        telemetry = CampaignTelemetry(quiet=True)
+        telemetry = CampaignTelemetry(stream=io.StringIO())
         telemetry(self.beat(1, total=2, duration=0.0, cached=True))
         telemetry(self.beat(2, total=2, duration=0.4))
         assert telemetry.cache_hits == 1

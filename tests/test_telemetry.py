@@ -68,23 +68,16 @@ class TestCampaignTelemetry:
         assert "[  1/4" in lines[0]
         assert "(cache)" in lines[1]
 
-    def test_quiet_suppresses_output(self):
-        out = io.StringIO()
-        t = CampaignTelemetry(stream=out, quiet=True)
-        t(beat())
-        assert out.getvalue() == ""
-        assert t.jobs_done == 1
-
     def test_format_beat_rate_units(self):
-        t = CampaignTelemetry(stream=io.StringIO(), quiet=True)
+        t = CampaignTelemetry(stream=io.StringIO())
         t(beat(duration_s=1.0, sim_cycles=2_000_000))
         assert "Mc/s" in t.format_beat(beat(index=2))
-        slow = CampaignTelemetry(stream=io.StringIO(), quiet=True)
+        slow = CampaignTelemetry(stream=io.StringIO())
         slow(beat(duration_s=1.0, sim_cycles=20_000))
         assert "kc/s" in slow.format_beat(beat(index=2))
 
     def test_summary_line(self):
-        t = CampaignTelemetry(stream=io.StringIO(), quiet=True)
+        t = CampaignTelemetry(stream=io.StringIO())
         t(beat(index=1))
         t(beat(index=2, cache_hit=True))
         text = t.summary()
@@ -96,7 +89,7 @@ class TestCampaignTelemetry:
 class TestRunJobsProgress:
     def test_serial_path_emits_one_beat_per_unique_job(self):
         runner = ExperimentRunner(scaled_config(), QUICK)
-        sink = CampaignTelemetry(quiet=True)
+        sink = CampaignTelemetry(stream=io.StringIO())
         jobs = [IsoJob("bp"), MixJob(("bp", "st"), "ws"), IsoJob("bp")]
         results = run_jobs(runner, jobs, workers=1, progress=sink)
         assert len(results) == 3
@@ -109,7 +102,7 @@ class TestRunJobsProgress:
     def test_warm_rerun_flags_cache_hits(self):
         runner = ExperimentRunner(scaled_config(), QUICK)
         run_jobs(runner, [IsoJob("bp")], workers=1)
-        sink = CampaignTelemetry(quiet=True)
+        sink = CampaignTelemetry(stream=io.StringIO())
         run_jobs(runner, [IsoJob("bp")], workers=1, progress=sink)
         assert len(sink.heartbeats) == 1
         assert sink.heartbeats[0].cache_hit
@@ -131,7 +124,7 @@ class TestCampaignProgress:
     def campaign(self, workers, cache_dir=None):
         from repro.harness.resilience import PLAIN, run_campaign_resilient
         runner = ExperimentRunner(scaled_config(), QUICK, cache_dir=cache_dir)
-        sink = CampaignTelemetry(quiet=True)
+        sink = CampaignTelemetry(stream=io.StringIO())
         run_campaign_resilient(runner, [mix("bp", "cd")], ["ws"],
                                policy=PLAIN, workers=workers, progress=sink)
         return runner, sink
