@@ -235,8 +235,8 @@ def cmd_report(args) -> int:
 
 def cmd_campaign(args) -> int:
     from repro.harness.reporting import format_table
-    from repro.harness.resilience import (PLAIN, JobError, Quarantined,
-                                          ResiliencePolicy,
+    from repro.harness.resilience import (PLAIN, FaultPlan, JobError,
+                                          Quarantined, ResiliencePolicy,
                                           run_campaign_resilient)
     from repro.workloads.mixes import mix
     specs = []
@@ -255,6 +255,14 @@ def cmd_campaign(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    plan = None
+    if args.fault_plan is not None:
+        try:
+            plan = FaultPlan.from_file(args.fault_plan)
+        except (OSError, ValueError) as exc:
+            print(f"error: --fault-plan {args.fault_plan}: {exc}",
+                  file=sys.stderr)
+            return 2
     mixes = [mix(*names) for names in specs]
     # Any of the four flags asks for a resilience policy, which
     # checkpoints under the cache dir — so it defaults one on; the
@@ -281,7 +289,7 @@ def cmd_campaign(args) -> int:
             obs=obs, progress=telemetry,
             phase_interval=args.phase_interval,
             artifacts_dir=args.artifacts, resume=args.resume,
-            fault_plan=args.fault_plan)
+            fault_plan=plan)
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,14 +28,14 @@ partial results are expected events, not campaign aborts.
   ``repro campaign --resume`` replays verified entries and re-runs
   only unfinished / quarantined / corrupted cells, yielding a merged
   report bit-identical to an uninterrupted campaign.
-* :class:`FaultPlan` — a seeded, deterministic fault-injection
-  schedule (worker kills, injected hangs, poisoned cells, unpicklable
-  results, cache/journal corruption), loaded once by the parent (from
-  ``fault_plan=`` or else ``$REPRO_FAULT_PLAN``) and handed to every
-  worker as a start-up argument.  Each fault fires a bounded number
-  of times, coordinated across processes by exclusive marker-file
-  claims, so the chaos tests can script "kill the worker on this
-  cell, once" and know the retry will succeed.
+* :class:`FaultPlan` — a deterministic fault-injection schedule
+  (worker kills, injected hangs, poisoned cells, unpicklable results,
+  cache/journal corruption) that only the dispatching parent holds and
+  spends: it draws each attempt's faults when it first dispatches that
+  attempt and sends them with the job, and fires ``corrupt`` itself
+  when an attempt succeeds.  Each fault fires at most ``times`` times
+  per plan value, so the chaos tests can script "kill the worker on
+  this cell, once" and know the retry will succeed.
 * :class:`JobError` — the one failure type of a cell: picklable, it
   carries the job label, the original exception type and the full
   formatted traceback across the process boundary.
@@ -62,16 +62,17 @@ from repro.harness import parallel as _par
 from repro.harness.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.telemetry import JobHeartbeat
 
-#: environment variable naming the fault-plan JSON file a batch
-#: without ``fault_plan=`` loads.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
 #: bump when the journal line schema changes; loaders skip other
 #: versions (same stale-tolerance contract as the artifact ledger).
 JOURNAL_VERSION = 1
 
 #: fault kinds a plan may schedule.
 FAULT_KINDS = ("kill", "hang", "raise", "unpicklable", "corrupt")
+
+#: the kinds a worker's attempt draws at dispatch; the in-process loop
+#: draws neither ``kill`` nor ``hang``, which would strike the parent.
+WORKER_FAULTS = ("kill", "hang", "raise", "unpicklable")
+IN_PROCESS_FAULTS = ("raise", "unpicklable")
 
 #: growth of the retry backoff per failed attempt.
 BACKOFF_FACTOR = 2.0
@@ -131,8 +132,7 @@ class FaultSpec:
 
     ``match`` is an :mod:`fnmatch` glob over the job label (e.g.
     ``"mix ws st+sv"`` or ``"mix ws-dmil *"``); ``times`` bounds how
-    often the fault fires campaign-wide (claims are coordinated across
-    worker processes through marker files); ``seconds`` is the hang
+    often the fault fires per plan value; ``seconds`` is the hang
     duration for ``hang`` faults; ``path`` is the file glob a
     ``corrupt`` fault garbles (first sorted match).
     """
@@ -148,139 +148,87 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(expected one of {FAULT_KINDS})")
+        if self.kind == "corrupt" and not self.path:
+            raise ValueError(f"corrupt fault {self.id!r} needs a path")
 
 
 class FaultPlan:
-    """A deterministic schedule of injected faults.
+    """A deterministic schedule of injected faults, spent by the
+    dispatching parent.
 
-    The plan is a JSON file; the dispatching parent loads it once per
-    batch and passes the value to the in-process loop or to every
-    worker at start-up, which consult it around every job.
-    Firing is *claimed* before it happens: fault ``f`` with
-    ``times=N`` owns marker slots ``f.fired.0 .. f.fired.N-1`` in the
-    plan's state directory, and a worker fires only after exclusively
-    creating one (``open(..., "x")`` — atomic on POSIX).  A killed
-    worker leaves its claim behind, so the retried cell runs clean:
-    the schedule is deterministic no matter which worker draws the job.
+    ``fired`` counts each fault's firings; a fault with ``times=N``
+    fires N times at most, however many batches, retries and respawned
+    workers the plan value serves.  The parent draws an attempt's
+    faults (:meth:`draw`) once, when it first dispatches the attempt,
+    and sends them with the job; a worker killed mid-cell took its
+    drawn faults with it, so the retried cell runs clean.
     """
 
     VERSION = 1
 
-    def __init__(self, faults: Sequence[FaultSpec], state_dir: str):
+    def __init__(self, faults: Sequence[FaultSpec]):
         self.faults = list(faults)
-        self.state_dir = state_dir
-        ids = [f.id for f in self.faults]
-        if len(set(ids)) != len(ids):
+        self.fired: Dict[str, int] = {f.id: 0 for f in self.faults}
+        if len(self.fired) != len(self.faults):
             raise ValueError("fault ids must be unique")
-
-    # ------------------------------------------------------------------
-    # (de)serialisation
-    def to_file(self, path: str) -> str:
-        payload = {
-            "version": self.VERSION,
-            "state_dir": self.state_dir,
-            "faults": [{k: v for k, v in {
-                "id": f.id, "kind": f.kind, "match": f.match,
-                "times": f.times, "seconds": f.seconds, "path": f.path,
-            }.items() if v is not None} for f in self.faults],
-        }
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
 
     @classmethod
     def from_file(cls, path: str) -> "FaultPlan":
+        """Load a plan file; an unreadable one raises ``OSError``, an
+        unparsable, wrong-version or malformed one ``ValueError``.
+        Keys other than ``version`` and ``faults`` are ignored."""
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("a fault plan is a JSON object")
         if payload.get("version") != cls.VERSION:
             raise ValueError(f"unsupported fault-plan version "
                              f"{payload.get('version')!r}")
-        state_dir = payload.get("state_dir") or (path + ".state")
-        faults = [FaultSpec(
-            id=str(entry["id"]), kind=str(entry["kind"]),
-            match=str(entry.get("match", "*")),
-            times=int(entry.get("times", 1)),
-            seconds=float(entry.get("seconds", 3600.0)),
-            path=entry.get("path"),
-        ) for entry in payload.get("faults", [])]
-        return cls(faults, state_dir)
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan named by ``$REPRO_FAULT_PLAN``, or None.  Unreadable
-        plans are an explicit error — a chaos run silently running
-        fault-free would pass tests it should fail."""
-        path = os.environ.get(FAULT_PLAN_ENV)
-        if not path:
-            return None
-        return cls.from_file(path)
-
-    # ------------------------------------------------------------------
-    # the claim protocol
-    def _claim(self, spec: FaultSpec) -> bool:
-        """Exclusively claim one remaining firing of ``spec``; False
-        when its ``times`` budget is exhausted."""
-        os.makedirs(self.state_dir, exist_ok=True)
-        for n in range(spec.times):
-            marker = os.path.join(self.state_dir, f"{spec.id}.fired.{n}")
+        entries = payload.get("faults", [])
+        if not isinstance(entries, list):
+            raise ValueError("'faults' must be a list")
+        faults = []
+        for entry in entries:
             try:
-                with open(marker, "x") as fh:
-                    fh.write(f"pid={os.getpid()}\n")
-                return True
-            except FileExistsError:
-                continue
-        return False
-
-    def fired(self, fault_id: str) -> int:
-        """How many times fault ``fault_id`` has fired so far."""
-        pattern = os.path.join(self.state_dir, f"{fault_id}.fired.*")
-        return len(globmod.glob(pattern))
-
-    def _matching(self, label: str, kinds: Tuple[str, ...]
-                  ) -> List[FaultSpec]:
-        return [f for f in self.faults
-                if f.kind in kinds and fnmatch.fnmatchcase(label, f.match)]
+                faults.append(FaultSpec(
+                    id=str(entry["id"]), kind=str(entry["kind"]),
+                    match=str(entry.get("match", "*")),
+                    times=int(entry.get("times", 1)),
+                    seconds=float(entry.get("seconds", 3600.0)),
+                    path=entry.get("path")))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"malformed fault {entry!r}: {exc!r}") \
+                    from None
+        return cls(faults)
 
     # ------------------------------------------------------------------
-    # firing
-    def fire_pre(self, label: str, in_worker: bool = True) -> None:
-        """Faults that strike before/while the job runs.  ``kill`` and
-        ``hang`` only make sense in a sacrificial worker process — the
-        in-process loop skips them (killing the parent would
-        take the campaign down with it, which is exactly what the
-        resilience layer exists to prevent)."""
-        for spec in self._matching(label, ("kill", "hang", "raise")):
-            if spec.kind in ("kill", "hang") and not in_worker:
+    def draw(self, label: str, kinds: Tuple[str, ...]
+             ) -> Tuple[FaultSpec, ...]:
+        """Spend the faults of ``kinds`` one attempt of ``label`` fires:
+        those with firings left, in plan order, up to the first
+        ``kill`` or ``raise`` — the attempt ends there, so no
+        ``unpicklable`` fault drawn before it would fire."""
+        drawn: List[FaultSpec] = []
+        for spec in self.faults:
+            if (spec.kind not in kinds
+                    or self.fired[spec.id] >= spec.times
+                    or not fnmatch.fnmatchcase(label, spec.match)):
                 continue
-            if not self._claim(spec):
-                continue
-            if spec.kind == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif spec.kind == "hang":
-                time.sleep(spec.seconds)
-            else:
-                raise FaultInjected(
-                    f"fault {spec.id!r} poisoned cell {label!r}")
+            if spec.kind in ("kill", "raise"):
+                drawn = [f for f in drawn if f.kind != "unpicklable"]
+                drawn.append(spec)
+                break
+            drawn.append(spec)
+        for spec in drawn:
+            self.fired[spec.id] += 1
+        return tuple(drawn)
 
-    def mutate_result(self, label: str, result):
-        """``unpicklable`` faults wrap the finished result in a shell
-        whose pickling fails, modelling a worker that computed fine but
-        cannot ship its answer home."""
-        for spec in self._matching(label, ("unpicklable",)):
-            if self._claim(spec):
-                return _Unpicklable(result)
-        return result
-
-    def fire_post(self, label: str) -> None:
-        """``corrupt`` faults garble one on-disk file (cache record,
-        journal, artifact) after the job completes, exercising every
-        reader's corrupt-tolerance path."""
-        for spec in self._matching(label, ("corrupt",)):
-            if not spec.path or not self._claim(spec):
-                continue
+    def corrupt(self, label: str) -> None:
+        """Fire the ``corrupt`` faults of a succeeded attempt of
+        ``label``: each garbles one on-disk file (cache record,
+        journal, artifact), exercising every reader's corrupt-tolerance
+        path."""
+        for spec in self.draw(label, ("corrupt",)):
             matches = sorted(globmod.glob(spec.path))
             if matches:
                 with open(matches[0], "w") as fh:
@@ -529,31 +477,29 @@ class ResilienceReport:
 
 # ----------------------------------------------------------------------
 # one attempt of one cell (worker processes and the in-process loop)
-def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
-             in_worker: bool) -> Tuple[str, float, object]:
-    """Execute ``job`` once with the fault plan applied:
-    ``("ok", seconds, result)``, ``("hit", seconds, result)`` when the
-    executing runner recalled the result without simulating (an
-    isolated run another job's simulation already made), or
-    ``("err", seconds, JobError)``.
-
-    In-process nothing crosses a process boundary, so an ``unpicklable``
-    fault's shell is turned into the failure a worker's pickling would
-    have hit; ``kill`` / ``hang`` are skipped there by ``fire_pre``."""
+def _attempt(runner: ExperimentRunner, job,
+             faults: Sequence[FaultSpec] = ()) -> Tuple[str, float, object]:
+    """Execute ``job`` once, firing the ``faults`` the parent drew for
+    this attempt: ``("ok", seconds, result)``, ``("hit", seconds,
+    result)`` when the executing runner recalled the result without
+    simulating (an isolated run another job's simulation already made),
+    or ``("err", seconds, JobError)``.  An ``unpicklable`` fault
+    returns the result in a shell whose pickling fails."""
     label = _par._job_label(job)
     start = time.perf_counter()
     try:
-        if plan is not None:
-            plan.fire_pre(label, in_worker=in_worker)
+        for spec in faults:
+            if spec.kind == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif spec.kind == "hang":
+                time.sleep(spec.seconds)
+            elif spec.kind == "raise":
+                raise FaultInjected(
+                    f"fault {spec.id!r} poisoned cell {label!r}")
         status = "ok" if _par._probe_cache(runner, job) is None else "hit"
         result = _par.execute_job(runner, job)
-        if plan is not None:
-            result = plan.mutate_result(label, result)
-            plan.fire_post(label)
-        if not in_worker and isinstance(result, _Unpicklable):
-            raise JobError(label, "TypeError",
-                           f"result of {label!r} could not be pickled "
-                           f"across the process boundary")
+        if any(spec.kind == "unpicklable" for spec in faults):
+            result = _Unpicklable(result)
         return status, time.perf_counter() - start, result
     except Exception as exc:
         err = (exc if isinstance(exc, JobError)
@@ -561,80 +507,107 @@ def _attempt(runner: ExperimentRunner, plan: Optional[FaultPlan], job,
         return "err", time.perf_counter() - start, err
 
 
-def _worker_main(conn, runner: ExperimentRunner,
-                 plan: Optional[FaultPlan]) -> None:
-    """Worker loop: receive a job on ``conn``, execute it on ``runner``
-    (the parent's, as the parent held it at start-up) under ``plan``,
-    send the pickled ``(status, duration, payload)`` back on ``conn``.
+def _unshippable(label: str, exc: BaseException) -> JobError:
+    return JobError(label, type(exc).__name__,
+                    f"result of {label!r} could not be pickled across "
+                    f"the process boundary: {exc}")
 
-    The payload is pickled *here*, before anything is sent: an
-    unpicklable result becomes a :class:`JobError` reply instead of a
-    half-written message the parent would misread as a crash."""
+
+def _worker_main(conn, runner: ExperimentRunner, parent_ends) -> None:
+    """Worker loop: receive ``(job, faults)`` on ``conn``, execute it on
+    ``runner`` (the parent's, as the parent held it at start-up), send
+    the pickled ``(status, duration, payload)`` back on ``conn``.
+
+    ``parent_ends`` are the parent's ends of this worker's pipe and of
+    its siblings'; a forked worker inherits them and closes them first,
+    so that a dead parent reads as EOF here.  The payload is pickled
+    before anything is sent: an unpicklable result becomes a
+    :class:`JobError` reply instead of a half-written message the
+    parent would misread as a crash."""
+    for end in parent_ends:
+        end.close()
     while True:
         try:
-            job = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             break
-        if job is None:
+        if message is None:
             break
-        status, duration, payload = _attempt(runner, plan, job,
-                                             in_worker=True)
+        job, faults = message
+        status, duration, payload = _attempt(runner, job, faults)
         try:
             blob = pickle.dumps((status, duration, payload),
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
-            label = _par._job_label(job)
-            err = JobError(label, type(exc).__name__,
-                           f"result of {label!r} could not be pickled "
-                           f"across the process boundary: {exc}")
-            blob = pickle.dumps(("err", duration, err),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        conn.send_bytes(blob)
+            blob = pickle.dumps(
+                ("err", duration, _unshippable(_par._job_label(job), exc)),
+                protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            conn.send_bytes(blob)
+        except OSError:
+            break  # the parent is gone
 
 
 # ----------------------------------------------------------------------
 # per-cell accounting (the single copy both execution modes drive)
 class _Batch:
-    """Attempt, success, retry, quarantine, journal and heartbeat
-    accounting for the cells of one batch that actually execute."""
+    """Settling, attempt, retry, quarantine, fault, journal and
+    heartbeat accounting for the unique jobs of one batch."""
 
     def __init__(self, runner: ExperimentRunner, jobs: List,
                  policy: ResiliencePolicy, report: ResilienceReport,
                  journal: Optional[CampaignJournal], progress,
-                 done: int, total: int):
+                 plan: Optional[FaultPlan]):
         self.runner = runner
         self.jobs = jobs
         self.policy = policy
         self.report = report
         self.journal = journal
         self.progress = progress
-        self.settled_before = done
-        self.total = total
+        self.plan = plan
         self.results: Dict[object, object] = {}
-
-    @property
-    def done(self) -> int:
-        """Cells of the whole batch settled so far (heartbeat index)."""
-        return self.settled_before + len(self.results)
 
     @property
     def outstanding(self) -> int:
         return len(self.jobs) - len(self.results)
 
+    def pending(self) -> List:
+        """The jobs not settled yet, in input order."""
+        return [job for job in self.jobs if job not in self.results]
+
+    def draw(self, job, kinds: Tuple[str, ...]) -> Tuple[FaultSpec, ...]:
+        """The faults one attempt of ``job`` fires (none without a plan)."""
+        if self.plan is None:
+            return ()
+        return self.plan.draw(_par._job_label(job), kinds)
+
     def _beat(self, job, duration: float, attempt: int, **extra) -> None:
         if self.progress is not None:
             self.progress(JobHeartbeat(
-                index=self.done, total=self.total,
+                index=len(self.results), total=len(self.jobs),
                 label=_par._job_label(job), duration_s=duration,
                 attempt=attempt, **extra))
 
+    def recalled(self, job, result, resumed: bool) -> None:
+        """Settle ``job`` before dispatch, from the journal (``resumed``)
+        or the parent runner: a cache hit of 0 cycles."""
+        self.results[job] = result
+        cell = self.report.cell(job)
+        cell.resumed = cell.resumed or resumed
+        self._beat(job, 0.0, 1, sim_cycles=0, cache_hit=True,
+                   event="resumed" if resumed else "done")
+
     def succeeded(self, job, result, duration: float, attempt: int,
                   simulated: bool = True) -> None:
-        """Settle ``job``; ``simulated`` False books a result the
-        executing runner recalled as a cache hit of 0 cycles."""
+        """Settle ``job`` from a successful attempt: fire its planned
+        ``corrupt`` faults, then journal it.  ``simulated`` False books
+        a result the executing runner recalled as a cache hit of 0
+        cycles."""
         if job in self.results:
             return  # pragma: no cover - duplicate completion guard
         self.results[job] = result
+        if self.plan is not None:
+            self.plan.corrupt(_par._job_label(job))
         if self.journal is not None:
             self.journal.record_done(job, result)
         self._beat(job, duration, attempt, cache_hit=not simulated,
@@ -667,17 +640,24 @@ class _Batch:
         return None
 
 
-def _run_in_process(batch: _Batch, plan: Optional[FaultPlan]) -> None:
+def _run_in_process(batch: _Batch) -> None:
     """The in-process job loop: retries, quarantine and ``raise`` /
     ``unpicklable`` / ``corrupt`` faults still apply; preemptive
     timeouts and ``kill`` / ``hang`` faults need a sacrificial worker
-    process and are skipped (documented in docs/RESILIENCE.md)."""
-    for job in batch.jobs:
+    process, so none is drawn (documented in docs/RESILIENCE.md)."""
+    for job in batch.pending():
         attempt = 1
         while True:
             batch.report.cell(job).attempts += 1
-            status, duration, payload = _attempt(batch.runner, plan, job,
-                                                 in_worker=False)
+            status, duration, payload = _attempt(
+                batch.runner, job, batch.draw(job, IN_PROCESS_FAULTS))
+            if isinstance(payload, _Unpicklable):
+                # Nothing crosses a process boundary here: fail the way
+                # a worker's pickling would have.
+                status, payload = "err", _unshippable(
+                    _par._job_label(job),
+                    TypeError("deliberately unpicklable result "
+                              "(fault injection)"))
             if status != "err":
                 batch.succeeded(job, payload, duration, attempt,
                                 simulated=status == "ok")
@@ -698,10 +678,13 @@ class _Worker:
     down, pickled replies come back up."""
 
     def __init__(self, ctx, runner: ExperimentRunner,
-                 plan: Optional[FaultPlan]):
+                 siblings: Sequence["_Worker"]):
         self.conn, child = ctx.Pipe()
+        parent_ends = [self.conn] + [w.conn for w in siblings
+                                     if not w.conn.closed]
         self.proc = ctx.Process(target=_worker_main,
-                                args=(child, runner, plan), daemon=True)
+                                args=(child, runner, parent_ends),
+                                daemon=True)
         self.proc.start()
         child.close()
         #: (seq, attempt, deadline | None) while busy.
@@ -723,20 +706,22 @@ class _Worker:
 
 
 class _WorkerPool:
-    """Parent-side state machine running one batch over self-managed
-    worker processes.  The parent blocks on every busy worker's pipe
-    and process sentinel at once, until the nearest deadline or backoff
-    end; a dead worker is replaced when it is next dispatched to, and a
-    failed attempt is re-queued after its backoff."""
+    """Parent-side state machine running a batch's pending jobs over
+    self-managed worker processes.  The parent blocks on every busy
+    worker's pipe and process sentinel at once, until the nearest
+    deadline or backoff end; a dead worker is replaced when it is next
+    dispatched to, and a failed attempt is re-queued after its
+    backoff."""
 
-    def __init__(self, batch: _Batch, nworkers: int,
-                 plan: Optional[FaultPlan]):
+    def __init__(self, batch: _Batch, nworkers: int):
         self.batch = batch
         self.policy = batch.policy
-        self.plan = plan
-        #: FIFO of (seq, attempt) ready to dispatch now.
-        self.runnable: List[Tuple[int, int]] = [
-            (seq, 1) for seq in range(len(batch.jobs))]
+        self.jobs = batch.pending()
+        #: FIFO of (seq, attempt, faults) ready to dispatch now; an
+        #: attempt's faults are None until its first dispatch draws
+        #: them.
+        self.runnable: List[Tuple[int, int, Optional[tuple]]] = [
+            (seq, 1, None) for seq in range(len(self.jobs))]
         #: (eligible_monotonic, seq, attempt) sleeping out a backoff.
         self.backoff: List[Tuple[float, int, int]] = []
         # Imported here: in-process and fully journaled campaigns
@@ -752,7 +737,7 @@ class _WorkerPool:
             raise
 
     def _spawn(self) -> _Worker:
-        return _Worker(self.ctx, self.batch.runner, self.plan)
+        return _Worker(self.ctx, self.batch.runner, self.workers)
 
     def close(self) -> None:
         for worker in self.workers:
@@ -779,7 +764,7 @@ class _WorkerPool:
             # Deterministic order: by seq, so retried cells re-enter
             # the queue in input order.
             for _when, seq, attempt in sorted(ready, key=lambda e: e[1]):
-                self.runnable.append((seq, attempt))
+                self.runnable.append((seq, attempt, None))
 
     def _dispatch_ready(self) -> None:
         for i, worker in enumerate(self.workers):
@@ -790,16 +775,20 @@ class _WorkerPool:
             if not worker.proc.is_alive():
                 worker.shutdown()
                 worker = self.workers[i] = self._spawn()
-            seq, attempt = self.runnable[0]
+            seq, attempt, faults = self.runnable[0]
+            job = self.jobs[seq]
+            if faults is None:
+                faults = self.batch.draw(job, WORKER_FAULTS)
+                self.runnable[0] = (seq, attempt, faults)
             try:
-                worker.conn.send(self.batch.jobs[seq])
+                worker.conn.send((job, faults))
             except (OSError, ValueError):
                 # It died after the liveness check: the next dispatch
-                # replaces it.
+                # replaces it and sends the attempt with the same faults.
                 worker.kill()
                 continue
             self.runnable.pop(0)
-            self.batch.report.cell(self.batch.jobs[seq]).attempts += 1
+            self.batch.report.cell(job).attempts += 1
             worker.busy = (seq, attempt,
                            time.monotonic() + self.policy.timeout_s
                            if self.policy.timeout_s else None)
@@ -849,7 +838,7 @@ class _WorkerPool:
 
     def _failed(self, seq: int, attempt: int, fault: str, duration: float,
                 error: Optional[JobError] = None) -> None:
-        backoff = self.batch.failed(self.batch.jobs[seq], attempt, fault,
+        backoff = self.batch.failed(self.jobs[seq], attempt, fault,
                                     duration, error=error)
         if backoff is not None:
             self.backoff.append((time.monotonic() + backoff, seq,
@@ -862,7 +851,7 @@ class _WorkerPool:
             self._failed(seq, attempt, "garbled-result", 0.0)
             return
         if status != "err":
-            self.batch.succeeded(self.batch.jobs[seq], payload, duration,
+            self.batch.succeeded(self.jobs[seq], payload, duration,
                                  attempt, simulated=status == "ok")
         else:
             self._failed(seq, attempt, f"error:{payload.original_type}",
@@ -912,7 +901,7 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
                        progress=None,
                        journal: Optional[CampaignJournal] = None,
                        resume: bool = False,
-                       fault_plan: Optional[str] = None,
+                       fault_plan: Optional[FaultPlan] = None,
                        report: Optional[ResilienceReport] = None
                        ) -> Tuple[List, ResilienceReport]:
     """The dispatcher: execute ``jobs`` under ``policy`` (default
@@ -934,52 +923,36 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
 
     ``progress`` receives one :class:`JobHeartbeat` per settled unique
     job (plus ``retry`` beats) from the dispatching thread; results are
-    unaffected by its presence.  ``fault_plan`` names the fault-plan
-    file the batch runs under (else ``$REPRO_FAULT_PLAN``, if set); it
-    is loaded once, when a job needs executing, and passed on as a
-    value.
+    unaffected by its presence.  ``fault_plan`` is spent as the batch
+    runs: each attempt's faults are drawn from it at dispatch.
     """
     policy = policy or ResiliencePolicy()
     report = report if report is not None else ResilienceReport()
     unique: List = list(dict.fromkeys(jobs))
     if not unique:
         return [], report
-    total = len(unique)
     checkpoints: Dict[str, object] = {}
     if journal is not None:
         if resume:
             checkpoints, _quarantined = journal.load()
         else:
             journal.reset()
-    results: Dict[object, object] = {}
-    pending: List = []
+    batch = _Batch(runner, unique, policy, report, journal, progress,
+                   fault_plan)
     for job in unique:
         known = _checkpointed(checkpoints, job)
         resumed = known is not None
         if not resumed:
             known = _par._probe_cache(runner, job)
-            if known is None:
-                pending.append(job)
-                continue
-        results[job] = known
-        cell = report.cell(job)
-        cell.resumed = cell.resumed or resumed
-        if progress is not None:
-            progress(JobHeartbeat(
-                index=len(results), total=total, label=_par._job_label(job),
-                duration_s=0.0, sim_cycles=_par._job_cycles(runner, job),
-                cache_hit=True, event="resumed" if resumed else "done"))
-    if pending:
-        plan = (FaultPlan.from_file(fault_plan) if fault_plan is not None
-                else FaultPlan.from_env())
-        batch = _Batch(runner, pending, policy, report, journal,
-                       progress, len(results), total)
-        nworkers = _worker_count(workers, len(pending), policy,
-                                 plan is not None)
+        if known is not None:
+            batch.recalled(job, known, resumed)
+    if batch.outstanding:
+        nworkers = _worker_count(workers, batch.outstanding, policy,
+                                 fault_plan is not None)
         pool = None
         if nworkers:
             try:
-                pool = _WorkerPool(batch, nworkers, plan)
+                pool = _WorkerPool(batch, nworkers)
             except (OSError, ValueError, ImportError):
                 # No usable multiprocessing here: same results
                 # in-process, fewer guarantees.
@@ -987,8 +960,8 @@ def run_jobs_resilient(runner: ExperimentRunner, jobs: Sequence,
         if pool is not None:
             pool.run()
         else:
-            _run_in_process(batch, plan)
-        results.update(batch.results)
+            _run_in_process(batch)
+    results = batch.results
     for job in unique:
         result = results[job]
         if not isinstance(result, Quarantined):
@@ -1018,7 +991,7 @@ def run_campaign_resilient(runner: ExperimentRunner,
                            phase_interval: Optional[int] = None,
                            artifacts_dir: Optional[str] = None,
                            resume: bool = False,
-                           fault_plan: Optional[str] = None):
+                           fault_plan: Optional[FaultPlan] = None):
     """Run the full mixes×schemes grid in two batches of
     :func:`run_jobs_resilient`: the shared isolated runs (normalisation
     runs and scalability-curve points) once, then the grid cells with
@@ -1039,7 +1012,8 @@ def run_campaign_resilient(runner: ExperimentRunner,
     isolated runs are not journaled: they are durable as the cache
     dir's ``iso-*.json`` records, which the probe reads back.
     ``resume=True`` replays the journal and re-runs only unfinished /
-    quarantined cells.
+    quarantined cells.  One ``fault_plan`` value serves both batches,
+    so a fault's ``times`` counts across the whole campaign.
 
     ``artifacts_dir`` makes the parent emit one run-artifact JSON per
     completed cell (plus the ``ledger.json`` index) after all workers

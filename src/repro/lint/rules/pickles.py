@@ -1,8 +1,9 @@
 """REPRO-P0xx — process-boundary picklability.
 
-Parallel campaigns start workers from a runner and a fault plan and
-push jobs and results through worker-process pipes: everything listed in :data:`PICKLED_CLASSES` crosses the
-worker boundary by pickling.  Lambdas, closures over local
+Parallel campaigns start workers from a runner and push jobs (each
+with the ``FaultSpec`` values drawn for its attempt) and results
+through worker-process pipes: everything listed in :data:`PICKLED_CLASSES`
+crosses the worker boundary by pickling.  Lambdas, closures over local
 state, and live generators do not pickle — a field holding one turns
 into a ``PicklingError`` the first time a campaign runs with
 ``workers > 1``, which the serial test path never sees.
@@ -24,10 +25,10 @@ from typing import Optional, Set
 from repro.lint.rules import Rule, SRC_SCOPE
 
 #: classes whose instances cross the run_jobs process boundary
-#: (the runner and fault plan a worker starts from, jobs out,
+#: (the runner a worker starts from, jobs and their drawn faults out,
 #: results/heartbeats back).
 PICKLED_CLASSES: Set[str] = {
-    "ExperimentRunner", "FaultPlan", "FaultSpec", "IsoJob", "MixJob",
+    "ExperimentRunner", "FaultSpec", "IsoJob", "MixJob",
     "JobHeartbeat", "RunResult", "ObsReport", "IsoRecord",
     "WorkloadOutcome", "StallTable", "KernelStats",
 }

@@ -1,6 +1,6 @@
 """Chaos harness: whole campaigns under injected faults.
 
-Each test scripts a deterministic :class:`FaultPlan` — SIGKILL a
+Each test scripts a deterministic :class:`FaultPlan` value — SIGKILL a
 worker mid-cell, hang a job past its timeout, poison a cell, corrupt
 checkpoints on disk — and asserts the two properties the resilience
 layer promises: the campaign *completes*, and the merged results are
@@ -12,10 +12,14 @@ under the ``chaos`` marker; it stays in tier-1 (cycle budgets are
 tiny) but can be selected alone with ``pytest -m chaos``.
 """
 
+import functools
 import io
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -51,11 +55,6 @@ def make_mix():
     return WorkloadMix(tuple(get_profile(k) for k in PAIR))
 
 
-def write_plan(tmp_path, *specs):
-    plan = FaultPlan(list(specs), state_dir=str(tmp_path / "fault-state"))
-    return plan.to_file(str(tmp_path / "plan.json"))
-
-
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
     """Fault-free reference signature for the st+sv / ws campaign."""
@@ -72,8 +71,7 @@ def executed_labels(telemetry):
 
 # ----------------------------------------------------------------------
 def test_sigkill_worker_mid_campaign_bit_identical(tmp_path, golden):
-    plan = write_plan(tmp_path,
-                      FaultSpec(id="k1", kind="kill", match=MIX_LABEL))
+    plan = FaultPlan([FaultSpec(id="k1", kind="kill", match=MIX_LABEL)])
     runner = make_runner(tmp_path / "cache")
     artifacts = tmp_path / "artifacts"
     outcomes, report = run_campaign_resilient(
@@ -81,12 +79,11 @@ def test_sigkill_worker_mid_campaign_bit_identical(tmp_path, golden):
         policy=ResiliencePolicy(retries=2, backoff_s=0.05),
         artifacts_dir=str(artifacts))
 
-    # The kill struck (claim marker on disk), the cell retried, and the
-    # merged outcome is the fault-free one bit for bit.
-    assert FaultPlan.from_file(plan).fired("k1") == 1
-    assert report.retries >= 1
+    # The kill struck once, the cell retried, and the merged outcome
+    # is the fault-free one bit for bit.
+    assert report.retries == 1
     cell = next(c for c in report.cells.values() if c.label == MIX_LABEL)
-    assert "worker-crash" in cell.faults
+    assert cell.faults == ["worker-crash"]
     assert outcome_signature(outcomes[0]) == golden
 
     # Degradation is on the record: per-cell provenance in the artifact,
@@ -101,29 +98,29 @@ def test_sigkill_worker_mid_campaign_bit_identical(tmp_path, golden):
 
 
 def test_hung_job_killed_at_timeout_and_retried(tmp_path, golden):
-    plan = write_plan(tmp_path,
-                      FaultSpec(id="h1", kind="hang", match=MIX_LABEL,
-                                seconds=60.0))
+    plan = FaultPlan([FaultSpec(id="h1", kind="hang", match=MIX_LABEL,
+                                seconds=60.0)])
     runner = make_runner(tmp_path / "cache")
     outcomes, report = run_campaign_resilient(
         runner, [make_mix()], ["ws"], workers=2, fault_plan=plan,
         policy=ResiliencePolicy(timeout_s=3.0, retries=2, backoff_s=0.05))
 
     cell = next(c for c in report.cells.values() if c.label == MIX_LABEL)
-    assert "timeout" in cell.faults
-    assert report.retries >= 1
+    assert cell.faults == ["timeout"]
+    assert report.retries == 1
     assert outcome_signature(outcomes[0]) == golden
 
 
 def test_unpicklable_result_retried_bit_identical(tmp_path, golden):
-    plan = write_plan(tmp_path,
-                      FaultSpec(id="u1", kind="unpicklable",
-                                match=MIX_LABEL))
+    plan = FaultPlan([FaultSpec(id="u1", kind="unpicklable",
+                                match=MIX_LABEL)])
     runner = make_runner(tmp_path / "cache")
     outcomes, report = run_campaign_resilient(
         runner, [make_mix()], ["ws"], workers=2, fault_plan=plan,
         policy=ResiliencePolicy(retries=2, backoff_s=0.05))
-    assert report.retries >= 1
+    assert report.retries == 1
+    cell = next(c for c in report.cells.values() if c.label == MIX_LABEL)
+    assert cell.faults == ["error:TypeError"]
     assert outcome_signature(outcomes[0]) == golden
 
 
@@ -211,9 +208,8 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
     """A cell poisoned past its retry budget is quarantined — the
     campaign finishes around it — and a later fault-free ``--resume``
     re-runs only that cell, superseding the quarantine record."""
-    plan = write_plan(tmp_path,
-                      FaultSpec(id="r1", kind="raise", match=MIX_LABEL,
-                                times=99))
+    plan = FaultPlan([FaultSpec(id="r1", kind="raise", match=MIX_LABEL,
+                                times=99)])
     cache = tmp_path / "cache"
     runner = make_runner(cache)
     outcomes, report = run_campaign_resilient(
@@ -221,6 +217,7 @@ def test_quarantine_then_resume_completes_campaign(tmp_path, golden):
         policy=ResiliencePolicy(retries=1, backoff_s=0.05))
     assert isinstance(outcomes[0], Quarantined)
     assert report.quarantined == [MIX_LABEL]
+    assert outcomes[0].faults == ("error:FaultInjected",) * 2
 
     fresh = ExperimentRunner(scaled_config(), SETTINGS,
                              cache_dir=str(cache))
@@ -244,12 +241,11 @@ def test_corrupt_fault_hits_journal_and_campaign_survives(tmp_path, golden):
     journal_glob = os.path.join(str(cache), "journal", "*.jsonl")
     # The ws cell is journaled first; finishing the even cell garbles
     # the journal before that cell's own checkpoint is appended.
-    plan = write_plan(tmp_path,
-                      FaultSpec(id="c1", kind="corrupt",
-                                match="mix even st+sv", path=journal_glob))
+    plan = FaultPlan([FaultSpec(id="c1", kind="corrupt",
+                                match="mix even st+sv", path=journal_glob)])
     outcomes, report = run_campaign_resilient(
         runner, [make_mix()], ["ws", "even"], workers=1, fault_plan=plan)
-    assert FaultPlan.from_file(plan).fired("c1") == 1
+    assert plan.fired == {"c1": 1}
     assert outcome_signature(outcomes[0]) == golden
     assert report.retries == 0
     assert open(default_journal_path(runner)).read().startswith("{corrupt")
@@ -264,28 +260,113 @@ def test_corrupt_fault_hits_journal_and_campaign_survives(tmp_path, golden):
     assert outcome_signature(outcomes[0]) == golden
 
 
-def test_scheme_sweep_skips_quarantined_cells(tmp_path):
+def test_scheme_sweep_skips_quarantined_cells(tmp_path, monkeypatch):
     """The experiment driver stays usable under quarantine: geomeans
     aggregate the surviving cells instead of crashing on a placeholder."""
     from repro.harness.experiments import scheme_sweep
-    plan = write_plan(tmp_path,
-                      FaultSpec(id="r1", kind="raise", match=MIX_LABEL,
-                                times=99))
+    plan = FaultPlan([FaultSpec(id="r1", kind="raise", match=MIX_LABEL,
+                                times=99)])
+    monkeypatch.setattr(resilience, "run_campaign_resilient",
+                        functools.partial(run_campaign_resilient,
+                                          fault_plan=plan))
     runner = make_runner(tmp_path / "cache")
-    plan_env = os.environ.get("REPRO_FAULT_PLAN")
-    os.environ["REPRO_FAULT_PLAN"] = plan
-    try:
-        sweep = scheme_sweep(runner, ["ws"], [make_mix()],
-                             policy=ResiliencePolicy(retries=0,
-                                                     backoff_s=0.01))
-    finally:
-        if plan_env is None:
-            os.environ.pop("REPRO_FAULT_PLAN", None)
-        else:
-            os.environ["REPRO_FAULT_PLAN"] = plan_env
+    sweep = scheme_sweep(runner, ["ws"], [make_mix()],
+                         policy=ResiliencePolicy(retries=0, backoff_s=0.01))
+    assert plan.fired == {"r1": 1}
     # The quarantined mix never entered the sweep — no placeholder to
     # trip geomeans over, just an absent row.
     assert sweep.mixes() == []
+
+
+def test_times_counts_across_batches_and_respawned_workers(tmp_path,
+                                                           golden):
+    """One plan value serves both batches of a campaign: a ``times=3``
+    kill matching ``iso sv`` and the grid cell strikes the isolated run
+    twice (quarantined after its two attempts), then the grid cell's
+    first attempt, each on a fresh worker — and never again."""
+    plan = FaultPlan([FaultSpec(id="k1", kind="kill", match="*sv",
+                                times=3)])
+    outcomes, report = run_campaign_resilient(
+        make_runner(tmp_path / "cache"), [make_mix()], ["ws"], workers=2,
+        fault_plan=plan, policy=ResiliencePolicy(retries=1, backoff_s=0.05))
+    faults = {c.label: c.faults for c in report.cells.values() if c.faults}
+    assert faults == {"iso sv": ["worker-crash"] * 2,
+                      MIX_LABEL: ["worker-crash"]}
+    assert report.quarantined == ["iso sv"]
+    assert plan.fired == {"k1": 3}
+    # The grid cell simulated the quarantined isolated run itself.
+    assert outcome_signature(outcomes[0]) == golden
+
+
+#: a dispatcher whose second cell hangs; it prints its workers' pids.
+DISPATCHER = """
+import sys
+from repro.config import scaled_config
+from repro.harness import resilience
+from repro.harness.parallel import IsoJob
+from repro.harness.resilience import FaultPlan, FaultSpec
+from repro.harness.runner import ExperimentRunner, RunnerSettings
+
+class Pool(resilience._WorkerPool):
+    def _dispatch_ready(self):
+        super()._dispatch_ready()
+        print(*(w.proc.pid for w in self.workers), flush=True)
+
+resilience._WorkerPool = Pool
+runner = ExperimentRunner(scaled_config(), RunnerSettings(
+    iso_cycles=200, curve_cycles=200, concurrent_cycles=200))
+plan = FaultPlan([FaultSpec(id="h1", kind="hang", match="iso cd *",
+                            seconds=float(sys.argv[1]))])
+resilience.run_jobs_resilient(
+    runner, [IsoJob("bp", cycles=200), IsoJob("cd", cycles=200)],
+    workers=2, fault_plan=plan)
+"""
+
+
+def exited(pid):
+    """Whether ``pid`` is gone; a zombie counts as gone."""
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            return any(line.split()[1] == "Z" for line in fh
+                       if line.startswith("State:"))
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads worker states from /proc")
+def test_workers_die_with_a_killed_dispatcher():
+    """SIGKILL the dispatching parent while one worker hangs in a cell
+    and its sibling idles: the idle worker exits at once and the hung
+    one when its cell ends — a dead parent reads as EOF on every
+    worker's pipe."""
+    import repro
+    hang_s = 6.0
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    pids = []
+    parent = subprocess.Popen(
+        [sys.executable, "-c", DISPATCHER, str(hang_s)], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        # The first dispatch sends bp to the first worker, the hanging
+        # cd to the second.
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        idle, hung = pids
+        time.sleep(1.0)  # the hung cell is in flight
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        killed = time.monotonic()
+        for pid, bound in ((idle, hang_s / 2), (hung, hang_s + 5.0)):
+            while not exited(pid):
+                assert time.monotonic() - killed < bound, pid
+                time.sleep(0.1)
+    finally:
+        parent.kill()
+        parent.stdout.close()
+        for pid in pids:  # survivors of a failed run
+            if not exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +422,8 @@ def test_reply_of_a_worker_that_then_exits_is_counted(
 
     monkeypatch.setattr(
         resilience, "_worker_main",
-        lambda conn, runner, plan: real(ExitAfterReply(conn), runner, plan))
+        lambda conn, runner, parent_ends: real(ExitAfterReply(conn), runner,
+                                               parent_ends))
     got, report = run_jobs_resilient(make_runner(tmp_path), TINY[:2],
                                      policy=ONE_ATTEMPT, workers=2)
     assert got == tiny_golden[:2]
@@ -394,8 +476,8 @@ def test_reply_in_the_pipe_at_its_deadline_is_a_success(tmp_path,
     batch = resilience._Batch(
         make_runner(tmp_path), TINY[:1],
         ResiliencePolicy(timeout_s=60.0, retries=0),
-        resilience.ResilienceReport(), None, None, 0, 1)
-    pool = resilience._WorkerPool(batch, 1, None)
+        resilience.ResilienceReport(), None, None, None)
+    pool = resilience._WorkerPool(batch, 1)
     try:
         pool._dispatch_ready()
         worker = pool.workers[0]

@@ -148,6 +148,42 @@ class TestCLI:
         assert known in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("plan", [
+        None, "{not json", '{"version": 2, "faults": []}',
+        '{"version": 1, "faults": [{"kind": "kill"}]}'],
+        ids=["missing", "unparsable", "wrong-version", "malformed"])
+    def test_bad_fault_plan_exits_2_before_any_work(self, plan, tmp_path,
+                                                    monkeypatch, capsys):
+        """A fault plan that cannot be loaded is a usage error: one
+        ``error:`` line, exit 2, before any runner, cache dir or journal
+        exists — not a traceback after the journal dir is made."""
+        monkeypatch.chdir(tmp_path)
+        if plan is not None:
+            (tmp_path / "plan.json").write_text(plan)
+        assert main(["campaign", "st,sv", "--schemes", "ws",
+                     "--fault-plan", "plan.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --fault-plan plan.json: ")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] \
+            == ([] if plan is None else ["plan.json"])
+
+    def test_bad_fault_plan_on_a_journaled_resume_exits_2(
+            self, tmp_path, monkeypatch, capsys):
+        """...also when every cell is journaled and nothing would run:
+        the flag is read, not skipped."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["campaign", "st,sv", "--schemes", "ws", "--workers", "1",
+                "--cache", "c"]
+        assert main(argv + ["--retries", "1"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--resume", "--fault-plan", "missing.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --fault-plan missing.json: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["two", "0"])
     def test_campaign_rejects_bad_worker_env(self, value, tmp_path,
                                              monkeypatch, capsys):

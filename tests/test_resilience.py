@@ -2,9 +2,10 @@
 
 The chaos integration suite (``test_chaos.py``) exercises whole
 campaigns under injected faults; these tests pin the contracts of the
-individual pieces — picklable :class:`JobError`, the fault-plan claim
-protocol, journal round-trips under corruption, the in-process
-retry/quarantine loop, the worker-count rule, degraded-run telemetry and ledger provenance.
+individual pieces — picklable :class:`JobError`, how the parent draws
+and spends a fault plan, journal round-trips under corruption, the
+in-process retry/quarantine loop, the worker-count rule, degraded-run
+telemetry and ledger provenance.
 """
 
 import io
@@ -17,7 +18,7 @@ import pytest
 from repro.config import scaled_config
 from repro.harness import parallel as par
 from repro.harness.perfbench import outcome_signature
-from repro.harness.resilience import (CampaignJournal, FaultInjected,
+from repro.harness.resilience import (WORKER_FAULTS, CampaignJournal,
                                       FaultPlan, FaultSpec, JobError,
                                       Quarantined, ResiliencePolicy,
                                       ResilienceReport, job_key,
@@ -76,28 +77,35 @@ def test_failing_cell_raises_job_error_without_quarantine(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# FaultPlan: file format and the marker-claim protocol
-def test_fault_plan_round_trips_through_file(tmp_path):
-    plan = FaultPlan(
-        [FaultSpec(id="k1", kind="kill", match="mix *", times=2),
-         FaultSpec(id="c1", kind="corrupt", match="*", path="/tmp/x*")],
-        state_dir=str(tmp_path / "state"))
-    path = plan.to_file(str(tmp_path / "plan.json"))
+# FaultPlan: file format and how the parent spends it
+def write_plan_file(path, faults, **extra):
+    path.write_text(json.dumps({"version": 1, "faults": faults, **extra}))
+    return str(path)
 
+
+def test_fault_plan_loads_from_file(tmp_path):
+    path = write_plan_file(tmp_path / "plan.json", [
+        {"id": "k1", "kind": "kill", "match": "mix *", "times": 2},
+        {"id": "c1", "kind": "corrupt", "path": "/tmp/x*"}],
+        seed=7, state_dir="ignored.state")
     loaded = FaultPlan.from_file(path)
-    assert loaded.state_dir == str(tmp_path / "state")
     assert [f.id for f in loaded.faults] == ["k1", "c1"]
     assert loaded.faults[0].times == 2
+    assert loaded.faults[1].match == "*"
     assert loaded.faults[1].path == "/tmp/x*"
+    assert loaded.fired == {"k1": 0, "c1": 0}
+    # The ignored keys left nothing behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
 
 
-def test_fault_plan_rejects_unknown_kind_and_duplicate_ids(tmp_path):
+def test_fault_plan_rejects_unknown_kind_and_duplicate_ids():
     with pytest.raises(ValueError):
         FaultSpec(id="x", kind="meteor-strike")
     with pytest.raises(ValueError):
+        FaultSpec(id="c", kind="corrupt")  # nothing to garble
+    with pytest.raises(ValueError):
         FaultPlan([FaultSpec(id="a", kind="kill"),
-                   FaultSpec(id="a", kind="hang")],
-                  state_dir=str(tmp_path))
+                   FaultSpec(id="a", kind="hang")])
 
 
 def test_fault_plan_rejects_future_version(tmp_path):
@@ -107,53 +115,51 @@ def test_fault_plan_rejects_future_version(tmp_path):
         FaultPlan.from_file(str(path))
 
 
-def test_fault_plan_from_env_errors_on_unreadable(tmp_path, monkeypatch):
-    # A chaos run silently going fault-free would pass tests it should
-    # fail, so a dangling plan path is an explicit error.
-    monkeypatch.setenv("REPRO_FAULT_PLAN", str(tmp_path / "missing.json"))
-    with pytest.raises(OSError):
-        FaultPlan.from_env()
-    monkeypatch.delenv("REPRO_FAULT_PLAN")
-    assert FaultPlan.from_env() is None
+@pytest.mark.parametrize("faults", [
+    [{"kind": "kill"}], [{"id": "r1"}], ["r1"],
+    [{"id": "r1", "kind": "raise", "times": "twice"}], {"id": "r1"}],
+    ids=["no-id", "no-kind", "not-an-object", "bad-times", "not-a-list"])
+def test_fault_plan_rejects_malformed_entries(tmp_path, faults):
+    with pytest.raises(ValueError, match="malformed fault|must be a list"):
+        FaultPlan.from_file(write_plan_file(tmp_path / "plan.json", faults))
 
 
-def test_claim_protocol_bounds_firing_count(tmp_path):
-    plan = FaultPlan([FaultSpec(id="r1", kind="raise", match="mix *",
-                                times=2)],
-                     state_dir=str(tmp_path / "state"))
-    for _ in range(2):
-        with pytest.raises(FaultInjected):
-            plan.fire_pre("mix ws st+sv")
-    # Budget exhausted: the third matching job runs clean.
-    plan.fire_pre("mix ws st+sv")
-    assert plan.fired("r1") == 2
-    # Claims persist on disk, so a fresh plan object (= a respawned
-    # worker) sees the budget as spent.
-    again = FaultPlan.from_file(plan.to_file(str(tmp_path / "p.json")))
-    again.fire_pre("mix ws st+sv")
-    assert again.fired("r1") == 2
+def test_an_attempt_draws_exactly_the_faults_it_fires():
+    """Plan order, up to the first ``kill`` or ``raise``: that attempt
+    ends before it has a result, so an ``unpicklable`` fault drawn
+    ahead of it is left unspent."""
+    plan = FaultPlan([FaultSpec(id="h1", kind="hang", seconds=1.0),
+                      FaultSpec(id="u1", kind="unpicklable"),
+                      FaultSpec(id="r1", kind="raise"),
+                      FaultSpec(id="k1", kind="kill"),
+                      FaultSpec(id="r2", kind="raise", match="iso *")])
+    label = "mix ws st+sv"
+    drawn = [[f.id for f in plan.draw(label, WORKER_FAULTS)]
+             for _ in range(4)]
+    assert drawn == [["h1", "r1"], ["k1"], ["u1"], []]
+    assert plan.fired == {"h1": 1, "u1": 1, "r1": 1, "k1": 1, "r2": 0}
 
 
-def test_fault_match_is_label_glob(tmp_path):
+def test_fault_match_is_label_glob():
     plan = FaultPlan([FaultSpec(id="r1", kind="raise", match="iso *",
-                                times=5)],
-                     state_dir=str(tmp_path / "state"))
-    plan.fire_pre("mix ws st+sv")  # no match, no fire
-    with pytest.raises(FaultInjected):
-        plan.fire_pre("iso bp")
-    assert plan.fired("r1") == 1
+                                times=5)])
+    assert plan.draw("mix ws st+sv", WORKER_FAULTS) == ()  # no match
+    assert [f.id for f in plan.draw("iso bp", WORKER_FAULTS)] == ["r1"]
+    assert plan.fired == {"r1": 1}
 
 
 def test_kill_and_hang_skipped_outside_workers(tmp_path):
-    plan = FaultPlan([FaultSpec(id="k1", kind="kill", times=1),
-                      FaultSpec(id="h1", kind="hang", times=1,
-                                seconds=3600.0)],
-                     state_dir=str(tmp_path / "state"))
-    # In-process (serial fallback) the parent must never SIGKILL or
-    # stall itself; the claim stays unspent for a real worker.
-    plan.fire_pre("mix ws st+sv", in_worker=False)
-    assert plan.fired("k1") == 0
-    assert plan.fired("h1") == 0
+    """The in-process loop must never SIGKILL or stall the parent: it
+    draws the ``raise`` and leaves the ``kill`` and ``hang`` unspent."""
+    plan = FaultPlan([FaultSpec(id="k1", kind="kill", match="mix *"),
+                      FaultSpec(id="h1", kind="hang", match="mix *"),
+                      FaultSpec(id="r1", kind="raise", match="mix *")])
+    job = par.MixJob(("st", "sv"))
+    _results, report = run_jobs_resilient(
+        make_runner(tmp_path), [job], workers=1, fault_plan=plan,
+        policy=ResiliencePolicy(retries=1, backoff_s=0.01))
+    assert report.cells[job_key(job)].faults == ["error:FaultInjected"]
+    assert plan.fired == {"k1": 0, "h1": 0, "r1": 1}
 
 
 def test_corrupt_fault_garbles_first_matching_file(tmp_path):
@@ -161,15 +167,15 @@ def test_corrupt_fault_garbles_first_matching_file(tmp_path):
     victim.parent.mkdir()
     victim.write_text(json.dumps({"ok": True}))
     plan = FaultPlan([FaultSpec(id="c1", kind="corrupt", times=1,
-                                path=str(tmp_path / "data" / "*.json"))],
-                     state_dir=str(tmp_path / "state"))
-    plan.fire_post("mix ws st+sv")
+                                path=str(tmp_path / "data" / "*.json"))])
+    plan.corrupt("mix ws st+sv")
     assert victim.read_text() == "{corrupt"
     # times=1: a second firing leaves other files alone.
     other = tmp_path / "data" / "b.json"
     other.write_text("{}")
-    plan.fire_post("mix ws st+sv")
+    plan.corrupt("mix ws st+sv")
     assert other.read_text() == "{}"
+    assert plan.fired == {"c1": 1}
 
 
 # ----------------------------------------------------------------------
@@ -291,15 +297,13 @@ def test_serial_retry_recovers_and_stays_bit_identical(tmp_path):
     want = par.execute_job(baseline, par.MixJob(("st", "sv")))
 
     plan = FaultPlan([FaultSpec(id="r1", kind="raise",
-                                match="mix ws st+sv", times=1)],
-                     state_dir=str(tmp_path / "state"))
-    plan_path = plan.to_file(str(tmp_path / "plan.json"))
+                                match="mix ws st+sv", times=1)])
 
     runner = make_runner(tmp_path, "faulted")
     policy = ResiliencePolicy(retries=2, backoff_s=0.01)
     results, report = run_jobs_resilient(
         runner, [par.MixJob(("st", "sv"))], policy=policy, workers=1,
-        fault_plan=plan_path)
+        fault_plan=plan)
     assert outcome_signature(results[0]) == outcome_signature(want)
     assert report.retries == 1
     cell = report.cells[job_key(par.MixJob(("st", "sv")))]
@@ -310,14 +314,12 @@ def test_serial_retry_recovers_and_stays_bit_identical(tmp_path):
 
 def test_serial_quarantine_after_budget(tmp_path):
     plan = FaultPlan([FaultSpec(id="r1", kind="raise", match="mix *",
-                                times=99)],
-                     state_dir=str(tmp_path / "state"))
-    plan_path = plan.to_file(str(tmp_path / "plan.json"))
+                                times=99)])
     runner = make_runner(tmp_path)
     results, report = run_jobs_resilient(
         runner, [par.MixJob(("st", "sv")), par.IsoJob("bp")],
         policy=ResiliencePolicy(retries=1, backoff_s=0.01), workers=1,
-        fault_plan=plan_path)
+        fault_plan=plan)
     # The poisoned mix is quarantined; the iso cell still completes.
     assert isinstance(results[0], Quarantined)
     assert results[0].label == "mix ws st+sv"
@@ -326,25 +328,19 @@ def test_serial_quarantine_after_budget(tmp_path):
     assert report.quarantined == ["mix ws st+sv"]
 
 
-def test_fault_plan_travels_as_a_value(tmp_path, monkeypatch):
-    """``fault_plan=`` reaches the worker as a start-up argument: the
-    worker fires the planned fault while the parent's environment is
-    left as it was, as every heartbeat sees it."""
-    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+def test_faults_travel_with_the_job(tmp_path):
+    """The parent draws an attempt's faults and sends them with its
+    job: the worker fires the planned ``raise`` on the first attempt,
+    the retry runs clean, and the plan value records one firing."""
     plan = FaultPlan([FaultSpec(id="r1", kind="raise",
-                                match="mix ws st+sv", times=1)],
-                     state_dir=str(tmp_path / "state"))
-    plan_path = plan.to_file(str(tmp_path / "plan.json"))
+                                match="mix ws st+sv", times=1)])
     seen = []
     run_jobs_resilient(
         make_runner(tmp_path), [par.MixJob(("st", "sv"))],
         policy=ResiliencePolicy(retries=1, backoff_s=0.01), workers=2,
-        fault_plan=plan_path,
-        progress=lambda b: seen.append(
-            (b.event, b.fault, os.environ.get("REPRO_FAULT_PLAN"))))
-    assert seen == [("retry", "error:FaultInjected", None),
-                    ("done", None, None)]
-    assert "REPRO_FAULT_PLAN" not in os.environ
+        fault_plan=plan, progress=lambda b: seen.append((b.event, b.fault)))
+    assert seen == [("retry", "error:FaultInjected"), ("done", None)]
+    assert plan.fired == {"r1": 1}
 
 
 def test_duplicate_jobs_execute_once(tmp_path):

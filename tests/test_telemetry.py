@@ -121,12 +121,14 @@ class TestCampaignProgress:
     """``run_campaign_resilient`` feeds one callback two batches: the
     shared isolated runs, then the grid."""
 
-    def campaign(self, workers, cache_dir=None):
+    def campaign(self, workers, cache_dir=None, runner=None, **kwargs):
         from repro.harness.resilience import PLAIN, run_campaign_resilient
-        runner = ExperimentRunner(scaled_config(), QUICK, cache_dir=cache_dir)
+        runner = runner or ExperimentRunner(scaled_config(), QUICK,
+                                            cache_dir=cache_dir)
+        kwargs.setdefault("policy", PLAIN)
         sink = CampaignTelemetry(stream=io.StringIO())
         run_campaign_resilient(runner, [mix("bp", "cd")], ["ws"],
-                               policy=PLAIN, workers=workers, progress=sink)
+                               workers=workers, progress=sink, **kwargs)
         return runner, sink
 
     def test_beats_count_the_whole_campaign(self):
@@ -171,3 +173,24 @@ class TestCampaignProgress:
                    if not b.cache_hit)
         assert ([b.index for b in sink.heartbeats]
                 == list(range(1, len(sink.heartbeats) + 1)))
+
+    def test_every_cache_hit_books_no_cycles(self):
+        """A warm rerun settles every isolated run before dispatch, and
+        a ``--resume`` replays the grid cell from the journal too: each
+        of those beats is a cache hit of 0 cycles, like the one a
+        worker books for a recalled result."""
+        from repro.harness.resilience import ResiliencePolicy
+        with tempfile.TemporaryDirectory() as cache:
+            runner, _cold = self.campaign(workers=1, cache_dir=cache,
+                                          policy=ResiliencePolicy())
+            _runner, warm = self.campaign(workers=1, runner=runner)
+            fresh = ExperimentRunner(scaled_config(), QUICK, cache_dir=cache)
+            _runner, resumed = self.campaign(workers=1, runner=fresh,
+                                             resume=True)
+        for sink in (warm, resumed):
+            hits = [b for b in sink.heartbeats if b.cache_hit]
+            assert hits and all(b.sim_cycles == 0 for b in hits)
+        assert [b.cache_hit for b in warm.heartbeats[:-1]] \
+            == [True] * (len(warm.heartbeats) - 1)
+        assert all(b.cache_hit for b in resumed.heartbeats)
+        assert resumed.heartbeats[-1].event == "resumed"
