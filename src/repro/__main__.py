@@ -111,8 +111,8 @@ POSITIVE_INT = _at_least(int, 1)
 COUNT = _at_least(int, 0)
 #: a timeout in seconds.
 POSITIVE_SECONDS = _at_least(float, 0, exclusive=True)
-#: a backoff in seconds.
-SECONDS = _at_least(float, 0)
+#: a backoff in seconds, a threshold in percent.
+NON_NEGATIVE = _at_least(float, 0)
 
 
 def _scaled_runner(settings=None, cache_dir=None):
@@ -247,6 +247,10 @@ def cmd_campaign(args) -> int:
             return 2
         specs.append(names)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        print(f"error: --schemes {args.schemes!r} names no scheme",
+              file=sys.stderr)
+        return 2
     if _bad_names([n for names in specs for n in names], schemes):
         return 2
     from repro.harness.parallel import requested_workers
@@ -433,7 +437,7 @@ def main(argv=None) -> int:
                           help="extra attempts per failed cell before "
                                "quarantine (default 2 under --timeout/"
                                "--resume/--fault-plan)")
-    campaign.add_argument("--backoff", type=SECONDS, default=0.25,
+    campaign.add_argument("--backoff", type=NON_NEGATIVE, default=0.25,
                           metavar="S",
                           help="base retry backoff in seconds, doubled "
                                "per attempt (default 0.25)")
@@ -465,7 +469,7 @@ def main(argv=None) -> int:
     compare.add_argument("--check", action="store_true",
                          help="exit 1 when the geomean total-IPC ratio "
                               "drops beyond the threshold")
-    compare.add_argument("--threshold", type=float, default=2.0,
+    compare.add_argument("--threshold", type=NON_NEGATIVE, default=2.0,
                          metavar="PCT",
                          help="allowed geomean drop in percent (default 2)")
     compare.set_defaults(fn=cmd_compare)

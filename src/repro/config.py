@@ -29,7 +29,9 @@ class CacheConfig:
 
     ``lines = size_bytes // line_size`` and ``sets = lines // assoc``;
     construction validates divisibility so a typo cannot silently build
-    a different cache than intended.
+    a different cache than intended.  Write policies are fixed: L1D
+    write-evict (``L1DCache.access``), L2 write-back with no write
+    allocation (``MemorySubsystem._l2_write``).
     """
 
     size_bytes: int
@@ -37,10 +39,6 @@ class CacheConfig:
     assoc: int
     mshrs: int
     miss_queue: int
-    hit_latency: int = 1
-    #: write-evict/write-no-allocate (L1D) if False, write-back/
-    #: write-allocate (L2) if True.
-    write_allocate: bool = False
     #: xor-index the set bits with higher address bits (Table 1).
     xor_index: bool = True
     #: maximum outstanding misses a single MSHR entry can merge.
@@ -66,7 +64,9 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class GPUConfig:
-    """Full-GPU configuration (paper Table 1 plus simulation knobs)."""
+    """Full-GPU configuration (paper Table 1).  Issue is fixed in
+    ``repro.sim.sm``: one instruction per scheduler and one SFU
+    instruction per SM each cycle, ``SFU_ISSUE_INTERVAL``."""
 
     num_sms: int = 16
     warp_size: int = 32
@@ -91,10 +91,11 @@ class GPUConfig:
     l2: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             size_bytes=2048 * 1024, line_size=128, assoc=16,
-            mshrs=128, miss_queue=64, hit_latency=30,
-            write_allocate=True,
+            mshrs=128, miss_queue=64,
         )
     )
+    #: cycles from an L2 hit to its response leaving the L2.
+    l2_hit_latency: int = 30
 
     # Interconnect: one-way latency in cycles and flits-per-cycle
     # aggregate bandwidth each direction (16x16 crossbar, 32B flits).
@@ -111,19 +112,9 @@ class GPUConfig:
     #: lines per DRAM row (row-buffer locality granularity).
     dram_row_lines: int = 32
 
-    # Execution unit latencies / widths.
-    alu_latency: int = 6
-    sfu_latency: int = 16
-    alu_units: int = 4
-    sfu_units: int = 1
-    lsu_units: int = 1
     #: L1D requests the LSU can process per cycle (the L1 is banked;
     #: coalesced requests to distinct banks proceed in parallel).
     lsu_width: int = 4
-
-    #: maximum independent instructions a warp may issue past an
-    #: outstanding load before blocking (simple MLP model).
-    warp_mlp: int = 2
 
     #: MILG / QBMI sampling window in memory requests (paper: 1024).
     sample_window: int = 1024
@@ -153,7 +144,6 @@ def scaled_config(
     num_sms: int = 2,
     scheduler_policy: str = "gto",
     l1d_kb: int = 12,
-    sample_window: int = 256,
 ) -> GPUConfig:
     """Scaled-down configuration used by tests, examples and benches.
 
@@ -172,7 +162,7 @@ def scaled_config(
     )
     l2 = CacheConfig(
         size_bytes=64 * 1024 * max(1, num_sms), line_size=128, assoc=8,
-        mshrs=64, miss_queue=16, hit_latency=8, write_allocate=True,
+        mshrs=64, miss_queue=16,
     )
     return GPUConfig(
         num_sms=num_sms,
@@ -185,11 +175,12 @@ def scaled_config(
         smem_per_sm=16384,
         l1d=l1d,
         l2=l2,
+        l2_hit_latency=8,
         icnt_latency=4,
         icnt_flits_per_cycle=4 * max(1, num_sms),
         dram_channels=2 * max(1, num_sms),
         dram_latency=40,
         dram_row_hit_cycles=3,
         dram_row_miss_cycles=9,
-        sample_window=sample_window,
+        sample_window=256,
     )

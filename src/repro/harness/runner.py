@@ -67,8 +67,8 @@ class RunnerSettings:
 
 
 #: the named cycle budgets: ``quick`` is ``repro report --quick``,
-#: ``bench`` the figure bench's (``benchmarks/conftest.py``, scaled by
-#: ``REPRO_BENCH_SCALE``; EXPERIMENTS.md's numbers) and ``report`` the
+#: ``bench`` the figure bench's (``benchmarks/conftest.py``;
+#: EXPERIMENTS.md's numbers) and ``report`` the
 #: ``RunnerSettings`` defaults, what ``repro report`` runs.
 BUDGETS: Dict[str, RunnerSettings] = {
     "quick": RunnerSettings(iso_cycles=3000, curve_cycles=2000,

@@ -9,11 +9,11 @@ reservation failures — which is exactly the congestion signal DMIL
 throttles on (§3.3) and why enlarging one resource merely moves the
 bottleneck (§4.3).
 
-L2 policies follow Table 1 (xor-indexed, LRU, allocate-on-miss for
-reads).  Writes are modelled as write-through-to-DRAM at the L2
-boundary rather than full WBWA; writes carry no dependences in this
-model, only bandwidth, so this simplification does not affect any
-studied mechanism (see DESIGN.md).
+One L2 tag store, ``L2_PORTS`` lookups a cycle, xor-indexed, LRU,
+allocating on a read miss (Table 1).  A write marks a hit dirty and
+goes to DRAM on a miss without allocating (``_l2_write``), not full
+WBWA: writes carry no dependences here, only bandwidth, so this does
+not affect any studied mechanism (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class MemorySubsystem:
         self.l2_in: Deque[MemRequest] = deque()
         self.dram = DRAMModel(config)
         self._line_flits = Interconnect.line_flits(config)
-        self._l2_hit_latency = config.l2.hit_latency
+        self._l2_hit_latency = config.l2_hit_latency
         self._icnt_latency = config.icnt_latency
         # Pending events, bucketed by cycle: a dict of per-cycle lists
         # plus a min-heap of bucket cycles.  Events at the same cycle

@@ -301,8 +301,9 @@ class GPU:
             lsu_busy_cycles=sum(sm.lsu.busy_cycles for sm in self.sms),
             alu_busy=sum(sm.alu_busy for sm in self.sms),
             sfu_busy=sum(sm.sfu_busy for sm in self.sms),
-            alu_slots=cycles * cfg.alu_units * cfg.num_sms,
-            sfu_slots=cycles * cfg.sfu_units * cfg.num_sms,
+            # Issue bounds: one per scheduler, one SFU per SM, a cycle.
+            alu_slots=cycles * cfg.schedulers_per_sm * cfg.num_sms,
+            sfu_slots=cycles * cfg.num_sms,
             dram_row_hit_rate=self.memory.dram.row_hit_rate(),
             num_sms=cfg.num_sms,
             l2_accesses=sum(self.memory.l2_stats.accesses.values())

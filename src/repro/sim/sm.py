@@ -52,6 +52,9 @@ from repro.sim.warp import MemInst, ThreadBlock, Warp
 from repro.workloads.kernel import OP_ALU, OP_SFU, OP_STORE
 
 
+#: cycles an SFU instruction holds its warp (an ALU one holds it one).
+SFU_ISSUE_INTERVAL = 4
+
 #: whole-SM sleep causes as indices into ``_slept`` (SLEEP_CAUSES order).
 SLEEP_IDLE, SLEEP_STALL, SLEEP_MIL = range(len(SLEEP_CAUSES))
 
@@ -334,7 +337,7 @@ class StreamingMultiprocessor:
             stats.sfu_insts += 1
             self.sfu_busy += 1
             self._sfu_used = True
-            warp.ready_at = cycle + 4
+            warp.ready_at = cycle + SFU_ISSUE_INTERVAL
         self._note_issue(sched, warp, op, cycle)
 
     def _issue_mem(self, sched: WarpScheduler, warp: Warp, op: str,
@@ -508,9 +511,9 @@ class SleepingSM(StreamingMultiprocessor):
         #: so the per-tick mask avoids rebuilding a dict view.
         self._kstate_items = list(self.kstate.items())
         self._limiter_unlimited = isinstance(bundle.limiter, NoLimit)
-        #: issue-through (see ``_issue_mem``) only unobserved: an
-        #: observed run wants every request's events.
-        self._through_ok = obs is None
+        #: issue-through (see ``_issue_mem``) only without a recorded
+        #: trace, which wants every request's events.
+        self._through_ok = obs is None or obs.trace is None
         #: the baseline policy's pick is pure "first proposer wins".
         self._pick_trivial = (type(bundle.mem_policy).pick
                               is UnmanagedIssue.pick)
@@ -859,7 +862,7 @@ class SleepingSM(StreamingMultiprocessor):
             stats.sfu_insts += 1
             self.sfu_busy += 1
             self._sfu_used = True
-            warp.ready_at = cycle + 4
+            warp.ready_at = cycle + SFU_ISSUE_INTERVAL
         # The oracle's _note_issue, inlined (no call per issue), plus
         # scan-list upkeep.
         sched.note_issued(warp)

@@ -24,6 +24,10 @@ BAD_NUMBERS = [
     ("campaign bp,cd --schemes even --timeout nan", "--timeout"),
     ("campaign bp,cd --schemes even --retries 1 --backoff -1",
      "--backoff"),
+    # A negative threshold printed "--1%" and failed every check; NaN
+    # passed every check.
+    ("compare a b --check --threshold -1", "--threshold"),
+    ("compare a b --check --threshold nan", "--threshold"),
 ]
 
 
@@ -146,6 +150,21 @@ class TestCLI:
         assert captured.err.startswith("error: unknown ")
         assert captured.err.count("\n") == 1
         assert known in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("schemes", [",", " , ,"])
+    def test_campaign_without_a_scheme_exits_2_before_any_work(
+            self, schemes, tmp_path, monkeypatch, capsys):
+        """A ``--schemes`` list with no name in it is a usage error, not
+        a campaign that simulates its isolated runs and prints an empty
+        table."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "bp,cd", "--schemes", schemes,
+                     "--cache", "c"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --schemes {schemes!r} names no "
+                                "scheme\n")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("plan", [

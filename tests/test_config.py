@@ -1,9 +1,12 @@
 """Unit tests for repro.config."""
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
+import repro
 from repro.config import MAXWELL_CONFIG, CacheConfig, GPUConfig, scaled_config
 
 
@@ -21,7 +24,7 @@ class TestCacheConfig:
         l2 = MAXWELL_CONFIG.l2
         assert l2.size_bytes == 2048 * 1024
         assert l2.assoc == 16
-        assert l2.write_allocate
+        assert l2.num_sets == 1024
 
     def test_rejects_size_not_multiple_of_line(self):
         with pytest.raises(ValueError):
@@ -91,3 +94,21 @@ class TestScaledConfig:
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             scaled_config().num_sms = 3
+
+
+def test_every_field_is_read():
+    """A config field describes the machine only if the simulator reads
+    it: each ``GPUConfig`` and ``CacheConfig`` field is loaded as an
+    attribute somewhere in the package outside ``config.py``."""
+    package = pathlib.Path(repro.__file__).parent
+    read = set()
+    for path in package.rglob("*.py"):
+        if path == package / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                read.add(node.attr)
+    fields = {f.name for cls in (GPUConfig, CacheConfig)
+              for f in dataclasses.fields(cls)}
+    assert sorted(fields - read) == []

@@ -267,16 +267,20 @@ def test_hits_finish_where_they_are_found(kernels, tbs, scheme_kwargs,
                                           cfg_kwargs):
     """The sweeps above hold these cells to the oracle; here, that
     issue-through engages on them and cannot silently stop: all-hit
-    loads finish at issue — and none does on an observed run or on the
-    oracle."""
+    loads finish at issue, as many on an observed run as on a plain
+    one — and none on a traced run or on the oracle."""
     plain = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs,
                      reference=False)
+    through = plain.sleep["insts_through"]
     hits = sum(plain.l1d_hits.values())
-    assert (hits > 0) == (plain.sleep["insts_through"] > 0)
-    assert plain.sleep["insts_through"] <= hits
-    for kwargs in ({"reference": False, "obs": True}, {"reference": True}):
+    assert (hits > 0) == (through > 0)
+    assert through <= hits
+    for kwargs, expected in (
+            ({"reference": False, "obs": True}, through),
+            ({"reference": False, "obs": ObsOptions(trace=True)}, 0),
+            ({"reference": True}, 0)):
         other = run_once(kernels, tbs, scheme_kwargs, cfg_kwargs, **kwargs)
-        assert other.sleep["insts_through"] == 0
+        assert other.sleep["insts_through"] == expected
         assert result_signature(other) == result_signature(plain)
 
 

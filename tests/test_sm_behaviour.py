@@ -76,8 +76,24 @@ class TestSFUPort:
         cfg = scaled_config()
         p = get_profile("cp")  # sfu_frac 0.35
         _, result = run([p], [8], SchemeConfig(), cycles=4000, cfg=cfg)
-        max_sfu = result.cycles * cfg.sfu_units * cfg.num_sms
+        max_sfu = result.cycles * cfg.num_sms
         assert result.kernels[0].sfu_insts <= max_sfu
+
+    def test_slots_are_what_bounds_issue(self):
+        """One instruction per scheduler and one SFU instruction per SM
+        each cycle: the utilisation denominators follow the scheduler
+        count, and the busiest kernels stay inside them."""
+        cfg = scaled_config().replace(schedulers_per_sm=2)
+        for name in ("st", "cp"):
+            p = get_profile(name)
+            _, result = run([p], [p.max_tbs_per_sm(cfg)], SchemeConfig(),
+                            cycles=2000, cfg=cfg)
+            assert result.alu_slots == result.cycles * 2 * cfg.num_sms
+            assert result.sfu_slots == result.cycles * cfg.num_sms
+            insts = sum(k.warp_insts for k in result.kernels.values())
+            assert 0 < result.alu_busy <= insts <= result.alu_slots
+            assert result.sfu_busy <= result.sfu_slots
+        assert result.sfu_busy > 0
 
 
 class TestSchedulerPolicyLive:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
+from repro.obs import ObsOptions
 from repro.sim.engine import GPU, KernelLaunch, make_launches
 from repro.workloads.kernel import ReplayStream, encode_ops
 from repro.workloads.profiles import get_profile
@@ -330,7 +331,7 @@ class TestIssueThrough:
         ("one-cold-line", "la", (3, 4, 5), (3, 5), 3, {}),
         ("wider-than-the-lsu", "la", (3, 4, 5, 6, 7), (3, 4, 5, 6, 7),
          scaled_config().lsu_width + 1, {}),
-        ("observed", "la", (3,), (3,), 1, {"obs": True}),
+        ("traced", "la", (3,), (3,), 1, {"obs": ObsOptions(trace=True)}),
         ("oracle", "la", (3,), (3,), 1, {"reference": True}),
     ]
 
