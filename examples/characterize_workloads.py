@@ -15,10 +15,10 @@ Usage::
 
 import argparse
 
-from repro import scaled_config
-from repro.harness import ExperimentRunner
+from repro.config import scaled_config
 from repro.harness.experiments import FIGURES
 from repro.harness.reporting import format_verdicts
+from repro.harness.runner import ExperimentRunner
 
 
 def main() -> None:

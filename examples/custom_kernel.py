@@ -12,8 +12,8 @@ coalesced gather reads with a small hot vertex set, and co-run it with
 the library's ``hs`` (hotspot).
 """
 
-from repro import scaled_config
-from repro.harness import ExperimentRunner
+from repro.config import scaled_config
+from repro.harness.runner import ExperimentRunner
 from repro.workloads.address import MixPattern
 from repro.workloads.coalescer import ThreadAddressPattern, strided
 from repro.workloads.kernel import KernelProfile

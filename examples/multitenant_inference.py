@@ -10,8 +10,9 @@ walks the scheme stack from the naive left-over policy to WS-DMIL and
 reports, for each, the service-level picture.
 """
 
-from repro import scaled_config
-from repro.harness import ExperimentRunner, format_table
+from repro.config import scaled_config
+from repro.harness.reporting import format_table
+from repro.harness.runner import ExperimentRunner
 from repro.workloads.mixes import mix
 
 SERVICE, BATCH = "bp", "ks"

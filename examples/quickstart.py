@@ -12,8 +12,8 @@ intensive) + sv (spmv, memory-intensive).
 
 import sys
 
-from repro import scaled_config
-from repro.harness import ExperimentRunner
+from repro.config import scaled_config
+from repro.harness.runner import ExperimentRunner
 from repro.workloads.mixes import mix
 
 

@@ -13,8 +13,9 @@ Usage::
 
 import sys
 
-from repro import scaled_config
-from repro.harness import ExperimentRunner, format_table
+from repro.config import scaled_config
+from repro.harness.reporting import format_table
+from repro.harness.runner import ExperimentRunner
 from repro.workloads.mixes import mix
 
 LIMITS = (1, 2, 4, 8, None)

@@ -9,34 +9,11 @@ partitioners.
 
 Quickstart::
 
-    from repro import scaled_config, SchemeConfig
-    from repro.harness import run_pair
+    from repro.config import scaled_config
+    from repro.core.arbiter import SchemeConfig
+    from repro.harness.runner import run_pair
 
     cfg = scaled_config()
     outcome = run_pair("bp", "sv", SchemeConfig(mil="dmil"), cfg)
     print(outcome.scheme)  # ws:DMIL
 """
-
-from repro._lazy import lazy_getattr
-from repro.config import MAXWELL_CONFIG, CacheConfig, GPUConfig, scaled_config
-
-#: names re-exported from the simulator packages, imported on first use.
-_EXPORTS = {
-    "SchemeConfig": "repro.core.arbiter",
-    **dict.fromkeys(("GPU", "KernelLaunch", "make_launches"),
-                    "repro.sim.engine"),
-    **dict.fromkeys(("ALL_PROFILES", "get_profile"),
-                    "repro.workloads.profiles"),
-}
-__getattr__ = lazy_getattr(__name__, _EXPORTS)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "CacheConfig",
-    "GPUConfig",
-    "MAXWELL_CONFIG",
-    "scaled_config",
-    *_EXPORTS,
-    "__version__",
-]

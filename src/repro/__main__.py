@@ -57,13 +57,14 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 # Each ``cmd_*`` imports what it runs, and so does everything below it:
-# the packages re-export lazily (``repro._lazy``), the runner imports the
-# simulator where it simulates and ``SchemeConfig`` its mechanisms where
-# it builds them.  ``lint``, ``dash``, ``compare`` and ``schemes`` never
-# load ``repro.sim``/``repro.mem``, and a fully journaled ``campaign
+# a package ``__init__`` imports none of its modules, the runner imports
+# the simulator where it simulates and ``SchemeConfig`` its mechanisms
+# where it builds them.  ``lint``, ``dash``, ``compare`` and ``schemes``
+# never load ``repro.sim``/``repro.mem``, and a fully journaled ``campaign
 # --resume`` loads the harness, the ledger and the classes its pickled
 # records name (``sim.stats``, ``obs.collector``), but none of the cycle
 # model.  No ``repro`` module imports ``hashlib`` (which maps OpenSSL):
@@ -86,11 +87,13 @@ SCHEME_HELP = [
 
 
 def _at_least(convert, minimum, exclusive=False):
-    """An argparse ``type``: ``convert(text)`` no less than ``minimum``
-    (above it if ``exclusive``).  A bad value is a usage error — exit 2
-    before any runner, job or cache dir exists — not a silent default
-    and not a cell fault to retry and quarantine."""
-    kind = "an integer" if convert is int else "a number"
+    """An argparse ``type``: a finite ``convert(text)`` no less than
+    ``minimum`` (above it if ``exclusive``).  A bad value is a usage
+    error — exit 2 before any runner, job or cache dir exists — not a
+    silent default and not a cell fault to retry and quarantine.  NaN
+    and infinity are bad values: an infinite timeout overflows the
+    dispatcher's wait, an infinite threshold passes every check."""
+    kind = "an integer" if convert is int else "a finite number"
     rule = f"{kind} {'>' if exclusive else '>='} {minimum}"
 
     def parse(text):
@@ -98,8 +101,9 @@ def _at_least(convert, minimum, exclusive=False):
             value = convert(text)
         except ValueError:
             value = None
-        if value is None or not (value > minimum if exclusive
-                                 else value >= minimum):
+        # NaN fails either comparison.
+        if value is None or value == math.inf or not (
+                value > minimum if exclusive else value >= minimum):
             raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
         return value
     return parse
@@ -126,7 +130,7 @@ def _scaled_runner(settings=None, cache_dir=None):
 def _obs_options(args):
     """Resolve the observability request of ``run``: any of ``--obs``,
     ``--trace``, ``--phase-interval`` or ``--artifacts`` observes."""
-    from repro.obs import ObsOptions
+    from repro.obs.collector import ObsOptions
     if not (args.obs or args.trace or args.phase_interval
             or args.artifacts):
         return None
@@ -190,7 +194,7 @@ def cmd_run(args) -> int:
         print(f"  LSU             : {result.sleep['insts_through']} of "
               f"{minsts} memory instructions finished at issue")
     # Host-side too: what this process's kernel-trace cache did.
-    from repro.obs import process_registry
+    from repro.obs.registry import process_registry
     cache = process_registry().snapshot("trace_cache")
     print(f"  trace cache     : "
           f"{cache['trace_cache.chunk_compiles']} chunk compiles, "
@@ -199,7 +203,7 @@ def cmd_run(args) -> int:
           f"{cache['trace_cache.bytes_compiled']} bytes")
     report = result.obs
     if report is not None:
-        from repro.obs import format_stall_report
+        from repro.obs.stalls import format_stall_report
         print()
         print(format_stall_report(report))
     if report is not None and report.phases:
@@ -243,7 +247,8 @@ def cmd_campaign(args) -> int:
     for spec in args.mixes:
         names = [n.strip() for n in spec.split(",") if n.strip()]
         if len(names) < 2:
-            print(f"mix {spec!r} needs at least two kernels", file=sys.stderr)
+            print(f"error: mix {spec!r} needs at least two kernels",
+                  file=sys.stderr)
             return 2
         specs.append(names)
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
@@ -284,7 +289,7 @@ def cmd_campaign(args) -> int:
     runner = _scaled_runner(cache_dir=cache_dir)
     telemetry = None
     if args.progress:
-        from repro.obs import CampaignTelemetry
+        from repro.obs.telemetry import CampaignTelemetry
         telemetry = CampaignTelemetry()
     obs = args.obs or bool(args.phase_interval) or bool(args.artifacts)
     try:
@@ -312,8 +317,8 @@ def cmd_campaign(args) -> int:
         ["mix", "scheme", "TBs/SM", "WS", "ANTT", "fairness"],
         rows, precision=3))
     if obs:
-        from repro.obs import format_stall_report
         from repro.obs.collector import ObsReport
+        from repro.obs.stalls import format_stall_report
         reports = [o.result.obs for o in outcomes if o.result.obs is not None]
         if reports:
             print()

@@ -21,37 +21,6 @@ parent-side", "the taxonomy is closed") are pinned at run time instead
 Run it as ``python -m repro lint [paths]`` (see
 :mod:`repro.lint.cli`), or drive the pieces directly::
 
-    from repro.lint import LintEngine
+    from repro.lint.engine import LintEngine
     findings = LintEngine("/repo").lint_paths(["src"])
 """
-
-from repro.lint.engine import (DEFAULT_EXCLUDE_DIRS, FileContext, LintEngine,
-                               PARSE_ERROR_RULE)
-from repro.lint.findings import Finding
-from repro.lint.output import (format_catalog, format_github, format_json,
-                               format_text, render)
-from repro.lint.rules import Rule, all_rules, normalize_rule_id, rules_by_id
-from repro.lint.scope import (SIM_SCOPE, SRC_SCOPE, collect_py_files,
-                              path_in_scope, rel_posix)
-
-__all__ = [
-    "DEFAULT_EXCLUDE_DIRS",
-    "FileContext",
-    "Finding",
-    "LintEngine",
-    "PARSE_ERROR_RULE",
-    "Rule",
-    "SIM_SCOPE",
-    "SRC_SCOPE",
-    "all_rules",
-    "collect_py_files",
-    "format_catalog",
-    "format_github",
-    "format_json",
-    "format_text",
-    "normalize_rule_id",
-    "path_in_scope",
-    "rel_posix",
-    "render",
-    "rules_by_id",
-]

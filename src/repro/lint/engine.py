@@ -26,9 +26,7 @@ from typing import List, Optional, Sequence, Set
 
 from repro.lint.findings import Finding
 from repro.lint.rules import Rule, all_rules
-# re-exported for callers that import it from the engine.
-from repro.lint.scope import DEFAULT_EXCLUDE_DIRS as DEFAULT_EXCLUDE_DIRS
-from repro.lint.scope import collect_py_files, rel_posix
+from repro.lint.scope import DEFAULT_EXCLUDE_DIRS, collect_py_files, rel_posix
 
 #: rule id attached to files the engine cannot parse.
 PARSE_ERROR_RULE = "REPRO-E000"

@@ -14,12 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-# The scope constants and the prefix test live in repro.lint.scope
-# (shared with the engine walk); re-exported here because every rule
-# module spells them as `from repro.lint.rules import SIM_SCOPE, ...`.
-from repro.lint.scope import SIM_SCOPE as SIM_SCOPE
-from repro.lint.scope import SRC_SCOPE as SRC_SCOPE
-from repro.lint.scope import path_in_scope as path_in_scope
+from repro.lint.scope import path_in_scope
 
 
 class Rule:

@@ -29,8 +29,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-from repro.lint.rules import (Rule, SIM_SCOPE, SRC_SCOPE, iter_scopes,
-                              local_statements)
+from repro.lint.rules import Rule, iter_scopes, local_statements
+from repro.lint.scope import SIM_SCOPE, SRC_SCOPE
 
 #: builtins whose call consumes its argument in iteration order.
 _ORDER_SENSITIVE_CONSUMERS = ("list", "tuple", "enumerate", "iter",

@@ -43,7 +43,8 @@ from __future__ import annotations
 import ast
 from typing import Optional, Set, Tuple
 
-from repro.lint.rules import Rule, SIM_SCOPE, expr_key
+from repro.lint.rules import Rule, expr_key
+from repro.lint.scope import SIM_SCOPE
 
 #: attribute names treated as observability sentinels.
 SENTINEL_ATTRS = ("_obs", "obs")

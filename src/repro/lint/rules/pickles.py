@@ -22,7 +22,8 @@ from __future__ import annotations
 import ast
 from typing import Optional, Set
 
-from repro.lint.rules import Rule, SRC_SCOPE
+from repro.lint.rules import Rule
+from repro.lint.scope import SRC_SCOPE
 
 #: classes whose instances cross the run_jobs process boundary
 #: (the runner a worker starts from, jobs and their drawn faults out,

@@ -23,7 +23,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set
 
-from repro.lint.rules import Rule, SRC_SCOPE
+from repro.lint.rules import Rule
+from repro.lint.scope import SRC_SCOPE
 from repro.obs.stalls import ISSUED, LSU_STALL_REASONS, SCHED_STALL_REASONS
 from repro.obs.timeline import ADAPT_MECHANISMS
 

@@ -72,8 +72,8 @@ class StallTable:
     ``sched`` is keyed ``(sm_id, sched_id, kernel, reason)`` — one
     entry per scheduler issue slot outcome; ``lsu`` is keyed
     ``(sm_id, kernel, reason)`` — one entry per stalled LSU cycle.
-    Plain dict-of-int state so tables pickle across campaign workers
-    and merge by summation.
+    Plain dict-of-int state: it pickles across campaign workers, and
+    :meth:`~repro.obs.collector.ObsReport.merged` sums it key by key.
     """
 
     __slots__ = ("sched", "lsu")
@@ -96,12 +96,6 @@ class StallTable:
 
     # ------------------------------------------------------------------
     # aggregation
-    def merge(self, other: "StallTable") -> None:
-        for key, value in other.sched.items():
-            self.sched[key] = self.sched.get(key, 0) + value
-        for key, value in other.lsu.items():
-            self.lsu[key] = self.lsu.get(key, 0) + value
-
     def sched_by_reason(self, kernel: Optional[int] = None) -> Dict[str, int]:
         """Scheduler outcomes summed over SMs/schedulers, optionally
         restricted to one kernel slot."""
@@ -129,24 +123,6 @@ class StallTable:
         """Total stalled LSU cycles — equals the engine's
         ``lsu_stall_cycles`` counter by construction."""
         return sum(self.lsu.values())
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form (tuple keys flattened to lists)."""
-        return {
-            "sched": [[sm, sched, k, reason, v]
-                      for (sm, sched, k, reason), v in sorted(self.sched.items())],
-            "lsu": [[sm, k, reason, v]
-                    for (sm, k, reason), v in sorted(self.lsu.items())],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "StallTable":
-        table = cls()
-        for sm, sched, k, reason, v in payload.get("sched", []):
-            table.sched[(sm, sched, k, reason)] = v
-        for sm, k, reason, v in payload.get("lsu", []):
-            table.lsu[(sm, k, reason)] = v
-        return table
 
 
 # ----------------------------------------------------------------------

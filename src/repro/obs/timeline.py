@@ -101,15 +101,15 @@ def adapt_events_from_record(record: Dict[str, object]) -> List[AdaptEvent]:
 class PhaseSampler:
     """Windowed phase sampler for one observed run.
 
-    Driven by the engine: the oracle's loop calls ``on_cycle`` once
-    per simulated cycle; the production machine runs to each interval
-    boundary, settles what it owes for the cycles before it
-    (``GPU.settle``) and calls ``on_cycle`` for the boundary's last
-    cycle only.  All reads are pull-based, so the sampler can never
-    perturb simulation state.  ``snapshot`` is non-destructive —
-    a partial tail interval is measured into the returned record
-    without committing baselines, so mid-run reports stay exact and a
-    later final report re-measures the (longer) tail correctly.
+    Driven by the engine: on either machine ``GPU.run`` cuts its cycle
+    loop at each interval boundary, settles what the machine owes for
+    the cycles before it (``GPU.settle``) and calls ``on_cycle`` for
+    the boundary's last cycle — once per interval, never per cycle.
+    All reads are pull-based, so the sampler can never perturb
+    simulation state.  ``snapshot`` is non-destructive — a partial
+    tail interval is measured into the returned record without
+    committing baselines, so mid-run reports stay exact and a later
+    final report re-measures the (longer) tail correctly.
     """
 
     def __init__(self, interval: int):
@@ -146,9 +146,10 @@ class PhaseSampler:
     # ------------------------------------------------------------------
     # sampling
     def on_cycle(self, cycle: int, gpu) -> None:
-        """End-of-cycle hook from the engine (called at the last cycle
-        of each interval, settled); commits one sample whenever an
-        interval boundary completes."""
+        """Interval hook from the engine: ``cycle`` is the last cycle of
+        an interval, every debt before it settled.  Commits the
+        interval's sample (a cycle that ends no interval commits
+        nothing)."""
         upto = cycle + 1
         if upto % self.interval == 0:
             self._append(self._measure(upto, gpu, commit=True))

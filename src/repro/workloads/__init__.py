@@ -9,24 +9,3 @@ observable characteristics — so we reproduce each benchmark as a
 parameterised instruction/address stream generator
 (:class:`~repro.workloads.kernel.KernelProfile`).
 """
-
-from repro._lazy import lazy_getattr
-
-#: public name -> defining module, imported on first use.
-_EXPORTS = {
-    **dict.fromkeys(("AccessPattern", "StreamPattern", "ReusePattern",
-                     "MixPattern"), "repro.workloads.address"),
-    **dict.fromkeys(("ThreadAddressPattern", "coalesce",
-                     "coalescing_degree", "unit_stride", "strided",
-                     "gather"), "repro.workloads.coalescer"),
-    **dict.fromkeys(("KernelProfile", "InstructionStream"),
-                    "repro.workloads.kernel"),
-    **dict.fromkeys(("ALL_PROFILES", "COMPUTE_PROFILES", "MEMORY_PROFILES",
-                     "PROFILES_BY_NAME", "get_profile"),
-                    "repro.workloads.profiles"),
-    **dict.fromkeys(("WorkloadMix", "classify_mix", "paper_pairs",
-                     "representative_pairs", "representative_triples"),
-                    "repro.workloads.mixes"),
-}
-__getattr__ = lazy_getattr(__name__, _EXPORTS)
-__all__ = list(_EXPORTS)

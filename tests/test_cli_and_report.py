@@ -22,12 +22,17 @@ BAD_NUMBERS = [
     ("campaign bp,cd --schemes even --timeout 0", "--timeout"),
     ("campaign bp,cd --schemes even --timeout -2", "--timeout"),
     ("campaign bp,cd --schemes even --timeout nan", "--timeout"),
+    # An infinite timeout overflowed the dispatcher's wait.
+    ("campaign bp,cd --schemes even --timeout inf --workers 2",
+     "--timeout"),
     ("campaign bp,cd --schemes even --retries 1 --backoff -1",
      "--backoff"),
     # A negative threshold printed "--1%" and failed every check; NaN
     # passed every check.
     ("compare a b --check --threshold -1", "--threshold"),
     ("compare a b --check --threshold nan", "--threshold"),
+    # An infinite threshold passed every check.
+    ("compare a b --check --threshold inf", "--threshold"),
 ]
 
 
@@ -167,6 +172,21 @@ class TestCLI:
                                 "scheme\n")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mixes", [["bp"], ["bp,cd", "st,"]],
+                             ids=" ".join)
+    def test_campaign_with_a_one_kernel_mix_exits_2_before_any_work(
+            self, mixes, tmp_path, monkeypatch, capsys):
+        """A mix of one kernel is a usage error like any other: one
+        ``error:`` line, exit 2, and no cache dir."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", *mixes, "--schemes", "ws",
+                     "--cache", "c"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: mix {mixes[-1]!r} needs at least "
+                                "two kernels\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("plan", [
         None, "{not json", '{"version": 2, "faults": []}',
         '{"version": 1, "faults": [{"kind": "kill"}]}'],
@@ -258,8 +278,7 @@ class TestCLI:
         """``repro.__main__`` imports per subcommand: lint, dash,
         compare and schemes finish (one fresh interpreter, in-process
         ``main`` calls) with neither ``repro.sim`` nor ``repro.mem``
-        loaded — and the lazily exported package names still resolve
-        afterwards."""
+        loaded."""
         import os
         import subprocess
         import sys
@@ -283,10 +302,6 @@ loaded = sorted(m for m in sys.modules
                 if m.startswith(("repro.sim", "repro.mem")))
 assert codes == [0] * 5 and os.path.getsize(out) > 0, codes
 assert not loaded, loaded
-import repro, repro.harness
-assert repro.GPU.__module__ == "repro.sim.engine"
-assert repro.harness.ExperimentRunner.__module__ == "repro.harness.runner"
-assert repro.harness.experiments.__name__ == "repro.harness.experiments"
 """
         with tempfile.TemporaryDirectory() as tmp:
             done = subprocess.run(

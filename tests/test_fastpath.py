@@ -26,7 +26,7 @@ from repro.config import MAXWELL_CONFIG, scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
 from repro.mem.subsystem import MemorySubsystem
-from repro.obs import ObsOptions
+from repro.obs.collector import ObsOptions
 from repro.obs.stalls import ISSUED, LSU_STALL_REASONS, SCHED_STALL_REASONS
 from repro.obs.timeline import ADAPT_MECHANISMS, adapt_events_from_record
 from repro.sim.engine import GPU, make_launches

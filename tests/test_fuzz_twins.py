@@ -23,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.config import scaled_config  # noqa: E402
 from repro.core.arbiter import SchemeConfig  # noqa: E402
 from repro.harness.perfbench import result_signature  # noqa: E402
-from repro.obs import ObsOptions  # noqa: E402
+from repro.obs.collector import ObsOptions  # noqa: E402
 from repro.sim.engine import GPU, make_launches  # noqa: E402
 from repro.sim.stats import SLEEP_CAUSES  # noqa: E402
 from repro.workloads import trace as ktrace  # noqa: E402

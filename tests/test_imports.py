@@ -1,11 +1,12 @@
-"""Import contract: every ``repro`` package serves its re-exports
-lazily through an export map (``repro._lazy.lazy_getattr``), and the
-cycle model imports none of the harness or the reporting half of
-``repro.obs``."""
+"""Import contract: every name has one import path, its defining
+module — a package ``__init__`` binds nothing but its docstring (and
+``repro.obs`` its one exception) — and the cycle model imports none of
+the harness or the reporting half of ``repro.obs``."""
 
 import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -15,15 +16,12 @@ import repro
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
-#: every package whose ``__init__`` re-exports leaf names.
-LAZY_PACKAGES = ("repro", "repro.harness", "repro.sim", "repro.mem",
-                 "repro.core", "repro.cke", "repro.obs", "repro.workloads",
-                 "repro.metrics")
-#: the only names a package binds eagerly: the root's ``repro.config``
-#: re-exports (the config module is imported by everything anyway)
-#: and ``__version__``.
-EAGER = {"repro": {"CacheConfig", "GPUConfig", "MAXWELL_CONFIG",
-                   "scaled_config", "__version__"}}
+PACKAGES = ("repro", "repro.harness", "repro.sim", "repro.mem", "repro.core",
+            "repro.cke", "repro.obs", "repro.workloads", "repro.metrics",
+            "repro.lint")
+#: package -> {the one class or function it binds: its defining
+#: module}; ``benchmarks/e2e`` imports that name from the package.
+BOUND = {"repro.obs": {"process_registry": "repro.obs.registry"}}
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
@@ -31,46 +29,57 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
                           text=True, env=dict(os.environ, PYTHONPATH=SRC))
 
 
-@pytest.mark.parametrize("name", LAZY_PACKAGES)
+@pytest.mark.parametrize("name", PACKAGES)
 def test_all_is_the_export_map(name):
+    """No package serves names of its own: no export map, no
+    ``__all__`` and no module ``__getattr__``."""
     package = importlib.import_module(name)
-    assert [n for n in package.__all__ if n not in EAGER.get(name, ())] \
-        == list(package._EXPORTS)
+    for hook in ("_EXPORTS", "__all__", "__getattr__"):
+        assert not hasattr(package, hook), (name, hook)
 
 
-@pytest.mark.parametrize("name", LAZY_PACKAGES)
+@pytest.mark.parametrize("name", PACKAGES)
 def test_each_name_resolves_to_its_defining_module(name):
+    """With every leaf loaded, each public name a package binds is one
+    of its own submodules: a class or function is imported from the
+    module that defines it, never from the package."""
     package = importlib.import_module(name)
-    for public, target in package._EXPORTS.items():
-        module = importlib.import_module(target)
-        value = getattr(package, public)
-        if target == f"{name}.{public}":
-            assert value is module
+    for info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module(f"{name}.{info.name}")
+    for public, value in vars(package).items():
+        if public.startswith("_"):
             continue
-        assert value is getattr(module, public), (public, target)
-        if inspect.isclass(value) or inspect.isfunction(value):
-            # Defined there, not re-imported from elsewhere.
-            assert value.__module__ == target, public
+        if public in BOUND.get(name, {}):
+            module = importlib.import_module(BOUND[name][public])
+            assert value is getattr(module, public), public
+            continue
+        assert inspect.ismodule(value), (name, public)
+        assert value.__name__ == f"{name}.{public}", (name, public)
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         getattr(package, "nope")
 
 
-@pytest.mark.parametrize("name", LAZY_PACKAGES)
+@pytest.mark.parametrize("name", PACKAGES)
 def test_star_import_binds_every_public_name(name):
-    done = _fresh(f"from {name} import *\n"
-                  f"import {name} as pkg\n"
-                  "missing = [n for n in pkg.__all__ if n not in globals()]\n"
-                  "assert not missing, missing\n")
+    """``from pkg import *`` binds no class or function (bar the one
+    ``repro.obs`` keeps)."""
+    done = _fresh(f"import inspect\n"
+                  f"from {name} import *\n"
+                  "bound = sorted(n for n, v in list(globals().items())\n"
+                  "               if not n.startswith('_')\n"
+                  "               and (inspect.isclass(v)\n"
+                  "                    or inspect.isfunction(v)))\n"
+                  f"assert bound == {sorted(BOUND.get(name, {}))!r}, bound\n")
     assert done.returncode == 0, done.stderr
 
 
 def test_importing_a_package_imports_none_of_its_leaves():
     done = _fresh(
         "import sys\n"
-        f"import {', '.join(LAZY_PACKAGES)}\n"
+        f"import {', '.join(PACKAGES)}\n"
         "leaves = sorted(m for m in sys.modules if m.startswith('repro.')\n"
-        f"                and m not in {LAZY_PACKAGES!r})\n"
-        "assert leaves == ['repro._lazy', 'repro.config'], leaves\n")
+        f"                and m not in {PACKAGES!r})\n"
+        "assert leaves == ['repro.obs.registry'], leaves\n")
     assert done.returncode == 0, done.stderr
 
 

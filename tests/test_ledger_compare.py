@@ -8,7 +8,8 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.obs import compare_paths, render_dashboard
+from repro.obs.compare import compare_paths
+from repro.obs.dash import render_dashboard
 from repro.obs.ledger import (
     ARTIFACT_VERSION,
     INDEX_NAME,

@@ -4,8 +4,9 @@ handling."""
 import json
 import os
 
-from repro.lint import (Finding, LintEngine, PARSE_ERROR_RULE, format_github,
-                        format_json, format_text)
+from repro.lint.engine import PARSE_ERROR_RULE, LintEngine
+from repro.lint.findings import Finding
+from repro.lint.output import format_github, format_json, format_text
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXROOT = os.path.join(HERE, "lint_fixtures")

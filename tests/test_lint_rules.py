@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from repro.lint import LintEngine
+from repro.lint.engine import LintEngine
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXROOT = os.path.join(HERE, "lint_fixtures")

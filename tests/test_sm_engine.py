@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
-from repro.obs import ObsOptions
+from repro.obs.collector import ObsOptions
 from repro.sim.engine import GPU, KernelLaunch, make_launches
 from repro.workloads.kernel import ReplayStream, encode_ops
 from repro.workloads.profiles import get_profile

@@ -18,10 +18,11 @@ import pytest
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
-from repro.obs import (ISSUED, STALL_BMI_LOSS, STALL_EXEC_PORT,
-                       STALL_LSU_FULL, STALL_MIL_CAPPED, STALL_NO_WARP,
-                       STALL_SCOREBOARD, STALL_SMK_GATE, ObsReport,
-                       format_stall_report)
+from repro.obs.collector import ObsReport
+from repro.obs.stalls import (ISSUED, STALL_BMI_LOSS, STALL_EXEC_PORT,
+                              STALL_LSU_FULL, STALL_MIL_CAPPED, STALL_NO_WARP,
+                              STALL_SCOREBOARD, STALL_SMK_GATE,
+                              format_stall_report)
 from repro.sim.engine import GPU, make_launches
 from repro.workloads.profiles import get_profile
 

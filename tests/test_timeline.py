@@ -10,17 +10,17 @@ import pytest
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
 from repro.harness.perfbench import result_signature
-from repro.obs import (
+from repro.obs.collector import ObsOptions, ObsReport
+from repro.obs.stalls import LSU_STALL_REASONS
+from repro.obs.timeline import (
     ADAPT_MECHANISMS,
     ADAPT_MIL,
     ADAPT_QBMI,
-    ObsOptions,
-    ObsReport,
+    PHASE_SCHED_OUTCOMES,
+    PhaseSampler,
     adapt_events_from_record,
     merge_phase_records,
 )
-from repro.obs.stalls import LSU_STALL_REASONS
-from repro.obs.timeline import PHASE_SCHED_OUTCOMES, PhaseSampler
 from repro.sim.engine import GPU, make_launches
 from repro.workloads.profiles import get_profile
 

@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core.arbiter import SchemeConfig
-from repro.obs import ObsOptions, TraceRecorder
+from repro.obs.collector import ObsOptions
+from repro.obs.trace import TraceRecorder
 from repro.sim.engine import GPU, make_launches
 from repro.workloads.profiles import get_profile
 
