@@ -11,9 +11,11 @@ Quickstart::
 
     from repro.config import scaled_config
     from repro.core.arbiter import SchemeConfig
-    from repro.harness.runner import run_pair
+    from repro.harness.runner import ExperimentRunner
+    from repro.workloads.mixes import mix
 
     cfg = scaled_config()
-    outcome = run_pair("bp", "sv", SchemeConfig(mil="dmil"), cfg)
+    outcome = ExperimentRunner(cfg).run_mix_with_stack(
+        mix("bp", "sv"), SchemeConfig(mil="dmil"))
     print(outcome.scheme)  # ws:DMIL
 """

@@ -71,21 +71,6 @@ import sys
 # every digest comes from ``repro._digest``.
 # ``tests/test_cli_and_report.py`` holds all three.
 
-SCHEME_HELP = [
-    ("spatial", "spatial multitasking (SM split)"),
-    ("leftover", "Hyper-Q style left-over policy"),
-    ("even", "naive even intra-SM TB split"),
-    ("ws", "Warped-Slicer sweet-spot TB partition"),
-    ("ws-rbmi / ws-qbmi", "+ balanced memory issuing (§3.2)"),
-    ("ws-dmil / ws-gdmil", "+ dynamic memory instruction limiting (§3.3.2)"),
-    ("ws-smil:3,1", "+ static limits, 'inf' for unlimited (§3.3.1)"),
-    ("ws-ucp", "+ UCP L1D way partitioning (§3.1)"),
-    ("ws-byp:0,1", "+ L1D bypassing for flagged kernels (§4.5)"),
-    ("smk-p+w", "SMK DRF partition + warp-instruction quotas"),
-    ("smk-p+qbmi / smk-p+dmil", "SMK-P + the paper's schemes"),
-]
-
-
 def _at_least(convert, minimum, exclusive=False):
     """An argparse ``type``: a finite ``convert(text)`` no less than
     ``minimum`` (above it if ``exclusive``).  A bad value is a usage
@@ -140,36 +125,51 @@ def _obs_options(args):
                       phase_interval=args.phase_interval)
 
 
-def _bad_names(kernels, schemes) -> bool:
-    """Resolve every kernel and scheme name before a runner, a job or
-    a cache directory exists: an unknown one is a usage error — one
-    ``error:`` line naming the known values, exit 2 — not a traceback
-    and not a cell fault to retry and quarantine."""
-    from repro.harness.runner import ExperimentRunner
+def _bad_names(mixes, schemes, observed) -> bool:
+    """Resolve every kernel and scheme name, and check each scheme
+    against each mix, before a runner, a job or a cache directory
+    exists: an unknown name, a per-kernel list that does not fit a mix
+    (``ws-smil:3`` on two kernels) or an observed ``dws*`` run is a
+    usage error — one ``error:`` line, exit 2 — not a traceback and
+    not a cell fault to retry and quarantine."""
+    from repro.core.arbiter import SCHEMES, parse_scheme
+    from repro.harness.runner import DWS_UNOBSERVABLE
     from repro.workloads.profiles import get_profile
     try:
-        for name in kernels:
-            get_profile(name)
-        for scheme in schemes:
-            ExperimentRunner.check_scheme(scheme)
+        for names in mixes:
+            for name in names:
+                get_profile(name)
+        parsed = [parse_scheme(scheme) for scheme in schemes]
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return True
     except ValueError as exc:
-        known = ", ".join(name for name, _ in SCHEME_HELP)
+        known = ", ".join(name for name, _ in SCHEMES)
         print(f"error: {exc} (known: {known})", file=sys.stderr)
         return True
+    for scheme, (partition, stack) in zip(schemes, parsed):
+        for names in mixes:
+            try:
+                if partition == "dws" and observed:
+                    raise ValueError(DWS_UNOBSERVABLE)
+                if stack is not None:
+                    stack.check_kernels(len(names))
+            except ValueError as exc:
+                print(f"error: scheme {scheme!r} on mix "
+                      f"{'+'.join(names)!r}: {exc}", file=sys.stderr)
+                return True
     return False
 
 
 def cmd_run(args) -> int:
     from repro.workloads.mixes import mix
-    if _bad_names((args.a, args.b), (args.scheme,)):
+    obs = _obs_options(args)
+    if _bad_names([(args.a, args.b)], (args.scheme,), obs is not None):
         return 2
     runner = _scaled_runner()
     try:
         outcome = runner.run_mix(mix(args.a, args.b), args.scheme,
-                                 cycles=args.cycles, obs=_obs_options(args))
+                                 cycles=args.cycles, obs=obs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -256,7 +256,8 @@ def cmd_campaign(args) -> int:
         print(f"error: --schemes {args.schemes!r} names no scheme",
               file=sys.stderr)
         return 2
-    if _bad_names([n for names in specs for n in names], schemes):
+    obs = args.obs or bool(args.phase_interval) or bool(args.artifacts)
+    if _bad_names(specs, schemes, obs):
         return 2
     from repro.harness.parallel import requested_workers
     try:
@@ -291,7 +292,6 @@ def cmd_campaign(args) -> int:
     if args.progress:
         from repro.obs.telemetry import CampaignTelemetry
         telemetry = CampaignTelemetry()
-    obs = args.obs or bool(args.phase_interval) or bool(args.artifacts)
     try:
         outcomes, report = run_campaign_resilient(
             runner, mixes, schemes, policy=policy, workers=args.workers,
@@ -376,9 +376,10 @@ def cmd_lint(args) -> int:
 
 
 def cmd_schemes(_args) -> int:
+    from repro.core.arbiter import SCHEMES
     from repro.harness.reporting import format_table
     print(format_table(["scheme", "meaning"],
-                       [[a, b] for a, b in SCHEME_HELP]))
+                       [[a, b] for a, b in SCHEMES]))
     return 0
 
 

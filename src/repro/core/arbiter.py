@@ -20,7 +20,7 @@ paper's evaluation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.core.bmi import MemIssuePolicy
@@ -28,8 +28,8 @@ if TYPE_CHECKING:
     from repro.core.mil import MemInstLimiter
 
 # The mechanisms are imported by :meth:`SchemeConfig.build`, which
-# instantiates them: the scheme grammar (``ExperimentRunner.check_scheme``)
-# and every pickled ``SchemeConfig`` need the declaration only.
+# instantiates them: the scheme grammar (:func:`parse_scheme`) and
+# every pickled ``SchemeConfig`` need the declaration only.
 
 BMI_CHOICES = ("none", "rbmi", "qbmi")
 MIL_CHOICES = ("none", "smil", "dmil", "gdmil")
@@ -135,6 +135,7 @@ class SchemeConfig:
         from repro.core.cache_partition import UCPController
         from repro.core.mil import (DynamicLimiter, GlobalLimiterView,
                                     NoLimit, StaticLimiter)
+        self.check_kernels(num_kernels)
         window = self.sample_window or gpu_config.sample_window
 
         if self.bmi == "rbmi":
@@ -146,11 +147,8 @@ class SchemeConfig:
             policy = UnmanagedIssue()
 
         if self.mil == "smil":
-            limits = self.smil_limits
-            assert limits is not None
-            if len(limits) != num_kernels:
-                raise ValueError("one SMIL limit per kernel required")
-            limiter: MemInstLimiter = StaticLimiter(limits)
+            assert self.smil_limits is not None
+            limiter: MemInstLimiter = StaticLimiter(self.smil_limits)
         elif self.mil == "dmil":
             limiter = DynamicLimiter(num_kernels, window, self.dmil_recovery)
         elif self.mil == "gdmil":
@@ -165,16 +163,102 @@ class SchemeConfig:
         ucp = (UCPController(num_kernels, l1_tags, self.ucp_interval)
                if self.ucp and num_kernels >= 2 else None)
 
-        gate = None
-        if self.smk_quotas is not None:
-            if len(self.smk_quotas) != num_kernels:
-                raise ValueError("one SMK quota per kernel required")
-            gate = SMKQuotaGate(self.smk_quotas)
+        gate = (SMKQuotaGate(self.smk_quotas)
+                if self.smk_quotas is not None else None)
+        return SchemeBundle(policy, limiter, ucp, gate, self.l1d_bypass)
 
-        bypass = self.l1d_bypass
-        if bypass is not None and len(bypass) != num_kernels:
-            raise ValueError("one bypass flag per kernel required")
-        return SchemeBundle(policy, limiter, ucp, gate, bypass)
+    def check_kernels(self, num_kernels: int) -> None:
+        """Raise the ``ValueError`` :meth:`build` raises when a
+        per-kernel list does not hold ``num_kernels`` entries."""
+        for values, what in (
+                (self.smil_limits if self.mil == "smil" else None,
+                 "SMIL limit"),
+                (self.smk_quotas, "SMK quota"),
+                (self.l1d_bypass, "bypass flag")):
+            if values is not None and len(values) != num_kernels:
+                raise ValueError(f"one {what} per kernel required")
+
+
+#: every scheme name the harness knows, as ``(name, meaning)`` rows
+#: (what ``python -m repro schemes`` prints): a TB partitioner, then for
+#: ``ws``, ``dws`` and ``smk-p`` an optional suffix of ``+``-joined
+#: mechanism tokens, which :func:`parse_scheme` reads.
+SCHEMES: Tuple[Tuple[str, str], ...] = (
+    ("spatial", "spatial multitasking (SM split) [2]"),
+    ("leftover", "Hyper-Q-style left-over policy"),
+    ("even", "naive even intra-SM TB split"),
+    ("ws", "Warped-Slicer sweet-spot TB partition"),
+    ("ws-rbmi", "+ round-robin balanced memory issuing (§3.2)"),
+    ("ws-qbmi", "+ quota-based balanced memory issuing (§3.2)"),
+    ("ws-dmil", "+ dynamic memory instruction limiting (§3.3.2)"),
+    ("ws-gdmil", "+ global DMIL: one MILG set, broadcast (§3.3.2)"),
+    ("ws-qbmi+dmil", "+ QBMI and DMIL"),
+    ("ws-ucp", "+ UCP L1D way partitioning (§3.1)"),
+    ("ws-smil:3,1", "+ static limits, 'inf' for unlimited (§3.3.1)"),
+    ("ws-byp:0,1", "+ L1D bypassing for flagged kernels (§4.5)"),
+    ("dws", "dynamic Warped-Slicer: online profiling (§2.5)"),
+    ("dws-dmil", "dws + DMIL (any ws suffix applies)"),
+    ("smk-p", "SMK DRF partition only"),
+    ("smk-p+w", "SMK-(P+W): DRF + warp-instruction quotas [45]"),
+    ("smk-p+qbmi", "SMK-P + QBMI"),
+    ("smk-p+dmil", "SMK-P + DMIL"),
+)
+
+
+def parse_scheme(name: str, reqs_per_minst: Sequence[int] = ()
+                 ) -> Tuple[str, Optional[SchemeConfig]]:
+    """Split a scheme name (:data:`SCHEMES`, any case) into its TB
+    partitioner — ``spatial``, ``leftover``, ``even``, ``ws``, ``dws``
+    or ``smk`` — and the :class:`SchemeConfig` its suffix names:
+    ``None`` for ``smk-p+w``, whose quotas come from the kernels'
+    isolated IPCs.  ``reqs_per_minst`` (one per kernel) seeds QBMI.
+    Raises ``ValueError`` for a name outside the grammar."""
+    name = name.lower()
+    if name in ("spatial", "leftover", "even"):
+        return name, SchemeConfig()
+    for partition in ("dws", "ws"):
+        if name.startswith(partition):
+            return partition, _stack(name[len(partition):], reqs_per_minst)
+    if name.startswith("smk"):
+        variant = name[len("smk"):]
+        if variant in ("-p+w", "+w"):
+            return "smk", None
+        if variant in ("-p", ""):
+            return "smk", SchemeConfig()
+        if variant.startswith("-p+"):
+            return "smk", _stack(variant[len("-p+"):], reqs_per_minst)
+        raise ValueError(f"unknown SMK variant {name!r}")
+    raise ValueError(f"unknown scheme {name!r}")
+
+
+def _stack(suffix: str, reqs_per_minst: Sequence[int]) -> SchemeConfig:
+    """The mechanism stack a scheme suffix names, e.g. ``-qbmi+dmil``
+    or ``-smil:3,1``."""
+    suffix = suffix.lstrip("-")
+    if not suffix:
+        return SchemeConfig()
+    kwargs: Dict[str, object] = {}
+    for token in suffix.split("+"):
+        if token in ("rbmi", "qbmi"):
+            kwargs["bmi"] = token
+            if token == "qbmi":
+                kwargs["qbmi_init_req_per_minst"] = tuple(reqs_per_minst)
+        elif token in ("dmil", "gdmil"):
+            kwargs["mil"] = token
+        elif token == "ucp":
+            kwargs["ucp"] = True
+        elif token.startswith("byp:"):
+            kwargs["l1d_bypass"] = tuple(
+                part.strip() in ("1", "true")
+                for part in token[len("byp:"):].split(","))
+        elif token.startswith("smil:"):
+            kwargs["mil"] = "smil"
+            kwargs["smil_limits"] = tuple(
+                None if part in ("inf", "none") else int(part)
+                for part in token[len("smil:"):].split(","))
+        else:
+            raise ValueError(f"unknown scheme token {token!r}")
+    return SchemeConfig(**kwargs)
 
 
 class SchemeBundle:

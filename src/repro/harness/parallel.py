@@ -36,6 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from repro.core.arbiter import parse_scheme
 from repro.harness.runner import ExperimentRunner
 from repro.obs.telemetry import JobHeartbeat
 from repro.workloads.mixes import WorkloadMix
@@ -192,7 +193,7 @@ def shared_input_jobs(runner: ExperimentRunner,
     online and reads no curve."""
     profiles = {p.name: p for mix in mixes for p in mix.profiles}
     jobs = [IsoJob(k) for k in profiles]
-    if any(s.lower().startswith("ws") for s in schemes):
+    if any(parse_scheme(s)[0] == "ws" for s in schemes):
         cycles = runner.settings.curve_cycles
         jobs += [IsoJob(k, tbs, cycles) for k, p in profiles.items()
                  for tbs in range(1, p.max_tbs_per_sm(runner.config) + 1)]

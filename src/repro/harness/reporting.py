@@ -88,9 +88,8 @@ def build_report(runner, include_sweeps: bool = True) -> str:
     render one markdown document: each entry's table, then one ✓/✗
     line per paper-shape verdict.  ``include_sweeps=False`` skips the
     entries that run a workloads×schemes grid."""
-    # Imported lazily: the experiment drivers import the runner module,
-    # which this module must not depend on at import time (both are
-    # pulled in by ``harness/__init__``).
+    # Imported lazily: ``experiments`` imports this module at module
+    # level, so a module-level import here would be circular.
     from repro.harness.experiments import FIGURES
 
     config, settings = runner.config, runner.settings

@@ -1,27 +1,8 @@
 """Experiment runner: isolated profiling (cached), scheme resolution,
 and concurrent-workload execution with the paper's metrics.
 
-Scheme names follow the paper's labels:
-
-==================  =====================================================
-``spatial``         spatial multitasking [2]
-``leftover``        Hyper-Q-style left-over policy
-``even``            naive even intra-SM TB split
-``ws``              Warped-Slicer TB partition (sweet spot)
-``ws-rbmi``         + round-robin balanced memory issuing
-``ws-qbmi``         + quota-based balanced memory issuing (§3.2)
-``ws-dmil``         + dynamic memory instruction limiting (§3.3.2)
-``ws-gdmil``        + *global* DMIL (one MILG set, broadcast; §3.3.2)
-``ws-qbmi+dmil``    + both
-``ws-ucp``          + UCP L1D way partitioning (§3.1)
-``ws-smil:3,1``     + static limits (Inf spelled ``inf``) (§3.3.1)
-``ws-byp:0,1``      + L1D bypassing for flagged kernels (§4.5)
-``dws`` (+suffix)   *dynamic* Warped-Slicer: online profiling (§2.5)
-``smk-p``           SMK DRF partition only
-``smk-p+w``         SMK-(P+W): DRF + warp-instruction quotas [45]
-``smk-p+qbmi``      SMK-P + QBMI
-``smk-p+dmil``      SMK-P + DMIL
-==================  =====================================================
+Scheme names follow the paper's labels; the one list of them, with
+their grammar, is :data:`repro.core.arbiter.SCHEMES`.
 
 Isolated runs (needed both for normalisation and for Warped-Slicer's
 scalability curves) are cached in memory and optionally on disk
@@ -38,18 +19,21 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro._digest import config_fingerprint, md5
-from repro.config import GPUConfig, scaled_config
-from repro.core.arbiter import SchemeConfig
 from repro.cke.warped_slicer import ScalabilityCurve, sweet_spot
+from repro.config import GPUConfig, scaled_config
+from repro.core.arbiter import SchemeConfig, parse_scheme
 from repro.metrics.speedup import antt, fairness, normalized_ipcs, weighted_speedup
 from repro.sim.stats import RunResult
 from repro.workloads.kernel import KernelProfile
 from repro.workloads.mixes import WorkloadMix
-from repro.workloads.profiles import get_profile
 
 # The simulator and the TB partitioners are imported by the methods
 # that run them: a ``campaign --resume`` unpickles this module's
 # records and replays them without loading the cycle model.
+
+#: why ``run_mix`` refuses to observe a ``dws*`` scheme.
+DWS_UNOBSERVABLE = ("observability is not supported for dynamic Warped-Slicer "
+                    "runs (profiling phases re-launch the engine mid-run)")
 
 #: bump when profile calibration or simulator timing changes, to
 #: invalidate the on-disk isolated-run cache.
@@ -265,108 +249,34 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     # scheme resolution
-    @staticmethod
-    def _mechanism_suffix(name: str) -> Optional[str]:
-        """The part of a lower-cased static scheme name that
-        :meth:`_stack_for` parses — ``None`` for the families without
-        a mechanism stack and for ``smk-p+w``, which builds its own.
-        Raises ``ValueError`` for a name outside the grammar."""
-        if name in ("spatial", "leftover", "even"):
-            return None
-        if name.startswith("ws"):
-            return name[len("ws"):]
-        if name.startswith("smk"):
-            suffix = name[len("smk"):]
-            if suffix in ("-p+w", "+w"):
-                return None
-            if suffix in ("-p", ""):
-                return ""
-            if suffix.startswith("-p+"):
-                return "-" + suffix[len("-p+"):]
-            raise ValueError(f"unknown SMK variant {name!r}")
-        raise ValueError(f"unknown scheme {name!r}")
-
-    @classmethod
-    def check_scheme(cls, name: str) -> None:
-        """Raise the ``ValueError`` :meth:`run_mix` raises for a name
-        outside the scheme grammar, by parsing alone — the CLI calls
-        this before it builds a runner or a job, so a typo is a usage
-        error, not a simulated (and retried) cell fault.  What depends
-        on the mix (an SMIL limit per kernel) still surfaces in the
-        cell."""
-        name = name.lower()
-        if name.startswith("dws"):
-            suffix = name[len("dws"):]
-        else:
-            suffix = cls._mechanism_suffix(name)
-        if suffix is not None:
-            cls._stack_for(suffix, ())
-
     def resolve_scheme(self, name: str, profiles: Sequence[KernelProfile]
                        ) -> Tuple[List[int], Optional[List[Set[int]]], SchemeConfig]:
-        """Translate a scheme name into (tb_limits, sm_masks, stack)."""
+        """Translate a static scheme name (not ``dws*``, which
+        partitions online) into (tb_limits, sm_masks, stack)."""
         from repro.cke.leftover import leftover_partition
         from repro.cke.partition import even_partition
         from repro.cke.smk import drf_partition, smk_quotas
         from repro.cke.spatial import spatial_masks, spatial_tb_limits
-        name = name.lower()
-        suffix = self._mechanism_suffix(name)
-
-        if name == "spatial":
+        partition, stack = parse_scheme(
+            name, tuple(p.reqs_per_minst for p in profiles))
+        if partition == "spatial":
             masks = spatial_masks(len(profiles), self.config)
-            return spatial_tb_limits(profiles, self.config), masks, SchemeConfig()
-        if name == "leftover":
-            return list(leftover_partition(profiles, self.config)), None, SchemeConfig()
-        if name == "even":
-            return list(even_partition(profiles, self.config)), None, SchemeConfig()
-
-        if name.startswith("ws"):
+            return spatial_tb_limits(profiles, self.config), masks, stack
+        if partition == "leftover":
+            return list(leftover_partition(profiles, self.config)), None, stack
+        if partition == "even":
+            return list(even_partition(profiles, self.config)), None, stack
+        if partition == "ws":
             curves = [self.curve(p) for p in profiles]
-            partition = sweet_spot(profiles, curves, self.config)
-            return list(partition), None, self._stack_for(suffix, profiles)
-        partition = drf_partition(profiles, self.config)
-        if suffix is None:  # smk-p+w
-            ipcs = [self.isolated(p).ipc for p in profiles]
-            stack = SchemeConfig(smk_quotas=smk_quotas(ipcs))
-        else:
-            stack = self._stack_for(suffix, profiles)
-        return list(partition), None, stack
-
-    @staticmethod
-    def _stack_for(suffix: str, profiles: Sequence[KernelProfile]
-                   ) -> SchemeConfig:
-        """Parse the mechanism suffix after the TB-partition prefix,
-        e.g. ``-qbmi+dmil`` or ``-smil:3,1``."""
-        suffix = suffix.lstrip("-")
-        if not suffix:
-            return SchemeConfig()
-        kwargs: Dict[str, object] = {}
-        for token in suffix.split("+"):
-            if token == "rbmi":
-                kwargs["bmi"] = "rbmi"
-            elif token == "qbmi":
-                kwargs["bmi"] = "qbmi"
-                kwargs["qbmi_init_req_per_minst"] = tuple(
-                    p.reqs_per_minst for p in profiles)
-            elif token == "dmil":
-                kwargs["mil"] = "dmil"
-            elif token == "gdmil":
-                kwargs["mil"] = "gdmil"
-            elif token == "ucp":
-                kwargs["ucp"] = True
-            elif token.startswith("byp:"):
-                flags = tuple(part.strip() in ("1", "true")
-                              for part in token[len("byp:"):].split(","))
-                kwargs["l1d_bypass"] = flags
-            elif token.startswith("smil:"):
-                limits = tuple(
-                    None if part in ("inf", "none") else int(part)
-                    for part in token[len("smil:"):].split(","))
-                kwargs["mil"] = "smil"
-                kwargs["smil_limits"] = limits
-            else:
-                raise ValueError(f"unknown scheme token {token!r}")
-        return SchemeConfig(**kwargs)
+            return list(sweet_spot(profiles, curves, self.config)), None, stack
+        if partition == "smk":
+            tb_limits = list(drf_partition(profiles, self.config))
+            if stack is None:  # smk-p+w
+                ipcs = [self.isolated(p).ipc for p in profiles]
+                stack = SchemeConfig(smk_quotas=smk_quotas(ipcs))
+            return tb_limits, None, stack
+        raise ValueError(f"scheme {name!r} partitions online: run it "
+                         f"with run_mix")
 
     # ------------------------------------------------------------------
     # concurrent runs
@@ -390,19 +300,19 @@ class ExperimentRunner:
         ``obs`` enables observability for the concurrent run (``True``
         or an ``ObsOptions``); the outcome's
         ``result.obs`` then carries the stall/trace report."""
-        if scheme.lower().startswith("dws"):
-            if obs:
-                raise ValueError(
-                    "observability is not supported for dynamic "
-                    "Warped-Slicer runs (profiling phases re-launch "
-                    "the engine mid-run)")
-            return self._run_dynamic_ws(mix, scheme, cycles)
         profiles = list(mix.profiles)
+        partition, stack = parse_scheme(
+            scheme, tuple(p.reqs_per_minst for p in profiles))
+        if partition == "dws":
+            if obs:
+                raise ValueError(DWS_UNOBSERVABLE)
+            return self._run_dynamic_ws(mix, scheme, stack, cycles)
         tb_limits, masks, stack = self.resolve_scheme(scheme, profiles)
         return self._run(mix, scheme, tb_limits, masks, stack, cycles,
                          obs=obs)
 
     def _run_dynamic_ws(self, mix: WorkloadMix, scheme: str,
+                        stack: SchemeConfig,
                         cycles: Optional[int]) -> WorkloadOutcome:
         """Dynamic Warped-Slicer: profile online, reconfigure, measure.
 
@@ -412,48 +322,41 @@ class ExperimentRunner:
         """
         from repro.cke.dynamic_ws import DynamicWarpedSlicer
         profiles = list(mix.profiles)
-        stack = self._stack_for(scheme[len("dws"):], profiles)
         slicer = DynamicWarpedSlicer(profiles, self.config, stack,
                                      seed=self.settings.seed)
         dyn = slicer.execute(cycles or self.settings.concurrent_cycles)
-        iso = [self.isolated(p).ipc for p in profiles]
-        shared = [dyn.window_ipc(slot) for slot in range(len(profiles))]
-        norms = normalized_ipcs(shared, iso)
-        return WorkloadOutcome(
-            mix_name=mix.name,
-            mix_class=mix.mix_class,
-            scheme=scheme,
-            partition=tuple(dyn.partition),
-            iso_ipcs=iso,
-            shared_ipcs=shared,
-            norm_ipcs=norms,
-            weighted_speedup=weighted_speedup(norms),
-            antt=antt(norms),
-            fairness=fairness(norms),
-            result=dyn.result,
-        )
+        return self._outcome(
+            mix, scheme, dyn.partition,
+            [dyn.window_ipc(slot) for slot in range(len(profiles))],
+            dyn.result)
 
     def _run(self, mix: WorkloadMix, scheme_label: str, tb_limits, masks,
              stack: SchemeConfig, cycles: Optional[int],
              obs=None) -> WorkloadOutcome:
         from repro.sim.engine import GPU, make_launches
-        profiles = list(mix.profiles)
-        launches = make_launches(profiles, tb_limits, self.config,
+        launches = make_launches(list(mix.profiles), tb_limits, self.config,
                                  sm_masks=masks, seed=self.settings.seed)
         gpu = GPU(self.config, launches, stack, obs=obs)
         result = gpu.run(cycles or self.settings.concurrent_cycles)
-        iso = [self.isolated(p).ipc for p in profiles]
         # Spatial multitasking concentrates each kernel on a subset of
         # SMs; IPC totals are machine-wide either way, so normalisation
         # against whole-machine isolated IPC is consistent across
         # schemes (as in the paper).
-        shared = [result.ipc(slot) for slot in range(len(profiles))]
+        return self._outcome(
+            mix, scheme_label, tb_limits,
+            [result.ipc(slot) for slot in range(len(mix.profiles))], result)
+
+    def _outcome(self, mix: WorkloadMix, scheme_label: str, partition,
+                 shared: List[float], result: RunResult) -> WorkloadOutcome:
+        """The metrics of a concurrent run whose kernels reached the
+        ``shared`` IPCs, normalised by their isolated runs."""
+        iso = [self.isolated(p).ipc for p in mix.profiles]
         norms = normalized_ipcs(shared, iso)
         return WorkloadOutcome(
             mix_name=mix.name,
             mix_class=mix.mix_class,
             scheme=scheme_label,
-            partition=tuple(tb_limits),
+            partition=tuple(partition),
             iso_ipcs=iso,
             shared_ipcs=shared,
             norm_ipcs=norms,
@@ -462,19 +365,3 @@ class ExperimentRunner:
             fairness=fairness(norms),
             result=result,
         )
-
-
-def run_pair(a: str, b: str, scheme="ws",
-             config: Optional[GPUConfig] = None,
-             cycles: Optional[int] = None) -> WorkloadOutcome:
-    """Convenience one-shot: run benchmarks ``a``+``b`` under a scheme.
-
-    ``scheme`` may be a scheme name (see module docstring) or a
-    :class:`SchemeConfig` (run with the Warped-Slicer partition, labelled
-    ``ws:<describe>``).
-    """
-    runner = ExperimentRunner(config)
-    mix = WorkloadMix((get_profile(a), get_profile(b)))
-    if isinstance(scheme, SchemeConfig):
-        return runner.run_mix_with_stack(mix, scheme, "ws", cycles)
-    return runner.run_mix(mix, scheme, cycles=cycles)

@@ -130,7 +130,7 @@ class GPU:
     cycle loop (:meth:`_run_cycles`).
 
     ``obs`` enables the observability layer (``True`` or an
-    :class:`~repro.obs.ObsOptions`) on whichever machine
+    :class:`~repro.obs.collector.ObsOptions`) on whichever machine
     ``reference`` selects: it is orthogonal to the switch.  The
     production machine observes itself exactly — cycles it does not
     execute one by one (scheduler skips, autopilot bursts, SM sleeps,

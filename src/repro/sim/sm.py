@@ -21,7 +21,7 @@ it later (sleep and its wakes, the issue-stall memo, the issue
 autopilot, issue-through, owed attribution; docs/PERF.md section 3).
 
 The SM reports all scheme-relevant events (requests, reservation
-failures, in-flight counts) to its :class:`~repro.core.SchemeBundle`.
+failures, in-flight counts) to its :class:`~repro.core.arbiter.SchemeBundle`.
 """
 
 from __future__ import annotations

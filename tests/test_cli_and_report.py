@@ -36,6 +36,43 @@ BAD_NUMBERS = [
 ]
 
 
+#: (command, what its one ``error:`` line says) — each is a usage
+#: error the CLI sees before any runner, job or cache dir exists.
+BAD_NAMES = [
+    ("run bp zz", "error: unknown benchmark 'zz'; known: 3m, ax, bp"),
+    ("run bp cd --scheme nope", "error: unknown scheme 'nope' (known: spatial"),
+    ("run bp cd --scheme smk-x --trace trace.json",
+     "error: unknown SMK variant 'smk-x' (known: spatial"),
+    ("campaign bp,zz --schemes ws --cache c",
+     "error: unknown benchmark 'zz'; known: 3m, ax, bp"),
+    ("campaign bp,cd --schemes ws,nope --cache c",
+     "error: unknown scheme 'nope' (known: spatial"),
+    ("campaign bp,zz --schemes ws --cache c --retries 1",
+     "error: unknown benchmark 'zz'; known: 3m, ax, bp"),
+    ("campaign bp,cd --schemes ws,nope --cache c --retries 1 "
+     "--artifacts arts", "error: unknown scheme 'nope' (known: spatial"),
+    # A per-kernel list that does not fit the mix simulated every
+    # isolated run, then failed (and retried, and quarantined) the cell.
+    ("run bp cd --scheme ws-smil:2,2,2",
+     "error: scheme 'ws-smil:2,2,2' on mix 'bp+cd': one SMIL limit per "
+     "kernel required"),
+    ("campaign bp,cd --schemes ws-smil:3 --workers 1 --retries 1",
+     "error: scheme 'ws-smil:3' on mix 'bp+cd': one SMIL limit per "
+     "kernel required"),
+    ("campaign bp,cd st,sv,ks --schemes ws,ws-byp:1 --cache c",
+     "error: scheme 'ws-byp:1' on mix 'bp+cd': one bypass flag per "
+     "kernel required"),
+    # An observed dynamic Warped-Slicer cell failed in the worker.
+    ("run bp cd --scheme dws --phase-interval 64",
+     "error: scheme 'dws' on mix 'bp+cd': observability is not supported"),
+    ("campaign bp,cd --schemes dws --workers 1 --artifacts art",
+     "error: scheme 'dws' on mix 'bp+cd': observability is not supported"),
+    ("campaign bp,cd --schemes ws,dws-dmil --obs --cache c",
+     "error: scheme 'dws-dmil' on mix 'bp+cd': observability is not "
+     "supported"),
+]
+
+
 class TestReport:
     def test_build_report_contains_sections(self, quick_report):
         text, _verdicts = quick_report
@@ -67,6 +104,17 @@ class TestCLI:
         assert main(["schemes"]) == 0
         out = capsys.readouterr().out
         assert "ws-dmil" in out and "smk-p+w" in out
+
+    def test_schemes_listing_names_every_family_the_figures_run(
+            self, capsys):
+        """``repro schemes`` prints the one table of names: the dynamic
+        Warped-Slicer rows, plain SMK-P and QBMI+DMIL among them."""
+        from repro.core.arbiter import SCHEMES
+        assert main(["schemes"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        listed = [row.split()[0] for row in rows]
+        assert listed == [name for name, _ in SCHEMES]
+        assert {"dws", "dws-dmil", "smk-p", "ws-qbmi+dmil"} <= set(listed)
 
     def test_run_command(self, capsys):
         assert main(["run", "pf", "bp", "--scheme", "even",
@@ -115,46 +163,41 @@ class TestCLI:
         plain policy it ends the campaign with ``error:`` and exit 1
         (no raw traceback escaping main); under a resilience policy it
         is quarantined and the campaign keeps its exit 0.  (The cell
-        fails on what only the mix can tell — one SMIL limit for two
-        kernels; a misspelt name never becomes a cell, see below.)"""
-        code = main(["campaign", "bp,cd", "--schemes", "ws-smil:3",
+        fails on what only the machine can tell — three kernels for the
+        scaled config's two SMs under spatial multitasking; a misspelt
+        name or a list that does not fit the mix never becomes a cell,
+        see below.)"""
+        code = main(["campaign", "bp,cd,st", "--schemes", "spatial",
                      "--workers", "1", "--cache", str(tmp_path)] + extra)
         captured = capsys.readouterr()
         if extra:
             assert code == 0
-            assert "quarantined: mix ws-smil:3 bp+cd (error:ValueError)" \
-                in captured.err
+            assert ("quarantined: mix spatial bp+cd+st "
+                    "(error:ValueError)") in captured.err
         else:
             assert code == 1
             assert captured.err.startswith(
-                "error: job 'mix ws-smil:3 bp+cd' failed with ValueError")
-            assert "one SMIL limit per kernel required" in captured.err
-            assert "ws-smil:3" not in captured.out
+                "error: job 'mix spatial bp+cd+st' failed with ValueError")
+            assert "cannot host 3 kernels spatially" in captured.err
+            assert "spatial" not in captured.out
 
-    @pytest.mark.parametrize("command", [
-        "run bp zz",
-        "run bp cd --scheme nope",
-        "run bp cd --scheme smk-x --trace trace.json",
-        "campaign bp,zz --schemes ws --cache c",
-        "campaign bp,cd --schemes ws,nope --cache c",
-        "campaign bp,zz --schemes ws --cache c --retries 1",
-        "campaign bp,cd --schemes ws,nope --cache c --retries 1 "
-        "--artifacts arts",
-    ])
-    def test_unknown_names_exit_2_before_any_work(self, command, tmp_path,
-                                                  monkeypatch, capsys):
-        """A misspelt kernel or scheme is a usage error on every
-        simulating command: one ``error:`` line naming the known
-        values, exit 2, and nothing simulated, retried, quarantined or
-        written (no cache dir, journal, artifact or trace file)."""
-        known = "known: 3m, ax, bp" if "zz" in command else "known: spatial"
+    @pytest.mark.parametrize("command,error", BAD_NAMES,
+                             ids=[command for command, _ in BAD_NAMES])
+    def test_unknown_names_exit_2_before_any_work(self, command, error,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+        """A misspelt kernel or scheme, a scheme whose per-kernel list
+        does not fit a mix, or an observed ``dws*`` run is a usage
+        error on every simulating command: one ``error:`` line (naming
+        the known values for a misspelt name), exit 2, and nothing
+        simulated, retried, quarantined or written (no cache dir,
+        journal, artifact or trace file)."""
         monkeypatch.chdir(tmp_path)
         assert main(command.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: unknown ")
+        assert captured.err.startswith(error)
         assert captured.err.count("\n") == 1
-        assert known in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("schemes", [",", " , ,"])

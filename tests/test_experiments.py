@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.config import scaled_config
+from repro.core.arbiter import parse_scheme
 from repro.harness import experiments as ex
 from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import mix
@@ -110,6 +111,22 @@ class TestFigureRegistry:
     def test_keys_unique(self):
         keys = [figure.key for figure in ex.FIGURES]
         assert len(keys) == len(set(keys))
+
+    def test_every_scheme_the_figures_run_parses(self, monkeypatch):
+        """Every scheme name the registry runs is one the grammar
+        accepts: the named scheme sets, and Fig. 5's and Fig. 11's
+        grids (read off the ``scheme_sweep`` call, not simulated)."""
+        swept = []
+        monkeypatch.setattr(ex, "scheme_sweep",
+                            lambda _runner, schemes, *_a, **_k:
+                            swept.extend(schemes))
+        ex.figure5_cache_partitioning(None)
+        ex.figure11_qbmi_vs_dmil(None)
+        assert swept == ["ws", "ws-ucp", "ws-qbmi", "ws-dmil",
+                         "ws-qbmi+dmil"]
+        for name in (*ex.WS_SCHEMES, *ex.SMK_SCHEMES, *ex.BMI_MIL_SCHEMES,
+                     *ex.DWS_SCHEMES, *swept):
+            parse_scheme(name)
 
     def test_every_driver_reached_by_exactly_one_entry(self):
         """A public driver no entry runs is an orphan nothing prints or

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.config import scaled_config
+from repro.core.arbiter import SCHEMES, SchemeConfig, parse_scheme
 from repro.harness.reporting import format_series, format_table, geomean
-from repro.harness.runner import ExperimentRunner, RunnerSettings, run_pair
+from repro.harness.runner import ExperimentRunner, RunnerSettings
 from repro.workloads.mixes import mix
 from repro.workloads.profiles import get_profile
 
@@ -125,17 +126,36 @@ class TestSchemeResolution:
             runner.resolve_scheme("smk-x", [get_profile("bp")])
 
     def test_check_scheme_is_the_same_grammar_without_simulating(self):
-        """The CLI's up-front name check parses what ``run_mix`` parses
-        — on the class, so no runner (and no cache dir) exists yet."""
-        for name in ("spatial", "leftover", "even", "ws", "WS-DMIL",
-                     "ws-qbmi+dmil", "ws-smil:3,inf", "ws-byp:0,1",
-                     "smk", "smk-p", "smk-p+w", "smk-p+qbmi", "dws",
-                     "dws-dmil"):
-            ExperimentRunner.check_scheme(name)
+        """The CLI's up-front name check is ``parse_scheme``, the parser
+        ``run_mix`` dispatches on — a function beside ``SchemeConfig``,
+        so no runner (and no cache dir) exists yet."""
+        for name, partition in (
+                ("spatial", "spatial"), ("leftover", "leftover"),
+                ("even", "even"), ("ws", "ws"), ("WS-DMIL", "ws"),
+                ("ws-qbmi+dmil", "ws"), ("ws-smil:3,inf", "ws"),
+                ("ws-byp:0,1", "ws"), ("smk", "smk"), ("smk-p", "smk"),
+                ("smk-p+w", "smk"), ("smk-p+qbmi", "smk"),
+                ("dws", "dws"), ("dws-dmil", "dws")):
+            assert parse_scheme(name)[0] == partition
+        assert parse_scheme("smk-p+w") == ("smk", None)
+        assert parse_scheme("dws-dmil")[1] == SchemeConfig(mil="dmil")
+        assert parse_scheme("ws-qbmi", (2, 4))[1] == SchemeConfig(
+            bmi="qbmi", qbmi_init_req_per_minst=(2, 4))
         for name in ("bogus", "ws-nope", "smk-x", "dws-nope",
-                     "ws-smil:a,b", ""):
+                     "ws-smil:a,b", "spatial-dmil", ""):
             with pytest.raises(ValueError):
-                ExperimentRunner.check_scheme(name)
+                parse_scheme(name)
+
+    def test_every_listed_scheme_parses(self):
+        """``SCHEMES`` — what ``repro schemes`` prints and the unknown-
+        scheme error lists — holds only names the grammar accepts."""
+        assert len({name for name, _ in SCHEMES}) == len(SCHEMES)
+        for name, _ in SCHEMES:
+            parse_scheme(name)
+
+    def test_dws_partitions_online(self, runner):
+        with pytest.raises(ValueError, match="partitions online"):
+            runner.resolve_scheme("dws", [get_profile("bp")])
 
 
 class TestRunMix:
@@ -146,14 +166,17 @@ class TestRunMix:
         assert outcome.partition and len(outcome.partition) == 2
         assert 0 < outcome.fairness <= 1
 
-    def test_run_pair_with_scheme_name(self):
-        outcome = run_pair("pf", "bp", "even", cycles=1500)
+    def test_run_pair_with_scheme_name(self, runner):
+        outcome = runner.run_mix(mix("pf", "bp"), "even", cycles=1500)
         assert outcome.mix_name == "pf+bp"
+        assert outcome.scheme == "even"
 
-    def test_run_pair_with_scheme_config(self):
-        from repro.core.arbiter import SchemeConfig
-        outcome = run_pair("pf", "bp", SchemeConfig(bmi="rbmi"), cycles=1500)
-        assert "RBMI" in outcome.scheme
+    def test_run_pair_with_scheme_config(self, runner):
+        """An explicit stack runs on a named partition, labelled
+        ``<partition>:<describe>``."""
+        outcome = runner.run_mix_with_stack(
+            mix("pf", "bp"), SchemeConfig(bmi="rbmi"), cycles=1500)
+        assert outcome.scheme == "ws:RBMI"
 
 
 class TestReportingHelpers:
